@@ -22,7 +22,7 @@ import pathlib
 import sys
 import time
 
-from bench_step_hotpath import default_config
+from common import default_config
 from repro.core.simulation import Simulation
 from repro.parallel.backend import ShardedBackend
 

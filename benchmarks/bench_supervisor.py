@@ -28,7 +28,7 @@ import sys
 import tempfile
 import time
 
-from bench_step_hotpath import default_config
+from common import default_config
 from repro.core.simulation import Simulation
 from repro.resilience import SupervisedRun
 

@@ -28,8 +28,7 @@ import sys
 import tempfile
 import time
 
-from bench_step_hotpath import default_config
-from common import telemetry_metrics
+from common import default_config, telemetry_metrics
 from repro.core.simulation import Simulation
 from repro.telemetry import Telemetry
 

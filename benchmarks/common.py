@@ -31,6 +31,18 @@ AVERAGE_STEPS = 2000 if FULL else 350
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
+def default_config(density: float = 40.0, seed: int = 1989) -> SimulationConfig:
+    """The paper's Mach-4 wedge geometry at the benchmark density."""
+    return SimulationConfig(
+        domain=DOMAIN,
+        freestream=Freestream(
+            mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=density
+        ),
+        wedge=WEDGE,
+        seed=seed,
+    )
+
+
 def telemetry_metrics(tel) -> dict:
     """JSON-safe telemetry snapshot for embedding in BENCH_*.json files.
 

@@ -174,9 +174,8 @@ def reflection_pairs(
 
     RNG contract: consumes exactly one ``rng.integers`` call over all
     cells (empty cells draw against a bound of 1), so the stream
-    position after pairing depends only on the per-cell ``counts`` --
-    which are path-independent -- never on the order's repair/rebuild
-    history.
+    position after pairing depends only on the per-cell ``counts``,
+    never on how the population came to be laid out.
 
     Returns particle-row pairs gathered through ``order``; ``scratch``
     backs the returned arrays (transient intermediates are fine -- the

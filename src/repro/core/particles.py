@@ -157,14 +157,6 @@ class ParticleArrays:
         # shard segments): capacity is then a hard ceiling, never
         # silently replaced by fresh heap arrays.
         self._fixed_capacity: bool = False
-        #: Row-surgery listener (the incremental sort kernel).  When
-        #: set, every operation that changes which particle occupies
-        #: which row notifies it: ``on_remove(holes, src, n_new)`` for
-        #: backfill removal, ``on_append(n_before, m)`` for appended
-        #: rows, ``on_invalidate()`` for wholesale re-orderings.  The
-        #: listener is identity-bound to *this* object; populations
-        #: built by select/concatenate start with no listener.
-        self.order_listener = None
 
     # -- construction -----------------------------------------------------
 
@@ -442,8 +434,6 @@ class ParticleArrays:
         positional columns are meaningless placeholders).
         """
         names = COLUMN_NAMES if columns is None else columns
-        if self.order_listener is not None:
-            self.order_listener.on_invalidate()
         if self._front is None:
             for name in names:
                 setattr(self, name, getattr(self, name)[order])
@@ -469,8 +459,6 @@ class ParticleArrays:
         """
         if self._front is None:
             raise ConfigurationError("compact_inplace requires enable_scratch")
-        if self.order_listener is not None:
-            self.order_listener.on_invalidate()
         k = keep_index.shape[0]
         for name in COLUMN_NAMES:
             np.take(
@@ -501,8 +489,6 @@ class ParticleArrays:
             for name in COLUMN_NAMES:
                 col = self._front[name]
                 col[holes] = col[src]
-            if self.order_listener is not None:
-                self.order_listener.on_remove(holes, src, n_new)
         for name in COLUMN_NAMES:
             setattr(self, name, self._front[name][:n_new])
 
@@ -520,8 +506,6 @@ class ParticleArrays:
         for name in COLUMN_NAMES:
             self._front[name][n : n + m] = getattr(other, name)
             setattr(self, name, self._front[name][: n + m])
-        if self.order_listener is not None:
-            self.order_listener.on_append(n, m)
 
     # -- replica-blocked surgery (the ensemble engine) --------------------
 
@@ -551,8 +535,6 @@ class ParticleArrays:
             )
         if int(starts[-1]) != n:
             raise ConfigurationError("starts[-1] must equal the population")
-        if self.order_listener is not None:
-            self.order_listener.on_invalidate()
         n_blocks = starts.shape[0] - 1
         new_starts = np.empty_like(np.asarray(starts, dtype=np.int64))
         new_starts[0] = 0
@@ -600,8 +582,6 @@ class ParticleArrays:
         for o in others:
             if o.rotational_dof != self.rotational_dof:
                 raise ConfigurationError("rotational dof mismatch")
-        if self.order_listener is not None:
-            self.order_listener.on_invalidate()
         new_starts = np.empty_like(np.asarray(starts, dtype=np.int64))
         new_starts[0] = 0
         for r in range(n_blocks):
@@ -686,8 +666,6 @@ class ParticleArrays:
         self._front["perm"][n : n + m] = perm_in[:m]
         for name in COLUMN_NAMES:
             setattr(self, name, self._front[name][: n + m])
-        if self.order_listener is not None:
-            self.order_listener.on_append(n, m)
 
     @staticmethod
     def concatenate(a: "ParticleArrays", b: "ParticleArrays") -> "ParticleArrays":

@@ -24,12 +24,8 @@ from repro.constants import DEFAULT_SORT_SCALE
 from repro.core import motion
 from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
 from repro.core.cells import assign_cells
-from repro.core.collision import collide_adjacent_pairs, collide_pairs
-from repro.core.pairing import (
-    even_odd_pairs,
-    pairing_efficiency,
-    reflection_pairs,
-)
+from repro.core.collision import collide_adjacent_pairs
+from repro.core.pairing import even_odd_pairs, reflection_pairs
 from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import CellSampler
@@ -133,13 +129,13 @@ class SimulationConfig:
         Randomization factor of the sort keys (1 disables mixing; the
         ablation configuration).
     sort_kernel:
-        Hot-path ordering kernel: ``"incremental"`` (default) maintains
-        an indexed cell-contiguous order across steps (temporal
-        coherence; host-performance mode), ``"counting"`` physically
-        re-sorts every step with the fused counting sort (the
-        paper-faithful CM-2 rank-sort analogue, bitwise identical to
-        the pre-incremental engine), ``"scaled-key"`` the legacy wide
-        argsort.  ``hotpath=False`` runs always use ``"scaled-key"``.
+        Kernel of the collision stage (:func:`collision_stage`):
+        ``"incremental"`` (default) rebuilds an indexed cell-contiguous
+        order each step and pairs/collides through it without moving
+        particle data (host-performance mode); ``"counting"``
+        physically re-sorts every step with the fused counting sort and
+        pairs even/odd neighbours (the paper-faithful CM-2 rank-sort
+        analogue).
     plunger_trigger:
         Upstream plunger withdrawal point, cell widths.
     reservoir_fraction:
@@ -185,10 +181,10 @@ class SimulationConfig:
             raise ConfigurationError("reservoir_fraction must be in [0, 1]")
         if self.reservoir_mix_rounds < 0:
             raise ConfigurationError("reservoir_mix_rounds must be >= 0")
-        if self.sort_kernel not in ("incremental", "counting", "scaled-key"):
+        if self.sort_kernel not in ("incremental", "counting"):
             raise ConfigurationError(
                 f"unknown sort_kernel {self.sort_kernel!r}; expected "
-                "'incremental', 'counting' or 'scaled-key'"
+                "'incremental' or 'counting'"
             )
         self.freestream.check_selection_rule_validity()
 
@@ -238,9 +234,8 @@ class StepDiagnostics:
     #: Fraction of flow particles whose cell changed this step
     #: (``None`` outside the incremental sort kernel).
     sort_moved_fraction: Optional[float] = None
-    #: Full order rebuilds performed this step: 0/1 serially, up to the
-    #: worker count on sharded runs (``None`` outside the incremental
-    #: kernel).
+    #: Order rebuilds performed this step: one per worker (``None``
+    #: outside the incremental kernel).
     sort_rebuilds: Optional[int] = None
     #: Wall-clock seconds by phase for this step (from the perf ledger;
     #: ``None`` when the ledger is disabled).
@@ -249,6 +244,149 @@ class StepDiagnostics:
     #: a tuple of :class:`repro.resilience.supervisor.RecoveryEvent` --
     #: set only by supervised execution; ``None`` on an undisturbed step.
     recovery: Optional[tuple] = None
+
+
+#: The collision stage's timed phases, in execution order ("index" is
+#: the indexed kernel's cell-indexing + mover-count pass, outside the
+#: paper's four-phase split and empty on the counting kernel).
+COLLISION_PHASES = ("index", "sort", "selection", "collision")
+
+
+@dataclass(frozen=True)
+class CollisionStageResult:
+    """Counters and phase boundaries of one :func:`collision_stage`."""
+
+    #: Pairs the pairing could form at best (``n // 2`` on the indexed
+    #: kernel, the even/odd pair count on the counting kernel) -- the
+    #: denominator of the pairing efficiency.
+    n_pairs_total: int
+    n_candidates: int
+    n_collisions: int
+    #: Sum of the candidates' collision probabilities.
+    probability_sum: float
+    #: Rows whose cell changed since the previous step (0 on the
+    #: counting kernel, which keeps no per-row history).
+    moved: int
+    #: ``perf_counter()`` at the start of the stage and at the end of
+    #: each of :data:`COLLISION_PHASES`.
+    t: tuple
+
+    def spans(self) -> tuple:
+        """``(phase, t_start, t_end)`` per :data:`COLLISION_PHASES`."""
+        return tuple(zip(COLLISION_PHASES, self.t[:-1], self.t[1:]))
+
+
+def collision_stage(
+    parts: ParticleArrays,
+    config: "SimulationConfig",
+    vf_flat: np.ndarray,
+    rng: np.random.Generator,
+    sorter: Optional[IncrementalSorter],
+    counts_out: Optional[np.ndarray] = None,
+) -> CollisionStageResult:
+    """Index, sort, pair, select and collide one block of particles.
+
+    The collision half of the time step, spelled once: the serial
+    engine runs it on the whole population, a shard worker on its slab.
+    ``sorter`` picks the kernel (``SimulationConfig.sort_kernel``):
+
+    * an :class:`IncrementalSorter` (``"incremental"``) -- rebuild the
+      indexed cell-contiguous order, pair by per-cell reflection and run
+      the fused selection/collision pass through the index; no particle
+      data moves;
+    * ``None`` (``"counting"``) -- the paper's scheme: physically
+      counting-sort the population with randomized intra-cell order,
+      pair even/odd neighbours, select, collide adjacent rows.
+      ``counts_out`` receives the per-cell histogram in place.
+
+    Every random number comes from ``rng`` in a fixed order, so two
+    callers handing in the same block and stream state leave the same
+    state behind -- the serial/sharded bitwise contract.  The caller
+    owns what differs between them: where the timings and counters go.
+    """
+    exchange_probability = config.model.internal_exchange_probability
+    t0 = time.perf_counter()
+    assign_cells(parts, config.domain)
+    if sorter is not None:
+        sorter.detect(parts)
+        t_index = time.perf_counter()
+        sres = sorter.update(parts)
+        t_sort = time.perf_counter()
+        rpairs = reflection_pairs(
+            sres.order, sres.counts, sres.offsets, rng,
+            scratch=parts.scratch,
+        )
+        # The fused kernel hands back the timestamp of its internal
+        # selection/collision boundary, keeping the paper's two line
+        # items apart.
+        fused = fused_select_collide(
+            parts,
+            rpairs,
+            config.freestream,
+            config.model,
+            sres.counts,
+            volume_fractions=vf_flat,
+            rng=rng,
+            internal_exchange_probability=exchange_probability,
+        )
+        t_selection = fused.t_boundary
+        n_pairs_total = parts.n // 2
+        n_candidates = rpairs.n_pairs
+        n_collisions = fused.n_collisions
+        probability_sum = fused.probability_sum
+        moved = sres.moved
+    else:
+        # One kernel yields the sorted order *and* the per-cell
+        # histogram the selection rule needs (no separate bincount).
+        t_index = t0
+        counts = sort_by_cell(
+            parts,
+            rng=rng,
+            scale=config.sort_scale,
+            n_cells=config.domain.n_cells,
+            counts_out=counts_out,
+        ).counts
+        t_sort = time.perf_counter()
+        pairs = even_odd_pairs(parts.cell, scratch=parts.scratch)
+        draws = None
+        if parts.scratch is not None:
+            draws = parts.scratch.array("sel_draws", pairs.n_pairs)
+            rng.random(out=draws)
+        selection = select_collisions(
+            parts,
+            pairs,
+            config.freestream,
+            config.model,
+            counts,
+            volume_fractions=vf_flat,
+            rng=rng,
+            draws=draws,
+        )
+        t_selection = time.perf_counter()
+        # Sorted even/odd pairs are adjacent rows: collide contiguous
+        # two-row blocks instead of gather/scatter by address.
+        collide_adjacent_pairs(
+            parts,
+            np.flatnonzero(selection.accept),
+            rng=rng,
+            internal_exchange_probability=exchange_probability,
+        )
+        n_pairs_total = pairs.n_pairs
+        n_candidates = pairs.n_candidates
+        n_collisions = selection.n_collisions
+        # probability is already zeroed on non-candidates, so the plain
+        # sum is the candidate sum.
+        probability_sum = float(selection.probability.sum())
+        moved = 0
+    t_end = time.perf_counter()
+    return CollisionStageResult(
+        n_pairs_total=n_pairs_total,
+        n_candidates=n_candidates,
+        n_collisions=n_collisions,
+        probability_sum=probability_sum,
+        moved=moved,
+        t=(t0, t_index, t_sort, t_selection, t_end),
+    )
 
 
 class SerialBackend:
@@ -295,129 +433,21 @@ class SerialBackend:
                 parts, sim.reservoir, sim.rng
             )
 
-        sort_moved_fraction = None
-        sort_rebuilds = None
+        # 3+4) The collision half of the step: index, sort, pair,
+        #    select, collide -- the one spelling shared with the shard
+        #    workers.  The ledger gets the stage's own phase boundaries.
+        stage = collision_stage(
+            parts, cfg, sim._vf_flat, sim.rng, sim.sort_state
+        )
+        tracer = perf.tracer if perf.enabled else None
+        for name, t0, t1 in stage.spans():
+            perf.record(name, t1 - t0)
+            if tracer is not None:
+                tracer.record(name, t0, t1)
+        sort_moved_fraction = sort_rebuilds = None
         if sim.sort_state is not None:
-            # 3a-inc) Temporal-coherence path: cell indexing + mover
-            #    detection are the "index" phase (outside the paper's
-            #    four-phase split); "sort" is only the order
-            #    maintenance -- merge repair or narrow-key rebuild plus
-            #    the histogram refresh.  No particle data moves.
-            with perf.phase("index"):
-                assign_cells(parts, cfg.domain)
-                sim.sort_state.detect(parts)
-            with perf.phase("sort"):
-                sres = sim.sort_state.update(parts)
-            sort_moved_fraction = sres.moved_fraction
-            sort_rebuilds = 1 if sres.rebuilt else 0
-
-            # 3b+4-inc) Reflection pairing, then the fused selection/
-            #    collision pass.  The fused kernel hands back the
-            #    timestamp of its internal selection/collision boundary
-            #    so the ledger keeps the paper's two line items.
-            t_sel0 = time.perf_counter()
-            rpairs = reflection_pairs(
-                sres.order, sres.counts, sres.offsets, sim.rng,
-                scratch=parts.scratch,
-            )
-            fused = fused_select_collide(
-                parts,
-                rpairs,
-                cfg.freestream,
-                cfg.model,
-                sres.counts,
-                volume_fractions=sim._vf_flat,
-                rng=sim.rng,
-                internal_exchange_probability=(
-                    cfg.model.internal_exchange_probability
-                ),
-            )
-            t_end = time.perf_counter()
-            perf.record("selection", fused.t_boundary - t_sel0)
-            perf.record("collision", t_end - fused.t_boundary)
-            if perf.enabled and perf.tracer is not None:
-                perf.tracer.record("selection", t_sel0, fused.t_boundary)
-                perf.tracer.record("collision", fused.t_boundary, t_end)
-
-            n_candidates = rpairs.n_pairs
-            n_collisions = fused.n_collisions
-            pair_eff = (
-                rpairs.n_pairs / (parts.n // 2) if parts.n >= 2 else 0.0
-            )
-            mean_p = (
-                fused.probability_sum / rpairs.n_pairs
-                if rpairs.n_pairs else 0.0
-            )
-        else:
-            # 3a) Cell indexing + the fused counting sort: one kernel
-            #    yields the sorted order *and* the per-cell histogram
-            #    the selection rule needs (no separate bincount pass).
-            with perf.phase("sort"):
-                assign_cells(parts, cfg.domain)
-                kernel = "scaled-key"
-                if sim.hotpath and cfg.sort_kernel != "incremental":
-                    kernel = cfg.sort_kernel
-                elif sim.hotpath:
-                    kernel = "counting"
-                sort_res = sort_by_cell(
-                    parts, rng=sim.rng, scale=cfg.sort_scale,
-                    n_cells=cfg.domain.n_cells,
-                    kernel=kernel,
-                )
-                counts = sort_res.counts
-
-            # 3b) Pairing + the selection rule.
-            with perf.phase("selection"):
-                pairs = even_odd_pairs(parts.cell, scratch=parts.scratch)
-                if parts.scratch is not None:
-                    draws = parts.scratch.array("sel_draws", pairs.n_pairs)
-                    sim.rng.random(out=draws)
-                else:
-                    draws = None
-                selection = select_collisions(
-                    parts,
-                    pairs,
-                    cfg.freestream,
-                    cfg.model,
-                    counts,
-                    volume_fractions=sim._vf_flat,
-                    rng=sim.rng,
-                    draws=draws,
-                )
-
-            # 4) Collision of selected partners.  Sorted even/odd pairs
-            #    are adjacent rows, so the hot path collides contiguous
-            #    two-row blocks instead of gather/scatter by address.
-            with perf.phase("collision"):
-                if sim.hotpath and pairs.adjacent:
-                    collide_adjacent_pairs(
-                        parts,
-                        np.flatnonzero(selection.accept),
-                        rng=sim.rng,
-                        internal_exchange_probability=(
-                            cfg.model.internal_exchange_probability
-                        ),
-                    )
-                else:
-                    first = pairs.first[selection.accept]
-                    second = pairs.second[selection.accept]
-                    collide_pairs(
-                        parts,
-                        first,
-                        second,
-                        rng=sim.rng,
-                        internal_exchange_probability=(
-                            cfg.model.internal_exchange_probability
-                        ),
-                    )
-            cand = pairs.same_cell
-            n_candidates = pairs.n_candidates
-            n_collisions = selection.n_collisions
-            pair_eff = pairing_efficiency(pairs)
-            mean_p = (
-                float(selection.probability[cand].mean())
-                if cand.any() else 0.0
-            )
+            sort_moved_fraction = stage.moved / parts.n if parts.n else 0.0
+            sort_rebuilds = 1
 
         # Side work: the reservoir Gaussianizes itself.  Charged to its
         # own phase -- the paper's four-phase split does not include it.
@@ -439,10 +469,16 @@ class SerialBackend:
             step=sim.step_count,
             n_flow=parts.n,
             n_reservoir=sim.reservoir.size,
-            n_candidates=n_candidates,
-            n_collisions=n_collisions,
-            pairing_efficiency=pair_eff,
-            mean_collision_probability=mean_p,
+            n_candidates=stage.n_candidates,
+            n_collisions=stage.n_collisions,
+            pairing_efficiency=(
+                stage.n_candidates / stage.n_pairs_total
+                if stage.n_pairs_total else 0.0
+            ),
+            mean_collision_probability=(
+                stage.probability_sum / stage.n_candidates
+                if stage.n_candidates else 0.0
+            ),
             boundary=bstats,
             total_energy=parts.total_energy(),
             momentum_x=float(parts.u.sum()),
@@ -476,7 +512,6 @@ class Simulation:
     def __init__(
         self,
         config: SimulationConfig,
-        hotpath: bool = True,
         backend=None,
         telemetry=None,
     ) -> None:
@@ -487,12 +522,6 @@ class Simulation:
         #: backends can size their worker span rings; ``None`` disables
         #: all telemetry at zero per-step cost).
         self.telemetry = telemetry
-        #: ``hotpath=False`` runs the legacy allocating kernels
-        #: (argsort of wide scaled keys, gather/scatter collisions,
-        #: full-array boundary passes) -- the pre-overhaul baseline the
-        #: hot-path benchmark compares against, and a fallback should a
-        #: fused kernel ever be in doubt.
-        self.hotpath = bool(hotpath)
         #: Per-phase wall-clock ledger (the paper's motion/sort/
         #: selection/collision split, measured).
         self.perf = PerfLedger()
@@ -535,17 +564,16 @@ class Simulation:
         #: Optional extra probes (e.g. analysis.vdf.VDFProbe); each
         #: object's ``sample(particles)`` runs on sampling steps.
         self.probes: list = []
-        if self.hotpath:
-            self.particles.enable_scratch()
-            self.reservoir.particles.enable_scratch()
-        #: Incremental-sort state (the temporal-coherence kernel):
-        #: owns the cached per-particle cell array and the canonical
-        #: order permutation; ``None`` for the physical-sort kernels.
-        #: Sharded backends give each worker its own sorter instead.
-        if self.hotpath and config.sort_kernel == "incremental":
-            self.sort_state = IncrementalSorter(config.domain.n_cells)
-        else:
-            self.sort_state = None
+        self.particles.enable_scratch()
+        self.reservoir.particles.enable_scratch()
+        #: Indexed-order state of the ``"incremental"`` kernel (the
+        #: canonical order permutation and the per-row cell cache);
+        #: ``None`` on the ``"counting"`` kernel.  Sharded backends give
+        #: each worker its own sorter instead.
+        self.sort_state = (
+            IncrementalSorter(config.domain.n_cells)
+            if config.sort_kernel == "incremental" else None
+        )
         assign_cells(self.particles, config.domain)
         #: Execution backend (the seam): bound last, once every piece of
         #: state it may need to decompose or mirror exists.

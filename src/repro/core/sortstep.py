@@ -177,7 +177,6 @@ def sort_by_cell(
     scale: int = DEFAULT_SORT_SCALE,
     mix_bits: Optional[np.ndarray] = None,
     n_cells: Optional[int] = None,
-    kernel: str = "counting",
     counts_out: Optional[np.ndarray] = None,
 ) -> SortStepResult:
     """Sort the population by cell with randomized intra-cell order.
@@ -199,24 +198,10 @@ def sort_by_cell(
     ``counts_out`` (int64, length ``n_cells``) receives that histogram
     in place -- shard workers pass a persistent buffer so the per-step
     counts never allocate.
-
-    ``kernel`` selects the sort implementation: ``"counting"`` (the
-    fused narrow-key kernel) or ``"scaled-key"`` (the original wide
-    int64 stable argsort of ``cell * scale + offset`` -- kept as the
-    measurable baseline for the hot-path benchmark and the ablation
-    A/B flag ``Simulation(config, hotpath=False)``).
     """
     cell = particles.cell
     n = cell.shape[0]
     scratch = particles.scratch
-    if kernel == "incremental":
-        raise ConfigurationError(
-            "kernel='incremental' keeps state across steps; drive it "
-            "through IncrementalSorter (as the step loop does), not "
-            "through sort_by_cell()"
-        )
-    if kernel not in ("counting", "scaled-key"):
-        raise ConfigurationError(f"unknown sort kernel {kernel!r}")
 
     if mix_bits is not None:
         # Seed-faithful scaled-key path (CM mix bits).  Narrow the key
@@ -226,9 +211,6 @@ def sort_by_cell(
                                     mix_bits=mix_bits)
         if keys.size and keys.max() <= NARROW_KEY_LIMIT:
             keys = keys.astype(np.uint16)
-        order = np.argsort(keys, kind="stable")
-    elif kernel == "scaled-key":
-        keys = randomized_sort_keys(cell, rng=rng, scale=scale)
         order = np.argsort(keys, kind="stable")
     else:
         if scale < 1 or (scale > 1 and rng is None):
@@ -272,22 +254,8 @@ def sort_by_cell(
 
 
 # ---------------------------------------------------------------------------
-# The incremental (temporal-coherence) kernel
+# The indexed ("incremental") kernel
 # ---------------------------------------------------------------------------
-
-#: Default moved-fraction ceiling for the O(movers) repair path.  The
-#: bench's repair-vs-rebuild sweep (``benchmarks/bench_incremental.py``)
-#: shows the uint16 radix rebuild is so cheap on a contiguous host
-#: array (~3 ms at N ~= 234k) that repair -- whose merge still pays a
-#: handful of O(N) int64 passes regardless of how few rows moved --
-#: never beats it at that scale (~9 ms even at 0.5% moved).  At the
-#: paper's time step roughly half the population moves every step
-#: anyway, so the rebuild path is the expected steady state; the low
-#: threshold keeps the repair path effectively dormant on realistic
-#: workloads while preserving it (and its path-independence contract)
-#: for strongly sub-stepped / near-equilibrium configurations and for
-#: row-surgery bookkeeping.
-DEFAULT_REBUILD_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -308,14 +276,10 @@ class IncrementalSortResult:
         ``offsets[c]:offsets[c + 1]``.  Views into sorter-owned
         buffers, valid until the next ``update``.
     moved:
-        Number of rows whose cell changed since the previous step (or
-        whose row was touched by surgery); equals ``n`` after an
-        invalidation.
+        Rows whose cell differs from the one the previous ``update``
+        saw at the same row, as counted by the last ``detect``.
     moved_fraction:
-        ``moved / n`` (1.0 when the cached state was invalid).
-    rebuilt:
-        True when this step ran the full stable-argsort rebuild rather
-        than the O(movers) merge repair.
+        ``moved / n``.
     """
 
     order: np.ndarray
@@ -323,156 +287,90 @@ class IncrementalSortResult:
     offsets: np.ndarray
     moved: int
     moved_fraction: float
-    rebuilt: bool
     n: int
 
 
 class IncrementalSorter:
-    """Maintain a cell-contiguous particle *order* across steps.
+    """Build a cell-contiguous particle *order* without moving data.
 
-    The temporal-coherence kernel (``kernel="incremental"``): instead of
-    re-sorting the whole population every step and physically shuffling
-    all nine particle columns, this keeps one :data:`order` permutation
-    canonically sorted by ``(cell, row)`` and repairs it.  After motion,
-    ``detect`` compares the new cell indices against a cached copy --
-    the *movers* are the rows whose cell changed plus any rows touched
-    by row surgery (removal backfill, appended arrivals) since the last
-    step.  ``update`` then either merge-repairs the order in O(kept +
-    movers log movers) or, past :attr:`rebuild_threshold` (or after an
-    invalidation), rebuilds it with the narrow-key stable argsort.
+    The indexed kernel (``sort_kernel="incremental"``): instead of
+    physically shuffling all nine particle columns into cell order
+    every step, ``update`` rebuilds one :data:`order` permutation,
+    canonically sorted by ``(cell, row)``, with the narrow-key stable
+    argsort, and downstream kernels gather through it.  The order is
+    rebuilt from scratch **every step**: at the paper's time step about
+    half the population changes cell per step, so there is no order
+    worth keeping (docs/algorithm.md, "Temporal coherence").
 
-    Both paths produce the **identical** canonical order and the sorter
-    consumes **no random numbers**, so the maintained order is bitwise
-    path-independent: repair versus rebuild versus restore-from-snapshot
-    cannot change a trajectory.  Pairing randomness moves downstream
-    into :func:`repro.core.pairing.reflection_pairs`, which randomizes
-    *pair assignment within each cell* per step instead of randomizing
+    ``detect`` reports how much of the population did change cell -- an
+    observable for telemetry and the benchmark, not a switch: it
+    decides nothing.
+
+    The order is a pure function of the cell column and the sorter
+    consumes **no random numbers**, so it is bitwise path-independent:
+    row surgery, a restored snapshot or a gathered population cannot
+    change a trajectory, and no order state is ever persisted.  Pairing
+    randomness lives downstream in
+    :func:`repro.core.pairing.reflection_pairs`, which randomizes *pair
+    assignment within each cell* per step instead of randomizing
     storage order -- the same statistical contract as the counting
     kernel's bucket shuffle without ever moving particle data.
 
-    Row surgery is tracked through ``ParticleArrays.order_listener``:
-    ``prepare`` binds the sorter to a population by identity and every
-    ``remove_inplace`` / ``append_inplace`` / ``append_rows`` on it
-    marks the touched rows dirty (wholesale reorderings invalidate).
-    Binding to a *different* object (snapshot restore, gather) simply
-    invalidates -- the next step pays one rebuild, no persisted state.
-
     This is a host-performance mode outside the CM-2 cost model; the
-    paper-faithful rank-sort analogue remains ``kernel="counting"``.
+    paper-faithful rank-sort analogue remains ``sort_kernel="counting"``.
     """
 
-    def __init__(
-        self,
-        n_cells: int,
-        rebuild_threshold: float = DEFAULT_REBUILD_THRESHOLD,
-    ) -> None:
+    def __init__(self, n_cells: int) -> None:
         if n_cells < 1:
             raise ConfigurationError("n_cells must be positive")
-        if not (0.0 <= rebuild_threshold <= 1.0):
-            raise ConfigurationError(
-                "rebuild_threshold must be within [0, 1]"
-            )
         self.n_cells = int(n_cells)
-        self.rebuild_threshold = float(rebuild_threshold)
-        #: Cumulative full-rebuild count (telemetry: ``sort_rebuilds``).
+        #: Cumulative order-rebuild count (one per ``update``).
         self.rebuilds = 0
         self._counts = np.zeros(self.n_cells, dtype=np.int64)
         self._offsets = np.zeros(self.n_cells + 1, dtype=np.int64)
         # Capacity-grown per-row state.  These must persist across
-        # steps, so they live here rather than in the population's
+        # steps (the auditor validates ``_order``/``_prev_cell`` between
+        # steps), so they live here rather than in the population's
         # ping-pong scratch pool (whose buffers are step-transient).
         self._prev_cell = np.empty(0, dtype=np.int64)
-        self._dirty = np.empty(0, dtype=bool)
         self._mover = np.empty(0, dtype=bool)
         self._order = np.empty(0, dtype=np.intp)
         self._key16 = np.empty(0, dtype=np.uint16)
-        self._valid = False
+        #: Population size the cached order/cells describe (0 = none).
         self._order_n = 0
-        self._particles: Optional[ParticleArrays] = None
         self._moved = 0
         self._moved_fraction = 1.0
 
-    # -- ParticleArrays.order_listener protocol --------------------------
-
-    def on_remove(self, holes: np.ndarray, src: np.ndarray, n_new: int) -> None:
-        """Backfill removal: holes received tail survivors -> dirty."""
-        if self._valid:
-            self._dirty[holes] = True
-
-    def on_append(self, n_before: int, m: int) -> None:
-        """Rows ``n_before:n_before + m`` appended -> dirty."""
-        if not self._valid:
-            return
-        self._grow(n_before + m)
-        self._dirty[n_before : n_before + m] = True
-
-    def on_invalidate(self) -> None:
-        """Wholesale re-ordering: cached order is meaningless now."""
-        self._valid = False
-
-    # -- stepping --------------------------------------------------------
-
-    def prepare(self, particles: ParticleArrays) -> None:
-        """Bind to ``particles`` (by identity) and size the buffers.
-
-        Binding to a new object -- snapshot restore, a gathered
-        population, a fresh simulation -- detaches the old listener,
-        attaches to the new population and invalidates, so the next
-        ``update`` rebuilds from scratch.  No order state is ever
-        persisted or migrated: canonical order + path independence
-        make one rebuild the complete recovery story.
-        """
-        if particles is not self._particles:
-            old = self._particles
-            if old is not None and old.order_listener is self:
-                old.order_listener = None
-            self._particles = particles
-            particles.order_listener = self
-            self._valid = False
-        self._grow(particles.n)
-
     def detect(self, particles: ParticleArrays) -> float:
-        """Find the movers; returns the moved fraction.
+        """Count the movers; returns the moved fraction.
 
         Call after the cell-indexing pass (``assign_cells``).  A mover
-        is a row whose cell differs from the cached previous cell or
-        that was touched by row surgery since the last ``update``.
+        is a row whose cell differs from the value the previous
+        ``update`` cached at the same row; rows beyond the cached
+        length count as moved, so a fresh sorter reports 1.0.
         """
-        self.prepare(particles)
         n = particles.n
-        if not self._valid:
-            self._moved = n
-            self._moved_fraction = 1.0
-            return 1.0
-        mover = self._mover[:n]
-        np.not_equal(particles.cell, self._prev_cell[:n], out=mover)
-        np.logical_or(mover, self._dirty[:n], out=mover)
-        self._moved = int(np.count_nonzero(mover))
+        self._grow(n)
+        k = min(n, self._order_n)
+        mover = self._mover[:k]
+        np.not_equal(particles.cell[:k], self._prev_cell[:k], out=mover)
+        self._moved = int(np.count_nonzero(mover)) + (n - k)
         self._moved_fraction = (self._moved / n) if n else 0.0
         return self._moved_fraction
 
     def update(self, particles: ParticleArrays) -> IncrementalSortResult:
-        """Bring the canonical order up to date; refresh counts/offsets.
-
-        Repairs when the cached order is valid and the moved fraction
-        is within :attr:`rebuild_threshold`; rebuilds otherwise.  Both
-        paths yield the same ``(cell, row)``-sorted permutation.
-        """
+        """Rebuild the canonical order; refresh counts/offsets."""
         n = particles.n
         cell = particles.cell
-        rebuilt = True
-        if (
-            self._valid
-            and n
-            and self._moved_fraction <= self.rebuild_threshold
-        ):
-            rebuilt = not self._repair(n, cell)
-        if rebuilt:
-            self._rebuild(n, cell)
-            self.rebuilds += 1
+        self._grow(n)
+        if self.n_cells - 1 <= NARROW_KEY_LIMIT:
+            key16 = self._key16[:n]
+            np.copyto(key16, cell, casting="unsafe")
+            self._order[:n] = np.argsort(key16, kind="stable")
+        else:
+            self._order[:n] = np.argsort(cell, kind="stable")
+        self.rebuilds += 1
         self._prev_cell[:n] = cell
-        self._dirty[:n] = False
-        self._valid = True
         self._order_n = n
         self._counts[:] = np.bincount(cell, minlength=self.n_cells)
         self._offsets[0] = 0
@@ -483,7 +381,6 @@ class IncrementalSorter:
             offsets=self._offsets,
             moved=self._moved,
             moved_fraction=self._moved_fraction,
-            rebuilt=rebuilt,
             n=n,
         )
 
@@ -492,59 +389,13 @@ class IncrementalSorter:
         self.detect(particles)
         return self.update(particles)
 
-    # -- internals -------------------------------------------------------
-
     def _grow(self, n: int) -> None:
         cap = self._prev_cell.shape[0]
         if cap >= n:
             return
         new_cap = max(n, 2 * cap, 1024)
-        for name in ("_prev_cell", "_dirty", "_mover", "_order", "_key16"):
+        for name in ("_prev_cell", "_mover", "_order", "_key16"):
             old = getattr(self, name)
             buf = np.empty(new_cap, dtype=old.dtype)
             buf[: old.shape[0]] = old
             setattr(self, name, buf)
-
-    def _rebuild(self, n: int, cell: np.ndarray) -> None:
-        """Full canonical rebuild: stable argsort of the narrow key."""
-        if self.n_cells - 1 <= NARROW_KEY_LIMIT:
-            key16 = self._key16[:n]
-            np.copyto(key16, cell, casting="unsafe")
-            self._order[:n] = np.argsort(key16, kind="stable")
-        else:
-            self._order[:n] = np.argsort(cell, kind="stable")
-
-    def _repair(self, n: int, cell: np.ndarray) -> bool:
-        """Merge the sorted movers back into the kept canonical runs.
-
-        The kept rows (present, not movers) are a subsequence of the
-        previous canonical order, hence already sorted by ``(cell,
-        row)``; the movers are sorted by the same key and the two
-        sorted sequences are merged by rank (``searchsorted``), an
-        O(kept + movers log movers) scatter.  Composite keys are
-        ``cell * n + row`` -- strictly increasing within each sequence
-        and globally unique, so the merge has no ties.  Returns False
-        (caller rebuilds) if the partition does not account for every
-        row -- a defensive guard, not an expected path.
-        """
-        n_old = self._order_n
-        oo = self._order[:n_old]
-        mover = self._mover[:n]
-        # Slots whose row survived (row < n) and did not move.  The
-        # clipped gather keeps stale slot values (>= n after a net
-        # shrink) from indexing out of range; they are masked off.
-        keep = ~mover[np.minimum(oo, n - 1)] & (oo < n)
-        kept_rows = oo[keep]
-        mover_rows = np.flatnonzero(mover)
-        k, m = kept_rows.shape[0], mover_rows.shape[0]
-        if k + m != n:
-            return False
-        mover_rows = mover_rows[np.argsort(cell[mover_rows], kind="stable")]
-        kept_keys = cell[kept_rows] * n + kept_rows
-        mover_keys = cell[mover_rows] * n + mover_rows
-        pos_k = np.arange(k) + np.searchsorted(mover_keys, kept_keys)
-        pos_m = np.arange(m) + np.searchsorted(kept_keys, mover_keys)
-        order = self._order[:n]
-        order[pos_k] = kept_rows
-        order[pos_m] = mover_rows
-        return True

@@ -77,10 +77,9 @@ def _config_to_json(config: SimulationConfig) -> str:
             "name": config.model.name,
         },
         "sort_scale": config.sort_scale,
-        # The incremental kernel keeps NO persistent order state in the
-        # snapshot: the canonical order is a pure function of the cell
-        # column, so restore just triggers a full rebuild on the first
-        # step (IncrementalSorter.prepare sees a new particle object).
+        # The incremental kernel keeps NO order state in the snapshot:
+        # the canonical order is a pure function of the cell column and
+        # is rebuilt every step anyway.
         "sort_kernel": config.sort_kernel,
         "plunger_trigger": config.plunger_trigger,
         "reservoir_fraction": config.reservoir_fraction,
@@ -445,13 +444,8 @@ def load_simulation(
             sim = Simulation(config)
             sim.particles = _unpack_particles("flow", data)
             sim.reservoir.particles = _unpack_particles("res", data)
-            if sim.hotpath:
-                # The restored populations must take the same kernels as
-                # the saved run (scratch-enabled hot path vs legacy
-                # differ in memory order after in-place reorders), or
-                # continuation would not be bitwise identical.
-                sim.particles.enable_scratch()
-                sim.reservoir.particles.enable_scratch()
+            sim.particles.enable_scratch()
+            sim.reservoir.particles.enable_scratch()
             sim.step_count = int(data["step_count"])
             sim.boundaries.plunger.position = float(data["plunger_position"])
             sim.rng.bit_generator.state = json.loads(

@@ -42,15 +42,15 @@ import numpy as np
 
 from repro.core import motion
 from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
-from repro.core.cells import assign_cells
-from repro.core.collision import collide_adjacent_pairs
-from repro.core.pairing import even_odd_pairs, reflection_pairs
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import CellSampler
-from repro.core.selection import fused_select_collide, select_collisions
-from repro.core.simulation import SerialBackend, StepDiagnostics
-from repro.core.sortstep import IncrementalSorter, sort_by_cell
+from repro.core.simulation import (
+    SerialBackend,
+    StepDiagnostics,
+    collision_stage,
+)
+from repro.core.sortstep import IncrementalSorter
 from repro.errors import (
     ConfigurationError,
     WorkerCrashError,
@@ -118,10 +118,9 @@ MISC_WORDS = 1
     D_T_COLLISION,
     D_T_RESERVOIR,
     D_SORT_MOVED,
-    D_SORT_REBUILD,
     D_T_INDEX,
-) = range(23)
-NDIAG = 23
+) = range(22)
+NDIAG = 22
 
 #: Worker phases merged into the driver's :class:`repro.perf.PerfLedger`
 #: (summed CPU-seconds across shards; "exchange" is the migration cost
@@ -198,11 +197,9 @@ class ShardWorker:
         self.reservoir: Optional[Reservoir] = None
         self.particles: Optional[ParticleArrays] = None
         self._counts = np.zeros(config.domain.n_cells, dtype=np.int64)
-        #: Per-worker incremental-sort state (``sort_kernel=
-        #: "incremental"``): each shard maintains its own canonical
-        #: order; migration arrivals/removals mark rows dirty through
-        #: the population's order listener, so the cached state
-        #: survives worker steps and only the touched rows re-insert.
+        #: Per-worker indexed-order state (``sort_kernel=
+        #: "incremental"``): each shard rebuilds its own canonical
+        #: order every step.
         self._sorter: Optional[IncrementalSorter] = (
             IncrementalSorter(config.domain.n_cells)
             if config.sort_kernel == "incremental" else None
@@ -399,89 +396,12 @@ class ShardWorker:
         cfg = self.config
         t0 = time.perf_counter()
         self.channels.receive(parts, self.shard_id)
-        t1 = time.perf_counter()
 
-        if self._sorter is not None:
-            # Temporal-coherence path: indexing + mover detection
-            # ("index"), order maintenance ("sort"), then the fused
-            # selection/collision pass over reflection pairs.
-            assign_cells(parts, self.domain)
-            self._sorter.detect(parts)
-            t1b = time.perf_counter()
-            sres = self._sorter.update(parts)
-            t2 = time.perf_counter()
-
-            rpairs = reflection_pairs(
-                sres.order, sres.counts, sres.offsets, stream,
-                scratch=parts.scratch,
-            )
-            fused = fused_select_collide(
-                parts,
-                rpairs,
-                cfg.freestream,
-                cfg.model,
-                sres.counts,
-                volume_fractions=self._vf_flat,
-                rng=stream,
-                internal_exchange_probability=(
-                    cfg.model.internal_exchange_probability
-                ),
-            )
-            t3 = fused.t_boundary
-            t4 = time.perf_counter()
-            n_pairs_total = parts.n // 2
-            n_cand = rpairs.n_pairs
-            n_coll = fused.n_collisions
-            prob_sum = fused.probability_sum
-            sort_moved = sres.moved
-            sort_rebuilt = 1 if sres.rebuilt else 0
-            t_index = t1b - t1
-        else:
-            assign_cells(parts, self.domain)
-            sort_by_cell(
-                parts,
-                rng=stream,
-                scale=cfg.sort_scale,
-                n_cells=self.domain.n_cells,
-                kernel="counting",
-                counts_out=self._counts,
-            )
-            t1b = t1
-            t2 = time.perf_counter()
-
-            pairs = even_odd_pairs(parts.cell, scratch=parts.scratch)
-            draws = parts.scratch.array("sel_draws", pairs.n_pairs)
-            stream.random(out=draws)
-            selection = select_collisions(
-                parts,
-                pairs,
-                cfg.freestream,
-                cfg.model,
-                self._counts,
-                volume_fractions=self._vf_flat,
-                rng=stream,
-                draws=draws,
-            )
-            t3 = time.perf_counter()
-
-            collide_adjacent_pairs(
-                parts,
-                np.flatnonzero(selection.accept),
-                rng=stream,
-                internal_exchange_probability=(
-                    cfg.model.internal_exchange_probability
-                ),
-            )
-            t4 = time.perf_counter()
-            n_pairs_total = pairs.n_pairs
-            n_cand = pairs.n_candidates
-            n_coll = selection.n_collisions
-            # probability is already zeroed on non-candidates, so the
-            # plain sum is the candidate sum the merged mean needs.
-            prob_sum = float(selection.probability.sum())
-            sort_moved = 0
-            sort_rebuilt = 0
-            t_index = 0.0
+        stage = collision_stage(
+            parts, cfg, self._vf_flat, stream, self._sorter,
+            counts_out=self._counts,
+        )
+        t1, t1b, t2, t3, t4 = stage.t
 
         if self.reservoir is not None and cfg.reservoir_mix_rounds:
             self.reservoir.mix(stream, rounds=cfg.reservoir_mix_rounds)
@@ -499,10 +419,10 @@ class ShardWorker:
         b = self._bstats
         row[D_NFLOW] = parts.n
         row[D_NRES] = self.reservoir.size if self.reservoir is not None else 0
-        row[D_NPAIRS] = n_pairs_total
-        row[D_NCAND] = n_cand
-        row[D_NCOLL] = n_coll
-        row[D_PROBSUM] = prob_sum
+        row[D_NPAIRS] = stage.n_pairs_total
+        row[D_NCAND] = stage.n_candidates
+        row[D_NCOLL] = stage.n_collisions
+        row[D_PROBSUM] = stage.probability_sum
         row[D_WALLS] = b.n_reflected_walls
         row[D_WEDGE] = b.n_reflected_wedge
         row[D_REMOVED] = b.n_removed_downstream
@@ -517,9 +437,8 @@ class ShardWorker:
         row[D_T_SELECTION] = t3 - t2
         row[D_T_COLLISION] = t4 - t3
         row[D_T_RESERVOIR] = t5 - t4
-        row[D_SORT_MOVED] = sort_moved
-        row[D_SORT_REBUILD] = sort_rebuilt
-        row[D_T_INDEX] = t_index
+        row[D_SORT_MOVED] = stage.moved
+        row[D_T_INDEX] = t1b - t1
         if self.shard_id == 0:
             self.shared["misc"][MISC_PLUNGER] = self.boundaries.plunger.position
         self._emit_spans(
@@ -527,10 +446,7 @@ class ShardWorker:
             (
                 ("phase_b", t0, t5),
                 ("exchange", t0, t1),
-                ("index", t1, t1b),
-                ("sort", t1b, t2),
-                ("selection", t2, t3),
-                ("collision", t3, t4),
+                *stage.spans(),
                 ("reservoir", t4, t5),
             ),
         )
@@ -583,10 +499,8 @@ class ShardWorker:
 
         Runs after the mid-epoch barrier: every neighbour's ceded rows
         are in the channels, arrival order is the same fixed
-        left-then-right order as a normal step.  The incremental-sort
-        state repairs itself through the population's order listener
-        (removals and appends mark rows dirty), so only the touched
-        rows re-insert on the next step.
+        left-then-right order as a normal step.  The indexed order
+        needs no fix-up: the next step rebuilds it from the cell column.
         """
         parts = self.particles
         self.channels.receive(parts, self.shard_id)
@@ -782,11 +696,6 @@ class ShardedBackend:
             return self
         if self._bound:
             raise ConfigurationError("backend is already bound")
-        if not sim.hotpath:
-            raise ConfigurationError(
-                "the sharded backend requires the hot-path kernels "
-                "(Simulation(..., hotpath=True))"
-            )
         cfg = sim.config
         if isinstance(cfg.seed, np.random.Generator):
             raise ConfigurationError(
@@ -1041,11 +950,11 @@ class ShardedBackend:
         sim.perf.end_step(n_particles=n_flow)
         sort_moved_fraction: Optional[float] = None
         sort_rebuilds: Optional[int] = None
-        if sim.hotpath and sim.config.sort_kernel == "incremental":
+        if sim.config.sort_kernel == "incremental":
             sort_moved_fraction = (
                 float(d[:, D_SORT_MOVED].sum()) / n_flow if n_flow else 0.0
             )
-            sort_rebuilds = int(d[:, D_SORT_REBUILD].sum())
+            sort_rebuilds = self.n_workers
         return StepDiagnostics(
             step=sim.step_count,
             n_flow=n_flow,
@@ -1205,8 +1114,7 @@ class ShardedBackend:
                 cols[name] = src[name][:nk].copy()
             seg = ParticleArrays(**cols)
             full = seg if full is None else ParticleArrays.concatenate(full, seg)
-        if sim.hotpath:
-            full.enable_scratch()
+        full.enable_scratch()
         sim.particles = full
 
         # Reservoir + plunger live in worker 0's process memory.
@@ -1233,8 +1141,7 @@ class ShardedBackend:
             w0 = self._workers[0]
             res = w0.reservoir.particles.copy()
             plunger = w0.boundaries.plunger.position
-        if sim.hotpath:
-            res.enable_scratch()
+        res.enable_scratch()
         sim.reservoir.particles = res
         sim.boundaries.plunger.position = plunger
 

@@ -23,11 +23,11 @@ or validity property of the paper's algorithm:
   teleported a particle.
 * **channel conservation** (sharded) -- migration-channel counts are
   within ``[0, capacity]``.
-* **cached order** (incremental sort kernel) -- the temporal-coherence
-  sorter's cached canonical order is a true permutation of the live
-  population, cell-contiguous against the current cell column, and its
-  mover-detection baseline matches the committed cells; a violation
-  means the listener bookkeeping desynchronized from particle surgery.
+* **cached order** (incremental sort kernel) -- the order the last
+  step paired and collided through is a true permutation of the live
+  population, cell-contiguous against the current cell column, and the
+  sorter's cell cache matches the committed cells; a violation means
+  the index (or the population under it) was corrupted after the sort.
 * **energy drift** -- total (kinetic + rotational) energy moves less
   than a relative tolerance between audits; boundary fluxes exchange
   energy with the reservoir so this is a drift band, not an equality,
@@ -318,7 +318,7 @@ class InvariantAuditor:
     @staticmethod
     def _check_order(sorter, v: Dict[str, np.ndarray], ctx) -> None:
         """Validate an incremental sorter's cached canonical order."""
-        if not sorter._valid:
+        if sorter.rebuilds == 0:
             return  # nothing committed yet (first step not taken)
         n = int(v["x"].shape[0])
         if sorter._order_n != n:

@@ -449,7 +449,7 @@ class ScenarioSpec:
 
         Returns a :class:`~repro.core.simulation.Simulation` (2-D) or a
         :class:`~repro.core.simulation3d.Simulation3D` (``nz`` grids);
-        ``kwargs`` (``backend=``, ``telemetry=``, ``hotpath=``) pass
+        ``kwargs`` (``backend=``, ``telemetry=``) pass
         through to the 2-D engine and are rejected for 3-D scenarios,
         whose driver has no backend/telemetry seam yet.
         """
