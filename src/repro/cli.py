@@ -1028,7 +1028,14 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A library failure (invalid configuration, bad snapshot, ...) is
+    reported as ``error: <message>`` on stderr with exit code 2, like an
+    argparse usage error, instead of a traceback.
+    """
+    from repro.errors import ReproError
+
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
@@ -1044,7 +1051,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fetch": _cmd_fetch,
         "watch": _cmd_watch,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

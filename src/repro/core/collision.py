@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, pooled, pooled_arange
 from repro.core.permutation import apply_permutation
 from repro.errors import ConfigurationError
 from repro.rng import random_signs
@@ -63,7 +63,10 @@ class CollisionStats:
     """Bookkeeping from one collision sub-step."""
 
     n_collisions: int
-    energy_exchanged: float  # |translational energy change| summed over pairs
+    #: |translational energy change| summed over pairs.  A diagnostic
+    #: only the oracle :func:`collide_pairs` computes (ten extra passes
+    #: per call); the hot kernels leave it ``None``.
+    energy_exchanged: Optional[float] = None
 
 
 def collide_pairs(
@@ -148,14 +151,7 @@ def collide_pairs(
 
     # Refresh both partners' permutation vectors with one random
     # transposition each (the Aldous-Diaconis shuffle step).
-    if transpositions is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit transpositions")
-        transpositions = rng.integers(0, k, size=2 * n)
-    else:
-        transpositions = np.asarray(transpositions)
-        if transpositions.shape != (2 * n,):
-            raise ConfigurationError("need 2 * n_pairs transposition draws")
+    transpositions = _resolve_transpositions(rng, transpositions, n, k)
     _transpose_rows(particles.perm, a, transpositions[:n])
     _transpose_rows(particles.perm, b, transpositions[n:])
 
@@ -175,92 +171,188 @@ def _mixed_half_relatives(
 ) -> np.ndarray:
     """The eq. (18) shuffle: permute half-relatives, apply random signs.
 
-    Shared by the gather/scatter and adjacent-pair collision kernels so
-    the physics cannot diverge between them.
+    The oracle's row-major spelling; :func:`_collide` performs the same
+    shuffle component-major.
     """
-    n = h.shape[0]
     h_new = apply_permutation(h, perm_rows)
-    if signs is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit signs")
-        signs = random_signs(rng, (n, k))
-    else:
-        signs = np.asarray(signs)
-        if signs.shape != (n, k):
-            raise ConfigurationError(f"signs must have shape {(n, k)}")
+    signs = _resolve_signs(rng, signs, (h.shape[0], k))
     np.multiply(h_new, signs, out=h_new, casting="unsafe")
-
     if internal_exchange_probability < 1.0:
-        if rng is None:
-            raise ConfigurationError(
-                "internal_exchange_probability < 1 requires rng"
-            )
-        frozen = rng.random(n) >= internal_exchange_probability
-        if np.any(frozen):
-            nf = int(np.count_nonzero(frozen))
-            # Translational-only outcome: permute the 3 translational
-            # half-relatives among themselves (uniform 3-permutation),
-            # apply fresh signs, keep internal components untouched.
-            trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
-            rows = np.arange(nf)[:, None]
-            h_trans = h[frozen][:, :3][rows, trans_perm]
-            h_trans *= random_signs(rng, (nf, 3))
-            h_new[frozen, :3] = h_trans
-            h_new[frozen, 3:] = h[frozen, 3:]
+        _freeze_internal(h, h_new, rng, internal_exchange_probability)
     return h_new
 
 
-def _mixed_half_relatives_t(
-    ht: np.ndarray,
-    perm_rows: np.ndarray,
-    rng: Optional[np.random.Generator],
-    signs: Optional[np.ndarray],
-    internal_exchange_probability: float,
-    k: int,
-) -> np.ndarray:
-    """Transposed-layout eq. (18) shuffle: ``ht`` is ``(k, n_pairs)``.
-
-    Elementwise identical to :func:`_mixed_half_relatives` on the
-    transpose (``out[j, i] == _mixed_half_relatives(h, ...)[i, j]``)
-    with the *same RNG consumption order* -- the signs are still drawn
-    as an ``(n, k)`` block, the frozen-pair draws are unchanged -- so
-    swapping a kernel to the transposed layout is bitwise invisible.
-    The component-major layout makes every downstream per-component
-    read (``ht[j]``) a contiguous row instead of a strided column,
-    which is where the memory-bound collision phase spends its time.
-    """
-    n = ht.shape[1]
-    # Flattened gather out[j, i] = ht[perm[i, j], i]: flat position
-    # perm[i, j] * n + i, one 1-D take over the (k, n) block.
-    idx = perm_rows.T.astype(np.intp)
-    idx *= n
-    idx += np.arange(n, dtype=np.intp)
-    htn = np.take(ht.reshape(-1), idx)
+def _resolve_signs(rng, signs, shape: tuple) -> np.ndarray:
+    """Caller-supplied +-1 signs, validated, or a fresh draw."""
     if signs is None:
         if rng is None:
             raise ConfigurationError("need rng or explicit signs")
-        signs = random_signs(rng, (n, k))
-    else:
-        signs = np.asarray(signs)
-        if signs.shape != (n, k):
-            raise ConfigurationError(f"signs must have shape {(n, k)}")
-    np.multiply(htn, signs.T, out=htn, casting="unsafe")
+        return random_signs(rng, shape)
+    signs = np.asarray(signs)
+    if signs.shape != shape:
+        raise ConfigurationError(f"signs must have shape {shape}")
+    return signs
 
-    if internal_exchange_probability < 1.0:
+
+def _resolve_transpositions(rng, transpositions, n: int, k: int) -> np.ndarray:
+    """Caller-supplied swap indices, validated, or a fresh draw."""
+    if transpositions is None:
         if rng is None:
-            raise ConfigurationError(
-                "internal_exchange_probability < 1 requires rng"
-            )
-        frozen = rng.random(n) >= internal_exchange_probability
-        if np.any(frozen):
-            nf = int(np.count_nonzero(frozen))
-            trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
-            rows = np.arange(nf)[:, None]
-            h_trans = ht[:3, frozen].T[rows, trans_perm]
-            h_trans *= random_signs(rng, (nf, 3))
-            htn[:3, frozen] = h_trans.T
-            htn[3:, frozen] = ht[3:, frozen]
-    return htn
+            raise ConfigurationError("need rng or explicit transpositions")
+        return rng.integers(0, k, size=2 * n)
+    transpositions = np.asarray(transpositions)
+    if transpositions.shape != (2 * n,):
+        raise ConfigurationError("need 2 * n_pairs transposition draws")
+    return transpositions
+
+
+def _freeze_internal(h, h_new, rng, probability: float) -> None:
+    """Undo the internal exchange of the pairs that fail its draw.
+
+    ``h``/``h_new`` are the ``(n, k)`` half-relatives before and after
+    the shuffle (any strides); a frozen pair gets the translational-only
+    outcome instead: its 3 translational half-relatives permuted among
+    themselves (uniform 3-permutation) with fresh signs, its internal
+    components untouched.
+    """
+    if rng is None:
+        raise ConfigurationError(
+            "internal_exchange_probability < 1 requires rng"
+        )
+    frozen = rng.random(h.shape[0]) >= probability
+    if np.any(frozen):
+        nf = int(np.count_nonzero(frozen))
+        trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
+        h_trans = h[frozen][:, :3][np.arange(nf)[:, None], trans_perm]
+        h_trans *= random_signs(rng, (nf, 3))
+        h_new[frozen, :3] = h_trans
+        h_new[frozen, 3:] = h[frozen, 3:]
+
+
+def _gather(col: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """``col[rows]``: a view for a slice, a pooled copy for an index array."""
+    if isinstance(rows, slice):
+        return col[rows]
+    # mode="clip": rows are in range by construction; "raise" would
+    # buffer the out array.
+    return np.take(col, rows, axis=0, out=out, mode="clip")
+
+
+def _records(block: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous 2-D block as one opaque item each."""
+    return block.view((np.void, block.strides[0])).reshape(-1)
+
+
+def _scatter(col: np.ndarray, rows, op, x, y, stage: np.ndarray) -> None:
+    """``col[rows] = op(x, y)`` without a temporary.
+
+    ``x``/``y`` are component-major: one contiguous row per column of a
+    2-D ``col`` (written as strided columns of the target or ``stage``,
+    ~3x faster than one transposed 2-D ufunc call).
+    """
+    out = col[rows] if isinstance(rows, slice) else stage
+    if col.ndim == 1:
+        op(x, y, out=out)
+    else:
+        for j in range(col.shape[1]):
+            op(x[j], y[j], out=out[:, j])
+    if out is stage:
+        if col.ndim == 2:
+            # One record per row: a single 1-D scatter instead of a 2-D
+            # fancy assignment (~3x slower) or a flat scatter per column.
+            col, stage = _records(col), _records(stage)
+        col[rows] = stage
+
+
+def _collide(
+    particles: ParticleArrays,
+    m: int,
+    a,
+    b,
+    velocities: Optional[tuple],
+    rng: Optional[np.random.Generator],
+    signs: Optional[np.ndarray],
+    transpositions: Optional[np.ndarray],
+    internal_exchange_probability: float,
+) -> CollisionStats:
+    """The hot collision kernel: eqs. (12)-(18) on ``m`` row pairs.
+
+    ``a``/``b`` select each pair's two rows -- index arrays, or two
+    slices when the partners are interleaved -- and ``velocities`` are
+    the six translational components ``(u0, u1, v0, v1, w0, w1)`` when
+    the caller already gathered them (``None``: gathered here).
+
+    Arithmetic and RNG consumption order (signs, the optional
+    internal-exchange draws, transpositions) are :func:`collide_pairs`'
+    -- the oracle the unit tests compare against bitwise -- laid out
+    component-major so every per-component pass is a contiguous row,
+    and every O(m) temporary lives in ``particles.scratch``: three
+    ``(k, m)`` float blocks (means, half-relatives, mixed), the
+    permutation index block, and the gathered rotational/permutation
+    rows.  Only the RNG draws (no ``out=``) allocate.
+    """
+    if m == 0:
+        return CollisionStats(n_collisions=0)
+    scratch = particles.scratch
+    rdof = particles.rotational_dof
+    k = 3 + rdof
+    mean, ht, htn = pooled(scratch, "coll_f8", 3 * k * m).reshape(3, k, m)
+    idx = pooled(scratch, "coll_idx", k * m, dtype=np.intp).reshape(k, m)
+
+    # Means (conserved) and half-relatives (eqs. (12)-(15)); ``htn`` is
+    # free until the mix, so it stages the velocity gathers.
+    columns = (particles.u, particles.v, particles.w)
+    for c, col in enumerate(columns):
+        if velocities is None:
+            x0, x1 = _gather(col, a, htn[0]), _gather(col, b, htn[1])
+        else:
+            x0, x1 = velocities[2 * c], velocities[2 * c + 1]
+        np.add(x0, x1, out=mean[c])
+        np.subtract(x0, x1, out=ht[c])
+    if rdof:
+        r0, r1 = pooled(scratch, "coll_rot", 2 * m, width=rdof).reshape(
+            2, m, rdof
+        )
+        q0, q1 = _gather(particles.rot, a, r0), _gather(particles.rot, b, r1)
+        for j in range(rdof):
+            np.add(q0[:, j], q1[:, j], out=mean[3 + j])
+            np.subtract(q0[:, j], q1[:, j], out=ht[3 + j])
+    mean *= 0.5
+    ht *= 0.5
+
+    # The eq. (18) shuffle: re-order by the first partner's permutation
+    # vector ("which one gets used is inconsequential") as one flat
+    # take, out[j, i] = ht[perm[i, j], i], then random signs in place.
+    perm_rows = pooled(scratch, "coll_perm", m, dtype=np.int8, width=k)
+    idx[...] = _gather(particles.perm, a, perm_rows).T
+    idx *= m
+    idx += pooled_arange(scratch, m)
+    np.take(ht.reshape(-1), idx, out=htn, mode="clip")
+    signs = _resolve_signs(rng, signs, (m, k))
+    np.multiply(htn, signs.T, out=htn, casting="unsafe")
+    if internal_exchange_probability < 1.0:
+        _freeze_internal(ht.T, htn.T, rng, internal_exchange_probability)
+
+    # Post-collision states (momentum: mean +- relative); ``ht`` is
+    # dead now and stages the scatters.
+    for c, col in enumerate(columns):
+        _scatter(col, a, np.add, mean[c], htn[c], ht[0])
+        _scatter(col, b, np.subtract, mean[c], htn[c], ht[0])
+    if rdof:
+        _scatter(particles.rot, a, np.add, mean[3:], htn[3:], r0)
+        _scatter(particles.rot, b, np.subtract, mean[3:], htn[3:], r1)
+
+    # Refresh both partners' permutation vectors with one random
+    # transposition each (the Aldous-Diaconis shuffle step), in the
+    # index and permutation-row blocks the mix is done with.
+    transpositions = _resolve_transpositions(rng, transpositions, m, k)
+    if isinstance(a, slice):
+        rows = pooled_arange(scratch, 2 * m)
+        a, b = rows[a], rows[b]
+    work = (idx[0], idx[1], perm_rows.reshape(-1)[: 2 * m].reshape(2, m))
+    _transpose_rows(particles.perm, a, transpositions[:m], work)
+    _transpose_rows(particles.perm, b, transpositions[m:], work)
+    return CollisionStats(n_collisions=m)
 
 
 def collide_adjacent_pairs(
@@ -274,130 +366,28 @@ def collide_adjacent_pairs(
     """Collide pairs of *adjacent* rows ``(2i, 2i+1)``, in place.
 
     After the cell sort, even/odd pairing makes every collision pair a
-    pair of adjacent addresses, so the pair's state lives in one
-    contiguous two-row block.  Viewing each column as ``(n_pairs, 2)``
-    turns the generic kernel's two scattered gathers per column into a
-    single contiguous-row gather (and the write-back into one scatter),
-    roughly halving the collision phase's memory traffic.
+    pair of adjacent addresses.  ``pair_index`` holds the indices ``i``
+    of the accepted pairs; ``None`` means *all* ``n // 2`` formed pairs
+    collide (the reservoir mix after an in-place re-pairing shuffle),
+    which needs no gathers or scatters at all -- the kernel reads and
+    writes the two interleaved partner sets through strided views.
 
-    ``pair_index`` holds the indices ``i`` of the accepted pairs;
-    ``None`` means *all* ``n // 2`` formed pairs collide (the reservoir
-    mix after an in-place re-pairing shuffle), which needs no gathers
-    at all -- the kernel runs on strided views.
-
-    Physics identical to :func:`collide_pairs` (shared mixing helper);
+    Physics and RNG consumption identical to :func:`collide_pairs`;
     the equivalence is pinned by a unit test.
     """
-    n_all = particles.n // 2
-    rdof = particles.rotational_dof
-    k = 3 + rdof
     if pair_index is None:
-        m = n_all
+        m = particles.n // 2
+        a, b = slice(0, 2 * m, 2), slice(1, 2 * m, 2)
     else:
         pair_index = np.asarray(pair_index)
         m = pair_index.shape[0]
-    if m == 0:
-        return CollisionStats(n_collisions=0, energy_exchanged=0.0)
-
-    u, v, w, rot = particles.u, particles.v, particles.w, particles.rot
-    rot_flat = rot.reshape(-1) if rot.flags.c_contiguous else None
-    if pair_index is None:
-        # All pairs: the partner state is readable through strided
-        # views -- no gathers at all (the reservoir-mix configuration,
-        # where a physical shuffle already made every pair adjacent).
-        a = np.arange(0, 2 * n_all, 2, dtype=np.intp)
-        b = a + 1  # only the permutation refresh indexes through b
-        u0, u1 = u[0 : 2 * n_all : 2], u[1 : 2 * n_all : 2]
-        v0, v1 = v[0 : 2 * n_all : 2], v[1 : 2 * n_all : 2]
-        w0, w1 = w[0 : 2 * n_all : 2], w[1 : 2 * n_all : 2]
-        r0, r1 = rot[0 : 2 * n_all : 2], rot[1 : 2 * n_all : 2]
-        r0c = [r0[:, j] for j in range(rdof)]
-        r1c = [r1[:, j] for j in range(rdof)]
-    else:
-        # Accepted subset: 1-D takes per partner are the fastest gather
-        # NumPy offers (fancy row indexing is ~5x slower).
-        a = pair_index * 2
-        b = a + 1
-        u0, u1 = np.take(u, a), np.take(u, b)
-        v0, v1 = np.take(v, a), np.take(v, b)
-        w0, w1 = np.take(w, a), np.take(w, b)
-        r0, r1 = np.take(rot, a, axis=0), np.take(rot, b, axis=0)
-        r0c = [r0[:, j] for j in range(rdof)]
-        r1c = [r1[:, j] for j in range(rdof)]
-        if rot_flat is not None:
-            ar = a * rdof
-            br = b * rdof
-
-    # Means (conserved) and half-relatives (eqs. (12)-(15)), built
-    # component-major: every per-component slice below is a contiguous
-    # row, not a strided column.
-    wu = 0.5 * (u0 + u1)
-    wv = 0.5 * (v0 + v1)
-    ww = 0.5 * (w0 + w1)
-    smean = np.empty((rdof, m))
-    ht = np.empty((k, m))
-    np.subtract(u0, u1, out=ht[0])
-    np.subtract(v0, v1, out=ht[1])
-    np.subtract(w0, w1, out=ht[2])
-    for j in range(rdof):
-        np.add(r0c[j], r1c[j], out=smean[j])
-        np.subtract(r0c[j], r1c[j], out=ht[3 + j])
-    ht *= 0.5
-    smean *= 0.5
-
-    htn = _mixed_half_relatives_t(
-        ht, np.take(particles.perm, a, axis=0), rng, signs,
-        internal_exchange_probability, k,
-    )
-
-    e_trans_before = ht[0] ** 2 + ht[1] ** 2 + ht[2] ** 2
-
-    # Reconstruct post-collision states (momentum: mean +- relative);
-    # 1-D fancy scatters per partner (or the strided views directly).
-    if pair_index is None:
-        u0[:] = wu + htn[0]
-        u1[:] = wu - htn[0]
-        v0[:] = wv + htn[1]
-        v1[:] = wv - htn[1]
-        w0[:] = ww + htn[2]
-        w1[:] = ww - htn[2]
-        for j in range(rdof):
-            r0c[j][:] = smean[j] + htn[3 + j]
-            r1c[j][:] = smean[j] - htn[3 + j]
-    else:
-        u[a] = wu + htn[0]
-        u[b] = wu - htn[0]
-        v[a] = wv + htn[1]
-        v[b] = wv - htn[1]
-        w[a] = ww + htn[2]
-        w[b] = ww - htn[2]
-        if rot_flat is not None:
-            # Flat 1-D scatters replace the 2-D fancy row scatter
-            # (the old kernel's single most expensive op).
-            for j in range(rdof):
-                rot_flat[ar + j] = smean[j] + htn[3 + j]
-                rot_flat[br + j] = smean[j] - htn[3 + j]
-        else:
-            for j in range(rdof):
-                rot[a, j] = smean[j] + htn[3 + j]
-                rot[b, j] = smean[j] - htn[3 + j]
-
-    e_trans_after = htn[0] ** 2 + htn[1] ** 2 + htn[2] ** 2
-
-    if transpositions is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit transpositions")
-        transpositions = rng.integers(0, k, size=2 * m)
-    else:
-        transpositions = np.asarray(transpositions)
-        if transpositions.shape != (2 * m,):
-            raise ConfigurationError("need 2 * n_pairs transposition draws")
-    _transpose_rows(particles.perm, a, transpositions[:m])
-    _transpose_rows(particles.perm, b, transpositions[m:])
-
-    return CollisionStats(
-        n_collisions=m,
-        energy_exchanged=float(np.abs(e_trans_after - e_trans_before).sum()),
+        a = pooled(particles.scratch, "coll_a", m, dtype=np.intp)
+        b = pooled(particles.scratch, "coll_b", m, dtype=np.intp)
+        np.multiply(pair_index, 2, out=a)
+        np.add(a, 1, out=b)
+    return _collide(
+        particles, m, a, b, None, rng, signs, transpositions,
+        internal_exchange_probability,
     )
 
 
@@ -418,118 +408,52 @@ def collide_rows_with_velocities(
 ) -> CollisionStats:
     """Collide arbitrary row pairs whose velocities are already gathered.
 
-    The fused selection/collision kernel's entry point: the selection
-    pass has *already* gathered each pair's translational velocity
-    components (it needed them for the relative speed), so re-gathering
-    them here -- as :func:`collide_pairs` would -- wastes six scattered
-    reads per pair.  This variant accepts the pre-gathered ``u0/u1``,
-    ``v0/v1``, ``w0/w1`` arrays (one entry per accepted pair, aligned
-    with ``a_rows``/``b_rows``) and only gathers what selection never
-    touched: rotational state and permutation vectors.
-
-    Physics is byte-for-byte :func:`collide_pairs`: the same
-    :func:`_mixed_half_relatives` shuffle, the same mean +- relative
-    reconstruction, the same transposition refresh, and the same RNG
-    consumption order (signs, then the optional internal-exchange
-    draws, then transpositions) -- pinned by a unit equivalence test.
-    The input velocity arrays are not modified.
+    The indexed kernel's entry point (the fused selection/collision
+    pass and the ensemble engine): ``u0/u1``, ``v0/v1``, ``w0/w1`` hold
+    one entry per pair, aligned with ``a_rows``/``b_rows``, and are not
+    modified; rotational state and permutation vectors are gathered
+    here.  Physics and RNG consumption identical to
+    :func:`collide_pairs`; pinned bitwise by a unit test.
     """
     a = np.asarray(a_rows)
     b = np.asarray(b_rows)
     if a.shape != b.shape:
         raise ConfigurationError("a_rows/b_rows shapes differ")
-    m = a.shape[0]
-    k = 3 + particles.rotational_dof
-    if m == 0:
-        return CollisionStats(n_collisions=0, energy_exchanged=0.0)
-
-    rdof = particles.rotational_dof
-    rot = particles.rot
-    rot_flat = rot.reshape(-1) if rot.flags.c_contiguous else None
-    # Row gather touches each pair's cache line once (vs twice for
-    # per-component flat takes); the write-back below still uses flat
-    # 1-D scatters, which measure faster than the 2-D row scatter.
-    r0, r1 = np.take(rot, a, axis=0), np.take(rot, b, axis=0)
-    r0c = [r0[:, j] for j in range(rdof)]
-    r1c = [r1[:, j] for j in range(rdof)]
-    if rot_flat is not None:
-        ar = a * rdof
-        br = b * rdof
-
-    # Means (conserved) and half-relatives (eqs. (12)-(15)), built
-    # component-major (see :func:`_mixed_half_relatives_t`).
-    wu = 0.5 * (u0 + u1)
-    wv = 0.5 * (v0 + v1)
-    ww = 0.5 * (w0 + w1)
-    smean = np.empty((rdof, m))
-    ht = np.empty((k, m))
-    np.subtract(u0, u1, out=ht[0])
-    np.subtract(v0, v1, out=ht[1])
-    np.subtract(w0, w1, out=ht[2])
-    for j in range(rdof):
-        np.add(r0c[j], r1c[j], out=smean[j])
-        np.subtract(r0c[j], r1c[j], out=ht[3 + j])
-    ht *= 0.5
-    smean *= 0.5
-
-    htn = _mixed_half_relatives_t(
-        ht, np.take(particles.perm, a, axis=0), rng, signs,
-        internal_exchange_probability, k,
-    )
-
-    e_trans_before = ht[0] ** 2 + ht[1] ** 2 + ht[2] ** 2
-
-    u, v, w = particles.u, particles.v, particles.w
-    u[a] = wu + htn[0]
-    u[b] = wu - htn[0]
-    v[a] = wv + htn[1]
-    v[b] = wv - htn[1]
-    w[a] = ww + htn[2]
-    w[b] = ww - htn[2]
-    if rot_flat is not None:
-        for j in range(rdof):
-            rot_flat[ar + j] = smean[j] + htn[3 + j]
-            rot_flat[br + j] = smean[j] - htn[3 + j]
-    else:
-        for j in range(rdof):
-            rot[a, j] = smean[j] + htn[3 + j]
-            rot[b, j] = smean[j] - htn[3 + j]
-
-    e_trans_after = htn[0] ** 2 + htn[1] ** 2 + htn[2] ** 2
-
-    if transpositions is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit transpositions")
-        transpositions = rng.integers(0, k, size=2 * m)
-    else:
-        transpositions = np.asarray(transpositions)
-        if transpositions.shape != (2 * m,):
-            raise ConfigurationError("need 2 * n_pairs transposition draws")
-    _transpose_rows(particles.perm, a, transpositions[:m])
-    _transpose_rows(particles.perm, b, transpositions[m:])
-
-    return CollisionStats(
-        n_collisions=m,
-        energy_exchanged=float(np.abs(e_trans_after - e_trans_before).sum()),
+    return _collide(
+        particles, a.shape[0], a, b, (u0, u1, v0, v1, w0, w1), rng, signs,
+        transpositions, internal_exchange_probability,
     )
 
 
-def _transpose_rows(perm: np.ndarray, rows: np.ndarray, js: np.ndarray) -> None:
+def _transpose_rows(
+    perm: np.ndarray, rows: np.ndarray, js: np.ndarray, work=None
+) -> None:
     """Swap element js[i] with element 0 in perm[rows[i]], vectorized.
 
     ``rows`` may repeat only if the repeats carry identical swaps; the
     collision pairing guarantees disjoint rows within each call.
+    ``work`` optionally supplies the temporaries: two intp index
+    buffers and a ``(2, m)`` int8 block.
     """
-    if perm.flags.c_contiguous:
-        # 1-D flattened swap: fancy indexing with a single index array
-        # beats the (rows, js) double-index path on every op here.
-        flat = perm.reshape(-1)
-        i0 = rows * perm.shape[1]
-        ij = i0 + js
-        tmp = flat[ij]  # fancy gather already copies
-        flat[ij] = flat[i0]
-        flat[i0] = tmp
+    if not perm.flags.c_contiguous:
+        tmp = perm[rows, js].copy()
+        perm[rows, js] = perm[rows, 0]
+        perm[rows, 0] = tmp
         return
-    tmp = perm[rows, js].copy()
-    perm[rows, js] = perm[rows, 0]
-    perm[rows, 0] = tmp
+    m = js.shape[0]
+    if work is None:
+        work = (
+            np.empty(m, dtype=np.intp),
+            np.empty(m, dtype=np.intp),
+            np.empty((2, m), dtype=np.int8),
+        )
+    i0, ij, (head, swapped) = work
+    # 1-D flattened swap: fancy indexing with a single index array
+    # beats the (rows, js) double-index path on every op here.
+    flat = perm.reshape(-1)
+    np.multiply(rows, perm.shape[1], out=i0)
+    np.add(i0, js, out=ij)
+    np.take(flat, i0, out=head, mode="clip")
+    np.take(flat, ij, out=swapped, mode="clip")
+    flat[ij] = head
+    flat[i0] = swapped

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.particles import pooled, pooled_arange
+
 
 @dataclass(frozen=True)
 class CandidatePairs:
@@ -110,14 +112,11 @@ class ReflectionPairs:
     first: np.ndarray
     second: np.ndarray
     cell: np.ndarray
+    #: Members are scattered rows, never ``(2i, 2i+1)`` blocks.
+    adjacent = False
 
     @property
     def n_pairs(self) -> int:
-        return self.first.shape[0]
-
-    @property
-    def n_candidates(self) -> int:
-        # Reflection pairs are same-cell by construction.
         return self.first.shape[0]
 
 
@@ -151,6 +150,19 @@ def reflection_slots(m: int, s: int) -> list:
     return out
 
 
+def reflection_offsets(
+    rng: np.random.Generator, counts: np.ndarray
+) -> np.ndarray:
+    """One reflection offset per cell, uniform over its occupancy.
+
+    The pairing's whole RNG contract: exactly one ``rng.integers`` call
+    over all cells (empty cells draw against a bound of 1), so the
+    stream position afterwards depends only on the per-cell ``counts``,
+    never on how the population came to be laid out.
+    """
+    return rng.integers(0, np.maximum(counts, 1))
+
+
 def reflection_pairs(
     order: np.ndarray,
     counts: np.ndarray,
@@ -158,28 +170,30 @@ def reflection_pairs(
     rng: np.random.Generator = None,
     scratch=None,
     s: np.ndarray = None,
+    subset: np.ndarray = None,
 ) -> ReflectionPairs:
     """Randomized same-cell pairing over a canonical indexed order.
 
     The incremental kernel's replacement for sort-then-even/odd: the
     canonical order is deterministic (no intra-cell shuffle), so the
     per-step randomness moves into the *pairing* -- each cell draws one
-    reflection offset ``s`` uniform over its occupancy and pairs slot
-    ``a`` with slot ``b`` where ``a + b = s (mod m)``
-    (:func:`reflection_slots`).  One draw per cell per step replaces a
-    full random permutation of the population, and every formed pair is
-    same-cell, so the pairing efficiency is exactly
-    ``sum(m_c // 2) / (n // 2)`` -- no candidates lost to cell-boundary
-    straddle.
+    reflection offset ``s`` uniform over its occupancy
+    (:func:`reflection_offsets`) and pairs slot ``a`` with slot ``b``
+    where ``a + b = s (mod m)`` (:func:`reflection_slots`).  One draw
+    per cell per step replaces a full random permutation of the
+    population, and every formed pair is same-cell, so the pairing
+    efficiency is exactly ``sum(m_c // 2) / (n // 2)`` -- no candidates
+    lost to cell-boundary straddle.
 
-    RNG contract: consumes exactly one ``rng.integers`` call over all
-    cells (empty cells draw against a bound of 1), so the stream
-    position after pairing depends only on the per-cell ``counts``,
-    never on how the population came to be laid out.
+    Pairs are numbered cell by cell (cell ``c`` owns ``counts[c] // 2``
+    consecutive ids, in :func:`reflection_slots` order).  ``subset``
+    (an array of pair ids) materialises only those pairs -- the rows of
+    the full result at ``subset`` -- which is how the selection rule
+    pairs only what collides when acceptance does not depend on the
+    partners (:func:`repro.core.selection.fused_select_collide`).
 
     Returns particle-row pairs gathered through ``order``; ``scratch``
-    backs the returned arrays (transient intermediates are fine -- the
-    retained-memory guarantee is what the perf guard enforces).
+    backs the returned arrays and every per-pair intermediate.
 
     Two generalizations serve the replica-batched ensemble engine:
     ``s`` accepts externally drawn reflection offsets (one per cell;
@@ -190,66 +204,70 @@ def reflection_pairs(
     """
     n_cells = counts.shape[0]
     if s is None:
-        # One bounded draw per cell, including empty ones: deterministic
-        # stream consumption given counts.
-        s = rng.integers(0, np.maximum(counts, 1))
+        s = reflection_offsets(rng, counts)
     elif s.shape[0] != n_cells:
         raise ValueError(
             f"external reflection draws must be per-cell: got {s.shape[0]} "
             f"draws for {n_cells} cells"
         )
     pair_counts = counts >> 1
-    n_pairs = int(pair_counts.sum())
-    if scratch is not None:
-        first = scratch.array("rp_first", n_pairs, dtype=np.intp)
-        second = scratch.array("rp_second", n_pairs, dtype=np.intp)
-        pair_cell = scratch.array("rp_cell", n_pairs, dtype=np.int64)
-    else:
-        first = np.empty(n_pairs, dtype=np.intp)
-        second = np.empty(n_pairs, dtype=np.intp)
-        pair_cell = np.empty(n_pairs, dtype=np.int64)
-    if n_pairs == 0:
-        return ReflectionPairs(first=first, second=second, cell=pair_cell)
-    # Transient P- and C-sized expansions (np.repeat has no out=); the
-    # guard budget tracks retained memory, not peak.
-    pair_cell[:] = np.repeat(np.arange(n_cells, dtype=np.int64),
-                             pair_counts)
-    pair_start = np.cumsum(pair_counts) - pair_counts
-    kk = np.arange(n_pairs, dtype=np.int64) - np.repeat(pair_start,
-                                                        pair_counts)
-    m = counts[pair_cell]
-    sp = s[pair_cell]
-    q = sp >> 1
-    odd = sp & 1
-    a_loc = q - kk - 1 + odd
-    b_loc = q + 1 + kk
-    # Degenerate reflection rank (even s, even m, last pair): handled
-    # per *cell*, not per pair -- at most one pair per cell qualifies,
-    # so a C-sized mask beats a P-sized one.
-    deg_cells = np.flatnonzero(
-        ((counts & 1) == 0) & ((s & 1) == 0) & (pair_counts > 0)
+    n_out = int(pair_counts.sum()) if subset is None else subset.shape[0]
+    slot_a, slot_b, m, sp, work, pair_cell = (
+        pooled(scratch, f"rp_{name}", n_out, dtype=np.int64)
+        for name in ("slot_a", "slot_b", "m", "s", "work", "cell")
     )
-    if deg_cells.shape[0]:
-        a_loc[pair_start[deg_cells] + pair_counts[deg_cells] - 1] = (
-            s[deg_cells] >> 1
-        )
-    # Range reduction without the division behind ``%``: a_loc sits in
-    # (-m, m) and b_loc in [1, 2m), so one conditional +/- m folds each
-    # into [0, m).  ``x >> 63`` is all-ones exactly when x < 0, making
-    # ``x += (x >> 63) & m`` a branch-free conditional add.
-    a_loc += (a_loc >> 63) & m
-    b_loc -= m
-    b_loc += (b_loc >> 63) & m
-    base = offsets[pair_cell]
-    a_loc += base
-    b_loc += base
+    if n_out == 0:
+        return ReflectionPairs(first=slot_a, second=slot_b, cell=pair_cell)
+    # The one P-sized expansion (np.repeat has no out=; transient): the
+    # cell of every pair id.  All other passes are over the requested
+    # pairs only, in pooled buffers.
+    all_cells = np.repeat(np.arange(n_cells, dtype=np.int64), pair_counts)
+    if subset is None:
+        pair_cell[:] = all_cells
+        ids = pooled_arange(scratch, n_out)
+    else:
+        np.take(all_cells, subset, out=pair_cell, mode="clip")
+        ids = subset
+    np.take(counts, pair_cell, out=m, mode="clip")
+    np.take(s, pair_cell, out=sp, mode="clip")
+    kk = work  # the pair's rank inside its cell
+    np.take(np.cumsum(pair_counts) - pair_counts, pair_cell, out=kk,
+            mode="clip")
+    np.subtract(ids, kk, out=kk)
+    # Slots q - kk - 1 + odd and q + 1 + kk (q = s >> 1, odd = s & 1),
+    # the second pre-shifted by -m so that both sit in (-m, m).
+    np.subtract(sp, 1, out=slot_a)
+    slot_a >>= 1  # q - 1 + odd
+    slot_a -= kk
+    np.add(sp, 2, out=slot_b)
+    slot_b >>= 1  # q + 1
+    slot_b += kk
+    slot_b -= m
+    # Range reduction without the division behind ``%``: one conditional
+    # + m folds (-m, m) into [0, m).  ``x >> 63`` is all-ones exactly
+    # when x < 0, making ``x += (x >> 63) & m`` a branch-free
+    # conditional add.
+    fold = work
+    for slot in (slot_a, slot_b):
+        np.right_shift(slot, 63, out=fold)
+        fold &= m
+        slot += fold
+    # Degenerate reflection rank (even s, even m, the cell's last pair)
+    # is the one case where both formulas land on the same slot: pair
+    # the two fixed points of the involution (q and q + m/2) instead.
+    hit = np.flatnonzero(slot_a == slot_b)
+    slot_a[hit] = sp[hit] >> 1
+    base = work
+    np.take(offsets, pair_cell, out=base, mode="clip")
+    slot_a += base
+    slot_b += base
     if order is None:
         # Physically sorted population: slots are rows.
-        first[:] = a_loc
-        second[:] = b_loc
-    else:
-        np.take(order, a_loc, out=first, mode="clip")
-        np.take(order, b_loc, out=second, mode="clip")
+        return ReflectionPairs(first=slot_a, second=slot_b, cell=pair_cell)
+    first = pooled(scratch, "rp_first", n_out, dtype=np.intp)
+    second = pooled(scratch, "rp_second", n_out, dtype=np.intp)
+    np.take(order, slot_a, out=first, mode="clip")
+    np.take(order, slot_b, out=second, mode="clip")
     return ReflectionPairs(first=first, second=second, cell=pair_cell)
 
 

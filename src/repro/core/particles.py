@@ -108,6 +108,28 @@ class ScratchBuffers:
         return base[:n]
 
 
+def pooled(
+    scratch: Optional[ScratchBuffers],
+    name: str,
+    n: int,
+    dtype=np.float64,
+    width: Optional[int] = None,
+) -> np.ndarray:
+    """``scratch.array(...)``, or a fresh array without a scratch pool.
+
+    Kernels written against this run allocation-free on the step loop's
+    scratch-enabled populations and unchanged on a bare one.
+    """
+    if scratch is not None:
+        return scratch.array(name, n, dtype=dtype, width=width)
+    return np.empty(n if width is None else (n, width), dtype=dtype)
+
+
+def pooled_arange(scratch: Optional[ScratchBuffers], n: int) -> np.ndarray:
+    """``arange(n)`` (intp, read-only by convention), pooled if possible."""
+    return scratch.arange(n) if scratch is not None else np.arange(n)
+
+
 @dataclass
 class ParticleArrays:
     """SoA particle population.

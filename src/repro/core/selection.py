@@ -38,8 +38,12 @@ from typing import Optional
 import numpy as np
 
 from repro.core.collision import collide_rows_with_velocities
-from repro.core.pairing import CandidatePairs, ReflectionPairs
-from repro.core.particles import ParticleArrays
+from repro.core.pairing import (
+    CandidatePairs,
+    reflection_offsets,
+    reflection_pairs,
+)
+from repro.core.particles import ParticleArrays, pooled
 from repro.errors import ConfigurationError
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel
@@ -75,38 +79,32 @@ class SelectionResult:
         return int(np.count_nonzero(self.accept))
 
 
-def pair_relative_speed(
-    particles: ParticleArrays, pairs: CandidatePairs
-) -> np.ndarray:
+def pair_relative_speed(particles: ParticleArrays, pairs) -> np.ndarray:
     """Translational relative speed |c1 - c2| of every formed pair.
 
-    With scratch enabled the differences land in pooled buffers
-    (``sel_du``/``sel_dv``/``sel_dw``) -- on the adjacent hot path that
-    makes the whole computation allocation-free (strided reads, pooled
-    writes).  The arithmetic is identical either way.
+    ``pairs`` is a :class:`CandidatePairs` or a
+    :class:`ReflectionPairs`.  With scratch enabled every temporary is
+    a pooled buffer (strided reads on the adjacent path, ``out=``
+    gathers otherwise); the arithmetic is identical either way.
     """
     n_pairs = pairs.n_pairs
     scratch = particles.scratch
-    if scratch is not None:
-        du = scratch.array("sel_du", n_pairs)
-        dv = scratch.array("sel_dv", n_pairs)
-        dw = scratch.array("sel_dw", n_pairs)
-    else:
-        du = np.empty(n_pairs)
-        dv = np.empty(n_pairs)
-        dw = np.empty(n_pairs)
+    du, dv, dw, other = (
+        pooled(scratch, name, n_pairs)
+        for name in ("sel_du", "sel_dv", "sel_dw", "sel_other")
+    )
+    columns = ((particles.u, du), (particles.v, dv), (particles.w, dw))
     if pairs.adjacent:
         # Pair i occupies rows (2i, 2i+1): strided views replace the
         # six scattered gathers of the generic path.
         m = 2 * n_pairs
-        np.subtract(particles.u[0:m:2], particles.u[1:m:2], out=du)
-        np.subtract(particles.v[0:m:2], particles.v[1:m:2], out=dv)
-        np.subtract(particles.w[0:m:2], particles.w[1:m:2], out=dw)
+        for col, d in columns:
+            np.subtract(col[0:m:2], col[1:m:2], out=d)
     else:
-        a, b = pairs.first, pairs.second
-        np.subtract(particles.u[a], particles.u[b], out=du)
-        np.subtract(particles.v[a], particles.v[b], out=dv)
-        np.subtract(particles.w[a], particles.w[b], out=dw)
+        for col, d in columns:
+            np.take(col, pairs.first, out=d, mode="clip")
+            np.take(col, pairs.second, out=other, mode="clip")
+            d -= other
     du *= du
     dv *= dv
     dw *= dw
@@ -179,14 +177,10 @@ def collision_probabilities(
     # Per-cell density table first (n_cells entries), then one gather
     # per pair -- not a division per pair.
     density_table = density_lookup_table(cell_counts, volume_fractions)
-    scratch = particles.scratch
-    if scratch is not None:
-        # mode="clip": cell indices are clipped into range upstream
-        # (assign_cells); "raise" would buffer the out array.
-        prob = scratch.array("sel_prob", n_pairs)
-        np.take(density_table, cells, out=prob, mode="clip")
-    else:
-        prob = np.take(density_table, cells)
+    # mode="clip": cell indices are clipped into range upstream
+    # (assign_cells); "raise" would buffer the out array.
+    prob = pooled(particles.scratch, "sel_prob", n_pairs)
+    np.take(density_table, cells, out=prob, mode="clip")
     prob *= freestream.collision_probability / freestream.density
     expo = model.speed_exponent
     if expo != 0.0:
@@ -224,12 +218,10 @@ def select_collisions(
         draws = np.asarray(draws, dtype=np.float64)
         if draws.shape != (pairs.n_pairs,):
             raise ConfigurationError("draws must have one entry per pair")
-    scratch = particles.scratch
-    if scratch is not None:
-        accept = scratch.array("sel_accept", pairs.n_pairs, dtype=bool)
-        np.less(draws, prob, out=accept)
-    else:
-        accept = draws < prob
+    accept = pooled(
+        particles.scratch, "sel_accept", pairs.n_pairs, dtype=bool
+    )
+    np.less(draws, prob, out=accept)
     return SelectionResult(accept=accept, probability=prob, relative_speed=g)
 
 
@@ -248,10 +240,11 @@ class FusedSelectCollideResult:
         Sum of the per-pair collision probabilities (mean probability =
         ``probability_sum / n_candidates``).
     t_boundary:
-        ``perf_counter`` stamp taken between the acceptance draw and
-        the collision physics -- the driver splits the fused pass into
-        the paper's ``selection`` / ``collision`` ledger phases at this
-        timestamp.
+        ``perf_counter`` stamp taken once the colliding row pairs are
+        known (offsets drawn, pairs selected and materialised) and
+        before their state is gathered -- the driver splits the fused
+        pass into the paper's ``selection`` / ``collision`` ledger
+        phases at this timestamp.
     """
 
     n_candidates: int
@@ -262,126 +255,112 @@ class FusedSelectCollideResult:
 
 def fused_select_collide(
     particles: ParticleArrays,
-    rpairs: ReflectionPairs,
+    order: np.ndarray,
+    counts: np.ndarray,
+    offsets: np.ndarray,
     freestream: Freestream,
     model: MolecularModel,
-    cell_counts: np.ndarray,
     volume_fractions: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
     internal_exchange_probability: float = 1.0,
 ) -> FusedSelectCollideResult:
-    """Selection rule and collision physics in one gather/scatter pass.
+    """Pair, select and collide through the indexed order in one pass.
 
-    The incremental kernel's hot path.  The classic pipeline gathers
-    each pair's velocities once for the relative speed, throws them
-    away, and re-gathers them (plus rotational state) in the collision
-    kernel.  Here the selection rule touches velocities only when the
-    molecular model actually needs them: for Maxwell molecules (eq. 8)
-    the probability is a pure density lookup by pair cell, so the full
-    population is never gathered at all -- only the *accepted subset*
-    is, and those values flow straight into
-    :func:`repro.core.collision.collide_rows_with_velocities`.  For
-    speed-dependent models (eq. 7) the six translational gathers happen
-    once into the scratch pool, feed the probability, and the accepted
-    subset is taken from the already-gathered pair-aligned arrays.
-    Either way there are no full-population candidate index arrays and
-    no second pass over the pair set.
+    The incremental kernel's hot path over the sorter's ``order`` /
+    ``counts`` / ``offsets``.  Which pairs exist is fixed by the
+    per-cell reflection offsets alone, so the order of work follows
+    what the molecular model needs:
 
-    RNG consumption order is the same as ``select_collisions`` followed
-    by ``collide_pairs``: acceptance draws (one per formed pair), then
-    collision signs, then the optional internal-exchange draws, then
-    the permutation-refresh transpositions.  A seeded generator
-    therefore produces bitwise identical post-collision state to the
-    unfused reference on the same pair list -- pinned by a unit test.
+    * **Per-cell probability** (Maxwell molecules, eq. 8, and the
+      near-continuum limit where it is 1): acceptance does not depend
+      on the partners, so *select before pairing* -- expand the
+      per-cell probability to pair ids, draw, accept, and only then run
+      the reflection arithmetic and the two ``order`` gathers, on the
+      accepted ids alone (``reflection_pairs(subset=...)``).  When
+      every pair collides the compare/compaction is skipped too (the
+      draw is kept: it is part of the stream).
+    * **Speed-dependent models** (eq. 7) need every pair's relative
+      speed, so all pairs are materialised first.
+
+    RNG consumption order is the same either way, and the same as
+    ``reflection_pairs`` + ``select_collisions`` + ``collide_pairs``:
+    reflection offsets (one per cell), acceptance draws (one per formed
+    pair), collision signs, the optional internal-exchange draws, the
+    permutation-refresh transpositions.  A seeded generator therefore
+    leaves bitwise the state of that unfused reference -- pinned by
+    unit and stage-level tests.
     """
     if rng is None:
         raise ConfigurationError("fused_select_collide requires rng")
-    a, b = rpairs.first, rpairs.second
-    n_pairs = rpairs.n_pairs
     scratch = particles.scratch
-
-    def buf(name, dtype=np.float64, n=n_pairs):
-        if scratch is not None:
-            return scratch.array(name, n, dtype=dtype)
-        return np.empty(n, dtype=dtype)
-
     needs_speed = (
         not freestream.is_near_continuum and model.speed_exponent != 0.0
     )
-    if needs_speed:
-        u0, u1 = buf("fs_u0"), buf("fs_u1")
-        v0, v1 = buf("fs_v0"), buf("fs_v1")
-        w0, w1 = buf("fs_w0"), buf("fs_w1")
-        np.take(particles.u, a, out=u0, mode="clip")
-        np.take(particles.u, b, out=u1, mode="clip")
-        np.take(particles.v, a, out=v0, mode="clip")
-        np.take(particles.v, b, out=v1, mode="clip")
-        np.take(particles.w, a, out=w0, mode="clip")
-        np.take(particles.w, b, out=w1, mode="clip")
+    s = reflection_offsets(rng, counts)
+    pair_counts = counts >> 1
+    n_pairs = int(pair_counts.sum())
 
-    prob = buf("fs_prob")
     if freestream.is_near_continuum:
         # The lambda -> 0 validation limit: every candidate collides.
-        prob[:n_pairs] = 1.0
+        prob = None
     else:
-        density_table = density_lookup_table(cell_counts, volume_fractions)
-        np.take(density_table, rpairs.cell, out=prob, mode="clip")
-        prob *= freestream.collision_probability / freestream.density
+        # Per-cell first (n_cells entries), then one expansion per
+        # pair -- not a division per pair.
+        cell_prob = density_lookup_table(counts, volume_fractions) * (
+            freestream.collision_probability / freestream.density
+        )
         if needs_speed:
-            # Only the speed-dependent models need the relative speed;
-            # reuse the gathered components without destroying them.
-            du, dv, dw = buf("fs_du"), buf("fs_dv"), buf("fs_dw")
-            np.subtract(u0, u1, out=du)
-            np.subtract(v0, v1, out=dv)
-            np.subtract(w0, w1, out=dw)
-            du *= du
-            dv *= dv
-            dw *= dw
-            du += dv
-            du += dw
-            g = np.sqrt(du, out=du)
+            rpairs = reflection_pairs(
+                order, counts, offsets, s=s, scratch=scratch
+            )
+            prob = pooled(scratch, "fs_prob", n_pairs)
+            np.take(cell_prob, rpairs.cell, out=prob, mode="clip")
             g_ref = np.sqrt(2.0) * freestream.mean_speed
-            prob *= model.speed_factor(g, g_ref)
-        np.minimum(prob, 1.0, out=prob)
+            prob *= model.speed_factor(
+                pair_relative_speed(particles, rpairs), g_ref
+            )
+            np.minimum(prob, 1.0, out=prob)
+        else:
+            np.minimum(cell_prob, 1.0, out=cell_prob)
+            prob = np.repeat(cell_prob, pair_counts)
 
-    draws = buf("fs_draws")
+    draws = pooled(scratch, "fs_draws", n_pairs)
     rng.random(out=draws)
-    accept = buf("fs_accept", dtype=bool)
-    np.less(draws, prob, out=accept)
-    probability_sum = float(prob.sum())
-    accepted = np.flatnonzero(accept)
-    n_acc = accepted.shape[0]
+    if prob is None:
+        accepted = None  # all of them, in order
+        probability_sum = float(n_pairs)
+    else:
+        accept = pooled(scratch, "fs_accept", n_pairs, dtype=bool)
+        np.less(draws, prob, out=accept)
+        probability_sum = float(prob.sum())
+        accepted = np.flatnonzero(accept)
+
+    if needs_speed:
+        a_rows = pooled(scratch, "fs_arows", accepted.shape[0], np.intp)
+        b_rows = pooled(scratch, "fs_brows", accepted.shape[0], np.intp)
+        np.take(rpairs.first, accepted, out=a_rows, mode="clip")
+        np.take(rpairs.second, accepted, out=b_rows, mode="clip")
+    else:
+        rpairs = reflection_pairs(
+            order, counts, offsets, s=s, scratch=scratch, subset=accepted
+        )
+        a_rows, b_rows = rpairs.first, rpairs.second
     t_boundary = time.perf_counter()
 
-    a_rows = buf("fs_arows", dtype=np.intp, n=n_acc)
-    b_rows = buf("fs_brows", dtype=np.intp, n=n_acc)
-    np.take(a, accepted, out=a_rows, mode="clip")
-    np.take(b, accepted, out=b_rows, mode="clip")
-    au0, au1 = buf("fs_au0", n=n_acc), buf("fs_au1", n=n_acc)
-    av0, av1 = buf("fs_av0", n=n_acc), buf("fs_av1", n=n_acc)
-    aw0, aw1 = buf("fs_aw0", n=n_acc), buf("fs_aw1", n=n_acc)
-    if needs_speed:
-        # Accepted-subset gathers from the pair-aligned arrays already
-        # in cache: the fusion win over re-gathering the population.
-        np.take(u0, accepted, out=au0, mode="clip")
-        np.take(u1, accepted, out=au1, mode="clip")
-        np.take(v0, accepted, out=av0, mode="clip")
-        np.take(v1, accepted, out=av1, mode="clip")
-        np.take(w0, accepted, out=aw0, mode="clip")
-        np.take(w1, accepted, out=aw1, mode="clip")
-    else:
-        # Maxwell fast path: velocities were never gathered for the
-        # probability, so gather just the accepted rows -- an O(A)
-        # touch instead of O(P).
-        np.take(particles.u, a_rows, out=au0, mode="clip")
-        np.take(particles.u, b_rows, out=au1, mode="clip")
-        np.take(particles.v, a_rows, out=av0, mode="clip")
-        np.take(particles.v, b_rows, out=av1, mode="clip")
-        np.take(particles.w, a_rows, out=aw0, mode="clip")
-        np.take(particles.w, b_rows, out=aw1, mode="clip")
-
+    # Only the colliding rows' velocities are ever gathered: an O(A)
+    # touch of the population instead of O(P).
+    n_acc = a_rows.shape[0]
+    velocities = [
+        np.take(col, rows, out=pooled(scratch, f"fs_vel{i}", n_acc),
+                mode="clip")
+        for i, (col, rows) in enumerate(
+            (col, rows)
+            for col in (particles.u, particles.v, particles.w)
+            for rows in (a_rows, b_rows)
+        )
+    ]
     stats = collide_rows_with_velocities(
-        particles, a_rows, b_rows, au0, au1, av0, av1, aw0, aw1,
+        particles, a_rows, b_rows, *velocities,
         rng=rng,
         internal_exchange_probability=internal_exchange_probability,
     )

@@ -25,7 +25,7 @@ from repro.core import motion
 from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
 from repro.core.cells import assign_cells
 from repro.core.collision import collide_adjacent_pairs
-from repro.core.pairing import even_odd_pairs, reflection_pairs
+from repro.core.pairing import even_odd_pairs
 from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import CellSampler
@@ -291,9 +291,10 @@ def collision_stage(
     ``sorter`` picks the kernel (``SimulationConfig.sort_kernel``):
 
     * an :class:`IncrementalSorter` (``"incremental"``) -- rebuild the
-      indexed cell-contiguous order, pair by per-cell reflection and run
-      the fused selection/collision pass through the index; no particle
-      data moves;
+      indexed cell-contiguous order, then draw the per-cell reflection
+      offsets, select, pair what collides and collide it through the
+      index (:func:`repro.core.selection.fused_select_collide`); no
+      particle data moves;
     * ``None`` (``"counting"``) -- the paper's scheme: physically
       counting-sort the population with randomized intra-cell order,
       pair even/odd neighbours, select, collide adjacent rows.
@@ -312,26 +313,24 @@ def collision_stage(
         t_index = time.perf_counter()
         sres = sorter.update(parts)
         t_sort = time.perf_counter()
-        rpairs = reflection_pairs(
-            sres.order, sres.counts, sres.offsets, rng,
-            scratch=parts.scratch,
-        )
-        # The fused kernel hands back the timestamp of its internal
-        # selection/collision boundary, keeping the paper's two line
-        # items apart.
+        # Pairing, selection and collision in one pass (pairing runs
+        # after selection when the model allows); the kernel hands back
+        # the timestamp of its selection/collision boundary, keeping
+        # the paper's two line items apart.
         fused = fused_select_collide(
             parts,
-            rpairs,
+            sres.order,
+            sres.counts,
+            sres.offsets,
             config.freestream,
             config.model,
-            sres.counts,
             volume_fractions=vf_flat,
             rng=rng,
             internal_exchange_probability=exchange_probability,
         )
         t_selection = fused.t_boundary
         n_pairs_total = parts.n // 2
-        n_candidates = rpairs.n_pairs
+        n_candidates = fused.n_candidates
         n_collisions = fused.n_collisions
         probability_sum = fused.probability_sum
         moved = sres.moved

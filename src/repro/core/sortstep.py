@@ -62,10 +62,6 @@ class SortStepResult:
     ----------
     order:
         Applied permutation (pre-sort index of each sorted slot).
-    rank_shift:
-        Mean absolute change of sorted rank per particle -- the
-        "general communication" driver: a particle whose rank moved
-        less than the VP block size stays on its physical processor.
     counts:
         Per-cell populations (length ``n_cells``) when the caller
         passed ``n_cells`` -- the histogram half of the fused kernel,
@@ -74,7 +70,6 @@ class SortStepResult:
     """
 
     order: np.ndarray
-    rank_shift: float
     counts: Optional[np.ndarray] = None
 
 
@@ -200,7 +195,6 @@ def sort_by_cell(
     counts never allocate.
     """
     cell = particles.cell
-    n = cell.shape[0]
     scratch = particles.scratch
 
     if mix_bits is not None:
@@ -223,16 +217,6 @@ def sort_by_cell(
             max_key=max_key,
         )
 
-    if n:
-        if scratch is not None:
-            diff = scratch.array("sort_rankdiff", n, dtype=np.intp)
-            np.subtract(order, scratch.arange(n), out=diff)
-            np.abs(diff, out=diff)
-            rank_shift = float(diff.mean())
-        else:
-            rank_shift = float(np.abs(order - np.arange(n)).mean())
-    else:
-        rank_shift = 0.0
     particles.reorder_inplace(order)
 
     counts = None
@@ -250,7 +234,7 @@ def sort_by_cell(
             counts = counts_out
         else:
             counts = np.diff(edges)
-    return SortStepResult(order=order, rank_shift=rank_shift, counts=counts)
+    return SortStepResult(order=order, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +318,10 @@ class IncrementalSorter:
         # ping-pong scratch pool (whose buffers are step-transient).
         self._prev_cell = np.empty(0, dtype=np.int64)
         self._mover = np.empty(0, dtype=bool)
-        self._order = np.empty(0, dtype=np.intp)
         self._key16 = np.empty(0, dtype=np.uint16)
+        #: The last ``update``'s argsort result, kept as returned (no
+        #: copy into a sorter-owned buffer); length ``_order_n``.
+        self._order = np.empty(0, dtype=np.intp)
         #: Population size the cached order/cells describe (0 = none).
         self._order_n = 0
         self._moved = 0
@@ -366,9 +352,9 @@ class IncrementalSorter:
         if self.n_cells - 1 <= NARROW_KEY_LIMIT:
             key16 = self._key16[:n]
             np.copyto(key16, cell, casting="unsafe")
-            self._order[:n] = np.argsort(key16, kind="stable")
+            self._order = np.argsort(key16, kind="stable")
         else:
-            self._order[:n] = np.argsort(cell, kind="stable")
+            self._order = np.argsort(cell, kind="stable")
         self.rebuilds += 1
         self._prev_cell[:n] = cell
         self._order_n = n
@@ -376,7 +362,7 @@ class IncrementalSorter:
         self._offsets[0] = 0
         np.cumsum(self._counts, out=self._offsets[1:])
         return IncrementalSortResult(
-            order=self._order[:n],
+            order=self._order,
             counts=self._counts,
             offsets=self._offsets,
             moved=self._moved,
@@ -394,7 +380,7 @@ class IncrementalSorter:
         if cap >= n:
             return
         new_cap = max(n, 2 * cap, 1024)
-        for name in ("_prev_cell", "_mover", "_order", "_key16"):
+        for name in ("_prev_cell", "_mover", "_key16"):
             old = getattr(self, name)
             buf = np.empty(new_cap, dtype=old.dtype)
             buf[: old.shape[0]] = old

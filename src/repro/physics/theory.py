@@ -22,10 +22,64 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.constants import GAMMA
 from repro.errors import ConfigurationError
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` (Brent).
+
+    The classic Brent-Dekker iteration (inverse quadratic interpolation
+    guarded by bisection) with SciPy's ``brentq`` defaults, so the three
+    scalar root-finds below need no SciPy import on the run path: every
+    :class:`repro.core.simulation.SimulationConfig` construction solves
+    one.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConfigurationError("root is not bracketed: f(a) f(b) > 0")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre)
+                    / (dblk * dpre * (fblk - fpre))
+                )
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise ConfigurationError(f"root find did not converge in {maxiter} steps")
 
 
 def _check_supersonic(mach: float) -> None:
@@ -95,8 +149,8 @@ def shock_angle(
     mu = math.asin(1.0 / mach)
     f = lambda b: deflection_angle(mach, b, gamma) - theta
     if strong:
-        return brentq(f, beta_max, math.pi / 2 - 1e-10, xtol=1e-12)
-    return brentq(f, mu + 1e-10, beta_max, xtol=1e-12)
+        return _brentq(f, beta_max, math.pi / 2 - 1e-10, xtol=1e-12)
+    return _brentq(f, mu + 1e-10, beta_max, xtol=1e-12)
 
 
 def shock_angle_deg(
@@ -186,7 +240,9 @@ def mach_from_prandtl_meyer(nu: float, gamma: float = GAMMA) -> float:
         )
     if nu == 0.0:
         return 1.0
-    return brentq(lambda m: prandtl_meyer(m, gamma) - nu, 1.0 + 1e-12, 50.0, xtol=1e-12)
+    return _brentq(
+        lambda m: prandtl_meyer(m, gamma) - nu, 1.0 + 1e-12, 50.0, xtol=1e-12
+    )
 
 
 def expansion_density_ratio(
@@ -224,7 +280,7 @@ def minimum_attachment_mach(
             f"deflection {math.degrees(theta):.1f} deg detaches at every "
             f"Mach number up to {mach_hi}"
         )
-    return brentq(
+    return _brentq(
         lambda m: max_deflection(m, gamma)[0] - theta,
         1.0 + 1e-6,
         mach_hi,

@@ -136,7 +136,10 @@ def random_signs(rng: np.random.Generator, shape) -> np.ndarray:
     component of the permuted relative-velocity vector (any sign choice
     preserves eq. (18) of the paper).
     """
-    return rng.integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
+    signs = rng.integers(0, 2, size=shape, dtype=np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def random_permutation_table(

@@ -16,7 +16,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.simulation import Simulation, SimulationConfig
+import repro.core.simulation as simulation_mod
+from repro.core.cells import assign_cells
+from repro.core.collision import collide_pairs
+from repro.core.pairing import CandidatePairs, reflection_pairs
+from repro.core.selection import select_collisions
+from repro.core.simulation import (
+    CollisionStageResult,
+    Simulation,
+    SimulationConfig,
+)
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
@@ -125,6 +134,85 @@ class TestStatisticalEquivalence:
         cross = corr(cnt_a, inc)
         assert cross > 0.8
         assert cross > noise_floor - 0.05
+
+
+def _materialise_all_stage(parts, config, vf_flat, rng, sorter,
+                           counts_out=None):
+    """``collision_stage`` on the indexed kernel, spelled as its oracle:
+    materialise every reflection pair, apply the selection rule to all
+    of them, collide the accepted ones with ``collide_pairs``."""
+    assign_cells(parts, config.domain)
+    sorter.detect(parts)
+    sres = sorter.update(parts)
+    rp = reflection_pairs(sres.order, sres.counts, sres.offsets, rng)
+    pairs = CandidatePairs(
+        first=rp.first, second=rp.second,
+        same_cell=np.ones(rp.n_pairs, dtype=bool), adjacent=False,
+    )
+    sel = select_collisions(
+        parts, pairs, config.freestream, config.model, sres.counts,
+        volume_fractions=vf_flat, rng=rng,
+    )
+    acc = np.flatnonzero(sel.accept)
+    collide_pairs(
+        parts, rp.first[acc], rp.second[acc], rng=rng,
+        internal_exchange_probability=(
+            config.model.internal_exchange_probability
+        ),
+    )
+    return CollisionStageResult(
+        n_pairs_total=parts.n // 2,
+        n_candidates=rp.n_pairs,
+        n_collisions=int(acc.shape[0]),
+        probability_sum=float(sel.probability.sum()),
+        moved=sres.moved,
+        t=(0.0,) * 5,
+    )
+
+
+class TestSelectBeforePairing:
+    """The stage pairs only what collides; the trajectory cannot tell.
+
+    Same seed, 30 steps: the shipped stage (offsets -> select -> pair
+    the accepted ids -> collide in pooled buffers) against the
+    materialise-all-then-select oracle above must leave identical
+    particle columns, reservoir and per-step diagnostics -- from under
+    one particle per cell to the paper's 40, and at lambda = 0 where
+    every pair collides.
+    """
+
+    @pytest.mark.parametrize(
+        "density,lambda_mfp",
+        [(0.65, 0.5), (2.0, 0.5), (12.0, 0.5), (40.0, 0.5), (12.0, 0.0)],
+    )
+    def test_trajectory_is_bitwise_the_oracles(
+        self, monkeypatch, density, lambda_mfp
+    ):
+        cfg = dataclasses.replace(
+            _config(seed=1989),
+            freestream=Freestream(
+                mach=4.0, c_mp=0.14, lambda_mfp=lambda_mfp, density=density
+            ),
+        )
+        shipped = Simulation(cfg)
+        shipped_diags = [shipped.step() for _ in range(30)]
+        monkeypatch.setattr(
+            simulation_mod, "collision_stage", _materialise_all_stage
+        )
+        oracle = Simulation(cfg)
+        for want in shipped_diags:
+            got = oracle.step()
+            assert dataclasses.replace(
+                got, phase_seconds=None
+            ) == dataclasses.replace(want, phase_seconds=None)
+        assert sum(d.n_collisions for d in shipped_diags) > 0
+        for a, b in (
+            (shipped.particles, oracle.particles),
+            (shipped.reservoir.particles, oracle.reservoir.particles),
+        ):
+            assert a.n == b.n
+            for name in ("x", "y", "u", "v", "w", "rot", "perm", "cell"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 @pytest.mark.sharded

@@ -20,8 +20,11 @@ import gc
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from repro.core.collision import collide_rows_with_velocities
+from repro.core.particles import ParticleArrays
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
@@ -73,10 +76,12 @@ class TestThroughput:
             _wedge_config(density=10.0, seed=1), sort_kernel=kernel
         )
         sim = Simulation(cfg)
-        sim.run(10)  # past the start-up transient; pool fully grown
-        gc.collect()
+        # Traced from before the warm-up, so an array that each step
+        # replaces (the indexed kernel keeps its argsort result) counts
+        # on both sides of the difference.
         tracemalloc.start()
         try:
+            sim.run(10)  # past the start-up transient; pool fully grown
             gc.collect()
             base = tracemalloc.get_traced_memory()[0]
             sim.run(6)
@@ -89,6 +94,41 @@ class TestThroughput:
         assert grown < n, (
             f"stepping retained {grown} bytes over 6 steps "
             f"(n={n}): an O(N) per-step allocation is being kept alive"
+        )
+
+    def test_collision_core_allocates_only_its_rng_draws(self):
+        # The pooled collision core: inside one warm call every O(A)
+        # temporary comes from the scratch pool, so the tracemalloc
+        # peak is just the RNG draws, which have no out= -- int8 signs
+        # (k bytes per collision, briefly twice) and int64
+        # transpositions (16) -- comfortably under 40 bytes per
+        # collision.  The allocate-per-temporary kernel this replaced
+        # peaked near 300.
+        m = 50_000
+        fs = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=10.0)
+        rng = np.random.default_rng(3)
+        parts = ParticleArrays.from_freestream(
+            rng, 4 * m, fs, (0.0, 98.0), (0.0, 64.0)
+        ).enable_scratch()
+        rows = rng.permutation(parts.n)[: 2 * m]
+        a, b = rows[:m].astype(np.intp), rows[m:].astype(np.intp)
+        velocities = [
+            col[r] for col in (parts.u, parts.v, parts.w) for r in (a, b)
+        ]
+        collide_rows_with_velocities(parts, a, b, *velocities, rng=rng)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            collide_rows_with_velocities(parts, a, b, *velocities, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * m, (
+            f"{peak / m:.0f} bytes per collision allocated inside a warm "
+            "collide_rows_with_velocities call: a temporary has left "
+            "the scratch pool"
         )
 
     def test_seeding_is_fast(self):

@@ -74,6 +74,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fly"])
 
+    def test_invalid_configuration_is_a_clean_error(self, capsys):
+        # A library failure exits 2 with one "error:" line, no traceback.
+        assert main(["wedge", "--nx", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2x2" in err
+        assert "Traceback" not in err
+
 
 class TestRunSubcommand:
     def test_list_scenarios(self, capsys):
@@ -87,12 +94,9 @@ class TestRunSubcommand:
         assert main(["run"]) == 2
         assert "repro run" in capsys.readouterr().err
 
-    def test_unknown_scenario_lists_registered(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError) as exc:
-            main(["run", "nope"])
-        assert "cylinder" in str(exc.value)
+    def test_unknown_scenario_lists_registered(self, capsys):
+        assert main(["run", "nope"]) == 2
+        assert "cylinder" in capsys.readouterr().err
 
     def test_smoke_run_cylinder(self, capsys):
         assert main(["run", "cylinder", "--steps", "15"]) == 0
@@ -104,11 +108,9 @@ class TestRunSubcommand:
         out = capsys.readouterr().out
         assert "serial 3-D driver" in out
 
-    def test_3d_rejects_infrastructure_flags(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="supervised"):
-            main(["run", "wedge3d", "--steps", "5", "--supervised"])
+    def test_3d_rejects_infrastructure_flags(self, capsys):
+        assert main(["run", "wedge3d", "--steps", "5", "--supervised"]) == 2
+        assert "supervised" in capsys.readouterr().err
 
     def test_run_wedge_output_matches_wedge_alias(self, capsys):
         """The alias contract: 'wedge' and 'run wedge' with the same
@@ -144,14 +146,12 @@ class TestEnsembleRun:
         assert main(["run", "wedge", "--replicas", "0"]) == 2
         assert "--replicas" in capsys.readouterr().err
 
-    def test_replicas_rejects_workers(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--workers"):
-            main([
-                "run", "wedge", "--replicas", "2", "--workers", "2",
-                "--steps", "5",
-            ])
+    def test_replicas_rejects_workers(self, capsys):
+        assert main([
+            "run", "wedge", "--replicas", "2", "--workers", "2",
+            "--steps", "5",
+        ]) == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_replicas_rejects_3d_scenario(self, capsys):
         assert main([

@@ -17,7 +17,11 @@ import pytest
 
 import repro.core.simulation as simulation_mod
 from repro.core.cells import assign_cells, cell_populations
-from repro.core.collision import collide_adjacent_pairs, collide_pairs
+from repro.core.collision import (
+    collide_adjacent_pairs,
+    collide_pairs,
+    collide_rows_with_velocities,
+)
 from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.simulation import Simulation, SimulationConfig
@@ -60,7 +64,8 @@ class TestAdjacentPairEquivalence:
         for name in ("u", "v", "w", "rot", "perm"):
             assert np.array_equal(getattr(pop, name), getattr(ref, name)), name
         assert s_adj.n_collisions == s_ref.n_collisions == m
-        assert s_adj.energy_exchanged == pytest.approx(s_ref.energy_exchanged)
+        # The exchange diagnostic is the oracle's alone.
+        assert s_ref.energy_exchanged > 0.0 and s_adj.energy_exchanged is None
 
     def test_subset_matches_generic_kernel(self, pop, rng):
         accepted = np.sort(rng.choice(pop.n // 2, size=60, replace=False))
@@ -101,6 +106,106 @@ class TestAdjacentPairEquivalence:
     def test_empty_selection(self, pop):
         stats = collide_adjacent_pairs(pop, np.empty(0, dtype=np.intp))
         assert stats.n_collisions == 0
+
+
+class TestPooledCoreEquivalence:
+    """The pooled collision core against the oracle, bitwise.
+
+    One population, one pair list, one rng stream (or one set of
+    caller-supplied signs/transpositions): ``collide_pairs`` and each
+    entry point of the hot core must leave the same bytes behind.
+    """
+
+    @staticmethod
+    def _population(n, rdof, scratch):
+        fs = Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.5, density=8.0)
+        parts = ParticleArrays.from_freestream(
+            np.random.default_rng(8), n, fs, (0, 10), (0, 10),
+            rotational_dof=rdof,
+        )
+        if scratch:
+            parts.enable_scratch()
+        return parts
+
+    @staticmethod
+    def _draws(m, k, supplied):
+        if not supplied:
+            return {}
+        rng = np.random.default_rng(21)
+        return {
+            "signs": np.where(rng.random((m, k)) < 0.5, -1.0, 1.0),
+            "transpositions": rng.integers(0, k, size=2 * m),
+        }
+
+    @staticmethod
+    def _assert_same(pop, ref):
+        for name in ("u", "v", "w", "rot", "perm"):
+            assert np.array_equal(getattr(pop, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    @pytest.mark.parametrize("iep", [1.0, 0.6])
+    @pytest.mark.parametrize("rdof", [0, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 7, 50_000])
+    def test_rows_with_velocities_matches_oracle(self, m, rdof, iep, supplied):
+        n = max(2 * m + 5, 16)
+        rows = np.random.default_rng(3).permutation(n)[: 2 * m]
+        a, b = rows[:m].astype(np.intp), rows[m:].astype(np.intp)
+        kwargs = self._draws(m, 3 + rdof, supplied)
+        ref = self._population(n, rdof, scratch=False)
+        s_ref = collide_pairs(
+            ref, a, b, rng=np.random.default_rng(5),
+            internal_exchange_probability=iep, **kwargs,
+        )
+        # Two calls on one warm pool: the second reuses every buffer.
+        for scratch in (False, True, True):
+            pop = self._population(n, rdof, scratch)
+            velocities = [
+                col[r] for col in (pop.u, pop.v, pop.w) for r in (a, b)
+            ]
+            stats = collide_rows_with_velocities(
+                pop, a, b, *velocities, rng=np.random.default_rng(5),
+                internal_exchange_probability=iep, **kwargs,
+            )
+            assert stats.n_collisions == s_ref.n_collisions == m
+            self._assert_same(pop, ref)
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    @pytest.mark.parametrize("rdof", [0, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 7, 50_000])
+    def test_adjacent_pairs_match_oracle(self, m, rdof, supplied):
+        # Accepted subset (index arrays) and all pairs (strided views).
+        n = 2 * m + 1  # the odd one out stays unpaired
+        kwargs = self._draws(m, 3 + rdof, supplied)
+        subset = np.arange(m, dtype=np.intp)
+        ref = self._population(n, rdof, scratch=False)
+        collide_pairs(
+            ref, 2 * subset, 2 * subset + 1,
+            rng=np.random.default_rng(5), **kwargs,
+        )
+        for pair_index in (subset, None):
+            pop = self._population(n, rdof, scratch=True)
+            stats = collide_adjacent_pairs(
+                pop, pair_index, rng=np.random.default_rng(5), **kwargs
+            )
+            assert stats.n_collisions == m
+            self._assert_same(pop, ref)
+
+    def test_bad_shapes_are_rejected(self):
+        pop = self._population(16, 2, scratch=True)
+        v = [np.zeros(2)] * 6
+        with pytest.raises(ConfigurationError):
+            collide_rows_with_velocities(
+                pop, np.array([0, 1]), np.array([2]), *v
+            )
+        with pytest.raises(ConfigurationError):
+            collide_rows_with_velocities(
+                pop, np.array([0, 1]), np.array([2, 3]), *v,
+                signs=np.ones((2, 4)), transpositions=np.zeros(4, np.int64),
+            )
+        with pytest.raises(ConfigurationError):
+            collide_rows_with_velocities(
+                pop, np.array([0, 1]), np.array([2, 3]), *v
+            )  # neither rng nor explicit draws
 
 
 class TestFusedSort:

@@ -28,7 +28,7 @@ from repro.core.pairing import (
     reflection_pairs,
     reflection_slots,
 )
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.core.selection import fused_select_collide, select_collisions
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import IncrementalSorter
@@ -108,6 +108,45 @@ class TestReflectionPairs:
                 rp.second, np.array(ref_second, dtype=np.intp)
             )
             assert np.array_equal(rp.cell, np.array(ref_cell, dtype=np.int64))
+
+    def test_exhaustive_small_cells_and_subset(self):
+        # One cell per (size 0..9, offset) combination -- including the
+        # degenerate even-s/even-m last pair -- against the scalar
+        # reference; then any subset of pair ids must yield exactly the
+        # full result's rows at those ids.
+        combos = [(m, s) for m in range(10) for s in range(max(m, 1))]
+        counts = np.array([m for m, _ in combos], dtype=np.int64)
+        s = np.array([s for _, s in combos], dtype=np.int64)
+        n = int(counts.sum())
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        order = np.random.default_rng(6).permutation(n).astype(np.intp)
+        full = reflection_pairs(order, counts, offsets, s=s)
+        ref = [
+            (order[offsets[c] + a], order[offsets[c] + b], c)
+            for c, (m, sc) in enumerate(combos)
+            for a, b in reflection_slots(m, sc)
+        ]
+        assert full.n_pairs == len(ref) == int((counts // 2).sum())
+        assert [*zip(full.first, full.second, full.cell)] == ref
+        assert any(
+            m % 2 == 0 and sc % 2 == 0 and m > 0 for m, sc in combos
+        )
+
+        rng = np.random.default_rng(17)
+        subsets = [
+            np.arange(full.n_pairs), np.empty(0, dtype=np.intp),
+            np.arange(0, full.n_pairs, 2), np.array([full.n_pairs - 1]),
+            np.flatnonzero(rng.random(full.n_pairs) < 0.4),
+        ]
+        scratch = ScratchBuffers()
+        for ids in subsets:
+            for pool in (None, scratch):
+                sub = reflection_pairs(
+                    order, counts, offsets, s=s, subset=ids, scratch=pool
+                )
+                assert np.array_equal(sub.first, full.first[ids])
+                assert np.array_equal(sub.second, full.second[ids])
+                assert np.array_equal(sub.cell, full.cell[ids])
 
     def test_all_pairs_are_same_cell_rows(self):
         rng = np.random.default_rng(7)
@@ -200,78 +239,95 @@ class TestIncrementalSorter:
             IncrementalSorter(0)
 
 
+def _split_reference(parts, order, counts, offsets, fs, model, rng, iep=1.0):
+    """Materialise every pair, then select, then collide -- the oracle
+    pipeline the fused kernel must match bitwise on one rng stream."""
+    rp = reflection_pairs(order, counts, offsets, rng)
+    # Every reflection pair is same-cell: the candidate mask is all-True.
+    pairs = CandidatePairs(
+        first=rp.first, second=rp.second,
+        same_cell=np.ones(rp.n_pairs, dtype=bool), adjacent=False,
+    )
+    sel = select_collisions(parts, pairs, fs, model, counts, rng=rng)
+    acc = np.flatnonzero(sel.accept)
+    stats = collide_pairs(
+        parts, rp.first[acc], rp.second[acc], rng=rng,
+        internal_exchange_probability=iep,
+    )
+    return rp, sel, stats
+
+
 class TestFusedEquivalence:
-    def _setup(self, seed=11, n=600, n_cells=16):
+    def _setup(self, seed=11, n=600, n_cells=16, lambda_mfp=0.5):
         rng = np.random.default_rng(seed)
-        fs = Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.5, density=8.0)
+        fs = Freestream(
+            mach=4.0, c_mp=0.2, lambda_mfp=lambda_mfp, density=8.0
+        )
         parts = ParticleArrays.from_freestream(rng, n, fs, (0, 10), (0, 10))
         parts.cell[:] = rng.integers(0, n_cells, size=parts.n)
-        sorter = IncrementalSorter(n_cells)
-        res = sorter.step(parts)
-        rp = reflection_pairs(
-            res.order, res.counts, res.offsets, np.random.default_rng(2)
-        )
-        return parts, rp, res.counts, fs
+        res = IncrementalSorter(n_cells).step(parts)
+        return parts, res, fs
 
+    @staticmethod
+    def _assert_same_state(parts_f, parts_s):
+        for col in ("u", "v", "w", "rot", "perm"):
+            assert np.array_equal(
+                getattr(parts_f, col), getattr(parts_s, col)
+            ), col
+
+    @pytest.mark.parametrize("scratch", [False, True])
+    @pytest.mark.parametrize("lambda_mfp", [0.5, 0.0])
     @pytest.mark.parametrize("iep", [1.0, 0.6])
-    def test_fused_is_bitwise_equal_to_split_pipeline(self, iep):
-        parts_f, rp, counts, fs = self._setup()
+    def test_fused_is_bitwise_equal_to_split_pipeline(
+        self, iep, lambda_mfp, scratch
+    ):
+        # Select-before-pair (Maxwell) and its every-pair-collides
+        # shortcut (lambda = 0) against materialise-all-then-select.
+        parts_f, res, fs = self._setup(lambda_mfp=lambda_mfp)
         parts_s = parts_f.copy()
+        if scratch:
+            parts_f.enable_scratch()
         model = MolecularModel()
+        rng_f, rng_s = np.random.default_rng(99), np.random.default_rng(99)
 
         fused = fused_select_collide(
-            parts_f, rp, fs, model, counts,
-            rng=np.random.default_rng(99),
-            internal_exchange_probability=iep,
+            parts_f, res.order, res.counts, res.offsets, fs, model,
+            rng=rng_f, internal_exchange_probability=iep,
         )
-
-        # Split reference on the same row pairs: every reflection pair
-        # is same-cell, so the candidate mask is all-True.
-        pairs = CandidatePairs(
-            first=rp.first, second=rp.second,
-            same_cell=np.ones(rp.n_pairs, dtype=bool), adjacent=False,
-        )
-        rng_s = np.random.default_rng(99)
-        sel = select_collisions(parts_s, pairs, fs, model, counts, rng=rng_s)
-        acc = np.flatnonzero(sel.accept)
-        stats = collide_pairs(
-            parts_s, rp.first[acc], rp.second[acc], rng=rng_s,
-            internal_exchange_probability=iep,
+        rp, sel, stats = _split_reference(
+            parts_s, res.order, res.counts, res.offsets, fs, model, rng_s,
+            iep,
         )
 
         assert fused.n_collisions == stats.n_collisions
         assert fused.n_candidates == rp.n_pairs
+        if lambda_mfp == 0.0:
+            assert fused.n_collisions == rp.n_pairs
+        assert fused.probability_sum == float(sel.probability.sum())
+        self._assert_same_state(parts_f, parts_s)
+        assert rng_f.random() == rng_s.random()  # same stream position
+
+    def test_fused_speed_dependent_model_matches_split(self):
+        # The needs_speed branch (eq. 7) materialises all pairs first.
+        parts_f, res, fs = self._setup(seed=13)
+        parts_s = parts_f.copy()
+        parts_f.enable_scratch()
+        model = hard_sphere()
+        assert model.speed_exponent != 0.0
+        rng_f, rng_s = np.random.default_rng(4), np.random.default_rng(4)
+        fused = fused_select_collide(
+            parts_f, res.order, res.counts, res.offsets, fs, model,
+            rng=rng_f,
+        )
+        _, sel, stats = _split_reference(
+            parts_s, res.order, res.counts, res.offsets, fs, model, rng_s
+        )
+        assert fused.n_collisions == stats.n_collisions
         assert np.isclose(
             fused.probability_sum, float(sel.probability.sum())
         )
-        n = parts_f.n
-        for col in ("u", "v", "w"):
-            assert np.array_equal(
-                getattr(parts_f, col)[:n], getattr(parts_s, col)[:n]
-            ), col
-        assert np.array_equal(parts_f.rot[:n], parts_s.rot[:n])
-        assert np.array_equal(parts_f.perm[:n], parts_s.perm[:n])
-
-    def test_fused_speed_dependent_model_matches_split(self):
-        # Exercise the needs_speed branch (eq. 7) too.
-        parts_f, rp, counts, fs = self._setup(seed=13)
-        parts_s = parts_f.copy()
-        model = hard_sphere()
-        assert model.speed_exponent != 0.0
-        fused_select_collide(
-            parts_f, rp, fs, model, counts, rng=np.random.default_rng(4)
-        )
-        pairs = CandidatePairs(
-            first=rp.first, second=rp.second,
-            same_cell=np.ones(rp.n_pairs, dtype=bool), adjacent=False,
-        )
-        rng_s = np.random.default_rng(4)
-        sel = select_collisions(parts_s, pairs, fs, model, counts, rng=rng_s)
-        acc = np.flatnonzero(sel.accept)
-        collide_pairs(parts_s, rp.first[acc], rp.second[acc], rng=rng_s)
-        n = parts_f.n
-        assert np.array_equal(parts_f.u[:n], parts_s.u[:n])
-        assert np.array_equal(parts_f.rot[:n], parts_s.rot[:n])
+        self._assert_same_state(parts_f, parts_s)
+        assert rng_f.random() == rng_s.random()
 
 
 # The removed step-loop forks, spelled in pieces so the repo-wide grep

@@ -1,9 +1,14 @@
 """Unit tests for the inviscid theory oracle against textbook values."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.physics import theory
 
@@ -126,3 +131,55 @@ class TestShockThickness:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigurationError):
             theory.shock_thickness_scale(-0.1)
+
+
+class TestPrivateRootFinder:
+    """SciPy is off the run path: the three root-finds use a private
+    Brent solver with ``scipy.optimize.brentq``'s iteration."""
+
+    def test_matches_scipy_brentq(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        cases = [
+            (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12),
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
+            (lambda x: math.exp(-x) - 1e-3, 0.0, 50.0, 1e-10),
+            (lambda m: theory.prandtl_meyer(m) - 0.4, 1.0 + 1e-12, 50.0,
+             1e-12),
+        ]
+        for f, lo, hi, xtol in cases:
+            assert abs(
+                theory._brentq(f, lo, hi, xtol) - brentq(f, lo, hi, xtol=xtol)
+            ) < 1e-10
+
+    def test_endpoint_root_and_unbracketed_interval(self):
+        assert theory._brentq(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
+        assert theory._brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == 1.0
+        with pytest.raises(ConfigurationError):
+            theory._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_attachment_mach_of_the_default_wedge(self):
+        # What every SimulationConfig construction solves.
+        m_min = theory.minimum_attachment_mach(math.radians(30.0))
+        assert theory.max_deflection(m_min)[0] == pytest.approx(
+            math.radians(30.0), abs=1e-8
+        )
+        assert 2.5 < m_min < 2.6
+
+    def test_stepping_the_default_wedge_never_imports_scipy(self):
+        code = (
+            "import sys, repro\n"
+            "sim = repro.Simulation(repro.SimulationConfig(seed=1))\n"
+            "sim.run(2)\n"
+            "bad = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not bad, bad\n"
+        )
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
