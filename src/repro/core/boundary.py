@@ -264,9 +264,12 @@ class WindTunnelBoundaries:
         if self.has_inlet:
             self.plunger.position += self.plunger.speed
             if self.plunger.position >= self.plunger.trigger:
-                n_injected, particles = self._refill_void(
-                    particles, reservoir, rng
+                fresh = self.plunger_inflow(
+                    reservoir, rng, particles.rotational_dof
                 )
+                if fresh is not None:
+                    n_injected = fresh.n
+                    particles = ParticleArrays.concatenate(particles, fresh)
                 self.plunger.position = 0.0
                 reset = True
 
@@ -281,23 +284,24 @@ class WindTunnelBoundaries:
 
     # -- the scratch-enabled fast path ------------------------------------
 
-    def _apply_rebuilding_fast(
-        self,
-        particles: ParticleArrays,
-        reservoir: Optional[Reservoir],
-        rng: np.random.Generator,
-    ) -> tuple:
-        """Subset-based specular boundary enforcement, in place.
+    def reflect_specular(self, particles: ParticleArrays, record=None) -> tuple:
+        """Plunger face, then walls + body to a fixed point, in place.
 
-        The legacy path rescans and rewrites full columns on every
-        reflection pass; at steady state only a few percent of the
-        population touches any boundary, so this path scans everyone
-        exactly once (pass 1) and afterwards tracks the *moved* subset:
-        a reflection is the only way to (re)enter a solid, hence passes
-        2+ and the final clamp only need to look at particles moved by
-        the previous pass.  Population rebuilds (downstream removal,
-        plunger refill) reuse the ping-pong buffers instead of
-        allocating a fresh population.
+        The elementwise half of the specular boundary phase on a
+        scratch-enabled population; returns ``(n_walls, n_wedge,
+        n_clamped)``.  The full-array path rescans and rewrites whole
+        columns on every reflection pass; at steady state only a few
+        percent of the population touches any boundary, so this scans
+        everyone exactly once (pass 1) and afterwards tracks the
+        *moved* subset: a reflection is the only way to (re)enter a
+        solid, hence passes 2+ and the final clamp only need to look at
+        particles moved by the previous pass.
+
+        Nothing here draws a random number, so one call serves any
+        number of row blocks (the ensemble's replicas).
+        ``record(rows, x, du, dv, back_face)`` receives each body
+        pass's surface hits; the ascending population ``rows`` let a
+        blocked caller split them by block.
         """
         sc = particles.scratch
         n = particles.n
@@ -357,11 +361,11 @@ class WindTunnelBoundaries:
                     x1, y1, u1, v1, back, ramp = (
                         self.wedge.reflect_specular_report(x0, y0, u0, v0)
                     )
-                    if self.surface_sampler is not None:
+                    if record is not None:
                         hit = back | ramp
-                        self.surface_sampler.record(
-                            x1[hit], u1[hit] - u0[hit], v1[hit] - v0[hit],
-                            back[hit],
+                        record(
+                            idx_in[hit], x1[hit], u1[hit] - u0[hit],
+                            v1[hit] - v0[hit], back[hit],
                         )
                     x[idx_in] = x1
                     y[idx_in] = y1
@@ -377,11 +381,34 @@ class WindTunnelBoundaries:
             )
         if not clean and active is not None and active.size:
             n_clamped = self._clamp_subset(particles, active)
+        return n_walls, n_wedge, n_clamped
+
+    def _apply_rebuilding_fast(
+        self,
+        particles: ParticleArrays,
+        reservoir: Optional[Reservoir],
+        rng: np.random.Generator,
+    ) -> tuple:
+        """Subset-based specular boundary enforcement, in place.
+
+        :meth:`reflect_specular`, then the population rebuilds
+        (downstream removal, plunger refill), which reuse the ping-pong
+        buffers instead of allocating a fresh population.
+        """
+        sampler = self.surface_sampler
+        n_walls, n_wedge, n_clamped = self.reflect_specular(
+            particles,
+            None if sampler is None
+            else lambda rows, *impulses: sampler.record(*impulses),
+        )
 
         # 3) Soft downstream boundary: remove into the reservoir.
         n_removed = 0
         if self.has_outlet:
-            np.greater_equal(x, self.domain.width, out=mask)
+            mask = particles.scratch.array(
+                "bnd_mask", particles.n, dtype=bool
+            )
+            np.greater_equal(particles.x, self.domain.width, out=mask)
             n_removed = int(np.count_nonzero(mask))
             if n_removed:
                 # Backfill removal: O(exited), and the cell sort right
@@ -393,39 +420,17 @@ class WindTunnelBoundaries:
         # 4) Advance the plunger; withdraw and refill past the trigger.
         n_injected = 0
         reset = False
-        if not self.has_inlet:
-            return particles, BoundaryStats(
-                n_reflected_walls=n_walls,
-                n_reflected_wedge=n_wedge,
-                n_removed_downstream=n_removed,
-                n_injected_upstream=0,
-                n_clamped=n_clamped,
-                plunger_reset=False,
-            )
-        self.plunger.position += self.plunger.speed
-        if self.plunger.position >= self.plunger.trigger:
-            xp = self.plunger.position
-            area = xp * self.domain.height * self.span_depth
-            n_new = int(round(self.freestream.density * area))
-            if n_new:
-                if reservoir is not None:
-                    fresh = reservoir.withdraw(rng, n_new)
-                else:
-                    fresh = ParticleArrays.from_freestream(
-                        rng, n_new, self.freestream,
-                        x_range=(0.0, xp),
-                        y_range=(0.0, self.domain.height),
-                        rotational_dof=particles.rotational_dof,
-                        rectangular=True,
-                    )
-                fresh.x = rng.uniform(0.0, xp, size=n_new)
-                fresh.y = rng.uniform(
-                    0.0, self.domain.height, size=n_new
+        if self.has_inlet:
+            self.plunger.position += self.plunger.speed
+            if self.plunger.position >= self.plunger.trigger:
+                fresh = self.plunger_inflow(
+                    reservoir, rng, particles.rotational_dof
                 )
-                particles.append_inplace(fresh)
-                n_injected = n_new
-            self.plunger.position = 0.0
-            reset = True
+                if fresh is not None:
+                    n_injected = fresh.n
+                    particles.append_inplace(fresh)
+                self.plunger.position = 0.0
+                reset = True
 
         return particles, BoundaryStats(
             n_reflected_walls=n_walls,
@@ -572,18 +577,25 @@ class WindTunnelBoundaries:
                 particles.y[still] = py
         return n_bad
 
-    def _refill_void(
+    def plunger_inflow(
         self,
-        particles: ParticleArrays,
         reservoir: Optional[Reservoir],
         rng: np.random.Generator,
-    ) -> tuple:
-        """Fill [0, plunger position) x [0, H) with freestream particles."""
+        rotational_dof: int,
+    ) -> Optional[ParticleArrays]:
+        """Freestream particles for the void a withdrawn plunger leaves.
+
+        Enough to fill ``[0, plunger position) x [0, H)`` at freestream
+        density (``None`` when that rounds to zero), withdrawn from
+        ``reservoir`` (sampled afresh without one), then placed
+        uniformly.  The caller appends them its own way.
+        """
         xp = self.plunger.position
-        area = xp * self.domain.height * self.span_depth
+        height = self.domain.height
+        area = xp * height * self.span_depth
         n_new = int(round(self.freestream.density * area))
         if n_new == 0:
-            return 0, particles
+            return None
         if reservoir is not None:
             fresh = reservoir.withdraw(rng, n_new)
         else:
@@ -592,10 +604,10 @@ class WindTunnelBoundaries:
                 n_new,
                 self.freestream,
                 x_range=(0.0, xp),
-                y_range=(0.0, self.domain.height),
-                rotational_dof=particles.rotational_dof,
+                y_range=(0.0, height),
+                rotational_dof=rotational_dof,
                 rectangular=True,
             )
         fresh.x = rng.uniform(0.0, xp, size=n_new)
-        fresh.y = rng.uniform(0.0, self.domain.height, size=n_new)
-        return n_new, ParticleArrays.concatenate(particles, fresh)
+        fresh.y = rng.uniform(0.0, height, size=n_new)
+        return fresh

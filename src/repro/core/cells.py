@@ -22,37 +22,40 @@ import numpy as np
 from repro.constants import DEFAULT_SORT_SCALE
 from repro.core.particles import ParticleArrays
 from repro.errors import ConfigurationError
-from repro.geometry.domain import Domain
 
 
-def assign_cells(particles: ParticleArrays, domain: Domain) -> None:
+def assign_cells(particles: ParticleArrays, domain) -> None:
     """Recompute every particle's flattened cell index, in place.
 
-    Scratch-enabled populations keep the cell column bound to its
-    ping-pong buffer, so the indices are written through the existing
-    view instead of rebinding the attribute to a fresh array.
+    ``domain`` says which position columns make up the index
+    (``domain.cell_axes``: x, y for a :class:`Domain`, plus z for a
+    :class:`repro.geometry.domain3d.Domain3D`).  Scratch-enabled
+    populations keep the cell column bound to its ping-pong buffer, so
+    the indices are written through the existing view instead of
+    rebinding the attribute to a fresh array.
     """
+    axes = domain.cell_axes(particles)
     if (
         particles.scratch is not None
         and particles.cell.shape == particles.x.shape
     ):
-        # Allocation-free indexing through pooled int64 buffers.  The
-        # unsafe copyto truncates toward zero, which equals floor for
-        # the non-negative coordinates boundary enforcement guarantees
-        # (and stray negatives clip to cell 0 either way, exactly as
-        # floor-then-clip would).
-        n = particles.n
-        sc = particles.scratch
-        i = sc.array("cells_i", n, dtype=np.int64)
-        j = sc.array("cells_j", n, dtype=np.int64)
-        np.copyto(i, particles.x, casting="unsafe")
-        np.copyto(j, particles.y, casting="unsafe")
-        np.clip(i, 0, domain.nx - 1, out=i)
-        np.clip(j, 0, domain.ny - 1, out=j)
-        np.multiply(i, domain.ny, out=particles.cell)
-        particles.cell += j
+        # Allocation-free indexing, one digit at a time (Horner) through
+        # a pooled int64 buffer.  The unsafe copyto truncates toward
+        # zero, which equals floor for the non-negative coordinates
+        # boundary enforcement guarantees (and stray negatives clip to
+        # cell 0 either way, exactly as floor-then-clip would).
+        cell = particles.cell
+        digit = particles.scratch.array("cells_digit", particles.n, np.int64)
+        (coords, extent), *lower = axes
+        np.copyto(cell, coords, casting="unsafe")
+        np.clip(cell, 0, extent - 1, out=cell)
+        for coords, extent in lower:
+            np.copyto(digit, coords, casting="unsafe")
+            np.clip(digit, 0, extent - 1, out=digit)
+            cell *= extent
+            cell += digit
     else:
-        particles.cell = domain.cell_index(particles.x, particles.y)
+        particles.cell = domain.cell_index(*(coords for coords, _ in axes))
 
 
 def randomized_sort_keys(

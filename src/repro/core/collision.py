@@ -55,7 +55,7 @@ import numpy as np
 from repro.core.particles import ParticleArrays, pooled, pooled_arange
 from repro.core.permutation import apply_permutation
 from repro.errors import ConfigurationError
-from repro.rng import random_signs
+from repro.rng import block_streams, random_signs
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,9 @@ def collide_pairs(
 
     # Refresh both partners' permutation vectors with one random
     # transposition each (the Aldous-Diaconis shuffle step).
-    transpositions = _resolve_transpositions(rng, transpositions, n, k)
+    transpositions = _resolve_transpositions(
+        _blocks(rng, (0, n)), transpositions, n, k
+    )
     _transpose_rows(particles.perm, a, transpositions[:n])
     _transpose_rows(particles.perm, b, transpositions[n:])
 
@@ -175,38 +177,68 @@ def _mixed_half_relatives(
     shuffle component-major.
     """
     h_new = apply_permutation(h, perm_rows)
-    signs = _resolve_signs(rng, signs, (h.shape[0], k))
+    blocks = _blocks(rng, (0, h.shape[0]))
+    signs = _resolve_signs(blocks, signs, h.shape[0], k)
     np.multiply(h_new, signs, out=h_new, casting="unsafe")
     if internal_exchange_probability < 1.0:
-        _freeze_internal(h, h_new, rng, internal_exchange_probability)
+        _freeze_internal(h, h_new, blocks, internal_exchange_probability)
     return h_new
 
 
-def _resolve_signs(rng, signs, shape: tuple) -> np.ndarray:
-    """Caller-supplied +-1 signs, validated, or a fresh draw."""
-    if signs is None:
+def _blocks(rng, edges) -> tuple:
+    """``(stream, first pair, end pair)`` per block of the pair arrays.
+
+    Every draw below is made block by block, each block from its own
+    stream (:func:`repro.rng.block_streams`) in the one-block order, so
+    a block's outcome never depends on which others share the call.
+    """
+    streams = block_streams(rng)
+    if len(streams) != len(edges) - 1:
+        raise ConfigurationError(
+            f"{len(streams)} streams for {len(edges) - 1} pair blocks"
+        )
+    return tuple(zip(streams, edges[:-1], edges[1:]))
+
+
+def _resolve_signs(blocks, signs, m: int, k: int, scratch=None) -> np.ndarray:
+    """Caller-supplied +-1 signs, validated, or a fresh draw per block."""
+    if signs is not None:
+        signs = np.asarray(signs)
+        if signs.shape != (m, k):
+            raise ConfigurationError(f"signs must have shape {(m, k)}")
+        return signs
+    signs = pooled(scratch, "coll_signs", m, dtype=np.int8, width=k)
+    for rng, e0, e1 in blocks:
         if rng is None:
             raise ConfigurationError("need rng or explicit signs")
-        return random_signs(rng, shape)
-    signs = np.asarray(signs)
-    if signs.shape != shape:
-        raise ConfigurationError(f"signs must have shape {shape}")
+        signs[e0:e1] = random_signs(rng, (e1 - e0, k))
     return signs
 
 
-def _resolve_transpositions(rng, transpositions, n: int, k: int) -> np.ndarray:
-    """Caller-supplied swap indices, validated, or a fresh draw."""
-    if transpositions is None:
+def _resolve_transpositions(
+    blocks, transpositions, m: int, k: int, scratch=None
+) -> np.ndarray:
+    """Caller-supplied swap indices, validated, or a fresh draw per block.
+
+    Laid out first partners then second partners: a block's one draw is
+    split across its slice of each half.
+    """
+    if transpositions is not None:
+        transpositions = np.asarray(transpositions)
+        if transpositions.shape != (2 * m,):
+            raise ConfigurationError("need 2 * n_pairs transposition draws")
+        return transpositions
+    transpositions = pooled(scratch, "coll_transp", 2 * m, dtype=np.int64)
+    for rng, e0, e1 in blocks:
         if rng is None:
             raise ConfigurationError("need rng or explicit transpositions")
-        return rng.integers(0, k, size=2 * n)
-    transpositions = np.asarray(transpositions)
-    if transpositions.shape != (2 * n,):
-        raise ConfigurationError("need 2 * n_pairs transposition draws")
+        draw = rng.integers(0, k, size=2 * (e1 - e0))
+        transpositions[e0:e1] = draw[: e1 - e0]
+        transpositions[m + e0 : m + e1] = draw[e1 - e0 :]
     return transpositions
 
 
-def _freeze_internal(h, h_new, rng, probability: float) -> None:
+def _freeze_internal(h, h_new, blocks, probability: float) -> None:
     """Undo the internal exchange of the pairs that fail its draw.
 
     ``h``/``h_new`` are the ``(n, k)`` half-relatives before and after
@@ -215,18 +247,20 @@ def _freeze_internal(h, h_new, rng, probability: float) -> None:
     themselves (uniform 3-permutation) with fresh signs, its internal
     components untouched.
     """
-    if rng is None:
-        raise ConfigurationError(
-            "internal_exchange_probability < 1 requires rng"
-        )
-    frozen = rng.random(h.shape[0]) >= probability
-    if np.any(frozen):
-        nf = int(np.count_nonzero(frozen))
-        trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
-        h_trans = h[frozen][:, :3][np.arange(nf)[:, None], trans_perm]
-        h_trans *= random_signs(rng, (nf, 3))
-        h_new[frozen, :3] = h_trans
-        h_new[frozen, 3:] = h[frozen, 3:]
+    for rng, e0, e1 in blocks:
+        if rng is None:
+            raise ConfigurationError(
+                "internal_exchange_probability < 1 requires rng"
+            )
+        hb, hb_new = h[e0:e1], h_new[e0:e1]
+        frozen = rng.random(e1 - e0) >= probability
+        if np.any(frozen):
+            nf = int(np.count_nonzero(frozen))
+            trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
+            h_trans = hb[frozen][:, :3][np.arange(nf)[:, None], trans_perm]
+            h_trans *= random_signs(rng, (nf, 3))
+            hb_new[frozen, :3] = h_trans
+            hb_new[frozen, 3:] = hb[frozen, 3:]
 
 
 def _gather(col: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
@@ -270,7 +304,8 @@ def _collide(
     a,
     b,
     velocities: Optional[tuple],
-    rng: Optional[np.random.Generator],
+    rng,
+    edges,
     signs: Optional[np.ndarray],
     transpositions: Optional[np.ndarray],
     internal_exchange_probability: float,
@@ -281,19 +316,22 @@ def _collide(
     slices when the partners are interleaved -- and ``velocities`` are
     the six translational components ``(u0, u1, v0, v1, w0, w1)`` when
     the caller already gathered them (``None``: gathered here).
+    ``rng`` / ``edges`` are the pairs' blocks (:func:`_blocks`).
 
-    Arithmetic and RNG consumption order (signs, the optional
-    internal-exchange draws, transpositions) are :func:`collide_pairs`'
-    -- the oracle the unit tests compare against bitwise -- laid out
-    component-major so every per-component pass is a contiguous row,
-    and every O(m) temporary lives in ``particles.scratch``: three
-    ``(k, m)`` float blocks (means, half-relatives, mixed), the
-    permutation index block, and the gathered rotational/permutation
-    rows.  Only the RNG draws (no ``out=``) allocate.
+    Arithmetic and, block by block, RNG consumption order (signs, the
+    optional internal-exchange draws, transpositions) are
+    :func:`collide_pairs`' -- the oracle the unit tests compare against
+    bitwise -- laid out component-major so every per-component pass is
+    a contiguous row, and every O(m) temporary lives in
+    ``particles.scratch``: three ``(k, m)`` float blocks (means,
+    half-relatives, mixed), the permutation index block, the gathered
+    rotational/permutation rows and the packed draws.  Only the RNG
+    draws themselves (no ``out=``) allocate.
     """
     if m == 0:
         return CollisionStats(n_collisions=0)
     scratch = particles.scratch
+    blocks = _blocks(rng, edges)
     rdof = particles.rotational_dof
     k = 3 + rdof
     mean, ht, htn = pooled(scratch, "coll_f8", 3 * k * m).reshape(3, k, m)
@@ -328,10 +366,10 @@ def _collide(
     idx *= m
     idx += pooled_arange(scratch, m)
     np.take(ht.reshape(-1), idx, out=htn, mode="clip")
-    signs = _resolve_signs(rng, signs, (m, k))
+    signs = _resolve_signs(blocks, signs, m, k, scratch)
     np.multiply(htn, signs.T, out=htn, casting="unsafe")
     if internal_exchange_probability < 1.0:
-        _freeze_internal(ht.T, htn.T, rng, internal_exchange_probability)
+        _freeze_internal(ht.T, htn.T, blocks, internal_exchange_probability)
 
     # Post-collision states (momentum: mean +- relative); ``ht`` is
     # dead now and stages the scatters.
@@ -345,7 +383,9 @@ def _collide(
     # Refresh both partners' permutation vectors with one random
     # transposition each (the Aldous-Diaconis shuffle step), in the
     # index and permutation-row blocks the mix is done with.
-    transpositions = _resolve_transpositions(rng, transpositions, m, k)
+    transpositions = _resolve_transpositions(
+        blocks, transpositions, m, k, scratch
+    )
     if isinstance(a, slice):
         rows = pooled_arange(scratch, 2 * m)
         a, b = rows[a], rows[b]
@@ -386,7 +426,7 @@ def collide_adjacent_pairs(
         np.multiply(pair_index, 2, out=a)
         np.add(a, 1, out=b)
     return _collide(
-        particles, m, a, b, None, rng, signs, transpositions,
+        particles, m, a, b, None, rng, (0, m), signs, transpositions,
         internal_exchange_probability,
     )
 
@@ -401,27 +441,31 @@ def collide_rows_with_velocities(
     v1: np.ndarray,
     w0: np.ndarray,
     w1: np.ndarray,
-    rng: Optional[np.random.Generator] = None,
+    rng=None,
     signs: Optional[np.ndarray] = None,
     transpositions: Optional[np.ndarray] = None,
     internal_exchange_probability: float = 1.0,
+    edges=None,
 ) -> CollisionStats:
     """Collide arbitrary row pairs whose velocities are already gathered.
 
-    The indexed kernel's entry point (the fused selection/collision
-    pass and the ensemble engine): ``u0/u1``, ``v0/v1``, ``w0/w1`` hold
-    one entry per pair, aligned with ``a_rows``/``b_rows``, and are not
-    modified; rotational state and permutation vectors are gathered
-    here.  Physics and RNG consumption identical to
+    The entry point of the fused selection/collision pass: ``u0/u1``,
+    ``v0/v1``, ``w0/w1`` hold one entry per pair, aligned with
+    ``a_rows``/``b_rows``, and are not modified; rotational state and
+    permutation vectors are gathered here.  ``rng`` is one generator
+    per block of pairs, ``edges`` the block boundaries (default: one
+    block).  Physics and, per block, RNG consumption identical to
     :func:`collide_pairs`; pinned bitwise by a unit test.
     """
     a = np.asarray(a_rows)
     b = np.asarray(b_rows)
     if a.shape != b.shape:
         raise ConfigurationError("a_rows/b_rows shapes differ")
+    m = a.shape[0]
     return _collide(
-        particles, a.shape[0], a, b, (u0, u1, v0, v1, w0, w1), rng, signs,
-        transpositions, internal_exchange_probability,
+        particles, m, a, b, (u0, u1, v0, v1, w0, w1), rng,
+        (0, m) if edges is None else edges, signs, transpositions,
+        internal_exchange_probability,
     )
 
 

@@ -122,12 +122,9 @@ class CMSimulation:
         self.step_count = 0
 
         # Shared substrate with the reference engine.
-        if config.wedge is not None:
-            self.volume_fractions = config.wedge.open_volume_fractions(
-                config.domain
-            )
-        else:
-            self.volume_fractions = np.ones(config.domain.shape)
+        self.volume_fractions = config.domain.open_volume_fractions(
+            config.wedge
+        )
         self._vf_flat = self.volume_fractions.reshape(-1)
         self.boundaries = WindTunnelBoundaries(
             domain=config.domain,

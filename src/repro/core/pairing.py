@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.particles import pooled, pooled_arange
+from repro.errors import ConfigurationError
+from repro.rng import block_streams
 
 
 @dataclass(frozen=True)
@@ -150,36 +152,47 @@ def reflection_slots(m: int, s: int) -> list:
     return out
 
 
-def reflection_offsets(
-    rng: np.random.Generator, counts: np.ndarray
-) -> np.ndarray:
+def reflection_offsets(rng, counts: np.ndarray) -> np.ndarray:
     """One reflection offset per cell, uniform over its occupancy.
 
-    The pairing's whole RNG contract: exactly one ``rng.integers`` call
-    over all cells (empty cells draw against a bound of 1), so the
-    stream position afterwards depends only on the per-cell ``counts``,
-    never on how the population came to be laid out.
+    The pairing's whole RNG contract: exactly one ``integers`` call per
+    block over that block's cells (empty cells draw against a bound of
+    1), so a stream's position afterwards depends only on its block's
+    per-cell ``counts``, never on how the population came to be laid
+    out.  ``rng`` is one generator per block
+    (:func:`repro.rng.block_streams`); ``counts`` spans the blocks'
+    cells back to back, equally many each.
     """
-    return rng.integers(0, np.maximum(counts, 1))
+    streams = block_streams(rng)
+    if counts.shape[0] % len(streams):
+        raise ConfigurationError(
+            f"{counts.shape[0]} cells do not split into "
+            f"{len(streams)} equal blocks"
+        )
+    bound = np.maximum(counts, 1).reshape(len(streams), -1)
+    s = np.empty_like(bound)
+    for stream, hi, out in zip(streams, bound, s):
+        out[:] = stream.integers(0, hi)
+    return s.reshape(-1)
 
 
 def reflection_pairs(
     order: np.ndarray,
     counts: np.ndarray,
     offsets: np.ndarray,
-    rng: np.random.Generator = None,
+    s: np.ndarray,
     scratch=None,
-    s: np.ndarray = None,
     subset: np.ndarray = None,
 ) -> ReflectionPairs:
     """Randomized same-cell pairing over a canonical indexed order.
 
     The incremental kernel's replacement for sort-then-even/odd: the
     canonical order is deterministic (no intra-cell shuffle), so the
-    per-step randomness moves into the *pairing* -- each cell draws one
-    reflection offset ``s`` uniform over its occupancy
-    (:func:`reflection_offsets`) and pairs slot ``a`` with slot ``b``
-    where ``a + b = s (mod m)`` (:func:`reflection_slots`).  One draw
+    per-step randomness moves into the *pairing* -- each cell has one
+    reflection offset ``s[c]`` drawn uniform over its occupancy
+    (:func:`reflection_offsets`: the selection kernel draws them first,
+    because it selects before it pairs) and pairs slot ``a`` with slot
+    ``b`` where ``a + b = s (mod m)`` (:func:`reflection_slots`).  One draw
     per cell per step replaces a full random permutation of the
     population, and every formed pair is same-cell, so the pairing
     efficiency is exactly ``sum(m_c // 2) / (n // 2)`` -- no candidates
@@ -195,20 +208,15 @@ def reflection_pairs(
     Returns particle-row pairs gathered through ``order``; ``scratch``
     backs the returned arrays and every per-pair intermediate.
 
-    Two generalizations serve the replica-batched ensemble engine:
-    ``s`` accepts externally drawn reflection offsets (one per cell;
-    the ensemble packs per-replica draws into one array so pairing
-    never straddles replica blocks), and ``order=None`` declares that
-    slot addresses *are* particle rows (the population is physically
-    cell-sorted), skipping the two gather passes.
+    ``order=None`` declares that slot addresses *are* particle rows (a
+    physically cell-sorted population: the ensemble's blocked sort),
+    skipping the two gather passes.
     """
     n_cells = counts.shape[0]
-    if s is None:
-        s = reflection_offsets(rng, counts)
-    elif s.shape[0] != n_cells:
+    if s.shape[0] != n_cells:
         raise ValueError(
-            f"external reflection draws must be per-cell: got {s.shape[0]} "
-            f"draws for {n_cells} cells"
+            f"reflection offsets must be per-cell: got {s.shape[0]} "
+            f"for {n_cells} cells"
         )
     pair_counts = counts >> 1
     n_out = int(pair_counts.sum()) if subset is None else subset.shape[0]
@@ -269,15 +277,3 @@ def reflection_pairs(
     np.take(order, slot_a, out=first, mode="clip")
     np.take(order, slot_b, out=second, mode="clip")
     return ReflectionPairs(first=first, second=second, cell=pair_cell)
-
-
-def pairing_efficiency(pairs: CandidatePairs) -> float:
-    """Fraction of formed pairs that are same-cell candidates.
-
-    With ~N/2 particles per cell >> 1 this approaches 1; sparse cells
-    lose pairs at boundaries.  Reported by diagnostics so runs can see
-    when the grid is too empty for good collision statistics.
-    """
-    if pairs.n_pairs == 0:
-        return 0.0
-    return pairs.n_candidates / pairs.n_pairs

@@ -47,6 +47,7 @@ from repro.core.particles import ParticleArrays, pooled
 from repro.errors import ConfigurationError
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel
+from repro.rng import block_streams
 
 #: Cells whose open fraction falls below this are treated as fully
 #: blocked for density purposes (they should hold no particles; the
@@ -120,9 +121,9 @@ def density_lookup_table(
     """Per-cell density table for the selection rule's pair gather.
 
     Divides the cell populations by the (floored) open volume fraction
-    -- the cut-cell allowance of eq. (7)/(8).  Shared by the solo fused
-    kernel and the ensemble engine, whose table spans ``R * n_cells``
-    composite cells (counts and fractions tiled per replica block).
+    -- the cut-cell allowance of eq. (7)/(8).  ``cell_counts`` may
+    carry leading block axes: the fractions broadcast over them (every
+    block shares the geometry).
     """
     counts = np.asarray(cell_counts, dtype=np.float64)
     if volume_fractions is not None:
@@ -245,12 +246,15 @@ class FusedSelectCollideResult:
         before their state is gathered -- the driver splits the fused
         pass into the paper's ``selection`` / ``collision`` ledger
         phases at this timestamp.
+    collisions_by_block:
+        ``n_collisions`` split by block (one entry per stream).
     """
 
     n_candidates: int
     n_collisions: int
     probability_sum: float
     t_boundary: float
+    collisions_by_block: tuple
 
 
 def fused_select_collide(
@@ -261,15 +265,27 @@ def fused_select_collide(
     freestream: Freestream,
     model: MolecularModel,
     volume_fractions: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng=None,
     internal_exchange_probability: float = 1.0,
 ) -> FusedSelectCollideResult:
     """Pair, select and collide through the indexed order in one pass.
 
-    The incremental kernel's hot path over the sorter's ``order`` /
-    ``counts`` / ``offsets``.  Which pairs exist is fixed by the
-    per-cell reflection offsets alone, so the order of work follows
-    what the molecular model needs:
+    The hot path over a sorter's ``order`` / ``counts`` / ``offsets``,
+    for any number of **blocks**: ``rng`` is one generator per block
+    (:func:`repro.rng.block_streams` -- the serial engine and a shard
+    worker pass their one stream, the ensemble engine its R replica
+    streams) and ``counts`` spans the blocks' cells back to back, so
+    cell ``c`` of block ``b`` is entry ``b * n_cells + c`` and, pairs
+    being numbered cell by cell, every block owns one contiguous range
+    of pair ids.  ``volume_fractions`` covers one block's cells (blocks
+    share the geometry).  ``order=None`` declares the population
+    physically sorted by that composite cell.  Pairing never leaves a
+    cell, hence never a block, and every random number of a block comes
+    from its own stream in the one-block order below: a block's outcome
+    is bitwise what a one-block call on it alone would produce.
+
+    Which pairs exist is fixed by the per-cell reflection offsets
+    alone, so the order of work follows what the molecular model needs:
 
     * **Per-cell probability** (Maxwell molecules, eq. 8, and the
       near-continuum limit where it is 1): acceptance does not depend
@@ -293,12 +309,17 @@ def fused_select_collide(
     if rng is None:
         raise ConfigurationError("fused_select_collide requires rng")
     scratch = particles.scratch
+    streams = block_streams(rng)
     needs_speed = (
         not freestream.is_near_continuum and model.speed_exponent != 0.0
     )
-    s = reflection_offsets(rng, counts)
+    s = reflection_offsets(streams, counts)
+    by_block = (len(streams), -1)
     pair_counts = counts >> 1
-    n_pairs = int(pair_counts.sum())
+    # Block b owns pair ids pair_edges[b]:pair_edges[b + 1].
+    pair_edges = np.zeros(len(streams) + 1, dtype=np.int64)
+    np.cumsum(pair_counts.reshape(by_block).sum(axis=1), out=pair_edges[1:])
+    n_pairs = int(pair_edges[-1])
 
     if freestream.is_near_continuum:
         # The lambda -> 0 validation limit: every candidate collides.
@@ -306,9 +327,9 @@ def fused_select_collide(
     else:
         # Per-cell first (n_cells entries), then one expansion per
         # pair -- not a division per pair.
-        cell_prob = density_lookup_table(counts, volume_fractions) * (
-            freestream.collision_probability / freestream.density
-        )
+        cell_prob = density_lookup_table(
+            counts.reshape(by_block), volume_fractions
+        ).reshape(-1) * (freestream.collision_probability / freestream.density)
         if needs_speed:
             rpairs = reflection_pairs(
                 order, counts, offsets, s=s, scratch=scratch
@@ -325,15 +346,19 @@ def fused_select_collide(
             prob = np.repeat(cell_prob, pair_counts)
 
     draws = pooled(scratch, "fs_draws", n_pairs)
-    rng.random(out=draws)
+    for stream, p0, p1 in zip(streams, pair_edges[:-1], pair_edges[1:]):
+        stream.random(out=draws[p0:p1])
     if prob is None:
         accepted = None  # all of them, in order
         probability_sum = float(n_pairs)
+        accepted_edges = pair_edges
     else:
         accept = pooled(scratch, "fs_accept", n_pairs, dtype=bool)
         np.less(draws, prob, out=accept)
         probability_sum = float(prob.sum())
         accepted = np.flatnonzero(accept)
+        # Accepted ids ascend, so the blocks stay contiguous among them.
+        accepted_edges = np.searchsorted(accepted, pair_edges)
 
     if needs_speed:
         a_rows = pooled(scratch, "fs_arows", accepted.shape[0], np.intp)
@@ -361,12 +386,14 @@ def fused_select_collide(
     ]
     stats = collide_rows_with_velocities(
         particles, a_rows, b_rows, *velocities,
-        rng=rng,
+        rng=streams,
         internal_exchange_probability=internal_exchange_probability,
+        edges=accepted_edges,
     )
     return FusedSelectCollideResult(
         n_candidates=n_pairs,
         n_collisions=stats.n_collisions,
         probability_sum=probability_sum,
         t_boundary=t_boundary,
+        collisions_by_block=tuple(np.diff(accepted_edges).tolist()),
     )

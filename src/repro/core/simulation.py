@@ -50,26 +50,20 @@ SEED_REJECTION_PASSES = 64
 def seed_flow_particles(
     config: "SimulationConfig",
     rng: np.random.Generator,
-    volume_fractions: Optional[np.ndarray] = None,
+    volume_fractions: np.ndarray,
 ) -> ParticleArrays:
     """Fill the open region at freestream density (rejection sample).
 
-    The seeding recipe shared by :class:`Simulation` and the ensemble
-    engine (:mod:`repro.ensemble`): the draw order is part of the
-    determinism contract -- velocities, rotational state, positions,
-    permutation table, then the wedge rejection re-draws -- so a given
-    ``rng`` state always yields the same population bitwise.
+    The seeding recipe shared by :class:`Simulation`, the ensemble
+    engine (:mod:`repro.ensemble`) and the 3-D slab (which then draws
+    the span positions): the draw order is part of the determinism
+    contract -- velocities, rotational state, positions, permutation
+    table, then the wedge rejection re-draws -- so a given ``rng``
+    state always yields the same population bitwise.
 
-    ``volume_fractions`` is the (flattened or gridded) open-area field;
-    derived from the config when omitted.
+    ``volume_fractions`` is the (flattened or gridded) open-volume
+    field of ``config.domain``'s cells.
     """
-    if volume_fractions is None:
-        if config.wedge is not None:
-            volume_fractions = config.wedge.open_volume_fractions(
-                config.domain
-            )
-        else:
-            volume_fractions = np.ones(config.domain.shape)
     open_area = float(np.asarray(volume_fractions).sum())
     n_target = int(round(config.freestream.density * open_area))
     parts = ParticleArrays.from_freestream(
@@ -270,40 +264,65 @@ class CollisionStageResult:
     #: ``perf_counter()`` at the start of the stage and at the end of
     #: each of :data:`COLLISION_PHASES`.
     t: tuple
+    #: ``n_collisions`` per block, one entry per stream handed in.
+    collisions_by_block: tuple = ()
 
     def spans(self) -> tuple:
         """``(phase, t_start, t_end)`` per :data:`COLLISION_PHASES`."""
         return tuple(zip(COLLISION_PHASES, self.t[:-1], self.t[1:]))
+
+    @property
+    def pairing_efficiency(self) -> float:
+        """Candidates per pair the pairing could form at best."""
+        return (
+            self.n_candidates / self.n_pairs_total
+            if self.n_pairs_total else 0.0
+        )
+
+    @property
+    def mean_probability(self) -> float:
+        """Mean collision probability of the candidates."""
+        return (
+            self.probability_sum / self.n_candidates
+            if self.n_candidates else 0.0
+        )
 
 
 def collision_stage(
     parts: ParticleArrays,
     config: "SimulationConfig",
     vf_flat: np.ndarray,
-    rng: np.random.Generator,
-    sorter: Optional[IncrementalSorter],
+    rng,
+    sorter,
     counts_out: Optional[np.ndarray] = None,
 ) -> CollisionStageResult:
-    """Index, sort, pair, select and collide one block of particles.
+    """Index, sort, pair, select and collide a population of blocks.
 
-    The collision half of the time step, spelled once: the serial
-    engine runs it on the whole population, a shard worker on its slab.
-    ``sorter`` picks the kernel (``SimulationConfig.sort_kernel``):
+    The collision half of the time step, spelled once.  A *block* is a
+    population with its own random stream: the serial engine's whole
+    population, a shard worker's slab, the 3-D slab (``config.domain``
+    says what a cell is) -- or each of the ensemble engine's R replicas,
+    with ``rng`` the R replica streams.  ``sorter`` picks the kernel:
 
-    * an :class:`IncrementalSorter` (``"incremental"``) -- rebuild the
-      indexed cell-contiguous order, then draw the per-cell reflection
-      offsets, select, pair what collides and collide it through the
-      index (:func:`repro.core.selection.fused_select_collide`); no
-      particle data moves;
-    * ``None`` (``"counting"``) -- the paper's scheme: physically
-      counting-sort the population with randomized intra-cell order,
-      pair even/odd neighbours, select, collide adjacent rows.
-      ``counts_out`` receives the per-cell histogram in place.
+    * a sorter -- rebuild ``order`` / ``counts`` / ``offsets``, then
+      draw the per-cell reflection offsets, select, pair what collides
+      and collide it
+      (:func:`repro.core.selection.fused_select_collide`).  An
+      :class:`IncrementalSorter` (``"incremental"``) indexes one block
+      and moves no particle data; the ensemble's
+      :class:`repro.core.sortstep.BlockedSorter` physically sorts R
+      blocks by (block, cell);
+    * ``None`` (``"counting"``, one block) -- the paper's scheme:
+      physically counting-sort the population with randomized
+      intra-cell order, pair even/odd neighbours, select, collide
+      adjacent rows.  ``counts_out`` receives the per-cell histogram in
+      place.
 
-    Every random number comes from ``rng`` in a fixed order, so two
-    callers handing in the same block and stream state leave the same
-    state behind -- the serial/sharded bitwise contract.  The caller
-    owns what differs between them: where the timings and counters go.
+    Every random number of a block comes from its stream in a fixed
+    order, so two callers handing in the same block and stream state
+    leave the same state behind -- the serial/sharded and replica/solo
+    bitwise contracts.  The caller owns what differs between them:
+    where the timings and counters go.
     """
     exchange_probability = config.model.internal_exchange_probability
     t0 = time.perf_counter()
@@ -333,6 +352,7 @@ def collision_stage(
         n_candidates = fused.n_candidates
         n_collisions = fused.n_collisions
         probability_sum = fused.probability_sum
+        collisions_by_block = fused.collisions_by_block
         moved = sres.moved
     else:
         # One kernel yields the sorted order *and* the per-cell
@@ -376,6 +396,7 @@ def collision_stage(
         # probability is already zeroed on non-candidates, so the plain
         # sum is the candidate sum.
         probability_sum = float(selection.probability.sum())
+        collisions_by_block = (n_collisions,)
         moved = 0
     t_end = time.perf_counter()
     return CollisionStageResult(
@@ -385,6 +406,7 @@ def collision_stage(
         probability_sum=probability_sum,
         moved=moved,
         t=(t0, t_index, t_sort, t_selection, t_end),
+        collisions_by_block=collisions_by_block,
     )
 
 
@@ -438,11 +460,7 @@ class SerialBackend:
         stage = collision_stage(
             parts, cfg, sim._vf_flat, sim.rng, sim.sort_state
         )
-        tracer = perf.tracer if perf.enabled else None
-        for name, t0, t1 in stage.spans():
-            perf.record(name, t1 - t0)
-            if tracer is not None:
-                tracer.record(name, t0, t1)
+        perf.record_spans(stage.spans())
         sort_moved_fraction = sort_rebuilds = None
         if sim.sort_state is not None:
             sort_moved_fraction = stage.moved / parts.n if parts.n else 0.0
@@ -470,14 +488,8 @@ class SerialBackend:
             n_reservoir=sim.reservoir.size,
             n_candidates=stage.n_candidates,
             n_collisions=stage.n_collisions,
-            pairing_efficiency=(
-                stage.n_candidates / stage.n_pairs_total
-                if stage.n_pairs_total else 0.0
-            ),
-            mean_collision_probability=(
-                stage.probability_sum / stage.n_candidates
-                if stage.n_candidates else 0.0
-            ),
+            pairing_efficiency=stage.pairing_efficiency,
+            mean_collision_probability=stage.mean_probability,
             boundary=bstats,
             total_energy=parts.total_energy(),
             momentum_x=float(parts.u.sum()),
@@ -527,12 +539,9 @@ class Simulation:
 
         # Fractional cell volumes (the selection rule and the sampler
         # both need them when a wedge cuts the grid).
-        if config.wedge is not None:
-            self.volume_fractions = config.wedge.open_volume_fractions(
-                config.domain
-            )
-        else:
-            self.volume_fractions = np.ones(config.domain.shape)
+        self.volume_fractions = config.domain.open_volume_fractions(
+            config.wedge
+        )
         self._vf_flat = self.volume_fractions.reshape(-1)
 
         self.boundaries = WindTunnelBoundaries(
@@ -543,7 +552,7 @@ class Simulation:
             wall_model=config.wall_model,
             accommodation=config.accommodation,
         )
-        self.particles = self._seed_flow()
+        self.particles = seed_flow_particles(config, self.rng, self._vf_flat)
         self.reservoir = Reservoir(
             config.freestream, rotational_dof=config.model.rotational_dof
         )
@@ -580,12 +589,6 @@ class Simulation:
         self.backend.bind(self)
         if telemetry is not None:
             telemetry.attach(self)
-
-    # -- construction helpers ---------------------------------------------
-
-    def _seed_flow(self) -> ParticleArrays:
-        """Fill the open region at freestream density (rejection sample)."""
-        return seed_flow_particles(self.config, self.rng, self._vf_flat)
 
     # -- stepping -----------------------------------------------------------
 

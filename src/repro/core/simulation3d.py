@@ -2,10 +2,11 @@
 
 Runs the identical algorithm in a z-periodic slab: the wedge is an
 infinite prism, particles carry a z position advanced by their (already
-3-D) w velocity, cells are unit cubes, and the collision machinery --
-sort, even/odd pairing, selection rule, permutation collision -- is
-reused *unchanged* (it never looked at positions beyond the cell
-index).
+3-D) w velocity, cells are unit cubes, and the collision half of the
+step is the shared :func:`repro.core.simulation.collision_stage` on the
+paper-faithful counting kernel -- one block whose cells happen to be
+cubes (it never looked at positions beyond the cell index, which the
+domain object computes).
 
 Validation built into the design: span-collapsing the 3-D solution must
 reproduce the 2-D solution of the same x-y configuration (the
@@ -21,14 +22,10 @@ import numpy as np
 
 from repro.constants import DEFAULT_SORT_SCALE
 from repro.core.boundary import WindTunnelBoundaries
-from repro.core.cells import cell_populations
-from repro.core.collision import collide_pairs
-from repro.core.pairing import even_odd_pairs, pairing_efficiency
-from repro.core.particles import ParticleArrays
+from repro.core.cells import assign_cells
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import CellSampler
-from repro.core.selection import select_collisions
-from repro.core.sortstep import sort_by_cell
+from repro.core.simulation import collision_stage, seed_flow_particles
 from repro.errors import ConfigurationError
 from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
@@ -72,10 +69,7 @@ class Simulation3D:
         dom = config.domain
 
         xy = dom.xy_domain()
-        if config.wedge is not None:
-            vf_xy = config.wedge.open_volume_fractions(xy)
-        else:
-            vf_xy = np.ones(xy.shape)
+        vf_xy = xy.open_volume_fractions(config.wedge)
         #: Open volume fraction per 3-D cell: the prism cuts every
         #: z-slab identically.
         self.volume_fractions_xy = vf_xy
@@ -93,7 +87,12 @@ class Simulation3D:
         self.reservoir = Reservoir(
             config.freestream, rotational_dof=config.model.rotational_dof
         )
-        self.particles = self._seed_flow()
+        # The 2-D seeding recipe on the slab's open volume (exhausted
+        # wedge rejection raises there), then uniform span positions.
+        self.particles = seed_flow_particles(config, self.rng, self._vf3_flat)
+        self.particles.z = self.rng.uniform(
+            0.0, dom.depth, size=self.particles.n
+        )
         self.reservoir.deposit(
             self.rng, int(round(config.reservoir_fraction * self.particles.n))
         )
@@ -101,39 +100,7 @@ class Simulation3D:
         #: grid (the 3-D field's z-average, which is also the 2-D
         #: reference field).
         self.sampler = CellSampler(xy, vf_xy)
-        self._assign_cells()
-
-    # -- setup ------------------------------------------------------------
-
-    def _seed_flow(self) -> ParticleArrays:
-        cfg = self.config
-        dom = cfg.domain
-        open_volume = float(self._vf3_flat.sum())
-        n = int(round(cfg.freestream.density * open_volume))
-        parts = ParticleArrays.from_freestream(
-            self.rng,
-            n,
-            cfg.freestream,
-            x_range=(0.0, dom.width),
-            y_range=(0.0, dom.height),
-            rotational_dof=cfg.model.rotational_dof,
-        )
-        parts.z = self.rng.uniform(0.0, dom.depth, size=n)
-        if cfg.wedge is not None:
-            for _ in range(64):
-                bad = cfg.wedge.inside(parts.x, parts.y)
-                n_bad = int(np.count_nonzero(bad))
-                if n_bad == 0:
-                    break
-                parts.x[bad] = self.rng.uniform(0.0, dom.width, size=n_bad)
-                parts.y[bad] = self.rng.uniform(0.0, dom.height, size=n_bad)
-        return parts
-
-    def _assign_cells(self) -> None:
-        dom = self.config.domain
-        self.particles.cell = dom.cell_index(
-            self.particles.x, self.particles.y, self.particles.z
-        )
+        assign_cells(self.particles, dom)
 
     # -- stepping ------------------------------------------------------------
 
@@ -150,7 +117,6 @@ class Simulation3D:
 
         # 2) Boundaries: x-y walls/wedge/plunger/sink (shared code);
         #    injected particles get uniform span positions.
-        n_before = parts.n
         parts, bstats = self.boundaries.apply_rebuilding(
             parts, self.reservoir, self.rng
         )
@@ -160,32 +126,11 @@ class Simulation3D:
                 0.0, dom.depth, size=bstats.n_injected_upstream
             )
 
-        # 3) Selection of collision partners in 3-D cells.
-        parts.cell = dom.cell_index(parts.x, parts.y, parts.z)
+        # 3+4) The collision half of the step in 3-D cells: the shared
+        #    stage on the counting kernel (sort, even/odd pairs,
+        #    selection rule, collision).
         self.particles = parts
-        sort_by_cell(parts, rng=self.rng, scale=cfg.sort_scale)
-        pairs = even_odd_pairs(parts.cell)
-        counts = cell_populations(parts.cell, dom.n_cells)
-        selection = select_collisions(
-            parts,
-            pairs,
-            cfg.freestream,
-            cfg.model,
-            counts,
-            volume_fractions=self._vf3_flat,
-            rng=self.rng,
-        )
-
-        # 4) Collision.
-        collide_pairs(
-            parts,
-            pairs.first[selection.accept],
-            pairs.second[selection.accept],
-            rng=self.rng,
-            internal_exchange_probability=(
-                cfg.model.internal_exchange_probability
-            ),
-        )
+        stage = collision_stage(parts, cfg, self._vf3_flat, self.rng, None)
 
         if cfg.reservoir_mix_rounds:
             self.reservoir.mix(self.rng, rounds=cfg.reservoir_mix_rounds)
@@ -201,8 +146,8 @@ class Simulation3D:
         return {
             "step": self.step_count,
             "n_flow": parts.n,
-            "n_collisions": selection.n_collisions,
-            "pairing_efficiency": pairing_efficiency(pairs),
+            "n_collisions": stage.n_collisions,
+            "pairing_efficiency": stage.pairing_efficiency,
         }
 
     def run(self, n_steps: int, sample: bool = False) -> dict:

@@ -244,7 +244,7 @@ def sort_by_cell(
 
 @dataclass(frozen=True)
 class IncrementalSortResult:
-    """Bookkeeping from one :class:`IncrementalSorter` step.
+    """Bookkeeping from one sorter step (the ``collision_stage`` seam).
 
     Attributes
     ----------
@@ -254,6 +254,8 @@ class IncrementalSortResult:
         sorted by ``(cell, row)`` -- cell-contiguous, deterministic.
         The particle columns themselves are **not** physically
         reordered; downstream kernels gather through ``order``.
+        ``None`` from a :class:`BlockedSorter`, which does reorder
+        them: slots are rows.
     counts / offsets:
         Per-cell populations (length ``n_cells``) and their exclusive
         prefix sum (length ``n_cells + 1``): cell ``c`` owns slots
@@ -266,7 +268,7 @@ class IncrementalSortResult:
         ``moved / n``.
     """
 
-    order: np.ndarray
+    order: Optional[np.ndarray]
     counts: np.ndarray
     offsets: np.ndarray
     moved: int
@@ -385,3 +387,44 @@ class IncrementalSorter:
             buf = np.empty(new_cap, dtype=old.dtype)
             buf[: old.shape[0]] = old
             setattr(self, name, buf)
+
+
+class BlockedSorter:
+    """Physically sort R row blocks by ``(block, cell)`` in one pass.
+
+    The ensemble engine's kernel behind the sorter seam of
+    :func:`repro.core.simulation.collision_stage`: one stable counting
+    sort of the composite key (:func:`blocked_cell_key`) and one
+    bincount for all R histograms.  The population *is* the order
+    afterwards (``order=None``); ``counts`` / ``offsets`` span the
+    ``R * n_cells`` composite cells.  ``starts`` are the blocks' row
+    boundaries (length ``R + 1``); the stable sort keeps them valid.
+    """
+
+    def __init__(self, n_cells: int, starts: np.ndarray) -> None:
+        self.n_cells = int(n_cells)
+        self.starts = starts
+
+    def detect(self, particles: ParticleArrays) -> None:
+        """Nothing to count: a physical sort keeps no per-row history."""
+
+    def update(self, particles: ParticleArrays) -> IncrementalSortResult:
+        """Sort the rows by the composite key; histogram and offsets."""
+        n = particles.n
+        n_keys = (self.starts.shape[0] - 1) * self.n_cells
+        key = particles.scratch.array("blocked_key", n, dtype=np.int64)
+        blocked_cell_key(particles.cell, self.starts, self.n_cells, out=key)
+        counts = np.bincount(key, minlength=n_keys)
+        order = counting_sort_order(
+            key, shuffle=False, scratch=particles.scratch,
+            max_key=n_keys - 1,
+        )
+        particles.reorder_inplace(order)
+        return IncrementalSortResult(
+            order=None,
+            counts=counts,
+            offsets=np.cumsum(counts) - counts,
+            moved=0,
+            moved_fraction=0.0,
+            n=n,
+        )

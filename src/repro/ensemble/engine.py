@@ -10,6 +10,17 @@ every hot kernel (motion, boundary scans, the counting sort, pairing,
 selection, collision) runs once over ``sum(N_r)`` rows instead of R
 times over ``N_r`` rows.
 
+**A replica is a block.**  The step is the serial engine's, over R
+blocks instead of one: the elementwise boundary passes are
+:meth:`repro.core.boundary.WindTunnelBoundaries.reflect_specular` and
+the collision half is :func:`repro.core.simulation.collision_stage`
+with the R replica streams and a
+:class:`repro.core.sortstep.BlockedSorter` behind its sorter seam --
+the same kernel the serial engine and every shard worker run on one
+block.  What lives here is what is genuinely blocked: population
+surgery that must keep each replica's rows contiguous and in solo
+order, and the per-replica reservoirs and samplers.
+
 **Layout.**  Replica-packed rows, physically blocked by replica at all
 times: replica ``r`` owns the contiguous row range
 ``starts[r]:starts[r+1]``.  The per-step sort key is the composite
@@ -23,18 +34,20 @@ NumPy's 16-bit radix path still applies up to
 **Determinism contract.**  All randomness comes from counter-keyed
 Philox streams ``shard_stream(seed, 0, step, replica=rid)`` -- a pure
 function of the key, never advanced across steps.  Within a step every
-replica's draws happen in a fixed order (boundary deposits/refills,
-pairing offsets, acceptance, collision signs, transpositions,
-reservoir mix) from its own stream, and all batched arithmetic is
-elementwise or block-local, so replica ``r`` of a batched run is
-**bitwise identical** to a solo engine run (``R = 1``) keyed for
-``r`` -- asserted by :func:`verify_replica_equality` and pinned in CI.
+replica's draws happen in a fixed order (boundary deposits/refills
+here; pairing offsets, acceptance, collision signs, transpositions in
+the shared kernel, per block; reservoir mix here) from its own stream,
+and all batched arithmetic is elementwise or block-local, so replica
+``r`` of a batched run is **bitwise identical** to a solo engine run
+(``R = 1``) keyed for ``r`` -- asserted by
+:func:`verify_replica_equality` and pinned in CI.
 
 Engine restrictions (enforced at construction): specular walls only
 (the other wall models draw per-crossing RNG inside full-population
 kernels, which would entangle replicas) and
-``internal_exchange_probability == 1.0`` (the relaxation knob draws
-inside the collision kernel in non-blocked order).
+``internal_exchange_probability == 1.0`` (the shared kernel makes the
+relaxation knob's draws per block as well, but no replica == solo test
+pins that combination at engine level yet).
 """
 
 from __future__ import annotations
@@ -46,14 +59,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import motion
-from repro.core.boundary import (
-    MAX_REFLECTION_PASSES,
-    BoundaryStats,
-    WindTunnelBoundaries,
-)
+from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
 from repro.core.cells import assign_cells
-from repro.core.collision import collide_rows_with_velocities
-from repro.core.pairing import reflection_pairs
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import (
@@ -62,13 +69,16 @@ from repro.core.sampling import (
     EnsembleStatistic,
     ensemble_statistic,
 )
-from repro.core.selection import density_lookup_table
-from repro.core.simulation import SimulationConfig, seed_flow_particles
-from repro.core.sortstep import blocked_cell_key, counting_sort_order
+from repro.core.simulation import (
+    SimulationConfig,
+    collision_stage,
+    seed_flow_particles,
+)
+from repro.core.sortstep import BlockedSorter, blocked_cell_key
 from repro.errors import ConfigurationError, ValidationError
 from repro.geometry.wedge import Wedge
 from repro.perf import PerfLedger
-from repro.rng import random_signs, shard_stream
+from repro.rng import shard_stream
 
 
 @dataclass(frozen=True)
@@ -156,11 +166,7 @@ class EnsembleEngine:
             res.particles.enable_scratch()
             blocks.append(parts_r)
             self.reservoirs.append(res)
-        parts = (
-            blocks[0]
-            if len(blocks) == 1
-            else functools.reduce(ParticleArrays.concatenate, blocks)
-        )
+        parts = functools.reduce(ParticleArrays.concatenate, blocks)
         self.starts = np.zeros(self.n_replicas + 1, dtype=np.int64)
         np.cumsum([b.n for b in blocks], out=self.starts[1:])
         parts.enable_scratch()
@@ -220,24 +226,17 @@ class EnsembleEngine:
         if config.model.internal_exchange_probability != 1.0:
             raise ConfigurationError(
                 "the ensemble engine requires "
-                "internal_exchange_probability == 1.0 (the relaxation "
-                "knob draws RNG inside the collision kernel in "
-                "non-replica-blocked order)"
+                "internal_exchange_probability == 1.0 (the replica == "
+                "solo contract is pinned for the fully mixing model only)"
             )
         self.config = config
         self.replica_ids = tuple(replica_ids)
         self.n_replicas = len(self.replica_ids)
         self.metrics = metrics
-        if config.wedge is not None:
-            self.volume_fractions = config.wedge.open_volume_fractions(
-                config.domain
-            )
-        else:
-            self.volume_fractions = np.ones(config.domain.shape)
+        self.volume_fractions = config.domain.open_volume_fractions(
+            config.wedge
+        )
         self._vf_flat = self.volume_fractions.reshape(-1)
-        #: Volume fractions tiled per block: the composite density
-        #: table's divisor (replica blocks share the geometry).
-        self._vf_tiled = np.tile(self._vf_flat, self.n_replicas)
         self.boundaries = WindTunnelBoundaries(
             domain=config.domain,
             freestream=config.freestream,
@@ -255,7 +254,6 @@ class EnsembleEngine:
         cfg = self.config
         parts = self.particles
         n_cells = cfg.domain.n_cells
-        n_rep = self.n_replicas
         perf = self.perf
         step_id = self.step_count + 1
         streams = [
@@ -269,167 +267,16 @@ class EnsembleEngine:
             motion.advance(parts)
             bstats = self._apply_boundaries(streams, sample)
 
-        # 3a) Cell indexing + the blocked counting sort: one stable
-        #    sort of the composite key physically re-blocks the whole
-        #    ensemble, and one bincount yields all R histograms.
-        with perf.phase("sort"):
-            assign_cells(parts, cfg.domain)
-            key = parts.scratch.array("ens_key", parts.n, dtype=np.int64)
-            blocked_cell_key(parts.cell, self.starts, n_cells, out=key)
-            counts = np.bincount(key, minlength=n_rep * n_cells)
-            order = counting_sort_order(
-                key,
-                shuffle=False,
-                scratch=parts.scratch,
-                max_key=n_rep * n_cells - 1,
-            )
-            parts.reorder_inplace(order)
-        offsets = np.cumsum(counts) - counts
-
-        # 3b) Reflection pairing with externally packed per-replica
-        #    offset draws (one bounded draw per composite cell, from
-        #    each replica's own stream -- exactly the solo consumption).
-        with perf.phase("selection"):
-            s = parts.scratch.array(
-                "ens_refl_s", n_rep * n_cells, dtype=np.int64
-            )
-            hi = parts.scratch.array(
-                "ens_refl_hi", n_rep * n_cells, dtype=np.int64
-            )
-            np.maximum(counts, 1, out=hi)
-            for r, st in enumerate(streams):
-                blk = slice(r * n_cells, (r + 1) * n_cells)
-                s[blk] = st.integers(0, hi[blk])
-            rpairs = reflection_pairs(
-                None, counts, offsets, s=s, scratch=parts.scratch
-            )
-            n_pairs = rpairs.n_pairs
-
-            # Pair index ranges per replica (pairing is block-local, so
-            # pairs inherit the blocked layout).
-            pair_starts = np.zeros(n_rep + 1, dtype=np.int64)
-            np.cumsum(
-                (counts >> 1).reshape(n_rep, n_cells).sum(axis=1),
-                out=pair_starts[1:],
-            )
-
-            # Selection rule over the composite density table.
-            def buf(name, dtype=np.float64, n=n_pairs):
-                return parts.scratch.array(name, n, dtype=dtype)
-
-            needs_speed = (
-                not cfg.freestream.is_near_continuum
-                and cfg.model.speed_exponent != 0.0
-            )
-            if needs_speed:
-                u0, u1 = buf("ens_u0"), buf("ens_u1")
-                v0, v1 = buf("ens_v0"), buf("ens_v1")
-                w0, w1 = buf("ens_w0"), buf("ens_w1")
-                np.take(parts.u, rpairs.first, out=u0, mode="clip")
-                np.take(parts.u, rpairs.second, out=u1, mode="clip")
-                np.take(parts.v, rpairs.first, out=v0, mode="clip")
-                np.take(parts.v, rpairs.second, out=v1, mode="clip")
-                np.take(parts.w, rpairs.first, out=w0, mode="clip")
-                np.take(parts.w, rpairs.second, out=w1, mode="clip")
-
-            prob = buf("ens_prob")
-            if cfg.freestream.is_near_continuum:
-                prob[:n_pairs] = 1.0
-            else:
-                table = density_lookup_table(counts, self._vf_tiled)
-                np.take(table, rpairs.cell, out=prob, mode="clip")
-                prob *= (
-                    cfg.freestream.collision_probability
-                    / cfg.freestream.density
-                )
-                if needs_speed:
-                    du, dv, dw = buf("ens_du"), buf("ens_dv"), buf("ens_dw")
-                    np.subtract(u0, u1, out=du)
-                    np.subtract(v0, v1, out=dv)
-                    np.subtract(w0, w1, out=dw)
-                    du *= du
-                    dv *= dv
-                    dw *= dw
-                    du += dv
-                    du += dw
-                    g = np.sqrt(du, out=du)
-                    g_ref = np.sqrt(2.0) * cfg.freestream.mean_speed
-                    prob *= cfg.model.speed_factor(g, g_ref)
-                np.minimum(prob, 1.0, out=prob)
-
-            # Acceptance draws, packed contiguously per replica block.
-            draws = buf("ens_draws")
-            for r, st in enumerate(streams):
-                p0, p1 = int(pair_starts[r]), int(pair_starts[r + 1])
-                if p1 > p0:
-                    st.random(out=draws[p0:p1])
-            accept = buf("ens_accept", dtype=bool)
-            np.less(draws, prob, out=accept)
-            probability_sum = float(prob.sum())
-            accepted = np.flatnonzero(accept)
-            n_acc = accepted.shape[0]
-            # Accepted pair counts per replica: accepted pair indices
-            # are ascending, so block boundaries are a searchsorted.
-            acc_edges = np.searchsorted(accepted, pair_starts)
-
-        # 4) Collision of the accepted pairs: signs and transpositions
-        #    are drawn per replica and packed so one kernel call
-        #    reproduces each replica's solo draws exactly (the packed
-        #    transpositions keep the kernel's first-partners-then-
-        #    second-partners split).
-        with perf.phase("collision"):
-            a_rows = buf("ens_arows", dtype=np.intp, n=n_acc)
-            b_rows = buf("ens_brows", dtype=np.intp, n=n_acc)
-            np.take(rpairs.first, accepted, out=a_rows, mode="clip")
-            np.take(rpairs.second, accepted, out=b_rows, mode="clip")
-            au0, au1 = buf("ens_au0", n=n_acc), buf("ens_au1", n=n_acc)
-            av0, av1 = buf("ens_av0", n=n_acc), buf("ens_av1", n=n_acc)
-            aw0, aw1 = buf("ens_aw0", n=n_acc), buf("ens_aw1", n=n_acc)
-            if needs_speed:
-                np.take(u0, accepted, out=au0, mode="clip")
-                np.take(u1, accepted, out=au1, mode="clip")
-                np.take(v0, accepted, out=av0, mode="clip")
-                np.take(v1, accepted, out=av1, mode="clip")
-                np.take(w0, accepted, out=aw0, mode="clip")
-                np.take(w1, accepted, out=aw1, mode="clip")
-            else:
-                np.take(parts.u, a_rows, out=au0, mode="clip")
-                np.take(parts.u, b_rows, out=au1, mode="clip")
-                np.take(parts.v, a_rows, out=av0, mode="clip")
-                np.take(parts.v, b_rows, out=av1, mode="clip")
-                np.take(parts.w, a_rows, out=aw0, mode="clip")
-                np.take(parts.w, b_rows, out=aw1, mode="clip")
-
-            k = 3 + parts.rotational_dof
-            signs = parts.scratch.array(
-                "ens_signs", n_acc, dtype=np.int8, width=k
-            )
-            transp = parts.scratch.array(
-                "ens_transp", 2 * n_acc, dtype=np.int64
-            )
-            for r, st in enumerate(streams):
-                e0, e1 = int(acc_edges[r]), int(acc_edges[r + 1])
-                m_r = e1 - e0
-                if m_r == 0:
-                    continue
-                signs[e0:e1] = random_signs(st, (m_r, k))
-                tr = st.integers(0, k, size=2 * m_r)
-                transp[e0:e1] = tr[:m_r]
-                transp[n_acc + e0 : n_acc + e1] = tr[m_r:]
-            if n_acc:
-                collide_rows_with_velocities(
-                    parts,
-                    a_rows,
-                    b_rows,
-                    au0,
-                    au1,
-                    av0,
-                    av1,
-                    aw0,
-                    aw1,
-                    signs=signs,
-                    transpositions=transp,
-                )
+        # 3+4) The collision half of the step -- the one spelling
+        #    shared with the serial engine and the shard workers, run
+        #    on R blocks: the blocked sorter physically re-blocks the
+        #    whole ensemble by (replica, cell) and every draw comes per
+        #    block from that replica's stream.
+        stage = collision_stage(
+            parts, cfg, self._vf_flat, streams,
+            BlockedSorter(n_cells, self.starts),
+        )
+        perf.record_spans(stage.spans())
 
         # Side work: each replica's reservoir Gaussianizes itself (the
         # mix shuffles and collides within one reservoir -- inherently
@@ -443,7 +290,7 @@ class EnsembleEngine:
 
         self.step_count += 1
         if sample:
-            key = parts.scratch.array("ens_key", parts.n, dtype=np.int64)
+            key = parts.scratch.array("blocked_key", parts.n, dtype=np.int64)
             blocked_cell_key(parts.cell, self.starts, n_cells, out=key)
             self.sampler.accumulate(parts, key)
             if self.surfaces is not None:
@@ -455,13 +302,9 @@ class EnsembleEngine:
             step=self.step_count,
             n_flow=tuple(np.diff(self.starts).astype(int).tolist()),
             n_reservoir=tuple(r.size for r in self.reservoirs),
-            n_candidates=n_pairs,
-            n_collisions=tuple(
-                int(acc_edges[r + 1] - acc_edges[r]) for r in range(n_rep)
-            ),
-            mean_collision_probability=(
-                probability_sum / n_pairs if n_pairs else 0.0
-            ),
+            n_candidates=stage.n_candidates,
+            n_collisions=stage.collisions_by_block,
+            mean_collision_probability=stage.mean_probability,
             boundary=bstats,
             total_energy=parts.total_energy(),
         )
@@ -491,99 +334,29 @@ class EnsembleEngine:
     # -- boundary phase ---------------------------------------------------
 
     def _apply_boundaries(self, streams, sample: bool) -> BoundaryStats:
-        """Replica-aware mirror of the solo specular fast path.
+        """The boundary phase of R replica blocks.
 
-        The plunger reflection and the wall/wedge passes are purely
-        elementwise, so they run over the whole blocked population at
-        once; one replica still resolving reflections only adds no-op
-        passes for the others.  Population surgery (downstream removal,
-        plunger refill) and every RNG consumer (reservoir deposit,
-        withdraw, refill positions) go block-by-block so each replica
-        sees exactly its solo draws and its solo row arrangement.
+        The elementwise reflections are the shared
+        :meth:`~repro.core.boundary.WindTunnelBoundaries.reflect_specular`
+        over the whole blocked population.  What stays here is
+        genuinely blocked: population surgery must keep every replica's
+        rows contiguous and in solo order -- an O(N) rewrite the serial
+        engine's O(exited) backfill has no use for -- and every RNG
+        consumer (reservoir deposit, withdraw, refill positions) draws
+        from its own replica's reservoir and stream.
         """
-        cfg = self.config
         wb = self.boundaries
         parts = self.particles
-        domain = cfg.domain
-        sc = parts.scratch
-        n = parts.n
-        x, y, u, v = parts.x, parts.y, parts.u, parts.v
-        height = domain.height
-        n_walls = 0
-        n_wedge = 0
-        n_clamped = 0
+        domain = self.config.domain
         record = sample and self.surfaces is not None
+        n_walls, n_wedge, n_clamped = wb.reflect_specular(
+            parts, self._record_surface if record else None
+        )
 
-        # 1) Upstream plunger face (shared: the piston is geometry, not
-        #    randomness -- every replica sees the same wall).
-        mask = sc.array("bnd_mask", n, dtype=bool)
-        xp = wb.plunger.position
-        np.less(x, xp, out=mask)
-        behind = np.flatnonzero(mask)
-        if behind.size:
-            x[behind] = 2.0 * xp - x[behind]
-            u[behind] = 2.0 * wb.plunger.speed - u[behind]
-            n_walls += int(behind.size)
-
-        # 2) Solid surfaces, iterated to a fixed point on the moved set.
-        active: Optional[np.ndarray] = None
-        clean = False
-        for _ in range(MAX_REFLECTION_PASSES):
-            moved = []
-            if active is None:
-                m2 = sc.array("bnd_mask2", n, dtype=bool)
-                np.less(y, 0.0, out=mask)
-                np.greater(y, height, out=m2)
-                np.logical_or(mask, m2, out=mask)
-                off = np.flatnonzero(mask)
-            else:
-                ys = y[active]
-                off = active[(ys < 0.0) | (ys > height)]
-            if off.size:
-                ys = y[off]
-                below = ys < 0.0
-                ys[below] = -ys[below]
-                above = ys > height
-                ys[above] = 2.0 * height - ys[above]
-                y[off] = ys
-                v[off] = -v[off]
-                n_walls += int(off.size)
-                moved.append(off)
-            if wb.wedge is not None:
-                if active is None:
-                    idx_in = np.flatnonzero(wb.wedge.inside(x, y))
-                else:
-                    idx_in = active[wb.wedge.inside(x[active], y[active])]
-                if idx_in.size:
-                    x0 = x[idx_in]
-                    y0 = y[idx_in]
-                    u0 = u[idx_in]
-                    v0 = v[idx_in]
-                    x1, y1, u1, v1, back, ramp = (
-                        wb.wedge.reflect_specular_report(x0, y0, u0, v0)
-                    )
-                    if record:
-                        self._record_surface(
-                            idx_in, x1, u1 - u0, v1 - v0, back, ramp
-                        )
-                    x[idx_in] = x1
-                    y[idx_in] = y1
-                    u[idx_in] = u1
-                    v[idx_in] = v1
-                    n_wedge += int(idx_in.size)
-                    moved.append(idx_in)
-            if not moved:
-                clean = True
-                break
-            active = moved[0] if len(moved) == 1 else (
-                np.unique(np.concatenate(moved))
-            )
-        if not clean and active is not None and active.size:
-            n_clamped = wb._clamp_subset(parts, active)
-
-        # 3) Soft downstream boundary: blocked removal, per-replica
-        #    reservoir deposits from each replica's own stream.
-        np.greater_equal(x, domain.width, out=mask)
+        # Soft downstream boundary: blocked removal, per-replica
+        # reservoir deposits from each replica's own stream.
+        mask = parts.scratch.array("bnd_mask", parts.n, dtype=bool)
+        np.greater_equal(parts.x, domain.width, out=mask)
         n_removed = int(np.count_nonzero(mask))
         if n_removed:
             starts = self.starts
@@ -600,27 +373,22 @@ class EnsembleEngine:
                 if removed_per[r]:
                     self.reservoirs[r].deposit(st, removed_per[r])
 
-        # 4) Advance the plunger; withdraw and refill past the trigger.
-        #    The refill count is deterministic and shared; the withdrawn
-        #    particles and their seeded positions are per-replica draws.
+        # Advance the plunger; withdraw and refill past the trigger.
+        # The refill count is deterministic and shared; the withdrawn
+        # particles and their seeded positions are per-replica draws.
         n_injected = 0
         reset = False
         wb.plunger.position += wb.plunger.speed
         if wb.plunger.position >= wb.plunger.trigger:
-            xp = wb.plunger.position
-            area = xp * domain.height * wb.span_depth
-            n_new = int(round(cfg.freestream.density * area))
-            if n_new:
-                fresh = []
-                for r, st in enumerate(streams):
-                    f = self.reservoirs[r].withdraw(st, n_new)
-                    f.x = st.uniform(0.0, xp, size=n_new)
-                    f.y = st.uniform(0.0, domain.height, size=n_new)
-                    fresh.append(f)
+            fresh = [
+                wb.plunger_inflow(res, st, parts.rotational_dof)
+                for res, st in zip(self.reservoirs, streams)
+            ]
+            if fresh[0] is not None:
                 self.starts = parts.append_blocked_inplace(
                     fresh, self.starts
                 )
-                n_injected = n_new * self.n_replicas
+                n_injected = sum(f.n for f in fresh)
             wb.plunger.position = 0.0
             reset = True
 
@@ -633,28 +401,20 @@ class EnsembleEngine:
             plunger_reset=reset,
         )
 
-    def _record_surface(self, idx_in, x1, du, dv, back, ramp) -> None:
+    def _record_surface(self, rows, x, du, dv, back) -> None:
         """Split one wedge-reflection pass's impulses by replica block.
 
-        ``idx_in`` is ascending, so each replica's hits occupy one
+        ``rows`` is ascending, so each replica's hits occupy one
         contiguous slice (searchsorted on the block starts) in the same
         relative order a solo run would record them -- the ``np.add.at``
         accumulation inside each sampler is therefore bitwise solo.
         """
-        hit = back | ramp
-        if not hit.any():
-            return
-        rows = idx_in[hit]
-        xs = x1[hit]
-        dus = du[hit]
-        dvs = dv[hit]
-        backs = back[hit]
         edges = np.searchsorted(rows, self.starts)
         for r in range(self.n_replicas):
             e0, e1 = int(edges[r]), int(edges[r + 1])
             if e1 > e0:
                 self.surfaces[r].record(
-                    xs[e0:e1], dus[e0:e1], dvs[e0:e1], backs[e0:e1]
+                    x[e0:e1], du[e0:e1], dv[e0:e1], back[e0:e1]
                 )
 
     # -- telemetry --------------------------------------------------------

@@ -69,21 +69,20 @@ class Domain:
         j = np.clip(np.floor(y).astype(np.int64), 0, self.ny - 1)
         return i, j
 
-    def cell_index(
-        self, x: np.ndarray, y: np.ndarray, out: np.ndarray = None
-    ) -> np.ndarray:
-        """Flattened cell index ``i * ny + j`` of each point.
-
-        ``out`` (int64, same shape) receives the result in place --
-        the step loop passes the population's cell column so repeated
-        indexing performs no O(N) result allocation.
-        """
+    def cell_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Flattened cell index ``i * ny + j`` of each point."""
         i, j = self.cell_coords(x, y)
-        if out is not None:
-            np.multiply(i, self.ny, out=out)
-            out += j
-            return out
         return i * self.ny + j
+
+    def cell_axes(self, particles) -> tuple:
+        """``(coordinate column, cell count)`` per digit of the flattened
+        cell index, most significant first.
+
+        What :func:`repro.core.cells.assign_cells` indexes a population
+        through: the domain, not the caller, knows how many position
+        columns a cell index has (:class:`Domain3D` adds ``z``).
+        """
+        return ((particles.x, self.nx), (particles.y, self.ny))
 
     def cell_index_from_coords(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Flatten (i, j) cell coordinates to the linear index."""
@@ -99,6 +98,17 @@ class Domain:
         cx = np.arange(self.nx) + 0.5
         cy = np.arange(self.ny) + 0.5
         return np.meshgrid(cx, cy, indexing="ij")
+
+    def open_volume_fractions(self, body=None) -> np.ndarray:
+        """Gas-accessible area fraction of every cell, shape ``(nx, ny)``.
+
+        ``body``'s cut-cell field (the selection rule's and the
+        sampler's fractional-volume allowance), or all ones for an
+        empty tunnel.
+        """
+        if body is None:
+            return np.ones(self.shape)
+        return body.open_volume_fractions(self)
 
     # -- predicates -------------------------------------------------------
 

@@ -77,6 +77,15 @@ class Domain3D:
         k = np.clip(np.floor(z).astype(np.int64), 0, self.nz - 1)
         return (i * self.ny + j) * self.nz + k
 
+    def cell_axes(self, particles) -> tuple:
+        """``(coordinate column, cell count)`` per cell-index digit
+        (see :meth:`repro.geometry.domain.Domain.cell_axes`)."""
+        return (
+            (particles.x, self.nx),
+            (particles.y, self.ny),
+            (particles.z, self.nz),
+        )
+
     def collapse_to_xy(self, cell3d: np.ndarray) -> np.ndarray:
         """Span-collapse a 3-D cell index to the 2-D (x, y) index."""
         return np.asarray(cell3d) // self.nz

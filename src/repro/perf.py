@@ -105,6 +105,19 @@ class PerfLedger:
         self._current[name] = self._current.get(name, 0.0) + seconds
         self._seconds[name] = self._seconds.get(name, 0.0) + seconds
 
+    def record_spans(self, spans) -> None:
+        """Charge ``(name, t_start, t_end)`` spans timed by the callee.
+
+        How every in-process engine books the collision stage's own
+        phase boundaries, so a phase means the same in every mode.
+        """
+        if not self.enabled:
+            return
+        for name, t0, t1 in spans:
+            self.record(name, t1 - t0)
+            if self.tracer is not None:
+                self.tracer.record(name, t0, t1)
+
     def end_step(self, n_particles: Optional[int] = None) -> None:
         """Close out one time step (freezes that step's phase split).
 

@@ -129,6 +129,17 @@ def shard_stream(
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+def block_streams(rng) -> tuple:
+    """The generators of a blocked draw, one per block of the population.
+
+    The collision kernels draw *per block* from that block's own
+    stream: the serial engine and a shard worker hand in their one
+    generator, the ensemble engine its R replica streams.  A bare
+    generator is a one-block sequence.
+    """
+    return tuple(np.atleast_1d(rng))
+
+
 def random_signs(rng: np.random.Generator, shape) -> np.ndarray:
     """Return an array of independent, equally probable +1/-1 values.
 

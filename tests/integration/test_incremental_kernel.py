@@ -19,7 +19,11 @@ import pytest
 import repro.core.simulation as simulation_mod
 from repro.core.cells import assign_cells
 from repro.core.collision import collide_pairs
-from repro.core.pairing import CandidatePairs, reflection_pairs
+from repro.core.pairing import (
+    CandidatePairs,
+    reflection_offsets,
+    reflection_pairs,
+)
 from repro.core.selection import select_collisions
 from repro.core.simulation import (
     CollisionStageResult,
@@ -144,7 +148,10 @@ def _materialise_all_stage(parts, config, vf_flat, rng, sorter,
     assign_cells(parts, config.domain)
     sorter.detect(parts)
     sres = sorter.update(parts)
-    rp = reflection_pairs(sres.order, sres.counts, sres.offsets, rng)
+    rp = reflection_pairs(
+        sres.order, sres.counts, sres.offsets,
+        reflection_offsets(rng, sres.counts),
+    )
     pairs = CandidatePairs(
         first=rp.first, second=rp.second,
         same_cell=np.ones(rp.n_pairs, dtype=bool), adjacent=False,

@@ -6,6 +6,7 @@ module imports cleanly, and every example script is importable and
 exposes a ``main``.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -62,6 +63,41 @@ class TestModules:
                         undocumented.append(f"{name}.{mname}")
         assert not undocumented, (
             f"{module_name}: undocumented public API: {undocumented}"
+        )
+
+
+#: The pieces of the collision stage (pairing, selection rule, density
+#: table, collision kernels).  ``collision_stage`` /
+#: ``fused_select_collide`` spell index -> sort -> pair -> select ->
+#: collide once; an engine that names one of these is re-spelling it.
+STAGE_INTERNALS = {
+    "reflection_pairs", "even_odd_pairs", "select_collisions",
+    "density_lookup_table", "collide_pairs",
+    "collide_rows_with_velocities", "collide_adjacent_pairs",
+}
+
+
+class TestCollisionStageSpelledOnce:
+    @pytest.mark.parametrize(
+        "module_name",
+        ["repro.ensemble.engine", "repro.core.simulation3d",
+         "repro.parallel.backend"],
+    )
+    def test_engine_names_no_stage_internal(self, module_name):
+        source = pathlib.Path(
+            importlib.import_module(module_name).__file__
+        ).read_text()
+        named = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        assert not named & STAGE_INTERNALS, (
+            f"{module_name} re-spells the collision stage: "
+            f"{sorted(named & STAGE_INTERNALS)}"
         )
 
 

@@ -25,9 +25,11 @@ from repro.core.collision import (
 from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.simulation3d import Simulation3D, Simulation3DConfig
 from repro.core.sortstep import counting_sort_order, sort_by_cell
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 
@@ -302,6 +304,18 @@ class TestSeedRejection:
         monkeypatch.setattr(simulation_mod, "SEED_REJECTION_PASSES", 0)
         with pytest.raises(ConfigurationError, match="failed to converge"):
             Simulation(small_config)
+        # The 3-D slab seeds through the same recipe (it used to carry
+        # a copy that returned the embedded population silently).
+        slab = Simulation3DConfig(
+            domain=Domain3D(
+                small_config.domain.nx, small_config.domain.ny, 2
+            ),
+            freestream=small_config.freestream,
+            wedge=small_config.wedge,
+            seed=77,
+        )
+        with pytest.raises(ConfigurationError, match="failed to converge"):
+            Simulation3D(slab)
 
     def test_normal_seed_has_no_embedded_particles(self, small_config):
         sim = Simulation(small_config)

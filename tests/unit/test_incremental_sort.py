@@ -13,10 +13,14 @@ Pins the contracts the incremental kernel relies on:
   of rows whose cell differs from the previously cached one;
 * the fused selection/collision kernel is bitwise identical to the
   split ``select_collisions`` + ``collide_pairs`` pipeline on the same
-  pair list and rng stream.
+  pair list and rng stream;
+* one R-block call of that kernel leaves every block bitwise what a
+  one-block call on it alone would -- the property the ensemble
+  engine's replica == solo contract rests on.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.core.cells import assign_cells
 from repro.core.collision import collide_pairs
 from repro.core.pairing import (
     CandidatePairs,
+    reflection_offsets,
     reflection_pairs,
     reflection_slots,
 )
@@ -36,16 +41,6 @@ from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel, hard_sphere
-
-
-class _FixedDraw:
-    """An rng stub whose ``integers`` returns a preset per-cell draw."""
-
-    def __init__(self, s):
-        self.s = np.asarray(s, dtype=np.int64)
-
-    def integers(self, low, high):
-        return self.s.copy()
 
 
 class TestReflectionSlots:
@@ -95,7 +90,7 @@ class TestReflectionPairs:
                 [rng.integers(0, max(c, 1)) for c in counts],
                 dtype=np.int64,
             )
-            rp = reflection_pairs(order, counts, offsets, _FixedDraw(s))
+            rp = reflection_pairs(order, counts, offsets, s)
             ref_first, ref_second, ref_cell = [], [], []
             for c in range(n_cells):
                 base = int(offsets[c])
@@ -158,7 +153,8 @@ class TestReflectionPairs:
         for c in range(20):
             cell_of_row[order[offsets[c] : offsets[c + 1]]] = c
         rp = reflection_pairs(
-            order, counts, offsets, np.random.default_rng(1)
+            order, counts, offsets,
+            reflection_offsets(np.random.default_rng(1), counts),
         )
         assert rp.n_pairs == int((counts // 2).sum())
         assert np.array_equal(cell_of_row[rp.first], rp.cell)
@@ -178,8 +174,12 @@ class TestReflectionPairs:
         order_b[[0, 1]] = order_b[[1, 0]]
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
-        reflection_pairs(order_a, counts, offsets, rng_a)
-        reflection_pairs(order_b, counts, offsets, rng_b)
+        reflection_pairs(
+            order_a, counts, offsets, reflection_offsets(rng_a, counts)
+        )
+        reflection_pairs(
+            order_b, counts, offsets, reflection_offsets(rng_b, counts)
+        )
         assert rng_a.random() == rng_b.random()
 
 
@@ -242,7 +242,9 @@ class TestIncrementalSorter:
 def _split_reference(parts, order, counts, offsets, fs, model, rng, iep=1.0):
     """Materialise every pair, then select, then collide -- the oracle
     pipeline the fused kernel must match bitwise on one rng stream."""
-    rp = reflection_pairs(order, counts, offsets, rng)
+    rp = reflection_pairs(
+        order, counts, offsets, reflection_offsets(rng, counts)
+    )
     # Every reflection pair is same-cell: the candidate mask is all-True.
     pairs = CandidatePairs(
         first=rp.first, second=rp.second,
@@ -328,6 +330,87 @@ class TestFusedEquivalence:
         )
         self._assert_same_state(parts_f, parts_s)
         assert rng_f.random() == rng_s.random()
+
+
+class TestBlockedKernel:
+    """R blocks in one call == R one-block calls, block by block."""
+
+    N_CELLS = 16
+    #: One crowded block, one too sparse to collide much, one empty.
+    BLOCK_SIZES = (400, 0, 9, 250)
+
+    def _block(self, fs, n, seed):
+        rng = np.random.default_rng(seed)
+        parts = ParticleArrays.from_freestream(rng, n, fs, (0, 10), (0, 10))
+        # Physically cell-sorted, as the blocked sort leaves a block.
+        parts.cell[:] = np.sort(rng.integers(0, self.N_CELLS, size=n))
+        return parts
+
+    @pytest.mark.parametrize("iep", [1.0, 0.6])
+    @pytest.mark.parametrize(
+        "model,lambda_mfp",
+        [(MolecularModel(), 0.5), (hard_sphere(), 0.5), (MolecularModel(), 0.0)],
+        ids=["maxwell", "hard-sphere", "near-continuum"],
+    )
+    def test_each_block_is_bitwise_its_one_block_call(
+        self, model, lambda_mfp, iep
+    ):
+        fs = Freestream(
+            mach=4.0, c_mp=0.2, lambda_mfp=lambda_mfp, density=8.0
+        )
+        vf = np.random.default_rng(5).uniform(0.3, 1.0, self.N_CELLS)
+        blocks = [
+            self._block(fs, n, seed=40 + b)
+            for b, n in enumerate(self.BLOCK_SIZES)
+        ]
+        joint = functools.reduce(ParticleArrays.concatenate, blocks)
+        joint.enable_scratch()
+        starts = np.concatenate([[0], np.cumsum(self.BLOCK_SIZES)])
+        counts = np.concatenate(
+            [np.bincount(b.cell, minlength=self.N_CELLS) for b in blocks]
+        )
+
+        def run(parts, counts, streams):
+            return fused_select_collide(
+                parts, None, counts, np.cumsum(counts) - counts, fs, model,
+                volume_fractions=vf, rng=streams,
+                internal_exchange_probability=iep,
+            )
+
+        streams = [np.random.default_rng(900 + b) for b in range(len(blocks))]
+        together = run(joint, counts, streams)
+        assert together.n_collisions > 0
+        assert sum(together.collisions_by_block) == together.n_collisions
+        probability_sum = 0.0
+        for b, block in enumerate(blocks):
+            block.enable_scratch()
+            stream = np.random.default_rng(900 + b)
+            alone = run(
+                block, counts[b * self.N_CELLS : (b + 1) * self.N_CELLS],
+                stream,
+            )
+            assert alone.collisions_by_block == (alone.n_collisions,)
+            assert together.collisions_by_block[b] == alone.n_collisions
+            rows = slice(starts[b], starts[b + 1])
+            for col in ("u", "v", "w", "rot", "perm"):
+                assert np.array_equal(
+                    getattr(joint, col)[rows], getattr(block, col)
+                ), (b, col)
+            assert streams[b].random() == stream.random()  # same position
+            probability_sum += alone.probability_sum
+        assert together.n_candidates == int((counts // 2).sum())
+        assert np.isclose(together.probability_sum, probability_sum)
+
+    def test_streams_must_match_the_blocks(self):
+        fs = Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.5, density=8.0)
+        parts = self._block(fs, 40, seed=1)
+        counts = np.bincount(parts.cell, minlength=self.N_CELLS)
+        with pytest.raises(ConfigurationError, match="equal blocks"):
+            fused_select_collide(
+                parts, None, counts, np.cumsum(counts) - counts, fs,
+                MolecularModel(),
+                rng=[np.random.default_rng(b) for b in range(3)],
+            )
 
 
 # The removed step-loop forks, spelled in pieces so the repo-wide grep

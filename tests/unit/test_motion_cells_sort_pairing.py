@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cells import assign_cells, cell_populations, randomized_sort_keys
 from repro.core.motion import advance, advance_with_z
-from repro.core.pairing import CandidatePairs, even_odd_pairs, pairing_efficiency
+from repro.core.pairing import CandidatePairs, even_odd_pairs
 from repro.core.particles import ParticleArrays
 from repro.core.sortstep import sort_by_cell
 from repro.errors import ConfigurationError
@@ -141,7 +141,5 @@ class TestPairing:
     def test_efficiency_dense_cells(self, rng):
         # 1000 particles in 4 cells: nearly every pair is same-cell.
         cells = np.sort(rng.integers(0, 4, size=1000))
-        assert pairing_efficiency(even_odd_pairs(cells)) > 0.95
-
-    def test_efficiency_empty(self):
-        assert pairing_efficiency(even_odd_pairs(np.array([], dtype=int))) == 0.0
+        pairs = even_odd_pairs(cells)
+        assert pairs.n_candidates / pairs.n_pairs > 0.95
