@@ -4,8 +4,10 @@
 The paper's Future Work asks for a 3-D code.  The slab configuration
 (wedge extruded as an infinite prism, periodic span) is the natural
 first step because the 2-D solution is its exact reference: collapsing
-the 3-D field along the span must reproduce figure 1's shock.  This
-example runs both and prints the comparison.
+the 3-D field along the span must reproduce figure 1's shock.  The slab
+is not a separate engine: it is the same ``Simulation`` handed a
+``Domain3D`` (so it shards, checkpoints and reports like any 2-D run).
+This example runs both and prints the comparison.
 
 Run:
     python examples/wedge3d.py
@@ -17,7 +19,6 @@ import numpy as np
 
 from repro import Domain, Freestream, Simulation, SimulationConfig, Wedge
 from repro.analysis.shock import fit_shock_angle, post_shock_plateau
-from repro.core.simulation3d import Simulation3D, Simulation3DConfig
 from repro.geometry.domain3d import Domain3D
 
 WEDGE = Wedge(x_leading=10.0, base=12.5, angle_deg=30.0)
@@ -30,10 +31,10 @@ def main() -> None:
     # reference (per-column particles match).
     density_3d = 2.5
     fs3 = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.0, density=density_3d)
-    cfg3 = Simulation3DConfig(
+    cfg3 = SimulationConfig(
         domain=Domain3D(NX, NY, NZ), freestream=fs3, wedge=WEDGE, seed=11
     )
-    sim3 = Simulation3D(cfg3)
+    sim3 = Simulation(cfg3)
     print(f"3-D slab: {sim3.particles.n} particles in {NX}x{NY}x{NZ} cells")
     t0 = time.time()
     sim3.run(STEPS[0])

@@ -478,7 +478,7 @@ def _execute_schedule(
     sim = Simulation(config, backend=backend, telemetry=tel)
     print(
         f"{sim.particles.n} particles, grid "
-        f"{config.domain.nx}x{config.domain.ny}, "
+        f"{'x'.join(map(str, config.domain.shape))}, "
         f"{args.workers} worker(s)"
     )
     t0 = time.time()
@@ -620,43 +620,6 @@ def _run_ensemble(spec, overrides, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_3d(spec, overrides, args: argparse.Namespace) -> int:
-    """Run a 3-D scenario on the plain serial driver."""
-    from repro.errors import ConfigurationError
-
-    unsupported = [
-        flag
-        for flag, on in (
-            ("--workers", args.workers > 1),
-            ("--supervised", args.supervised),
-            ("--resume", args.resume is not None),
-            ("--telemetry", args.telemetry or args.live
-             or args.telemetry_port is not None),
-            ("--vtk", args.vtk is not None),
-        )
-        if on
-    ]
-    if unsupported:
-        raise ConfigurationError(
-            f"scenario {spec.name!r} runs on the 3-D driver, which does "
-            f"not support {unsupported} yet"
-        )
-    sim = spec.build_simulation(overrides)
-    d = sim.config.domain
-    print(
-        f"{sim.particles.n} particles, grid {d.nx}x{d.ny}x{d.nz} "
-        "(serial 3-D driver)"
-    )
-    transient, average = spec.resolve_schedule(overrides)
-    t0 = time.time()
-    if transient:
-        sim.run(transient)
-    if average:
-        sim.run(average, sample=True)
-    print(f"ran {transient}+{average} steps in {time.time()-t0:.0f} s")
-    return _run_report(sim, args)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.scenarios import all_specs, get, validate_scenario
 
@@ -703,16 +666,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["transient"] = 0
         overrides["average"] = args.steps
     if args.replicas is not None:
-        if spec.is_3d:
-            print(
-                f"--replicas does not support 3-D scenario "
-                f"{spec.name!r} yet",
-                file=sys.stderr,
-            )
-            return 2
         return _run_ensemble(spec, overrides, args)
-    if spec.is_3d:
-        return _run_3d(spec, overrides, args)
     if args.resume:
         return _cmd_resume(args)
     config = spec.build_config(**overrides)

@@ -13,15 +13,16 @@ Algorithm"):
 
 :mod:`~repro.core.simulation` assembles them into the wind-tunnel driver
 with the reservoir (:mod:`~repro.core.reservoir`) and macroscopic
-sampling (:mod:`~repro.core.sampling`).  Two engines execute the same
-algorithm: the float64 NumPy reference engine
+sampling (:mod:`~repro.core.sampling`); what a cell is -- a unit
+square, or the unit cube of a z-periodic slab -- is the configured
+domain's business (:mod:`repro.geometry.domain3d`).  Two engines
+execute the same algorithm: the float64 NumPy reference engine
 (:mod:`~repro.core.engine_numpy`) and the fixed-point CM-2 emulation
 engine with cost accounting (:mod:`~repro.core.engine_cm`).
 """
 
 from repro.core.particles import ParticleArrays
 from repro.core.simulation import Simulation, SimulationConfig, StepDiagnostics
-from repro.core.simulation3d import Simulation3D, Simulation3DConfig
 from repro.core.surface import SurfaceSampler
 from repro.core.history import RunHistory, run_with_history
 
@@ -30,8 +31,6 @@ __all__ = [
     "Simulation",
     "SimulationConfig",
     "StepDiagnostics",
-    "Simulation3D",
-    "Simulation3DConfig",
     "SurfaceSampler",
     "RunHistory",
     "run_with_history",

@@ -122,7 +122,6 @@ class WindTunnelBoundaries:
         wall_model: str = "specular",
         wall_c_mp: Optional[float] = None,
         accommodation: float = 1.0,
-        span_depth: float = 1.0,
         has_inlet: bool = True,
         has_outlet: bool = True,
     ) -> None:
@@ -151,12 +150,6 @@ class WindTunnelBoundaries:
         if not 0.0 <= accommodation <= 1.0:
             raise ConfigurationError("accommodation must be in [0, 1]")
         self.accommodation = accommodation
-        #: z extent of the tunnel: 1 for the 2-D configuration; the 3-D
-        #: slab passes its depth so the plunger refill fills the right
-        #: *volume* at the freestream density.
-        if span_depth <= 0:
-            raise ConfigurationError("span_depth must be positive")
-        self.span_depth = span_depth
         #: Optional surface-load sampler; when set, wedge reflections
         #: deposit their impulses into it (armed per step by the driver
         #: so surface averages align with the field-sampling phase).
@@ -585,15 +578,16 @@ class WindTunnelBoundaries:
     ) -> Optional[ParticleArrays]:
         """Freestream particles for the void a withdrawn plunger leaves.
 
-        Enough to fill ``[0, plunger position) x [0, H)`` at freestream
-        density (``None`` when that rounds to zero), withdrawn from
-        ``reservoir`` (sampled afresh without one), then placed
-        uniformly.  The caller appends them its own way.
+        Enough to fill ``[0, plunger position) x [0, H)`` -- times the
+        depth of a span domain -- at freestream density (``None`` when
+        that rounds to zero), withdrawn from ``reservoir`` (sampled
+        afresh without one), then placed uniformly: x, y, then z when
+        the domain has a span.  The caller appends them its own way.
         """
         xp = self.plunger.position
         height = self.domain.height
-        area = xp * height * self.span_depth
-        n_new = int(round(self.freestream.density * area))
+        volume = xp * height * self.domain.depth
+        n_new = int(round(self.freestream.density * volume))
         if n_new == 0:
             return None
         if reservoir is not None:
@@ -610,4 +604,6 @@ class WindTunnelBoundaries:
             )
         fresh.x = rng.uniform(0.0, xp, size=n_new)
         fresh.y = rng.uniform(0.0, height, size=n_new)
+        if self.domain.has_span:
+            fresh.z = rng.uniform(0.0, self.domain.depth, size=n_new)
         return fresh

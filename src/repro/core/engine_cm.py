@@ -108,6 +108,11 @@ class CMSimulation:
     ) -> None:
         if halve_mode not in ("stochastic", "truncate", "floor", "exact_paper"):
             raise ConfigurationError(f"unknown halve_mode {halve_mode!r}")
+        if config.domain.has_span:
+            raise ConfigurationError(
+                "the CM-2 emulation engine is the paper's 2-D machine: it "
+                "carries no fixed-point z position for a span domain"
+            )
         if config.domain.width >= qformat.max_value:
             raise ConfigurationError(
                 "domain does not fit the fixed-point integer range; "

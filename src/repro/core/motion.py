@@ -18,22 +18,16 @@ import numpy as np
 from repro.core.particles import ParticleArrays
 
 
-def advance(particles: ParticleArrays) -> None:
-    """Advance positions by one time step, in place."""
+def advance(particles: ParticleArrays, domain=None) -> None:
+    """Advance positions by one time step, in place.
+
+    A ``domain`` with a span (:class:`repro.geometry.domain3d.Domain3D`)
+    also advances ``z`` by ``w`` and wraps it into the periodic depth.
+    Without one there is no z position; ``w`` still participates in
+    collisions (three translational degrees of freedom).
+    """
     particles.x += particles.u
     particles.y += particles.v
-    # No z position in the 2-D configuration; w still participates in
-    # collisions (three translational degrees of freedom).
-
-
-def advance_with_z(particles: ParticleArrays, z: np.ndarray, depth: float) -> np.ndarray:
-    """3-D-ready variant: also advance a periodic z coordinate.
-
-    The paper's Future Work extends the code to 3-D; the motion kernel
-    is the trivial part and is provided for the z-periodic slab
-    configuration.  Returns the wrapped z array.
-    """
-    advance(particles)
-    z = z + particles.w
-    np.mod(z, depth, out=z)
-    return z
+    if domain is not None and domain.has_span:
+        particles.z += particles.w
+        np.mod(particles.z, domain.depth, out=particles.z)

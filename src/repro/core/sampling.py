@@ -33,24 +33,33 @@ class CellSampler:
     Parameters
     ----------
     domain:
-        The grid (defines the cell count and field shapes).
+        The grid.  Moments accumulate on its x-y footprint (fields are
+        ``(nx, ny)``): a span domain's are span-collapsed, which is its
+        z-average and the 2-D reference field at once.
     volume_fractions:
-        Optional ``(nx, ny)`` open-area fractions for cut cells; omitted
-        means unit volumes everywhere.
+        Optional open-volume fractions of ``domain``'s cells for cut
+        cells; omitted means unit volumes everywhere.
     """
 
     def __init__(
         self, domain: Domain, volume_fractions: Optional[np.ndarray] = None
     ) -> None:
-        self.domain = domain
+        footprint = domain.xy_domain()
+        #: Cells per footprint column (1 without a span).
+        self._span = domain.n_cells // footprint.n_cells
         if volume_fractions is not None:
             volume_fractions = np.asarray(volume_fractions, dtype=np.float64)
             if volume_fractions.shape != domain.shape:
                 raise ConfigurationError(
                     f"volume_fractions must be {domain.shape}"
                 )
+            # A body cuts every z-slab alike: keep the footprint's.
+            volume_fractions = volume_fractions.reshape(
+                *footprint.shape, -1
+            )[..., 0]
+        self.domain = footprint
         self.volume_fractions = volume_fractions
-        n = domain.n_cells
+        n = footprint.n_cells
         self._count = np.zeros(n)
         self._mu = np.zeros(n)
         self._mv = np.zeros(n)
@@ -65,6 +74,8 @@ class CellSampler:
         """Add one snapshot of the population to the averages."""
         n_cells = self.domain.n_cells
         cell = particles.cell
+        if self._span > 1:
+            cell = cell // self._span
         if cell.size and (cell.min() < 0 or cell.max() >= n_cells):
             raise ConfigurationError("particle cell index out of range")
         self._count += np.bincount(cell, minlength=n_cells)
@@ -112,7 +123,7 @@ class CellSampler:
         count per *unit* volume instead of per open volume.
         """
         self._require_data()
-        dens = self._count / self._steps
+        dens = self._count / (self._steps * self._span)
         if correct_volumes and self.volume_fractions is not None:
             vf = np.maximum(self.volume_fractions.reshape(-1), 1e-12)
             open_cell = self.volume_fractions.reshape(-1) > 0
@@ -163,7 +174,9 @@ class CellSampler:
             n_open = int((self.volume_fractions > 0).sum())
         else:
             n_open = self.domain.n_cells
-        return float(self._count.sum() / self._steps / max(n_open, 1))
+        return float(
+            self._count.sum() / self._steps / max(n_open * self._span, 1)
+        )
 
 
 #: Accumulator attribute names shared by :class:`CellSampler` and

@@ -54,12 +54,12 @@ def seed_flow_particles(
 ) -> ParticleArrays:
     """Fill the open region at freestream density (rejection sample).
 
-    The seeding recipe shared by :class:`Simulation`, the ensemble
-    engine (:mod:`repro.ensemble`) and the 3-D slab (which then draws
-    the span positions): the draw order is part of the determinism
-    contract -- velocities, rotational state, positions, permutation
-    table, then the wedge rejection re-draws -- so a given ``rng``
-    state always yields the same population bitwise.
+    The seeding recipe shared by :class:`Simulation` and the ensemble
+    engine (:mod:`repro.ensemble`): the draw order is part of the
+    determinism contract -- velocities, rotational state, positions,
+    permutation table, the wedge rejection re-draws, then (span domains
+    only) the span positions -- so a given ``rng`` state always yields
+    the same population bitwise.
 
     ``volume_fractions`` is the (flattened or gridded) open-volume
     field of ``config.domain``'s cells.
@@ -74,29 +74,31 @@ def seed_flow_particles(
         y_range=(0.0, config.domain.height),
         rotational_dof=config.model.rotational_dof,
     )
-    if config.wedge is None:
-        return parts
-    # Rejection passes: re-draw positions of particles that landed
-    # inside the wedge until none remain (area ratio ~0.97 per pass).
-    for _ in range(SEED_REJECTION_PASSES):
-        bad = config.wedge.inside(parts.x, parts.y)
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0:
-            break
-        parts.x[bad] = rng.uniform(0.0, config.domain.width, size=n_bad)
-        parts.y[bad] = rng.uniform(0.0, config.domain.height, size=n_bad)
-    # Never hand back a population with particles embedded in the
-    # solid: a run started from such a state silently corrupts the
-    # early flow field (phantom wedge-interior collisions and bogus
-    # surface loads).
-    n_bad = int(np.count_nonzero(config.wedge.inside(parts.x, parts.y)))
-    if n_bad:
-        raise ConfigurationError(
-            f"flow seeding failed to converge: {n_bad} particles "
-            f"remain inside the wedge after {SEED_REJECTION_PASSES} "
-            "rejection passes (is the open area a vanishing "
-            "fraction of the domain?)"
-        )
+    if config.wedge is not None:
+        # Rejection passes: re-draw positions of particles that landed
+        # inside the wedge until none remain (area ratio ~0.97 per
+        # pass).
+        for _ in range(SEED_REJECTION_PASSES):
+            bad = config.wedge.inside(parts.x, parts.y)
+            n_bad = int(np.count_nonzero(bad))
+            if n_bad == 0:
+                break
+            parts.x[bad] = rng.uniform(0.0, config.domain.width, size=n_bad)
+            parts.y[bad] = rng.uniform(0.0, config.domain.height, size=n_bad)
+        # Never hand back a population with particles embedded in the
+        # solid: a run started from such a state silently corrupts the
+        # early flow field (phantom wedge-interior collisions and bogus
+        # surface loads).
+        n_bad = int(np.count_nonzero(config.wedge.inside(parts.x, parts.y)))
+        if n_bad:
+            raise ConfigurationError(
+                f"flow seeding failed to converge: {n_bad} particles "
+                f"remain inside the wedge after {SEED_REJECTION_PASSES} "
+                "rejection passes (is the open area a vanishing "
+                "fraction of the domain?)"
+            )
+    if config.domain.has_span:
+        parts.z = rng.uniform(0.0, config.domain.depth, size=parts.n)
     return parts
 
 
@@ -112,7 +114,13 @@ class SimulationConfig:
     ----------
     domain, freestream, wedge:
         The tunnel, the oncoming stream, and the body (``None`` for an
-        empty tunnel).  ``wedge`` accepts any body implementing the
+        empty tunnel).  ``domain`` is a :class:`Domain` or, for the
+        z-periodic slab of the paper's Future Work, a
+        :class:`repro.geometry.domain3d.Domain3D` (the body becomes a
+        prism, ``freestream.density`` is per unit cube, and sampled
+        fields are the span average on the x-y footprint -- which the
+        2-D run at the same areal density must reproduce).  ``wedge``
+        accepts any body implementing the
         :mod:`repro.geometry.bodies` seam (:class:`Wedge`,
         :class:`~repro.geometry.bodies.Cylinder`,
         :class:`~repro.geometry.bodies.Step`); the field keeps its
@@ -300,9 +308,11 @@ def collision_stage(
 
     The collision half of the time step, spelled once.  A *block* is a
     population with its own random stream: the serial engine's whole
-    population, a shard worker's slab, the 3-D slab (``config.domain``
-    says what a cell is) -- or each of the ensemble engine's R replicas,
-    with ``rng`` the R replica streams.  ``sorter`` picks the kernel:
+    population, a shard worker's slab -- or each of the ensemble
+    engine's R replicas, with ``rng`` the R replica streams.
+    ``config.domain`` says what a cell is (a square, or a
+    :class:`~repro.geometry.domain3d.Domain3D` cube); nothing past the
+    cell index knows.  ``sorter`` picks the kernel:
 
     * a sorter -- rebuild ``order`` / ``counts`` / ``offsets``, then
       draw the per-cell reflection offsets, select, pair what collides
@@ -446,7 +456,7 @@ class SerialBackend:
         #    single 14% line item.  Surface loads accumulate only
         #    during sampling steps.
         with perf.phase("motion"):
-            motion.advance(parts)
+            motion.advance(parts, cfg.domain)
             sim.boundaries.surface_sampler = (
                 sim.surface if (sample and sim.surface is not None) else None
             )
@@ -562,8 +572,9 @@ class Simulation:
         #: Surface-load accumulator (pressure / drag on the wedge);
         #: armed only during sampling steps so its averages align with
         #: the field averages.  Strip-resolved surface metrology is
-        #: wedge-specific; other bodies run without it.
-        if isinstance(config.wedge, Wedge):
+        #: wedge-specific and per unit span; other bodies and span
+        #: domains run without it.
+        if isinstance(config.wedge, Wedge) and not config.domain.has_span:
             from repro.core.surface import SurfaceSampler
 
             self.surface = SurfaceSampler(config.wedge)

@@ -42,9 +42,11 @@ and all batched arithmetic is elementwise or block-local, so replica
 (``R = 1``) keyed for ``r`` -- asserted by
 :func:`verify_replica_equality` and pinned in CI.
 
-Engine restrictions (enforced at construction): specular walls only
-(the other wall models draw per-crossing RNG inside full-population
-kernels, which would entangle replicas) and
+Engine restrictions (enforced at construction): no span domain (the
+blocked sampler keys on 2-D cells, and no replica == solo test pins a
+slab yet), specular walls only (the other wall models draw
+per-crossing RNG inside full-population kernels, which would entangle
+replicas) and
 ``internal_exchange_probability == 1.0`` (the shared kernel makes the
 relaxation knob's draws per block as well, but no replica == solo test
 pins that combination at engine level yet).
@@ -216,6 +218,12 @@ class EnsembleEngine:
             raise ConfigurationError(
                 "ensemble runs need a stateless seed (int or SeedSequence); "
                 "a live Generator cannot key per-replica streams"
+            )
+        if config.domain.has_span:
+            raise ConfigurationError(
+                "the ensemble engine steps 2-D tunnels only: replica "
+                "blocks and a span domain "
+                f"({type(config.domain).__name__}) do not compose yet"
             )
         if config.wall_model != "specular":
             raise ConfigurationError(

@@ -34,11 +34,21 @@ class Domain:
     nx: int = 98
     ny: int = 64
 
+    #: No span: motion advances no ``z``, seeding and plunger refills
+    #: draw none (:class:`repro.geometry.domain3d.Domain3D` has one).
+    has_span = False
+    #: z extent of a cell column (the volume behind a unit x-y area).
+    depth = 1.0
+
     def __post_init__(self) -> None:
         if self.nx < 2 or self.ny < 2:
             raise GeometryError(
                 f"domain must be at least 2x2 cells, got {self.nx}x{self.ny}"
             )
+
+    def xy_domain(self) -> "Domain":
+        """The x-y footprint fields are sampled on (a 2-D domain's own)."""
+        return self
 
     @property
     def n_cells(self) -> int:

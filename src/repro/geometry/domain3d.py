@@ -36,6 +36,9 @@ class Domain3D:
     ny: int = 64
     nz: int = 8
 
+    #: Particles carry a periodic ``z`` (see :class:`Domain`).
+    has_span = True
+
     def __post_init__(self) -> None:
         if self.nx < 2 or self.ny < 2:
             raise GeometryError("domain must be at least 2x2 in x, y")
@@ -86,6 +89,12 @@ class Domain3D:
             (particles.z, self.nz),
         )
 
+    def open_volume_fractions(self, body=None) -> np.ndarray:
+        """Gas-accessible fraction of every cell, ``(nx, ny, nz)``: the
+        body is a prism, cutting every z-slab like the footprint."""
+        vf = self.xy_domain().open_volume_fractions(body)
+        return np.repeat(vf[:, :, None], self.nz, axis=2)
+
     def collapse_to_xy(self, cell3d: np.ndarray) -> np.ndarray:
         """Span-collapse a 3-D cell index to the 2-D (x, y) index."""
         return np.asarray(cell3d) // self.nz
@@ -102,7 +111,3 @@ class Domain3D:
     def exited_downstream(self, x: np.ndarray) -> np.ndarray:
         """Mask of particles past the downstream sink plane."""
         return np.asarray(x) >= self.nx
-
-    def wrap_z(self, z: np.ndarray) -> np.ndarray:
-        """Apply the periodic span in place-compatible fashion."""
-        return np.mod(z, self.depth)

@@ -24,11 +24,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.core.particles import ParticleArrays
+from repro.core.particles import COLUMN_NAMES, ParticleArrays
+from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.geometry.bodies import body_from_dict
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel
@@ -44,9 +46,17 @@ FORMAT_VERSION = 3
 PathLike = Union[str, pathlib.Path]
 
 
+#: Accumulator arrays of a surface sampler (cf. ``SAMPLER_FIELDS``).
+_SURFACE_FIELDS = ("_impulse_x", "_impulse_y", "_hits")
+
+
 def _config_to_json(config: SimulationConfig) -> str:
+    domain = {"nx": config.domain.nx, "ny": config.domain.ny}
+    if config.domain.has_span:
+        # Only span domains write ``nz``: 2-D blobs stay byte-identical.
+        domain["nz"] = config.domain.nz
     blob = {
-        "domain": {"nx": config.domain.nx, "ny": config.domain.ny},
+        "domain": domain,
         "freestream": {
             "mach": config.freestream.mach,
             "c_mp": config.freestream.c_mp,
@@ -107,7 +117,7 @@ def _config_from_json(blob: str) -> SimulationConfig:
         name=d["model"]["name"],
     )
     return SimulationConfig(
-        domain=Domain(**d["domain"]),
+        domain=(Domain3D if "nz" in d["domain"] else Domain)(**d["domain"]),
         freestream=Freestream(**d["freestream"]),
         wedge=None if d["wedge"] is None else body_from_dict(d["wedge"]),
         model=model,
@@ -126,29 +136,39 @@ def _config_from_json(blob: str) -> SimulationConfig:
 
 
 def _pack_particles(prefix: str, parts: ParticleArrays) -> dict:
+    # A ``z`` column of zeros (no span, or a reservoir) is not written:
+    # 2-D archives keep the members, and the size, they always had.
     return {
-        f"{prefix}_x": parts.x,
-        f"{prefix}_y": parts.y,
-        f"{prefix}_u": parts.u,
-        f"{prefix}_v": parts.v,
-        f"{prefix}_w": parts.w,
-        f"{prefix}_rot": parts.rot,
-        f"{prefix}_perm": parts.perm,
-        f"{prefix}_cell": parts.cell,
+        f"{prefix}_{name}": getattr(parts, name)
+        for name in COLUMN_NAMES
+        if name != "z" or parts.z.any()
     }
 
 
 def _unpack_particles(prefix: str, data) -> ParticleArrays:
+    # An archive without ``z`` loads it zero-filled; any other missing
+    # column is a ``KeyError``, i.e. a corrupt archive.
     return ParticleArrays(
-        x=data[f"{prefix}_x"].copy(),
-        y=data[f"{prefix}_y"].copy(),
-        u=data[f"{prefix}_u"].copy(),
-        v=data[f"{prefix}_v"].copy(),
-        w=data[f"{prefix}_w"].copy(),
-        rot=data[f"{prefix}_rot"].copy(),
-        perm=data[f"{prefix}_perm"].copy(),
-        cell=data[f"{prefix}_cell"].copy(),
+        **{
+            name: data[f"{prefix}_{name}"].copy()
+            for name in COLUMN_NAMES
+            if name != "z" or f"{prefix}_z" in data
+        }
     )
+
+
+def _pack_accumulator(prefix: str, acc, fields) -> dict:
+    """A sampler's step count and accumulator arrays, ``<prefix>_*``."""
+    return {
+        f"{prefix}_steps": np.array(acc._steps),
+        **{prefix + name: getattr(acc, name) for name in fields},
+    }
+
+
+def _unpack_accumulator(prefix: str, data, acc, fields) -> None:
+    acc._steps = int(data[f"{prefix}_steps"])
+    for name in fields:
+        getattr(acc, name)[:] = data[prefix + name]
 
 
 def save_simulation(
@@ -200,13 +220,7 @@ def save_simulation(
         "rng_state_json": np.array(rng_state),
         "step_count": np.array(sim.step_count),
         "plunger_position": np.array(sim.boundaries.plunger.position),
-        "sampler_steps": np.array(sim.sampler.steps),
-        "sampler_count": sim.sampler._count,
-        "sampler_mu": sim.sampler._mu,
-        "sampler_mv": sim.sampler._mv,
-        "sampler_mw": sim.sampler._mw,
-        "sampler_e_trans": sim.sampler._e_trans,
-        "sampler_e_rot": sim.sampler._e_rot,
+        **_pack_accumulator("sampler", sim.sampler, SAMPLER_FIELDS),
     }
     # v3: the live slab edges, so a checkpoint taken after a rebalance
     # restores the non-uniform decomposition instead of re-splitting
@@ -218,10 +232,9 @@ def save_simulation(
     if sim.surface is not None:
         # v2: the surface-load accumulators ride along too (v1 dropped
         # them, so restored runs silently lost their drag averages).
-        arrays["surface_steps"] = np.array(sim.surface._steps)
-        arrays["surface_impulse_x"] = sim.surface._impulse_x
-        arrays["surface_impulse_y"] = sim.surface._impulse_y
-        arrays["surface_hits"] = sim.surface._hits
+        arrays.update(
+            _pack_accumulator("surface", sim.surface, _SURFACE_FIELDS)
+        )
     arrays.update(_pack_particles("flow", sim.particles))
     arrays.update(_pack_particles("res", sim.reservoir.particles))
     if compress:
@@ -273,23 +286,16 @@ def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
         "starts": np.asarray(engine.starts, dtype=np.int64),
         "step_count": np.array(engine.step_count),
         "plunger_position": np.array(engine.boundaries.plunger.position),
-        "sampler_steps": np.array(engine.sampler.steps),
-        "sampler_count": engine.sampler._count,
-        "sampler_mu": engine.sampler._mu,
-        "sampler_mv": engine.sampler._mv,
-        "sampler_mw": engine.sampler._mw,
-        "sampler_e_trans": engine.sampler._e_trans,
-        "sampler_e_rot": engine.sampler._e_rot,
+        **_pack_accumulator("sampler", engine.sampler, SAMPLER_FIELDS),
     }
     arrays.update(_pack_particles("flow", engine.particles))
     for r, res in enumerate(engine.reservoirs):
         arrays.update(_pack_particles(f"res{r}", res.particles))
     if engine.surfaces is not None:
         for r, surf in enumerate(engine.surfaces):
-            arrays[f"surface{r}_steps"] = np.array(surf._steps)
-            arrays[f"surface{r}_impulse_x"] = surf._impulse_x
-            arrays[f"surface{r}_impulse_y"] = surf._impulse_y
-            arrays[f"surface{r}_hits"] = surf._hits
+            arrays.update(
+                _pack_accumulator(f"surface{r}", surf, _SURFACE_FIELDS)
+            )
     if compress:
         np.savez_compressed(path, **arrays)
     else:
@@ -348,13 +354,7 @@ def load_ensemble(path: PathLike):
             eng.sampler = EnsembleSampler(
                 config.domain, len(replica_ids), eng.volume_fractions
             )
-            eng.sampler._steps = int(data["sampler_steps"])
-            eng.sampler._count[:] = data["sampler_count"]
-            eng.sampler._mu[:] = data["sampler_mu"]
-            eng.sampler._mv[:] = data["sampler_mv"]
-            eng.sampler._mw[:] = data["sampler_mw"]
-            eng.sampler._e_trans[:] = data["sampler_e_trans"]
-            eng.sampler._e_rot[:] = data["sampler_e_rot"]
+            _unpack_accumulator("sampler", data, eng.sampler, SAMPLER_FIELDS)
             if isinstance(config.wedge, Wedge):
                 from repro.core.surface import SurfaceSampler
 
@@ -363,10 +363,9 @@ def load_ensemble(path: PathLike):
                 ]
                 for r, surf in enumerate(eng.surfaces):
                     if f"surface{r}_steps" in data:
-                        surf._steps = int(data[f"surface{r}_steps"])
-                        surf._impulse_x[:] = data[f"surface{r}_impulse_x"]
-                        surf._impulse_y[:] = data[f"surface{r}_impulse_y"]
-                        surf._hits[:] = data[f"surface{r}_hits"]
+                        _unpack_accumulator(
+                            f"surface{r}", data, surf, _SURFACE_FIELDS
+                        )
             else:
                 eng.surfaces = None
             eng.step_count = int(data["step_count"])
@@ -451,18 +450,11 @@ def load_simulation(
             sim.rng.bit_generator.state = json.loads(
                 str(data["rng_state_json"])
             )
-            sim.sampler._steps = int(data["sampler_steps"])
-            sim.sampler._count[:] = data["sampler_count"]
-            sim.sampler._mu[:] = data["sampler_mu"]
-            sim.sampler._mv[:] = data["sampler_mv"]
-            sim.sampler._mw[:] = data["sampler_mw"]
-            sim.sampler._e_trans[:] = data["sampler_e_trans"]
-            sim.sampler._e_rot[:] = data["sampler_e_rot"]
+            _unpack_accumulator("sampler", data, sim.sampler, SAMPLER_FIELDS)
             if sim.surface is not None and "surface_steps" in data:
-                sim.surface._steps = int(data["surface_steps"])
-                sim.surface._impulse_x[:] = data["surface_impulse_x"]
-                sim.surface._impulse_y[:] = data["surface_impulse_y"]
-                sim.surface._hits[:] = data["surface_hits"]
+                _unpack_accumulator(
+                    "surface", data, sim.surface, _SURFACE_FIELDS
+                )
     except FileNotFoundError:
         raise
     except ConfigurationError:

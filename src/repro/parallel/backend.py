@@ -44,7 +44,7 @@ from repro.core import motion
 from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.reservoir import Reservoir
-from repro.core.sampling import CellSampler
+from repro.core.sampling import SAMPLER_FIELDS, CellSampler
 from repro.core.simulation import (
     SerialBackend,
     StepDiagnostics,
@@ -205,13 +205,8 @@ class ShardWorker:
             if config.sort_kernel == "incremental" else None
         )
         self.sampler = CellSampler(config.domain)
-        samp = shared["samp"][shard_id]
-        self.sampler._count = samp[0]
-        self.sampler._mu = samp[1]
-        self.sampler._mv = samp[2]
-        self.sampler._mw = samp[3]
-        self.sampler._e_trans = samp[4]
-        self.sampler._e_rot = samp[5]
+        for name, row in zip(SAMPLER_FIELDS, shared["samp"][shard_id]):
+            setattr(self.sampler, name, row)
         self.surface = None
         if config.wedge is not None and "surf" in shared:
             from repro.core.surface import SurfaceSampler
@@ -331,7 +326,7 @@ class ShardWorker:
                 self._ctrl[CTRL_FLUX] = 0
                 self.reservoir.deposit(stream, pending)
 
-        motion.advance(parts)
+        motion.advance(parts, self.domain)
         self.boundaries.surface_sampler = (
             self.surface if (sample and self.surface is not None) else None
         )
@@ -523,15 +518,10 @@ class ShardWorker:
         res = self.reservoir.particles
         return {
             "plunger": np.float64(self.boundaries.plunger.position),
-            "res_x": np.ascontiguousarray(res.x),
-            "res_y": np.ascontiguousarray(res.y),
-            "res_u": np.ascontiguousarray(res.u),
-            "res_v": np.ascontiguousarray(res.v),
-            "res_w": np.ascontiguousarray(res.w),
-            "res_rot": np.ascontiguousarray(res.rot),
-            "res_perm": np.ascontiguousarray(res.perm),
-            "res_cell": np.ascontiguousarray(res.cell),
-            "res_z": np.ascontiguousarray(res.z),
+            **{
+                name: np.ascontiguousarray(getattr(res, name))
+                for name in COLUMN_NAMES
+            },
         }
 
 
@@ -720,7 +710,8 @@ class ShardedBackend:
         alloc = self._make_alloc(ctx)
 
         n_global = sim.particles.n
-        n_cells = cfg.domain.n_cells
+        # Sampler cells: the x-y footprint (span domains collapse).
+        n_cells = sim.sampler.domain.n_cells
         self._ctrl = alloc((CTRL_WORDS,), np.int64)
         self._ctrl[CTRL_FLUX] = self._flux_pending0
         self._misc = alloc((MISC_WORDS,), np.float64)
@@ -729,7 +720,7 @@ class ShardedBackend:
             "n_parts": alloc((W,), np.int64),
             "front_flags": alloc((W, len(COLUMN_NAMES)), np.int8),
             "diag": alloc((W, NDIAG), np.float64),
-            "samp": alloc((W, 6, n_cells), np.float64),
+            "samp": alloc((W, len(SAMPLER_FIELDS), n_cells), np.float64),
             "misc": self._misc,
             # Live slab edges: the parent publishes a repartition here
             # before issuing CMD_REBALANCE; workers re-read their slab
@@ -803,8 +794,8 @@ class ShardedBackend:
         # driver's samplers already held (snapshot restores).
         s = sim.sampler
         self._samp_base = np.stack(
-            [s._count, s._mu, s._mv, s._mw, s._e_trans, s._e_rot]
-        ).copy()
+            [getattr(s, name) for name in SAMPLER_FIELDS]
+        )
         self._samp_steps0 = s._steps
         if sim.surface is not None:
             self._surf_base = np.stack(
@@ -1125,18 +1116,8 @@ class ShardedBackend:
             self._await(self._end_barrier)
             if self._ctrl[CTRL_ERROR]:
                 self._raise_worker_error()
-            res = ParticleArrays(
-                x=payload["res_x"],
-                y=payload["res_y"],
-                u=payload["res_u"],
-                v=payload["res_v"],
-                w=payload["res_w"],
-                rot=payload["res_rot"],
-                perm=payload["res_perm"],
-                cell=payload["res_cell"],
-                z=payload["res_z"],
-            )
-            plunger = float(payload["plunger"])
+            plunger = float(payload.pop("plunger"))
+            res = ParticleArrays(**payload)
         else:
             w0 = self._workers[0]
             res = w0.reservoir.particles.copy()
@@ -1148,12 +1129,8 @@ class ShardedBackend:
         # Samplers: restored baseline + the shared per-shard sums.
         s = sim.sampler
         merged = self._samp_base + self._shared["samp"].sum(axis=0)
-        s._count[:] = merged[0]
-        s._mu[:] = merged[1]
-        s._mv[:] = merged[2]
-        s._mw[:] = merged[3]
-        s._e_trans[:] = merged[4]
-        s._e_rot[:] = merged[5]
+        for name, row in zip(SAMPLER_FIELDS, merged):
+            getattr(s, name)[:] = row
         s._steps = self._samp_steps0 + self._sample_steps
         if sim.surface is not None and "surf" in self._shared:
             surf = self._surf_base + self._shared["surf"].sum(axis=0)

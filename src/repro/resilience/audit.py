@@ -12,7 +12,8 @@ or validity property of the paper's algorithm:
   collisions are pairwise and migration conserves particles globally.
 * **finite state** -- positions, velocities and rotational components
   are finite (NaN/inf is how a corrupted exchange payload propagates).
-* **fixed-point range** -- positions inside the tunnel and velocity
+* **fixed-point range** -- positions inside the tunnel (and inside the
+  periodic depth of a span domain) and velocity
   magnitudes below the Q8.23 representable bound; the CM-2 engine
   would overflow on anything outside it.
 * **cell consistency** -- every particle's stored cell index equals
@@ -40,6 +41,7 @@ structured context (step, shard, the check, the numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -198,10 +200,13 @@ class InvariantAuditor:
                         column="rot",
                         **ctx,
                     )
+            # The position columns a cell index is made of, with their
+            # extents: x, y -- and z on a span domain.
+            axes = domain.cell_axes(SimpleNamespace(**v))
             if cfg.check_range:
-                self._check_range(v, domain, ctx)
+                self._check_range(v, axes, ctx)
             if cfg.check_cells and v["x"].size:
-                expected_cell = domain.cell_index(v["x"], v["y"])
+                expected_cell = domain.cell_index(*(col for col, _ in axes))
                 if not np.array_equal(v["cell"], expected_cell):
                     bad = int(np.count_nonzero(v["cell"] != expected_cell))
                     raise InvariantViolationError(
@@ -277,27 +282,20 @@ class InvariantAuditor:
 
     # -- helpers --------------------------------------------------------
 
-    def _check_range(self, v: Dict[str, np.ndarray], domain, ctx) -> None:
+    def _check_range(self, v: Dict[str, np.ndarray], axes, ctx) -> None:
         cfg = self.config
         tol = cfg.position_tolerance
-        x, y = v["x"], v["y"]
-        if x.size:
-            if float(x.min()) < -tol or float(x.max()) > domain.width + tol:
+        for name, (col, extent) in zip("xyz", axes):
+            if col.size and (
+                float(col.min()) < -tol or float(col.max()) > extent + tol
+            ):
                 raise InvariantViolationError(
-                    "particle x position outside the tunnel",
+                    f"particle {name} position outside the tunnel",
                     check="range",
-                    x_min=float(x.min()),
-                    x_max=float(x.max()),
-                    width=domain.width,
-                    **ctx,
-                )
-            if float(y.min()) < -tol or float(y.max()) > domain.height + tol:
-                raise InvariantViolationError(
-                    "particle y position outside the tunnel",
-                    check="range",
-                    y_min=float(y.min()),
-                    y_max=float(y.max()),
-                    height=domain.height,
+                    column=name,
+                    minimum=float(col.min()),
+                    maximum=float(col.max()),
+                    extent=extent,
                     **ctx,
                 )
         for name in _VELOCITY_COLUMNS:

@@ -63,7 +63,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core.sampling import CellSampler
 from repro.errors import ConfigurationError, ValidationError
 from repro.geometry.wedge import Wedge
 from repro.physics import theory
@@ -183,27 +182,22 @@ def run_scenario(
         sim.run(average, sample=True)
         fields.append(sim.density_ratio_field())
     else:
-        if spec.is_3d:
-            raise ConfigurationError(
-                f"scenario {spec.name!r}: unsteady windows are 2-D only"
-            )
         # Impulsive start: no transient -- the windows *are* the
         # transient, each a fresh time average so the sequence shows
         # the flow establishing itself.
         for _ in range(int(spec.unsteady["windows"])):
-            sim.sampler = CellSampler(sim.config.domain, sim.volume_fractions)
+            sim.sampler.reset()
             sim.run(int(spec.unsteady["window_steps"]), sample=True)
             fields.append(sim.density_ratio_field())
     ramp_ratio = None
-    surface = getattr(sim, "surface", None)
+    surface = sim.surface
     if surface is not None and surface._steps > 0:
         fs = sim.config.freestream
         p_inf = fs.density * fs.rt
         ramp_ratio = float(surface.ramp_pressure()[2:-2].mean() / p_inf)
     body = sim.config.wedge
     fs = sim.config.freestream
-    if hasattr(sim, "close"):
-        sim.close()
+    sim.close()
     return ScenarioRun(
         spec=spec,
         fields=fields,

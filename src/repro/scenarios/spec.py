@@ -23,7 +23,7 @@ Sections (all dicts of plain scalars/lists):
     ``mach``, ``c_mp``, ``lambda_mfp``, ``density`` (and optional
     ``gamma``).
 ``grid``
-    ``nx``, ``ny`` and, for the z-periodic slab driver, ``nz``.
+    ``nx``, ``ny`` and, for the z-periodic slab, ``nz``.
 ``schedule``
     ``transient`` and ``average`` step counts of the default run.
 ``boundaries``
@@ -49,6 +49,7 @@ from repro.core.simulation import Simulation, SimulationConfig
 from repro.errors import ConfigurationError
 from repro.geometry.bodies import BODY_KINDS, body_from_dict
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 
@@ -404,23 +405,20 @@ class ScenarioSpec:
             ) from None
 
     def build_config(self, **overrides) -> SimulationConfig:
-        """A :class:`SimulationConfig` for this scenario (2-D only).
+        """A :class:`SimulationConfig` for this scenario.
 
         ``overrides`` accepts the :data:`OVERRIDE_KEYS` subset used by
         CLI flags and reduced-scale validation runs; unknown keys raise.
+        A grid with ``nz`` builds the z-periodic slab
+        (:class:`~repro.geometry.domain3d.Domain3D`).
         """
         _check_override_keys(overrides, self.name)
-        if self.is_3d:
-            raise ConfigurationError(
-                f"scenario {self.name!r} is three-dimensional; use "
-                "build_simulation (SimulationConfig is the 2-D engine's)"
-            )
         ov = dict(overrides)
         ov.pop("transient", None)
         ov.pop("average", None)
         nx = int(ov.pop("nx", self.grid["nx"]))
         ny = int(ov.pop("ny", self.grid["ny"]))
-        ov.pop("nz", None)
+        nz = ov.pop("nz", self.grid.get("nz"))
         fs = dict(self.freestream)
         for k in ("mach", "c_mp", "density", "lambda_mfp"):
             if k in ov:
@@ -436,7 +434,9 @@ class ScenarioSpec:
         if "accommodation" in bnd:
             kwargs["accommodation"] = float(bnd["accommodation"])
         return SimulationConfig(
-            domain=Domain(nx, ny),
+            domain=(
+                Domain3D(nx, ny, int(nz)) if self.is_3d else Domain(nx, ny)
+            ),
             freestream=Freestream(**fs),
             wedge=body,
             seed=seed,
@@ -445,55 +445,10 @@ class ScenarioSpec:
         )
 
     def build_simulation(self, overrides: Optional[Mapping] = None, **kwargs):
-        """Construct the ready-to-run simulation object.
-
-        Returns a :class:`~repro.core.simulation.Simulation` (2-D) or a
-        :class:`~repro.core.simulation3d.Simulation3D` (``nz`` grids);
-        ``kwargs`` (``backend=``, ``telemetry=``) pass
-        through to the 2-D engine and are rejected for 3-D scenarios,
-        whose driver has no backend/telemetry seam yet.
-        """
-        overrides = dict(overrides or {})
-        _check_override_keys(overrides, self.name)
-        if not self.is_3d:
-            config = self.build_config(**overrides)
-            return Simulation(config, **kwargs)
-        if kwargs:
-            raise ConfigurationError(
-                f"scenario {self.name!r} runs on the 3-D driver, which "
-                f"does not support {sorted(kwargs)} yet"
-            )
-        from repro.core.simulation3d import Simulation3D, Simulation3DConfig
-        from repro.geometry.domain3d import Domain3D
-
-        overrides.pop("transient", None)
-        overrides.pop("average", None)
-        nx = int(overrides.pop("nx", self.grid["nx"]))
-        ny = int(overrides.pop("ny", self.grid["ny"]))
-        nz = int(overrides.pop("nz", self.grid["nz"]))
-        fs = dict(self.freestream)
-        for k in ("mach", "c_mp", "density", "lambda_mfp"):
-            if k in overrides:
-                fs[k] = float(overrides.pop(k))
-        seed = overrides.pop("seed", self.seed)
-        body = self.build_body(nx=nx, angle=overrides.pop("angle", None))
-        if body is not None and not isinstance(body, Wedge):
-            raise ConfigurationError(
-                f"scenario {self.name!r}: the 3-D driver extrudes wedge "
-                "prisms only"
-            )
-        bnd = dict(self.boundaries)
-        kwargs3: Dict[str, Any] = {}
-        if "plunger_trigger" in bnd:
-            kwargs3["plunger_trigger"] = float(bnd["plunger_trigger"])
-        config = Simulation3DConfig(
-            domain=Domain3D(nx, ny, nz),
-            freestream=Freestream(**fs),
-            wedge=body,
-            seed=seed,
-            **kwargs3,
-        )
-        return Simulation3D(config)
+        """Construct the ready-to-run
+        :class:`~repro.core.simulation.Simulation`; ``kwargs``
+        (``backend=``, ``telemetry=``) pass through to it."""
+        return Simulation(self.build_config(**(overrides or {})), **kwargs)
 
     def resolve_schedule(self, overrides: Optional[Mapping] = None):
         """``(transient, average)`` step counts after overrides."""

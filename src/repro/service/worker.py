@@ -317,11 +317,7 @@ def _build_run(job_dir: pathlib.Path, payload: dict, chunk: int):
         if k not in ("transient", "average")
     }
     overrides["seed"] = int(payload["seed"])
-    if spec.is_3d:
-        # The 3-D driver has no telemetry seam yet.
-        sim = spec.build_simulation(overrides)
-    else:
-        sim = spec.build_simulation(overrides, telemetry=_telemetry())
+    sim = spec.build_simulation(overrides, telemetry=_telemetry())
     run = SupervisedRun(
         sim,
         run_dir,

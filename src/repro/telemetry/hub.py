@@ -405,7 +405,7 @@ class Telemetry:
         bands = observables.mean_free_path_bands(
             xs,
             cfg.domain.width,
-            cfg.domain.height,
+            cfg.domain.height * cfg.domain.depth,
             cfg.freestream.density,
             cfg.freestream.lambda_mfp,
             n_bands=self.mfp_bands,

@@ -54,7 +54,7 @@ def band_densities(
 def mean_free_path_bands(
     x_columns: List[np.ndarray],
     domain_width: float,
-    domain_height: float,
+    domain_cross_section: float,
     freestream_density: float,
     freestream_lambda: float,
     n_bands: int = 8,
@@ -68,6 +68,9 @@ def mean_free_path_bands(
     a continuum configuration (``lambda_inf == 0``) returns ``None``
     since the observable is undefined there.
 
+    ``domain_cross_section`` is the tunnel's y-z extent (its height,
+    times the depth of a span domain), so a band's particle count is
+    compared against its *volume* at freestream density.
     ``x_columns`` is one x-position array per shard (a single entry for
     serial runs), so sharded runs compute this straight from the
     shared-memory views without a gather.
@@ -77,10 +80,9 @@ def mean_free_path_bands(
     counts = np.zeros(n_bands)
     for x in x_columns:
         counts += band_densities(x, domain_width, n_bands)
-    band_area = (domain_width / n_bands) * domain_height
-    n_inf = freestream_density / 1.0  # per unit cell area
+    band_volume = (domain_width / n_bands) * domain_cross_section
     with np.errstate(divide="ignore"):
         ratio = np.where(
-            counts > 0, (n_inf * band_area) / counts, np.inf
+            counts > 0, (freestream_density * band_volume) / counts, np.inf
         )
     return freestream_lambda * ratio

@@ -10,6 +10,7 @@ from repro.core.engine_cm import CMSimulation
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 
@@ -60,6 +61,15 @@ class TestBasics:
         )
         with pytest.raises(ConfigurationError):
             CMSimulation(cfg, machine=machine)
+
+
+    def test_span_domain_rejected(self, cm_config, machine):
+        import dataclasses
+
+        d = cm_config.domain
+        slab = dataclasses.replace(cm_config, domain=Domain3D(d.nx, d.ny, 2))
+        with pytest.raises(ConfigurationError, match="2-D machine"):
+            CMSimulation(slab, machine=machine)
 
 
 class TestPhysicsAgreement:

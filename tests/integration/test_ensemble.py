@@ -23,6 +23,7 @@ from repro.ensemble import (
 )
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_ensemble, save_ensemble
 from repro.physics.freestream import Freestream
@@ -81,6 +82,13 @@ class TestEngineRestrictions:
             EnsembleEngine(
                 _small_config(wall_model="diffuse"), n_replicas=2
             )
+
+    def test_span_domain_rejected(self):
+        import dataclasses
+
+        cfg = dataclasses.replace(_small_config(), domain=Domain3D(32, 24, 2))
+        with pytest.raises(ConfigurationError, match="2-D tunnels only"):
+            EnsembleEngine(cfg, n_replicas=2)
 
     def test_live_generator_seed_rejected(self):
         import dataclasses

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.particles import COLUMN_NAMES as PARTICLE_COLUMNS
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.errors import (
     CheckpointCorruptionError,
@@ -28,6 +29,7 @@ from repro.errors import (
     WorkerHangError,
 )
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
 from repro.parallel.backend import ShardedBackend
@@ -42,24 +44,26 @@ from repro.resilience import (
 
 pytestmark = pytest.mark.resilience
 
-PARTICLE_COLUMNS = ("x", "y", "u", "v", "w", "rot", "perm", "cell")
 
 #: Short barrier timeout for tests that expect a death/hang detection.
 FAST_TIMEOUT = 5.0
 
 
-def _small_config(seed: int = 42, nx: int = 32, ny: int = 16) -> SimulationConfig:
+def _small_config(
+    seed: int = 42, nx: int = 32, ny: int = 16, nz: int = 0
+) -> SimulationConfig:
+    """The small wedge tunnel; ``nz`` makes it a z-periodic slab."""
     return SimulationConfig(
-        domain=Domain(nx=nx, ny=ny),
+        domain=Domain3D(nx, ny, nz) if nz else Domain(nx=nx, ny=ny),
         freestream=Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=10.0),
         wedge=Wedge(x_leading=8.0, base=9.0, angle_deg=30.0),
         seed=seed,
     )
 
 
-def _inline_sim(seed=42, plan=None, workers=2) -> Simulation:
+def _inline_sim(seed=42, plan=None, workers=2, nz=0) -> Simulation:
     return Simulation(
-        _small_config(seed),
+        _small_config(seed, nz=nz),
         backend=ShardedBackend(workers, processes=False, fault_plan=plan),
     )
 
@@ -243,6 +247,38 @@ class TestSupervisedRecovery:
         assert len(events) == 1
         assert events[0]["restored_step"] <= events[0]["step"]
         run.close()
+        ref.close()
+
+    def test_slab_crash_resume_is_bitwise_identical(self, tmp_path):
+        """A z-periodic slab under the supervisor: a worker fault is
+        absorbed, the process then "dies", and the resumed run still
+        ends bitwise where the unfailed one does (audits on)."""
+        ref = _inline_sim(nz=2)
+        ref.run(12)
+        ref.run(self.N_STEPS - 12, sample=True)
+        ref.gather()
+        plan = FaultPlan([FaultSpec("exception", step=9, shard=1)], seed=5)
+        run = SupervisedRun(
+            _inline_sim(plan=plan, nz=2),
+            tmp_path / "run",
+            checkpoint_every=5,
+            audit_every=1,
+            backoff_base=0.0,
+            fault_plan=plan,
+        )
+        run.run_schedule(
+            [(12, False), (self.N_STEPS - 12, True)], max_steps=14
+        )
+        # (Replayed steps count against the max_steps budget.)
+        assert run.retries == 1 and 9 < run.sim.step_count < self.N_STEPS
+        run.close()  # simulate the process dying here
+
+        resumed = SupervisedRun.resume(tmp_path / "run")
+        resumed.run_schedule()
+        resumed.sim.gather()
+        assert resumed.sim.particles.z.any()
+        _assert_sims_equal(ref, resumed.sim, "slab crash + resume")
+        resumed.close()
         ref.close()
 
     def test_recovery_events_surface_in_diagnostics(self, tmp_path):

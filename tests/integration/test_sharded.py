@@ -12,6 +12,8 @@ The contract under test (ROADMAP: process-parallel stepping):
   mutable state).
 * A sharded run checkpoints and restores bitwise (dynamics; the
   surface-load float accumulators are associativity-limited to ~1 ulp).
+* All of it holds on a z-periodic slab (``Domain3D``) as on the 2-D
+  tunnel: x-slab sharding never looks at the span.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.particles import COLUMN_NAMES as PARTICLE_COLUMNS
+from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
 from repro.parallel.backend import ShardedBackend
@@ -28,12 +33,13 @@ from repro.physics.freestream import Freestream
 
 pytestmark = pytest.mark.sharded
 
-PARTICLE_COLUMNS = ("x", "y", "u", "v", "w", "rot", "perm", "cell")
 
-
-def _small_config(seed: int = 42, nx: int = 32, ny: int = 16) -> SimulationConfig:
+def _small_config(
+    seed: int = 42, nx: int = 32, ny: int = 16, nz: int = 0
+) -> SimulationConfig:
+    """The small wedge tunnel; ``nz`` makes it a z-periodic slab."""
     return SimulationConfig(
-        domain=Domain(nx=nx, ny=ny),
+        domain=Domain3D(nx, ny, nz) if nz else Domain(nx=nx, ny=ny),
         freestream=Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=10.0),
         wedge=Wedge(x_leading=8.0, base=9.0, angle_deg=30.0),
         seed=seed,
@@ -57,6 +63,14 @@ def _assert_sims_equal(a: Simulation, b: Simulation, what: str) -> None:
     assert a.boundaries.plunger.position == b.boundaries.plunger.position
 
 
+def _assert_samplers_equal(a: Simulation, b: Simulation) -> None:
+    assert a.sampler.steps == b.sampler.steps
+    for name in SAMPLER_FIELDS:
+        assert np.array_equal(
+            getattr(a.sampler, name), getattr(b.sampler, name)
+        ), f"sampler accumulator {name} not bitwise identical"
+
+
 class TestOneWorkerIdentity:
     def test_bitwise_identical_to_serial_default_config(self):
         """Acceptance: 50 steps of the paper's default wedge config."""
@@ -73,6 +87,19 @@ class TestOneWorkerIdentity:
             assert np.array_equal(serial.sampler._mu, sharded.sampler._mu)
         finally:
             sharded.close()
+
+    def test_slab_one_worker_is_serial(self):
+        serial = Simulation(_small_config(nz=2))
+        with Simulation(
+            _small_config(nz=2), backend=ShardedBackend(1)
+        ) as sharded:
+            for sim in (serial, sharded):
+                sim.run(8)
+                sim.run(4, sample=True)
+            sharded.gather()
+            assert serial.particles.z.any()
+            _assert_sims_equal(serial, sharded, "slab n_workers=1")
+            _assert_samplers_equal(serial, sharded)
 
 
 class TestProcessInlineEquivalence:
@@ -98,6 +125,21 @@ class TestProcessInlineEquivalence:
         finally:
             proc.close()
             inline.close()
+
+    def test_slab_process_workers_match_inline(self):
+        with Simulation(
+            _small_config(nz=2), backend=ShardedBackend(2, processes=True)
+        ) as proc, Simulation(
+            _small_config(nz=2), backend=ShardedBackend(2, processes=False)
+        ) as inline:
+            for sim in (proc, inline):
+                sim.run(8)
+                sim.run(4, sample=True)
+                sim.gather()
+            assert proc.particles.z.any()
+            _assert_sims_equal(proc, inline, "slab process vs inline")
+            assert proc.backend.pending_flux == inline.backend.pending_flux
+            _assert_samplers_equal(proc, inline)
 
 
 class TestReproducibility:

@@ -1,11 +1,12 @@
-"""Integration tests for the 3-D slab extension."""
+"""Integration tests for the 3-D slab: a ``Domain3D`` run of ``Simulation``."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.shock import fit_shock_angle, post_shock_plateau
+from repro.core import motion
+from repro.core.particles import ParticleArrays
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.core.simulation3d import Simulation3D, Simulation3DConfig
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
@@ -41,10 +42,13 @@ class TestDomain3D:
         i, j, k = d.coords_from_cell_index(idx)
         assert np.array_equal((i * 5 + j) * 3 + k, idx)
 
-    def test_wrap_z(self):
-        d = Domain3D(4, 4, 2)
-        assert d.wrap_z(np.array([2.5]))[0] == pytest.approx(0.5)
-        assert d.wrap_z(np.array([-0.5]))[0] == pytest.approx(1.5)
+    def test_wrap_z(self, rng, fs):
+        """Motion advances z by w and wraps it into the periodic depth."""
+        parts = ParticleArrays.from_freestream(rng, 2, fs, (0, 4), (0, 4))
+        parts.z[:] = (1.75, 0.25)
+        parts.w[:] = (0.75, -0.75)
+        motion.advance(parts, Domain3D(4, 4, 2))
+        assert parts.z == pytest.approx([0.5, 1.5])
 
     def test_validation(self):
         with pytest.raises(Exception):
@@ -55,14 +59,15 @@ class TestDomain3D:
 
 class TestSimulation3D:
     def test_seeding_density(self, fs):
-        cfg = Simulation3DConfig(
+        cfg = SimulationConfig(
             domain=Domain3D(20, 12, 4),
             freestream=fs,
             wedge=Wedge(x_leading=5, base=6, angle_deg=30),
             seed=5,
         )
-        sim = Simulation3D(cfg)
-        open_volume = sim._vf3_flat.sum()
+        sim = Simulation(cfg)
+        open_volume = sim.volume_fractions.sum()
+        assert sim.volume_fractions.shape == (20, 12, 4)
         assert sim.particles.n == pytest.approx(
             fs.density * open_volume, rel=0.01
         )
@@ -70,34 +75,34 @@ class TestSimulation3D:
         assert sim.particles.z.max() <= 4.0
 
     def test_steps_and_z_periodicity(self, fs):
-        cfg = Simulation3DConfig(
+        cfg = SimulationConfig(
             domain=Domain3D(20, 12, 2), freestream=fs, wedge=None, seed=5
         )
-        sim = Simulation3D(cfg)
+        sim = Simulation(cfg)
         out = sim.run(15)
-        assert out["n_flow"] > 0
+        assert out.n_flow > 0
         assert sim.particles.z.min() >= 0.0
         assert sim.particles.z.max() < 2.0
 
     def test_collisions_happen_and_conserve(self, fs):
-        cfg = Simulation3DConfig(
+        cfg = SimulationConfig(
             domain=Domain3D(16, 10, 3), freestream=fs, wedge=None, seed=6
         )
-        sim = Simulation3D(cfg)
+        sim = Simulation(cfg)
         out = sim.run(10)
-        assert out["n_collisions"] > 0
+        assert out.n_collisions > 0
         sim.particles.validate()
 
     def test_run_validates(self, fs):
-        cfg = Simulation3DConfig(
+        cfg = SimulationConfig(
             domain=Domain3D(16, 10, 2), freestream=fs, wedge=None, seed=6
         )
         with pytest.raises(ConfigurationError):
-            Simulation3D(cfg).run(0)
+            Simulation(cfg).run(0)
 
     def test_wedge_must_fit(self, fs):
         with pytest.raises(Exception):
-            Simulation3DConfig(
+            SimulationConfig(
                 domain=Domain3D(16, 10, 2),
                 freestream=fs,
                 wedge=Wedge(x_leading=12, base=10, angle_deg=30),
@@ -111,16 +116,16 @@ class TestSpanCollapseValidation:
     def pair_of_runs(self):
         wedge = Wedge(x_leading=8.0, base=10.0, angle_deg=30.0)
         fs3 = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.0, density=3.0)
-        cfg3 = Simulation3DConfig(
-            domain=Domain3D(40, 26, 4), freestream=fs3, wedge=wedge, seed=9
+        cfg3 = SimulationConfig(
+            domain=Domain3D(40, 26, 4), freestream=fs3, wedge=wedge, seed=11
         )
-        sim3 = Simulation3D(cfg3)
+        sim3 = Simulation(cfg3)
         sim3.run(150)
         sim3.run(150, sample=True)
 
         fs2 = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.0, density=12.0)
         cfg2 = SimulationConfig(
-            domain=Domain(40, 26), freestream=fs2, wedge=wedge, seed=9
+            domain=Domain(40, 26), freestream=fs2, wedge=wedge, seed=11
         )
         sim2 = Simulation(cfg2)
         sim2.run(150)

@@ -5,6 +5,9 @@ import pathlib
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
+from repro.parallel.backend import ShardedBackend
 from repro.scenarios import ScenarioSpec, all_specs, get
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -193,13 +196,18 @@ class TestBuilding:
         with pytest.raises(ConfigurationError, match="bogus"):
             get("wedge").build_config(bogus=1)
 
-    def test_3d_spec_rejects_2d_config(self):
-        with pytest.raises(ConfigurationError, match="three-dimensional"):
-            get("wedge3d").build_config()
+    def test_3d_spec_builds_slab_config(self):
+        config = get("wedge3d").build_config(nz=3)
+        assert config.domain == Domain3D(40, 26, 3)
+        assert config.scenario == "wedge3d"
+        # ``nz`` only means something to a grid that declares a span.
+        assert get("wedge").build_config(nz=3).domain == Domain(98, 64)
 
-    def test_3d_spec_rejects_engine_kwargs(self):
-        with pytest.raises(ConfigurationError, match="3-D driver"):
-            get("wedge3d").build_simulation(telemetry=object())
+    def test_3d_spec_passes_engine_kwargs(self):
+        backend = ShardedBackend(2, processes=False)
+        with get("wedge3d").build_simulation(backend=backend) as sim:
+            assert sim.backend is backend
+            assert sim.step().n_flow > 0
 
     def test_build_config_tags_scenario_name(self):
         config = get("cylinder").build_config()

@@ -11,6 +11,10 @@ from repro.service import Orchestrator, OrchestratorConfig
 TINY = {"nx": 32, "ny": 16, "density": 6.0, "transient": 0, "average": 24}
 
 
+#: The z-periodic slab (``wedge3d``) at the same few-seconds scale.
+TINY_SLAB = {"nx": 32, "ny": 16, "density": 2.0, "transient": 0, "average": 24}
+
+
 def fast_config(**overrides) -> OrchestratorConfig:
     base = dict(
         workers=2,

@@ -23,7 +23,12 @@ from repro.service import Orchestrator, ServiceJournal
 from repro.service import store as st
 from repro.service.store import load_journal_tolerant
 from repro.resilience.faults import FaultPlan, FaultSpec
-from tests.service.conftest import TINY, fast_config, wait_terminal
+from tests.service.conftest import (
+    TINY,
+    TINY_SLAB,
+    fast_config,
+    wait_terminal,
+)
 
 pytestmark = [pytest.mark.service, pytest.mark.resilience]
 
@@ -53,10 +58,12 @@ def assert_exactly_once_terminal(orch) -> None:
         assert job.terminal, (job.job_id, job.state)
 
 
-def clean_sha(tmp_path, seed) -> str:
+def clean_sha(tmp_path, seed, scenario="wedge", overrides=TINY) -> str:
     """The density digest of an unfailed run of the TINY job."""
     orch = Orchestrator(tmp_path / "clean", fast_config(workers=1))
-    out = orch.submit(scenario="wedge", seed=seed, overrides=dict(TINY))
+    out = orch.submit(
+        scenario=scenario, seed=seed, overrides=dict(overrides)
+    )
     wait_terminal(orch, out["job_id"])
     sha = orch.result(out["job_id"])["density_sha256"]
     orch.shutdown()
@@ -80,6 +87,24 @@ class TestWorkerDeath:
         assert_exactly_once_terminal(orch)
         orch.shutdown()
         assert result["density_sha256"] == clean_sha(tmp_path, 31)
+
+    def test_sigkilled_slab_worker_resumes_bitwise_identical(self, tmp_path):
+        orch = Orchestrator(tmp_path / "svc", fast_config(workers=1))
+        out = orch.submit(
+            scenario="wedge3d",
+            seed=33,
+            overrides=dict(TINY_SLAB),
+            faults=[{"kind": "worker_kill", "step": 16}],
+        )
+        status = wait_terminal(orch, out["job_id"])
+        assert status["state"] == st.DONE
+        assert status["attempt"] == 2  # one death, one resume
+        result = orch.result(out["job_id"])
+        assert_exactly_once_terminal(orch)
+        orch.shutdown()
+        assert result["density_sha256"] == clean_sha(
+            tmp_path, 33, "wedge3d", TINY_SLAB
+        )
 
     def test_repeated_deaths_exhaust_retries_to_failed(self, tmp_path):
         # Three kills against max_job_retries=1: attempts 1 and 2 both

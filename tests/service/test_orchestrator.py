@@ -14,7 +14,7 @@ from repro.errors import (
 )
 from repro.service import Orchestrator, OrchestratorConfig
 from repro.service import store as st
-from tests.service.conftest import fast_config, wait_terminal
+from tests.service.conftest import TINY_SLAB, fast_config, wait_terminal
 
 pytestmark = pytest.mark.service
 
@@ -66,6 +66,21 @@ class TestLifecycle:
             "job_id": out["job_id"], "state": st.DONE, "cached": True,
         }
         assert len(orchestrator.store.jobs) == 1
+
+    def test_slab_job_runs_to_done_with_telemetry(self, orchestrator):
+        """A ``wedge3d`` job is a ``Domain3D`` run of the one driver:
+        supervised, checkpointed and telemetered like any other."""
+        out = orchestrator.submit(
+            scenario="wedge3d", seed=11, overrides=dict(TINY_SLAB)
+        )
+        status = wait_terminal(orchestrator, out["job_id"])
+        assert status["state"] == st.DONE, status
+        result = orchestrator.result(out["job_id"])
+        assert result["scenario"] == "wedge3d"
+        assert result["steps"] == TINY_SLAB["average"]
+        job_dir = orchestrator.data_dir / out["job_id"]
+        assert (job_dir / "events.jsonl").stat().st_size > 0
+        assert (job_dir / "trace.json").exists()
 
     def test_seed_changes_miss_the_cache(
         self, orchestrator, tiny_overrides

@@ -8,6 +8,7 @@ exposes a ``main``.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
@@ -15,6 +16,7 @@ import pkgutil
 import pytest
 
 import repro
+import repro.core.motion
 
 SRC_ROOT = pathlib.Path(repro.__file__).parent
 EXAMPLES = pathlib.Path(repro.__file__).parents[2] / "examples"
@@ -80,8 +82,7 @@ STAGE_INTERNALS = {
 class TestCollisionStageSpelledOnce:
     @pytest.mark.parametrize(
         "module_name",
-        ["repro.ensemble.engine", "repro.core.simulation3d",
-         "repro.parallel.backend"],
+        ["repro.ensemble.engine", "repro.parallel.backend"],
     )
     def test_engine_names_no_stage_internal(self, module_name):
         source = pathlib.Path(
@@ -99,6 +100,25 @@ class TestCollisionStageSpelledOnce:
             f"{module_name} re-spells the collision stage: "
             f"{sorted(named & STAGE_INTERNALS)}"
         )
+
+
+class TestThreeDrivers:
+    """The step loop has three drivers; the 3-D slab is a domain."""
+
+    def test_slab_driver_is_gone(self):
+        assert importlib.util.find_spec("repro.core.simulation3d") is None
+        assert not hasattr(repro.core, "Simulation3D")
+        assert not hasattr(repro.core.motion, "advance_with_z")
+
+    def test_motion_advance_has_three_call_sites(self):
+        callers = {
+            str(path.relative_to(SRC_ROOT))
+            for path in SRC_ROOT.rglob("*.py")
+            if "motion.advance(" in path.read_text()
+        }
+        assert callers == {
+            "core/simulation.py", "parallel/backend.py", "ensemble/engine.py",
+        }
 
 
 class TestExamples:

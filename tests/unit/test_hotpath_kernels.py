@@ -12,6 +12,8 @@ Pins the equivalences the overhaul relies on:
 * seeding refuses to return a population embedded in the wedge.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from repro.core.collision import (
 from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.core.simulation3d import Simulation3D, Simulation3DConfig
 from repro.core.sortstep import counting_sort_order, sort_by_cell
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
@@ -296,6 +297,13 @@ class TestReservoirRoundTrip:
         assert abs(np.mean(means) - 499.5) < 30
 
 
+def _slab(config):
+    """``config`` on a two-cell-deep z-periodic slab of its grid."""
+    return dataclasses.replace(
+        config, domain=Domain3D(config.domain.nx, config.domain.ny, 2)
+    )
+
+
 class TestSeedRejection:
     def test_embedded_seed_raises(self, monkeypatch, small_config):
         # With zero rejection passes the initial draw necessarily
@@ -304,21 +312,14 @@ class TestSeedRejection:
         monkeypatch.setattr(simulation_mod, "SEED_REJECTION_PASSES", 0)
         with pytest.raises(ConfigurationError, match="failed to converge"):
             Simulation(small_config)
-        # The 3-D slab seeds through the same recipe (it used to carry
-        # a copy that returned the embedded population silently).
-        slab = Simulation3DConfig(
-            domain=Domain3D(
-                small_config.domain.nx, small_config.domain.ny, 2
-            ),
-            freestream=small_config.freestream,
-            wedge=small_config.wedge,
-            seed=77,
-        )
+        # The 3-D slab is a domain of the same driver, hence of the
+        # same recipe.
         with pytest.raises(ConfigurationError, match="failed to converge"):
-            Simulation3D(slab)
+            Simulation(_slab(small_config))
 
     def test_normal_seed_has_no_embedded_particles(self, small_config):
-        sim = Simulation(small_config)
-        assert not np.any(
-            small_config.wedge.inside(sim.particles.x, sim.particles.y)
-        )
+        for config in (small_config, _slab(small_config)):
+            sim = Simulation(config)
+            assert not np.any(
+                config.wedge.inside(sim.particles.x, sim.particles.y)
+            )

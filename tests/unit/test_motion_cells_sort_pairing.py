@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.cells import assign_cells, cell_populations, randomized_sort_keys
-from repro.core.motion import advance, advance_with_z
+from repro.core.motion import advance
 from repro.core.pairing import CandidatePairs, even_odd_pairs
 from repro.core.particles import ParticleArrays
 from repro.core.sortstep import sort_by_cell
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.physics.freestream import Freestream
 
 
@@ -32,10 +33,15 @@ class TestMotion:
         assert np.array_equal(pop.u, u0)
 
     def test_z_periodic_wrap(self, pop):
-        z = np.full(pop.n, 0.95)
+        pop.z[:] = 0.95
         pop.w[:] = 0.1
-        z2 = advance_with_z(pop, z, depth=1.0)
-        assert np.allclose(z2, 0.05)
+        advance(pop, Domain3D(20, 10, 1))
+        assert np.allclose(pop.z, 0.05)
+
+    def test_no_span_leaves_z_alone(self, pop):
+        pop.w[:] = 0.1
+        advance(pop, Domain(20, 10))
+        assert not pop.z.any()
 
 
 class TestCells:

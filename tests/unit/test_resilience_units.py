@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.simulation import Simulation
 from repro.errors import (
     CheckpointCorruptionError,
     ExchangeOverflowError,
@@ -15,7 +18,8 @@ from repro.errors import (
     WorkerCrashError,
     WorkerHangError,
 )
-from repro.resilience import FaultPlan, FaultSpec
+from repro.geometry.domain3d import Domain3D
+from repro.resilience import FaultPlan, FaultSpec, InvariantAuditor
 from repro.resilience.faults import (
     ANY_SHARD,
     FAULT_KINDS,
@@ -172,3 +176,40 @@ class TestBackoffJitter:
 
         with pytest.raises(ConfigurationError, match="backoff_jitter"):
             SupervisedRun(object(), "/nonexistent", backoff_jitter=1.5)
+
+
+class TestSlabAudit:
+    """The auditor reads cells and ranges through ``domain.cell_axes``,
+    so a span domain's ``z`` is audited like ``x`` and ``y``."""
+
+    @pytest.fixture
+    def audited(self, box_config):
+        config = dataclasses.replace(box_config, domain=Domain3D(30, 20, 3))
+        sim = Simulation(config)
+        auditor = InvariantAuditor()
+        auditor.rebase(sim)
+        auditor.observe(sim.step())
+        assert "cells" in auditor.audit(sim)["checks"]
+        return sim, auditor
+
+    def test_corrupted_z_is_out_of_range(self, audited):
+        sim, auditor = audited
+        sim.particles.z[0] = 3.5
+        with pytest.raises(InvariantViolationError) as exc_info:
+            auditor.audit(sim)
+        assert exc_info.value.context["check"] == "range"
+        assert exc_info.value.context["column"] == "z"
+
+    def test_z_moved_to_another_cell_breaks_cell_consistency(self, audited):
+        sim, auditor = audited
+        sim.particles.z[0] = (sim.particles.z[0] + 1.0) % 3.0
+        with pytest.raises(InvariantViolationError) as exc_info:
+            auditor.audit(sim)
+        assert exc_info.value.context["check"] == "cells"
+
+    def test_corrupted_cell_is_caught(self, audited):
+        sim, auditor = audited
+        sim.particles.cell[0] += 1
+        with pytest.raises(InvariantViolationError) as exc_info:
+            auditor.audit(sim)
+        assert exc_info.value.context["check"] in ("cells", "order")

@@ -258,6 +258,17 @@ class TestObservables:
         assert lam.shape == (4,)
         assert np.allclose(lam, 2.0, rtol=0.1)
 
+    def test_mean_free_path_bands_take_the_band_volume(self):
+        # A depth-4 slab at freestream density holds 4x the particles
+        # of the 2-D tunnel; its cross-section (height x depth) says so.
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.0, 80.0, size=160_000)
+        lam = observables.mean_free_path_bands(
+            [x], 80.0, 10.0 * 4.0, freestream_density=50.0,
+            freestream_lambda=2.0, n_bands=4,
+        )
+        assert np.allclose(lam, 2.0, rtol=0.1)
+
     def test_mean_free_path_continuum_is_none(self):
         assert (
             observables.mean_free_path_bands(
