@@ -130,6 +130,16 @@ def pooled_arange(scratch: Optional[ScratchBuffers], n: int) -> np.ndarray:
     return scratch.arange(n) if scratch is not None else np.arange(n)
 
 
+def sum_of_squares(a: np.ndarray) -> float:
+    """``(a * a).sum()`` in one pass: no temporary, and no BLAS call.
+
+    ``einsum`` runs its own loop, so the per-step conservation sums of
+    a forked shard worker never wake an OpenBLAS thread pool.
+    """
+    flat = a.reshape(-1)
+    return float(np.einsum("i,i->", flat, flat))
+
+
 @dataclass
 class ParticleArrays:
     """SoA particle population.
@@ -278,13 +288,11 @@ class ParticleArrays:
 
     def kinetic_energy(self) -> float:
         """Total translational kinetic energy, m = 1."""
-        return 0.5 * float(
-            np.dot(self.u, self.u) + np.dot(self.v, self.v) + np.dot(self.w, self.w)
-        )
+        return 0.5 * sum(sum_of_squares(c) for c in (self.u, self.v, self.w))
 
     def rotational_energy(self) -> float:
         """Total rotational energy 1/2 m sum(r.r) (eq. (9))."""
-        return 0.5 * float((self.rot**2).sum())
+        return 0.5 * sum_of_squares(self.rot)
 
     def total_energy(self) -> float:
         """Kinetic plus rotational energy."""

@@ -22,12 +22,98 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, pooled
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 
 
-class CellSampler:
+#: Accumulator attribute names shared by :class:`CellSampler` and
+#: :class:`EnsembleSampler` (one flat float64 array each).
+SAMPLER_FIELDS = ("_count", "_mu", "_mv", "_mw", "_e_trans", "_e_rot")
+
+
+def _squared_norm(columns, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``out = columns[0]**2 + columns[1]**2 + ...``, added left to right."""
+    np.square(columns[0], out=out)
+    for col in columns[1:]:
+        np.add(out, np.square(col, out=tmp), out=out)
+    return out
+
+
+class MomentSums:
+    """The :data:`SAMPLER_FIELDS` accumulators and their one kernel.
+
+    Per bin: the particle count and the sums of c, c.c and r.r.
+    """
+
+    def __init__(self, domain: Domain, n_bins: int, volume_fractions) -> None:
+        if volume_fractions is not None:
+            volume_fractions = np.asarray(volume_fractions, dtype=np.float64)
+            if volume_fractions.shape != domain.shape:
+                raise ConfigurationError(f"volume_fractions must be {domain.shape}")
+        self.volume_fractions = volume_fractions
+        for name in SAMPLER_FIELDS:
+            setattr(self, name, np.zeros(n_bins))
+        self._steps = 0
+
+    @property
+    def steps(self) -> int:
+        return self._steps
+
+    def reset(self) -> None:
+        """Discard accumulated statistics (e.g. at end of transient)."""
+        for name in SAMPLER_FIELDS:
+            getattr(self, name)[:] = 0.0
+        self._steps = 0
+
+    def _accumulate(
+        self, particles: ParticleArrays, key: np.ndarray, span: int = 1
+    ) -> None:
+        """Add one snapshot: particle ``i`` goes to bin ``key[i] // span``.
+
+        The one spelling of the moment sums.  ``np.bincount`` sums each
+        bin in particle order and the squares are added left to right,
+        so the energy sums are float-for-float ``bincount(key, u**2 +
+        v**2 + w**2)`` and ``bincount(key, (rot**2).sum(axis=1))``.
+
+        Passes over the population that remain: the count ``bincount``
+        (its range scan is the bounds check; an out-of-range key
+        accumulates nothing), one weighted ``bincount`` per moment and
+        one square-and-add per velocity component through two N-float
+        buffers of ``particles.scratch``; a span adds one divide into a
+        pooled key.  Nothing per particle is allocated with scratch on.
+        """
+        n = particles.n
+        n_bins = self._count.shape[0]
+        if key.shape[0] != n:
+            raise ConfigurationError("key must have one entry per particle")
+        scratch = particles.scratch
+        if span > 1:
+            key = np.floor_divide(
+                key, span, out=pooled(scratch, "moment_key", n, key.dtype)
+            )
+        try:
+            self._count += np.bincount(key, minlength=n_bins)
+        except (ValueError, MemoryError):  # negative, or bins past the last
+            raise ConfigurationError("particle cell key out of range") from None
+        sq = pooled(scratch, "moment_sq", n)
+        tmp = pooled(scratch, "moment_tmp", n)
+
+        def add(name: str, weights: np.ndarray) -> None:
+            acc = getattr(self, name)
+            acc += np.bincount(key, weights=weights, minlength=n_bins)
+
+        add("_mu", particles.u)
+        add("_mv", particles.v)
+        add("_mw", particles.w)
+        velocity = (particles.u, particles.v, particles.w)
+        add("_e_trans", _squared_norm(velocity, sq, tmp))
+        if particles.rot.size:
+            add("_e_rot", _squared_norm(particles.rot.T, sq, tmp))
+        self._steps += 1
+
+
+class CellSampler(MomentSums):
     """Accumulates per-cell moments over time steps.
 
     Parameters
@@ -45,68 +131,21 @@ class CellSampler:
         self, domain: Domain, volume_fractions: Optional[np.ndarray] = None
     ) -> None:
         footprint = domain.xy_domain()
+        super().__init__(domain, footprint.n_cells, volume_fractions)
         #: Cells per footprint column (1 without a span).
         self._span = domain.n_cells // footprint.n_cells
         if volume_fractions is not None:
-            volume_fractions = np.asarray(volume_fractions, dtype=np.float64)
-            if volume_fractions.shape != domain.shape:
-                raise ConfigurationError(
-                    f"volume_fractions must be {domain.shape}"
-                )
             # A body cuts every z-slab alike: keep the footprint's.
-            volume_fractions = volume_fractions.reshape(
+            self.volume_fractions = self.volume_fractions.reshape(
                 *footprint.shape, -1
             )[..., 0]
         self.domain = footprint
-        self.volume_fractions = volume_fractions
-        n = footprint.n_cells
-        self._count = np.zeros(n)
-        self._mu = np.zeros(n)
-        self._mv = np.zeros(n)
-        self._mw = np.zeros(n)
-        self._e_trans = np.zeros(n)  # sum of c.c
-        self._e_rot = np.zeros(n)    # sum of r.r
-        self._steps = 0
-
-    # -- accumulation -----------------------------------------------------
 
     def accumulate(self, particles: ParticleArrays) -> None:
         """Add one snapshot of the population to the averages."""
-        n_cells = self.domain.n_cells
-        cell = particles.cell
-        if self._span > 1:
-            cell = cell // self._span
-        if cell.size and (cell.min() < 0 or cell.max() >= n_cells):
-            raise ConfigurationError("particle cell index out of range")
-        self._count += np.bincount(cell, minlength=n_cells)
-        self._mu += np.bincount(cell, weights=particles.u, minlength=n_cells)
-        self._mv += np.bincount(cell, weights=particles.v, minlength=n_cells)
-        self._mw += np.bincount(cell, weights=particles.w, minlength=n_cells)
-        csq = particles.u**2 + particles.v**2 + particles.w**2
-        self._e_trans += np.bincount(cell, weights=csq, minlength=n_cells)
-        if particles.rot.size:
-            rsq = (particles.rot**2).sum(axis=1)
-            self._e_rot += np.bincount(cell, weights=rsq, minlength=n_cells)
-        self._steps += 1
-
-    def reset(self) -> None:
-        """Discard accumulated statistics (e.g. at end of transient)."""
-        for arr in (
-            self._count,
-            self._mu,
-            self._mv,
-            self._mw,
-            self._e_trans,
-            self._e_rot,
-        ):
-            arr[:] = 0.0
-        self._steps = 0
+        self._accumulate(particles, particles.cell, self._span)
 
     # -- derived fields ---------------------------------------------------------
-
-    @property
-    def steps(self) -> int:
-        return self._steps
 
     def _require_data(self) -> None:
         if self._steps == 0:
@@ -179,12 +218,7 @@ class CellSampler:
         )
 
 
-#: Accumulator attribute names shared by :class:`CellSampler` and
-#: :class:`EnsembleSampler` (one flat float64 array each).
-SAMPLER_FIELDS = ("_count", "_mu", "_mv", "_mw", "_e_trans", "_e_rot")
-
-
-class EnsembleSampler:
+class EnsembleSampler(MomentSums):
     """Per-replica cell moments over a replica-blocked population.
 
     The ensemble engine steps R replicas as one wide population; this
@@ -210,21 +244,9 @@ class EnsembleSampler:
             raise ConfigurationError("n_replicas must be >= 1")
         self.domain = domain
         self.n_replicas = int(n_replicas)
-        if volume_fractions is not None:
-            volume_fractions = np.asarray(volume_fractions, dtype=np.float64)
-            if volume_fractions.shape != domain.shape:
-                raise ConfigurationError(
-                    f"volume_fractions must be {domain.shape}"
-                )
-        self.volume_fractions = volume_fractions
-        m = domain.n_cells * self.n_replicas
-        for name in SAMPLER_FIELDS:
-            setattr(self, name, np.zeros(m))
-        self._steps = 0
-
-    @property
-    def steps(self) -> int:
-        return self._steps
+        super().__init__(
+            domain, domain.n_cells * self.n_replicas, volume_fractions
+        )
 
     def accumulate(self, particles: ParticleArrays, key: np.ndarray) -> None:
         """Add one snapshot, keyed by the composite replica-cell index.
@@ -232,27 +254,7 @@ class EnsembleSampler:
         ``key`` is ``block_position * n_cells + cell`` per particle
         (see :func:`repro.core.sortstep.blocked_cell_key`).
         """
-        m = self.domain.n_cells * self.n_replicas
-        if key.shape[0] != particles.n:
-            raise ConfigurationError("key must have one entry per particle")
-        if key.size and (key.min() < 0 or key.max() >= m):
-            raise ConfigurationError("composite cell key out of range")
-        self._count += np.bincount(key, minlength=m)
-        self._mu += np.bincount(key, weights=particles.u, minlength=m)
-        self._mv += np.bincount(key, weights=particles.v, minlength=m)
-        self._mw += np.bincount(key, weights=particles.w, minlength=m)
-        csq = particles.u**2 + particles.v**2 + particles.w**2
-        self._e_trans += np.bincount(key, weights=csq, minlength=m)
-        if particles.rot.size:
-            rsq = (particles.rot**2).sum(axis=1)
-            self._e_rot += np.bincount(key, weights=rsq, minlength=m)
-        self._steps += 1
-
-    def reset(self) -> None:
-        """Discard accumulated statistics (e.g. at end of transient)."""
-        for name in SAMPLER_FIELDS:
-            getattr(self, name)[:] = 0.0
-        self._steps = 0
+        self._accumulate(particles, key)
 
     def replica(self, r: int) -> CellSampler:
         """Replica ``r``'s accumulators as a standalone CellSampler."""

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.particles import COLUMN_NAMES
+from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.errors import InvariantViolationError
 
 #: Columns whose values must be finite after every step.
@@ -401,14 +401,4 @@ class InvariantAuditor:
 
     @staticmethod
     def _total_energy(views: List[Dict[str, np.ndarray]]) -> float:
-        total = 0.0
-        for v in views:
-            u, w_, vv, rot = v["u"], v["w"], v["v"], v["rot"]
-            total += 0.5 * (
-                float(np.dot(u, u))
-                + float(np.dot(vv, vv))
-                + float(np.dot(w_, w_))
-            )
-            if rot.size:
-                total += 0.5 * float((rot * rot).sum())
-        return total
+        return sum(ParticleArrays(**v).total_energy() for v in views)

@@ -102,6 +102,53 @@ class TestCollisionStageSpelledOnce:
         )
 
 
+#: What a forked shard worker executes.  One BLAS call in there wakes an
+#: OpenBLAS thread pool per worker, and an unpinned ``--workers 2`` run
+#: then steps ~3x slower than a pinned one; the population's reductions
+#: (``sum_of_squares``) and the moment kernel are spelled without it.
+WORKER_PACKAGES = ("core", "parallel", "ensemble", "resilience")
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def _short_axis_sums(tree):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sum"
+        ):
+            for kw in node.keywords:
+                if kw.arg == "axis" and ast.unparse(kw.value) in ("1", "-1"):
+                    yield node.lineno
+
+
+class TestMeasurementSpelledWithoutBlas:
+    @pytest.mark.parametrize(
+        "path",
+        sorted(
+            p for pkg in WORKER_PACKAGES for p in (SRC_ROOT / pkg).rglob("*.py")
+        ),
+        ids=lambda p: str(p.relative_to(SRC_ROOT)),
+    )
+    def test_worker_module_makes_no_blas_call(self, path):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                found.append((node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                found.append((node.lineno, node.attr))
+        assert not found, f"{path.name} reaches for BLAS: {found}"
+
+    def test_sampling_has_no_short_axis_reduction(self):
+        import repro.core.sampling as sampling
+
+        tree = ast.parse(pathlib.Path(sampling.__file__).read_text())
+        assert not list(_short_axis_sums(tree))
+        # The detector does see the spelling it guards against.
+        old = ast.parse("rsq = (particles.rot**2).sum(axis=1)")
+        assert list(_short_axis_sums(old)) == [1]
+
+
 class TestThreeDrivers:
     """The step loop has three drivers; the 3-D slab is a domain."""
 

@@ -5,9 +5,11 @@ import pytest
 
 from repro.core.cells import assign_cells
 from repro.core.particles import ParticleArrays
-from repro.core.sampling import CellSampler
+from repro.core.sampling import SAMPLER_FIELDS, CellSampler, EnsembleSampler
+from repro.core.sortstep import blocked_cell_key
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
+from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 
@@ -148,3 +150,110 @@ class TestMoments:
         s.accumulate(pop)
         dens = s.number_density()
         assert np.isfinite(dens).all()
+
+
+def _old_spelling(sums, particles, key, n_bins):
+    """The accumulate body both samplers carried before the shared
+    kernel: allocating squares, the short-axis ``sum(axis=1)``.  Kept
+    as the in-test oracle the kernel must match bit for bit."""
+    sums["_count"] += np.bincount(key, minlength=n_bins)
+    sums["_mu"] += np.bincount(key, weights=particles.u, minlength=n_bins)
+    sums["_mv"] += np.bincount(key, weights=particles.v, minlength=n_bins)
+    sums["_mw"] += np.bincount(key, weights=particles.w, minlength=n_bins)
+    csq = particles.u**2 + particles.v**2 + particles.w**2
+    sums["_e_trans"] += np.bincount(key, weights=csq, minlength=n_bins)
+    if particles.rot.size:
+        rsq = (particles.rot**2).sum(axis=1)
+        sums["_e_rot"] += np.bincount(key, weights=rsq, minlength=n_bins)
+
+
+def _population(seed, n, fs, domain, rotational_dof, scratch):
+    rng = np.random.default_rng(seed)
+    pop = ParticleArrays.from_freestream(
+        rng, n, fs, (0, domain.nx), (0, domain.ny),
+        rotational_dof=rotational_dof,
+    )
+    if domain.has_span:
+        pop.z = rng.uniform(0.0, domain.depth, size=n)
+    if scratch:
+        pop.enable_scratch()
+    assign_cells(pop, domain)
+    return pop
+
+
+def _assert_fields_equal(sampler, sums):
+    for name in SAMPLER_FIELDS:
+        assert np.array_equal(getattr(sampler, name), sums[name]), name
+
+
+class TestMomentKernelMatchesOldSpelling:
+    @pytest.mark.parametrize("n", [0, 1500])
+    @pytest.mark.parametrize("scratch", [False, True])
+    @pytest.mark.parametrize(
+        "domain", [Domain(10, 8), Domain3D(10, 8, 4)], ids=["2d", "span"]
+    )
+    @pytest.mark.parametrize("rotational_dof", [0, 2, 3])
+    def test_cell_sampler_is_bitwise_the_old_spelling(
+        self, fs, rotational_dof, domain, scratch, n
+    ):
+        footprint = domain.xy_domain()
+        span = domain.n_cells // footprint.n_cells
+        s = CellSampler(domain)
+        sums = {f: np.zeros(footprint.n_cells) for f in SAMPLER_FIELDS}
+        # Three snapshots of different sizes: the pooled buffers are
+        # reused, regrown and re-sliced between them.
+        for step, size in enumerate((n, n // 3, 2 * n)):
+            pop = _population(step, size, fs, domain, rotational_dof, scratch)
+            s.accumulate(pop)
+            _old_spelling(sums, pop, pop.cell // span, footprint.n_cells)
+        assert s.steps == 3
+        _assert_fields_equal(s, sums)
+
+    @pytest.mark.parametrize("rotational_dof", [0, 2, 3])
+    def test_ensemble_replica_is_a_solo_sampler_on_its_block(
+        self, fs, rotational_dof
+    ):
+        d = Domain(10, 8)
+        sizes = (400, 0, 650)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        ens = EnsembleSampler(d, len(sizes))
+        solos = [CellSampler(d) for _ in sizes]
+        sums = {f: np.zeros(d.n_cells * len(sizes)) for f in SAMPLER_FIELDS}
+        for step in range(2):
+            pop = _population(
+                step, int(starts[-1]), fs, d, rotational_dof, scratch=True
+            )
+            key = blocked_cell_key(pop.cell, starts, d.n_cells)
+            ens.accumulate(pop, key)
+            _old_spelling(sums, pop, key, d.n_cells * len(sizes))
+            for r, solo in enumerate(solos):
+                solo.accumulate(pop.select(slice(starts[r], starts[r + 1])))
+        _assert_fields_equal(ens, sums)
+        for r, solo in enumerate(solos):
+            rep = ens.replica(r)
+            assert rep.steps == solo.steps == 2
+            for name in SAMPLER_FIELDS:
+                assert np.array_equal(getattr(rep, name), getattr(solo, name))
+
+    @pytest.mark.parametrize("bad", [-1, 80, 10**6, 10**15])
+    @pytest.mark.parametrize(
+        "domain", [Domain(10, 8), Domain3D(10, 8, 4)], ids=["2d", "span"]
+    )
+    def test_out_of_range_key_accumulates_nothing(self, fs, domain, bad):
+        # ``bad`` is a footprint bin: below the first, one past the
+        # last (80 cells), far past it, and too far to even allocate.
+        pop = _population(0, 200, fs, domain, 2, scratch=True)
+        s = CellSampler(domain)
+        s.accumulate(pop)
+        before = {f: getattr(s, f).copy() for f in SAMPLER_FIELDS}
+        pop.cell[7] = bad * (domain.n_cells // domain.xy_domain().n_cells)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            s.accumulate(pop)
+        assert s.steps == 1
+        _assert_fields_equal(s, before)
+
+    def test_ensemble_key_length_checked(self, fs):
+        d = Domain(10, 8)
+        pop = _population(0, 50, fs, d, 2, scratch=False)
+        with pytest.raises(ConfigurationError, match="one entry per particle"):
+            EnsembleSampler(d, 2).accumulate(pop, pop.cell[:-1])
