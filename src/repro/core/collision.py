@@ -211,7 +211,10 @@ def _resolve_signs(blocks, signs, m: int, k: int, scratch=None) -> np.ndarray:
     for rng, e0, e1 in blocks:
         if rng is None:
             raise ConfigurationError("need rng or explicit signs")
-        signs[e0:e1] = random_signs(rng, (e1 - e0, k))
+        signs[e0:e1] = rng.integers(0, 2, size=(e1 - e0, k), dtype=np.int8)
+    # {0, 1} -> {-1, +1}, once for all blocks (repro.rng.random_signs).
+    signs *= 2
+    signs -= 1
     return signs
 
 
@@ -247,20 +250,23 @@ def _freeze_internal(h, h_new, blocks, probability: float) -> None:
     themselves (uniform 3-permutation) with fresh signs, its internal
     components untouched.
     """
+    frozen = np.empty(h.shape[0], dtype=bool)
+    keys, signs = [], []
     for rng, e0, e1 in blocks:
         if rng is None:
             raise ConfigurationError(
                 "internal_exchange_probability < 1 requires rng"
             )
-        hb, hb_new = h[e0:e1], h_new[e0:e1]
-        frozen = rng.random(e1 - e0) >= probability
-        if np.any(frozen):
-            nf = int(np.count_nonzero(frozen))
-            trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
-            h_trans = hb[frozen][:, :3][np.arange(nf)[:, None], trans_perm]
-            h_trans *= random_signs(rng, (nf, 3))
-            hb_new[frozen, :3] = h_trans
-            hb_new[frozen, 3:] = hb[frozen, 3:]
+        frozen[e0:e1] = rng.random(e1 - e0) >= probability
+        nf = int(np.count_nonzero(frozen[e0:e1]))
+        keys.append(rng.random((nf, 3)))
+        signs.append(random_signs(rng, (nf, 3)))
+    rows = np.flatnonzero(frozen)
+    trans_perm = np.argsort(np.concatenate(keys), axis=1)
+    h_trans = h[rows][:, :3][np.arange(rows.shape[0])[:, None], trans_perm]
+    h_trans *= np.concatenate(signs)
+    h_new[rows, :3] = h_trans
+    h_new[rows, 3:] = h[rows, 3:]
 
 
 def _gather(col: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
@@ -402,6 +408,7 @@ def collide_adjacent_pairs(
     signs: Optional[np.ndarray] = None,
     transpositions: Optional[np.ndarray] = None,
     internal_exchange_probability: float = 1.0,
+    edges=None,
 ) -> CollisionStats:
     """Collide pairs of *adjacent* rows ``(2i, 2i+1)``, in place.
 
@@ -411,9 +418,12 @@ def collide_adjacent_pairs(
     collide (the reservoir mix after an in-place re-pairing shuffle),
     which needs no gathers or scatters at all -- the kernel reads and
     writes the two interleaved partner sets through strided views.
+    ``rng`` is one generator per block of pairs, ``edges`` the block
+    boundaries in pair index (default: one block) -- several reservoirs
+    staged back to back mix in one call.
 
-    Physics and RNG consumption identical to :func:`collide_pairs`;
-    the equivalence is pinned by a unit test.
+    Physics and, per block, RNG consumption identical to
+    :func:`collide_pairs`; the equivalence is pinned by a unit test.
     """
     if pair_index is None:
         m = particles.n // 2
@@ -426,8 +436,8 @@ def collide_adjacent_pairs(
         np.multiply(pair_index, 2, out=a)
         np.add(a, 1, out=b)
     return _collide(
-        particles, m, a, b, None, rng, (0, m), signs, transpositions,
-        internal_exchange_probability,
+        particles, m, a, b, None, rng, (0, m) if edges is None else edges,
+        signs, transpositions, internal_exchange_probability,
     )
 
 

@@ -152,28 +152,37 @@ def reflection_slots(m: int, s: int) -> list:
     return out
 
 
-def reflection_offsets(rng, counts: np.ndarray) -> np.ndarray:
+def block_cell_edges(n_blocks: int, n_cells_total: int) -> np.ndarray:
+    """Cell boundaries of ``n_blocks`` equal blocks laid back to back."""
+    if n_cells_total % n_blocks:
+        raise ConfigurationError(
+            f"{n_cells_total} cells do not split into "
+            f"{n_blocks} equal blocks"
+        )
+    return np.arange(n_blocks + 1) * (n_cells_total // n_blocks)
+
+
+def reflection_offsets(rng, counts: np.ndarray, edges=None) -> np.ndarray:
     """One reflection offset per cell, uniform over its occupancy.
 
     The pairing's whole RNG contract: exactly one ``integers`` call per
-    block over that block's cells (empty cells draw against a bound of
-    1), so a stream's position afterwards depends only on its block's
-    per-cell ``counts``, never on how the population came to be laid
-    out.  ``rng`` is one generator per block
+    block over that block's cells.  A bound of 1 (a cell of fewer than
+    two) returns 0 *without consuming the stream* -- pinned in
+    ``tests/unit/test_rng.py`` -- so a stream's position afterwards
+    depends only on its block's pairable cells, never on how the
+    population came to be laid out nor on whether the caller dropped
+    the other cells.  ``rng`` is one generator per block
     (:func:`repro.rng.block_streams`); ``counts`` spans the blocks'
-    cells back to back, equally many each.
+    cells back to back: equally many each, or split at ``edges``.
     """
     streams = block_streams(rng)
-    if counts.shape[0] % len(streams):
-        raise ConfigurationError(
-            f"{counts.shape[0]} cells do not split into "
-            f"{len(streams)} equal blocks"
-        )
-    bound = np.maximum(counts, 1).reshape(len(streams), -1)
+    if edges is None:
+        edges = block_cell_edges(len(streams), counts.shape[0])
+    bound = np.maximum(counts, 1)
     s = np.empty_like(bound)
-    for stream, hi, out in zip(streams, bound, s):
-        out[:] = stream.integers(0, hi)
-    return s.reshape(-1)
+    for stream, c0, c1 in zip(streams, edges[:-1], edges[1:]):
+        s[c0:c1] = stream.integers(0, bound[c0:c1])
+    return s
 
 
 def reflection_pairs(
@@ -183,6 +192,7 @@ def reflection_pairs(
     s: np.ndarray,
     scratch=None,
     subset: np.ndarray = None,
+    starts: np.ndarray = None,
 ) -> ReflectionPairs:
     """Randomized same-cell pairing over a canonical indexed order.
 
@@ -204,6 +214,10 @@ def reflection_pairs(
     the full result at ``subset`` -- which is how the selection rule
     pairs only what collides when acceptance does not depend on the
     partners (:func:`repro.core.selection.fused_select_collide`).
+    ``starts`` is each cell's first pair id, if the caller holds it.
+    The per-cell inputs are only indexed by a pair's cell, so any
+    subsequence of the cells that keeps every pairable one is as valid
+    (the result's ``cell`` then indexes that subsequence).
 
     Returns particle-row pairs gathered through ``order``; ``scratch``
     backs the returned arrays and every per-pair intermediate.
@@ -229,7 +243,7 @@ def reflection_pairs(
     # The one P-sized expansion (np.repeat has no out=; transient): the
     # cell of every pair id.  All other passes are over the requested
     # pairs only, in pooled buffers.
-    all_cells = np.repeat(np.arange(n_cells, dtype=np.int64), pair_counts)
+    all_cells = np.repeat(pooled_arange(scratch, n_cells), pair_counts)
     if subset is None:
         pair_cell[:] = all_cells
         ids = pooled_arange(scratch, n_out)
@@ -238,9 +252,10 @@ def reflection_pairs(
         ids = subset
     np.take(counts, pair_cell, out=m, mode="clip")
     np.take(s, pair_cell, out=sp, mode="clip")
+    if starts is None:
+        starts = np.cumsum(pair_counts) - pair_counts
     kk = work  # the pair's rank inside its cell
-    np.take(np.cumsum(pair_counts) - pair_counts, pair_cell, out=kk,
-            mode="clip")
+    np.take(starts, pair_cell, out=kk, mode="clip")
     np.subtract(ids, kk, out=kk)
     # Slots q - kk - 1 + odd and q + 1 + kk (q = s >> 1, odd = s & 1),
     # the second pre-shifted by -m so that both sit in (-m, m).

@@ -29,11 +29,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.collision import collide_adjacent_pairs, collide_pairs
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, pooled, pooled_arange
 from repro.errors import ConfigurationError
 from repro.physics.distributions import sample_rectangular
 from repro.physics.freestream import Freestream
-from repro.rng import random_permutation_table
+from repro.rng import block_streams, random_permutation_table
+
+#: What a collision reads and writes -- a reservoir's other columns are
+#: placeholders.
+MIXED_COLUMNS = ("u", "v", "w", "rot", "perm")
 
 
 class Reservoir:
@@ -128,34 +132,87 @@ class Reservoir:
 
     # -- relaxation -----------------------------------------------------------
 
-    def mix(self, rng: np.random.Generator, rounds: int = 1) -> int:
+    def mix(self, rng, rounds: int = 1, peers=()) -> int:
         """Collide the reservoir against itself for ``rounds`` steps.
 
         Every round randomly re-pairs the population and collides every
         pair (the reservoir is one conceptual cell at freestream density
         where candidates always collide).  Returns collisions performed.
+
+        ``peers`` are further reservoirs mixed by the same call (the
+        ensemble's replicas), ``rng`` then one generator per reservoir,
+        this one's first.  Each shuffles and draws from its own stream,
+        bitwise as a call on it alone would; only the collision
+        arithmetic is shared -- the pairs of all are staged back to back
+        and collide as the blocks of one kernel call.
         """
+        tanks = (self, *peers)
+        streams = block_streams(rng)
+        if len(streams) != len(tanks):
+            raise ConfigurationError(
+                f"{len(streams)} streams for {len(tanks)} reservoirs"
+            )
+        all_pooled = all(t.particles.scratch is not None for t in tanks)
+        if peers and not all_pooled:
+            raise ConfigurationError("mixing with peers requires scratch")
         total = 0
-        parts = self.particles
         for _ in range(rounds):
-            n = self.size
-            if n < 2:
-                break
-            if parts.scratch is not None:
+            if all_pooled:
                 # Physically shuffle once (ping-pong reorder), then the
                 # adjacent-pair kernel collides every (2i, 2i+1) block
                 # with zero gathers -- same pairing distribution as
                 # colliding (order[2i], order[2i+1]) in place.
-                parts.reorder_inplace(
-                    parts.scratch.permutation(n, rng),
-                    columns=("u", "v", "w", "rot", "perm"),
-                )
-                stats = collide_adjacent_pairs(parts, rng=rng)
+                edges = [0]
+                for tank, stream in zip(tanks, streams):
+                    n = tank.size
+                    if n >= 2:
+                        tank.particles.reorder_inplace(
+                            tank.particles.scratch.permutation(n, stream),
+                            columns=MIXED_COLUMNS,
+                        )
+                    edges.append(edges[-1] + n // 2)
+                # Alone, collide in place; with peers, in staged rows.
+                pool = self._staged(2 * edges[-1]) if peers else self.particles
+                staged = tanks if peers else ()
+                _copy_pairs(staged, edges, pool, back=False)
+                stats = collide_adjacent_pairs(pool, rng=streams, edges=edges)
+                _copy_pairs(staged, edges, pool, back=True)
             else:
-                order = rng.permutation(n)
+                n = self.size
+                if n < 2:
+                    break
+                order = streams[0].permutation(n)
                 n_pairs = n // 2
                 first = order[0 : 2 * n_pairs : 2]
                 second = order[1 : 2 * n_pairs : 2]
-                stats = collide_pairs(parts, first, second, rng=rng)
+                stats = collide_pairs(
+                    self.particles, first, second, rng=streams[0]
+                )
             total += stats.n_collisions
         return total
+
+    def _staged(self, n: int) -> ParticleArrays:
+        """``n`` pooled rows to collide in (the positional columns, a
+        reservoir's placeholders, alias ``u``)."""
+        scratch, rdof = self.particles.scratch, self.rotational_dof
+        u, v, w = pooled(scratch, "mix_uvw", 3 * n).reshape(3, n)
+        pool = ParticleArrays(
+            x=u, y=u, z=u, u=u, v=v, w=w, cell=pooled_arange(scratch, n),
+            rot=pooled(scratch, "mix_rot", n, width=rdof),
+            perm=pooled(scratch, "mix_perm", n, np.int8, width=3 + rdof),
+        )
+        pool.scratch = scratch
+        return pool
+
+
+def _copy_pairs(tanks, edges, pool: ParticleArrays, back: bool) -> None:
+    """Copy the first ``2 * (n_r // 2)`` rows of every reservoir ``r`` to
+    block ``r`` of ``pool`` (even lengths keep the pairs adjacent), or back."""
+    for name in MIXED_COLUMNS:
+        staged = getattr(pool, name)
+        for tank, e0, e1 in zip(tanks, edges[:-1], edges[1:]):
+            own = getattr(tank.particles, name)[: 2 * (e1 - e0)]
+            if back:
+                own[...] = staged[2 * e0 : 2 * e1]
+            else:
+                staged[2 * e0 : 2 * e1] = own

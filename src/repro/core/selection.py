@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.collision import collide_rows_with_velocities
 from repro.core.pairing import (
     CandidatePairs,
+    block_cell_edges,
     reflection_offsets,
     reflection_pairs,
 )
@@ -121,9 +122,7 @@ def density_lookup_table(
     """Per-cell density table for the selection rule's pair gather.
 
     Divides the cell populations by the (floored) open volume fraction
-    -- the cut-cell allowance of eq. (7)/(8).  ``cell_counts`` may
-    carry leading block axes: the fractions broadcast over them (every
-    block shares the geometry).
+    -- the cut-cell allowance of eq. (7)/(8).
     """
     counts = np.asarray(cell_counts, dtype=np.float64)
     if volume_fractions is not None:
@@ -300,11 +299,12 @@ def fused_select_collide(
 
     RNG consumption order is the same either way, and the same as
     ``reflection_pairs`` + ``select_collisions`` + ``collide_pairs``:
-    reflection offsets (one per cell), acceptance draws (one per formed
-    pair), collision signs, the optional internal-exchange draws, the
-    permutation-refresh transpositions.  A seeded generator therefore
-    leaves bitwise the state of that unfused reference -- pinned by
-    unit and stage-level tests.
+    reflection offsets (one per cell; the kernel skips the cells that
+    cannot pair, whose draw consumes nothing), acceptance draws (one
+    per formed pair), collision signs, the optional internal-exchange
+    draws, the permutation-refresh transpositions.  A seeded generator
+    therefore leaves bitwise the state of that unfused reference --
+    pinned by unit and stage-level tests.
     """
     if rng is None:
         raise ConfigurationError("fused_select_collide requires rng")
@@ -313,26 +313,37 @@ def fused_select_collide(
     needs_speed = (
         not freestream.is_near_continuum and model.speed_exponent != 0.0
     )
-    s = reflection_offsets(streams, counts)
-    by_block = (len(streams), -1)
+    # Only a cell of two or more can pair: every per-cell pass below
+    # (offset draw, probability table, expansion to pair ids) sees those
+    # cells alone.  ``live`` ascends, so blocks stay contiguous in it.
+    block_edges = block_cell_edges(len(streams), counts.shape[0])
+    live = np.flatnonzero(counts > 1)
+    cell_edges = np.searchsorted(live, block_edges)
+    counts, offsets = counts[live], offsets[live]
+    s = reflection_offsets(streams, counts, edges=cell_edges)
     pair_counts = counts >> 1
-    # Block b owns pair ids pair_edges[b]:pair_edges[b + 1].
-    pair_edges = np.zeros(len(streams) + 1, dtype=np.int64)
-    np.cumsum(pair_counts.reshape(by_block).sum(axis=1), out=pair_edges[1:])
-    n_pairs = int(pair_edges[-1])
+    # Cell i of ``live`` owns pair ids pair_starts[i]:pair_starts[i + 1],
+    # block b pair ids pair_edges[b]:pair_edges[b + 1].
+    pair_starts = pooled(scratch, "fs_starts", live.shape[0] + 1, np.int64)
+    pair_starts[0] = 0
+    np.cumsum(pair_counts, out=pair_starts[1:])
+    pair_edges = pair_starts[cell_edges]
+    n_pairs = int(pair_starts[-1])
 
     if freestream.is_near_continuum:
         # The lambda -> 0 validation limit: every candidate collides.
         prob = None
     else:
-        # Per-cell first (n_cells entries), then one expansion per
-        # pair -- not a division per pair.
-        cell_prob = density_lookup_table(
-            counts.reshape(by_block), volume_fractions
-        ).reshape(-1) * (freestream.collision_probability / freestream.density)
+        # Per-cell first, then one expansion per pair -- not a division
+        # per pair.  Blocks share the geometry: composite cell c has
+        # the open fraction of cell c mod n_cells.
+        if volume_fractions is not None:
+            volume_fractions = volume_fractions[live % block_edges[1]]
+        cell_prob = density_lookup_table(counts, volume_fractions)
+        cell_prob *= freestream.collision_probability / freestream.density
         if needs_speed:
             rpairs = reflection_pairs(
-                order, counts, offsets, s=s, scratch=scratch
+                order, counts, offsets, s, scratch, starts=pair_starts
             )
             prob = pooled(scratch, "fs_prob", n_pairs)
             np.take(cell_prob, rpairs.cell, out=prob, mode="clip")
@@ -367,7 +378,8 @@ def fused_select_collide(
         np.take(rpairs.second, accepted, out=b_rows, mode="clip")
     else:
         rpairs = reflection_pairs(
-            order, counts, offsets, s=s, scratch=scratch, subset=accepted
+            order, counts, offsets, s, scratch,
+            subset=accepted, starts=pair_starts,
         )
         a_rows, b_rows = rpairs.first, rpairs.second
     t_boundary = time.perf_counter()

@@ -36,7 +36,8 @@ Philox streams ``shard_stream(seed, 0, step, replica=rid)`` -- a pure
 function of the key, never advanced across steps.  Within a step every
 replica's draws happen in a fixed order (boundary deposits/refills
 here; pairing offsets, acceptance, collision signs, transpositions in
-the shared kernel, per block; reservoir mix here) from its own stream,
+the shared kernel, per block; the reservoir mix's shuffle, signs and
+transpositions in :meth:`Reservoir.mix`, per block) from its own stream,
 and all batched arithmetic is elementwise or block-local, so replica
 ``r`` of a batched run is **bitwise identical** to a solo engine run
 (``R = 1``) keyed for ``r`` -- asserted by
@@ -286,15 +287,15 @@ class EnsembleEngine:
         )
         perf.record_spans(stage.spans())
 
-        # Side work: each replica's reservoir Gaussianizes itself (the
-        # mix shuffles and collides within one reservoir -- inherently
-        # per-replica, and far smaller than the flow).
+        # Side work: every replica's reservoir Gaussianizes itself --
+        # each shuffled from its own stream, all collided as the R
+        # blocks of one kernel call.
         if cfg.reservoir_mix_rounds:
             with perf.phase("reservoir"):
-                for r, st in enumerate(streams):
-                    self.reservoirs[r].mix(
-                        st, rounds=cfg.reservoir_mix_rounds
-                    )
+                self.reservoirs[0].mix(
+                    streams, cfg.reservoir_mix_rounds,
+                    peers=self.reservoirs[1:],
+                )
 
         self.step_count += 1
         if sample:

@@ -76,6 +76,66 @@ class TestBitwiseReplicaEquality:
         assert not np.array_equal(a["flow_u"], b["flow_u"])
 
 
+def _benchmark_config(seed: int = 1989) -> SimulationConfig:
+    """The ``ensemble_r8`` workload: the paper's grid at 0.65 per cell."""
+    return SimulationConfig(
+        domain=Domain(nx=98, ny=64),
+        freestream=Freestream(
+            mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=0.65
+        ),
+        wedge=Wedge(x_leading=20.0, base=25.0, angle_deg=30.0),
+        seed=seed,
+    )
+
+
+class TestBenchmarkRegime:
+    """Under one particle per cell per replica, R = 8.
+
+    Where the benchmark runs and nothing above does: most cells cannot
+    pair, whole replicas may select nothing, and after ~215 steps the
+    reservoirs run dry -- sizes 0, 1, 2 side by side in one blocked mix,
+    and refills that mint particles.
+    """
+
+    #: Past the first dry-reservoir refills (steps 216 and 225).
+    STEPS, SAMPLED = 228, 6
+
+    @pytest.fixture(scope="class")
+    def straight(self):
+        """The uninterrupted run, with what it crossed on the way."""
+        eng = EnsembleEngine(_benchmark_config(), n_replicas=8)
+        crossed = {"refills": 0, "dry": 0}
+        for i in range(self.STEPS):
+            diag = eng.step(sample=i >= self.STEPS - self.SAMPLED)
+            crossed["refills"] += diag.boundary.plunger_reset
+            crossed["dry"] += min(diag.n_reservoir) == 0
+        return eng, crossed
+
+    def test_schedule_crosses_refills_and_dry_reservoirs(self, straight):
+        eng, crossed = straight
+        assert crossed["refills"] >= 20 and crossed["dry"] >= 2
+        per_cell = eng.particles.n / (8 * 98 * 64)
+        assert 0.5 < per_cell < 0.8
+
+    def test_batched_matches_solo(self):
+        verify_replica_equality(
+            _benchmark_config(), n_replicas=8,
+            transient=self.STEPS - self.SAMPLED, average=self.SAMPLED,
+        )
+
+    def test_snapshot_resumes_bitwise(self, straight, tmp_path):
+        eng = EnsembleEngine(_benchmark_config(), n_replicas=8)
+        eng.run(212)  # before the first reservoir runs dry
+        save_ensemble(eng, tmp_path / "ens.npz")
+        resumed = load_ensemble(tmp_path / "ens.npz")
+        resumed.run(self.STEPS - self.SAMPLED - 212)
+        resumed.run(self.SAMPLED, sample=True)
+        for r in range(8):
+            want, got = replica_state(straight[0], r), replica_state(resumed, r)
+            for key in want:
+                assert np.array_equal(want[key], got[key]), (r, key)
+
+
 class TestEngineRestrictions:
     def test_diffuse_wall_rejected(self):
         with pytest.raises(ConfigurationError):

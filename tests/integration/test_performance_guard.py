@@ -15,8 +15,10 @@ The hot-path engine adds two sharper guarantees worth guarding:
   checked directly with tracemalloc.
 """
 
+import cProfile
 import dataclasses
 import gc
+import pstats
 import time
 import tracemalloc
 
@@ -25,10 +27,13 @@ import pytest
 
 from repro.core.collision import collide_rows_with_velocities
 from repro.core.particles import ParticleArrays
+from repro.core.reservoir import Reservoir
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.ensemble import EnsembleEngine
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
+from repro.rng import shard_stream
 
 pytestmark = pytest.mark.perf
 
@@ -198,3 +203,72 @@ class TestThroughput:
         sim = Simulation(cfg)
         assert time.perf_counter() - t0 < 5.0
         assert sim.particles.n > 100_000
+
+
+class TestBlockedStepCostsPerParticle:
+    """What a replica adds to the ensemble step, counted, not timed.
+
+    At 0.65 particles per cell the step is dispatch-bound, so the
+    number of Python-visible calls *is* its cost model.  Inside a
+    blocked kernel only the draws are per block, and only pairable
+    cells are visited; a per-replica loop creeping back into selection,
+    collision or the reservoir mix shows up here as calls per replica.
+    """
+
+    @staticmethod
+    def _calls_per_step(n_replicas, steps=18):
+        eng = EnsembleEngine(
+            _wedge_config(density=0.65, seed=1), n_replicas=n_replicas
+        )
+        eng.run(9)  # one plunger cycle: pools warm
+        profile = cProfile.Profile()
+        profile.enable()
+        eng.run(steps)  # two plunger cycles
+        profile.disable()
+        return pstats.Stats(profile).total_calls / steps
+
+    def test_calls_per_replica_per_step(self):
+        # Deterministic for a seed.  308 with eight Reservoir.mix calls
+        # and every per-cell pass over all R * n_cells composite cells;
+        # 213 with one blocked mix over pairable cells only.  What is
+        # left per replica: its stream, its draws, its deposit / refill
+        # and the blocked surgery's slice copies.
+        per_replica = (self._calls_per_step(8) - self._calls_per_step(1)) / 7
+        assert per_replica <= 234, (
+            f"{per_replica:.0f} calls per replica per step (budget 213 "
+            "+ 10 %): per-block work beyond the draws is back in a "
+            "blocked kernel"
+        )
+
+    def test_warm_blocked_mix_retains_no_memory(self):
+        # The staged rows come from the leading reservoir's scratch
+        # pool: once warm, mixing R reservoirs keeps nothing alive.
+        fs = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=0.65)
+        tanks = []
+        for r in range(8):
+            res = Reservoir(fs)
+            res.deposit(np.random.default_rng(r), 4000 + r)
+            res.particles.enable_scratch()
+            tanks.append(res)
+
+        def mix(step):
+            streams = [shard_stream(1, 0, step, replica=r) for r in range(8)]
+            tanks[0].mix(streams, rounds=2, peers=tanks[1:])
+
+        mix(0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for step in range(1, 5):
+                mix(step)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # The shuffles replace the reservoirs' 40 column views (~4 kB
+        # of array headers); one staged float64 column would be 256 kB.
+        assert grown < 16_384, (
+            f"a warm blocked mix retained {grown} bytes: the staging "
+            "population has left the scratch pool"
+        )

@@ -36,11 +36,12 @@ from repro.core.pairing import (
 from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.core.selection import fused_select_collide, select_collisions
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.core.sortstep import IncrementalSorter
+from repro.core.sortstep import BlockedSorter, IncrementalSorter
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel, hard_sphere
+from repro.rng import shard_stream
 
 
 class TestReflectionSlots:
@@ -239,9 +240,16 @@ class TestIncrementalSorter:
             IncrementalSorter(0)
 
 
-def _split_reference(parts, order, counts, offsets, fs, model, rng, iep=1.0):
+def _split_reference(
+    parts, order, counts, offsets, fs, model, rng, iep=1.0, vf=None
+):
     """Materialise every pair, then select, then collide -- the oracle
-    pipeline the fused kernel must match bitwise on one rng stream."""
+    pipeline the fused kernel must match bitwise on one rng stream.
+
+    The uncompressed per-cell spelling: one offset draw per cell (empty
+    and singleton cells against a bound of 1), a density table over
+    every cell, every pair materialised before any is selected.
+    """
     rp = reflection_pairs(
         order, counts, offsets, reflection_offsets(rng, counts)
     )
@@ -250,7 +258,9 @@ def _split_reference(parts, order, counts, offsets, fs, model, rng, iep=1.0):
         first=rp.first, second=rp.second,
         same_cell=np.ones(rp.n_pairs, dtype=bool), adjacent=False,
     )
-    sel = select_collisions(parts, pairs, fs, model, counts, rng=rng)
+    sel = select_collisions(
+        parts, pairs, fs, model, counts, volume_fractions=vf, rng=rng
+    )
     acc = np.flatnonzero(sel.accept)
     stats = collide_pairs(
         parts, rp.first[acc], rp.second[acc], rng=rng,
@@ -411,6 +421,112 @@ class TestBlockedKernel:
                 MolecularModel(),
                 rng=[np.random.default_rng(b) for b in range(3)],
             )
+
+
+class TestPairableCellsOnly:
+    """The kernel visits pairable cells only; the oracle visits them all.
+
+    ``_split_reference`` run on every block alone, over all of its
+    cells, is the oracle: same rows collided, same collisions per
+    block, same stream position afterwards -- at every occupancy, down
+    to no pairable cell at all and no particle at all.
+    """
+
+    N_CELLS = 96
+    MODELS = {
+        "maxwell": (MolecularModel(), 0.5),
+        "near-continuum": (MolecularModel(), 0.0),
+        "hard-sphere": (hard_sphere(), 0.5),
+    }
+
+    def _cells(self, rng, regime):
+        c = self.N_CELLS
+        if regime == "dense":
+            return rng.integers(0, c, size=40 * c)
+        if regime == "sparse":  # 0.65 per cell: most cells cannot pair
+            return rng.integers(0, c, size=int(0.65 * c))
+        if regime == "unpairable":  # singleton cells only
+            return rng.permutation(c)[: c // 2]
+        return np.empty(0, dtype=np.int64)
+
+    def _population(self, fs, cells, seed):
+        rng = np.random.default_rng(seed)
+        parts = ParticleArrays.from_freestream(
+            rng, cells.shape[0], fs, (0, 10), (0, 10)
+        )
+        parts.cell[:] = cells
+        return parts
+
+    @pytest.mark.parametrize(
+        "regime", ["dense", "sparse", "unpairable", "empty"]
+    )
+    @pytest.mark.parametrize("model_id", MODELS)
+    @pytest.mark.parametrize("layout", ["indexed", "blocked-1", "blocked-3"])
+    def test_kernel_matches_the_per_cell_oracle(
+        self, layout, model_id, regime
+    ):
+        model, lambda_mfp = self.MODELS[model_id]
+        fs = Freestream(
+            mach=4.0, c_mp=0.2, lambda_mfp=lambda_mfp, density=8.0
+        )
+        c = self.N_CELLS
+        rng = np.random.default_rng(21)
+        vf = rng.uniform(0.3, 1.0, c)
+        # blocked-3: the regime's block, an empty block, and a block of
+        # singleton cells only.
+        regimes = (
+            [regime, "empty", "unpairable"]
+            if layout == "blocked-3" else [regime]
+        )
+        blocks = [
+            self._population(fs, self._cells(rng, name), seed=70 + b)
+            for b, name in enumerate(regimes)
+        ]
+        starts = np.concatenate([[0], np.cumsum([b.n for b in blocks])])
+        joint = functools.reduce(ParticleArrays.concatenate, blocks)
+        joint.enable_scratch()
+        if layout == "indexed":
+            sorter = IncrementalSorter(c)
+            sorter.detect(joint)
+        else:
+            sorter = BlockedSorter(c, starts)
+        res = sorter.update(joint)
+        assert res.counts.shape[0] == len(blocks) * c
+
+        def streams():
+            return [
+                shard_stream(1989, 0, 3, replica=b)
+                for b in range(len(blocks))
+            ]
+
+        # The oracle first, on copies of the sorted blocks.
+        want = []
+        for b, stream in enumerate(streams()):
+            rows = slice(starts[b], starts[b + 1])
+            alone = joint.select(rows)
+            counts = res.counts[b * c : (b + 1) * c]
+            _, _, stats = _split_reference(
+                alone, res.order, counts, np.cumsum(counts) - counts,
+                fs, model, stream, vf=vf,
+            )
+            want.append((alone, stats.n_collisions, stream))
+
+        live = streams()
+        fused = fused_select_collide(
+            joint, res.order, res.counts, res.offsets, fs, model,
+            volume_fractions=vf, rng=live,
+        )
+        assert fused.collisions_by_block == tuple(n for _, n, _ in want)
+        assert fused.n_collisions == sum(fused.collisions_by_block)
+        assert fused.n_candidates == int((res.counts // 2).sum())
+        assert (fused.n_collisions > 0) == (regime in ("dense", "sparse"))
+        for b, (alone, _, stream) in enumerate(want):
+            rows = slice(starts[b], starts[b + 1])
+            for col in ("u", "v", "w", "rot", "perm"):
+                assert np.array_equal(
+                    getattr(joint, col)[rows], getattr(alone, col)
+                ), (b, col)
+            assert live[b].random() == stream.random(), b
 
 
 # The removed step-loop forks, spelled in pieces so the repo-wide grep

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.boundary import PlungerState, WindTunnelBoundaries
-from repro.core.particles import ParticleArrays
+from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.physics.distributions import excess_kurtosis
 from repro.physics.freestream import Freestream
+from repro.rng import shard_stream
 
 
 @pytest.fixture
@@ -72,6 +73,73 @@ class TestReservoir:
             res.deposit(rng, -1)
         with pytest.raises(ConfigurationError):
             res.withdraw(rng, -1)
+
+
+class TestBlockedMix:
+    """``mix(peers=...)`` == the R separate mixes it replaced, bitwise.
+
+    The loop of one-reservoir calls is the oracle: every reservoir
+    shuffles and draws from its own stream, so sharing the collision
+    call may change nothing -- no column, no stream position.
+    """
+
+    @staticmethod
+    def _tanks(fs, sizes):
+        tanks = []
+        for r, n in enumerate(sizes):
+            res = Reservoir(fs)
+            res.deposit(np.random.default_rng(50 + r), n)
+            res.particles.enable_scratch()
+            tanks.append(res)
+        return tanks
+
+    @staticmethod
+    def _streams(n):
+        return [shard_stream(1989, 0, 4, replica=r) for r in range(n)]
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(0, 1, 2, 7, 10), (10, 7, 2, 1, 0), (1, 0), (9,), (6, 6, 6)],
+        ids=lambda s: "-".join(map(str, s)),
+    )
+    def test_peers_equal_separate_mixes(self, fs, sizes):
+        together, apart = self._tanks(fs, sizes), self._tanks(fs, sizes)
+        streams_t, streams_a = self._streams(len(sizes)), self._streams(len(sizes))
+        n_together = together[0].mix(streams_t, rounds=2, peers=together[1:])
+        n_apart = sum(
+            res.mix(st, rounds=2) for res, st in zip(apart, streams_a)
+        )
+        assert n_together == n_apart == 2 * sum(n // 2 for n in sizes)
+        for r, (res_t, res_a) in enumerate(zip(together, apart)):
+            assert res_t.size == sizes[r]
+            for name in COLUMN_NAMES:
+                assert np.array_equal(
+                    getattr(res_t.particles, name),
+                    getattr(res_a.particles, name),
+                ), (r, name)
+            assert streams_t[r].random() == streams_a[r].random(), r
+
+    def test_mixing_changes_every_paired_reservoir(self, fs):
+        # Guards the oracle above against comparing two no-ops.
+        tanks = self._tanks(fs, (8, 5))
+        before = [res.particles.u.copy() for res in tanks]
+        tanks[0].mix(self._streams(2), peers=tanks[1:])
+        for res, u0 in zip(tanks, before):
+            assert not np.array_equal(np.sort(res.particles.u), np.sort(u0))
+
+    def test_one_stream_per_reservoir(self, fs):
+        tanks = self._tanks(fs, (4, 4, 4))
+        with pytest.raises(ConfigurationError, match="2 streams for 3"):
+            tanks[0].mix(self._streams(2), peers=tanks[1:])
+
+    def test_peers_need_the_scratch_pool(self, fs):
+        bare = Reservoir(fs)
+        bare.deposit(np.random.default_rng(1), 4)
+        pooled = self._tanks(fs, (4,))
+        with pytest.raises(ConfigurationError, match="scratch"):
+            bare.mix(self._streams(2), peers=pooled)
+        with pytest.raises(ConfigurationError, match="scratch"):
+            pooled[0].mix(self._streams(2), peers=[bare])
 
 
 class TestPlungerState:

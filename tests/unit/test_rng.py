@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.pairing import reflection_offsets
 from repro.rng import (
     DEFAULT_SEED,
     make_rng,
@@ -161,3 +162,65 @@ class TestTranspositionDraws:
     def test_in_range(self, rng):
         (j,) = random_transposition_pairs(rng, 1000, length=5)
         assert j.min() >= 0 and j.max() <= 4
+
+
+def _same_position(a: np.random.Generator, b: np.random.Generator) -> bool:
+    """Both generators will produce the same stream from here on.
+
+    Compared on the full bit-generator state (including the buffered
+    32-bit half) and on the next draws of each width.
+    """
+
+    def flat(state):
+        if isinstance(state, dict):
+            return {k: flat(v) for k, v in state.items()}
+        return np.asarray(state).tolist()
+
+    return (
+        flat(a.bit_generator.state) == flat(b.bit_generator.state)
+        and np.array_equal(a.integers(0, 1 << 20, 3), b.integers(0, 1 << 20, 3))
+        and np.array_equal(a.random(3), b.random(3))
+    )
+
+
+STREAMS = {
+    "philox": lambda: shard_stream(1989, 0, 7, replica=3),
+    "pcg64": lambda: np.random.default_rng(1989),
+}
+
+
+@pytest.mark.parametrize("make", STREAMS.values(), ids=STREAMS.keys())
+@pytest.mark.parametrize("occupancy", [0.3, 0.7, 5.0, 40.0])
+class TestBoundOneDrawsNothing:
+    """The NumPy property the pairable-cell compression rests on.
+
+    ``Generator.integers(0, hi)`` with an array bound returns 0 for a
+    bound of 1 *without consuming the bit stream*, so drawing reflection
+    offsets over the pairable cells only
+    (:func:`repro.core.selection.fused_select_collide`) is bitwise the
+    draw over every cell.  A NumPy that changes this would silently
+    change every realization: fail here instead.
+    """
+
+    def test_integers_skips_bound_one_entries(self, make, occupancy):
+        counts = np.random.default_rng(5).poisson(occupancy, size=4000)
+        bound = np.maximum(counts, 1)
+        full, packed = make(), make()
+        with_ones = full.integers(0, bound)
+        without = packed.integers(0, bound[bound > 1])
+        assert np.array_equal(with_ones[bound > 1], without)
+        assert not with_ones[bound == 1].any()
+        assert _same_position(full, packed)
+
+    def test_reflection_offsets_ignore_unpairable_cells(self, make, occupancy):
+        # One level up: the stream position after the pairing's draw
+        # does not depend on how many empty / singleton cells sit
+        # between the pairable ones.
+        counts = np.random.default_rng(6).poisson(occupancy, size=4000)
+        live = np.flatnonzero(counts > 1)
+        full, packed = make(), make()
+        s_full = reflection_offsets(full, counts)
+        s_packed = reflection_offsets(packed, counts[live])
+        assert np.array_equal(s_full[live], s_packed)
+        assert not np.delete(s_full, live).any()
+        assert _same_position(full, packed)
