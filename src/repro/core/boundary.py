@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, pooled, pooled_arange
 from repro.core.reservoir import Reservoir
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
@@ -42,6 +42,7 @@ from repro.geometry.reflect import (
 )
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
+from repro.rng import block_streams
 
 #: Supported tunnel-wall models.  "specular" is the paper's inviscid
 #: boundary; "diffuse" (isothermal) and "adiabatic" are the no-slip
@@ -180,16 +181,136 @@ class WindTunnelBoundaries:
         moving-piston reflection, solid-surface reflections (iterated),
         downstream removal, then the plunger advance/withdraw-refill.
 
-        Populations with scratch buffers enabled and specular walls take
-        the subset-based fast path (:meth:`_apply_rebuilding_fast`);
-        results are statistically identical, and the legacy full-array
-        path remains for the other wall models and plain populations.
+        One pass for any number of row blocks (``particles.starts``):
+        ``reservoir`` and ``rng`` are one per block
+        (:func:`repro.rng.block_streams`; a bare reservoir, ``None`` or
+        generator is one block), and so is ``surface_sampler``.  Each
+        block's exits go to its own reservoir and its refill comes from
+        there, drawn from its own stream.
+
+        Specular walls on a scratch-enabled population reflect through
+        the subset-based :meth:`reflect_specular`; the other wall
+        models and plain populations take the full-array loop, which
+        draws per crossing from one stream and so serves one block.  A
+        scratch-enabled population is rebuilt in its own buffers under
+        every wall model; a plain one is rebuilt as fresh arrays.
         """
-        if self.wall_model == "specular" and particles.scratch is not None:
-            return self._apply_rebuilding_fast(particles, reservoir, rng)
+        reservoirs, streams = block_streams(reservoir), block_streams(rng)
+        n_blocks = particles.n_blocks
+        if len(reservoirs) != n_blocks or len(streams) != n_blocks:
+            raise ConfigurationError(
+                f"{len(reservoirs)} reservoirs and {len(streams)} streams "
+                f"for {n_blocks} blocks"
+            )
+        scratch = particles.scratch
+        subset = self.wall_model == "specular" and scratch is not None
+        if n_blocks > 1 and not subset:
+            raise ConfigurationError(
+                "several blocks need specular walls and a scratch-enabled "
+                "population"
+            )
+        record = self._surface_record(particles)
+        if subset:
+            n_walls, n_wedge, n_clamped = self.reflect_specular(
+                particles, record
+            )
+        else:
+            n_walls, n_wedge, n_clamped = self._reflect_full_array(
+                particles, streams[0], record
+            )
+            particles.rehome()
+
+        # 3) Soft downstream boundary: remove into the reservoir(s).
+        n_removed = 0
+        if self.has_outlet:
+            exited = pooled(scratch, "bnd_mask", particles.n, dtype=bool)
+            np.greater_equal(particles.x, self.domain.width, out=exited)
+            n_removed = int(np.count_nonzero(exited))
+            if n_removed:
+                if scratch is not None:
+                    # Backfill removal: O(exited), and the cell sort right
+                    # after this phase re-orders the population anyway.
+                    removed = particles.remove_inplace(exited)
+                else:
+                    particles, removed = particles.select(~exited), [n_removed]
+                for res, stream, k in zip(reservoirs, streams, removed):
+                    if res is not None and k:
+                        res.deposit(stream, k)
+
+        # 4) Advance the plunger; withdraw and refill past the trigger.
+        #    The refill count is deterministic and shared by the blocks;
+        #    the withdrawn particles and their positions are per block.
+        n_injected = 0
+        reset = False
+        if self.has_inlet:
+            self.plunger.position += self.plunger.speed
+            if self.plunger.position >= self.plunger.trigger:
+                fresh = [
+                    self.plunger_inflow(res, stream, particles.rotational_dof)
+                    for res, stream in zip(reservoirs, streams)
+                ]
+                if fresh[0] is not None:
+                    n_injected = sum(f.n for f in fresh)
+                    if scratch is not None:
+                        particles.append_inplace(fresh)
+                    else:
+                        particles = ParticleArrays.concatenate(
+                            particles, fresh[0]
+                        )
+                self.plunger.position = 0.0
+                reset = True
+
+        return particles, BoundaryStats(
+            n_reflected_walls=n_walls,
+            n_reflected_wedge=n_wedge,
+            n_removed_downstream=n_removed,
+            n_injected_upstream=n_injected,
+            n_clamped=n_clamped,
+            plunger_reset=reset,
+        )
+
+    def _surface_record(self, particles: ParticleArrays):
+        """The reflections' ``record`` callback for ``surface_sampler``.
+
+        With one sampler per block, a body pass's hits are split by
+        block: ``rows`` is ascending, so each block's hits are one
+        contiguous slice (``searchsorted`` on the block starts) in the
+        order a run of that block alone would record them -- the
+        ``np.add.at`` accumulation in each sampler is bitwise solo.
+        """
+        if self.surface_sampler is None:
+            return None
+        samplers = block_streams(self.surface_sampler)
+        if len(samplers) != particles.n_blocks:
+            raise ConfigurationError(
+                f"{len(samplers)} surface samplers for "
+                f"{particles.n_blocks} blocks"
+            )
+        if len(samplers) == 1:
+            return lambda rows, *impulses: samplers[0].record(*impulses)
+        starts = particles.starts
+
+        def record(rows, x, du, dv, back) -> None:
+            edges = np.searchsorted(rows, starts).tolist()
+            for sampler, e0, e1 in zip(samplers, edges[:-1], edges[1:]):
+                if e1 > e0:
+                    sampler.record(x[e0:e1], du[e0:e1], dv[e0:e1], back[e0:e1])
+
+        return record
+
+    # -- the two spellings of the reflections -----------------------------
+
+    def _reflect_full_array(
+        self, particles: ParticleArrays, rng: np.random.Generator, record
+    ) -> tuple:
+        """Plunger face, then walls + body to a fixed point, whole columns.
+
+        The reflections under any wall model, on a population with or
+        without scratch; returns ``(n_walls, n_wedge, n_clamped)`` like
+        :meth:`reflect_specular`.  Re-points the columns it rewrites.
+        """
         n_walls = 0
         n_wedge = 0
-        n_clamped = 0
 
         # 1) Upstream plunger face: specular in the moving frame.
         #    u' = 2 U_p - u, x' = 2 x_p - x for particles behind the face.
@@ -227,9 +348,10 @@ class WindTunnelBoundaries:
                     ) = self.wedge.reflect_specular_report(
                         particles.x, particles.y, particles.u, particles.v
                     )
-                    if self.surface_sampler is not None:
-                        hit = back | ramp
-                        self.surface_sampler.record(
+                    if record is not None:
+                        hit = np.flatnonzero(back | ramp)
+                        record(
+                            hit,
                             particles.x[hit],
                             particles.u[hit] - u0[hit],
                             particles.v[hit] - v0[hit],
@@ -239,43 +361,8 @@ class WindTunnelBoundaries:
                     dirty = True
             if not dirty:
                 break
-        n_clamped += self._clamp_stragglers(particles)
-
-        # 3) Soft downstream boundary: remove into the reservoir.
-        n_removed = 0
-        if self.has_outlet:
-            exited = self.domain.exited_downstream(particles.x)
-            n_removed = int(np.count_nonzero(exited))
-            if n_removed:
-                particles = particles.select(~exited)
-                if reservoir is not None:
-                    reservoir.deposit(rng, n_removed)
-
-        # 4) Advance the plunger; withdraw and refill past the trigger.
-        n_injected = 0
-        reset = False
-        if self.has_inlet:
-            self.plunger.position += self.plunger.speed
-            if self.plunger.position >= self.plunger.trigger:
-                fresh = self.plunger_inflow(
-                    reservoir, rng, particles.rotational_dof
-                )
-                if fresh is not None:
-                    n_injected = fresh.n
-                    particles = ParticleArrays.concatenate(particles, fresh)
-                self.plunger.position = 0.0
-                reset = True
-
-        return particles, BoundaryStats(
-            n_reflected_walls=n_walls,
-            n_reflected_wedge=n_wedge,
-            n_removed_downstream=n_removed,
-            n_injected_upstream=n_injected,
-            n_clamped=n_clamped,
-            plunger_reset=reset,
-        )
-
-    # -- the scratch-enabled fast path ------------------------------------
+        everyone = pooled_arange(particles.scratch, particles.n)
+        return n_walls, n_wedge, self._clamp_subset(particles, everyone)
 
     def reflect_specular(self, particles: ParticleArrays, record=None) -> tuple:
         """Plunger face, then walls + body to a fixed point, in place.
@@ -376,68 +463,18 @@ class WindTunnelBoundaries:
             n_clamped = self._clamp_subset(particles, active)
         return n_walls, n_wedge, n_clamped
 
-    def _apply_rebuilding_fast(
-        self,
-        particles: ParticleArrays,
-        reservoir: Optional[Reservoir],
-        rng: np.random.Generator,
-    ) -> tuple:
-        """Subset-based specular boundary enforcement, in place.
-
-        :meth:`reflect_specular`, then the population rebuilds
-        (downstream removal, plunger refill), which reuse the ping-pong
-        buffers instead of allocating a fresh population.
-        """
-        sampler = self.surface_sampler
-        n_walls, n_wedge, n_clamped = self.reflect_specular(
-            particles,
-            None if sampler is None
-            else lambda rows, *impulses: sampler.record(*impulses),
-        )
-
-        # 3) Soft downstream boundary: remove into the reservoir.
-        n_removed = 0
-        if self.has_outlet:
-            mask = particles.scratch.array(
-                "bnd_mask", particles.n, dtype=bool
-            )
-            np.greater_equal(particles.x, self.domain.width, out=mask)
-            n_removed = int(np.count_nonzero(mask))
-            if n_removed:
-                # Backfill removal: O(exited), and the cell sort right
-                # after this phase re-orders the population anyway.
-                particles.remove_inplace(mask)
-                if reservoir is not None:
-                    reservoir.deposit(rng, n_removed)
-
-        # 4) Advance the plunger; withdraw and refill past the trigger.
-        n_injected = 0
-        reset = False
-        if self.has_inlet:
-            self.plunger.position += self.plunger.speed
-            if self.plunger.position >= self.plunger.trigger:
-                fresh = self.plunger_inflow(
-                    reservoir, rng, particles.rotational_dof
-                )
-                if fresh is not None:
-                    n_injected = fresh.n
-                    particles.append_inplace(fresh)
-                self.plunger.position = 0.0
-                reset = True
-
-        return particles, BoundaryStats(
-            n_reflected_walls=n_walls,
-            n_reflected_wedge=n_wedge,
-            n_removed_downstream=n_removed,
-            n_injected_upstream=n_injected,
-            n_clamped=n_clamped,
-            plunger_reset=reset,
-        )
-
     def _clamp_subset(
         self, particles: ParticleArrays, candidates: np.ndarray
     ) -> int:
-        """Subset variant of :meth:`_clamp_stragglers`."""
+        """Last-resort positional clamp for unresolved reflections.
+
+        Extremely fast particles or corner geometry can defeat the
+        bounded reflection iteration; such stragglers among
+        ``candidates`` are snapped to the nearest open point (onto the
+        body surface, just outside the solid).  The count is surfaced
+        in the stats so runs can verify this stays negligible (tests
+        assert it is rare).
+        """
         x, y = particles.x, particles.y
         xs = x[candidates]
         ys = y[candidates]
@@ -543,32 +580,6 @@ class WindTunnelBoundaries:
             particles.v[idx] = v2
             particles.w[idx] = w2
             particles.rot[idx] = rot2
-
-    def _clamp_stragglers(self, particles: ParticleArrays) -> int:
-        """Last-resort positional clamp for unresolved reflections.
-
-        Extremely fast particles or corner geometry can defeat the
-        bounded reflection iteration; such stragglers are snapped to the
-        nearest open point.  The count is surfaced in the stats so runs
-        can verify this stays negligible (tests assert it is rare).
-        """
-        bad = (particles.y < 0.0) | (particles.y > self.domain.height)
-        if self.wedge is not None:
-            bad |= self.wedge.inside(particles.x, particles.y)
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0:
-            return 0
-        particles.y[bad] = np.clip(particles.y[bad], 0.0, self.domain.height)
-        if self.wedge is not None:
-            still = self.wedge.inside(particles.x, particles.y)
-            if np.any(still):
-                # Snap onto the body surface, just outside the solid.
-                px, py = self.wedge.project_out(
-                    particles.x[still], particles.y[still]
-                )
-                particles.x[still] = px
-                particles.y[still] = py
-        return n_bad
 
     def plunger_inflow(
         self,

@@ -140,6 +140,28 @@ def sum_of_squares(a: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
+def check_block_starts(starts, n: int, n_blocks: Optional[int] = None) -> np.ndarray:
+    """``starts`` as the int64 block boundaries of ``n`` rows, or raise.
+
+    Valid boundaries are a 1-D integer array of ``n_blocks + 1`` entries
+    (at least two), rising from 0 without decreasing and ending at ``n``.
+    """
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or starts.shape[0] < 2 or starts.dtype.kind not in "iu":
+        raise ConfigurationError(
+            "starts must be a 1-D integer array of at least two entries"
+        )
+    if n_blocks is not None and starts.shape[0] != n_blocks + 1:
+        raise ConfigurationError(
+            f"{starts.shape[0]} block starts for {n_blocks} blocks"
+        )
+    if starts[0] != 0 or (starts[1:] < starts[:-1]).any():
+        raise ConfigurationError("starts must rise from 0 without decreasing")
+    if starts[-1] != n:
+        raise ConfigurationError("starts[-1] must equal the population")
+    return starts.astype(np.int64)
+
+
 @dataclass
 class ParticleArrays:
     """SoA particle population.
@@ -181,6 +203,13 @@ class ParticleArrays:
     def __post_init__(self) -> None:
         if self.z is None:
             self.z = np.zeros_like(self.x)
+        #: Row-block boundaries: ``None`` is one block; otherwise int64,
+        #: length B + 1, rising from 0 to ``n`` -- block ``b`` owns rows
+        #: ``starts[b]:starts[b + 1]`` (the ensemble's replicas).  Kept
+        #: current by :meth:`remove_inplace` / :meth:`append_inplace`;
+        #: :meth:`select`, :meth:`copy` and :meth:`concatenate` return
+        #: one block.
+        self.starts: Optional[np.ndarray] = None
         # Ping-pong backing store (None until enable_scratch()).
         self._front: Optional[Dict[str, np.ndarray]] = None
         self._back: Optional[Dict[str, np.ndarray]] = None
@@ -254,15 +283,23 @@ class ParticleArrays:
     def rotational_dof(self) -> int:
         return self.rot.shape[1]
 
+    @property
+    def n_blocks(self) -> int:
+        """Row blocks the population declares (see ``starts``)."""
+        return 1 if self.starts is None else self.starts.shape[0] - 1
+
     def validate(self) -> None:
         """Check internal consistency (used by tests and debug runs).
 
-        Catches length mismatches, corrupted permutation rows, and
-        non-finite state (NaN/inf positions or velocities) -- the
-        failure modes the fault-injection tests exercise.
+        Catches length mismatches, corrupted permutation rows, block
+        ``starts`` that do not partition the rows, and non-finite state
+        (NaN/inf positions or velocities) -- the failure modes the
+        fault-injection tests exercise.
         """
         n = self.n
         k = 3 + self.rotational_dof
+        if self.starts is not None:
+            check_block_starts(self.starts, n)
         for name in ("y", "u", "v", "w", "cell", "z"):
             col = getattr(self, name)
             if col.shape[0] != n:
@@ -448,6 +485,21 @@ class ParticleArrays:
             self._back[name] = np.empty(shape, dtype=old_front.dtype)
             setattr(self, name, front[:n])
 
+    def rehome(self) -> None:
+        """Move columns assigned as fresh arrays back into the buffers.
+
+        A kernel that re-points a column (``particles.y = ...``) leaves
+        it outside the backing store the in-place surgery reads.  No-op
+        without scratch.
+        """
+        if self._front is None:
+            return
+        for name in COLUMN_NAMES:
+            col, home = getattr(self, name), self._front[name][: self.n]
+            if not np.may_share_memory(col, home):
+                home[...] = col
+                setattr(self, name, home)
+
     def _swap_to_back(self, n_new: int) -> None:
         """Flip front/back and point the columns at the new front."""
         self._front, self._back = self._back, self._front
@@ -497,7 +549,47 @@ class ParticleArrays:
             )
         self._swap_to_back(k)
 
-    def remove_inplace(self, remove_mask: np.ndarray) -> None:
+    def _block_edges(self) -> list:
+        """The block boundaries as Python ints (``[0, n]`` for one block)."""
+        if self.starts is None:
+            return [0, self.n]
+        edges = self.starts.tolist()
+        if edges[-1] != self.n:
+            raise ConfigurationError("starts[-1] must equal the population")
+        return edges
+
+    def _relayout(self, edges: list, keep: list, extra=None) -> None:
+        """Block ``b`` becomes its first ``keep[b]`` rows, then ``extra[b]``'s.
+
+        One block never moves: it shrinks or grows where it lies in the
+        front buffers.  Several are packed back to back, in order, into
+        the back buffers, and the buffer sets swapped.
+        """
+        grown = [0] * len(keep) if extra is None else [o.n for o in extra]
+        new_edges = [0]
+        for k, m in zip(keep, grown):
+            new_edges.append(new_edges[-1] + k + m)
+        n_new = new_edges[-1]
+        self._ensure_capacity(n_new)
+        if len(keep) == 1:
+            for name in COLUMN_NAMES:
+                col = self._front[name]
+                if grown[0]:
+                    col[keep[0] : n_new] = getattr(extra[0], name)
+                setattr(self, name, col[:n_new])
+        else:
+            for name in COLUMN_NAMES:
+                src, dst = self._front[name], self._back[name]
+                for b, (k, m) in enumerate(zip(keep, grown)):
+                    d0 = new_edges[b] + k
+                    dst[new_edges[b] : d0] = src[edges[b] : edges[b] + k]
+                    if m:
+                        dst[d0 : d0 + m] = getattr(extra[b], name)
+            self._swap_to_back(n_new)
+        if self.starts is not None:
+            self.starts = np.array(new_edges, dtype=np.int64)
+
+    def remove_inplace(self, remove_mask: np.ndarray) -> list:
         """Delete the masked particles by backfilling holes from the tail.
 
         O(removed) instead of the O(N) full compaction: every hole
@@ -505,134 +597,49 @@ class ParticleArrays:
         from the tail.  Particle *order is not preserved* -- only safe
         where the next cell sort re-orders the population anyway (the
         step loop's downstream removal, the reservoir withdrawal).
+
+        Each block is backfilled from its own tail, so its surviving
+        rows are those a removal on that block alone would leave.
+        Returns the number of rows removed from each block.
         """
         if self._front is None:
             raise ConfigurationError("remove_inplace requires enable_scratch")
-        n = self.n
-        if remove_mask.shape != (n,):
+        if remove_mask.shape != (self.n,):
             raise ConfigurationError("remove_mask must have one entry per particle")
-        gone = np.flatnonzero(remove_mask)
-        n_new = n - gone.shape[0]
-        if gone.shape[0]:
-            holes = gone[gone < n_new]
-            src = n_new + np.flatnonzero(~remove_mask[n_new:])
-            for name in COLUMN_NAMES:
-                col = self._front[name]
-                col[holes] = col[src]
-        for name in COLUMN_NAMES:
-            setattr(self, name, self._front[name][:n_new])
-
-    def append_inplace(self, other: "ParticleArrays") -> None:
-        """Append another population's particles into the backing store."""
-        if self._front is None:
-            raise ConfigurationError("append_inplace requires enable_scratch")
-        if other.rotational_dof != self.rotational_dof:
-            raise ConfigurationError("rotational dof mismatch")
-        m = other.n
-        if m == 0:
-            return
-        n = self.n
-        self._ensure_capacity(n + m)
-        for name in COLUMN_NAMES:
-            self._front[name][n : n + m] = getattr(other, name)
-            setattr(self, name, self._front[name][: n + m])
-
-    # -- replica-blocked surgery (the ensemble engine) --------------------
-
-    def remove_blocked_inplace(
-        self, remove_mask: np.ndarray, starts: np.ndarray
-    ) -> np.ndarray:
-        """Blocked variant of :meth:`remove_inplace` for ensemble state.
-
-        ``starts`` holds the replica block boundaries (length R+1,
-        ``starts[-1] == n``).  Every block is treated exactly as
-        :meth:`remove_inplace` treats a solo population -- holes below
-        the block's new length are backfilled from the block's own tail
-        in the same source order -- so block ``r``'s surviving rows are
-        bitwise identical to a solo removal on that block.  The
-        shortened blocks are then re-packed contiguously into the back
-        buffers (blocks stay adjacent, order preserved) and the buffer
-        sets swapped.  Returns the new ``starts`` array.
-        """
-        if self._front is None:
-            raise ConfigurationError(
-                "remove_blocked_inplace requires enable_scratch"
-            )
-        n = self.n
-        if remove_mask.shape != (n,):
-            raise ConfigurationError(
-                "remove_mask must have one entry per particle"
-            )
-        if int(starts[-1]) != n:
-            raise ConfigurationError("starts[-1] must equal the population")
-        n_blocks = starts.shape[0] - 1
-        new_starts = np.empty_like(np.asarray(starts, dtype=np.int64))
-        new_starts[0] = 0
-        for r in range(n_blocks):
-            b0, b1 = int(starts[r]), int(starts[r + 1])
+        edges = self._block_edges()
+        keep = []
+        for b0, b1 in zip(edges[:-1], edges[1:]):
             gone = np.flatnonzero(remove_mask[b0:b1])
             n_new = (b1 - b0) - gone.shape[0]
             if gone.shape[0]:
-                holes = gone[gone < n_new]
-                src = n_new + np.flatnonzero(~remove_mask[b0 + n_new : b1])
+                holes = b0 + gone[gone < n_new]
+                src = (b0 + n_new) + np.flatnonzero(~remove_mask[b0 + n_new : b1])
                 for name in COLUMN_NAMES:
                     col = self._front[name]
-                    col[b0 + holes] = col[b0 + src]
-            new_starts[r + 1] = new_starts[r] + n_new
-        n_total = int(new_starts[-1])
-        for name in COLUMN_NAMES:
-            src_buf = self._front[name]
-            dst_buf = self._back[name]
-            for r in range(n_blocks):
-                b0 = int(starts[r])
-                d0, d1 = int(new_starts[r]), int(new_starts[r + 1])
-                dst_buf[d0:d1] = src_buf[b0 : b0 + (d1 - d0)]
-        self._swap_to_back(n_total)
-        return new_starts
+                    col[holes] = col[src]
+            keep.append(n_new)
+        self._relayout(edges, keep)
+        return [b1 - b0 - k for b0, b1, k in zip(edges[:-1], edges[1:], keep)]
 
-    def append_blocked_inplace(self, others, starts: np.ndarray) -> np.ndarray:
-        """Blocked variant of :meth:`append_inplace` for ensemble state.
+    def append_inplace(self, other) -> None:
+        """Append ``other``'s particles to the block they are meant for.
 
-        ``others`` is one population per block (possibly empty); block
-        ``r`` becomes its current rows followed by ``others[r]``'s rows,
-        exactly as a solo :meth:`append_inplace` would place them.
-        Rebuilds the blocked layout in the back buffers and swaps.
-        Returns the new ``starts`` array.
+        ``other`` is one population, or a sequence of one per block
+        (possibly empty); block ``b`` becomes its current rows followed
+        by ``other[b]``'s.
         """
         if self._front is None:
-            raise ConfigurationError(
-                "append_blocked_inplace requires enable_scratch"
-            )
-        n = self.n
-        if int(starts[-1]) != n:
-            raise ConfigurationError("starts[-1] must equal the population")
-        n_blocks = starts.shape[0] - 1
-        if len(others) != n_blocks:
+            raise ConfigurationError("append_inplace requires enable_scratch")
+        others = (other,) if isinstance(other, ParticleArrays) else other
+        edges = self._block_edges()
+        if len(others) != len(edges) - 1:
             raise ConfigurationError("one appended population per block")
         for o in others:
             if o.rotational_dof != self.rotational_dof:
                 raise ConfigurationError("rotational dof mismatch")
-        new_starts = np.empty_like(np.asarray(starts, dtype=np.int64))
-        new_starts[0] = 0
-        for r in range(n_blocks):
-            block = int(starts[r + 1]) - int(starts[r])
-            new_starts[r + 1] = new_starts[r] + block + others[r].n
-        n_total = int(new_starts[-1])
-        self._ensure_capacity(n_total)
-        for name in COLUMN_NAMES:
-            src_buf = self._front[name]
-            dst_buf = self._back[name]
-            for r in range(n_blocks):
-                b0, b1 = int(starts[r]), int(starts[r + 1])
-                d0 = int(new_starts[r])
-                dst_buf[d0 : d0 + (b1 - b0)] = src_buf[b0:b1]
-                m = others[r].n
-                if m:
-                    dst_buf[d0 + (b1 - b0) : d0 + (b1 - b0) + m] = getattr(
-                        others[r], name
-                    )
-        self._swap_to_back(n_total)
-        return new_starts
+        self._relayout(
+            edges, [b1 - b0 for b0, b1 in zip(edges[:-1], edges[1:])], others
+        )
 
     # -- migration pack/unpack (the sharded exchange) ---------------------
 

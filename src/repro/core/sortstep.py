@@ -390,20 +390,20 @@ class IncrementalSorter:
 
 
 class BlockedSorter:
-    """Physically sort R row blocks by ``(block, cell)`` in one pass.
+    """Physically sort the population's row blocks by ``(block, cell)``.
 
     The ensemble engine's kernel behind the sorter seam of
     :func:`repro.core.simulation.collision_stage`: one stable counting
     sort of the composite key (:func:`blocked_cell_key`) and one
     bincount for all R histograms.  The population *is* the order
     afterwards (``order=None``); ``counts`` / ``offsets`` span the
-    ``R * n_cells`` composite cells.  ``starts`` are the blocks' row
-    boundaries (length ``R + 1``); the stable sort keeps them valid.
+    ``R * n_cells`` composite cells.  The blocks are the ones the
+    population declares (``particles.starts``, length ``R + 1``); the
+    stable sort keeps them valid.
     """
 
-    def __init__(self, n_cells: int, starts: np.ndarray) -> None:
+    def __init__(self, n_cells: int) -> None:
         self.n_cells = int(n_cells)
-        self.starts = starts
 
     def detect(self, particles: ParticleArrays) -> None:
         """Nothing to count: a physical sort keeps no per-row history."""
@@ -411,9 +411,9 @@ class BlockedSorter:
     def update(self, particles: ParticleArrays) -> IncrementalSortResult:
         """Sort the rows by the composite key; histogram and offsets."""
         n = particles.n
-        n_keys = (self.starts.shape[0] - 1) * self.n_cells
+        n_keys = particles.n_blocks * self.n_cells
         key = particles.scratch.array("blocked_key", n, dtype=np.int64)
-        blocked_cell_key(particles.cell, self.starts, self.n_cells, out=key)
+        blocked_cell_key(particles.cell, particles.starts, self.n_cells, out=key)
         counts = np.bincount(key, minlength=n_keys)
         order = counting_sort_order(
             key, shuffle=False, scratch=particles.scratch,

@@ -26,6 +26,10 @@ from repro.errors import ConfigurationError
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 
+#: Accumulator attribute names of a :class:`SurfaceSampler` (cf.
+#: :data:`repro.core.sampling.SAMPLER_FIELDS`).
+SURFACE_FIELDS = ("_impulse_x", "_impulse_y", "_hits")
+
 
 class SurfaceSampler:
     """Accumulates reflection impulses on the wedge surfaces.

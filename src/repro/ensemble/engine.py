@@ -11,33 +11,34 @@ selection, collision) runs once over ``sum(N_r)`` rows instead of R
 times over ``N_r`` rows.
 
 **A replica is a block.**  The step is the serial engine's, over R
-blocks instead of one: the elementwise boundary passes are
-:meth:`repro.core.boundary.WindTunnelBoundaries.reflect_specular` and
-the collision half is :func:`repro.core.simulation.collision_stage`
-with the R replica streams and a
-:class:`repro.core.sortstep.BlockedSorter` behind its sorter seam --
-the same kernel the serial engine and every shard worker run on one
-block.  What lives here is what is genuinely blocked: population
-surgery that must keep each replica's rows contiguous and in solo
-order, and the per-replica reservoirs and samplers.
+blocks instead of one: the boundary phase is
+:meth:`repro.core.boundary.WindTunnelBoundaries.apply_rebuilding` with
+the R reservoirs, streams and surface samplers, and the collision half
+is :func:`repro.core.simulation.collision_stage` with the R replica
+streams and a :class:`repro.core.sortstep.BlockedSorter` behind its
+sorter seam -- the same code the serial engine and every shard worker
+run on one block.  What lives here is what there is one of per replica:
+the reservoirs, the samplers, the streams.
 
 **Layout.**  Replica-packed rows, physically blocked by replica at all
 times: replica ``r`` owns the contiguous row range
-``starts[r]:starts[r+1]``.  The per-step sort key is the composite
-``block * n_cells + cell`` (:func:`repro.core.sortstep.blocked_cell_key`)
--- replica above cell in sort-key significance -- so a stable sort can
-never move a particle across its block and pairing never straddles
-replicas.  Block *position* (not replica id) keeps the key dense, so
+``starts[r]:starts[r+1]`` of ``particles.starts``, which the
+population's own surgery keeps current.  The per-step sort key is the
+composite ``block * n_cells + cell``
+(:func:`repro.core.sortstep.blocked_cell_key`) -- replica above cell in
+sort-key significance -- so a stable sort can never move a particle
+across its block and pairing never straddles replicas.  Block *position* (not replica id) keeps the key dense, so
 NumPy's 16-bit radix path still applies up to
 ``R * n_cells <= 65536`` keys.
 
 **Determinism contract.**  All randomness comes from counter-keyed
 Philox streams ``shard_stream(seed, 0, step, replica=rid)`` -- a pure
 function of the key, never advanced across steps.  Within a step every
-replica's draws happen in a fixed order (boundary deposits/refills
-here; pairing offsets, acceptance, collision signs, transpositions in
-the shared kernel, per block; the reservoir mix's shuffle, signs and
-transpositions in :meth:`Reservoir.mix`, per block) from its own stream,
+replica's draws happen in a fixed order (deposits and refills in the
+boundary pass; pairing offsets, acceptance, collision signs and
+transpositions in the shared kernel; the reservoir mix's shuffle, signs
+and transpositions in :meth:`Reservoir.mix` -- all per block) from its
+own stream,
 and all batched arithmetic is elementwise or block-local, so replica
 ``r`` of a batched run is **bitwise identical** to a solo engine run
 (``R = 1``) keyed for ``r`` -- asserted by
@@ -78,6 +79,7 @@ from repro.core.simulation import (
     seed_flow_particles,
 )
 from repro.core.sortstep import BlockedSorter, blocked_cell_key
+from repro.core.surface import SURFACE_FIELDS, SurfaceSampler
 from repro.errors import ConfigurationError, ValidationError
 from repro.geometry.wedge import Wedge
 from repro.perf import PerfLedger
@@ -170,8 +172,8 @@ class EnsembleEngine:
             blocks.append(parts_r)
             self.reservoirs.append(res)
         parts = functools.reduce(ParticleArrays.concatenate, blocks)
-        self.starts = np.zeros(self.n_replicas + 1, dtype=np.int64)
-        np.cumsum([b.n for b in blocks], out=self.starts[1:])
+        parts.starts = np.zeros(self.n_replicas + 1, dtype=np.int64)
+        np.cumsum([b.n for b in blocks], out=parts.starts[1:])
         parts.enable_scratch()
         assign_cells(parts, config.domain)
         self.particles = parts
@@ -179,8 +181,6 @@ class EnsembleEngine:
             config.domain, self.n_replicas, self.volume_fractions
         )
         if isinstance(config.wedge, Wedge):
-            from repro.core.surface import SurfaceSampler
-
             self.surfaces = [
                 SurfaceSampler(config.wedge) for _ in self.replica_ids
             ]
@@ -195,8 +195,8 @@ class EnsembleEngine:
         """Build an engine without seeding (checkpoint restore path).
 
         The caller (:func:`repro.io.snapshots.load_ensemble`) fills in
-        the particle blocks, reservoirs, sampler and surface
-        accumulators, ``starts`` and ``step_count`` from the archive;
+        the particle blocks with their ``starts``, reservoirs, sampler
+        and surface accumulators and ``step_count`` from the archive;
         because every stream is a pure function of
         ``(seed, replica, step)``, no RNG state needs restoring and
         continuation is bitwise.
@@ -254,6 +254,7 @@ class EnsembleEngine:
             wall_model=config.wall_model,
             accommodation=config.accommodation,
         )
+        self._sorter = BlockedSorter(config.domain.n_cells)
         self.perf = PerfLedger()
 
     # -- stepping ---------------------------------------------------------
@@ -270,11 +271,15 @@ class EnsembleEngine:
             for rid in self.replica_ids
         ]
 
-        # 1+2) Collisionless motion, then the replica-aware boundary
-        #    phase (may rebuild the blocked population).
+        # 1+2) Collisionless motion, then the boundary pass over R
+        #    blocks: each replica's exits, refill and surface hits go
+        #    to its own reservoir, stream and sampler.
         with perf.phase("motion"):
             motion.advance(parts)
-            bstats = self._apply_boundaries(streams, sample)
+            self.boundaries.surface_sampler = self.surfaces if sample else None
+            _, bstats = self.boundaries.apply_rebuilding(
+                parts, self.reservoirs, streams
+            )
 
         # 3+4) The collision half of the step -- the one spelling
         #    shared with the serial engine and the shard workers, run
@@ -282,8 +287,7 @@ class EnsembleEngine:
         #    whole ensemble by (replica, cell) and every draw comes per
         #    block from that replica's stream.
         stage = collision_stage(
-            parts, cfg, self._vf_flat, streams,
-            BlockedSorter(n_cells, self.starts),
+            parts, cfg, self._vf_flat, streams, self._sorter
         )
         perf.record_spans(stage.spans())
 
@@ -300,7 +304,7 @@ class EnsembleEngine:
         self.step_count += 1
         if sample:
             key = parts.scratch.array("blocked_key", parts.n, dtype=np.int64)
-            blocked_cell_key(parts.cell, self.starts, n_cells, out=key)
+            blocked_cell_key(parts.cell, parts.starts, n_cells, out=key)
             self.sampler.accumulate(parts, key)
             if self.surfaces is not None:
                 for surf in self.surfaces:
@@ -309,7 +313,7 @@ class EnsembleEngine:
         perf.end_step(n_particles=parts.n)
         diag = EnsembleStepDiagnostics(
             step=self.step_count,
-            n_flow=tuple(np.diff(self.starts).astype(int).tolist()),
+            n_flow=tuple(np.diff(parts.starts).tolist()),
             n_reservoir=tuple(r.size for r in self.reservoirs),
             n_candidates=stage.n_candidates,
             n_collisions=stage.collisions_by_block,
@@ -339,92 +343,6 @@ class EnsembleEngine:
         if transient > 0:
             self.run(transient)
         return self.run(average, sample=True)
-
-    # -- boundary phase ---------------------------------------------------
-
-    def _apply_boundaries(self, streams, sample: bool) -> BoundaryStats:
-        """The boundary phase of R replica blocks.
-
-        The elementwise reflections are the shared
-        :meth:`~repro.core.boundary.WindTunnelBoundaries.reflect_specular`
-        over the whole blocked population.  What stays here is
-        genuinely blocked: population surgery must keep every replica's
-        rows contiguous and in solo order -- an O(N) rewrite the serial
-        engine's O(exited) backfill has no use for -- and every RNG
-        consumer (reservoir deposit, withdraw, refill positions) draws
-        from its own replica's reservoir and stream.
-        """
-        wb = self.boundaries
-        parts = self.particles
-        domain = self.config.domain
-        record = sample and self.surfaces is not None
-        n_walls, n_wedge, n_clamped = wb.reflect_specular(
-            parts, self._record_surface if record else None
-        )
-
-        # Soft downstream boundary: blocked removal, per-replica
-        # reservoir deposits from each replica's own stream.
-        mask = parts.scratch.array("bnd_mask", parts.n, dtype=bool)
-        np.greater_equal(parts.x, domain.width, out=mask)
-        n_removed = int(np.count_nonzero(mask))
-        if n_removed:
-            starts = self.starts
-            removed_per = [
-                int(
-                    np.count_nonzero(
-                        mask[int(starts[r]) : int(starts[r + 1])]
-                    )
-                )
-                for r in range(self.n_replicas)
-            ]
-            self.starts = parts.remove_blocked_inplace(mask, starts)
-            for r, st in enumerate(streams):
-                if removed_per[r]:
-                    self.reservoirs[r].deposit(st, removed_per[r])
-
-        # Advance the plunger; withdraw and refill past the trigger.
-        # The refill count is deterministic and shared; the withdrawn
-        # particles and their seeded positions are per-replica draws.
-        n_injected = 0
-        reset = False
-        wb.plunger.position += wb.plunger.speed
-        if wb.plunger.position >= wb.plunger.trigger:
-            fresh = [
-                wb.plunger_inflow(res, st, parts.rotational_dof)
-                for res, st in zip(self.reservoirs, streams)
-            ]
-            if fresh[0] is not None:
-                self.starts = parts.append_blocked_inplace(
-                    fresh, self.starts
-                )
-                n_injected = sum(f.n for f in fresh)
-            wb.plunger.position = 0.0
-            reset = True
-
-        return BoundaryStats(
-            n_reflected_walls=n_walls,
-            n_reflected_wedge=n_wedge,
-            n_removed_downstream=n_removed,
-            n_injected_upstream=n_injected,
-            n_clamped=n_clamped,
-            plunger_reset=reset,
-        )
-
-    def _record_surface(self, rows, x, du, dv, back) -> None:
-        """Split one wedge-reflection pass's impulses by replica block.
-
-        ``rows`` is ascending, so each replica's hits occupy one
-        contiguous slice (searchsorted on the block starts) in the same
-        relative order a solo run would record them -- the ``np.add.at``
-        accumulation inside each sampler is therefore bitwise solo.
-        """
-        edges = np.searchsorted(rows, self.starts)
-        for r in range(self.n_replicas):
-            e0, e1 = int(edges[r]), int(edges[r + 1])
-            if e1 > e0:
-                self.surfaces[r].record(
-                    x[e0:e1], du[e0:e1], dv[e0:e1], back[e0:e1]
-                )
 
     # -- telemetry --------------------------------------------------------
 
@@ -520,7 +438,7 @@ def replica_state(engine: EnsembleEngine, r: int) -> dict:
     shared plunger position -- everything the determinism contract
     promises is bitwise solo.
     """
-    b0, b1 = int(engine.starts[r]), int(engine.starts[r + 1])
+    b0, b1 = engine.particles.starts[r : r + 2].tolist()
     state = {
         f"flow_{name}": np.asarray(getattr(engine.particles, name))[
             b0:b1
@@ -537,9 +455,8 @@ def replica_state(engine: EnsembleEngine, r: int) -> dict:
     state["sampler_steps"] = np.array([engine.sampler.steps])
     if engine.surfaces is not None:
         surf = engine.surfaces[r]
-        state["surface_impulse_x"] = surf._impulse_x.copy()
-        state["surface_impulse_y"] = surf._impulse_y.copy()
-        state["surface_hits"] = surf._hits.copy()
+        for name in SURFACE_FIELDS:
+            state[f"surface{name}"] = getattr(surf, name).copy()
         state["surface_steps"] = np.array([surf.steps])
     state["plunger_position"] = np.array(
         [engine.boundaries.plunger.position]

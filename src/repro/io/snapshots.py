@@ -24,9 +24,14 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.core.particles import COLUMN_NAMES, ParticleArrays
+from repro.core.particles import (
+    COLUMN_NAMES,
+    ParticleArrays,
+    check_block_starts,
+)
 from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.surface import SURFACE_FIELDS, SurfaceSampler
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.geometry.bodies import body_from_dict
 from repro.geometry.domain import Domain
@@ -44,10 +49,6 @@ from repro.physics.molecules import MolecularModel
 FORMAT_VERSION = 3
 
 PathLike = Union[str, pathlib.Path]
-
-
-#: Accumulator arrays of a surface sampler (cf. ``SAMPLER_FIELDS``).
-_SURFACE_FIELDS = ("_impulse_x", "_impulse_y", "_hits")
 
 
 def _config_to_json(config: SimulationConfig) -> str:
@@ -233,7 +234,7 @@ def save_simulation(
         # v2: the surface-load accumulators ride along too (v1 dropped
         # them, so restored runs silently lost their drag averages).
         arrays.update(
-            _pack_accumulator("surface", sim.surface, _SURFACE_FIELDS)
+            _pack_accumulator("surface", sim.surface, SURFACE_FIELDS)
         )
     arrays.update(_pack_particles("flow", sim.particles))
     arrays.update(_pack_particles("res", sim.reservoir.particles))
@@ -283,7 +284,7 @@ def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
         "config_json": np.array(_config_to_json(engine.config)),
         "ensemble_seed": np.array(ens_seed),
         "replica_ids": np.asarray(engine.replica_ids, dtype=np.int64),
-        "starts": np.asarray(engine.starts, dtype=np.int64),
+        "starts": engine.particles.starts,
         "step_count": np.array(engine.step_count),
         "plunger_position": np.array(engine.boundaries.plunger.position),
         **_pack_accumulator("sampler", engine.sampler, SAMPLER_FIELDS),
@@ -294,7 +295,7 @@ def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
     if engine.surfaces is not None:
         for r, surf in enumerate(engine.surfaces):
             arrays.update(
-                _pack_accumulator(f"surface{r}", surf, _SURFACE_FIELDS)
+                _pack_accumulator(f"surface{r}", surf, SURFACE_FIELDS)
             )
     if compress:
         np.savez_compressed(path, **arrays)
@@ -312,7 +313,8 @@ def load_ensemble(path: PathLike):
     identical to the uninterrupted run's.
 
     Raises :class:`~repro.errors.CheckpointCorruptionError` on a
-    truncated or non-ensemble archive.
+    truncated archive or one whose block ``starts`` do not partition
+    the flow population into one block per replica id.
     """
     import dataclasses
 
@@ -341,7 +343,14 @@ def load_ensemble(path: PathLike):
             eng = EnsembleEngine._restore_shell(config, replica_ids)
             eng.particles = _unpack_particles("flow", data)
             eng.particles.enable_scratch()
-            eng.starts = data["starts"].astype(np.int64).copy()
+            try:
+                eng.particles.starts = check_block_starts(
+                    data["starts"], eng.particles.n, len(replica_ids)
+                )
+            except ConfigurationError as exc:
+                raise CheckpointCorruptionError(
+                    f"corrupt block starts: {exc}", path=str(path)
+                ) from exc
             eng.reservoirs = []
             for r in range(len(replica_ids)):
                 res = Reservoir(
@@ -356,15 +365,13 @@ def load_ensemble(path: PathLike):
             )
             _unpack_accumulator("sampler", data, eng.sampler, SAMPLER_FIELDS)
             if isinstance(config.wedge, Wedge):
-                from repro.core.surface import SurfaceSampler
-
                 eng.surfaces = [
                     SurfaceSampler(config.wedge) for _ in replica_ids
                 ]
                 for r, surf in enumerate(eng.surfaces):
                     if f"surface{r}_steps" in data:
                         _unpack_accumulator(
-                            f"surface{r}", data, surf, _SURFACE_FIELDS
+                            f"surface{r}", data, surf, SURFACE_FIELDS
                         )
             else:
                 eng.surfaces = None
@@ -453,7 +460,7 @@ def load_simulation(
             _unpack_accumulator("sampler", data, sim.sampler, SAMPLER_FIELDS)
             if sim.surface is not None and "surface_steps" in data:
                 _unpack_accumulator(
-                    "surface", data, sim.surface, _SURFACE_FIELDS
+                    "surface", data, sim.surface, SURFACE_FIELDS
                 )
     except FileNotFoundError:
         raise

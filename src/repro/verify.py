@@ -1,0 +1,49 @@
+"""State verification: one digest for every engine.
+
+``state_digest`` hashes what a bitwise continuation depends on, so
+"same scenario + seed => same state" across execution modes, restores
+and commits is one string comparison (``tests/golden_digests.json``).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from repro.core.particles import COLUMN_NAMES
+from repro.core.sampling import SAMPLER_FIELDS
+from repro.core.surface import SURFACE_FIELDS
+
+
+def state_digest(engine) -> str:
+    """sha256 of the state of a ``Simulation`` or ``EnsembleEngine``.
+
+    Covers every flow column and the flow's block ``starts``, every
+    reservoir, the cell-sampler and surface accumulators with their
+    step counts, the plunger phase and the step count.  A sharded
+    simulation is gathered first.
+    """
+    if hasattr(engine, "gather"):
+        engine.gather()
+    h = hashlib.sha256()
+
+    def feed(*values) -> None:
+        for value in values:
+            h.update(np.ascontiguousarray(value).tobytes())
+
+    flow = engine.particles
+    reservoirs = getattr(engine, "reservoirs", None) or [engine.reservoir]
+    for pop in (flow, *(res.particles for res in reservoirs)):
+        feed(*(getattr(pop, name) for name in COLUMN_NAMES))
+    starts = flow.starts
+    feed(np.array([0, flow.n], dtype=np.int64) if starts is None else starts)
+    surfaces = (
+        engine.surfaces if hasattr(engine, "surfaces") else [engine.surface]
+    )
+    tallies = [(engine.sampler, SAMPLER_FIELDS)]
+    tallies += [(s, SURFACE_FIELDS) for s in surfaces or () if s is not None]
+    for acc, fields in tallies:
+        feed(*(getattr(acc, name) for name in fields), acc.steps)
+    feed(engine.boundaries.plunger.position, engine.step_count)
+    return h.hexdigest()

@@ -1,0 +1,112 @@
+"""Committed state digests: "parent == change" as ``pytest -k digests``.
+
+``tests/golden_digests.json`` pins :func:`repro.verify.state_digest`
+after 60 steps (30 transient + 30 sampled, several plunger refills) of
+one run per execution mode.  A PR that means to change a realization
+regenerates exactly the rows it names, on its own commit::
+
+    PYTHONPATH=src python tests/integration/test_digests.py [case ...]
+
+Bit streams and summation order are NumPy's, so the file records the
+NumPy ``major.minor`` that wrote it and the test skips on any other.
+"""
+
+import json
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from repro.core.simulation import Simulation, SimulationConfig
+from repro.ensemble.engine import EnsembleEngine
+from repro.geometry.domain import Domain
+from repro.geometry.wedge import Wedge
+from repro.parallel.backend import ShardedBackend
+from repro.physics.freestream import Freestream
+from repro.scenarios.library import WEDGE3D
+from repro.verify import state_digest
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden_digests.json"
+NUMPY = ".".join(np.__version__.split(".")[:2])
+
+
+def _wedge(density=6.0, **kw) -> SimulationConfig:
+    return SimulationConfig(
+        domain=Domain(49, 32),
+        freestream=Freestream(
+            mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=density
+        ),
+        wedge=Wedge(x_leading=10.0, base=12.5, angle_deg=30.0),
+        seed=1989,
+        **kw,
+    )
+
+
+CASES = {
+    "serial_incremental": lambda: Simulation(_wedge()),
+    "serial_counting": lambda: Simulation(_wedge(sort_kernel="counting")),
+    "sharded_w2_inline": lambda: Simulation(
+        _wedge(), backend=ShardedBackend(2, processes=False)
+    ),
+    "wedge3d_slab": WEDGE3D.build_simulation,
+    "ensemble_r3": lambda: EnsembleEngine(_wedge(4.0), n_replicas=3),
+    "ensemble_r8_sparse": lambda: EnsembleEngine(_wedge(0.65), n_replicas=8),
+}
+
+
+def run_case(name: str) -> str:
+    engine = CASES[name]()
+    try:
+        engine.run(30)
+        engine.run(30, sample=True)
+        return state_digest(engine)
+    finally:
+        if hasattr(engine, "close"):
+            engine.close()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_state_digest_matches_golden(name):
+    golden = json.loads(GOLDEN.read_text())
+    if golden["numpy"] != NUMPY:
+        pytest.skip(
+            f"golden digests were written under NumPy {golden['numpy']}, "
+            f"this is {NUMPY}"
+        )
+    assert run_case(name) == golden["digests"][name]
+
+
+def test_digest_sees_every_piece_of_state():
+    # One flipped bit anywhere the digest claims to cover changes it.
+    sim = Simulation(_wedge(2.0))
+    sim.run(3, sample=True)
+    seen = {state_digest(sim)}
+    sim.particles.z[0] += 1.0
+    seen.add(state_digest(sim))
+    sim.reservoir.particles.u[0] += 1.0
+    seen.add(state_digest(sim))
+    sim.sampler._count[0] += 1.0
+    seen.add(state_digest(sim))
+    sim.surface._hits[0] += 1
+    seen.add(state_digest(sim))
+    sim.boundaries.plunger.position += 0.5
+    seen.add(state_digest(sim))
+    sim.step_count += 1
+    seen.add(state_digest(sim))
+    assert len(seen) == 7
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(CASES)
+    golden = (
+        json.loads(GOLDEN.read_text())
+        if GOLDEN.exists()
+        else {"numpy": NUMPY, "digests": {}}
+    )
+    if golden["numpy"] != NUMPY:
+        raise SystemExit(f"golden file is NumPy {golden['numpy']}, not {NUMPY}")
+    for case in names:
+        golden["digests"][case] = run_case(case)
+        print(case, golden["digests"][case])
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")

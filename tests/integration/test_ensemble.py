@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.particles import ParticleArrays
+from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.sampling import EnsembleSampler, ensemble_statistic
 from repro.core.simulation import SimulationConfig
 from repro.ensemble import (
@@ -173,58 +173,118 @@ class TestEngineRestrictions:
 
 
 class TestBlockedSurgery:
-    """Unit checks of the replica-blocked particle-array operations."""
+    """The in-place surgery on a population that declares its blocks.
+
+    Oracle: the same call on each block alone, compared on every column.
+    """
 
     @staticmethod
-    def _blocked(sizes):
-        rng = np.random.default_rng(3)
-        blocks = []
-        for n in sizes:
-            blocks.append(
-                ParticleArrays(
-                    x=rng.random(n),
-                    y=rng.random(n),
-                    u=rng.random(n),
-                    v=rng.random(n),
-                    w=rng.random(n),
-                    rot=rng.random((n, 2)),
-                    perm=random_permutation_table(rng, n),
-                    cell=np.zeros(n, dtype=np.int64),
-                )
-            )
+    def _block(rng, n):
+        return ParticleArrays(
+            x=rng.random(n),
+            y=rng.random(n),
+            u=rng.random(n),
+            v=rng.random(n),
+            w=rng.random(n),
+            rot=rng.random((n, 2)),
+            perm=random_permutation_table(rng, n),
+            cell=rng.integers(0, 99, size=n),
+            z=rng.random(n),
+        )
+
+    @classmethod
+    def _blocked(cls, sizes, seed=3):
+        """``(blocked population, its starts, the blocks as solo copies)``."""
         import functools
 
-        parts = functools.reduce(ParticleArrays.concatenate, blocks)
+        rng = np.random.default_rng(seed)
+        blocks = [cls._block(rng, n) for n in sizes]
+        parts = functools.reduce(
+            ParticleArrays.concatenate, blocks, ParticleArrays.empty(2)
+        )
         parts.enable_scratch()
         starts = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
+        parts.starts = starts
+        for blk in blocks:
+            blk.enable_scratch()
         return parts, starts, blocks
+
+    @staticmethod
+    def _assert_blocks_equal(parts, blocks):
+        parts.validate()
+        assert parts.starts.dtype == np.int64
+        assert parts.starts.tolist() == np.cumsum(
+            [0] + [blk.n for blk in blocks]
+        ).tolist()
+        for b, blk in enumerate(blocks):
+            b0, b1 = parts.starts[b : b + 2]
+            for name in COLUMN_NAMES:
+                assert np.array_equal(
+                    getattr(parts, name)[b0:b1], getattr(blk, name)
+                ), f"block {b} column {name} diverged"
 
     def test_remove_blocked_matches_solo_removal(self):
         parts, starts, blocks = self._blocked([6, 4, 5])
-        rng = np.random.default_rng(9)
-        mask = rng.random(parts.n) < 0.4
-        u_before = parts.u.copy()
-        new_starts = parts.remove_blocked_inplace(mask, starts)
-        for r, blk in enumerate(blocks):
-            blk.enable_scratch()
-            blk.remove_inplace(mask[starts[r] : starts[r + 1]])
-            got = parts.u[new_starts[r] : new_starts[r + 1]]
-            assert np.array_equal(got, blk.u), f"block {r} diverged"
-        assert new_starts[-1] == parts.n == (~mask).sum()
-        # Sanity: removal actually happened.
-        assert parts.n < u_before.size
+        mask = np.random.default_rng(9).random(parts.n) < 0.4
+        n_before = parts.n
+        removed = parts.remove_inplace(mask)
+        for b, blk in enumerate(blocks):
+            assert blk.remove_inplace(mask[starts[b] : starts[b + 1]]) == [
+                removed[b]
+            ]
+        self._assert_blocks_equal(parts, blocks)
+        assert parts.n == (~mask).sum() == n_before - sum(removed) < n_before
+
+    @pytest.mark.parametrize(
+        "sizes, emptied",
+        [
+            ([6, 0, 5], None),  # an empty block
+            ([4, 7, 3], 1),  # a block emptied entirely
+            ([0, 0, 9], 2),  # empty heads, the one live block emptied
+            ([5, 8, 0, 0], None),  # mixed empty / non-empty tails
+            ([7], None),  # one declared block
+        ],
+    )
+    def test_removal_on_every_column(self, sizes, emptied):
+        parts, starts, blocks = self._blocked(sizes, seed=len(sizes))
+        mask = np.random.default_rng(2).random(parts.n) < 0.5
+        if emptied is not None:
+            mask[starts[emptied] : starts[emptied + 1]] = True
+        parts.remove_inplace(mask)
+        for b, blk in enumerate(blocks):
+            blk.remove_inplace(mask[starts[b] : starts[b + 1]])
+        self._assert_blocks_equal(parts, blocks)
+
+    def test_all_false_mask_removes_nothing(self):
+        parts, starts, blocks = self._blocked([4, 0, 6])
+        assert parts.remove_inplace(np.zeros(parts.n, dtype=bool)) == [0, 0, 0]
+        self._assert_blocks_equal(parts, blocks)
 
     def test_append_blocked_matches_solo_append(self):
         parts, starts, blocks = self._blocked([3, 5])
-        _, _, fresh = self._blocked([2, 4])
-        new_starts = parts.append_blocked_inplace(fresh, starts)
-        for r, blk in enumerate(blocks):
-            blk.enable_scratch()
-            blk.append_inplace(fresh[r])
-            got = parts.u[new_starts[r] : new_starts[r + 1]]
-            assert np.array_equal(got, blk.u), f"block {r} diverged"
-        assert new_starts[-1] == parts.n
+        _, _, fresh = self._blocked([2, 4], seed=4)
+        parts.append_inplace(fresh)
+        for blk, new in zip(blocks, fresh):
+            blk.append_inplace(new)
+        self._assert_blocks_equal(parts, blocks)
+
+    @pytest.mark.parametrize(
+        "sizes, grown",
+        [
+            ([3, 0, 5], [2, 4, 0]),  # into an empty block; an empty tail
+            ([0, 0], [3, 1]),  # an empty population
+            ([4, 2, 6], [0, 0, 70]),  # outgrows the buffers
+            ([5], [3]),  # one declared block
+        ],
+    )
+    def test_append_on_every_column(self, sizes, grown):
+        parts, starts, blocks = self._blocked(sizes)
+        _, _, fresh = self._blocked(grown, seed=4)
+        parts.append_inplace(fresh)
+        for blk, new in zip(blocks, fresh):
+            blk.append_inplace(new)
+        self._assert_blocks_equal(parts, blocks)
 
     def test_empty_append_is_noop(self):
         parts, starts, _ = self._blocked([4, 3])
@@ -232,10 +292,79 @@ class TestBlockedSurgery:
             ParticleArrays.empty(2),
             ParticleArrays.empty(2),
         ]
-        before = parts.u.copy()
-        new_starts = parts.append_blocked_inplace(empties, starts)
-        assert np.array_equal(new_starts, starts)
-        assert np.array_equal(parts.u, before)
+        before = {name: getattr(parts, name).copy() for name in COLUMN_NAMES}
+        parts.append_inplace(empties)
+        assert np.array_equal(parts.starts, starts)
+        for name in COLUMN_NAMES:
+            assert np.array_equal(getattr(parts, name), before[name])
+
+    def test_one_block_never_touches_the_back_buffers(self):
+        # Serial populations and reservoirs: starts stays None and the
+        # surgery is O(removed) / O(appended) in the front buffers.
+        parts, _, _ = self._blocked([40])
+        parts.starts = None
+        fresh = self._block(np.random.default_rng(5), 7)
+        front = dict(parts._front)
+        for buf in parts._back.values():
+            buf.view(np.uint8)[...] = 0xAB
+        mask = np.random.default_rng(6).random(parts.n) < 0.3
+        assert parts.remove_inplace(mask) == [int(mask.sum())]
+        parts.append_inplace(fresh)
+        parts.append_inplace([fresh])
+        assert parts.starts is None and parts.n_blocks == 1
+        assert parts.n == 40 - mask.sum() + 14
+        for name in COLUMN_NAMES:
+            assert parts._front[name] is front[name]
+            assert (parts._back[name].view(np.uint8) == 0xAB).all()
+            assert np.shares_memory(getattr(parts, name), front[name])
+
+    def test_typed_errors(self):
+        parts, _, blocks = self._blocked([4, 3])
+        with pytest.raises(ConfigurationError, match="one appended population"):
+            parts.append_inplace(blocks[0])
+        with pytest.raises(ConfigurationError, match="one appended population"):
+            parts.append_inplace(blocks + blocks)
+        with pytest.raises(ConfigurationError, match="one entry per particle"):
+            parts.remove_inplace(np.zeros(3, dtype=bool))
+        # A blocked population that grew behind its starts' back says so
+        # at its next surgery, not with an IndexError mid-copy.
+        perm = np.tile(np.arange(5, dtype=np.int8), (2, 1))
+        parts.append_rows(np.zeros((2, 8)), perm, 2)
+        for surgery in (
+            lambda: parts.remove_inplace(np.zeros(parts.n, dtype=bool)),
+            lambda: parts.append_inplace(blocks),
+        ):
+            with pytest.raises(ConfigurationError, match=r"starts\[-1\] must equal"):
+                surgery()
+        with pytest.raises(ConfigurationError, match=r"starts\[-1\] must equal"):
+            parts.validate()
+
+    @pytest.mark.parametrize(
+        "starts, match",
+        [
+            ([0, 5, 3, 7], "without decreasing"),
+            ([1, 4, 7], "rise from 0"),
+            ([0, -2, 7], "without decreasing"),
+            ([0, 4, 6], r"starts\[-1\] must equal"),
+            ([7], "at least two"),
+            ([0.0, 7.0], "integer"),
+        ],
+    )
+    def test_validate_checks_starts(self, starts, match):
+        parts, _, _ = self._blocked([7])
+        parts.starts = np.array(starts)
+        with pytest.raises(ConfigurationError, match=match):
+            parts.validate()
+
+    def test_copies_are_one_block(self):
+        parts, _, blocks = self._blocked([4, 3])
+        assert parts.n_blocks == 2
+        for one in (
+            parts.copy(),
+            parts.select(np.arange(5)),
+            ParticleArrays.concatenate(parts, blocks[0]),
+        ):
+            assert one.starts is None and one.n_blocks == 1
 
 
 class TestEnsembleSnapshot:

@@ -226,3 +226,77 @@ class TestShardedSnapshots:
         )
         restored.run(2)  # must step fine on the serial engine
         restored.close()
+
+
+class TestNonSpecularWallsStayPooled:
+    """A scratch-enabled population is rebuilt in its own buffers under
+    every wall model: the full-array reflections used to hand back a
+    bare ``select`` copy, which un-pooled every serial run and killed
+    every shard worker in its first step."""
+
+    @staticmethod
+    def _sim(model, accommodation, backend=None) -> Simulation:
+        return Simulation(
+            SimulationConfig(
+                domain=Domain(48, 24),
+                freestream=Freestream(
+                    mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=6.0
+                ),
+                wedge=Wedge(x_leading=10.0, base=12.0, angle_deg=30.0),
+                seed=3,
+                wall_model=model,
+                accommodation=accommodation,
+            ),
+            backend=backend,
+        )
+
+    @staticmethod
+    def _total(sim) -> int:
+        in_transit = getattr(sim.backend, "pending_flux", 0)
+        return sim.particles.n + sim.reservoir.size + in_transit
+
+    @staticmethod
+    def _run(sim) -> None:
+        sim.run(20)
+        sim.run(20, sample=True)
+        sim.gather()
+
+    @staticmethod
+    def _shards(sim) -> list:
+        """The populations that are stepped (the shards', when sharded)."""
+        workers = getattr(sim.backend, "_workers", None)
+        return [w.particles for w in workers] if workers else [sim.particles]
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "inline-w2"])
+    @pytest.mark.parametrize(
+        "model, accommodation",
+        [("diffuse", 1.0), ("adiabatic", 1.0), ("maxwell", 0.5)],
+    )
+    def test_pool_survives_forty_steps(self, model, accommodation, workers):
+        backend = ShardedBackend(2, processes=False) if workers > 1 else None
+        with self._sim(model, accommodation, backend) as sim:
+            shards = self._shards(sim)
+            assert len(shards) == workers
+            pools = [parts.scratch for parts in shards]
+            assert all(pool is not None for pool in pools)
+            total = self._total(sim)
+            self._run(sim)
+            for was, parts, pool in zip(shards, self._shards(sim), pools):
+                assert parts is was and parts.scratch is pool
+                parts.validate()
+            sim.particles.validate()
+            assert self._total(sim) == total
+            assert sim.sampler.steps == 20
+
+    def test_forked_diffuse_run(self):
+        with self._sim(
+            "diffuse", 1.0, ShardedBackend(2, processes=True)
+        ) as forked, self._sim(
+            "diffuse", 1.0, ShardedBackend(2, processes=False)
+        ) as inline:
+            total = self._total(forked)
+            self._run(forked)
+            self._run(inline)
+            forked.particles.validate()
+            assert self._total(forked) == total
+            _assert_sims_equal(forked, inline, "diffuse forked vs inline")

@@ -7,10 +7,19 @@ import pytest
 
 from repro.core.particles import COLUMN_NAMES
 from repro.core.sampling import SAMPLER_FIELDS
-from repro.core.simulation import Simulation
-from repro.errors import ConfigurationError
+from repro.core.simulation import Simulation, SimulationConfig
+from repro.ensemble import EnsembleEngine
+from repro.errors import CheckpointCorruptionError, ConfigurationError
+from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
-from repro.io.snapshots import load_simulation, save_simulation
+from repro.geometry.wedge import Wedge
+from repro.io.snapshots import (
+    load_ensemble,
+    load_simulation,
+    save_ensemble,
+    save_simulation,
+)
+from repro.physics.freestream import Freestream
 
 
 class TestSnapshotRoundtrip:
@@ -109,3 +118,53 @@ class TestSnapshotRoundtrip:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ConfigurationError):
             load_simulation(path)
+
+
+class TestEnsembleStartsAreChecked:
+    """``load_ensemble`` used to accept any ``starts`` member and step a
+    block of negative length silently (or die later, untyped)."""
+
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory):
+        config = SimulationConfig(
+            domain=Domain(32, 24),
+            freestream=Freestream(
+                mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=4.0
+            ),
+            wedge=Wedge(x_leading=8.0, base=12.0, angle_deg=25.0),
+            seed=7,
+        )
+        eng = EnsembleEngine(config, n_replicas=3)
+        eng.run(3)
+        path = tmp_path_factory.mktemp("ens") / "ens.npz"
+        save_ensemble(eng, path)
+        with np.load(path) as data:
+            return {k: data[k] for k in data.files}
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s: s[[0, 2, 1, 3]],  # decreasing: a block of negative rows
+            lambda s: s[:-1],  # short for replica_ids
+            lambda s: np.append(s, s[-1]),  # long for replica_ids
+            lambda s: np.array([0, -5, s[2], s[3]]),  # negative entry
+            lambda s: s + 1,  # not from 0 (nor to n)
+            lambda s: np.append(s[:-1], s[-1] - 1),  # not ending at the flow
+            lambda s: s.astype(np.float64),  # wrong dtype
+        ],
+        ids=["decreasing", "short", "long", "negative", "offset", "end", "float"],
+    )
+    def test_corrupt_starts_raise_at_load(self, archive, corrupt, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(path, **{**archive, "starts": corrupt(archive["starts"])})
+        with pytest.raises(CheckpointCorruptionError, match="block starts"):
+            load_ensemble(path)
+
+    def test_intact_archive_loads_with_its_blocks(self, archive, tmp_path):
+        path = tmp_path / "good.npz"
+        np.savez(path, **archive)
+        eng = load_ensemble(path)
+        assert np.array_equal(eng.particles.starts, archive["starts"])
+        assert eng.particles.starts.dtype == np.int64
+        eng.particles.validate()
+        eng.run(2)

@@ -79,27 +79,92 @@ STAGE_INTERNALS = {
 }
 
 
+def _names_in(module_name):
+    """Every imported, bare or attribute name a module's code spells."""
+    source = pathlib.Path(
+        importlib.import_module(module_name).__file__
+    ).read_text()
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return named
+
+
 class TestCollisionStageSpelledOnce:
     @pytest.mark.parametrize(
         "module_name",
         ["repro.ensemble.engine", "repro.parallel.backend"],
     )
     def test_engine_names_no_stage_internal(self, module_name):
-        source = pathlib.Path(
-            importlib.import_module(module_name).__file__
-        ).read_text()
-        named = set()
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                named.update(alias.name.split(".")[-1] for alias in node.names)
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+        named = _names_in(module_name)
         assert not named & STAGE_INTERNALS, (
             f"{module_name} re-spells the collision stage: "
             f"{sorted(named & STAGE_INTERNALS)}"
         )
+
+
+#: The pieces of the boundary pass after the reflections (removal,
+#: refill, the per-block split of surface hits).
+#: ``WindTunnelBoundaries.apply_rebuilding`` spells them once for one
+#: block or R; ``deposit`` is absent because the ensemble's constructor
+#: seeds each reservoir with it.
+BOUNDARY_INTERNALS = {
+    "plunger_inflow", "reflect_specular", "withdraw", "remove_inplace",
+    "append_inplace", "searchsorted",
+}
+
+
+class TestBoundaryPassSpelledOnce:
+    def test_ensemble_names_no_boundary_internal(self):
+        named = _names_in("repro.ensemble.engine")
+        assert not named & BOUNDARY_INTERNALS, (
+            "repro.ensemble.engine re-spells the boundary pass: "
+            f"{sorted(named & BOUNDARY_INTERNALS)}"
+        )
+
+    @pytest.mark.parametrize("call", ["plunger_inflow", "deposit"])
+    def test_removal_and_refill_have_one_call_site(self, call):
+        import repro.core.boundary as boundary
+
+        tree = ast.parse(pathlib.Path(boundary.__file__).read_text())
+        sites = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == call
+        ]
+        assert len(sites) == 1, f"{call}( is called at lines {sites}"
+
+    def test_the_twins_are_gone(self):
+        from repro.core.boundary import WindTunnelBoundaries
+        from repro.core.particles import ParticleArrays
+        from repro.ensemble.engine import EnsembleEngine
+
+        for owner, name in (
+            (ParticleArrays, "remove_blocked_inplace"),
+            (ParticleArrays, "append_blocked_inplace"),
+            (WindTunnelBoundaries, "_apply_rebuilding_fast"),
+            (EnsembleEngine, "_apply_boundaries"),
+            (EnsembleEngine, "_record_surface"),
+        ):
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+    def test_only_the_population_has_starts(self):
+        import repro.ensemble.engine as engine
+
+        tree = ast.parse(pathlib.Path(engine.__file__).read_text())
+        owners = {
+            ast.unparse(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "starts"
+        }
+        assert owners == {"parts", "engine.particles"}
 
 
 #: What a forked shard worker executes.  One BLAS call in there wakes an

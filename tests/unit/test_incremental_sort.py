@@ -489,7 +489,8 @@ class TestPairableCellsOnly:
             sorter = IncrementalSorter(c)
             sorter.detect(joint)
         else:
-            sorter = BlockedSorter(c, starts)
+            joint.starts = starts
+            sorter = BlockedSorter(c)
         res = sorter.update(joint)
         assert res.counts.shape[0] == len(blocks) * c
 

@@ -1,11 +1,14 @@
 """Unit tests for the reservoir and the wind-tunnel boundaries."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core.boundary import PlungerState, WindTunnelBoundaries
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.reservoir import Reservoir
+from repro.core.surface import SURFACE_FIELDS, SurfaceSampler
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
@@ -140,6 +143,145 @@ class TestBlockedMix:
             bare.mix(self._streams(2), peers=pooled)
         with pytest.raises(ConfigurationError, match="scratch"):
             pooled[0].mix(self._streams(2), peers=[bare])
+
+
+class TestBlockedBoundaryPass:
+    """``apply_rebuilding`` over R blocks == R one-block calls.
+
+    The one-block call is the oracle: each block alone, with its own
+    boundaries object at the same plunger phase, its own reservoir,
+    stream and surface sampler.  Block 1 has no downstream exits and a
+    nearly dry reservoir (a refill mints the balance), block 2 is empty
+    with an empty reservoir.
+    """
+
+    DOMAIN = Domain(30, 20)
+    WEDGE = Wedge(x_leading=8.0, base=10.0, angle_deg=30.0)
+    FS = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=2.0)
+
+    def _boundaries(self, position, **kw):
+        wb = WindTunnelBoundaries(
+            self.DOMAIN, self.FS, wedge=self.WEDGE, plunger_trigger=2.0, **kw
+        )
+        wb.plunger.position = position
+        return wb
+
+    def _blocks(self, sizes):
+        """Flow blocks straying past every boundary, and their reservoirs."""
+        blocks, tanks = [], []
+        for b, (n, n_tank) in enumerate(zip(sizes, (500, 3, 0))):
+            rng = np.random.default_rng(40 + b)
+            blk = ParticleArrays.from_freestream(
+                rng, n, self.FS, (-0.4, 30.6), (-0.4, 20.4)
+            )
+            blk.z[:] = rng.random(n)
+            if b == 1:
+                np.minimum(blk.x, 29.0, out=blk.x)
+            tank = Reservoir(self.FS)
+            tank.deposit(rng, n_tank)
+            blocks.append(blk)
+            tanks.append(tank)
+        return blocks, tanks
+
+    @staticmethod
+    def _pooled_copy(tank):
+        copy = Reservoir(tank.freestream)
+        copy.particles = tank.particles.copy().enable_scratch()
+        return copy
+
+    @staticmethod
+    def _streams(n):
+        return [shard_stream(7, 0, 12, replica=b) for b in range(n)]
+
+    @pytest.mark.parametrize("sizes", [(300,), (300, 200, 0)], ids=["R1", "R3"])
+    @pytest.mark.parametrize("position", [0.3, 1.6], ids=["plain", "refill"])
+    def test_blocks_equal_one_block_calls(self, sizes, position):
+        n_blocks = len(sizes)
+        blocks, tanks = self._blocks(sizes)
+        parts = functools.reduce(
+            ParticleArrays.concatenate, blocks, ParticleArrays.empty(2)
+        ).enable_scratch()
+        parts.starts = np.concatenate([[0], np.cumsum(sizes)])
+        joint_tanks = [self._pooled_copy(t) for t in tanks]
+        joint_streams = self._streams(n_blocks)
+        wb = self._boundaries(position)
+        wb.surface_sampler = [SurfaceSampler(self.WEDGE) for _ in sizes]
+        out, stats = wb.apply_rebuilding(parts, joint_tanks, joint_streams)
+        assert out is parts and parts.scratch is not None
+        parts.validate()
+
+        totals = dict.fromkeys(
+            ("n_reflected_walls", "n_reflected_wedge", "n_removed_downstream",
+             "n_injected_upstream", "n_clamped"), 0,
+        )
+        for b, (blk, tank, stream) in enumerate(
+            zip(blocks, tanks, self._streams(n_blocks))
+        ):
+            alone = self._boundaries(position)
+            alone.surface_sampler = SurfaceSampler(self.WEDGE)
+            tank = self._pooled_copy(tank)
+            blk, want = alone.apply_rebuilding(
+                blk.enable_scratch(), tank, stream
+            )
+            for key in totals:
+                totals[key] += getattr(want, key)
+            assert want.plunger_reset == stats.plunger_reset == (position > 1)
+            assert alone.plunger.position == wb.plunger.position
+            rows = slice(*parts.starts[b : b + 2])
+            for name in COLUMN_NAMES:
+                assert np.array_equal(
+                    getattr(parts, name)[rows], getattr(blk, name)
+                ), f"block {b} flow {name}"
+                assert np.array_equal(
+                    getattr(joint_tanks[b].particles, name),
+                    getattr(tank.particles, name),
+                ), f"block {b} reservoir {name}"
+            for name in SURFACE_FIELDS:
+                assert np.array_equal(
+                    getattr(wb.surface_sampler[b], name),
+                    getattr(alone.surface_sampler, name),
+                ), f"block {b} surface {name}"
+            np.testing.assert_equal(
+                joint_streams[b].bit_generator.state,
+                stream.bit_generator.state,
+            )
+        assert {k: getattr(stats, k) for k in totals} == totals
+        # The scenario does what its docstring says.
+        assert stats.n_reflected_wedge and stats.n_removed_downstream
+        if position > 1:
+            refill = stats.n_injected_upstream // n_blocks
+            assert refill > 3  # tank 1 minted the balance
+            if n_blocks == 3:
+                assert joint_tanks[1].size == joint_tanks[2].size == 0
+                assert np.diff(parts.starts)[2] == refill
+
+    def _three_blocks(self, **kw):
+        blocks, tanks = self._blocks((20, 10, 5))
+        parts = ParticleArrays.concatenate(
+            ParticleArrays.concatenate(blocks[0], blocks[1]), blocks[2]
+        )
+        parts.starts = np.array([0, 20, 30, 35])
+        return self._boundaries(0.3, **kw), parts, tanks
+
+    def test_one_reservoir_and_stream_per_block(self):
+        wb, parts, tanks = self._three_blocks()
+        parts.enable_scratch()
+        with pytest.raises(ConfigurationError, match="2 reservoirs and 3 streams"):
+            wb.apply_rebuilding(parts, tanks[:2], self._streams(3))
+        with pytest.raises(ConfigurationError, match="3 reservoirs and 1 streams"):
+            wb.apply_rebuilding(parts, tanks, self._streams(1)[0])
+        wb.surface_sampler = SurfaceSampler(self.WEDGE)
+        with pytest.raises(ConfigurationError, match="1 surface samplers for 3"):
+            wb.apply_rebuilding(parts, tanks, self._streams(3))
+
+    def test_several_blocks_need_the_subset_path(self):
+        wb, parts, tanks = self._three_blocks()
+        with pytest.raises(ConfigurationError, match="scratch-enabled"):
+            wb.apply_rebuilding(parts, tanks, self._streams(3))
+        wb, parts, tanks = self._three_blocks(wall_model="diffuse")
+        parts.enable_scratch()
+        with pytest.raises(ConfigurationError, match="specular walls"):
+            wb.apply_rebuilding(parts, tanks, self._streams(3))
 
 
 class TestPlungerState:
