@@ -100,10 +100,11 @@ class ScratchBuffers:
         return idx
 
     def arange(self, n: int) -> np.ndarray:
-        """A read-only ``arange(n)`` view (shared; do not modify)."""
+        """A read-only ``arange(n)`` view (shared; a write raises)."""
         base = self._arrays.get("__arange")
         if base is None or base.shape[0] < n:
             base = np.arange(self._capacity(n), dtype=np.intp)
+            base.flags.writeable = False
             self._arrays["__arange"] = base
         return base[:n]
 

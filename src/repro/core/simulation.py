@@ -133,8 +133,8 @@ class SimulationConfig:
     sort_kernel:
         Kernel of the collision stage (:func:`collision_stage`):
         ``"incremental"`` (default) rebuilds an indexed cell-contiguous
-        order each step and pairs/collides through it without moving
-        particle data (host-performance mode); ``"counting"``
+        order each step and pairs/collides through it, moving particle
+        data only every 32nd step (host-performance mode); ``"counting"``
         physically re-sorts every step with the fused counting sort and
         pairs even/odd neighbours (the paper-faithful CM-2 rank-sort
         analogue).
@@ -302,6 +302,7 @@ def collision_stage(
     vf_flat: np.ndarray,
     rng,
     sorter,
+    step: int,
     counts_out: Optional[np.ndarray] = None,
 ) -> CollisionStageResult:
     """Index, sort, pair, select and collide a population of blocks.
@@ -319,9 +320,10 @@ def collision_stage(
       and collide it
       (:func:`repro.core.selection.fused_select_collide`).  An
       :class:`IncrementalSorter` (``"incremental"``) indexes one block
-      and moves no particle data; the ensemble's
+      and makes the order physical when ``step``, the caller's
+      completed-step count, says so; the ensemble's
       :class:`repro.core.sortstep.BlockedSorter` physically sorts R
-      blocks by (block, cell);
+      blocks by (block, cell) every step;
     * ``None`` (``"counting"``, one block) -- the paper's scheme:
       physically counting-sort the population with randomized
       intra-cell order, pair even/odd neighbours, select, collide
@@ -340,7 +342,7 @@ def collision_stage(
     if sorter is not None:
         sorter.detect(parts)
         t_index = time.perf_counter()
-        sres = sorter.update(parts)
+        sres = sorter.update(parts, step)
         t_sort = time.perf_counter()
         # Pairing, selection and collision in one pass (pairing runs
         # after selection when the model allows); the kernel hands back
@@ -468,7 +470,8 @@ class SerialBackend:
         #    select, collide -- the one spelling shared with the shard
         #    workers.  The ledger gets the stage's own phase boundaries.
         stage = collision_stage(
-            parts, cfg, sim._vf_flat, sim.rng, sim.sort_state
+            parts, cfg, sim._vf_flat, sim.rng, sim.sort_state,
+            sim.step_count,
         )
         perf.record_spans(stage.spans())
         sort_moved_fraction = sort_rebuilds = None

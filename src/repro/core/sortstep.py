@@ -34,6 +34,13 @@ The CM engine supplies explicit ``mix_bits`` instead of an rng; that
 path keeps the paper's literal ``cell * scale + bits`` key (narrowed
 when it fits) so the emulated sort order is bit-identical to the seed
 implementation.
+
+**The indexed kernel** (:class:`IncrementalSorter`, the default) builds
+the same cell-contiguous order every step as a permutation and lets the
+collision gather through it; it applies that permutation to the
+columns -- the purpose quoted above -- only on every
+:data:`RESORT_PERIOD`-th step, which is often enough that partners
+stay at neighbouring addresses in between.
 """
 
 from __future__ import annotations
@@ -45,13 +52,18 @@ import numpy as np
 
 from repro.constants import DEFAULT_SORT_SCALE
 from repro.core.cells import randomized_sort_keys
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, pooled_arange
 from repro.errors import ConfigurationError
 
 #: Largest key value that still takes NumPy's radix/counting sort path
 #: (stable argsort of uint16); beyond this the kernel falls back to the
 #: wide comparison sort.  Keys are validated non-negative upstream.
 NARROW_KEY_LIMIT = int(np.iinfo(np.uint16).max)
+
+#: Steps between the indexed kernel's physical re-sorts (the step whose
+#: completed-step count is a multiple re-sorts).  A constant, not a
+#: setting: the optimum is flat (docs/algorithm.md, "Temporal coherence").
+RESORT_PERIOD = 32
 
 
 @dataclass(frozen=True)
@@ -251,11 +263,11 @@ class IncrementalSortResult:
     order:
         Canonical permutation view (length ``n``): ``order[slot]`` is
         the particle *row* occupying sorted slot ``slot``.  Slots are
-        sorted by ``(cell, row)`` -- cell-contiguous, deterministic.
-        The particle columns themselves are **not** physically
-        reordered; downstream kernels gather through ``order``.
-        ``None`` from a :class:`BlockedSorter`, which does reorder
-        them: slots are rows.
+        sorted by ``(cell, row)`` -- cell-contiguous, deterministic --
+        and downstream kernels gather through ``order``.  ``None`` when
+        the sorter made that order physical (a :class:`BlockedSorter`
+        every step, an :class:`IncrementalSorter` every
+        :data:`RESORT_PERIOD`-th): slots are rows.
     counts / offsets:
         Per-cell populations (length ``n_cells``) and their exclusive
         prefix sum (length ``n_cells + 1``): cell ``c`` owns slots
@@ -277,7 +289,7 @@ class IncrementalSortResult:
 
 
 class IncrementalSorter:
-    """Build a cell-contiguous particle *order* without moving data.
+    """Build a cell-contiguous particle *order*; make it physical rarely.
 
     The indexed kernel (``sort_kernel="incremental"``): instead of
     physically shuffling all nine particle columns into cell order
@@ -288,19 +300,32 @@ class IncrementalSorter:
     half the population changes cell per step, so there is no order
     worth keeping (docs/algorithm.md, "Temporal coherence").
 
+    What is worth keeping is a *storage* order.  On the steps whose
+    completed-step count is a multiple of :data:`RESORT_PERIOD` the
+    order just built is applied to the columns
+    (``particles.reorder_inplace``, the counting kernel's per-step
+    call) and ``order=None`` is handed back; for the steps in between
+    a row's same-cell partners are still stored a few cells away, so
+    the collision's gathers and scatters walk a cache-sized window
+    instead of the whole population.
+
     ``detect`` reports how much of the population did change cell -- an
     observable for telemetry and the benchmark, not a switch: it
     decides nothing.
 
     The order is a pure function of the cell column and the sorter
-    consumes **no random numbers**, so it is bitwise path-independent:
-    row surgery, a restored snapshot or a gathered population cannot
-    change a trajectory, and no order state is ever persisted.  Pairing
+    consumes **no random numbers**.  Within a cell, slot order is row
+    order, so a physical re-sort does change the realization -- which
+    is why its schedule is a function of the step count alone, the one
+    piece of schedule state every driver already persists
+    (``step_count`` in every snapshot): a resumed, sharded or served
+    run re-sorts on exactly the steps the uninterrupted serial run
+    does.  Nothing of the sorter itself is persisted.  Pairing
     randomness lives downstream in
     :func:`repro.core.pairing.reflection_pairs`, which randomizes *pair
     assignment within each cell* per step instead of randomizing
     storage order -- the same statistical contract as the counting
-    kernel's bucket shuffle without ever moving particle data.
+    kernel's bucket shuffle, under any slot order.
 
     This is a host-performance mode outside the CM-2 cost model; the
     paper-faithful rank-sort analogue remains ``sort_kernel="counting"``.
@@ -322,7 +347,8 @@ class IncrementalSorter:
         self._mover = np.empty(0, dtype=bool)
         self._key16 = np.empty(0, dtype=np.uint16)
         #: The last ``update``'s argsort result, kept as returned (no
-        #: copy into a sorter-owned buffer); length ``_order_n``.
+        #: copy into a sorter-owned buffer) -- or, after a physical
+        #: re-sort, the pooled read-only identity; length ``_order_n``.
         self._order = np.empty(0, dtype=np.intp)
         #: Population size the cached order/cells describe (0 = none).
         self._order_n = 0
@@ -346,17 +372,32 @@ class IncrementalSorter:
         self._moved_fraction = (self._moved / n) if n else 0.0
         return self._moved_fraction
 
-    def update(self, particles: ParticleArrays) -> IncrementalSortResult:
-        """Rebuild the canonical order; refresh counts/offsets."""
+    def update(
+        self, particles: ParticleArrays, step: Optional[int] = None
+    ) -> IncrementalSortResult:
+        """Rebuild the canonical order; refresh counts/offsets.
+
+        ``step`` is the driver's completed-step count: on a multiple of
+        :data:`RESORT_PERIOD` the order becomes the physical row order.
+        Without it (a caller with no step loop) the rows never move.
+        """
         n = particles.n
         cell = particles.cell
         self._grow(n)
         if self.n_cells - 1 <= NARROW_KEY_LIMIT:
             key16 = self._key16[:n]
             np.copyto(key16, cell, casting="unsafe")
-            self._order = np.argsort(key16, kind="stable")
+            order = np.argsort(key16, kind="stable")
         else:
-            self._order = np.argsort(cell, kind="stable")
+            order = np.argsort(cell, kind="stable")
+        physical = step is not None and step % RESORT_PERIOD == 0
+        if physical:
+            # Slots become rows; the cached order and cell baseline
+            # follow the rows, so ``detect`` and the auditor stay true.
+            particles.reorder_inplace(order)
+            cell = particles.cell
+            order = pooled_arange(particles.scratch, n)
+        self._order = order
         self.rebuilds += 1
         self._prev_cell[:n] = cell
         self._order_n = n
@@ -364,7 +405,7 @@ class IncrementalSorter:
         self._offsets[0] = 0
         np.cumsum(self._counts, out=self._offsets[1:])
         return IncrementalSortResult(
-            order=self._order,
+            order=None if physical else order,
             counts=self._counts,
             offsets=self._offsets,
             moved=self._moved,
@@ -408,8 +449,13 @@ class BlockedSorter:
     def detect(self, particles: ParticleArrays) -> None:
         """Nothing to count: a physical sort keeps no per-row history."""
 
-    def update(self, particles: ParticleArrays) -> IncrementalSortResult:
-        """Sort the rows by the composite key; histogram and offsets."""
+    def update(
+        self, particles: ParticleArrays, step: Optional[int] = None
+    ) -> IncrementalSortResult:
+        """Sort the rows by the composite key; histogram and offsets.
+
+        Every step is a physical sort here, whatever ``step`` says.
+        """
         n = particles.n
         n_keys = particles.n_blocks * self.n_cells
         key = particles.scratch.array("blocked_key", n, dtype=np.int64)

@@ -287,7 +287,8 @@ class EnsembleEngine:
         #    whole ensemble by (replica, cell) and every draw comes per
         #    block from that replica's stream.
         stage = collision_stage(
-            parts, cfg, self._vf_flat, streams, self._sorter
+            parts, cfg, self._vf_flat, streams, self._sorter,
+            self.step_count,
         )
         perf.record_spans(stage.spans())
 

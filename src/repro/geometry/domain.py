@@ -125,7 +125,3 @@ class Domain:
     def inside(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Boolean mask of points strictly inside the tunnel box."""
         return (x >= 0) & (x < self.nx) & (y >= 0) & (y < self.ny)
-
-    def exited_downstream(self, x: np.ndarray) -> np.ndarray:
-        """Mask of particles past the soft downstream (sink) boundary."""
-        return np.asarray(x) >= self.nx

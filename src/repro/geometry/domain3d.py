@@ -105,9 +105,3 @@ class Domain3D:
         k = idx % self.nz
         ij = idx // self.nz
         return ij // self.ny, ij % self.ny, k
-
-    # -- predicates ---------------------------------------------------------
-
-    def exited_downstream(self, x: np.ndarray) -> np.ndarray:
-        """Mask of particles past the downstream sink plane."""
-        return np.asarray(x) >= self.nx

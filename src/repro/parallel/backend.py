@@ -393,7 +393,7 @@ class ShardWorker:
         self.channels.receive(parts, self.shard_id)
 
         stage = collision_stage(
-            parts, cfg, self._vf_flat, stream, self._sorter,
+            parts, cfg, self._vf_flat, stream, self._sorter, step,
             counts_out=self._counts,
         )
         t1, t1b, t2, t3, t4 = stage.t

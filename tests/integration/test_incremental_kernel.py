@@ -30,6 +30,7 @@ from repro.core.simulation import (
     Simulation,
     SimulationConfig,
 )
+from repro.core.sortstep import RESORT_PERIOD
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
@@ -140,14 +141,14 @@ class TestStatisticalEquivalence:
         assert cross > noise_floor - 0.05
 
 
-def _materialise_all_stage(parts, config, vf_flat, rng, sorter,
+def _materialise_all_stage(parts, config, vf_flat, rng, sorter, step,
                            counts_out=None):
     """``collision_stage`` on the indexed kernel, spelled as its oracle:
     materialise every reflection pair, apply the selection rule to all
     of them, collide the accepted ones with ``collide_pairs``."""
     assign_cells(parts, config.domain)
     sorter.detect(parts)
-    sres = sorter.update(parts)
+    sres = sorter.update(parts, step)
     rp = reflection_pairs(
         sres.order, sres.counts, sres.offsets,
         reflection_offsets(rng, sres.counts),
@@ -180,7 +181,8 @@ def _materialise_all_stage(parts, config, vf_flat, rng, sorter,
 class TestSelectBeforePairing:
     """The stage pairs only what collides; the trajectory cannot tell.
 
-    Same seed, 30 steps: the shipped stage (offsets -> select -> pair
+    Same seed, 40 steps (two physical re-sorts, after which ``order``
+    is ``None``): the shipped stage (offsets -> select -> pair
     the accepted ids -> collide in pooled buffers) against the
     materialise-all-then-select oracle above must leave identical
     particle columns, reservoir and per-step diagnostics -- from under
@@ -202,7 +204,7 @@ class TestSelectBeforePairing:
             ),
         )
         shipped = Simulation(cfg)
-        shipped_diags = [shipped.step() for _ in range(30)]
+        shipped_diags = [shipped.step() for _ in range(40)]
         monkeypatch.setattr(
             simulation_mod, "collision_stage", _materialise_all_stage
         )
@@ -280,14 +282,17 @@ class TestShardedConsistency:
 
 class TestSnapshotContinuation:
     def test_restore_continues_bitwise(self, tmp_path):
+        # Checkpoint between two physical re-sorts, one on each side:
+        # the restored run must re-sort on the uninterrupted run's steps.
         cfg = _config()
         sim = Simulation(cfg)
-        sim.run(6)
+        sim.run(RESORT_PERIOD + 6)
+        assert sim.step_count % RESORT_PERIOD
         path = tmp_path / "snap.npz"
         save_simulation(sim, path)
         restored = load_simulation(path)
         assert restored.config.sort_kernel == "incremental"
-        for _ in range(3):
+        for _ in range(RESORT_PERIOD + 3):
             da = sim.step()
             db = restored.step()
         assert da.n_flow == db.n_flow
@@ -296,6 +301,7 @@ class TestSnapshotContinuation:
         a, b = sim.particles, restored.particles
         assert np.array_equal(a.u[: a.n], b.u[: b.n])
         assert np.array_equal(a.cell[: a.n], b.cell[: b.n])
+        assert np.array_equal(a.perm[: a.n], b.perm[: b.n])
 
     def test_legacy_snapshot_defaults_to_counting(self, tmp_path):
         # Archives written before the field existed were counting runs;

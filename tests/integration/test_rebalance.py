@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.sortstep import RESORT_PERIOD
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
@@ -160,13 +161,17 @@ class TestCheckpointContinuity:
                 rebalance=EAGER,
             )
 
-        # Uninterrupted reference: 14 + 6 rebalancing steps.  Step 14
+        # Uninterrupted reference: 43 + 36 rebalancing steps.  Step 43
         # is chosen because the eager rebalancer has the decomposition
         # genuinely non-uniform there (checked below) -- the case the
-        # edge persistence exists for.
-        ref = _run(20, rebalance=EAGER)
+        # edge persistence exists for -- and because it sits between
+        # two physical re-sorts of the indexed kernel, with one on each
+        # side (steps 32 and 64): the restored workers must re-sort on
+        # the uninterrupted run's schedule.
+        before, after = RESORT_PERIOD + 11, RESORT_PERIOD + 4
+        ref = _run(before + after, rebalance=EAGER)
 
-        sim = _run(14, rebalance=EAGER)
+        sim = _run(before, rebalance=EAGER)
         try:
             assert sim.backend.slab_edges != (0, 16, 32)
             saved_edges = sim.backend.slab_edges
@@ -180,7 +185,7 @@ class TestCheckpointContinuity:
         )
         try:
             assert restored.backend.slab_edges == saved_edges
-            restored.run(6)
+            restored.run(after)
             restored.gather()
             a, b = _state(ref), _state(restored)
             for col in PARTICLE_COLUMNS:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.particles import COLUMN_NAMES as PARTICLE_COLUMNS
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.sortstep import RESORT_PERIOD
 from repro.errors import (
     CheckpointCorruptionError,
     ExchangeOverflowError,
@@ -201,15 +202,24 @@ class TestProcessFaults:
 
 
 class TestSupervisedRecovery:
-    """The supervisor restores, replays and finishes -- bitwise."""
+    """The supervisor restores, replays and finishes -- bitwise.
 
-    N_STEPS = 20
+    The bitwise cases fault a few steps past the indexed kernel's
+    physical re-sort at step ``RESORT_PERIOD``, so the checkpoint they
+    restore (step 35) is not on the re-sort schedule, and finish past
+    the next one (step 64): a replay must re-sort exactly where the
+    unfailed run did.
+    """
 
-    def _reference(self, seed=42) -> Simulation:
-        ref = _inline_sim(seed=seed)
+    N_STEPS = 2 * RESORT_PERIOD + 6
+    TRANSIENT = RESORT_PERIOD + 8
+    SCHEDULE = [(TRANSIENT, False), (N_STEPS - TRANSIENT, True)]
+
+    def _reference(self, seed=42, nz=0) -> Simulation:
+        ref = _inline_sim(seed=seed, nz=nz)
         # Same transient/sampling split the supervised run uses.
-        ref.run(12)
-        ref.run(self.N_STEPS - 12, sample=True)
+        for steps, sample in self.SCHEDULE:
+            ref.run(steps, sample=sample)
         ref.gather()
         return ref
 
@@ -217,12 +227,16 @@ class TestSupervisedRecovery:
         "spec,audit_every",
         [
             pytest.param(
-                FaultSpec("exception", step=9, shard=1), 0, id="exception"
+                FaultSpec("exception", step=RESORT_PERIOD + 7, shard=1), 0,
+                id="exception",
             ),
             pytest.param(
-                FaultSpec("overflow", step=6, capacity=0), 0, id="overflow"
+                FaultSpec("overflow", step=RESORT_PERIOD + 4, capacity=0), 0,
+                id="overflow",
             ),
-            pytest.param(FaultSpec("corrupt", step=6), 1, id="corrupt"),
+            pytest.param(
+                FaultSpec("corrupt", step=RESORT_PERIOD + 4), 1, id="corrupt"
+            ),
         ],
     )
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
@@ -238,7 +252,7 @@ class TestSupervisedRecovery:
             backoff_base=0.0,
             fault_plan=plan,
         )
-        diag = run.run_schedule([(12, False), (self.N_STEPS - 12, True)])
+        diag = run.run_schedule(self.SCHEDULE)
         run.sim.gather()
         assert run.retries == 1
         _assert_sims_equal(ref, run.sim, "supervised recovery")
@@ -246,6 +260,7 @@ class TestSupervisedRecovery:
         events = [e for e in run.journal.events if e["kind"] == "recovery"]
         assert len(events) == 1
         assert events[0]["restored_step"] <= events[0]["step"]
+        assert events[0]["restored_step"] % RESORT_PERIOD
         run.close()
         ref.close()
 
@@ -253,11 +268,11 @@ class TestSupervisedRecovery:
         """A z-periodic slab under the supervisor: a worker fault is
         absorbed, the process then "dies", and the resumed run still
         ends bitwise where the unfailed one does (audits on)."""
-        ref = _inline_sim(nz=2)
-        ref.run(12)
-        ref.run(self.N_STEPS - 12, sample=True)
-        ref.gather()
-        plan = FaultPlan([FaultSpec("exception", step=9, shard=1)], seed=5)
+        ref = self._reference(nz=2)
+        fault_step = RESORT_PERIOD + 7
+        plan = FaultPlan(
+            [FaultSpec("exception", step=fault_step, shard=1)], seed=5
+        )
         run = SupervisedRun(
             _inline_sim(plan=plan, nz=2),
             tmp_path / "run",
@@ -266,11 +281,10 @@ class TestSupervisedRecovery:
             backoff_base=0.0,
             fault_plan=plan,
         )
-        run.run_schedule(
-            [(12, False), (self.N_STEPS - 12, True)], max_steps=14
-        )
+        run.run_schedule(self.SCHEDULE, max_steps=fault_step + 5)
         # (Replayed steps count against the max_steps budget.)
-        assert run.retries == 1 and 9 < run.sim.step_count < self.N_STEPS
+        assert run.retries == 1
+        assert fault_step < run.sim.step_count < 2 * RESORT_PERIOD
         run.close()  # simulate the process dying here
 
         resumed = SupervisedRun.resume(tmp_path / "run")
@@ -306,8 +320,8 @@ class TestSupervisedRecovery:
         ref = self._reference(seed=11)
         plan = FaultPlan(
             [
-                FaultSpec("truncate", step=10),
-                FaultSpec("exception", step=12, shard=0),
+                FaultSpec("truncate", step=RESORT_PERIOD + 8),
+                FaultSpec("exception", step=RESORT_PERIOD + 10, shard=0),
             ]
         )
         run = SupervisedRun(
@@ -318,7 +332,7 @@ class TestSupervisedRecovery:
             backoff_base=0.0,
             fault_plan=plan,
         )
-        run.run_schedule([(12, False), (self.N_STEPS - 12, True)])
+        run.run_schedule(self.SCHEDULE)
         run.sim.gather()
         kinds = [e["kind"] for e in run.journal.events]
         assert "checkpoint_corrupt" in kinds
@@ -378,8 +392,8 @@ class TestSupervisedRecovery:
             audit_every=0,
             backoff_base=0.0,
         )
-        run.run_schedule([(self.N_STEPS, False)], max_steps=8)
-        assert run.sim.step_count == 8
+        run.run_schedule([(self.N_STEPS, False)], max_steps=RESORT_PERIOD + 6)
+        assert run.sim.step_count == RESORT_PERIOD + 6
         run.close()  # simulate the process dying here
 
         resumed = SupervisedRun.resume(tmp_path / "run")

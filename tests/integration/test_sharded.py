@@ -14,6 +14,10 @@ The contract under test (ROADMAP: process-parallel stepping):
   surface-load float accumulators are associativity-limited to ~1 ulp).
 * All of it holds on a z-periodic slab (``Domain3D``) as on the 2-D
   tunnel: x-slab sharding never looks at the span.
+* All of it holds across the indexed kernel's physical re-sorts (every
+  ``RESORT_PERIOD`` steps): every worker takes the schedule from the
+  step index the parent hands it, so the 70-step and checkpoint tests
+  cross steps 32 and 64.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import pytest
 from repro.core.particles import COLUMN_NAMES as PARTICLE_COLUMNS
 from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.sortstep import RESORT_PERIOD
 from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
@@ -101,8 +106,32 @@ class TestOneWorkerIdentity:
             _assert_sims_equal(serial, sharded, "slab n_workers=1")
             _assert_samplers_equal(serial, sharded)
 
+    def test_one_worker_is_serial_across_two_resorts(self):
+        serial = Simulation(_small_config())
+        with Simulation(_small_config(), backend=ShardedBackend(1)) as sharded:
+            for sim in (serial, sharded):
+                sim.run(2 * RESORT_PERIOD)
+                sim.run(6, sample=True)
+            sharded.gather()
+            _assert_sims_equal(serial, sharded, "n_workers=1, 70 steps")
+            _assert_samplers_equal(serial, sharded)
+
 
 class TestProcessInlineEquivalence:
+    def test_process_workers_match_inline_across_two_resorts(self):
+        with Simulation(
+            _small_config(), backend=ShardedBackend(2, processes=True)
+        ) as proc, Simulation(
+            _small_config(), backend=ShardedBackend(2, processes=False)
+        ) as inline:
+            for sim in (proc, inline):
+                sim.run(2 * RESORT_PERIOD)
+                sim.run(6, sample=True)
+                sim.gather()
+            _assert_sims_equal(proc, inline, "process vs inline, 70 steps")
+            assert proc.backend.pending_flux == inline.backend.pending_flux
+            _assert_samplers_equal(proc, inline)
+
     def test_process_workers_match_inline(self):
         """Real fork+shared-memory workers vs the in-process mode."""
         proc = Simulation(
@@ -175,15 +204,16 @@ class TestShardedSnapshots:
             _small_config(), backend=ShardedBackend(2, processes=False)
         )
         try:
-            reference.run(5)
-            saved.run(5)
+            # Checkpoint between two re-sorts, one on each side.
+            reference.run(RESORT_PERIOD + 5)
+            saved.run(RESORT_PERIOD + 5)
             save_simulation(saved, path)
 
-            reference.run(4, sample=True)
+            reference.run(RESORT_PERIOD + 4, sample=True)
             restored = load_simulation(path, processes=False)
             assert restored.backend.n_workers == 2
             try:
-                restored.run(4, sample=True)
+                restored.run(RESORT_PERIOD + 4, sample=True)
                 reference.gather()
                 restored.gather()
                 _assert_sims_equal(reference, restored, "snapshot restore")

@@ -8,6 +8,7 @@ import pytest
 from repro.core.particles import COLUMN_NAMES
 from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.sortstep import RESORT_PERIOD
 from repro.ensemble import EnsembleEngine
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.geometry.domain import Domain
@@ -20,6 +21,12 @@ from repro.io.snapshots import (
     save_simulation,
 )
 from repro.physics.freestream import Freestream
+
+#: Continuation tests checkpoint *between* two physical re-sorts of the
+#: indexed kernel and run past one on each side: the re-sort schedule
+#: must come back from the archive (``step_count``), not from the sorter.
+BEFORE = RESORT_PERIOD + 8
+AFTER = RESORT_PERIOD + 4
 
 
 class TestSnapshotRoundtrip:
@@ -45,14 +52,17 @@ class TestSnapshotRoundtrip:
     def test_continuation_is_bitwise_identical(self, small_config, tmp_path):
         # Continue vs checkpoint-restore-continue: identical trajectories.
         sim = Simulation(small_config)
-        sim.run(10)
+        sim.run(BEFORE)
+        assert sim.step_count % RESORT_PERIOD
         path = tmp_path / "ckpt.npz"
         save_simulation(sim, path)
         restored = load_simulation(path)
-        sim.run(8)
-        restored.run(8)
-        assert np.array_equal(sim.particles.x, restored.particles.x)
-        assert np.array_equal(sim.particles.u, restored.particles.u)
+        sim.run(AFTER)
+        restored.run(AFTER)
+        for name in COLUMN_NAMES:
+            assert np.array_equal(
+                getattr(sim.particles, name), getattr(restored.particles, name)
+            ), name
         assert sim.reservoir.size == restored.reservoir.size
 
     def test_slab_continuation_is_bitwise_identical(
@@ -63,7 +73,7 @@ class TestSnapshotRoundtrip:
         sim = Simulation(
             dataclasses.replace(small_config, domain=Domain3D(30, 20, 2))
         )
-        sim.run(8)
+        sim.run(BEFORE - 4)
         sim.run(4, sample=True)
         path = tmp_path / "slab.npz"
         save_simulation(sim, path)
@@ -71,7 +81,7 @@ class TestSnapshotRoundtrip:
         assert restored.config.domain == Domain3D(30, 20, 2)
         assert restored.particles.z.any()
         for s in (sim, restored):
-            s.run(10, sample=True)
+            s.run(AFTER, sample=True)
         for a, b in (
             (sim.particles, restored.particles),
             (sim.reservoir.particles, restored.reservoir.particles),

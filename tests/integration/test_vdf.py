@@ -65,15 +65,18 @@ class TestProbeMechanics:
 
 
 class TestShockInteriorKinetics:
-    @pytest.fixture(scope="class")
-    def probed_run(self):
+    #: Independent realizations pooled by the excess-variance test.
+    SEEDS = tuple(range(33, 45))
+
+    @staticmethod
+    def _probed_run(seed):
         cfg = SimulationConfig(
             domain=Domain(49, 32),
             freestream=Freestream(
                 mach=4.0, c_mp=0.14, lambda_mfp=1.5, density=14.0
             ),
             wedge=Wedge(x_leading=10.0, base=12.5, angle_deg=30.0),
-            seed=33,
+            seed=seed,
         )
         sim = Simulation(cfg)
         sim.run(200)
@@ -93,6 +96,17 @@ class TestShockInteriorKinetics:
         sim.run(260, sample=True)
         return sim, free, front
 
+    @pytest.fixture(scope="class")
+    def probed_run(self):
+        return self._probed_run(self.SEEDS[0])
+
+    @pytest.fixture(scope="class")
+    def front_probes(self, probed_run):
+        """The shock-front probe of every seed's realization."""
+        return [probed_run[2]] + [
+            self._probed_run(seed)[2] for seed in self.SEEDS[1:]
+        ]
+
     def test_freestream_probe_is_equilibrium(self, probed_run):
         sim, free, front = probed_run
         fs = sim.config.freestream
@@ -101,26 +115,34 @@ class TestShockInteriorKinetics:
         assert m["variance"] == pytest.approx(fs.c_mp**2 / 2, rel=0.08)
         assert free.mixture_excess_variance(fs.c_mp**2 / 2) < 0.15
 
-    def test_shock_interior_is_not_equilibrium(self, probed_run):
+    def test_shock_interior_is_not_equilibrium(self, probed_run, front_probes):
         # The kinetic signature: the VDF inside the front carries MORE
         # variance than ANY local equilibrium could.  The hottest
         # equilibrium in the problem is the post-shock state, so
         # variance above eq_var_post proves a two-stream (kinetic)
         # mixture.  Interior collisions partially equilibrate the
-        # front, so the excess is percent-level -- measured 0.04-0.06
-        # across independent seeds at this Knudsen number, while the
-        # variance estimator's noise at ~1e5 samples is ~0.5%, so the
-        # 3% threshold is a >5-sigma detection with headroom for
-        # realization-to-realization shock drift.
-        sim, free, front = probed_run
+        # front, so the excess is percent-level, and one realization
+        # does not resolve it: the variance estimator's own noise at
+        # ~1e5 samples is ~0.5%, but the front drifts against the fixed
+        # box from realization to realization.  Seeds 33-44 measure
+        # 0.026 0.038 0.052 0.060 0.039 0.072 0.056 0.060 0.039 0.067
+        # 0.034 0.048 (mean 0.049, sd 0.014): a single seed sits little
+        # more than one sigma above the 3% threshold and fails it about
+        # one time in six.  Pooled over the twelve seeds the standard
+        # error is 0.0041, and the mean clears the threshold by 4.7 of
+        # them.
+        sim = probed_run[0]
         fs = sim.config.freestream
         beta = theory.shock_angle(fs.mach, math.radians(30.0))
         mn = fs.mach * math.sin(beta)
         t_ratio = theory.normal_shock_temperature_ratio(mn)
         eq_var_post = (fs.c_mp**2 / 2) * t_ratio
-        excess = front.mixture_excess_variance(eq_var_post)
-        assert front.n_samples > 30_000
-        assert excess > 0.03
+        excess = [
+            front.mixture_excess_variance(eq_var_post)
+            for front in front_probes
+        ]
+        assert all(front.n_samples > 30_000 for front in front_probes)
+        assert np.mean(excess) > 0.03
 
     def test_shock_interior_mean_between_states(self, probed_run):
         sim, free, front = probed_run

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.core.sortstep import RESORT_PERIOD
 from repro.service import Orchestrator, ServiceJournal
 from repro.service import store as st
 from repro.service.store import load_journal_tolerant
@@ -31,6 +32,14 @@ from tests.service.conftest import (
 )
 
 pytestmark = [pytest.mark.service, pytest.mark.resilience]
+
+#: The bitwise-resumption jobs run past two physical re-sorts of the
+#: indexed kernel (steps 32 and 64) and die on the checkpoint between
+#: them: the resumed worker must take the re-sort schedule from the
+#: restored step count.  (Kills fire on heartbeat boundaries, every 8.)
+KILL_STEP = RESORT_PERIOD + 8
+LONG_TINY = {**TINY, "average": 2 * RESORT_PERIOD + 8}
+LONG_SLAB = {**TINY_SLAB, "average": LONG_TINY["average"]}
 
 
 def terminal_record_counts(data_dir) -> dict:
@@ -76,8 +85,8 @@ class TestWorkerDeath:
         out = orch.submit(
             scenario="wedge",
             seed=31,
-            overrides=dict(TINY),
-            faults=[{"kind": "worker_kill", "step": 16}],
+            overrides=dict(LONG_TINY),
+            faults=[{"kind": "worker_kill", "step": KILL_STEP}],
         )
         status = wait_terminal(orch, out["job_id"])
         assert status["state"] == st.DONE
@@ -86,15 +95,18 @@ class TestWorkerDeath:
         assert result["attempt"] == 2
         assert_exactly_once_terminal(orch)
         orch.shutdown()
-        assert result["density_sha256"] == clean_sha(tmp_path, 31)
+        assert result["steps"] == LONG_TINY["average"]
+        assert result["density_sha256"] == clean_sha(
+            tmp_path, 31, overrides=LONG_TINY
+        )
 
     def test_sigkilled_slab_worker_resumes_bitwise_identical(self, tmp_path):
         orch = Orchestrator(tmp_path / "svc", fast_config(workers=1))
         out = orch.submit(
             scenario="wedge3d",
             seed=33,
-            overrides=dict(TINY_SLAB),
-            faults=[{"kind": "worker_kill", "step": 16}],
+            overrides=dict(LONG_SLAB),
+            faults=[{"kind": "worker_kill", "step": KILL_STEP}],
         )
         status = wait_terminal(orch, out["job_id"])
         assert status["state"] == st.DONE
@@ -103,7 +115,7 @@ class TestWorkerDeath:
         assert_exactly_once_terminal(orch)
         orch.shutdown()
         assert result["density_sha256"] == clean_sha(
-            tmp_path, 33, "wedge3d", TINY_SLAB
+            tmp_path, 33, "wedge3d", LONG_SLAB
         )
 
     def test_repeated_deaths_exhaust_retries_to_failed(self, tmp_path):
@@ -183,7 +195,9 @@ class TestOrchestratorCrash:
         orch = Orchestrator(
             data, fast_config(workers=1), fault_plan=plan
         )
-        out = orch.submit(scenario="wedge", seed=35, overrides=dict(TINY))
+        out = orch.submit(
+            scenario="wedge", seed=35, overrides=dict(LONG_TINY)
+        )
         deadline = time.time() + 30
         while not orch._dead:
             assert time.time() < deadline, "injected kill never fired"
@@ -199,12 +213,14 @@ class TestOrchestratorCrash:
         # The cache survived the crash too: resubmission is served
         # without stepping the engine.
         again = orch2.submit(
-            scenario="wedge", seed=35, overrides=dict(TINY)
+            scenario="wedge", seed=35, overrides=dict(LONG_TINY)
         )
         assert again["cached"] is True
         assert again["job_id"] == out["job_id"]
         orch2.shutdown()
-        assert result["density_sha256"] == clean_sha(tmp_path, 35)
+        assert result["density_sha256"] == clean_sha(
+            tmp_path, 35, overrides=LONG_TINY
+        )
 
     def test_torn_journal_tail_recovers_on_restart(self, tmp_path):
         # Tear the journal on the DONE record: the crash loses the

@@ -44,8 +44,6 @@ class TestDomain:
         d = Domain(10, 8)
         assert d.inside(np.array([5.0]), np.array([4.0]))[0]
         assert not d.inside(np.array([-0.1]), np.array([4.0]))[0]
-        assert d.exited_downstream(np.array([10.0]))[0]
-        assert not d.exited_downstream(np.array([9.99]))[0]
 
     def test_cell_centers(self):
         d = Domain(3, 2)

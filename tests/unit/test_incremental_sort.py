@@ -11,6 +11,9 @@ Pins the contracts the incremental kernel relies on:
 * :class:`IncrementalSorter` rebuilds the canonical ``(cell, row)``
   order from the cell column alone, and its moved count is the number
   of rows whose cell differs from the previously cached one;
+* on a step whose index is a multiple of ``RESORT_PERIOD`` (and on no
+  other) the sorter makes that order the physical row order, and its
+  cached order and cell baseline follow the rows;
 * the fused selection/collision kernel is bitwise identical to the
   split ``select_collisions`` + ``collide_pairs`` pipeline on the same
   pair list and rng stream;
@@ -36,11 +39,16 @@ from repro.core.pairing import (
 from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.core.selection import fused_select_collide, select_collisions
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.core.sortstep import BlockedSorter, IncrementalSorter
+from repro.core.sortstep import (
+    RESORT_PERIOD,
+    BlockedSorter,
+    IncrementalSorter,
+)
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel, hard_sphere
+from repro.resilience.audit import InvariantAuditor
 from repro.rng import shard_stream
 
 
@@ -234,6 +242,53 @@ class TestIncrementalSorter:
         res = sorter.step(parts)
         assert res.moved <= 11
         _canonical_invariants(sorter, parts)
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    @pytest.mark.parametrize("step", [0, RESORT_PERIOD, 5 * RESORT_PERIOD])
+    def test_resort_step_makes_the_order_physical(self, rng, step, pooled):
+        parts = self._population(rng)
+        if pooled:
+            parts.enable_scratch()
+        n = parts.n
+        parts.x[:] = np.arange(n)  # tag every row with its old address
+        want = np.argsort(parts.cell, kind="stable")
+        sorter = IncrementalSorter(24)
+        sorter.detect(parts)
+        res = sorter.update(parts, step)
+        assert res.order is None  # slots are rows
+        assert np.all(np.diff(parts.cell) >= 0)
+        assert np.array_equal(parts.x, want)  # the canonical order, applied
+        assert np.array_equal(sorter._order[:n], np.arange(n))
+        assert np.array_equal(sorter._prev_cell[:n], parts.cell)
+        assert np.array_equal(
+            res.counts, np.bincount(parts.cell, minlength=24)
+        )
+        assert np.array_equal(res.offsets[1:], np.cumsum(res.counts))
+        InvariantAuditor._check_order(
+            sorter, {"x": parts.x, "cell": parts.cell}, {}
+        )
+        # The cell baseline moved with the rows: the following step
+        # counts the rows that changed cell, not the rows that were
+        # re-homed (which is all of them).
+        assert sorter.detect(parts) == 0.0
+        movers = rng.choice(n, size=n // 2, replace=False)
+        parts.cell[movers] = (parts.cell[movers] + 1) % 24
+        sorter.detect(parts)
+        res = sorter.update(parts, step + 1)
+        assert res.moved_fraction == 0.5
+        assert res.order is not None
+        _canonical_invariants(sorter, parts)
+
+    @pytest.mark.parametrize(
+        "step", [None, 1, RESORT_PERIOD - 1, RESORT_PERIOD + 1]
+    )
+    def test_other_steps_move_no_rows(self, rng, step):
+        parts = self._population(rng).enable_scratch()
+        before = parts.copy()
+        res = IncrementalSorter(24).update(parts, step)
+        assert res.order is not None
+        for name in ("x", "u", "cell", "perm"):
+            assert np.array_equal(getattr(parts, name), getattr(before, name))
 
     def test_n_cells_validation(self):
         with pytest.raises(ConfigurationError):

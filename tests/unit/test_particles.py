@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.errors import ConfigurationError
 from repro.physics.freestream import Freestream
 
@@ -121,6 +121,25 @@ class TestSurgery:
         q = p.copy()
         q.u[0] = 42.0
         assert p.u[0] != 42.0
+
+
+class TestScratchArange:
+    def test_shared_arange_rejects_writes(self, rng):
+        """Every pooled index computation (and the sorter's identity
+        order on a re-sort step) reads this one buffer."""
+        scratch = ScratchBuffers()
+        ar = scratch.arange(100)
+        with pytest.raises(ValueError, match="read-only"):
+            ar[3] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ar += 1
+        # Regrown backing, and the readers that copy out of it.
+        big = scratch.arange(10_000)
+        assert not big.flags.writeable
+        assert np.array_equal(big, np.arange(10_000))
+        perm = scratch.permutation(500, rng)
+        assert np.array_equal(np.sort(perm), np.arange(500))
+        assert np.array_equal(scratch.arange(500), np.arange(500))
 
 
 class TestValidation:
