@@ -223,7 +223,7 @@ def reflection_pairs(
     backs the returned arrays and every per-pair intermediate.
 
     ``order=None`` declares that slot addresses *are* particle rows (a
-    physically cell-sorted population: the ensemble's blocked sort),
+    physically cell-sorted population: the sorter's re-sort step),
     skipping the two gather passes.
     """
     n_cells = counts.shape[0]

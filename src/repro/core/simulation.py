@@ -134,10 +134,11 @@ class SimulationConfig:
         Kernel of the collision stage (:func:`collision_stage`):
         ``"incremental"`` (default) rebuilds an indexed cell-contiguous
         order each step and pairs/collides through it, moving particle
-        data only every 32nd step (host-performance mode); ``"counting"``
-        physically re-sorts every step with the fused counting sort and
-        pairs even/odd neighbours (the paper-faithful CM-2 rank-sort
-        analogue).
+        data only every 32nd step (host-performance mode; the one
+        kernel the ensemble engine runs); ``"counting"`` physically
+        re-sorts every step with the fused counting sort and pairs
+        even/odd neighbours (the paper-faithful CM-2 rank-sort
+        analogue, one block only).
     plunger_trigger:
         Upstream plunger withdrawal point, cell widths.
     reservoir_fraction:
@@ -318,12 +319,11 @@ def collision_stage(
     * a sorter -- rebuild ``order`` / ``counts`` / ``offsets``, then
       draw the per-cell reflection offsets, select, pair what collides
       and collide it
-      (:func:`repro.core.selection.fused_select_collide`).  An
-      :class:`IncrementalSorter` (``"incremental"``) indexes one block
-      and makes the order physical when ``step``, the caller's
-      completed-step count, says so; the ensemble's
-      :class:`repro.core.sortstep.BlockedSorter` physically sorts R
-      blocks by (block, cell) every step;
+      (:func:`repro.core.selection.fused_select_collide`).  The
+      :class:`IncrementalSorter` (``"incremental"``) indexes one block,
+      or the R blocks ``parts.starts`` declares by (block, cell), and
+      makes the order physical when ``step``, the caller's
+      completed-step count, says so;
     * ``None`` (``"counting"``, one block) -- the paper's scheme:
       physically counting-sort the population with randomized
       intra-cell order, pair even/odd neighbours, select, collide

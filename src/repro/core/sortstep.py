@@ -40,7 +40,9 @@ the same cell-contiguous order every step as a permutation and lets the
 collision gather through it; it applies that permutation to the
 columns -- the purpose quoted above -- only on every
 :data:`RESORT_PERIOD`-th step, which is often enough that partners
-stay at neighbouring addresses in between.
+stay at neighbouring addresses in between.  It does so for one block or
+for the R blocks a population declares (``particles.starts``, the
+ensemble's replicas), keyed by :func:`blocked_cell_key`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_SORT_SCALE
 from repro.core.cells import randomized_sort_keys
-from repro.core.particles import ParticleArrays, pooled_arange
+from repro.core.particles import ParticleArrays, pooled, pooled_arange
 from repro.errors import ConfigurationError
 
 #: Largest key value that still takes NumPy's radix/counting sort path
@@ -159,8 +161,8 @@ def blocked_cell_key(
 ) -> np.ndarray:
     """Composite replica-blocked sort key: ``cell + block * n_cells``.
 
-    The ensemble engine sorts R replica blocks as one population by
-    lifting the cell index into a key whose high digit is the *block
+    :class:`IncrementalSorter` sorts R declared blocks as one population
+    by lifting the cell index into a key whose high digit is the *block
     position* (not the replica id -- position keeps the key dense in
     ``[0, R * n_cells)`` so the narrow radix path applies whenever
     ``R * n_cells <= NARROW_KEY_LIMIT + 1``).  A stable sort of this key
@@ -263,16 +265,17 @@ class IncrementalSortResult:
     order:
         Canonical permutation view (length ``n``): ``order[slot]`` is
         the particle *row* occupying sorted slot ``slot``.  Slots are
-        sorted by ``(cell, row)`` -- cell-contiguous, deterministic --
-        and downstream kernels gather through ``order``.  ``None`` when
-        the sorter made that order physical (a :class:`BlockedSorter`
-        every step, an :class:`IncrementalSorter` every
-        :data:`RESORT_PERIOD`-th): slots are rows.
+        sorted by ``(block, cell, row)`` -- cell-contiguous, never
+        crossing a block, deterministic -- and downstream kernels
+        gather through ``order``.  ``None`` on the steps the sorter
+        made that order physical (every :data:`RESORT_PERIOD`-th):
+        slots are rows.
     counts / offsets:
-        Per-cell populations (length ``n_cells``) and their exclusive
-        prefix sum (length ``n_cells + 1``): cell ``c`` owns slots
-        ``offsets[c]:offsets[c + 1]``.  Views into sorter-owned
-        buffers, valid until the next ``update``.
+        Per-cell populations over the blocks' cells back to back
+        (length ``n_blocks * n_cells``; cell ``c`` of block ``b`` is
+        entry ``b * n_cells + c``) and their exclusive prefix sum (one
+        longer): composite cell ``k`` owns slots
+        ``offsets[k]:offsets[k + 1]``.
     moved:
         Rows whose cell differs from the one the previous ``update``
         saw at the same row, as counted by the last ``detect``.
@@ -295,10 +298,15 @@ class IncrementalSorter:
     physically shuffling all nine particle columns into cell order
     every step, ``update`` rebuilds one :data:`order` permutation,
     canonically sorted by ``(cell, row)``, with the narrow-key stable
-    argsort, and downstream kernels gather through it.  The order is
-    rebuilt from scratch **every step**: at the paper's time step about
-    half the population changes cell per step, so there is no order
-    worth keeping (docs/algorithm.md, "Temporal coherence").
+    argsort, and downstream kernels gather through it.  A population
+    that declares blocks (``particles.starts``: the ensemble's R
+    replicas) is sorted by the composite :func:`blocked_cell_key`
+    instead, ``(block, cell, row)``: a stable sort never moves a row
+    across a block and orders each block's slots exactly as a sort of
+    that block alone would.  The order is rebuilt from scratch **every
+    step**: at the paper's time step about half the population changes
+    cell per step, so there is no order worth keeping
+    (docs/algorithm.md, "Temporal coherence").
 
     What is worth keeping is a *storage* order.  On the steps whose
     completed-step count is a multiple of :data:`RESORT_PERIOD` the
@@ -313,9 +321,10 @@ class IncrementalSorter:
     observable for telemetry and the benchmark, not a switch: it
     decides nothing.
 
-    The order is a pure function of the cell column and the sorter
-    consumes **no random numbers**.  Within a cell, slot order is row
-    order, so a physical re-sort does change the realization -- which
+    The order is a pure function of the cell column and the declared
+    blocks, and the sorter consumes **no random numbers**.  Within a
+    cell, slot order is row order, so a physical re-sort does change
+    the realization -- which
     is why its schedule is a function of the step count alone, the one
     piece of schedule state every driver already persists
     (``step_count`` in every snapshot): a resumed, sharded or served
@@ -337,8 +346,6 @@ class IncrementalSorter:
         self.n_cells = int(n_cells)
         #: Cumulative order-rebuild count (one per ``update``).
         self.rebuilds = 0
-        self._counts = np.zeros(self.n_cells, dtype=np.int64)
-        self._offsets = np.zeros(self.n_cells + 1, dtype=np.int64)
         # Capacity-grown per-row state.  These must persist across
         # steps (the auditor validates ``_order``/``_prev_cell`` between
         # steps), so they live here rather than in the population's
@@ -380,16 +387,29 @@ class IncrementalSorter:
         ``step`` is the driver's completed-step count: on a multiple of
         :data:`RESORT_PERIOD` the order becomes the physical row order.
         Without it (a caller with no step loop) the rows never move.
+        The key is ``cell`` for one block, :func:`blocked_cell_key`
+        when the population declares ``starts``.
         """
         n = particles.n
         cell = particles.cell
         self._grow(n)
-        if self.n_cells - 1 <= NARROW_KEY_LIMIT:
+        if particles.starts is None:
+            key, n_keys = cell, self.n_cells
+        else:
+            n_keys = particles.n_blocks * self.n_cells
+            key = blocked_cell_key(
+                cell, particles.starts, self.n_cells,
+                out=pooled(particles.scratch, "blocked_key", n, np.int64),
+            )
+        if n_keys - 1 <= NARROW_KEY_LIMIT:
             key16 = self._key16[:n]
-            np.copyto(key16, cell, casting="unsafe")
+            np.copyto(key16, key, casting="unsafe")
             order = np.argsort(key16, kind="stable")
         else:
-            order = np.argsort(cell, kind="stable")
+            order = np.argsort(key, kind="stable")
+        # A histogram ignores row order: the key as built serves a
+        # re-sort step too.
+        counts = np.bincount(key, minlength=n_keys)
         physical = step is not None and step % RESORT_PERIOD == 0
         if physical:
             # Slots become rows; the cached order and cell baseline
@@ -401,13 +421,12 @@ class IncrementalSorter:
         self.rebuilds += 1
         self._prev_cell[:n] = cell
         self._order_n = n
-        self._counts[:] = np.bincount(cell, minlength=self.n_cells)
-        self._offsets[0] = 0
-        np.cumsum(self._counts, out=self._offsets[1:])
+        offsets = np.zeros(n_keys + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
         return IncrementalSortResult(
             order=None if physical else order,
-            counts=self._counts,
-            offsets=self._offsets,
+            counts=counts,
+            offsets=offsets,
             moved=self._moved,
             moved_fraction=self._moved_fraction,
             n=n,
@@ -428,49 +447,3 @@ class IncrementalSorter:
             buf = np.empty(new_cap, dtype=old.dtype)
             buf[: old.shape[0]] = old
             setattr(self, name, buf)
-
-
-class BlockedSorter:
-    """Physically sort the population's row blocks by ``(block, cell)``.
-
-    The ensemble engine's kernel behind the sorter seam of
-    :func:`repro.core.simulation.collision_stage`: one stable counting
-    sort of the composite key (:func:`blocked_cell_key`) and one
-    bincount for all R histograms.  The population *is* the order
-    afterwards (``order=None``); ``counts`` / ``offsets`` span the
-    ``R * n_cells`` composite cells.  The blocks are the ones the
-    population declares (``particles.starts``, length ``R + 1``); the
-    stable sort keeps them valid.
-    """
-
-    def __init__(self, n_cells: int) -> None:
-        self.n_cells = int(n_cells)
-
-    def detect(self, particles: ParticleArrays) -> None:
-        """Nothing to count: a physical sort keeps no per-row history."""
-
-    def update(
-        self, particles: ParticleArrays, step: Optional[int] = None
-    ) -> IncrementalSortResult:
-        """Sort the rows by the composite key; histogram and offsets.
-
-        Every step is a physical sort here, whatever ``step`` says.
-        """
-        n = particles.n
-        n_keys = particles.n_blocks * self.n_cells
-        key = particles.scratch.array("blocked_key", n, dtype=np.int64)
-        blocked_cell_key(particles.cell, particles.starts, self.n_cells, out=key)
-        counts = np.bincount(key, minlength=n_keys)
-        order = counting_sort_order(
-            key, shuffle=False, scratch=particles.scratch,
-            max_key=n_keys - 1,
-        )
-        particles.reorder_inplace(order)
-        return IncrementalSortResult(
-            order=None,
-            counts=counts,
-            offsets=np.cumsum(counts) - counts,
-            moved=0,
-            moved_fraction=0.0,
-            n=n,
-        )

@@ -6,7 +6,7 @@ multiplies wall-clock by R when executed sequentially, yet at the
 30k-particle scales where ensemble statistics matter most, each solo
 step is dominated by per-kernel dispatch overhead, not arithmetic.
 This engine therefore steps all R replicas as **one wide population**:
-every hot kernel (motion, boundary scans, the counting sort, pairing,
+every hot kernel (motion, boundary scans, the cell sort, pairing,
 selection, collision) runs once over ``sum(N_r)`` rows instead of R
 times over ``N_r`` rows.
 
@@ -15,20 +15,24 @@ blocks instead of one: the boundary phase is
 :meth:`repro.core.boundary.WindTunnelBoundaries.apply_rebuilding` with
 the R reservoirs, streams and surface samplers, and the collision half
 is :func:`repro.core.simulation.collision_stage` with the R replica
-streams and a :class:`repro.core.sortstep.BlockedSorter` behind its
-sorter seam -- the same code the serial engine and every shard worker
-run on one block.  What lives here is what there is one of per replica:
-the reservoirs, the samplers, the streams.
+streams and the serial engine's
+:class:`repro.core.sortstep.IncrementalSorter` behind its sorter seam
+-- the same code the serial engine and every shard worker run on one
+block, on the same every-:data:`~repro.core.sortstep.RESORT_PERIOD`
+physical re-sort schedule.  What lives here is what there is one of
+per replica: the reservoirs, the samplers, the streams.
 
 **Layout.**  Replica-packed rows, physically blocked by replica at all
 times: replica ``r`` owns the contiguous row range
 ``starts[r]:starts[r+1]`` of ``particles.starts``, which the
-population's own surgery keeps current.  The per-step sort key is the
-composite ``block * n_cells + cell``
+population's own surgery keeps current.  Because the population
+declares those blocks, the sorter keys on the composite
+``block * n_cells + cell``
 (:func:`repro.core.sortstep.blocked_cell_key`) -- replica above cell in
-sort-key significance -- so a stable sort can never move a particle
-across its block and pairing never straddles replicas.  Block *position* (not replica id) keeps the key dense, so
-NumPy's 16-bit radix path still applies up to
+sort-key significance -- so the order never crosses a block, a
+re-sort never moves a particle out of its block, and pairing never
+straddles replicas.  Block *position* (not replica id) keeps the key
+dense, so NumPy's 16-bit radix path still applies up to
 ``R * n_cells <= 65536`` keys.
 
 **Determinism contract.**  All randomness comes from counter-keyed
@@ -48,10 +52,12 @@ Engine restrictions (enforced at construction): no span domain (the
 blocked sampler keys on 2-D cells, and no replica == solo test pins a
 slab yet), specular walls only (the other wall models draw
 per-crossing RNG inside full-population kernels, which would entangle
-replicas) and
+replicas),
 ``internal_exchange_probability == 1.0`` (the shared kernel makes the
 relaxation knob's draws per block as well, but no replica == solo test
-pins that combination at engine level yet).
+pins that combination at engine level yet) and the ``"incremental"``
+sort kernel (the counting kernel's shuffle draws from one stream over
+the whole population).
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ from repro.core.simulation import (
     collision_stage,
     seed_flow_particles,
 )
-from repro.core.sortstep import BlockedSorter, blocked_cell_key
+from repro.core.sortstep import IncrementalSorter, blocked_cell_key
 from repro.core.surface import SURFACE_FIELDS, SurfaceSampler
 from repro.errors import ConfigurationError, ValidationError
 from repro.geometry.wedge import Wedge
@@ -238,6 +244,12 @@ class EnsembleEngine:
                 "internal_exchange_probability == 1.0 (the replica == "
                 "solo contract is pinned for the fully mixing model only)"
             )
+        if config.sort_kernel != "incremental":
+            raise ConfigurationError(
+                "the ensemble engine runs the 'incremental' sort kernel "
+                f"only (got {config.sort_kernel!r}): the counting "
+                "kernel's shuffle has no per-replica stream"
+            )
         self.config = config
         self.replica_ids = tuple(replica_ids)
         self.n_replicas = len(self.replica_ids)
@@ -254,7 +266,7 @@ class EnsembleEngine:
             wall_model=config.wall_model,
             accommodation=config.accommodation,
         )
-        self._sorter = BlockedSorter(config.domain.n_cells)
+        self._sorter = IncrementalSorter(config.domain.n_cells)
         self.perf = PerfLedger()
 
     # -- stepping ---------------------------------------------------------
@@ -283,9 +295,9 @@ class EnsembleEngine:
 
         # 3+4) The collision half of the step -- the one spelling
         #    shared with the serial engine and the shard workers, run
-        #    on R blocks: the blocked sorter physically re-blocks the
-        #    whole ensemble by (replica, cell) and every draw comes per
-        #    block from that replica's stream.
+        #    on R blocks: the sorter orders the ensemble by (replica,
+        #    cell), physically on the steps the step count schedules,
+        #    and every draw comes per block from that replica's stream.
         stage = collision_stage(
             parts, cfg, self._vf_flat, streams, self._sorter,
             self.step_count,

@@ -15,7 +15,12 @@ import pytest
 
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.sampling import EnsembleSampler, ensemble_statistic
-from repro.core.simulation import SimulationConfig
+from repro.core.simulation import SimulationConfig, collision_stage
+from repro.core.sortstep import (
+    RESORT_PERIOD,
+    IncrementalSortResult,
+    blocked_cell_key,
+)
 from repro.ensemble import (
     EnsembleEngine,
     replica_state,
@@ -28,7 +33,7 @@ from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_ensemble, save_ensemble
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import hard_sphere
-from repro.rng import random_permutation_table
+from repro.rng import random_permutation_table, shard_stream
 
 pytestmark = pytest.mark.ensemble
 
@@ -56,6 +61,13 @@ class TestBitwiseReplicaEquality:
         """Long enough to cross plunger refills and outlet removals."""
         verify_replica_equality(
             _small_config(seed=11), n_replicas=2, transient=25, average=10
+        )
+
+    def test_equality_across_physical_resorts(self):
+        """Crosses the re-sorts at steps 32 and 64 (and the one at 0)."""
+        verify_replica_equality(
+            _small_config(seed=5), n_replicas=3,
+            transient=RESORT_PERIOD + 8, average=RESORT_PERIOD,
         )
 
     def test_equality_with_speed_dependent_selection(self):
@@ -124,8 +136,11 @@ class TestBenchmarkRegime:
         )
 
     def test_snapshot_resumes_bitwise(self, straight, tmp_path):
+        # Saved before the first reservoir runs dry and between two
+        # physical re-sorts; the continuation crosses the one at 224.
+        assert 212 % RESORT_PERIOD and 212 < 7 * RESORT_PERIOD < self.STEPS
         eng = EnsembleEngine(_benchmark_config(), n_replicas=8)
-        eng.run(212)  # before the first reservoir runs dry
+        eng.run(212)
         save_ensemble(eng, tmp_path / "ens.npz")
         resumed = load_ensemble(tmp_path / "ens.npz")
         resumed.run(self.STEPS - self.SAMPLED - 212)
@@ -134,6 +149,76 @@ class TestBenchmarkRegime:
             want, got = replica_state(straight[0], r), replica_state(resumed, r)
             for key in want:
                 assert np.array_equal(want[key], got[key]), (r, key)
+
+
+class _PhysicalBlockedSort:
+    """The oracle sorter: re-sort the rows physically on every step.
+
+    Stable-sort the rows by the composite key, then hand
+    back ``order=None`` (slots are rows).  ``order`` keeps the applied
+    permutation so a test can align rows with a run that moved none.
+    """
+
+    def __init__(self, n_cells):
+        self.n_cells = n_cells
+        self.order = None
+
+    def detect(self, particles):
+        pass
+
+    def update(self, particles, step):
+        key = blocked_cell_key(particles.cell, particles.starts, self.n_cells)
+        counts = np.bincount(key, minlength=particles.n_blocks * self.n_cells)
+        self.order = np.argsort(key, kind="stable")
+        particles.reorder_inplace(self.order)
+        return IncrementalSortResult(
+            order=None, counts=counts, offsets=np.cumsum(counts) - counts,
+            moved=0, moved_fraction=0.0, n=particles.n,
+        )
+
+
+class TestResortScheduleMovesStorageNotPhysics:
+    """Off the re-sort schedule, gathering through the order is storage only.
+
+    From one state, a step through the composite order collides the
+    same particles with the same draws as a step that first re-sorts
+    the rows physically by the same key -- only where each particle is
+    stored differs, which is why the re-sort schedule moves an ensemble
+    realization without changing its physics.
+    """
+
+    def test_off_schedule_step_matches_the_per_step_physical_sort(self):
+        cfg = _small_config(seed=21)
+        new, old = (EnsembleEngine(cfg, n_replicas=3) for _ in range(2))
+        for eng in (new, old):
+            eng.run(RESORT_PERIOD + 4)
+        step = new.step_count
+        assert step % RESORT_PERIOD
+
+        def streams():
+            return [
+                shard_stream(cfg.seed, 0, step + 1, replica=rid)
+                for rid in new.replica_ids
+            ]
+
+        physical = _PhysicalBlockedSort(cfg.domain.n_cells)
+        got_streams, want_streams = streams(), streams()
+        got = collision_stage(
+            new.particles, cfg, new._vf_flat, got_streams, new._sorter, step
+        )
+        want = collision_stage(
+            old.particles, cfg, old._vf_flat, want_streams, physical, step
+        )
+        assert got.n_collisions > 0
+        assert got.collisions_by_block == want.collisions_by_block
+        assert np.array_equal(new.particles.starts, old.particles.starts)
+        for col in ("u", "v", "w", "rot", "perm"):
+            assert np.array_equal(
+                getattr(new.particles, col)[physical.order],
+                getattr(old.particles, col),
+            ), col
+        for a, b in zip(got_streams, want_streams):
+            assert a.random() == b.random()
 
 
 class TestEngineRestrictions:
@@ -170,6 +255,12 @@ class TestEngineRestrictions:
     def test_zero_replicas_rejected(self):
         with pytest.raises(ConfigurationError):
             EnsembleEngine(_small_config(), n_replicas=0)
+
+    def test_counting_kernel_rejected(self):
+        with pytest.raises(ConfigurationError, match="'incremental' sort"):
+            EnsembleEngine(
+                _small_config(sort_kernel="counting"), n_replicas=2
+            )
 
 
 class TestBlockedSurgery:
@@ -369,19 +460,22 @@ class TestBlockedSurgery:
 
 class TestEnsembleSnapshot:
     def test_roundtrip_resumes_bitwise(self, tmp_path):
+        # Checkpointed between two physical re-sorts; the continuation
+        # crosses the ones at steps 32 and 64.
         cfg = _small_config(seed=13)
         path = tmp_path / "ens.npz"
+        saved, transient = RESORT_PERIOD - 12, 2 * RESORT_PERIOD + 2
 
         straight = EnsembleEngine(cfg, n_replicas=2)
-        straight.run(6)
+        straight.run(transient)
         straight.run(3, sample=True)
 
         eng = EnsembleEngine(cfg, n_replicas=2)
-        eng.run(4)
+        eng.run(saved)
         save_ensemble(eng, path)
         resumed = load_ensemble(path)
-        eng.run(2)
-        resumed.run(2)
+        eng.run(transient - saved)
+        resumed.run(transient - saved)
         eng.run(3, sample=True)
         resumed.run(3, sample=True)
 
@@ -397,6 +491,22 @@ class TestEnsembleSnapshot:
                     f"save/load run differs from straight run "
                     f"at replica {r} key {key}"
                 )
+
+    def test_load_rejects_counting_kernel_archive(self, tmp_path):
+        # The engine never ran the counting kernel: an archive that
+        # claims it is refused at load, not continued as if it had.
+        path = tmp_path / "ens.npz"
+        save_ensemble(EnsembleEngine(_small_config(), n_replicas=2), path)
+        with np.load(path) as data:
+            members = dict(data)
+        blob = str(members["config_json"])
+        assert '"sort_kernel": "incremental"' in blob
+        members["config_json"] = np.array(
+            blob.replace('"incremental"', '"counting"')
+        )
+        np.savez(path, **members)
+        with pytest.raises(ConfigurationError, match="'incremental' sort"):
+            load_ensemble(path)
 
     def test_load_rejects_non_ensemble_npz(self, tmp_path):
         # A plain .npz without the ensemble version marker is routed to

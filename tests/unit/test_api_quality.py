@@ -233,6 +233,25 @@ class TestThreeDrivers:
         }
 
 
+class TestOneSorter:
+    """One sorter class for one block or R; each driver builds one."""
+
+    def test_blocked_sorter_is_gone(self):
+        import repro.core.sortstep as sortstep
+
+        assert not hasattr(sortstep, "BlockedSorter")
+
+    def test_incremental_sorter_has_three_construction_sites(self):
+        callers = {
+            str(path.relative_to(SRC_ROOT))
+            for path in SRC_ROOT.rglob("*.py")
+            if "IncrementalSorter(" in path.read_text()
+        }
+        assert callers == {
+            "core/simulation.py", "parallel/backend.py", "ensemble/engine.py",
+        }
+
+
 class TestExamples:
     def _example_files(self):
         return sorted(EXAMPLES.glob("*.py"))

@@ -14,6 +14,9 @@ Pins the contracts the incremental kernel relies on:
 * on a step whose index is a multiple of ``RESORT_PERIOD`` (and on no
   other) the sorter makes that order the physical row order, and its
   cached order and cell baseline follow the rows;
+* on a population that declares blocks (``starts``) the same sorter
+  orders by ``(block, cell, row)``, histograms the ``R * n_cells``
+  composite cells, and a re-sort keeps every row in its block;
 * the fused selection/collision kernel is bitwise identical to the
   split ``select_collisions`` + ``collide_pairs`` pipeline on the same
   pair list and rng stream;
@@ -40,9 +43,10 @@ from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.core.selection import fused_select_collide, select_collisions
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import (
+    NARROW_KEY_LIMIT,
     RESORT_PERIOD,
-    BlockedSorter,
     IncrementalSorter,
+    blocked_cell_key,
 )
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
@@ -294,6 +298,88 @@ class TestIncrementalSorter:
         with pytest.raises(ConfigurationError):
             IncrementalSorter(0)
 
+    #: Declared blocks: a crowded one, an empty one, two small ones.
+    BLOCK_SIZES = (300, 0, 41, 160)
+
+    def _blocked(self, rng, n_cells=24):
+        parts = self._population(rng, sum(self.BLOCK_SIZES), n_cells)
+        parts.starts = np.cumsum((0,) + self.BLOCK_SIZES)
+        block = np.repeat(np.arange(len(self.BLOCK_SIZES)), self.BLOCK_SIZES)
+        return parts.enable_scratch(), block
+
+    @pytest.mark.parametrize("step", [None, 1, RESORT_PERIOD + 1])
+    def test_blocked_order_ascends_by_block_cell_row(self, rng, step):
+        parts, block = self._blocked(rng)
+        n, starts, n_keys = parts.n, parts.starts, 24 * len(self.BLOCK_SIZES)
+        sorter = IncrementalSorter(24)
+        sorter.detect(parts)
+        res = sorter.update(parts, step)
+        order = res.order
+        assert np.array_equal(np.sort(order), np.arange(n))
+        key = (block[order] * 24 + parts.cell[order]) * n + order
+        assert np.all(np.diff(key) > 0)
+        for b in range(len(self.BLOCK_SIZES)):
+            assert np.all(block[order[starts[b] : starts[b + 1]]] == b)
+        composite = blocked_cell_key(parts.cell, starts, 24)
+        assert res.counts.shape == (n_keys,)
+        assert np.array_equal(
+            res.counts, np.bincount(composite, minlength=n_keys)
+        )
+        assert res.offsets[0] == 0
+        assert np.array_equal(res.offsets[1:], np.cumsum(res.counts))
+
+    @pytest.mark.parametrize("step", [0, RESORT_PERIOD])
+    def test_blocked_resort_keeps_every_row_in_its_block(self, rng, step):
+        parts, block = self._blocked(rng)
+        starts = parts.starts.copy()
+        parts.x[:] = np.arange(parts.n)  # tag every row with its old address
+        key = blocked_cell_key(parts.cell, starts, 24)
+        want = np.argsort(key, kind="stable")
+        sorter = IncrementalSorter(24)
+        sorter.detect(parts)
+        res = sorter.update(parts, step)
+        assert res.order is None
+        assert np.array_equal(parts.starts, starts)
+        parts.validate()
+        assert np.array_equal(parts.x, want)
+        assert np.array_equal(block[parts.x.astype(np.intp)], block)
+        assert np.array_equal(
+            res.counts, np.bincount(key, minlength=res.counts.shape[0])
+        )
+        assert np.array_equal(sorter._prev_cell[: parts.n], parts.cell)
+        assert sorter.detect(parts) == 0.0
+
+    @pytest.mark.parametrize(
+        "n_blocks, n_cells, declared",
+        [
+            (4, 16384, True), (4, 16385, True),  # R * C = 65536 | 65540
+            (1, 65536, True), (1, 65537, True),
+            (1, 65536, False), (1, 65537, False),
+        ],
+    )
+    def test_narrow_key_exactly_when_composite_cells_fit(
+        self, monkeypatch, n_blocks, n_cells, declared
+    ):
+        parts = self._population(
+            np.random.default_rng(3), 50 * n_blocks, n_cells
+        )
+        if declared:
+            parts.starts = np.arange(n_blocks + 1) * 50
+        key = parts.cell + np.repeat(np.arange(n_blocks), 50) * n_cells
+        want = np.argsort(key, kind="stable")
+        argsort, dtypes = np.argsort, []
+
+        def spy(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        res = IncrementalSorter(n_cells).update(parts, 1)
+        narrow = n_blocks * n_cells <= NARROW_KEY_LIMIT + 1
+        assert dtypes == [np.dtype(np.uint16) if narrow else key.dtype]
+        assert np.array_equal(res.order, want)
+        assert res.counts.shape == (n_blocks * n_cells,)
+
 
 def _split_reference(
     parts, order, counts, offsets, fs, model, rng, iep=1.0, vf=None
@@ -407,7 +493,7 @@ class TestBlockedKernel:
     def _block(self, fs, n, seed):
         rng = np.random.default_rng(seed)
         parts = ParticleArrays.from_freestream(rng, n, fs, (0, 10), (0, 10))
-        # Physically cell-sorted, as the blocked sort leaves a block.
+        # Physically cell-sorted, as a re-sort step leaves a block.
         parts.cell[:] = np.sort(rng.integers(0, self.N_CELLS, size=n))
         return parts
 
@@ -484,7 +570,10 @@ class TestPairableCellsOnly:
     ``_split_reference`` run on every block alone, over all of its
     cells, is the oracle: same rows collided, same collisions per
     block, same stream position afterwards -- at every occupancy, down
-    to no pairable cell at all and no particle at all.
+    to no pairable cell at all and no particle at all.  The blocked
+    layouts declare their blocks to the one sorter, and every layout
+    runs on a re-sort step (``order is None``: slots are rows) and on an
+    off-schedule step (the kernel gathers through ``order``).
     """
 
     N_CELLS = 96
@@ -538,31 +627,37 @@ class TestPairableCellsOnly:
             for b, name in enumerate(regimes)
         ]
         starts = np.concatenate([[0], np.cumsum([b.n for b in blocks])])
-        joint = functools.reduce(ParticleArrays.concatenate, blocks)
-        joint.enable_scratch()
-        if layout == "indexed":
+        for step in (RESORT_PERIOD, RESORT_PERIOD + 1):
+            joint = functools.reduce(ParticleArrays.concatenate, blocks)
+            joint.enable_scratch()
+            if layout != "indexed":
+                joint.starts = starts.copy()
             sorter = IncrementalSorter(c)
             sorter.detect(joint)
-        else:
-            joint.starts = starts
-            sorter = BlockedSorter(c)
-        res = sorter.update(joint)
-        assert res.counts.shape[0] == len(blocks) * c
+            res = sorter.update(joint, step)
+            assert (res.order is None) == (step == RESORT_PERIOD)
+            assert res.counts.shape[0] == len(blocks) * c
+            self._match_oracle(joint, res, starts, fs, model, vf, regime)
+
+    def _match_oracle(self, joint, res, starts, fs, model, vf, regime):
+        c = self.N_CELLS
+        n_blocks = starts.shape[0] - 1
 
         def streams():
             return [
-                shard_stream(1989, 0, 3, replica=b)
-                for b in range(len(blocks))
+                shard_stream(1989, 0, 3, replica=b) for b in range(n_blocks)
             ]
 
-        # The oracle first, on copies of the sorted blocks.
+        # The oracle first, on copies of the sorted blocks; block b's
+        # slots are rows of block b, renumbered from its first row.
         want = []
         for b, stream in enumerate(streams()):
             rows = slice(starts[b], starts[b + 1])
             alone = joint.select(rows)
+            order = None if res.order is None else res.order[rows] - starts[b]
             counts = res.counts[b * c : (b + 1) * c]
             _, _, stats = _split_reference(
-                alone, res.order, counts, np.cumsum(counts) - counts,
+                alone, order, counts, np.cumsum(counts) - counts,
                 fs, model, stream, vf=vf,
             )
             want.append((alone, stats.n_collisions, stream))
