@@ -182,11 +182,12 @@ class WindTunnelBoundaries:
         downstream removal, then the plunger advance/withdraw-refill.
 
         One pass for any number of row blocks (``particles.starts``):
-        ``reservoir`` and ``rng`` are one per block
-        (:func:`repro.rng.block_streams`; a bare reservoir, ``None`` or
-        generator is one block), and so is ``surface_sampler``.  Each
-        block's exits go to its own reservoir and its refill comes from
-        there, drawn from its own stream.
+        ``rng`` is one stream per block
+        (:func:`repro.rng.block_streams`; a bare generator is one
+        block), and so is ``surface_sampler``.  ``reservoir`` (or
+        ``None``, one block) declares as many blocks as the flow: block
+        ``b``'s exits go to reservoir block ``b`` and its refill comes
+        from there, drawn from stream ``b``.
 
         Specular walls on a scratch-enabled population reflect through
         the subset-based :meth:`reflect_specular`; the other wall
@@ -195,11 +196,12 @@ class WindTunnelBoundaries:
         scratch-enabled population is rebuilt in its own buffers under
         every wall model; a plain one is rebuilt as fresh arrays.
         """
-        reservoirs, streams = block_streams(reservoir), block_streams(rng)
+        streams = block_streams(rng)
         n_blocks = particles.n_blocks
-        if len(reservoirs) != n_blocks or len(streams) != n_blocks:
+        n_tanks = 1 if reservoir is None else reservoir.particles.n_blocks
+        if n_tanks != n_blocks or len(streams) != n_blocks:
             raise ConfigurationError(
-                f"{len(reservoirs)} reservoirs and {len(streams)} streams "
+                f"{n_tanks} reservoir blocks and {len(streams)} streams "
                 f"for {n_blocks} blocks"
             )
         scratch = particles.scratch
@@ -220,7 +222,7 @@ class WindTunnelBoundaries:
             )
             particles.rehome()
 
-        # 3) Soft downstream boundary: remove into the reservoir(s).
+        # 3) Soft downstream boundary: remove into the reservoir.
         n_removed = 0
         if self.has_outlet:
             exited = pooled(scratch, "bnd_mask", particles.n, dtype=bool)
@@ -233,9 +235,8 @@ class WindTunnelBoundaries:
                     removed = particles.remove_inplace(exited)
                 else:
                     particles, removed = particles.select(~exited), [n_removed]
-                for res, stream, k in zip(reservoirs, streams, removed):
-                    if res is not None and k:
-                        res.deposit(stream, k)
+                if reservoir is not None:
+                    reservoir.deposit(streams, removed)
 
         # 4) Advance the plunger; withdraw and refill past the trigger.
         #    The refill count is deterministic and shared by the blocks;
@@ -245,17 +246,16 @@ class WindTunnelBoundaries:
         if self.has_inlet:
             self.plunger.position += self.plunger.speed
             if self.plunger.position >= self.plunger.trigger:
-                fresh = [
-                    self.plunger_inflow(res, stream, particles.rotational_dof)
-                    for res, stream in zip(reservoirs, streams)
-                ]
-                if fresh[0] is not None:
-                    n_injected = sum(f.n for f in fresh)
+                fresh = self.plunger_inflow(
+                    reservoir, streams, particles.rotational_dof
+                )
+                if fresh is not None:
+                    n_injected = fresh.n
                     if scratch is not None:
                         particles.append_inplace(fresh)
                     else:
                         particles = ParticleArrays.concatenate(
-                            particles, fresh[0]
+                            particles, fresh
                         )
                 self.plunger.position = 0.0
                 reset = True
@@ -584,17 +584,20 @@ class WindTunnelBoundaries:
     def plunger_inflow(
         self,
         reservoir: Optional[Reservoir],
-        rng: np.random.Generator,
+        rng,
         rotational_dof: int,
     ) -> Optional[ParticleArrays]:
         """Freestream particles for the void a withdrawn plunger leaves.
 
         Enough to fill ``[0, plunger position) x [0, H)`` -- times the
         depth of a span domain -- at freestream density (``None`` when
-        that rounds to zero), withdrawn from ``reservoir`` (sampled
-        afresh without one), then placed uniformly: x, y, then z when
-        the domain has a span.  The caller appends them its own way.
+        that rounds to zero), for every block of ``reservoir``:
+        withdrawn from it (sampled afresh without one, one block), then
+        placed uniformly from the block's stream of ``rng``: x, y, then
+        z when the domain has a span.  The result declares the
+        reservoir's blocks; the caller appends them its own way.
         """
+        streams = block_streams(rng)
         xp = self.plunger.position
         height = self.domain.height
         volume = xp * height * self.domain.depth
@@ -602,10 +605,10 @@ class WindTunnelBoundaries:
         if n_new == 0:
             return None
         if reservoir is not None:
-            fresh = reservoir.withdraw(rng, n_new)
+            fresh = reservoir.withdraw(streams, n_new)
         else:
             fresh = ParticleArrays.from_freestream(
-                rng,
+                streams[0],
                 n_new,
                 self.freestream,
                 x_range=(0.0, xp),
@@ -613,8 +616,10 @@ class WindTunnelBoundaries:
                 rotational_dof=rotational_dof,
                 rectangular=True,
             )
-        fresh.x = rng.uniform(0.0, xp, size=n_new)
-        fresh.y = rng.uniform(0.0, height, size=n_new)
-        if self.domain.has_span:
-            fresh.z = rng.uniform(0.0, self.domain.depth, size=n_new)
+        for b, stream in enumerate(streams):
+            rows = slice(b * n_new, (b + 1) * n_new)
+            fresh.x[rows] = stream.uniform(0.0, xp, size=n_new)
+            fresh.y[rows] = stream.uniform(0.0, height, size=n_new)
+            if self.domain.has_span:
+                fresh.z[rows] = stream.uniform(0.0, self.domain.depth, size=n_new)
         return fresh

@@ -408,35 +408,43 @@ def collide_adjacent_pairs(
     signs: Optional[np.ndarray] = None,
     transpositions: Optional[np.ndarray] = None,
     internal_exchange_probability: float = 1.0,
-    edges=None,
 ) -> CollisionStats:
     """Collide pairs of *adjacent* rows ``(2i, 2i+1)``, in place.
 
     After the cell sort, even/odd pairing makes every collision pair a
     pair of adjacent addresses.  ``pair_index`` holds the indices ``i``
-    of the accepted pairs; ``None`` means *all* ``n // 2`` formed pairs
-    collide (the reservoir mix after an in-place re-pairing shuffle),
-    which needs no gathers or scatters at all -- the kernel reads and
-    writes the two interleaved partner sets through strided views.
-    ``rng`` is one generator per block of pairs, ``edges`` the block
-    boundaries in pair index (default: one block) -- several reservoirs
-    staged back to back mix in one call.
+    of the accepted pairs, drawn from one ``rng``.  ``None`` means
+    *every* formed pair of every block the population declares
+    collides (the reservoir mix after its re-pairing shuffle): block
+    ``b`` starting at row ``s_b`` pairs rows ``(s_b + 2j, s_b + 2j + 1)``
+    for ``j < n_b // 2`` and draws from ``rng[b]``
+    (:func:`repro.rng.block_streams`).  One block needs no gathers or
+    scatters at all -- the kernel reads and writes the two interleaved
+    partner sets through strided views.
 
     Physics and, per block, RNG consumption identical to
     :func:`collide_pairs`; the equivalence is pinned by a unit test.
     """
-    if pair_index is None:
-        m = particles.n // 2
+    scratch = particles.scratch
+    rows = particles.block_edges() if pair_index is None else [0, 2 * len(pair_index)]
+    edges = np.cumsum([0] + [(r1 - r0) // 2 for r0, r1 in zip(rows, rows[1:])])
+    m = int(edges[-1])
+    if pair_index is None and len(rows) == 2:
         a, b = slice(0, 2 * m, 2), slice(1, 2 * m, 2)
     else:
-        pair_index = np.asarray(pair_index)
-        m = pair_index.shape[0]
-        a = pooled(particles.scratch, "coll_a", m, dtype=np.intp)
-        b = pooled(particles.scratch, "coll_b", m, dtype=np.intp)
+        a = pooled(scratch, "coll_a", m, dtype=np.intp)
+        b = pooled(scratch, "coll_b", m, dtype=np.intp)
+        if pair_index is None:
+            pair_index = pooled_arange(scratch, m)
         np.multiply(pair_index, 2, out=a)
+        # Pair i of the block whose rows start at r0 and whose pair ids
+        # start at p0 is rows 2i + r0 - 2 p0 and the one after.
+        for r0, p0, p1 in zip(rows, edges[:-1], edges[1:]):
+            if r0 != 2 * p0:
+                a[p0:p1] += r0 - 2 * p0
         np.add(a, 1, out=b)
     return _collide(
-        particles, m, a, b, None, rng, (0, m) if edges is None else edges,
+        particles, m, a, b, None, rng, edges,
         signs, transpositions, internal_exchange_probability,
     )
 

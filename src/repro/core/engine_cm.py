@@ -39,7 +39,6 @@ from repro.core.cells import cell_populations, randomized_sort_keys
 from repro.core.pairing import even_odd_pairs
 from repro.core.particles import ParticleArrays
 from repro.core.permutation import apply_permutation
-from repro.core.reservoir import Reservoir
 from repro.core.sampling import CellSampler
 from repro.core.selection import collision_probabilities
 from repro.core.simulation import SimulationConfig
@@ -138,9 +137,6 @@ class CMSimulation:
             plunger_trigger=config.plunger_trigger,
         )
         self.sampler = CellSampler(config.domain, self.volume_fractions)
-        self.reservoir = Reservoir(
-            config.freestream, rotational_dof=config.model.rotational_dof
-        )
 
         # Seed through the reference seeding path, then encode.
         from repro.core.simulation import Simulation  # avoid cycle at import

@@ -206,7 +206,8 @@ class ParticleArrays:
             self.z = np.zeros_like(self.x)
         #: Row-block boundaries: ``None`` is one block; otherwise int64,
         #: length B + 1, rising from 0 to ``n`` -- block ``b`` owns rows
-        #: ``starts[b]:starts[b + 1]`` (the ensemble's replicas).  Kept
+        #: ``starts[b]:starts[b + 1]`` (the ensemble's replicas, in its
+        #: flow and its reservoir).  Declared by :meth:`from_blocks`, kept
         #: current by :meth:`remove_inplace` / :meth:`append_inplace`;
         #: :meth:`select`, :meth:`copy` and :meth:`concatenate` return
         #: one block.
@@ -290,37 +291,35 @@ class ParticleArrays:
         return 1 if self.starts is None else self.starts.shape[0] - 1
 
     def validate(self) -> None:
-        """Check internal consistency (used by tests and debug runs).
+        """Check internal consistency (tests, debug runs, snapshot loads).
 
-        Catches length mismatches, corrupted permutation rows, block
-        ``starts`` that do not partition the rows, and non-finite state
-        (NaN/inf positions or velocities) -- the failure modes the
-        fault-injection tests exercise.
+        Catches a column of the wrong dtype or shape, corrupted
+        permutation rows, block ``starts`` that do not partition the
+        rows, and non-finite state (NaN/inf positions or velocities) --
+        the failure modes the fault-injection tests exercise.
         """
         n = self.n
-        k = 3 + self.rotational_dof
+        k = 3 + (self.rot.shape[1] if self.rot.ndim == 2 else 0)
         if self.starts is not None:
             check_block_starts(self.starts, n)
-        for name in ("y", "u", "v", "w", "cell", "z"):
+        layout = {
+            "rot": (np.float64, (n, k - 3)),
+            "perm": (np.int8, (n, k)),
+            "cell": (np.int64, (n,)),
+        }
+        for name in COLUMN_NAMES:
             col = getattr(self, name)
-            if col.shape[0] != n:
-                raise ConfigurationError(f"column {name} has wrong length")
-        for name in ("x", "y", "u", "v", "w", "z"):
-            col = getattr(self, name)
-            if col.size and not np.isfinite(col).all():
+            dtype, shape = layout.get(name, (np.float64, (n,)))
+            if col.dtype != dtype or col.shape != shape:
+                raise ConfigurationError(
+                    f"column {name} is {col.dtype}{list(col.shape)}, "
+                    f"not {np.dtype(dtype)}{list(shape)}"
+                )
+            if dtype == np.float64 and col.size and not np.isfinite(col).all():
                 raise ConfigurationError(f"column {name} has non-finite values")
-        if self.rot.size and not np.isfinite(self.rot).all():
-            raise ConfigurationError("rot has non-finite values")
-        if self.rot.shape != (n, self.rotational_dof):
-            raise ConfigurationError("rot has wrong shape")
-        if self.perm.shape != (n, k):
-            raise ConfigurationError("perm has wrong shape")
-        if n:
-            sorted_rows = np.sort(self.perm, axis=1)
-            if not np.array_equal(
-                sorted_rows, np.broadcast_to(np.arange(k, dtype=np.int8), (n, k))
-            ):
-                raise ConfigurationError("perm rows are not permutations")
+        identity = np.broadcast_to(np.arange(k, dtype=np.int8), (n, k))
+        if not np.array_equal(np.sort(self.perm, axis=1), identity):
+            raise ConfigurationError("column perm has rows that are not permutations")
 
     # -- energy / momentum bookkeeping -------------------------------------
 
@@ -374,7 +373,7 @@ class ParticleArrays:
         """Re-home every column in capacity-backed ping-pong buffers.
 
         After this call the per-step population operations --
-        :meth:`reorder_inplace`, :meth:`compact_inplace`,
+        :meth:`reorder_inplace`, :meth:`remove_inplace`,
         :meth:`append_inplace` -- run against two preallocated buffer
         sets (gather from the front set into the back set, then swap),
         so steady-state stepping performs no O(N) heap allocations.
@@ -534,23 +533,7 @@ class ParticleArrays:
             )
             setattr(self, name, self._front[name][:n])
 
-    def compact_inplace(self, keep_index: np.ndarray) -> None:
-        """Shrink to the particles at ``keep_index`` (int array), in place.
-
-        Requires scratch; the step loop's replacement for
-        ``select(mask)`` when particles leave the domain.
-        """
-        if self._front is None:
-            raise ConfigurationError("compact_inplace requires enable_scratch")
-        k = keep_index.shape[0]
-        for name in COLUMN_NAMES:
-            np.take(
-                getattr(self, name), keep_index, axis=0,
-                out=self._back[name][:k], mode="clip",
-            )
-        self._swap_to_back(k)
-
-    def _block_edges(self) -> list:
+    def block_edges(self) -> list:
         """The block boundaries as Python ints (``[0, n]`` for one block)."""
         if self.starts is None:
             return [0, self.n]
@@ -558,6 +541,23 @@ class ParticleArrays:
         if edges[-1] != self.n:
             raise ConfigurationError("starts[-1] must equal the population")
         return edges
+
+    def blocks(self) -> list:
+        """One view population per declared block (``[self]`` for one)."""
+        if self.starts is None:
+            return [self]
+        e = self.block_edges()
+        return [
+            ParticleArrays(**{c: getattr(self, c)[b0:b1] for c in COLUMN_NAMES})
+            for b0, b1 in zip(e[:-1], e[1:])
+        ]
+
+    @classmethod
+    def from_blocks(cls, blocks) -> "ParticleArrays":
+        """One population declaring ``blocks``, in order, as its blocks."""
+        joined = cls.concatenate(*blocks)
+        joined.starts = np.cumsum([0] + [b.n for b in blocks], dtype=np.int64)
+        return joined
 
     def _relayout(self, edges: list, keep: list, extra=None) -> None:
         """Block ``b`` becomes its first ``keep[b]`` rows, then ``extra[b]``'s.
@@ -607,7 +607,7 @@ class ParticleArrays:
             raise ConfigurationError("remove_inplace requires enable_scratch")
         if remove_mask.shape != (self.n,):
             raise ConfigurationError("remove_mask must have one entry per particle")
-        edges = self._block_edges()
+        edges = self.block_edges()
         keep = []
         for b0, b1 in zip(edges[:-1], edges[1:]):
             gone = np.flatnonzero(remove_mask[b0:b1])
@@ -625,14 +625,15 @@ class ParticleArrays:
     def append_inplace(self, other) -> None:
         """Append ``other``'s particles to the block they are meant for.
 
-        ``other`` is one population, or a sequence of one per block
-        (possibly empty); block ``b`` becomes its current rows followed
-        by ``other[b]``'s.
+        ``other`` is a sequence of one population per block (possibly
+        empty), or one population declaring as many blocks (a
+        population without ``starts`` is one); block ``b`` becomes its
+        current rows followed by ``other``'s block ``b``.
         """
         if self._front is None:
             raise ConfigurationError("append_inplace requires enable_scratch")
-        others = (other,) if isinstance(other, ParticleArrays) else other
-        edges = self._block_edges()
+        others = other.blocks() if isinstance(other, ParticleArrays) else other
+        edges = self.block_edges()
         if len(others) != len(edges) - 1:
             raise ConfigurationError("one appended population per block")
         for o in others:
@@ -706,21 +707,13 @@ class ParticleArrays:
             setattr(self, name, self._front[name][: n + m])
 
     @staticmethod
-    def concatenate(a: "ParticleArrays", b: "ParticleArrays") -> "ParticleArrays":
-        """Concatenate two populations (e.g. flow + plunger refill)."""
-        if a.rotational_dof != b.rotational_dof:
+    def concatenate(*parts: "ParticleArrays") -> "ParticleArrays":
+        """Concatenate populations (e.g. flow + plunger refill), one block."""
+        if len({p.rotational_dof for p in parts}) > 1:
             raise ConfigurationError("rotational dof mismatch")
-        return ParticleArrays(
-            x=np.concatenate((a.x, b.x)),
-            y=np.concatenate((a.y, b.y)),
-            u=np.concatenate((a.u, b.u)),
-            v=np.concatenate((a.v, b.v)),
-            w=np.concatenate((a.w, b.w)),
-            rot=np.concatenate((a.rot, b.rot)),
-            perm=np.concatenate((a.perm, b.perm)),
-            cell=np.concatenate((a.cell, b.cell)),
-            z=np.concatenate((a.z, b.z)),
-        )
+        return ParticleArrays(**{
+            c: np.concatenate([getattr(p, c) for p in parts]) for c in COLUMN_NAMES
+        })
 
     def copy(self) -> "ParticleArrays":
         """Deep copy of the population."""

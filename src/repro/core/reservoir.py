@@ -21,14 +21,15 @@ The emulation models the reservoir as a single well-mixed cell: each
 step the population is randomly re-paired and every pair collides
 (Maxwell-molecule collisions conserve the population's energy and
 momentum, so the distribution relaxes to a drifting Maxwellian with the
-freestream's mean and variance).
+freestream's mean and variance).  An ensemble's reservoir is one such
+cell per replica: the blocks its population declares, like the flow's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.collision import collide_adjacent_pairs, collide_pairs
+from repro.core.collision import collide_adjacent_pairs
 from repro.core.particles import ParticleArrays, pooled, pooled_arange
 from repro.errors import ConfigurationError
 from repro.physics.distributions import sample_rectangular
@@ -43,6 +44,14 @@ MIXED_COLUMNS = ("u", "v", "w", "rot", "perm")
 class Reservoir:
     """Holding tank for particles outside the physical space.
 
+    One block or R, like the flow: ``particles`` (scratch-enabled) may
+    declare blocks in its ``starts``, and :meth:`deposit`,
+    :meth:`withdraw` and :meth:`mix` take one stream per block
+    (:func:`repro.rng.block_streams`; a bare generator is one block).
+    Per block they only draw, from that block's stream in the order a
+    reservoir of that block alone would; the surgery and the collision
+    are one call over all blocks.
+
     Parameters
     ----------
     freestream:
@@ -55,7 +64,7 @@ class Reservoir:
 
     def __init__(self, freestream: Freestream, rotational_dof: int = 2) -> None:
         self.freestream = freestream
-        self.particles = ParticleArrays.empty(rotational_dof)
+        self.particles = ParticleArrays.empty(rotational_dof).enable_scratch()
 
     # -- inspection --------------------------------------------------------
 
@@ -63,29 +72,49 @@ class Reservoir:
     def size(self) -> int:
         return self.particles.n
 
-    @property
-    def rotational_dof(self) -> int:
-        return self.particles.rotational_dof
+    def _streams(self, rng) -> tuple:
+        """``rng`` as one stream per block, or a typed error."""
+        streams = block_streams(rng)
+        if len(streams) != self.particles.n_blocks:
+            raise ConfigurationError(
+                f"{len(streams)} streams for {self.particles.n_blocks} "
+                "reservoir blocks"
+            )
+        return streams
 
     # -- deposit / withdraw --------------------------------------------------
 
-    def deposit(self, rng: np.random.Generator, n: int) -> None:
+    def deposit(self, rng, n) -> None:
         """Add ``n`` particles with rectangular freestream-variance state.
 
-        The incoming particles' actual post-shock velocities are
-        discarded (the paper re-deals them; keeping hot wake velocities
-        would bias the future inflow), so only the count matters.
+        ``n`` is one count per block (an int for one block).  The
+        incoming particles' actual post-shock velocities are discarded
+        (the paper re-deals them; keeping hot wake velocities would
+        bias the future inflow), so only the count matters.
         """
-        if n < 0:
+        streams = self._streams(rng)
+        counts = np.atleast_1d(n).tolist()
+        if len(counts) != len(streams):
+            raise ConfigurationError(
+                f"{len(counts)} counts for {len(streams)} reservoir blocks"
+            )
+        if min(counts) < 0:
             raise ConfigurationError("n must be non-negative")
+        if any(counts):
+            self.particles.append_inplace(
+                [self._newcomers(s, k) for s, k in zip(streams, counts)]
+            )
+
+    def _newcomers(self, rng: np.random.Generator, n: int) -> ParticleArrays:
+        """``n`` rectangular-distribution particles drawn from ``rng``."""
+        rdof = self.particles.rotational_dof
         if n == 0:
-            return
-        rdof = self.rotational_dof
+            return ParticleArrays.empty(rdof)
         vel = sample_rectangular(
             rng, n, self.freestream.c_mp, drift=self.freestream.drift_vector()
         )
         rot = sample_rectangular(rng, n, self.freestream.c_mp, components=rdof)
-        newcomers = ParticleArrays(
+        return ParticleArrays(
             x=np.zeros(n),
             y=np.zeros(n),
             u=vel[:, 0].copy(),
@@ -95,124 +124,64 @@ class Reservoir:
             perm=random_permutation_table(rng, n, length=3 + rdof),
             cell=np.zeros(n, dtype=np.int64),
         )
-        if self.particles.scratch is not None:
-            self.particles.append_inplace(newcomers)
-        else:
-            self.particles = ParticleArrays.concatenate(
-                self.particles, newcomers
-            )
 
-    def withdraw(self, rng: np.random.Generator, n: int) -> ParticleArrays:
-        """Remove and return ``n`` particles (velocities as relaxed).
+    def withdraw(self, rng, n: int) -> ParticleArrays:
+        """Remove and return ``n`` particles of every block (as relaxed).
 
-        If the reservoir runs short, the balance is topped up with fresh
+        A block that runs short is topped up with fresh
         rectangular-distribution particles first (they enter the flow
         less Gaussian than usual; the paper's sizing -- ~10% of the
         population idles in the reservoir -- makes this rare).
 
-        The withdrawn subset is drawn uniformly without replacement
-        (O(n), not a full-reservoir permutation) and the remainder is
-        compacted in one pass.
+        Each block's subset is drawn uniformly without replacement
+        (O(n), not a full-block permutation) and the remainder is
+        compacted in one pass.  The result declares the reservoir's
+        blocks, ``n`` rows each.
         """
+        streams = self._streams(rng)
         if n < 0:
             raise ConfigurationError("n must be non-negative")
-        if n > self.size:
-            self.deposit(rng, n - self.size)
-        take = rng.choice(self.size, size=n, replace=False, shuffle=False)
+        edges = self.particles.block_edges()
+        short = [max(n - (e1 - e0), 0) for e0, e1 in zip(edges[:-1], edges[1:])]
+        if any(short):
+            self.deposit(streams, short)
+            edges = self.particles.block_edges()
+        take = np.concatenate([
+            e0 + stream.choice(e1 - e0, size=n, replace=False, shuffle=False)
+            for stream, e0, e1 in zip(streams, edges[:-1], edges[1:])
+        ])
         out = self.particles.select(take)
-        if self.particles.scratch is not None:
-            gone = np.zeros(self.size, dtype=bool)
-            gone[take] = True
-            self.particles.remove_inplace(gone)
-        else:
-            keep = np.ones(self.size, dtype=bool)
-            keep[take] = False
-            self.particles = self.particles.select(keep)
+        if self.particles.starts is not None:
+            out.starts = n * np.arange(len(streams) + 1, dtype=np.int64)
+        gone = np.zeros(self.size, dtype=bool)
+        gone[take] = True
+        self.particles.remove_inplace(gone)
         return out
 
     # -- relaxation -----------------------------------------------------------
 
-    def mix(self, rng, rounds: int = 1, peers=()) -> int:
-        """Collide the reservoir against itself for ``rounds`` steps.
+    def mix(self, rng, rounds: int = 1) -> int:
+        """Collide every block against itself for ``rounds`` steps.
 
-        Every round randomly re-pairs the population and collides every
-        pair (the reservoir is one conceptual cell at freestream density
-        where candidates always collide).  Returns collisions performed.
+        Every round randomly re-pairs each block and collides every pair
+        (a block is one conceptual cell at freestream density where
+        candidates always collide).  Returns collisions performed.
 
-        ``peers`` are further reservoirs mixed by the same call (the
-        ensemble's replicas), ``rng`` then one generator per reservoir,
-        this one's first.  Each shuffles and draws from its own stream,
-        bitwise as a call on it alone would; only the collision
-        arithmetic is shared -- the pairs of all are staged back to back
-        and collide as the blocks of one kernel call.
+        Each block shuffles from its own stream, exactly as alone; the
+        shuffles are one physical reorder of the population, and the
+        collision one call over the pairs ``(s_b + 2j, s_b + 2j + 1)``
+        of every block -- strided views with no gathers for one block.
         """
-        tanks = (self, *peers)
-        streams = block_streams(rng)
-        if len(streams) != len(tanks):
-            raise ConfigurationError(
-                f"{len(streams)} streams for {len(tanks)} reservoirs"
-            )
-        all_pooled = all(t.particles.scratch is not None for t in tanks)
-        if peers and not all_pooled:
-            raise ConfigurationError("mixing with peers requires scratch")
+        streams = self._streams(rng)
+        parts = self.particles
         total = 0
         for _ in range(rounds):
-            if all_pooled:
-                # Physically shuffle once (ping-pong reorder), then the
-                # adjacent-pair kernel collides every (2i, 2i+1) block
-                # with zero gathers -- same pairing distribution as
-                # colliding (order[2i], order[2i+1]) in place.
-                edges = [0]
-                for tank, stream in zip(tanks, streams):
-                    n = tank.size
-                    if n >= 2:
-                        tank.particles.reorder_inplace(
-                            tank.particles.scratch.permutation(n, stream),
-                            columns=MIXED_COLUMNS,
-                        )
-                    edges.append(edges[-1] + n // 2)
-                # Alone, collide in place; with peers, in staged rows.
-                pool = self._staged(2 * edges[-1]) if peers else self.particles
-                staged = tanks if peers else ()
-                _copy_pairs(staged, edges, pool, back=False)
-                stats = collide_adjacent_pairs(pool, rng=streams, edges=edges)
-                _copy_pairs(staged, edges, pool, back=True)
-            else:
-                n = self.size
-                if n < 2:
-                    break
-                order = streams[0].permutation(n)
-                n_pairs = n // 2
-                first = order[0 : 2 * n_pairs : 2]
-                second = order[1 : 2 * n_pairs : 2]
-                stats = collide_pairs(
-                    self.particles, first, second, rng=streams[0]
-                )
-            total += stats.n_collisions
+            edges = parts.block_edges()
+            order = pooled(parts.scratch, "mix_order", parts.n, dtype=np.intp)
+            order[...] = pooled_arange(parts.scratch, parts.n)
+            for stream, e0, e1 in zip(streams, edges[:-1], edges[1:]):
+                if e1 - e0 >= 2:
+                    stream.shuffle(order[e0:e1])
+            parts.reorder_inplace(order, columns=MIXED_COLUMNS)
+            total += collide_adjacent_pairs(parts, rng=streams).n_collisions
         return total
-
-    def _staged(self, n: int) -> ParticleArrays:
-        """``n`` pooled rows to collide in (the positional columns, a
-        reservoir's placeholders, alias ``u``)."""
-        scratch, rdof = self.particles.scratch, self.rotational_dof
-        u, v, w = pooled(scratch, "mix_uvw", 3 * n).reshape(3, n)
-        pool = ParticleArrays(
-            x=u, y=u, z=u, u=u, v=v, w=w, cell=pooled_arange(scratch, n),
-            rot=pooled(scratch, "mix_rot", n, width=rdof),
-            perm=pooled(scratch, "mix_perm", n, np.int8, width=3 + rdof),
-        )
-        pool.scratch = scratch
-        return pool
-
-
-def _copy_pairs(tanks, edges, pool: ParticleArrays, back: bool) -> None:
-    """Copy the first ``2 * (n_r // 2)`` rows of every reservoir ``r`` to
-    block ``r`` of ``pool`` (even lengths keep the pairs adjacent), or back."""
-    for name in MIXED_COLUMNS:
-        staged = getattr(pool, name)
-        for tank, e0, e1 in zip(tanks, edges[:-1], edges[1:]):
-            own = getattr(tank.particles, name)[: 2 * (e1 - e0)]
-            if back:
-                own[...] = staged[2 * e0 : 2 * e1]
-            else:
-                staged[2 * e0 : 2 * e1] = own

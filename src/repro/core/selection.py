@@ -68,13 +68,10 @@ class SelectionResult:
     probability:
         The computed per-pair probability (0 for non-candidates), before
         the random draw -- kept for diagnostics and tests.
-    relative_speed:
-        Per-pair translational relative speed g (0 for non-candidates).
     """
 
     accept: np.ndarray
     probability: np.ndarray
-    relative_speed: np.ndarray
 
     @property
     def n_collisions(self) -> int:
@@ -152,11 +149,17 @@ def collision_probabilities(
         Open area fraction per cell (flattened, length n_cells);
         ``None`` means all cells fully open.
 
-    Returns ``(probability, relative_speed)`` arrays over pairs.
+    Returns ``(probability, relative_speed)`` over pairs; the relative
+    speed is computed only where the probability reads it (a
+    speed-dependent model away from the near-continuum limit) and is
+    ``None`` otherwise.
     """
     n_pairs = pairs.n_pairs
+    needs_speed = (
+        not freestream.is_near_continuum and model.speed_exponent != 0.0
+    )
     if n_pairs == 0:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(0), (np.zeros(0) if needs_speed else None)
 
     # Compute over ALL formed pairs, then zero the non-candidates at
     # the end: full-array arithmetic beats boolean-masked gathers on
@@ -167,12 +170,9 @@ def collision_probabilities(
     else:
         cells = particles.cell[pairs.first]
 
-    g = pair_relative_speed(particles, pairs)
-
     if freestream.is_near_continuum:
         # The lambda -> 0 validation limit: every candidate collides.
-        g *= cand
-        return cand.astype(np.float64), g
+        return cand.astype(np.float64), None
 
     # Per-cell density table first (n_cells entries), then one gather
     # per pair -- not a division per pair.
@@ -182,13 +182,14 @@ def collision_probabilities(
     prob = pooled(particles.scratch, "sel_prob", n_pairs)
     np.take(density_table, cells, out=prob, mode="clip")
     prob *= freestream.collision_probability / freestream.density
-    expo = model.speed_exponent
-    if expo != 0.0:
+    g = None
+    if needs_speed:
+        g = pair_relative_speed(particles, pairs)
         g_ref = np.sqrt(2.0) * freestream.mean_speed  # mean relative speed
         prob *= model.speed_factor(g, g_ref)
+        g *= cand
     np.minimum(prob, 1.0, out=prob)
     prob *= cand
-    g *= cand
     return prob, g
 
 
@@ -207,7 +208,7 @@ def select_collisions(
     ``draws`` lets the CM engine supply its own uniform numbers (from
     the quick-and-dirty bit stream); otherwise ``rng`` provides them.
     """
-    prob, g = collision_probabilities(
+    prob, _ = collision_probabilities(
         particles, pairs, freestream, model, cell_counts, volume_fractions
     )
     if draws is None:
@@ -222,7 +223,7 @@ def select_collisions(
         particles.scratch, "sel_accept", pairs.n_pairs, dtype=bool
     )
     np.less(draws, prob, out=accept)
-    return SelectionResult(accept=accept, probability=prob, relative_speed=g)
+    return SelectionResult(accept=accept, probability=prob)
 
 
 @dataclass(frozen=True)

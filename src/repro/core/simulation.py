@@ -587,7 +587,6 @@ class Simulation:
         #: object's ``sample(particles)`` runs on sampling steps.
         self.probes: list = []
         self.particles.enable_scratch()
-        self.reservoir.particles.enable_scratch()
         #: Indexed-order state of the ``"incremental"`` kernel (the
         #: canonical order permutation and the per-row cell cache);
         #: ``None`` on the ``"counting"`` kernel.  Sharded backends give

@@ -13,20 +13,22 @@ times over ``N_r`` rows.
 **A replica is a block.**  The step is the serial engine's, over R
 blocks instead of one: the boundary phase is
 :meth:`repro.core.boundary.WindTunnelBoundaries.apply_rebuilding` with
-the R reservoirs, streams and surface samplers, and the collision half
-is :func:`repro.core.simulation.collision_stage` with the R replica
-streams and the serial engine's
-:class:`repro.core.sortstep.IncrementalSorter` behind its sorter seam
--- the same code the serial engine and every shard worker run on one
-block, on the same every-:data:`~repro.core.sortstep.RESORT_PERIOD`
-physical re-sort schedule.  What lives here is what there is one of
-per replica: the reservoirs, the samplers, the streams.
+the R-block reservoir, the R streams and surface samplers, the
+collision half is :func:`repro.core.simulation.collision_stage` with
+the R replica streams and the serial engine's
+:class:`repro.core.sortstep.IncrementalSorter` behind its sorter seam,
+and the reservoir mix is the serial engine's :meth:`Reservoir.mix`
+call with the R streams -- the same code the serial engine and every
+shard worker run on one block, on the same
+every-:data:`~repro.core.sortstep.RESORT_PERIOD` physical re-sort
+schedule.  What lives here is what there is one of per replica: the
+samplers and the streams.
 
 **Layout.**  Replica-packed rows, physically blocked by replica at all
-times: replica ``r`` owns the contiguous row range
-``starts[r]:starts[r+1]`` of ``particles.starts``, which the
-population's own surgery keeps current.  Because the population
-declares those blocks, the sorter keys on the composite
+times, in the flow and in the reservoir alike: replica ``r`` owns the
+contiguous row range ``starts[r]:starts[r+1]`` of each population's
+``starts``, which the population's own surgery keeps current.  Because
+the flow declares those blocks, the sorter keys on the composite
 ``block * n_cells + cell``
 (:func:`repro.core.sortstep.blocked_cell_key`) -- replica above cell in
 sort-key significance -- so the order never crosses a block, a
@@ -62,7 +64,6 @@ the whole population).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -121,6 +122,11 @@ class EnsembleStepDiagnostics:
 class EnsembleEngine:
     """Step R replicas of one configuration as a single wide state.
 
+    The state is two populations declaring the same R blocks, block
+    ``r`` being replica ``replica_ids[r]``: ``particles`` (the flow) and
+    ``reservoir.particles`` (one :class:`Reservoir`, as in the serial
+    engine) -- plus one sampler block and surface sampler per replica.
+
     Parameters
     ----------
     config:
@@ -159,30 +165,27 @@ class EnsembleEngine:
         self._init_static(config, replica_ids, metrics)
 
         # Seed each replica from its own step-0 keyed stream: initial
-        # flow, then the reservoir deposit -- the same draw order a solo
-        # engine uses, which is what makes restored/solo/batched
-        # populations interchangeable.
-        blocks: List[ParticleArrays] = []
-        self.reservoirs = []
-        for rid in self.replica_ids:
-            rng = shard_stream(config.seed, 0, 0, replica=rid)
-            parts_r = seed_flow_particles(config, rng, self._vf_flat)
-            res = Reservoir(
-                config.freestream,
-                rotational_dof=config.model.rotational_dof,
-            )
-            res.deposit(
-                rng, int(round(config.reservoir_fraction * parts_r.n))
-            )
-            res.particles.enable_scratch()
-            blocks.append(parts_r)
-            self.reservoirs.append(res)
-        parts = functools.reduce(ParticleArrays.concatenate, blocks)
-        parts.starts = np.zeros(self.n_replicas + 1, dtype=np.int64)
-        np.cumsum([b.n for b in blocks], out=parts.starts[1:])
-        parts.enable_scratch()
+        # flow, then its reservoir block's deposit -- the same draw
+        # order a solo engine uses, which is what makes
+        # restored/solo/batched populations interchangeable.
+        streams = [
+            shard_stream(config.seed, 0, 0, replica=rid)
+            for rid in self.replica_ids
+        ]
+        blocks = [
+            seed_flow_particles(config, rng, self._vf_flat) for rng in streams
+        ]
+        parts = ParticleArrays.from_blocks(blocks).enable_scratch()
         assign_cells(parts, config.domain)
         self.particles = parts
+        self.reservoir = Reservoir(config.freestream, config.model.rotational_dof)
+        self.reservoir.particles = ParticleArrays.from_blocks(
+            [self.reservoir.particles] * self.n_replicas
+        ).enable_scratch()
+        self.reservoir.deposit(
+            streams,
+            [int(round(config.reservoir_fraction * b.n)) for b in blocks],
+        )
         self.sampler = EnsembleSampler(
             config.domain, self.n_replicas, self.volume_fractions
         )
@@ -201,7 +204,7 @@ class EnsembleEngine:
         """Build an engine without seeding (checkpoint restore path).
 
         The caller (:func:`repro.io.snapshots.load_ensemble`) fills in
-        the particle blocks with their ``starts``, reservoirs, sampler
+        the flow and reservoir blocks with their ``starts``, the sampler
         and surface accumulators and ``step_count`` from the archive;
         because every stream is a pure function of
         ``(seed, replica, step)``, no RNG state needs restoring and
@@ -285,12 +288,12 @@ class EnsembleEngine:
 
         # 1+2) Collisionless motion, then the boundary pass over R
         #    blocks: each replica's exits, refill and surface hits go
-        #    to its own reservoir, stream and sampler.
+        #    to its own reservoir block, stream and sampler.
         with perf.phase("motion"):
             motion.advance(parts)
             self.boundaries.surface_sampler = self.surfaces if sample else None
             _, bstats = self.boundaries.apply_rebuilding(
-                parts, self.reservoirs, streams
+                parts, self.reservoir, streams
             )
 
         # 3+4) The collision half of the step -- the one spelling
@@ -304,15 +307,11 @@ class EnsembleEngine:
         )
         perf.record_spans(stage.spans())
 
-        # Side work: every replica's reservoir Gaussianizes itself --
-        # each shuffled from its own stream, all collided as the R
-        # blocks of one kernel call.
+        # Side work: the reservoir Gaussianizes itself -- the serial
+        # engine's call, each block shuffled from its replica's stream.
         if cfg.reservoir_mix_rounds:
             with perf.phase("reservoir"):
-                self.reservoirs[0].mix(
-                    streams, cfg.reservoir_mix_rounds,
-                    peers=self.reservoirs[1:],
-                )
+                self.reservoir.mix(streams, cfg.reservoir_mix_rounds)
 
         self.step_count += 1
         if sample:
@@ -327,7 +326,9 @@ class EnsembleEngine:
         diag = EnsembleStepDiagnostics(
             step=self.step_count,
             n_flow=tuple(np.diff(parts.starts).tolist()),
-            n_reservoir=tuple(r.size for r in self.reservoirs),
+            n_reservoir=tuple(
+                np.diff(self.reservoir.particles.block_edges()).tolist()
+            ),
             n_candidates=stage.n_candidates,
             n_collisions=stage.collisions_by_block,
             mean_collision_probability=stage.mean_probability,
@@ -446,21 +447,18 @@ def replica_scenario_runs(engine: EnsembleEngine, spec=None) -> list:
 def replica_state(engine: EnsembleEngine, r: int) -> dict:
     """Snapshot every replica-owned array of replica index ``r``.
 
-    Covers the flow block (all columns), the reservoir population, the
-    sampler accumulators, the surface-load accumulators, and the
+    Covers block ``r`` of the flow and of the reservoir (all columns),
+    the sampler accumulators, the surface-load accumulators, and the
     shared plunger position -- everything the determinism contract
     promises is bitwise solo.
     """
-    b0, b1 = engine.particles.starts[r : r + 2].tolist()
-    state = {
-        f"flow_{name}": np.asarray(getattr(engine.particles, name))[
-            b0:b1
-        ].copy()
-        for name in COLUMN_NAMES
-    }
-    res = engine.reservoirs[r].particles
-    for name in COLUMN_NAMES:
-        state[f"res_{name}"] = np.asarray(getattr(res, name)).copy()
+    state = {}
+    for prefix, pop in (
+        ("flow", engine.particles), ("res", engine.reservoir.particles)
+    ):
+        block = pop.blocks()[r]
+        for name in COLUMN_NAMES:
+            state[f"{prefix}_{name}"] = getattr(block, name).copy()
     n_cells = engine.config.domain.n_cells
     sl = slice(r * n_cells, (r + 1) * n_cells)
     for name in SAMPLER_FIELDS:

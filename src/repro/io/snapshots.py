@@ -146,16 +146,39 @@ def _pack_particles(prefix: str, parts: ParticleArrays) -> dict:
     }
 
 
-def _unpack_particles(prefix: str, data) -> ParticleArrays:
+def _unpack_particles(prefix: str, data, rotational_dof: int, path):
     # An archive without ``z`` loads it zero-filled; any other missing
-    # column is a ``KeyError``, i.e. a corrupt archive.
-    return ParticleArrays(
+    # column is a ``KeyError``, i.e. a corrupt archive.  The rest must
+    # fit the archive's molecule model and pass ``validate()`` (dtypes,
+    # shapes, finite state, permutation rows).
+    parts = ParticleArrays(
         **{
             name: data[f"{prefix}_{name}"].copy()
             for name in COLUMN_NAMES
             if name != "z" or f"{prefix}_z" in data
         }
     )
+    try:
+        if parts.rot.shape[1:] != (rotational_dof,):
+            raise ConfigurationError(
+                f"column rot is {list(parts.rot.shape)}, not "
+                f"{rotational_dof} rotational components per particle"
+            )
+        parts.validate()
+    except ConfigurationError as exc:
+        raise CheckpointCorruptionError(
+            f"members {prefix}_*: {exc}", path=str(path)
+        ) from exc
+    return parts
+
+
+def _step_count(data, path) -> int:
+    step_count = int(data["step_count"])
+    if step_count < 0:
+        raise CheckpointCorruptionError(
+            f"member step_count is negative ({step_count})", path=str(path)
+        )
+    return step_count
 
 
 def _pack_accumulator(prefix: str, acc, fields) -> dict:
@@ -261,7 +284,8 @@ def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
     """Write an exact checkpoint of an ensemble run to ``path`` (.npz).
 
     Captures the replica-blocked flow population with its block
-    boundaries, every replica's reservoir, the sampler and surface-load
+    boundaries, the reservoir one block per replica (members
+    ``res{r}_*``), the sampler and surface-load
     accumulators, the shared plunger phase and the step count.  No RNG
     state is stored: the ensemble engine re-derives each step's streams
     from ``(seed, replica, step)``, so the integer seed in the config
@@ -290,8 +314,8 @@ def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
         **_pack_accumulator("sampler", engine.sampler, SAMPLER_FIELDS),
     }
     arrays.update(_pack_particles("flow", engine.particles))
-    for r, res in enumerate(engine.reservoirs):
-        arrays.update(_pack_particles(f"res{r}", res.particles))
+    for r, block in enumerate(engine.reservoir.particles.blocks()):
+        arrays.update(_pack_particles(f"res{r}", block))
     if engine.surfaces is not None:
         for r, surf in enumerate(engine.surfaces):
             arrays.update(
@@ -307,14 +331,16 @@ def load_ensemble(path: PathLike):
     """Reconstruct an :class:`repro.ensemble.EnsembleEngine` checkpoint.
 
     The returned engine continues exactly where the saved one stopped
-    for every replica -- same blocks, same reservoirs, same accumulated
+    for every replica -- same flow and reservoir blocks, same accumulated
     averages, same plunger phase -- and, because the engine's streams
     are keyed rather than advanced, its subsequent steps are bitwise
     identical to the uninterrupted run's.
 
     Raises :class:`~repro.errors.CheckpointCorruptionError` on a
-    truncated archive or one whose block ``starts`` do not partition
-    the flow population into one block per replica id.
+    truncated archive, one whose block ``starts`` do not partition the
+    flow population into one block per replica id, a particle member
+    of the wrong dtype or shape, a population failing ``validate()``,
+    or a negative step count.
     """
     import dataclasses
 
@@ -341,7 +367,8 @@ def load_ensemble(path: PathLike):
             )
             replica_ids = [int(r) for r in data["replica_ids"]]
             eng = EnsembleEngine._restore_shell(config, replica_ids)
-            eng.particles = _unpack_particles("flow", data)
+            rdof = config.model.rotational_dof
+            eng.particles = _unpack_particles("flow", data, rdof, path)
             eng.particles.enable_scratch()
             try:
                 eng.particles.starts = check_block_starts(
@@ -351,15 +378,11 @@ def load_ensemble(path: PathLike):
                 raise CheckpointCorruptionError(
                     f"corrupt block starts: {exc}", path=str(path)
                 ) from exc
-            eng.reservoirs = []
-            for r in range(len(replica_ids)):
-                res = Reservoir(
-                    config.freestream,
-                    rotational_dof=config.model.rotational_dof,
-                )
-                res.particles = _unpack_particles(f"res{r}", data)
-                res.particles.enable_scratch()
-                eng.reservoirs.append(res)
+            eng.reservoir = Reservoir(config.freestream, rotational_dof=rdof)
+            eng.reservoir.particles = ParticleArrays.from_blocks([
+                _unpack_particles(f"res{r}", data, rdof, path)
+                for r in range(len(replica_ids))
+            ]).enable_scratch()
             eng.sampler = EnsembleSampler(
                 config.domain, len(replica_ids), eng.volume_fractions
             )
@@ -375,7 +398,7 @@ def load_ensemble(path: PathLike):
                         )
             else:
                 eng.surfaces = None
-            eng.step_count = int(data["step_count"])
+            eng.step_count = _step_count(data, path)
             eng.boundaries.plunger.position = float(
                 data["plunger_position"]
             )
@@ -419,9 +442,11 @@ def load_simulation(
     tuple for this worker count (v3+, written after a rebalance).
 
     Raises :class:`~repro.errors.CheckpointCorruptionError` when the
-    archive is truncated, unreadable, or missing required members --
-    a distinct, retryable failure so a supervisor can fall back to an
-    older checkpoint instead of aborting the run.
+    archive is truncated, unreadable, missing required members, or
+    holds a particle member of the wrong dtype or shape, a population
+    failing ``validate()`` or a negative step count -- a distinct,
+    retryable failure so a supervisor can fall back to an older
+    checkpoint instead of aborting the run.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -448,11 +473,12 @@ def load_simulation(
             )
             config = _config_from_json(str(data["config_json"]))
             sim = Simulation(config)
-            sim.particles = _unpack_particles("flow", data)
-            sim.reservoir.particles = _unpack_particles("res", data)
+            rdof = config.model.rotational_dof
+            sim.particles = _unpack_particles("flow", data, rdof, path)
+            sim.reservoir.particles = _unpack_particles("res", data, rdof, path)
             sim.particles.enable_scratch()
             sim.reservoir.particles.enable_scratch()
-            sim.step_count = int(data["step_count"])
+            sim.step_count = _step_count(data, path)
             sim.boundaries.plunger.position = float(data["plunger_position"])
             sim.rng.bit_generator.state = json.loads(
                 str(data["rng_state_json"])

@@ -132,12 +132,11 @@ def shard_stream(
 def block_streams(rng) -> tuple:
     """The generators of a blocked draw, one per block of the population.
 
-    The collision kernels and the boundary pass draw *per block* from
-    that block's own stream: the serial engine and a shard worker hand
-    in their one generator, the ensemble engine its R replica streams.
-    A bare generator is a one-block sequence -- as is any other
-    per-block argument spelled this way (a reservoir or ``None``, a
-    surface sampler).
+    The collision kernels, the boundary pass and the reservoir draw
+    *per block* from that block's own stream: the serial engine and a
+    shard worker hand in their one generator, the ensemble engine its R
+    replica streams.  A bare generator is a one-block sequence -- as is
+    any other per-block argument spelled this way (a surface sampler).
     """
     return tuple(np.atleast_1d(rng))
 

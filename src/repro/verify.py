@@ -20,9 +20,10 @@ def state_digest(engine) -> str:
     """sha256 of the state of a ``Simulation`` or ``EnsembleEngine``.
 
     Covers every flow column and the flow's block ``starts``, every
-    reservoir, the cell-sampler and surface accumulators with their
-    step counts, the plunger phase and the step count.  A sharded
-    simulation is gathered first.
+    reservoir column -- one block at a time, every column of block 0,
+    then of block 1, ... -- the cell-sampler and surface accumulators
+    with their step counts, the plunger phase and the step count.  A
+    sharded simulation is gathered first.
     """
     if hasattr(engine, "gather"):
         engine.gather()
@@ -33,8 +34,7 @@ def state_digest(engine) -> str:
             h.update(np.ascontiguousarray(value).tobytes())
 
     flow = engine.particles
-    reservoirs = getattr(engine, "reservoirs", None) or [engine.reservoir]
-    for pop in (flow, *(res.particles for res in reservoirs)):
+    for pop in (flow, *engine.reservoir.particles.blocks()):
         feed(*(getattr(pop, name) for name in COLUMN_NAMES))
     starts = flow.starts
     feed(np.array([0, flow.n], dtype=np.int64) if starts is None else starts)

@@ -70,6 +70,18 @@ class TestBitwiseReplicaEquality:
             transient=RESORT_PERIOD + 8, average=RESORT_PERIOD,
         )
 
+    def test_equality_across_refills_from_a_dry_reservoir(self):
+        """An empty reservoir at start: every refill drains a block, and
+        its withdrawal mints the balance from that replica's stream."""
+        cfg = _small_config(seed=17, reservoir_fraction=0.0)
+        eng = EnsembleEngine(cfg, n_replicas=3)
+        dry_refills = 0
+        for _ in range(28):
+            diag = eng.step()
+            dry_refills += diag.boundary.plunger_reset and min(diag.n_reservoir) == 0
+        assert dry_refills >= 2
+        verify_replica_equality(cfg, n_replicas=3, transient=24, average=4)
+
     def test_equality_with_speed_dependent_selection(self):
         """Hard-sphere molecules exercise the speed-factor branch."""
         verify_replica_equality(

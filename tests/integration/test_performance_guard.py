@@ -303,30 +303,33 @@ class TestBlockedStepCostsPerParticle:
     def test_calls_per_replica_per_step(self):
         # Deterministic for a seed.  308 with eight Reservoir.mix calls
         # and every per-cell pass over all R * n_cells composite cells;
-        # 213 with one blocked mix over pairable cells only.  What is
-        # left per replica: its stream, its draws, its deposit / refill
-        # and the blocked surgery's slice copies.
+        # 213-220 with one collision call for eight reservoirs over
+        # pairable cells only; 142.7 with one reservoir of eight blocks
+        # (one reorder, one surgery per deposit / withdrawal).  What is
+        # left per replica: its stream, its draws and the blocked
+        # surgery's slice copies.
         per_replica = (self._calls_per_step(8) - self._calls_per_step(1)) / 7
-        assert per_replica <= 234, (
-            f"{per_replica:.0f} calls per replica per step (budget 213 "
+        assert per_replica <= 158, (
+            f"{per_replica:.0f} calls per replica per step (budget 143 "
             "+ 10 %): per-block work beyond the draws is back in a "
             "blocked kernel"
         )
 
     def test_warm_blocked_mix_retains_no_memory(self):
-        # The staged rows come from the leading reservoir's scratch
-        # pool: once warm, mixing R reservoirs keeps nothing alive.
+        # The shuffle order and the pair rows come from the reservoir's
+        # scratch pool: once warm, mixing R blocks keeps nothing alive.
         fs = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=0.65)
         tanks = []
         for r in range(8):
             res = Reservoir(fs)
             res.deposit(np.random.default_rng(r), 4000 + r)
-            res.particles.enable_scratch()
-            tanks.append(res)
+            tanks.append(res.particles)
+        tank = Reservoir(fs)
+        tank.particles = ParticleArrays.from_blocks(tanks).enable_scratch()
 
         def mix(step):
             streams = [shard_stream(1, 0, step, replica=r) for r in range(8)]
-            tanks[0].mix(streams, rounds=2, peers=tanks[1:])
+            tank.mix(streams, rounds=2)
 
         mix(0)
         gc.collect()
@@ -339,9 +342,9 @@ class TestBlockedStepCostsPerParticle:
             grown = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        # The shuffles replace the reservoirs' 40 column views (~4 kB
-        # of array headers); one staged float64 column would be 256 kB.
+        # The reorder re-points the reservoir's five mixed column views
+        # (array headers); one retained float64 column would be 256 kB.
         assert grown < 16_384, (
-            f"a warm blocked mix retained {grown} bytes: the staging "
-            "population has left the scratch pool"
+            f"a warm blocked mix retained {grown} bytes: a mix temporary "
+            "has left the scratch pool"
         )

@@ -178,3 +178,112 @@ class TestEnsembleStartsAreChecked:
         assert eng.particles.starts.dtype == np.int64
         eng.particles.validate()
         eng.run(2)
+
+
+def _set(member, fn):
+    """A corruption: ``member`` replaced by ``fn(member's array)``."""
+    def corrupt(members):
+        members[member] = fn(members[member].copy())
+    return corrupt
+
+
+def _nan_first(a):
+    a[0] = np.nan
+    return a
+
+
+#: Rewrites of one member of an intact archive, per loader, each with
+#: the text the refusal must contain.  Before the loaders checked the
+#: particle members, every one of these loaded: the first three stepped
+#: on with a finite total energy, the one-column ``rot`` failed the
+#: first step with a bare ``ValueError``, and the negative step count
+#: loaded (the ensemble's next step then raised an untyped error).
+CORRUPTIONS = {
+    "perm_float64": (
+        {loader: _set("flow_perm", lambda a: a.astype(np.float64))
+         for loader in ("simulation", "ensemble")},
+        r"members flow_\*: column perm is float64\[\d+, 5\], not int8",
+    ),
+    "flow_x_nan": (
+        {loader: _set("flow_x", _nan_first)
+         for loader in ("simulation", "ensemble")},
+        r"members flow_\*: column x has non-finite values",
+    ),
+    "reservoir_u_nan": (
+        {"simulation": _set("res_u", _nan_first),
+         "ensemble": _set("res1_u", _nan_first)},
+        r"members res1?_\*: column u has non-finite values",
+    ),
+    "one_column_rot": (
+        {"simulation": _set("flow_rot", lambda a: a[:, :1].copy()),
+         "ensemble": _set("res2_rot", lambda a: a[:, :1].copy())},
+        r"members (flow|res2)_\*: column rot is \[\d+, 1\], not 2 rotational",
+    ),
+    "negative_step_count": (
+        {loader: _set("step_count", lambda a: np.array(-5))
+         for loader in ("simulation", "ensemble")},
+        r"member step_count is negative \(-5\)",
+    ),
+}
+
+
+class TestParticleMembersAreChecked:
+    """Each loader refuses a corrupt particle member or step count with
+    ``CheckpointCorruptionError`` naming the member -- the error the
+    supervisor falls back to an older checkpoint on."""
+
+    LOADERS = {"simulation": load_simulation, "ensemble": load_ensemble}
+
+    @pytest.fixture(scope="class")
+    def archives(self, tmp_path_factory):
+        """Intact uncompressed archives after 5 steps, per loader, and
+        the digest of the uninterrupted run 3 steps later."""
+        from repro.verify import state_digest
+
+        config = SimulationConfig(
+            domain=Domain(49, 32),
+            freestream=Freestream(
+                mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=4.0
+            ),
+            wedge=Wedge(x_leading=10.0, base=12.5, angle_deg=30.0),
+            seed=5,
+        )
+        root = tmp_path_factory.mktemp("members")
+        out = {}
+        for loader, engine, save in (
+            ("simulation", Simulation(config), save_simulation),
+            ("ensemble", EnsembleEngine(config, n_replicas=3), save_ensemble),
+        ):
+            engine.run(5)
+            save(engine, root / f"{loader}.npz", compress=False)
+            engine.run(3)
+            with np.load(root / f"{loader}.npz") as data:
+                out[loader] = (
+                    {k: data[k] for k in data.files}, state_digest(engine)
+                )
+        return out
+
+    @pytest.mark.parametrize("loader", ["simulation", "ensemble"])
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_member_raises_at_load(
+        self, archives, loader, case, tmp_path
+    ):
+        corrupt, match = CORRUPTIONS[case]
+        members = dict(archives[loader][0])
+        corrupt[loader](members)
+        path = tmp_path / "bad.npz"
+        np.savez(path, **members)
+        with pytest.raises(CheckpointCorruptionError, match=match):
+            self.LOADERS[loader](path)
+
+    @pytest.mark.parametrize("loader", ["simulation", "ensemble"])
+    def test_intact_archive_continues_bitwise(self, archives, loader, tmp_path):
+        from repro.verify import state_digest
+
+        members, straight = archives[loader]
+        path = tmp_path / "good.npz"
+        np.savez(path, **members)
+        resumed = self.LOADERS[loader](path)
+        resumed.run(3)
+        assert resumed.step_count == 8
+        assert state_digest(resumed) == straight

@@ -47,7 +47,9 @@ class TestSelectionProperties:
             prob, g = collision_probabilities(pop, pairs, fs, model, counts)
             assert np.all(prob >= 0.0)
             assert np.all(prob <= 1.0)
-            assert np.all(g >= 0.0)
+            # Only a speed-dependent model reads (and returns) g.
+            assert (g is None) == (model.speed_exponent == 0.0)
+            assert g is None or np.all(g >= 0.0)
             # Non-candidates never collide.
             assert np.all(prob[~pairs.same_cell] == 0.0)
 

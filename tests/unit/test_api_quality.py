@@ -156,6 +156,8 @@ class TestBoundaryPassSpelledOnce:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
     def test_only_the_population_has_starts(self):
+        # The step reads the flow's blocks; everything else (the
+        # reservoir's, a replica's rows) goes through the population.
         import repro.ensemble.engine as engine
 
         tree = ast.parse(pathlib.Path(engine.__file__).read_text())
@@ -164,7 +166,26 @@ class TestBoundaryPassSpelledOnce:
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "starts"
         }
-        assert owners == {"parts", "engine.particles"}
+        assert owners == {"parts"}
+
+
+class TestOneReservoir:
+    """One reservoir for one block or R: its population declares them."""
+
+    def test_the_staging_path_is_gone(self):
+        import repro.core.reservoir as reservoir
+
+        assert "peers" not in inspect.signature(
+            reservoir.Reservoir.mix
+        ).parameters
+        for name in ("_staged", "_copy_pairs"):
+            assert not hasattr(reservoir.Reservoir, name), name
+            assert not hasattr(reservoir, name), name
+
+    def test_ensemble_names_no_reservoir_list(self):
+        import repro.ensemble.engine as engine
+
+        assert "reservoirs" not in pathlib.Path(engine.__file__).read_text()
 
 
 #: What a forked shard worker executes.  One BLAS call in there wakes an

@@ -1,7 +1,5 @@
 """Unit tests for the reservoir and the wind-tunnel boundaries."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -78,12 +76,35 @@ class TestReservoir:
             res.withdraw(rng, -1)
 
 
-class TestBlockedMix:
-    """``mix(peers=...)`` == the R separate mixes it replaced, bitwise.
+def _one_reservoir(tanks, scratch=True):
+    """One reservoir whose blocks are copies of ``tanks``' populations."""
+    joint = Reservoir(tanks[0].freestream)
+    joint.particles = ParticleArrays.from_blocks([t.particles for t in tanks])
+    if scratch:
+        joint.particles.enable_scratch()
+    return joint
 
-    The loop of one-reservoir calls is the oracle: every reservoir
-    shuffles and draws from its own stream, so sharing the collision
-    call may change nothing -- no column, no stream position.
+
+def _assert_blocks_are_tanks(joint, tanks, what="reservoir"):
+    """Every column of block ``b`` (placeholders included) is tank ``b``'s."""
+    blocks = joint.particles.blocks()
+    assert [b.n for b in blocks] == [t.size for t in tanks]
+    for b, (block, tank) in enumerate(zip(blocks, tanks)):
+        for name in COLUMN_NAMES:
+            assert np.array_equal(
+                getattr(block, name), getattr(tank.particles, name)
+            ), f"block {b} {what} {name}"
+
+
+class TestBlockedMix:
+    """One reservoir of R blocks == R one-block reservoirs, bitwise.
+
+    The loop of one-block calls is the oracle: every block shuffles and
+    draws from its own stream, so sharing the reorder, the surgery and
+    the collision call may change nothing -- no column, no stream
+    position.  Blocks of sizes 0, 1, 2, odd and even side by side start
+    at odd rows, where the pairs ``(s_b + 2j, s_b + 2j + 1)`` leave the
+    population's even/odd grid.
     """
 
     @staticmethod
@@ -92,7 +113,6 @@ class TestBlockedMix:
         for r, n in enumerate(sizes):
             res = Reservoir(fs)
             res.deposit(np.random.default_rng(50 + r), n)
-            res.particles.enable_scratch()
             tanks.append(res)
         return tanks
 
@@ -100,59 +120,102 @@ class TestBlockedMix:
     def _streams(n):
         return [shard_stream(1989, 0, 4, replica=r) for r in range(n)]
 
+    @staticmethod
+    def _assert_same_streams(got, want):
+        for b, (g, w) in enumerate(zip(got, want)):
+            np.testing.assert_equal(
+                g.bit_generator.state, w.bit_generator.state, err_msg=f"{b}"
+            )
+
     @pytest.mark.parametrize(
         "sizes",
         [(0, 1, 2, 7, 10), (10, 7, 2, 1, 0), (1, 0), (9,), (6, 6, 6)],
         ids=lambda s: "-".join(map(str, s)),
     )
     def test_peers_equal_separate_mixes(self, fs, sizes):
-        together, apart = self._tanks(fs, sizes), self._tanks(fs, sizes)
+        tanks = self._tanks(fs, sizes)
+        joint = _one_reservoir(tanks)
         streams_t, streams_a = self._streams(len(sizes)), self._streams(len(sizes))
-        n_together = together[0].mix(streams_t, rounds=2, peers=together[1:])
+        n_together = joint.mix(streams_t, rounds=2)
         n_apart = sum(
-            res.mix(st, rounds=2) for res, st in zip(apart, streams_a)
+            res.mix(st, rounds=2) for res, st in zip(tanks, streams_a)
         )
         assert n_together == n_apart == 2 * sum(n // 2 for n in sizes)
-        for r, (res_t, res_a) in enumerate(zip(together, apart)):
-            assert res_t.size == sizes[r]
-            for name in COLUMN_NAMES:
-                assert np.array_equal(
-                    getattr(res_t.particles, name),
-                    getattr(res_a.particles, name),
-                ), (r, name)
-            assert streams_t[r].random() == streams_a[r].random(), r
+        _assert_blocks_are_tanks(joint, tanks)
+        self._assert_same_streams(streams_t, streams_a)
+
+    @pytest.mark.parametrize(
+        "sizes", [(0, 1, 2, 7, 10), (3, 0, 5)], ids=lambda s: "-".join(map(str, s))
+    )
+    @pytest.mark.parametrize("n", [0, 4], ids=["none", "four"])
+    def test_deposit_and_withdraw_equal_separate_calls(self, fs, sizes, n):
+        # Withdrawing four tops up every block holding fewer: the dry
+        # ones mint the balance from their own stream first.
+        tanks = self._tanks(fs, sizes)
+        joint = _one_reservoir(tanks)
+        streams_t, streams_a = self._streams(len(sizes)), self._streams(len(sizes))
+        got = joint.withdraw(streams_t, n)
+        want = [res.withdraw(st, n) for res, st in zip(tanks, streams_a)]
+        assert got.starts.tolist() == [n * b for b in range(len(sizes) + 1)]
+        for name in COLUMN_NAMES:
+            assert np.array_equal(
+                getattr(got, name),
+                np.concatenate([getattr(w, name) for w in want]),
+            ), f"withdrawn {name}"
+        counts = [2 * r + 1 for r in range(len(sizes))]
+        joint.deposit(streams_t, counts)
+        for res, st, k in zip(tanks, streams_a, counts):
+            res.deposit(st, k)
+        _assert_blocks_are_tanks(joint, tanks)
+        self._assert_same_streams(streams_t, streams_a)
 
     def test_mixing_changes_every_paired_reservoir(self, fs):
         # Guards the oracle above against comparing two no-ops.
-        tanks = self._tanks(fs, (8, 5))
-        before = [res.particles.u.copy() for res in tanks]
-        tanks[0].mix(self._streams(2), peers=tanks[1:])
-        for res, u0 in zip(tanks, before):
-            assert not np.array_equal(np.sort(res.particles.u), np.sort(u0))
+        joint = _one_reservoir(self._tanks(fs, (8, 5)))
+        before = [b.u.copy() for b in joint.particles.blocks()]
+        joint.mix(self._streams(2))
+        for block, u0 in zip(joint.particles.blocks(), before):
+            assert not np.array_equal(np.sort(block.u), np.sort(u0))
 
     def test_one_stream_per_reservoir(self, fs):
-        tanks = self._tanks(fs, (4, 4, 4))
+        joint = _one_reservoir(self._tanks(fs, (4, 4, 4)))
         with pytest.raises(ConfigurationError, match="2 streams for 3"):
-            tanks[0].mix(self._streams(2), peers=tanks[1:])
+            joint.mix(self._streams(2))
+        with pytest.raises(ConfigurationError, match="2 streams for 3"):
+            joint.withdraw(self._streams(2), 1)
+        with pytest.raises(ConfigurationError, match="2 counts for 3"):
+            joint.deposit(self._streams(3), [1, 2])
 
     def test_peers_need_the_scratch_pool(self, fs):
-        bare = Reservoir(fs)
-        bare.deposit(np.random.default_rng(1), 4)
-        pooled = self._tanks(fs, (4,))
-        with pytest.raises(ConfigurationError, match="scratch"):
-            bare.mix(self._streams(2), peers=pooled)
-        with pytest.raises(ConfigurationError, match="scratch"):
-            pooled[0].mix(self._streams(2), peers=[bare])
+        # A reservoir is built pooled.  One whose population was swapped
+        # for a plain one still mixes (bitwise as pooled: the pool only
+        # supplies buffers), but its surgery refuses, typed.
+        tanks = self._tanks(fs, (4, 3))
+        assert Reservoir(fs).particles.scratch is not None
+        bare, pooled = _one_reservoir(tanks, scratch=False), _one_reservoir(tanks)
+        bare.mix(self._streams(2), rounds=2)
+        pooled.mix(self._streams(2), rounds=2)
+        for name in COLUMN_NAMES:
+            assert np.array_equal(
+                getattr(bare.particles, name), getattr(pooled.particles, name)
+            ), name
+        for call in (
+            lambda: bare.deposit(self._streams(2), [1, 1]),
+            lambda: bare.withdraw(self._streams(2), 1),
+        ):
+            with pytest.raises(ConfigurationError, match="enable_scratch"):
+                call()
 
 
 class TestBlockedBoundaryPass:
     """``apply_rebuilding`` over R blocks == R one-block calls.
 
     The one-block call is the oracle: each block alone, with its own
-    boundaries object at the same plunger phase, its own reservoir,
-    stream and surface sampler.  Block 1 has no downstream exits and a
-    nearly dry reservoir (a refill mints the balance), block 2 is empty
-    with an empty reservoir.
+    boundaries object at the same plunger phase, its own one-block
+    reservoir, stream and surface sampler; the R-block call has one
+    reservoir of R blocks.  Block 1 has no downstream exits and a nearly
+    dry reservoir block (a refill mints the balance), block 2 is empty
+    with an empty reservoir block.
     """
 
     DOMAIN = Domain(30, 20)
@@ -198,28 +261,28 @@ class TestBlockedBoundaryPass:
     def test_blocks_equal_one_block_calls(self, sizes, position):
         n_blocks = len(sizes)
         blocks, tanks = self._blocks(sizes)
-        parts = functools.reduce(
-            ParticleArrays.concatenate, blocks, ParticleArrays.empty(2)
-        ).enable_scratch()
-        parts.starts = np.concatenate([[0], np.cumsum(sizes)])
-        joint_tanks = [self._pooled_copy(t) for t in tanks]
+        parts = ParticleArrays.from_blocks(blocks).enable_scratch()
+        joint_tank = _one_reservoir(tanks)
         joint_streams = self._streams(n_blocks)
         wb = self._boundaries(position)
         wb.surface_sampler = [SurfaceSampler(self.WEDGE) for _ in sizes]
-        out, stats = wb.apply_rebuilding(parts, joint_tanks, joint_streams)
+        out, stats = wb.apply_rebuilding(parts, joint_tank, joint_streams)
         assert out is parts and parts.scratch is not None
         parts.validate()
+        joint_tank.particles.validate()
 
         totals = dict.fromkeys(
             ("n_reflected_walls", "n_reflected_wedge", "n_removed_downstream",
              "n_injected_upstream", "n_clamped"), 0,
         )
+        alone_tanks = []
         for b, (blk, tank, stream) in enumerate(
             zip(blocks, tanks, self._streams(n_blocks))
         ):
             alone = self._boundaries(position)
             alone.surface_sampler = SurfaceSampler(self.WEDGE)
             tank = self._pooled_copy(tank)
+            alone_tanks.append(tank)
             blk, want = alone.apply_rebuilding(
                 blk.enable_scratch(), tank, stream
             )
@@ -232,10 +295,6 @@ class TestBlockedBoundaryPass:
                 assert np.array_equal(
                     getattr(parts, name)[rows], getattr(blk, name)
                 ), f"block {b} flow {name}"
-                assert np.array_equal(
-                    getattr(joint_tanks[b].particles, name),
-                    getattr(tank.particles, name),
-                ), f"block {b} reservoir {name}"
             for name in SURFACE_FIELDS:
                 assert np.array_equal(
                     getattr(wb.surface_sampler[b], name),
@@ -245,6 +304,7 @@ class TestBlockedBoundaryPass:
                 joint_streams[b].bit_generator.state,
                 stream.bit_generator.state,
             )
+        _assert_blocks_are_tanks(joint_tank, alone_tanks)
         assert {k: getattr(stats, k) for k in totals} == totals
         # The scenario does what its docstring says.
         assert stats.n_reflected_wedge and stats.n_removed_downstream
@@ -252,36 +312,43 @@ class TestBlockedBoundaryPass:
             refill = stats.n_injected_upstream // n_blocks
             assert refill > 3  # tank 1 minted the balance
             if n_blocks == 3:
-                assert joint_tanks[1].size == joint_tanks[2].size == 0
+                assert alone_tanks[1].size == alone_tanks[2].size == 0
                 assert np.diff(parts.starts)[2] == refill
 
     def _three_blocks(self, **kw):
         blocks, tanks = self._blocks((20, 10, 5))
-        parts = ParticleArrays.concatenate(
-            ParticleArrays.concatenate(blocks[0], blocks[1]), blocks[2]
-        )
-        parts.starts = np.array([0, 20, 30, 35])
+        parts = ParticleArrays.from_blocks(blocks)
         return self._boundaries(0.3, **kw), parts, tanks
 
     def test_one_reservoir_and_stream_per_block(self):
         wb, parts, tanks = self._three_blocks()
         parts.enable_scratch()
-        with pytest.raises(ConfigurationError, match="2 reservoirs and 3 streams"):
-            wb.apply_rebuilding(parts, tanks[:2], self._streams(3))
-        with pytest.raises(ConfigurationError, match="3 reservoirs and 1 streams"):
-            wb.apply_rebuilding(parts, tanks, self._streams(1)[0])
+        tank = _one_reservoir(tanks)
+        with pytest.raises(
+            ConfigurationError, match="2 reservoir blocks and 3 streams"
+        ):
+            wb.apply_rebuilding(parts, _one_reservoir(tanks[:2]), self._streams(3))
+        with pytest.raises(
+            ConfigurationError, match="1 reservoir blocks and 3 streams"
+        ):
+            wb.apply_rebuilding(parts, None, self._streams(3))
+        with pytest.raises(
+            ConfigurationError, match="3 reservoir blocks and 1 streams"
+        ):
+            wb.apply_rebuilding(parts, tank, self._streams(1)[0])
         wb.surface_sampler = SurfaceSampler(self.WEDGE)
         with pytest.raises(ConfigurationError, match="1 surface samplers for 3"):
-            wb.apply_rebuilding(parts, tanks, self._streams(3))
+            wb.apply_rebuilding(parts, tank, self._streams(3))
 
     def test_several_blocks_need_the_subset_path(self):
         wb, parts, tanks = self._three_blocks()
+        tank = _one_reservoir(tanks)
         with pytest.raises(ConfigurationError, match="scratch-enabled"):
-            wb.apply_rebuilding(parts, tanks, self._streams(3))
+            wb.apply_rebuilding(parts, tank, self._streams(3))
         wb, parts, tanks = self._three_blocks(wall_model="diffuse")
         parts.enable_scratch()
         with pytest.raises(ConfigurationError, match="specular walls"):
-            wb.apply_rebuilding(parts, tanks, self._streams(3))
+            wb.apply_rebuilding(parts, tank, self._streams(3))
 
 
 class TestPlungerState:
