@@ -555,7 +555,10 @@ def _run_ensemble(spec, overrides, args: argparse.Namespace) -> int:
         f"{config.domain.nx}x{config.domain.ny}"
     )
     t0 = time.time()
-    engine.run_schedule(transient, average)
+    if transient:
+        engine.run(transient)
+    if average:
+        engine.run(average, sample=True)
     _telemetry_outro(tel)
     print(
         f"ran {transient}+{average} steps x {args.replicas} replicas "

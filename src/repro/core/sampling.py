@@ -23,12 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.particles import ParticleArrays, pooled
+from repro.core.sortstep import blocked_cell_key
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 
 
-#: Accumulator attribute names shared by :class:`CellSampler` and
-#: :class:`EnsembleSampler` (one flat float64 array each).
+#: Accumulator attribute names of :class:`CellSampler` (one flat float64
+#: array each).
 SAMPLER_FIELDS = ("_count", "_mu", "_mv", "_mw", "_e_trans", "_e_rot")
 
 
@@ -114,7 +115,18 @@ class MomentSums:
 
 
 class CellSampler(MomentSums):
-    """Accumulates per-cell moments over time steps.
+    """Accumulates per-cell moments over time steps, for one block or R.
+
+    A population that declares blocks (``particles.starts``, an
+    ensemble's replicas) accumulates into ``n_blocks`` independent sets
+    of cells held back to back in the flat arrays, all filled by *one*
+    ``np.bincount`` per moment keyed by the composite ``block * n_cells
+    + cell`` (:func:`repro.core.sortstep.blocked_cell_key`, the sorter's
+    key); one block is keyed by ``cell``.  Within a block the particles
+    appear in the order a run of that block alone holds them, and
+    ``np.bincount`` sums each bin in input order, so :meth:`block`
+    yields float-for-float what a one-block sampler would have
+    accumulated.
 
     Parameters
     ----------
@@ -125,13 +137,22 @@ class CellSampler(MomentSums):
     volume_fractions:
         Optional open-volume fractions of ``domain``'s cells for cut
         cells; omitted means unit volumes everywhere.
+    n_blocks:
+        Blocks of the population sampled (the derived fields below read
+        one block; read a sampler of several through :meth:`blocks`).
     """
 
     def __init__(
-        self, domain: Domain, volume_fractions: Optional[np.ndarray] = None
+        self,
+        domain: Domain,
+        volume_fractions: Optional[np.ndarray] = None,
+        n_blocks: int = 1,
     ) -> None:
+        if n_blocks < 1:
+            raise ConfigurationError("n_blocks must be >= 1")
         footprint = domain.xy_domain()
-        super().__init__(domain, footprint.n_cells, volume_fractions)
+        super().__init__(domain, n_blocks * footprint.n_cells, volume_fractions)
+        self.n_blocks = int(n_blocks)
         #: Cells per footprint column (1 without a span).
         self._span = domain.n_cells // footprint.n_cells
         if volume_fractions is not None:
@@ -143,11 +164,40 @@ class CellSampler(MomentSums):
 
     def accumulate(self, particles: ParticleArrays) -> None:
         """Add one snapshot of the population to the averages."""
-        self._accumulate(particles, particles.cell, self._span)
+        key = particles.cell
+        if particles.starts is not None:
+            out = pooled(particles.scratch, "blocked_key", particles.n, np.int64)
+            key = blocked_cell_key(
+                key, particles.starts, self._span * self.domain.n_cells, out=out
+            )
+        self._accumulate(particles, key, self._span)
+
+    def block(self, b: int) -> "CellSampler":
+        """Block ``b``'s accumulators as a one-block sampler (a copy)."""
+        if not 0 <= b < self.n_blocks:
+            raise ConfigurationError(
+                f"block index {b} out of range [0, {self.n_blocks})"
+            )
+        one = CellSampler(self.domain, self.volume_fractions)
+        one._span = self._span
+        n = self.domain.n_cells
+        for name in SAMPLER_FIELDS:
+            getattr(one, name)[:] = getattr(self, name)[b * n : (b + 1) * n]
+        one._steps = self._steps
+        return one
+
+    def blocks(self) -> list:
+        """One one-block sampler per block, in block order."""
+        return [self.block(b) for b in range(self.n_blocks)]
 
     # -- derived fields ---------------------------------------------------------
 
     def _require_data(self) -> None:
+        if self.n_blocks > 1:
+            raise ConfigurationError(
+                f"a sampler of {self.n_blocks} blocks has one field per "
+                "block: read them through blocks()"
+            )
         if self._steps == 0:
             raise ConfigurationError("no snapshots accumulated yet")
 
@@ -216,63 +266,6 @@ class CellSampler(MomentSums):
         return float(
             self._count.sum() / self._steps / max(n_open * self._span, 1)
         )
-
-
-class EnsembleSampler(MomentSums):
-    """Per-replica cell moments over a replica-blocked population.
-
-    The ensemble engine steps R replicas as one wide population; this
-    sampler keeps R independent sets of :class:`CellSampler`
-    accumulators in flat ``R * n_cells`` arrays and fills all of them
-    with *one* ``np.bincount`` per moment, keyed by the composite
-    ``block * n_cells + cell`` index the engine's sort already uses.
-
-    Bitwise contract: within a replica block the particles appear in
-    the same relative order as in a solo run, and ``np.bincount`` sums
-    each bin's weights in input order, so slicing replica ``r``'s
-    accumulators out (:meth:`replica`) yields float-for-float what a
-    solo :class:`CellSampler` would have accumulated.
-    """
-
-    def __init__(
-        self,
-        domain: Domain,
-        n_replicas: int,
-        volume_fractions: Optional[np.ndarray] = None,
-    ) -> None:
-        if n_replicas < 1:
-            raise ConfigurationError("n_replicas must be >= 1")
-        self.domain = domain
-        self.n_replicas = int(n_replicas)
-        super().__init__(
-            domain, domain.n_cells * self.n_replicas, volume_fractions
-        )
-
-    def accumulate(self, particles: ParticleArrays, key: np.ndarray) -> None:
-        """Add one snapshot, keyed by the composite replica-cell index.
-
-        ``key`` is ``block_position * n_cells + cell`` per particle
-        (see :func:`repro.core.sortstep.blocked_cell_key`).
-        """
-        self._accumulate(particles, key)
-
-    def replica(self, r: int) -> CellSampler:
-        """Replica ``r``'s accumulators as a standalone CellSampler."""
-        if not 0 <= r < self.n_replicas:
-            raise ConfigurationError(
-                f"replica index {r} out of range [0, {self.n_replicas})"
-            )
-        cs = CellSampler(self.domain, self.volume_fractions)
-        n = self.domain.n_cells
-        sl = slice(r * n, (r + 1) * n)
-        for name in SAMPLER_FIELDS:
-            getattr(cs, name)[:] = getattr(self, name)[sl]
-        cs._steps = self._steps
-        return cs
-
-    def samplers(self) -> list:
-        """One CellSampler per replica, in block order."""
-        return [self.replica(r) for r in range(self.n_replicas)]
 
 
 # -- ensemble statistics ----------------------------------------------------

@@ -7,16 +7,18 @@ into the paper's time-stepping loop, with the reservoir running its
 self-collisions on the side and the sampler accumulating time averages
 after the transient.
 
-This driver *is* the physics-reference ("float64") engine; the CM-2
-emulation engine (:mod:`repro.core.engine_cm`) runs the identical loop
-in fixed point with cost accounting.
+This driver *is* the physics-reference ("float64") engine, over one
+block or R (the replica ensemble, :mod:`repro.ensemble`, is this class
+with a keyed stream source); the CM-2 emulation engine
+(:mod:`repro.core.engine_cm`) runs the identical loop in fixed point
+with cost accounting.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from repro.perf import PerfLedger
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel, maxwell_molecule
-from repro.rng import SeedLike, make_rng
+from repro.rng import SeedLike, block_streams, make_rng
 
 #: Maximum rejection-sampling passes when seeding around the wedge.
 #: Each pass re-draws only the offending particles (rejection fraction
@@ -54,8 +56,8 @@ def seed_flow_particles(
 ) -> ParticleArrays:
     """Fill the open region at freestream density (rejection sample).
 
-    The seeding recipe shared by :class:`Simulation` and the ensemble
-    engine (:mod:`repro.ensemble`): the draw order is part of the
+    The seeding recipe of one block (:class:`Simulation` runs it once
+    per block, from that block's stream): the draw order is part of the
     determinism contract -- velocities, rotational state, positions,
     permutation table, the wedge rejection re-draws, then (span domains
     only) the span positions -- so a given ``rng`` state always yields
@@ -222,13 +224,18 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Per-step observability: what the step did and what it conserved."""
+    """Per-step observability: what the step did and what it conserved.
+
+    ``n_flow``, ``n_reservoir`` and ``n_collisions`` are ints for one
+    block and per-block tuples for R (an ensemble's replicas, in
+    ``replica_ids`` order); the ``*_total`` properties sum either.
+    """
 
     step: int
-    n_flow: int
-    n_reservoir: int
+    n_flow: Union[int, Tuple[int, ...]]
+    n_reservoir: Union[int, Tuple[int, ...]]
     n_candidates: int
-    n_collisions: int
+    n_collisions: Union[int, Tuple[int, ...]]
     pairing_efficiency: float
     mean_collision_probability: float
     boundary: BoundaryStats
@@ -247,6 +254,26 @@ class StepDiagnostics:
     #: a tuple of :class:`repro.resilience.supervisor.RecoveryEvent` --
     #: set only by supervised execution; ``None`` on an undisturbed step.
     recovery: Optional[tuple] = None
+
+    @property
+    def n_flow_total(self) -> int:
+        """Flow particles over all blocks."""
+        return int(np.sum(self.n_flow))
+
+    @property
+    def n_collisions_total(self) -> int:
+        """Collisions over all blocks."""
+        return int(np.sum(self.n_collisions))
+
+
+def _block_sizes(pop: ParticleArrays):
+    """``pop.n`` for one block, its per-block row counts for R."""
+    return pop.n if pop.starts is None else tuple(np.diff(pop.starts).tolist())
+
+
+def _joined(blocks: list) -> ParticleArrays:
+    """One population of ``blocks``: declared for several, none for one."""
+    return blocks[0] if len(blocks) == 1 else ParticleArrays.from_blocks(blocks)
 
 
 #: The collision stage's timed phases, in execution order ("index" is
@@ -426,7 +453,9 @@ class SerialBackend:
     """In-process execution of the step loop on the whole domain.
 
     The default backend: one worker (this process) owns every cell and
-    the master RNG stream.  The sharded backend
+    draws from ``sim.streams(step)`` -- the master RNG stream, or one
+    stream per block of an ensemble, whose step is this one over R
+    blocks.  The sharded backend
     (:class:`repro.parallel.backend.ShardedBackend`) implements the same
     four-method seam -- ``bind`` / ``step`` / ``gather`` / ``close`` --
     over slab-decomposed worker processes; :class:`Simulation` only ever
@@ -447,31 +476,31 @@ class SerialBackend:
         """Release backend resources (no-op serially)."""
 
     def step(self, sim: "Simulation", sample: bool = False) -> StepDiagnostics:
-        """Advance ``sim`` by one time step."""
+        """Advance ``sim`` by one time step, over one block or R."""
         cfg = sim.config
         parts = sim.particles
         perf = sim.perf
+        rng = sim.streams(sim.step_count + 1)
 
         # 1+2) Collisionless motion, then boundary conditions (may
         #    rebuild the population arrays).  One perf phase: the paper
         #    reports "particle motion and boundary interaction" as a
         #    single 14% line item.  Surface loads accumulate only
-        #    during sampling steps.
+        #    during sampling steps; each block's exits, refill and
+        #    surface hits go to its own reservoir block, stream and
+        #    sampler.
         with perf.phase("motion"):
             motion.advance(parts, cfg.domain)
-            sim.boundaries.surface_sampler = (
-                sim.surface if (sample and sim.surface is not None) else None
-            )
+            sim.boundaries.surface_sampler = sim.surface if sample else None
             parts, bstats = sim.boundaries.apply_rebuilding(
-                parts, sim.reservoir, sim.rng
+                parts, sim.reservoir, rng
             )
 
         # 3+4) The collision half of the step: index, sort, pair,
         #    select, collide -- the one spelling shared with the shard
         #    workers.  The ledger gets the stage's own phase boundaries.
         stage = collision_stage(
-            parts, cfg, sim._vf_flat, sim.rng, sim.sort_state,
-            sim.step_count,
+            parts, cfg, sim._vf_flat, rng, sim.sort_state, sim.step_count
         )
         perf.record_spans(stage.spans())
         sort_moved_fraction = sort_rebuilds = None
@@ -483,24 +512,27 @@ class SerialBackend:
         # own phase -- the paper's four-phase split does not include it.
         if cfg.reservoir_mix_rounds:
             with perf.phase("reservoir"):
-                sim.reservoir.mix(sim.rng, rounds=cfg.reservoir_mix_rounds)
+                sim.reservoir.mix(rng, rounds=cfg.reservoir_mix_rounds)
 
         sim.particles = parts
         sim.step_count += 1
         if sample:
             sim.sampler.accumulate(parts)
-            if sim.surface is not None:
-                sim.surface.end_step()
+            for surface in sim.surfaces:
+                surface.end_step()
             for probe in sim.probes:
                 probe.sample(parts)
 
         perf.end_step(n_particles=parts.n)
         return StepDiagnostics(
             step=sim.step_count,
-            n_flow=parts.n,
-            n_reservoir=sim.reservoir.size,
+            n_flow=_block_sizes(parts),
+            n_reservoir=_block_sizes(sim.reservoir.particles),
             n_candidates=stage.n_candidates,
-            n_collisions=stage.n_collisions,
+            n_collisions=(
+                stage.n_collisions if parts.starts is None
+                else stage.collisions_by_block
+            ),
             pairing_efficiency=stage.pairing_efficiency,
             mean_collision_probability=stage.mean_probability,
             boundary=bstats,
@@ -531,6 +563,17 @@ class Simulation:
     every completed step feeds it diagnostics (metrics, spans, physics
     observables), and sharded backends allocate shared-memory span
     rings for their workers when one is present at bind time.
+
+    **One block or R.**  :meth:`streams` says how many blocks the run
+    has: one generator per block.  The constructor seeds one population
+    per block from that block's step-0 stream and, for several, joins
+    them as the declared blocks of one flow and one reservoir
+    (``starts``); one block declares none.  Every other piece -- the
+    boundaries, the sorter, the sampler (one set of cells per block),
+    the surface samplers (one per block: :attr:`surfaces`) and the
+    step -- is the same code for either, which is all
+    :class:`repro.ensemble.EnsembleEngine` is: this class with the
+    stream source keyed per replica.
     """
 
     def __init__(
@@ -565,14 +608,27 @@ class Simulation:
             wall_model=config.wall_model,
             accommodation=config.accommodation,
         )
-        self.particles = seed_flow_particles(config, self.rng, self._vf_flat)
+        # Each block's stream seeds its flow, then its reservoir block.
+        streams = block_streams(self.streams(0))
+        blocks = [
+            seed_flow_particles(config, rng, self._vf_flat) for rng in streams
+        ]
+        self.particles = _joined(blocks)
         self.reservoir = Reservoir(
             config.freestream, rotational_dof=config.model.rotational_dof
         )
-        n_res = int(round(config.reservoir_fraction * self.particles.n))
-        self.reservoir.deposit(self.rng, n_res)
-        self.sampler = CellSampler(config.domain, self.volume_fractions)
-        #: Surface-load accumulator (pressure / drag on the wedge);
+        self.reservoir.particles = _joined(
+            [self.reservoir.particles] * len(blocks)
+        ).enable_scratch()
+        self.reservoir.deposit(
+            streams,
+            [int(round(config.reservoir_fraction * b.n)) for b in blocks],
+        )
+        self.sampler = CellSampler(
+            config.domain, self.volume_fractions, n_blocks=len(blocks)
+        )
+        #: Surface-load accumulator (pressure / drag on the wedge), one
+        #: per block -- a tuple for several (see :attr:`surfaces`);
         #: armed only during sampling steps so its averages align with
         #: the field averages.  Strip-resolved surface metrology is
         #: wedge-specific and per unit span; other bodies and span
@@ -580,7 +636,8 @@ class Simulation:
         if isinstance(config.wedge, Wedge) and not config.domain.has_span:
             from repro.core.surface import SurfaceSampler
 
-            self.surface = SurfaceSampler(config.wedge)
+            surfaces = tuple(SurfaceSampler(config.wedge) for _ in blocks)
+            self.surface = surfaces[0] if len(surfaces) == 1 else surfaces
         else:
             self.surface = None
         #: Optional extra probes (e.g. analysis.vdf.VDFProbe); each
@@ -604,6 +661,21 @@ class Simulation:
             telemetry.attach(self)
 
     # -- stepping -----------------------------------------------------------
+
+    def streams(self, step: int):
+        """The random stream of step ``step`` (``0`` seeds the run).
+
+        One generator per block (:func:`repro.rng.block_streams`).  The
+        serial run draws every step from its one advancing PCG64
+        generator ``rng``; the ensemble keys one Philox stream per
+        replica instead -- the only thing it overrides.
+        """
+        return self.rng
+
+    @property
+    def surfaces(self) -> tuple:
+        """The surface samplers, one per block (empty without a wedge)."""
+        return () if self.surface is None else block_streams(self.surface)
 
     def step(self, sample: bool = False) -> StepDiagnostics:
         """Advance the simulation by one time step (via the backend)."""

@@ -8,14 +8,9 @@ replica id.  See ``docs/algorithm.md`` ("Ensemble mode") for the layout
 choice and the determinism contract.
 """
 
-from repro.core.sampling import (
-    EnsembleSampler,
-    EnsembleStatistic,
-    ensemble_statistic,
-)
+from repro.core.sampling import EnsembleStatistic, ensemble_statistic
 from repro.ensemble.engine import (
     EnsembleEngine,
-    EnsembleStepDiagnostics,
     replica_scenario_runs,
     replica_state,
     verify_replica_equality,
@@ -23,9 +18,7 @@ from repro.ensemble.engine import (
 
 __all__ = [
     "EnsembleEngine",
-    "EnsembleSampler",
     "EnsembleStatistic",
-    "EnsembleStepDiagnostics",
     "ensemble_statistic",
     "replica_scenario_runs",
     "replica_state",

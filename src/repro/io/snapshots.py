@@ -17,6 +17,7 @@ identical to the original run's (tested).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import zipfile
@@ -31,7 +32,7 @@ from repro.core.particles import (
 )
 from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.core.surface import SURFACE_FIELDS, SurfaceSampler
+from repro.core.surface import SURFACE_FIELDS
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.geometry.bodies import body_from_dict
 from repro.geometry.domain import Domain
@@ -129,7 +130,7 @@ def _config_from_json(blob: str) -> SimulationConfig:
         plunger_trigger=float(d["plunger_trigger"]),
         reservoir_fraction=float(d["reservoir_fraction"]),
         reservoir_mix_rounds=int(d["reservoir_mix_rounds"]),
-        seed=0,  # the live RNG state below supersedes the seed
+        seed=0,  # each loader restores the archived seed and RNG state
         wall_model=d.get("wall_model", "specular"),
         accommodation=float(d.get("accommodation", 1.0)),
         scenario=d.get("scenario"),
@@ -308,7 +309,9 @@ def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
         "config_json": np.array(_config_to_json(engine.config)),
         "ensemble_seed": np.array(ens_seed),
         "replica_ids": np.asarray(engine.replica_ids, dtype=np.int64),
-        "starts": engine.particles.starts,
+        # One replica declares no blocks; the archive still spells its
+        # one block's boundaries.
+        "starts": np.asarray(engine.particles.block_edges(), dtype=np.int64),
         "step_count": np.array(engine.step_count),
         "plunger_position": np.array(engine.boundaries.plunger.position),
         **_pack_accumulator("sampler", engine.sampler, SAMPLER_FIELDS),
@@ -316,11 +319,8 @@ def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
     arrays.update(_pack_particles("flow", engine.particles))
     for r, block in enumerate(engine.reservoir.particles.blocks()):
         arrays.update(_pack_particles(f"res{r}", block))
-    if engine.surfaces is not None:
-        for r, surf in enumerate(engine.surfaces):
-            arrays.update(
-                _pack_accumulator(f"surface{r}", surf, SURFACE_FIELDS)
-            )
+    for r, surf in enumerate(engine.surfaces):
+        arrays.update(_pack_accumulator(f"surface{r}", surf, SURFACE_FIELDS))
     if compress:
         np.savez_compressed(path, **arrays)
     else:
@@ -342,10 +342,6 @@ def load_ensemble(path: PathLike):
     of the wrong dtype or shape, a population failing ``validate()``,
     or a negative step count.
     """
-    import dataclasses
-
-    from repro.core.reservoir import Reservoir
-    from repro.core.sampling import EnsembleSampler
     from repro.ensemble.engine import EnsembleEngine
 
     try:
@@ -366,38 +362,37 @@ def load_ensemble(path: PathLike):
                 seed=int(data["ensemble_seed"]),
             )
             replica_ids = [int(r) for r in data["replica_ids"]]
-            eng = EnsembleEngine._restore_shell(config, replica_ids)
+            # A fresh engine of the archive's replicas (which also
+            # refuses a configuration the engine never runs), then the
+            # archived state in place of its seeded one.
+            eng = EnsembleEngine(config, replica_ids=replica_ids)
             rdof = config.model.rotational_dof
-            eng.particles = _unpack_particles("flow", data, rdof, path)
-            eng.particles.enable_scratch()
+            flow = _unpack_particles("flow", data, rdof, path)
             try:
-                eng.particles.starts = check_block_starts(
-                    data["starts"], eng.particles.n, len(replica_ids)
+                starts = check_block_starts(
+                    data["starts"], flow.n, len(replica_ids)
                 )
             except ConfigurationError as exc:
                 raise CheckpointCorruptionError(
                     f"corrupt block starts: {exc}", path=str(path)
                 ) from exc
-            eng.reservoir = Reservoir(config.freestream, rotational_dof=rdof)
-            eng.reservoir.particles = ParticleArrays.from_blocks([
+            tank = ParticleArrays.from_blocks([
                 _unpack_particles(f"res{r}", data, rdof, path)
                 for r in range(len(replica_ids))
-            ]).enable_scratch()
-            eng.sampler = EnsembleSampler(
-                config.domain, len(replica_ids), eng.volume_fractions
-            )
-            _unpack_accumulator("sampler", data, eng.sampler, SAMPLER_FIELDS)
-            if isinstance(config.wedge, Wedge):
-                eng.surfaces = [
-                    SurfaceSampler(config.wedge) for _ in replica_ids
-                ]
-                for r, surf in enumerate(eng.surfaces):
-                    if f"surface{r}_steps" in data:
-                        _unpack_accumulator(
-                            f"surface{r}", data, surf, SURFACE_FIELDS
-                        )
+            ])
+            # One replica declares no blocks, like the engine it restores.
+            if len(replica_ids) > 1:
+                flow.starts = starts
             else:
-                eng.surfaces = None
+                tank.starts = None
+            eng.particles = flow.enable_scratch()
+            eng.reservoir.particles = tank.enable_scratch()
+            _unpack_accumulator("sampler", data, eng.sampler, SAMPLER_FIELDS)
+            for r, surf in enumerate(eng.surfaces):
+                if f"surface{r}_steps" in data:
+                    _unpack_accumulator(
+                        f"surface{r}", data, surf, SURFACE_FIELDS
+                    )
             eng.step_count = _step_count(data, path)
             eng.boundaries.plunger.position = float(
                 data["plunger_position"]
@@ -472,6 +467,11 @@ def load_simulation(
                 else None
             )
             config = _config_from_json(str(data["config_json"]))
+            if shard_seed >= 0:
+                # Whatever the worker count: a serial restore that is
+                # checkpointed again must still record the seed its
+                # shards would key from.
+                config = dataclasses.replace(config, seed=shard_seed)
             sim = Simulation(config)
             rdof = config.model.rotational_dof
             sim.particles = _unpack_particles("flow", data, rdof, path)
@@ -500,19 +500,16 @@ def load_simulation(
 
     n_workers = saved_workers if workers is None else int(workers)
     if n_workers > 1:
-        import dataclasses
-
         from repro.parallel.backend import ShardedBackend
 
+        # The sharded backend keys its per-(shard, step) RNG streams
+        # from config.seed, restored above: without the original
+        # stateless seed there is no bitwise continuation.
         if shard_seed < 0:
             raise ConfigurationError(
                 "this snapshot carries no shard-stream seed (generator "
                 "seed, or a pre-v2 archive); restore with workers=1"
             )
-        # The sharded backend keys its per-(shard, step) RNG streams
-        # from config.seed, so the restored configuration must carry
-        # the original stateless seed for bitwise continuation.
-        sim.config = dataclasses.replace(sim.config, seed=shard_seed)
         # The saved edge tuple only applies at the snapshot's own
         # worker count; a different count re-splits uniformly (the run
         # is a new statistical realization anyway).

@@ -51,29 +51,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_streams(seed: SeedLike, n: int) -> list:
-    """Split a seed into ``n`` statistically independent generators.
-
-    Used to give each sub-system (motion, collision, reservoir, ...) its
-    own stream so adding draws to one phase does not perturb another --
-    the standard trick for keeping regression tests stable while the
-    code evolves.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} streams")
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's own bit stream.
-        seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    if seed is None:
-        seed = DEFAULT_SEED
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
 def shard_stream(
     seed: SeedLike, shard_id: int, step: int, replica: int = 0
 ) -> np.random.Generator:

@@ -17,16 +17,15 @@ from repro.core.surface import SURFACE_FIELDS
 
 
 def state_digest(engine) -> str:
-    """sha256 of the state of a ``Simulation`` or ``EnsembleEngine``.
+    """sha256 of the state of a ``Simulation`` over one block or R.
 
     Covers every flow column and the flow's block ``starts``, every
     reservoir column -- one block at a time, every column of block 0,
-    then of block 1, ... -- the cell-sampler and surface accumulators
-    with their step counts, the plunger phase and the step count.  A
-    sharded simulation is gathered first.
+    then of block 1, ... -- the cell-sampler and every block's surface
+    accumulators with their step counts, the plunger phase and the step
+    count.  A sharded simulation is gathered first.
     """
-    if hasattr(engine, "gather"):
-        engine.gather()
+    engine.gather()
     h = hashlib.sha256()
 
     def feed(*values) -> None:
@@ -36,13 +35,9 @@ def state_digest(engine) -> str:
     flow = engine.particles
     for pop in (flow, *engine.reservoir.particles.blocks()):
         feed(*(getattr(pop, name) for name in COLUMN_NAMES))
-    starts = flow.starts
-    feed(np.array([0, flow.n], dtype=np.int64) if starts is None else starts)
-    surfaces = (
-        engine.surfaces if hasattr(engine, "surfaces") else [engine.surface]
-    )
+    feed(np.asarray(flow.block_edges(), dtype=np.int64))
     tallies = [(engine.sampler, SAMPLER_FIELDS)]
-    tallies += [(s, SURFACE_FIELDS) for s in surfaces or () if s is not None]
+    tallies += [(s, SURFACE_FIELDS) for s in engine.surfaces]
     for acc, fields in tallies:
         feed(*(getattr(acc, name) for name in fields), acc.steps)
     feed(engine.boundaries.plunger.position, engine.step_count)

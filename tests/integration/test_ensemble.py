@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
-from repro.core.sampling import EnsembleSampler, ensemble_statistic
+from repro.core.sampling import SAMPLER_FIELDS, CellSampler, ensemble_statistic
 from repro.core.simulation import SimulationConfig, collision_stage
 from repro.core.sortstep import (
     RESORT_PERIOD,
@@ -34,6 +34,8 @@ from repro.io.snapshots import load_ensemble, save_ensemble
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import hard_sphere
 from repro.rng import random_permutation_table, shard_stream
+from repro.telemetry.metrics import MetricsRegistry
+from repro.verify import state_digest
 
 pytestmark = pytest.mark.ensemble
 
@@ -216,7 +218,7 @@ class TestResortScheduleMovesStorageNotPhysics:
         physical = _PhysicalBlockedSort(cfg.domain.n_cells)
         got_streams, want_streams = streams(), streams()
         got = collision_stage(
-            new.particles, cfg, new._vf_flat, got_streams, new._sorter, step
+            new.particles, cfg, new._vf_flat, got_streams, new.sort_state, step
         )
         want = collision_stage(
             old.particles, cfg, old._vf_flat, want_streams, physical, step
@@ -504,6 +506,26 @@ class TestEnsembleSnapshot:
                     f"at replica {r} key {key}"
                 )
 
+    @pytest.mark.parametrize("n_replicas", [1, 3])
+    def test_one_and_three_replicas_continue_bitwise(self, n_replicas, tmp_path):
+        # One replica declares no blocks, yet its archive still spells
+        # its one block's starts; either width continues bitwise across
+        # the re-sort at step 32.
+        cfg = _small_config(seed=19)
+        path = tmp_path / "ens.npz"
+        straight = EnsembleEngine(cfg, n_replicas=n_replicas)
+        straight.run(RESORT_PERIOD + 6, sample=True)
+        eng = EnsembleEngine(cfg, n_replicas=n_replicas)
+        eng.run(RESORT_PERIOD - 6, sample=True)
+        save_ensemble(eng, path)
+        with np.load(path) as data:
+            assert data["starts"].tolist() == eng.particles.block_edges()
+        resumed = load_ensemble(path)
+        assert (resumed.particles.starts is None) == (n_replicas == 1)
+        assert resumed.reservoir.particles.n_blocks == n_replicas
+        resumed.run(12, sample=True)
+        assert state_digest(resumed) == state_digest(straight)
+
     def test_load_rejects_counting_kernel_archive(self, tmp_path):
         # The engine never ran the counting kernel: an archive that
         # claims it is refused at load, not continued as if it had.
@@ -529,10 +551,52 @@ class TestEnsembleSnapshot:
             load_ensemble(path)
 
 
+class TestReplicaGauges:
+    """``metrics=``: the gauges ``repro run --replicas R --telemetry``
+    writes to ``metrics.prom``, one series per replica id, published
+    from the telemetry slot of the one step."""
+
+    @pytest.mark.parametrize("replica_ids", [[0, 1, 2], [2]])
+    def test_per_replica_gauges(self, replica_ids):
+        registry = MetricsRegistry()
+        eng = EnsembleEngine(
+            _small_config(), replica_ids=replica_ids, metrics=registry
+        )
+        diag = eng.run(3)
+        gauges = dict(
+            line.rsplit(" ", 1)
+            for line in registry.to_prometheus().splitlines()
+            if line.startswith("ensemble_")
+        )
+        gauges = {name: float(value) for name, value in gauges.items()}
+        per_replica = {
+            name: np.atleast_1d(getattr(diag, f"n_{name}")).tolist()
+            for name in ("flow", "collisions", "reservoir")
+        }
+        assert isinstance(diag.n_flow, int if len(replica_ids) == 1 else tuple)
+        assert gauges.pop("ensemble_replicas") == len(replica_ids)
+        assert gauges.pop("ensemble_flow_total") == diag.n_flow_total == (
+            sum(per_replica["flow"])
+        ) == eng.particles.n
+        assert gauges.pop("ensemble_collisions_total") == (
+            diag.n_collisions_total
+        ) == sum(per_replica["collisions"]) > 0
+        assert gauges.pop("ensemble_energy_total") == pytest.approx(
+            diag.total_energy
+        )
+        assert gauges == {
+            f'ensemble_{name}{{replica="{rid}"}}': values[r]
+            for name, values in per_replica.items()
+            for r, rid in enumerate(replica_ids)
+        }
+
+
 class TestEnsembleSamplerUnits:
+    """The blocked ``CellSampler``: one pass, one set of cells per block."""
+
     def test_replica_slices_match_solo_samplers(self):
         domain = Domain(nx=4, ny=3)
-        samp = EnsembleSampler(domain, 2)
+        samp = CellSampler(domain, n_blocks=2)
         rng = np.random.default_rng(5)
         n = 20
         parts = ParticleArrays(
@@ -545,27 +609,36 @@ class TestEnsembleSamplerUnits:
             perm=random_permutation_table(rng, n),
             cell=rng.integers(0, domain.n_cells, size=n),
         )
-        starts = np.array([0, 12, n])
-        key = parts.cell.copy()
-        key[12:] += domain.n_cells
-        samp.accumulate(parts, key)
+        parts.starts = np.array([0, 12, n])
+        samp.accumulate(parts)
 
-        from repro.core.sampling import CellSampler
-
-        for r, (i0, i1) in enumerate(zip(starts[:-1], starts[1:])):
+        for r, (i0, i1) in enumerate(zip(parts.starts[:-1], parts.starts[1:])):
             solo = CellSampler(domain)
             solo.accumulate(parts.select(np.arange(i0, i1)))
-            rep = samp.replica(r)
-            assert np.array_equal(rep._count, solo._count)
-            assert np.array_equal(rep._mu, solo._mu)
-            assert np.array_equal(rep._e_trans, solo._e_trans)
+            rep = samp.block(r)
+            assert rep.steps == solo.steps == 1
+            for name in SAMPLER_FIELDS:
+                assert np.array_equal(getattr(rep, name), getattr(solo, name))
+        with pytest.raises(ConfigurationError, match="blocks()"):
+            samp.number_density()
 
     def test_key_bounds_validated(self):
-        domain = Domain(nx=2, ny=2)
-        samp = EnsembleSampler(domain, 1)
-        parts = ParticleArrays.empty(2)
+        # A population declaring more blocks than the sampler holds
+        # keys past its last cell.
         with pytest.raises(ConfigurationError):
-            samp.accumulate(parts, np.zeros(3, dtype=np.int64))
+            CellSampler(Domain(nx=2, ny=2), n_blocks=0)
+        samp = CellSampler(Domain(nx=2, ny=2))
+        parts = ParticleArrays.empty(2)
+        parts.starts = np.zeros(3, dtype=np.int64)
+        samp.accumulate(parts)  # empty blocks key nothing
+        rng = np.random.default_rng(1)
+        parts = ParticleArrays.from_freestream(
+            rng, 3, Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5),
+            x_range=(0.0, 2.0), y_range=(0.0, 2.0),
+        )
+        parts.starts = np.array([0, 1, 3])
+        with pytest.raises(ConfigurationError, match="out of range"):
+            samp.accumulate(parts)
 
 
 class TestEnsembleStatistic:

@@ -21,6 +21,7 @@ from repro.io.snapshots import (
     save_simulation,
 )
 from repro.physics.freestream import Freestream
+from repro.verify import state_digest
 
 #: Continuation tests checkpoint *between* two physical re-sorts of the
 #: indexed kernel and run past one on each side: the re-sort schedule
@@ -128,6 +129,30 @@ class TestSnapshotRoundtrip:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ConfigurationError):
             load_simulation(path)
+
+
+class TestRestoredSeed:
+    """A serial restore used to come back with ``config.seed == 0``, so
+    its next checkpoint recorded shard seed 0 and a sharded restore of
+    that archive keyed every shard stream from the wrong seed."""
+
+    def test_seed_survives_two_round_trips(self, small_config, tmp_path):
+        sim = Simulation(dataclasses.replace(small_config, seed=1989))
+        sim.run(BEFORE)
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        save_simulation(sim, first)
+        once = load_simulation(first)
+        assert once.config.seed == 1989
+        save_simulation(once, second)
+        with np.load(second) as data:
+            assert int(data["shard_seed"]) == 1989
+        assert load_simulation(second).config.seed == 1989
+        digests = []
+        for path in (first, second):
+            with load_simulation(path, workers=2, processes=False) as sharded:
+                sharded.run(AFTER)
+                digests.append(state_digest(sharded))
+        assert digests[0] == digests[1]
 
 
 class TestEnsembleStartsAreChecked:
@@ -238,8 +263,6 @@ class TestParticleMembersAreChecked:
     def archives(self, tmp_path_factory):
         """Intact uncompressed archives after 5 steps, per loader, and
         the digest of the uninterrupted run 3 steps later."""
-        from repro.verify import state_digest
-
         config = SimulationConfig(
             domain=Domain(49, 32),
             freestream=Freestream(
@@ -278,8 +301,6 @@ class TestParticleMembersAreChecked:
 
     @pytest.mark.parametrize("loader", ["simulation", "ensemble"])
     def test_intact_archive_continues_bitwise(self, archives, loader, tmp_path):
-        from repro.verify import state_digest
-
         members, straight = archives[loader]
         path = tmp_path / "good.npz"
         np.savez(path, **members)

@@ -156,8 +156,8 @@ class TestBoundaryPassSpelledOnce:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
     def test_only_the_population_has_starts(self):
-        # The step reads the flow's blocks; everything else (the
-        # reservoir's, a replica's rows) goes through the population.
+        # The ensemble reads no blocks of its own: the reservoir's and a
+        # replica's rows go through the population.
         import repro.ensemble.engine as engine
 
         tree = ast.parse(pathlib.Path(engine.__file__).read_text())
@@ -166,7 +166,7 @@ class TestBoundaryPassSpelledOnce:
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "starts"
         }
-        assert owners == {"parts"}
+        assert owners <= {"parts"}
 
 
 class TestOneReservoir:
@@ -235,23 +235,53 @@ class TestMeasurementSpelledWithoutBlas:
         assert list(_short_axis_sums(old)) == [1]
 
 
-class TestThreeDrivers:
-    """The step loop has three drivers; the 3-D slab is a domain."""
+class TestTwoDrivers:
+    """Two step drivers: the serial step over one block or R, and the
+    shard worker; the 3-D slab is a domain and the ensemble a stream
+    source."""
 
     def test_slab_driver_is_gone(self):
         assert importlib.util.find_spec("repro.core.simulation3d") is None
         assert not hasattr(repro.core, "Simulation3D")
         assert not hasattr(repro.core.motion, "advance_with_z")
 
-    def test_motion_advance_has_three_call_sites(self):
+    def test_motion_advance_has_two_call_sites(self):
         callers = {
             str(path.relative_to(SRC_ROOT))
             for path in SRC_ROOT.rglob("*.py")
             if "motion.advance(" in path.read_text()
         }
-        assert callers == {
-            "core/simulation.py", "parallel/backend.py", "ensemble/engine.py",
+        assert callers == {"core/simulation.py", "parallel/backend.py"}
+
+    def test_ensemble_defines_no_step_loop(self):
+        import repro.ensemble.engine as engine
+
+        tree = ast.parse(pathlib.Path(engine.__file__).read_text())
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
         }
+        assert not defined & {"step", "run", "run_schedule"}
+        assert issubclass(engine.EnsembleEngine, repro.Simulation)
+
+    @pytest.mark.parametrize(
+        "module_name, name",
+        [
+            ("repro.core.sampling", "EnsembleSampler"),
+            ("repro.ensemble", "EnsembleSampler"),
+            ("repro.ensemble", "EnsembleStepDiagnostics"),
+            ("repro.ensemble.engine", "EnsembleStepDiagnostics"),
+        ],
+    )
+    def test_ensemble_twins_are_gone(self, module_name, name):
+        assert not hasattr(importlib.import_module(module_name), name)
+
+    def test_digest_reads_one_kind_of_engine(self):
+        import repro.verify as verify
+
+        source = pathlib.Path(verify.__file__).read_text()
+        assert "hasattr(" not in source
 
 
 class TestOneSorter:
@@ -262,15 +292,13 @@ class TestOneSorter:
 
         assert not hasattr(sortstep, "BlockedSorter")
 
-    def test_incremental_sorter_has_three_construction_sites(self):
+    def test_incremental_sorter_has_two_construction_sites(self):
         callers = {
             str(path.relative_to(SRC_ROOT))
             for path in SRC_ROOT.rglob("*.py")
             if "IncrementalSorter(" in path.read_text()
         }
-        assert callers == {
-            "core/simulation.py", "parallel/backend.py", "ensemble/engine.py",
-        }
+        assert callers == {"core/simulation.py", "parallel/backend.py"}
 
 
 class TestExamples:

@@ -11,7 +11,6 @@ from repro.rng import (
     random_signs,
     random_transposition_pairs,
     shard_stream,
-    spawn_streams,
 )
 
 
@@ -29,26 +28,6 @@ class TestMakeRng:
     def test_generator_passthrough(self):
         g = np.random.default_rng(1)
         assert make_rng(g) is g
-
-
-class TestSpawnStreams:
-    def test_streams_are_independent_and_deterministic(self):
-        a1, b1 = spawn_streams(9, 2)
-        a2, b2 = spawn_streams(9, 2)
-        assert np.array_equal(a1.random(5), a2.random(5))
-        assert not np.array_equal(a1.random(5), b1.random(5))
-
-    def test_zero_streams(self):
-        assert spawn_streams(1, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_streams(1, -1)
-
-    def test_spawn_from_generator(self):
-        g = np.random.default_rng(2)
-        streams = spawn_streams(g, 3)
-        assert len(streams) == 3
 
 
 class TestShardStream:

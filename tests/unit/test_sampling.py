@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cells import assign_cells
 from repro.core.particles import ParticleArrays
-from repro.core.sampling import SAMPLER_FIELDS, CellSampler, EnsembleSampler
+from repro.core.sampling import SAMPLER_FIELDS, CellSampler
 from repro.core.sortstep import blocked_cell_key
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
@@ -216,21 +216,22 @@ class TestMomentKernelMatchesOldSpelling:
         d = Domain(10, 8)
         sizes = (400, 0, 650)
         starts = np.concatenate(([0], np.cumsum(sizes)))
-        ens = EnsembleSampler(d, len(sizes))
+        ens = CellSampler(d, n_blocks=len(sizes))
         solos = [CellSampler(d) for _ in sizes]
         sums = {f: np.zeros(d.n_cells * len(sizes)) for f in SAMPLER_FIELDS}
         for step in range(2):
             pop = _population(
                 step, int(starts[-1]), fs, d, rotational_dof, scratch=True
             )
+            pop.starts = starts
+            ens.accumulate(pop)
             key = blocked_cell_key(pop.cell, starts, d.n_cells)
-            ens.accumulate(pop, key)
             _old_spelling(sums, pop, key, d.n_cells * len(sizes))
             for r, solo in enumerate(solos):
                 solo.accumulate(pop.select(slice(starts[r], starts[r + 1])))
         _assert_fields_equal(ens, sums)
         for r, solo in enumerate(solos):
-            rep = ens.replica(r)
+            rep = ens.block(r)
             assert rep.steps == solo.steps == 2
             for name in SAMPLER_FIELDS:
                 assert np.array_equal(getattr(rep, name), getattr(solo, name))
@@ -253,7 +254,9 @@ class TestMomentKernelMatchesOldSpelling:
         _assert_fields_equal(s, before)
 
     def test_ensemble_key_length_checked(self, fs):
+        # Blocks that do not end at the population key no particle.
         d = Domain(10, 8)
         pop = _population(0, 50, fs, d, 2, scratch=False)
-        with pytest.raises(ConfigurationError, match="one entry per particle"):
-            EnsembleSampler(d, 2).accumulate(pop, pop.cell[:-1])
+        pop.starts = np.array([0, 20, 49])
+        with pytest.raises(ConfigurationError, match="must equal the population"):
+            CellSampler(d, n_blocks=2).accumulate(pop)
