@@ -298,6 +298,10 @@ class ParticleArrays:
         rows, and non-finite state (NaN/inf positions or velocities) --
         the failure modes the fault-injection tests exercise.
         """
+        if self.x.ndim != 1:
+            raise ConfigurationError(
+                f"column x is {self.x.dtype}{list(self.x.shape)}, not 1-D"
+            )
         n = self.n
         k = 3 + (self.rot.shape[1] if self.rot.ndim == 2 else 0)
         if self.starts is not None:
@@ -687,9 +691,11 @@ class ParticleArrays:
         """Append ``m`` migrants from buffers filled by :meth:`pack_rows`.
 
         Requires scratch backing (the shard populations always have
-        it).  The appended particles' ``cell`` entries are left stale;
-        the step loop's cell-indexing pass overwrites every entry
-        before anything reads them.
+        it).  The appended particles' ``cell`` entries are zeroed, not
+        computed: the step loop's cell-indexing pass overwrites every
+        entry before anything reads them, and zeros keep a gathered
+        state independent of what the buffers held before (a restored
+        run's fresh buffers hold something else).
         """
         if self._front is None:
             raise ConfigurationError("append_rows requires enable_scratch")
@@ -703,6 +709,7 @@ class ParticleArrays:
         base = len(MIGRATION_FLOAT_COLUMNS)
         self._front["rot"][n : n + m] = float_in[:m, base : base + dof]
         self._front["perm"][n : n + m] = perm_in[:m]
+        self._front["cell"][n : n + m] = 0
         for name in COLUMN_NAMES:
             setattr(self, name, self._front[name][: n + m])
 

@@ -1,17 +1,22 @@
-"""Exact checkpoint/restore of a running simulation.
+"""Exact checkpoint/restore of a running simulation, over one block or R.
 
 A snapshot captures everything needed to continue a run bit-for-bit:
 
-* the particle population (physical + computational state),
-* the reservoir population,
+* the flow population (physical + computational state) with its block
+  boundaries,
+* the reservoir, one block per block of the flow,
 * the plunger phase,
-* the RNG state (NumPy bit-generator state),
-* the sampler's accumulated moments and step counters,
+* the RNG state (NumPy bit-generator state) and, for an ensemble, the
+  replica ids its keyed streams derive from,
+* the sampler's and each block's surface-load accumulated moments and
+  step counters,
 * the configuration (so a restore can verify compatibility).
 
 Snapshots are single ``.npz`` files; the configuration is stored as a
-small JSON blob inside the archive.  ``load_simulation`` reconstructs a
-:class:`~repro.core.simulation.Simulation` whose subsequent steps are
+small JSON blob inside the archive.  One writer and one loader serve
+every :class:`~repro.core.simulation.Simulation` -- serial, sharded, or
+an :class:`~repro.ensemble.EnsembleEngine` of R replica blocks:
+``load_simulation`` reconstructs one whose subsequent steps are
 identical to the original run's (tested).
 """
 
@@ -31,7 +36,7 @@ from repro.core.particles import (
     check_block_starts,
 )
 from repro.core.sampling import SAMPLER_FIELDS
-from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.simulation import Simulation, SimulationConfig, _joined
 from repro.core.surface import SURFACE_FIELDS
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.geometry.bodies import body_from_dict
@@ -41,13 +46,15 @@ from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel
 
-#: Snapshot format version; bumped on layout changes.  Version 2 adds
-#: the sharded-backend continuation fields (worker count and in-transit
-#: reservoir flux); version 3 adds the slab-edge tuple (adaptive load
-#: balancing can leave the decomposition non-uniform).  Older archives
-#: still load: v1 restores serially, v2 restores with the uniform
-#: split.
-FORMAT_VERSION = 3
+#: Snapshot format version; bumped on layout changes.  Format 4 is one
+#: layout for one block or R: the flow whole with its block ``starts``,
+#: ``res{b}_*`` and ``surface{b}_*`` per block, and ``replica_ids`` when
+#: the run keys its streams per replica (an ensemble).  Older archives
+#: are lifted into it (:func:`_lifted`): the solo formats 1-3 (v2 added
+#: the sharded continuation fields -- worker count, in-transit reservoir
+#: flux -- and v3 the slab edges; v1 restores serially, v2 with the
+#: uniform split) and the ensemble's own format 1.
+FORMAT_VERSION = 4
 
 PathLike = Union[str, pathlib.Path]
 
@@ -130,7 +137,7 @@ def _config_from_json(blob: str) -> SimulationConfig:
         plunger_trigger=float(d["plunger_trigger"]),
         reservoir_fraction=float(d["reservoir_fraction"]),
         reservoir_mix_rounds=int(d["reservoir_mix_rounds"]),
-        seed=0,  # each loader restores the archived seed and RNG state
+        seed=0,  # the loader restores the archived seed and RNG state
         wall_model=d.get("wall_model", "specular"),
         accommodation=float(d.get("accommodation", 1.0)),
         scenario=d.get("scenario"),
@@ -147,16 +154,16 @@ def _pack_particles(prefix: str, parts: ParticleArrays) -> dict:
     }
 
 
-def _unpack_particles(prefix: str, data, rotational_dof: int, path):
+def _unpack_particles(prefix: str, members: dict, rotational_dof: int, path):
     # An archive without ``z`` loads it zero-filled; any other missing
     # column is a ``KeyError``, i.e. a corrupt archive.  The rest must
     # fit the archive's molecule model and pass ``validate()`` (dtypes,
     # shapes, finite state, permutation rows).
     parts = ParticleArrays(
         **{
-            name: data[f"{prefix}_{name}"].copy()
+            name: members[f"{prefix}_{name}"]
             for name in COLUMN_NAMES
-            if name != "z" or f"{prefix}_z" in data
+            if name != "z" or f"{prefix}_z" in members
         }
     )
     try:
@@ -173,13 +180,27 @@ def _unpack_particles(prefix: str, data, rotational_dof: int, path):
     return parts
 
 
-def _step_count(data, path) -> int:
-    step_count = int(data["step_count"])
-    if step_count < 0:
+def _member(members: dict, name: str, path, kinds: str = "iu", ndim: int = 0):
+    """Member ``name`` as a Python scalar (``ndim`` 0) or list (1), if it
+    is an array of that many dimensions and of dtype kind ``kinds``."""
+    a = members[name]
+    if a.ndim != ndim or a.dtype.kind not in kinds:
         raise CheckpointCorruptionError(
-            f"member step_count is negative ({step_count})", path=str(path)
+            f"member {name} is {a.dtype}{list(a.shape)}, not "
+            f"{('a scalar', 'a vector')[ndim]} of dtype kind {kinds!r}",
+            path=str(path),
         )
-    return step_count
+    return a.tolist()
+
+
+def _count(members: dict, name: str, path) -> int:
+    """A step counter: a non-negative integer scalar."""
+    count = _member(members, name, path)
+    if count < 0:
+        raise CheckpointCorruptionError(
+            f"member {name} is negative ({count})", path=str(path)
+        )
+    return count
 
 
 def _pack_accumulator(prefix: str, acc, fields) -> dict:
@@ -190,10 +211,19 @@ def _pack_accumulator(prefix: str, acc, fields) -> dict:
     }
 
 
-def _unpack_accumulator(prefix: str, data, acc, fields) -> None:
-    acc._steps = int(data[f"{prefix}_steps"])
+def _unpack_accumulator(prefix: str, members: dict, acc, fields, path) -> None:
+    # Each member must be the constructed array's dtype and shape: a
+    # length-1 member would otherwise broadcast into every cell.
+    acc._steps = _count(members, f"{prefix}_steps", path)
     for name in fields:
-        getattr(acc, name)[:] = data[prefix + name]
+        want, got = getattr(acc, name), members[prefix + name]
+        if got.dtype != want.dtype or got.shape != want.shape:
+            raise CheckpointCorruptionError(
+                f"member {prefix}{name} is {got.dtype}{list(got.shape)}, "
+                f"not {want.dtype}{list(want.shape)}",
+                path=str(path),
+            )
+        want[...] = got
 
 
 def save_simulation(
@@ -204,10 +234,16 @@ def save_simulation(
 ) -> None:
     """Write an exact checkpoint of ``sim`` to ``path`` (.npz).
 
+    Any simulation, over one block or R: the flow whole with its block
+    edges (``starts``, written for one block too), then the reservoir
+    and the surface-load accumulators one block at a time.  An ensemble
+    also records its ``replica_ids`` -- the stream source, re-keyed per
+    ``(seed, replica, step)`` on restore.
+
     Sharded simulations are gathered first (the shard workers hold the
     authoritative state), and the backend's continuation fields --
-    worker count, in-transit reservoir flux -- are recorded so a
-    restore at the same worker count continues bitwise.
+    worker count, in-transit reservoir flux, slab edges -- are recorded
+    so a restore at the same worker count continues bitwise.
 
     ``compress=False`` writes a plain (stored) archive: ~30x faster at
     ~25% more bytes, the right trade for high-cadence supervision
@@ -220,12 +256,11 @@ def save_simulation(
     against a realistic torn write.
     """
     sim.gather()
-    n_workers = getattr(sim.backend, "n_workers", 1)
-    flux = getattr(sim.backend, "pending_flux", 0)
-    # The stateless key of the per-shard RNG streams.  -1 marks a seed
-    # that cannot be serialized (a live Generator / complex
-    # SeedSequence); such snapshots restore serially or as a *new*
-    # statistical realization, never bitwise-sharded.
+    # The stateless key of the per-shard and per-replica RNG streams.
+    # -1 marks a seed that cannot be serialized (a live Generator /
+    # complex SeedSequence); such snapshots restore serially or as a
+    # *new* statistical realization, never bitwise-sharded, and an
+    # ensemble's not at all.
     seed = sim.config.seed
     if seed is None:
         from repro.rng import DEFAULT_SEED
@@ -235,37 +270,34 @@ def save_simulation(
         shard_seed = int(seed)
     else:
         shard_seed = -1
-    rng_state = json.dumps(sim.rng.bit_generator.state)
     arrays = {
-        "backend_workers": np.array(int(n_workers)),
-        "flux_pending": np.array(int(flux)),
+        "backend_workers": np.array(int(getattr(sim.backend, "n_workers", 1))),
+        "flux_pending": np.array(int(getattr(sim.backend, "pending_flux", 0))),
         "shard_seed": np.array(shard_seed),
         "format_version": np.array(FORMAT_VERSION),
         "config_json": np.array(_config_to_json(sim.config)),
-        "rng_state_json": np.array(rng_state),
+        "rng_state_json": np.array(json.dumps(sim.rng.bit_generator.state)),
         "step_count": np.array(sim.step_count),
         "plunger_position": np.array(sim.boundaries.plunger.position),
         **_pack_accumulator("sampler", sim.sampler, SAMPLER_FIELDS),
+        "starts": np.asarray(sim.particles.block_edges(), dtype=np.int64),
+        **_pack_particles("flow", sim.particles),
     }
-    # v3: the live slab edges, so a checkpoint taken after a rebalance
+    replica_ids = getattr(sim, "replica_ids", None)
+    if replica_ids is not None:
+        arrays["replica_ids"] = np.asarray(replica_ids, dtype=np.int64)
+    # The live slab edges, so a checkpoint taken after a rebalance
     # restores the non-uniform decomposition instead of re-splitting
     # uniformly (which would shuffle particles across shards and break
     # bitwise continuation).
     slab_edges = getattr(sim.backend, "slab_edges", None)
     if slab_edges is not None:
         arrays["slab_edges"] = np.asarray(slab_edges, dtype=np.int64)
-    if sim.surface is not None:
-        # v2: the surface-load accumulators ride along too (v1 dropped
-        # them, so restored runs silently lost their drag averages).
-        arrays.update(
-            _pack_accumulator("surface", sim.surface, SURFACE_FIELDS)
-        )
-    arrays.update(_pack_particles("flow", sim.particles))
-    arrays.update(_pack_particles("res", sim.reservoir.particles))
-    if compress:
-        np.savez_compressed(path, **arrays)
-    else:
-        np.savez(path, **arrays)
+    for b, block in enumerate(sim.reservoir.particles.blocks()):
+        arrays.update(_pack_particles(f"res{b}", block))
+    for b, surf in enumerate(sim.surfaces):
+        arrays.update(_pack_accumulator(f"surface{b}", surf, SURFACE_FIELDS))
+    (np.savez_compressed if compress else np.savez)(path, **arrays)
     if fault_plan is not None:
         fault = fault_plan.take("truncate", sim.step_count)
         if fault is not None:
@@ -274,139 +306,42 @@ def save_simulation(
             p.write_bytes(blob[: len(blob) // 2])
 
 
-#: Ensemble snapshot format version (independent of the solo format:
-#: the archives share the config blob and particle packing but nothing
-#: else, and an ensemble archive carries no RNG state at all -- the
-#: engine's streams are pure functions of ``(seed, replica, step)``).
-ENSEMBLE_FORMAT_VERSION = 1
+def _lifted(data, path) -> dict:
+    """The archive's members under format-4 names.
 
-
-def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
-    """Write an exact checkpoint of an ensemble run to ``path`` (.npz).
-
-    Captures the replica-blocked flow population with its block
-    boundaries, the reservoir one block per replica (members
-    ``res{r}_*``), the sampler and surface-load
-    accumulators, the shared plunger phase and the step count.  No RNG
-    state is stored: the ensemble engine re-derives each step's streams
-    from ``(seed, replica, step)``, so the integer seed in the config
-    blob is all a bitwise continuation needs.
+    A legacy layout is a few renames away: the solo formats 1-3 hold
+    one block with unnumbered ``res_*`` / ``surface_*`` members and no
+    ``starts`` (v1 also no continuation fields); the ensemble's format 1
+    names its seed ``ensemble_seed`` and holds no RNG state.
     """
-    seed = engine.config.seed
-    if seed is None:
-        from repro.rng import DEFAULT_SEED
-
-        ens_seed = DEFAULT_SEED
-    elif isinstance(seed, (int, np.integer)):
-        ens_seed = int(seed)
-    else:
+    members = {name: data[name] for name in data.files}
+    if "ensemble_format_version" in members:
+        version = _member(members, "ensemble_format_version", path)
+        if version != 1:
+            raise ConfigurationError(
+                f"ensemble snapshot format {version} != supported 1"
+            )
+        members["shard_seed"] = members.pop("ensemble_seed")
+        members.update(backend_workers=np.array(1), flux_pending=np.array(0))
+        return members
+    version = _member(members, "format_version", path)
+    if version == FORMAT_VERSION:
+        return members
+    if version not in (1, 2, 3):
         raise ConfigurationError(
-            "ensemble snapshots need an integer (or None) seed; a "
-            f"{type(seed).__name__} cannot be serialized"
+            f"snapshot format {version} != supported {FORMAT_VERSION}"
         )
-    arrays = {
-        "ensemble_format_version": np.array(ENSEMBLE_FORMAT_VERSION),
-        "config_json": np.array(_config_to_json(engine.config)),
-        "ensemble_seed": np.array(ens_seed),
-        "replica_ids": np.asarray(engine.replica_ids, dtype=np.int64),
-        # One replica declares no blocks; the archive still spells its
-        # one block's boundaries.
-        "starts": np.asarray(engine.particles.block_edges(), dtype=np.int64),
-        "step_count": np.array(engine.step_count),
-        "plunger_position": np.array(engine.boundaries.plunger.position),
-        **_pack_accumulator("sampler", engine.sampler, SAMPLER_FIELDS),
-    }
-    arrays.update(_pack_particles("flow", engine.particles))
-    for r, block in enumerate(engine.reservoir.particles.blocks()):
-        arrays.update(_pack_particles(f"res{r}", block))
-    for r, surf in enumerate(engine.surfaces):
-        arrays.update(_pack_accumulator(f"surface{r}", surf, SURFACE_FIELDS))
-    if compress:
-        np.savez_compressed(path, **arrays)
-    else:
-        np.savez(path, **arrays)
-
-
-def load_ensemble(path: PathLike):
-    """Reconstruct an :class:`repro.ensemble.EnsembleEngine` checkpoint.
-
-    The returned engine continues exactly where the saved one stopped
-    for every replica -- same flow and reservoir blocks, same accumulated
-    averages, same plunger phase -- and, because the engine's streams
-    are keyed rather than advanced, its subsequent steps are bitwise
-    identical to the uninterrupted run's.
-
-    Raises :class:`~repro.errors.CheckpointCorruptionError` on a
-    truncated archive, one whose block ``starts`` do not partition the
-    flow population into one block per replica id, a particle member
-    of the wrong dtype or shape, a population failing ``validate()``,
-    or a negative step count.
-    """
-    from repro.ensemble.engine import EnsembleEngine
-
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if "ensemble_format_version" not in data:
-                raise ConfigurationError(
-                    "not an ensemble snapshot (missing "
-                    "ensemble_format_version); use load_simulation"
-                )
-            version = int(data["ensemble_format_version"])
-            if version != ENSEMBLE_FORMAT_VERSION:
-                raise ConfigurationError(
-                    f"ensemble snapshot format {version} != supported "
-                    f"{ENSEMBLE_FORMAT_VERSION}"
-                )
-            config = dataclasses.replace(
-                _config_from_json(str(data["config_json"])),
-                seed=int(data["ensemble_seed"]),
-            )
-            replica_ids = [int(r) for r in data["replica_ids"]]
-            # A fresh engine of the archive's replicas (which also
-            # refuses a configuration the engine never runs), then the
-            # archived state in place of its seeded one.
-            eng = EnsembleEngine(config, replica_ids=replica_ids)
-            rdof = config.model.rotational_dof
-            flow = _unpack_particles("flow", data, rdof, path)
-            try:
-                starts = check_block_starts(
-                    data["starts"], flow.n, len(replica_ids)
-                )
-            except ConfigurationError as exc:
-                raise CheckpointCorruptionError(
-                    f"corrupt block starts: {exc}", path=str(path)
-                ) from exc
-            tank = ParticleArrays.from_blocks([
-                _unpack_particles(f"res{r}", data, rdof, path)
-                for r in range(len(replica_ids))
-            ])
-            # One replica declares no blocks, like the engine it restores.
-            if len(replica_ids) > 1:
-                flow.starts = starts
-            else:
-                tank.starts = None
-            eng.particles = flow.enable_scratch()
-            eng.reservoir.particles = tank.enable_scratch()
-            _unpack_accumulator("sampler", data, eng.sampler, SAMPLER_FIELDS)
-            for r, surf in enumerate(eng.surfaces):
-                if f"surface{r}_steps" in data:
-                    _unpack_accumulator(
-                        f"surface{r}", data, surf, SURFACE_FIELDS
-                    )
-            eng.step_count = _step_count(data, path)
-            eng.boundaries.plunger.position = float(
-                data["plunger_position"]
-            )
-    except FileNotFoundError:
-        raise
-    except ConfigurationError:
-        raise
-    except (zipfile.BadZipFile, KeyError, ValueError, OSError, EOFError) as exc:
-        raise CheckpointCorruptionError(
-            f"checkpoint is unreadable or truncated: {exc}",
-            path=str(path),
-        ) from exc
-    return eng
+    for old in [k for k in members if k.startswith(("res_", "surface_"))]:
+        prefix, _, rest = old.partition("_")
+        members[f"{prefix}0_{rest}"] = members.pop(old)
+    members["starts"] = np.array([0, np.size(members["flow_x"])])
+    if version == 1:
+        members.update(
+            backend_workers=np.array(1),
+            flux_pending=np.array(0),
+            shard_seed=np.array(-1),
+        )
+    return members
 
 
 def load_simulation(
@@ -418,8 +353,11 @@ def load_simulation(
     """Reconstruct a simulation from a checkpoint.
 
     The returned simulation continues exactly where the saved one
-    stopped: same particles, same reservoir, same plunger phase, same
-    RNG stream, same accumulated averages.
+    stopped: same particles and reservoir blocks, same plunger phase,
+    same random streams, same accumulated averages.  An archive naming
+    ``replica_ids`` restores an :class:`repro.ensemble.EnsembleEngine`
+    of those replicas, any other a :class:`Simulation`; every archive
+    after that takes the one path.
 
     ``workers`` selects the execution backend of the restored run:
     ``None`` keeps the snapshot's own worker count, ``1`` forces the
@@ -428,7 +366,8 @@ def load_simulation(
     in-transit reservoir flux.  Continuation is bitwise only at the
     snapshot's own worker count (the per-shard RNG streams and the
     slab partition are keyed by it); restoring at a different count is
-    statistically equivalent, not bitwise.
+    statistically equivalent, not bitwise.  An ensemble restores
+    serially.
 
     ``backend_factory(n_workers=..., processes=..., flux_pending=...)``
     overrides the sharded-backend construction (the supervisor uses it
@@ -438,59 +377,96 @@ def load_simulation(
 
     Raises :class:`~repro.errors.CheckpointCorruptionError` when the
     archive is truncated, unreadable, missing required members, or
-    holds a particle member of the wrong dtype or shape, a population
-    failing ``validate()`` or a negative step count -- a distinct,
-    retryable failure so a supervisor can fall back to an older
-    checkpoint instead of aborting the run.
+    holds a particle or accumulator member of the wrong dtype or shape,
+    block ``starts`` that do not partition the flow, a population
+    failing ``validate()``, a negative step count or a plunger outside
+    its stroke -- a distinct, retryable failure so a supervisor can fall
+    back to an older checkpoint instead of aborting the run.  Raises
+    :class:`~repro.errors.ConfigurationError` for an unsupported format
+    version, and for an ensemble archive restored with ``workers > 1``
+    or without an integer seed.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
-            version = int(data["format_version"])
-            if version not in (1, 2, FORMAT_VERSION):
-                raise ConfigurationError(
-                    f"snapshot format {version} != supported {FORMAT_VERSION}"
-                )
-            if version >= 2:
-                saved_workers = int(data["backend_workers"])
-                flux_pending = int(data["flux_pending"])
-                shard_seed = int(data["shard_seed"])
-            else:
-                saved_workers = 1
-                flux_pending = 0
-                shard_seed = -1
-            # Legacy (pre-v3) archives carry no edge tuple: they were
-            # written by uniform-split runs, so restoring uniform is
-            # exact, not an approximation.
-            saved_edges = (
-                tuple(int(e) for e in data["slab_edges"])
-                if "slab_edges" in data
-                else None
-            )
-            config = _config_from_json(str(data["config_json"]))
-            if shard_seed >= 0:
-                # Whatever the worker count: a serial restore that is
-                # checkpointed again must still record the seed its
-                # shards would key from.
-                config = dataclasses.replace(config, seed=shard_seed)
+            members = _lifted(data, path)
+        config = _config_from_json(_member(members, "config_json", path, "U"))
+        saved_workers = _member(members, "backend_workers", path)
+        flux_pending = _member(members, "flux_pending", path)
+        shard_seed = _member(members, "shard_seed", path)
+        # Legacy (pre-v3) archives carry no edge tuple: they were
+        # written by uniform-split runs, so restoring uniform is
+        # exact, not an approximation.
+        saved_edges = (
+            tuple(_member(members, "slab_edges", path, ndim=1))
+            if "slab_edges" in members
+            else None
+        )
+        n_workers = saved_workers if workers is None else int(workers)
+        if shard_seed >= 0:
+            # Whatever the worker count: a serial restore that is
+            # checkpointed again must still record the seed its
+            # shards would key from.
+            config = dataclasses.replace(config, seed=shard_seed)
+        if "replica_ids" not in members:
             sim = Simulation(config)
-            rdof = config.model.rotational_dof
-            sim.particles = _unpack_particles("flow", data, rdof, path)
-            sim.reservoir.particles = _unpack_particles("res", data, rdof, path)
-            sim.particles.enable_scratch()
-            sim.reservoir.particles.enable_scratch()
-            sim.step_count = _step_count(data, path)
-            sim.boundaries.plunger.position = float(data["plunger_position"])
-            sim.rng.bit_generator.state = json.loads(
-                str(data["rng_state_json"])
-            )
-            _unpack_accumulator("sampler", data, sim.sampler, SAMPLER_FIELDS)
-            if sim.surface is not None and "surface_steps" in data:
-                _unpack_accumulator(
-                    "surface", data, sim.surface, SURFACE_FIELDS
+        else:
+            from repro.ensemble.engine import EnsembleEngine
+
+            if n_workers > 1 or shard_seed < 0:
+                raise ConfigurationError(
+                    "an ensemble snapshot restores serially, its replica "
+                    f"streams keyed by an integer seed (workers={n_workers}, "
+                    f"archived seed {shard_seed})"
                 )
+            sim = EnsembleEngine(
+                config, replica_ids=_member(members, "replica_ids", path, ndim=1)
+            )
+        # The constructed run's blocks, then the archived state in
+        # place of its seeded one.
+        n_blocks = sim.particles.n_blocks
+        rdof = config.model.rotational_dof
+        flow = _unpack_particles("flow", members, rdof, path)
+        try:
+            starts = check_block_starts(members["starts"], flow.n, n_blocks)
+        except ConfigurationError as exc:
+            raise CheckpointCorruptionError(
+                f"corrupt block starts: {exc}", path=str(path)
+            ) from exc
+        # One block declares no starts, like the run it restores.
+        if n_blocks > 1:
+            flow.starts = starts
+        sim.particles = flow.enable_scratch()
+        sim.reservoir.particles = _joined([
+            _unpack_particles(f"res{b}", members, rdof, path)
+            for b in range(n_blocks)
+        ]).enable_scratch()
+        _unpack_accumulator(
+            "sampler", members, sim.sampler, SAMPLER_FIELDS, path
+        )
+        # v1 archives predate the surface members: their surface
+        # averages restart from zero.
+        if any(name.startswith("surface") for name in members):
+            for b, surf in enumerate(sim.surfaces):
+                _unpack_accumulator(
+                    f"surface{b}", members, surf, SURFACE_FIELDS, path
+                )
+        sim.step_count = _count(members, "step_count", path)
+        plunger = sim.boundaries.plunger
+        position = _member(members, "plunger_position", path, "f")
+        if not 0.0 <= position <= plunger.trigger:
+            raise CheckpointCorruptionError(
+                f"member plunger_position is {position}, not in "
+                f"[0, {plunger.trigger}]",
+                path=str(path),
+            )
+        plunger.position = position
+        # An ensemble keys its streams and never draws from ``rng``: its
+        # format-1 archives carry no state for it.
+        if "rng_state_json" in members or "replica_ids" not in members:
+            sim.rng.bit_generator.state = json.loads(
+                _member(members, "rng_state_json", path, "U")
+            )
     except FileNotFoundError:
-        raise
-    except ConfigurationError:
         raise
     except (zipfile.BadZipFile, KeyError, ValueError, OSError, EOFError) as exc:
         raise CheckpointCorruptionError(
@@ -498,10 +474,7 @@ def load_simulation(
             path=str(path),
         ) from exc
 
-    n_workers = saved_workers if workers is None else int(workers)
     if n_workers > 1:
-        from repro.parallel.backend import ShardedBackend
-
         # The sharded backend keys its per-(shard, step) RNG streams
         # from config.seed, restored above: without the original
         # stateless seed there is no bitwise continuation.
@@ -510,30 +483,18 @@ def load_simulation(
                 "this snapshot carries no shard-stream seed (generator "
                 "seed, or a pre-v2 archive); restore with workers=1"
             )
+        kwargs = dict(
+            n_workers=n_workers, processes=processes, flux_pending=flux_pending
+        )
         # The saved edge tuple only applies at the snapshot's own
         # worker count; a different count re-splits uniformly (the run
         # is a new statistical realization anyway).
-        edges = (
-            saved_edges
-            if saved_edges is not None and len(saved_edges) == n_workers + 1
-            else None
-        )
-        if backend_factory is not None:
-            kwargs = dict(
-                n_workers=n_workers,
-                processes=processes,
-                flux_pending=flux_pending,
-            )
-            if edges is not None:
-                kwargs["edges"] = edges
-            backend = backend_factory(**kwargs)
-        else:
-            backend = ShardedBackend(
-                n_workers,
-                processes=processes,
-                flux_pending=flux_pending,
-                edges=edges,
-            )
-        sim.backend = backend
-        backend.bind(sim)
+        if saved_edges is not None and len(saved_edges) == n_workers + 1:
+            kwargs["edges"] = saved_edges
+        if backend_factory is None:
+            from repro.parallel.backend import ShardedBackend
+
+            backend_factory = ShardedBackend
+        sim.backend = backend_factory(**kwargs)
+        sim.backend.bind(sim)
     return sim

@@ -3,7 +3,7 @@
 :class:`SupervisedRun` wraps a :class:`repro.core.simulation.Simulation`
 in a crash-recovery harness:
 
-* **checkpoint** every N steps (snapshots v2, ``ckpt_<step>.npz`` in the
+* **checkpoint** every N steps (snapshot format 4, ``ckpt_<step>.npz`` in the
   run directory, pruned to a small keep-window),
 * **detect** worker death (:class:`~repro.errors.WorkerCrashError`),
   barrier timeouts (:class:`~repro.errors.WorkerHangError`), migration

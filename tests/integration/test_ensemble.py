@@ -26,11 +26,11 @@ from repro.ensemble import (
     replica_state,
     verify_replica_equality,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
-from repro.io.snapshots import load_ensemble, save_ensemble
+from repro.io.snapshots import load_simulation, save_simulation
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import hard_sphere
 from repro.rng import random_permutation_table, shard_stream
@@ -155,8 +155,8 @@ class TestBenchmarkRegime:
         assert 212 % RESORT_PERIOD and 212 < 7 * RESORT_PERIOD < self.STEPS
         eng = EnsembleEngine(_benchmark_config(), n_replicas=8)
         eng.run(212)
-        save_ensemble(eng, tmp_path / "ens.npz")
-        resumed = load_ensemble(tmp_path / "ens.npz")
+        save_simulation(eng, tmp_path / "ens.npz")
+        resumed = load_simulation(tmp_path / "ens.npz")
         resumed.run(self.STEPS - self.SAMPLED - 212)
         resumed.run(self.SAMPLED, sample=True)
         for r in range(8):
@@ -486,8 +486,8 @@ class TestEnsembleSnapshot:
 
         eng = EnsembleEngine(cfg, n_replicas=2)
         eng.run(saved)
-        save_ensemble(eng, path)
-        resumed = load_ensemble(path)
+        save_simulation(eng, path)
+        resumed = load_simulation(path)
         eng.run(transient - saved)
         resumed.run(transient - saved)
         eng.run(3, sample=True)
@@ -517,10 +517,10 @@ class TestEnsembleSnapshot:
         straight.run(RESORT_PERIOD + 6, sample=True)
         eng = EnsembleEngine(cfg, n_replicas=n_replicas)
         eng.run(RESORT_PERIOD - 6, sample=True)
-        save_ensemble(eng, path)
+        save_simulation(eng, path)
         with np.load(path) as data:
             assert data["starts"].tolist() == eng.particles.block_edges()
-        resumed = load_ensemble(path)
+        resumed = load_simulation(path)
         assert (resumed.particles.starts is None) == (n_replicas == 1)
         assert resumed.reservoir.particles.n_blocks == n_replicas
         resumed.run(12, sample=True)
@@ -530,7 +530,7 @@ class TestEnsembleSnapshot:
         # The engine never ran the counting kernel: an archive that
         # claims it is refused at load, not continued as if it had.
         path = tmp_path / "ens.npz"
-        save_ensemble(EnsembleEngine(_small_config(), n_replicas=2), path)
+        save_simulation(EnsembleEngine(_small_config(), n_replicas=2), path)
         with np.load(path) as data:
             members = dict(data)
         blob = str(members["config_json"])
@@ -540,15 +540,15 @@ class TestEnsembleSnapshot:
         )
         np.savez(path, **members)
         with pytest.raises(ConfigurationError, match="'incremental' sort"):
-            load_ensemble(path)
+            load_simulation(path)
 
     def test_load_rejects_non_ensemble_npz(self, tmp_path):
-        # A plain .npz without the ensemble version marker is routed to
-        # load_simulation by the error message, not silently accepted.
+        # A plain .npz that is no snapshot at all is refused, typed, by
+        # the one loader -- not silently accepted.
         path = tmp_path / "bogus.npz"
         np.savez(path, not_an_ensemble=np.arange(3))
-        with pytest.raises(ConfigurationError):
-            load_ensemble(path)
+        with pytest.raises(CheckpointCorruptionError, match="format_version"):
+            load_simulation(path)
 
 
 class TestReplicaGauges:

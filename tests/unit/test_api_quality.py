@@ -301,6 +301,37 @@ class TestOneSorter:
         assert callers == {"core/simulation.py", "parallel/backend.py"}
 
 
+class TestOneSnapshot:
+    """One writer and one loader for one block or R."""
+
+    @pytest.mark.parametrize(
+        "name", ["save_ensemble", "load_ensemble", "ENSEMBLE_FORMAT_VERSION"]
+    )
+    def test_ensemble_twins_are_gone(self, name):
+        with pytest.raises(ImportError):
+            exec(f"from repro.io.snapshots import {name}", {})
+
+    def test_archives_are_written_in_one_function(self):
+        import repro.io.snapshots as snapshots
+
+        tree = ast.parse(pathlib.Path(snapshots.__file__).read_text())
+
+        def writers(node):
+            return [
+                n.lineno
+                for n in ast.walk(node)
+                if isinstance(n, ast.Attribute)
+                and n.attr in ("savez", "savez_compressed")
+            ]
+
+        (save,) = [
+            n
+            for n in tree.body
+            if isinstance(n, ast.FunctionDef) and n.name == "save_simulation"
+        ]
+        assert writers(save) and writers(save) == writers(tree)
+
+
 class TestExamples:
     def _example_files(self):
         return sorted(EXAMPLES.glob("*.py"))
