@@ -167,6 +167,26 @@ class WindTunnelBoundaries:
             position=0.0, trigger=plunger_trigger, speed=freestream.speed
         )
 
+    @classmethod
+    def from_config(
+        cls, config, has_inlet: bool = True, has_outlet: bool = True
+    ) -> "WindTunnelBoundaries":
+        """The boundaries a :class:`SimulationConfig` describes.
+
+        A shard passes which streamwise ends it owns; every other
+        setting is the config's.
+        """
+        return cls(
+            domain=config.domain,
+            freestream=config.freestream,
+            wedge=config.wedge,
+            plunger_trigger=config.plunger_trigger,
+            wall_model=config.wall_model,
+            accommodation=config.accommodation,
+            has_inlet=has_inlet,
+            has_outlet=has_outlet,
+        )
+
     # -- main entry point ----------------------------------------------------
 
     def apply_rebuilding(

@@ -112,6 +112,11 @@ class CMSimulation:
                 "the CM-2 emulation engine is the paper's 2-D machine: it "
                 "carries no fixed-point z position for a span domain"
             )
+        if config.wall_model != "specular":
+            raise ConfigurationError(
+                "the CM-2 emulation engine runs the paper's inviscid "
+                f"(specular) walls only, got wall_model={config.wall_model!r}"
+            )
         if config.domain.width >= qformat.max_value:
             raise ConfigurationError(
                 "domain does not fit the fixed-point integer range; "
@@ -130,12 +135,7 @@ class CMSimulation:
             config.wedge
         )
         self._vf_flat = self.volume_fractions.reshape(-1)
-        self.boundaries = WindTunnelBoundaries(
-            domain=config.domain,
-            freestream=config.freestream,
-            wedge=config.wedge,
-            plunger_trigger=config.plunger_trigger,
-        )
+        self.boundaries = WindTunnelBoundaries.from_config(config)
         self.sampler = CellSampler(config.domain, self.volume_fractions)
 
         # Seed through the reference seeding path, then encode.

@@ -16,6 +16,7 @@ with cost accounting.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
@@ -266,6 +267,87 @@ class StepDiagnostics:
         return int(np.sum(self.n_collisions))
 
 
+#: The phases of a shard's diagnostics row, in the order the sharded
+#: backend books them: the step's own phases plus "exchange", the
+#: migration a serial step does not have.
+ROW_PHASES = (
+    "motion", "exchange", "sort", "selection", "collision", "reservoir",
+    "index",
+)
+
+_BOUNDARY_FIELDS = tuple(f.name for f in dataclasses.fields(BoundaryStats))
+
+#: One block's step as a float64 row -- the sharded backend's shared
+#: per-shard diagnostics matrix.  Every column is a count, a sum or
+#: seconds, so W rows merge by column sums (:func:`merge_diagnostics`).
+DIAGNOSTICS_ROW = (
+    "n_flow", "n_reservoir", "n_pairs_total", "n_candidates",
+    "n_collisions", "probability_sum", "moved", "sort_rebuilds",
+    "total_energy", "momentum_x", *_BOUNDARY_FIELDS, *ROW_PHASES,
+)
+
+
+def pack_diagnostics(
+    row: np.ndarray, diag: StepDiagnostics, stage: CollisionStageResult
+) -> None:
+    """Write one block's :func:`step_stage2` result into ``row``."""
+    values = {
+        **dataclasses.asdict(diag.boundary),
+        **(diag.phase_seconds or {}),
+        "n_flow": diag.n_flow,
+        "n_reservoir": diag.n_reservoir,
+        "n_pairs_total": stage.n_pairs_total,
+        "n_candidates": stage.n_candidates,
+        "n_collisions": stage.n_collisions,
+        "probability_sum": stage.probability_sum,
+        "moved": stage.moved,
+        "sort_rebuilds": diag.sort_rebuilds or 0,
+        "total_energy": diag.total_energy,
+        "momentum_x": diag.momentum_x,
+    }
+    row[:] = [values.get(name, 0.0) for name in DIAGNOSTICS_ROW]
+
+
+def merge_diagnostics(
+    rows: np.ndarray, step: int, perf: PerfLedger
+) -> StepDiagnostics:
+    """One step's diagnostics from W shards' :data:`DIAGNOSTICS_ROW` rows.
+
+    The phase seconds are summed across shards (CPU-seconds) and booked
+    into ``perf``, which closes the step.
+    """
+    total = {name: rows[:, i].sum() for i, name in enumerate(DIAGNOSTICS_ROW)}
+    for name in ROW_PHASES:
+        perf.record(name, float(total[name]))
+    n_flow = int(total["n_flow"])
+    perf.end_step(n_particles=n_flow)
+    n_pairs = int(total["n_pairs_total"])
+    n_cand = int(total["n_candidates"])
+    rebuilds = int(total["sort_rebuilds"]) or None
+    boundary = {name: int(total[name]) for name in _BOUNDARY_FIELDS}
+    boundary["plunger_reset"] = bool(boundary["plunger_reset"])
+    return StepDiagnostics(
+        step=step,
+        n_flow=n_flow,
+        n_reservoir=int(total["n_reservoir"]),
+        n_candidates=n_cand,
+        n_collisions=int(total["n_collisions"]),
+        pairing_efficiency=(n_cand / n_pairs) if n_pairs else 0.0,
+        mean_collision_probability=(
+            float(total["probability_sum"]) / n_cand if n_cand else 0.0
+        ),
+        boundary=BoundaryStats(**boundary),
+        total_energy=float(total["total_energy"]),
+        momentum_x=float(total["momentum_x"]),
+        sort_moved_fraction=(
+            (float(total["moved"]) / n_flow if n_flow else 0.0)
+            if rebuilds else None
+        ),
+        sort_rebuilds=rebuilds,
+        phase_seconds=perf.last_step_seconds if perf.enabled else None,
+    )
+
+
 def _block_sizes(pop: ParticleArrays):
     """``pop.n`` for one block, its per-block row counts for R."""
     return pop.n if pop.starts is None else tuple(np.diff(pop.starts).tolist())
@@ -331,7 +413,6 @@ def collision_stage(
     rng,
     sorter,
     step: int,
-    counts_out: Optional[np.ndarray] = None,
 ) -> CollisionStageResult:
     """Index, sort, pair, select and collide a population of blocks.
 
@@ -354,14 +435,13 @@ def collision_stage(
     * ``None`` (``"counting"``, one block) -- the paper's scheme:
       physically counting-sort the population with randomized
       intra-cell order, pair even/odd neighbours, select, collide
-      adjacent rows.  ``counts_out`` receives the per-cell histogram in
-      place.
+      adjacent rows.
 
     Every random number of a block comes from its stream in a fixed
     order, so two callers handing in the same block and stream state
     leave the same state behind -- the serial/sharded and replica/solo
-    bitwise contracts.  The caller owns what differs between them:
-    where the timings and counters go.
+    bitwise contracts.  Its one caller, :func:`step_stage2`, books the
+    timings and counters.
     """
     exchange_probability = config.model.internal_exchange_probability
     t0 = time.perf_counter()
@@ -402,7 +482,6 @@ def collision_stage(
             rng=rng,
             scale=config.sort_scale,
             n_cells=config.domain.n_cells,
-            counts_out=counts_out,
         ).counts
         t_sort = time.perf_counter()
         pairs = even_odd_pairs(parts.cell, scratch=parts.scratch)
@@ -449,6 +528,93 @@ def collision_stage(
     )
 
 
+def step_stage1(sim, rng, sample: bool) -> BoundaryStats:
+    """Stage 1 of the step: collisionless motion, then the boundaries.
+
+    ``sim`` is :class:`Simulation`-shaped -- the whole run, or a shard
+    worker (:class:`repro.parallel.backend.ShardWorker`), whose
+    ``reservoir`` may be ``None`` -- and ``rng`` the step's stream, one
+    generator per block.  One perf phase: the paper reports "particle
+    motion and boundary interaction" as a single 14% line item.
+    Surface loads accumulate only during sampling steps; each block's
+    exits, refill and surface hits go to its own reservoir block,
+    stream and sampler.  Stage 1 may rebuild ``sim.particles``.
+
+    A shard exchanges its boundary-crossers between the two stages;
+    that is the only point of the step that needs a barrier.
+    """
+    with sim.perf.phase("motion"):
+        motion.advance(sim.particles, sim.config.domain)
+        sim.boundaries.surface_sampler = sim.surface if sample else None
+        sim.particles, bstats = sim.boundaries.apply_rebuilding(
+            sim.particles, sim.reservoir, rng
+        )
+    return bstats
+
+
+def step_stage2(
+    sim, rng, step: int, bstats: BoundaryStats, sample: bool
+) -> Tuple[StepDiagnostics, CollisionStageResult]:
+    """Stage 2 of the step: collide, mix the reservoir, sample.
+
+    Runs :func:`collision_stage` on ``sim.particles`` (``step`` is the
+    completed-step count that keys the re-sort schedule), the
+    reservoir's self-collisions (when ``sim`` has a reservoir and
+    ``reservoir_mix_rounds``), and on sampling steps the sampler, the
+    surface samplers and the probes; then closes the step in
+    ``sim.perf``.  Returns the step's diagnostics (numbered ``step +
+    1``) and the collision counters behind them, which a shard packs
+    into its diagnostics row (:func:`pack_diagnostics`).
+    """
+    cfg = sim.config
+    parts = sim.particles
+    perf = sim.perf
+    stage = collision_stage(
+        parts, cfg, sim._vf_flat, rng, sim.sort_state, step
+    )
+    perf.record_spans(stage.spans())
+
+    # Side work: the reservoir Gaussianizes itself.  Charged to its own
+    # phase -- the paper's four-phase split does not include it.
+    if sim.reservoir is not None and cfg.reservoir_mix_rounds:
+        with perf.phase("reservoir"):
+            sim.reservoir.mix(rng, rounds=cfg.reservoir_mix_rounds)
+
+    if sample:
+        sim.sampler.accumulate(parts)
+        for surface in sim.surfaces:
+            surface.end_step()
+        for probe in sim.probes:
+            probe.sample(parts)
+
+    perf.end_step(n_particles=parts.n)
+    indexed = sim.sort_state is not None
+    diag = StepDiagnostics(
+        step=step + 1,
+        n_flow=_block_sizes(parts),
+        n_reservoir=(
+            0 if sim.reservoir is None
+            else _block_sizes(sim.reservoir.particles)
+        ),
+        n_candidates=stage.n_candidates,
+        n_collisions=(
+            stage.n_collisions if parts.starts is None
+            else stage.collisions_by_block
+        ),
+        pairing_efficiency=stage.pairing_efficiency,
+        mean_collision_probability=stage.mean_probability,
+        boundary=bstats,
+        total_energy=parts.total_energy(),
+        momentum_x=float(parts.u.sum()),
+        sort_moved_fraction=(
+            (stage.moved / parts.n if parts.n else 0.0) if indexed else None
+        ),
+        sort_rebuilds=1 if indexed else None,
+        phase_seconds=perf.last_step_seconds if perf.enabled else None,
+    )
+    return diag, stage
+
+
 class SerialBackend:
     """In-process execution of the step loop on the whole domain.
 
@@ -477,71 +643,11 @@ class SerialBackend:
 
     def step(self, sim: "Simulation", sample: bool = False) -> StepDiagnostics:
         """Advance ``sim`` by one time step, over one block or R."""
-        cfg = sim.config
-        parts = sim.particles
-        perf = sim.perf
         rng = sim.streams(sim.step_count + 1)
-
-        # 1+2) Collisionless motion, then boundary conditions (may
-        #    rebuild the population arrays).  One perf phase: the paper
-        #    reports "particle motion and boundary interaction" as a
-        #    single 14% line item.  Surface loads accumulate only
-        #    during sampling steps; each block's exits, refill and
-        #    surface hits go to its own reservoir block, stream and
-        #    sampler.
-        with perf.phase("motion"):
-            motion.advance(parts, cfg.domain)
-            sim.boundaries.surface_sampler = sim.surface if sample else None
-            parts, bstats = sim.boundaries.apply_rebuilding(
-                parts, sim.reservoir, rng
-            )
-
-        # 3+4) The collision half of the step: index, sort, pair,
-        #    select, collide -- the one spelling shared with the shard
-        #    workers.  The ledger gets the stage's own phase boundaries.
-        stage = collision_stage(
-            parts, cfg, sim._vf_flat, rng, sim.sort_state, sim.step_count
-        )
-        perf.record_spans(stage.spans())
-        sort_moved_fraction = sort_rebuilds = None
-        if sim.sort_state is not None:
-            sort_moved_fraction = stage.moved / parts.n if parts.n else 0.0
-            sort_rebuilds = 1
-
-        # Side work: the reservoir Gaussianizes itself.  Charged to its
-        # own phase -- the paper's four-phase split does not include it.
-        if cfg.reservoir_mix_rounds:
-            with perf.phase("reservoir"):
-                sim.reservoir.mix(rng, rounds=cfg.reservoir_mix_rounds)
-
-        sim.particles = parts
+        bstats = step_stage1(sim, rng, sample)
+        diag, _ = step_stage2(sim, rng, sim.step_count, bstats, sample)
         sim.step_count += 1
-        if sample:
-            sim.sampler.accumulate(parts)
-            for surface in sim.surfaces:
-                surface.end_step()
-            for probe in sim.probes:
-                probe.sample(parts)
-
-        perf.end_step(n_particles=parts.n)
-        return StepDiagnostics(
-            step=sim.step_count,
-            n_flow=_block_sizes(parts),
-            n_reservoir=_block_sizes(sim.reservoir.particles),
-            n_candidates=stage.n_candidates,
-            n_collisions=(
-                stage.n_collisions if parts.starts is None
-                else stage.collisions_by_block
-            ),
-            pairing_efficiency=stage.pairing_efficiency,
-            mean_collision_probability=stage.mean_probability,
-            boundary=bstats,
-            total_energy=parts.total_energy(),
-            momentum_x=float(parts.u.sum()),
-            sort_moved_fraction=sort_moved_fraction,
-            sort_rebuilds=sort_rebuilds,
-            phase_seconds=perf.last_step_seconds if perf.enabled else None,
-        )
+        return diag
 
 
 class Simulation:
@@ -600,14 +706,7 @@ class Simulation:
         )
         self._vf_flat = self.volume_fractions.reshape(-1)
 
-        self.boundaries = WindTunnelBoundaries(
-            domain=config.domain,
-            freestream=config.freestream,
-            wedge=config.wedge,
-            plunger_trigger=config.plunger_trigger,
-            wall_model=config.wall_model,
-            accommodation=config.accommodation,
-        )
+        self.boundaries = WindTunnelBoundaries.from_config(config)
         # Each block's stream seeds its flow, then its reservoir block.
         streams = block_streams(self.streams(0))
         blocks = [

@@ -9,16 +9,19 @@ lives in shared memory inherited over ``fork``, so the steady-state
 step exchanges no pickled data at all; pipes carry only rare traffic
 (worker tracebacks, the reservoir on an explicit ``gather``).
 
-Each step runs in two phases separated by a worker barrier:
+One driver: a shard is a block with neighbours, and each worker runs
+the serial engine's step (:func:`repro.core.simulation.step_stage1`,
+:func:`~repro.core.simulation.step_stage2`) on its slab, split at the
+one point that needs a worker barrier -- stage 1 / exchange / stage 2:
 
-* **Phase A** -- claim the reservoir flux (first shard), collisionless
-  motion, boundary enforcement (the first shard owns the plunger, the
-  last the downstream sink), pack boundary-crossing particles into the
-  outgoing migration channels, backfill-remove them locally.
+* **Phase A** -- claim the reservoir flux (first shard), stage 1
+  (motion and the boundaries; the first shard owns the plunger, the
+  last the downstream sink), then pack boundary-crossing particles into
+  the outgoing migration channels and backfill-remove them locally.
 * **Phase B** -- append arrivals (left neighbour first, then right),
-  cell indexing, the fused counting sort, pairing + selection,
-  collisions, reservoir mixing (first shard), downstream-flux shipping
-  (last shard), sampling, and the shard's diagnostics row.
+  stage 2 (collisions, reservoir mixing on the first shard, sampling),
+  ship the downstream flux (last shard), and pack the shard's
+  diagnostics row (:data:`repro.core.simulation.DIAGNOSTICS_ROW`).
 
 Determinism: every worker draws all of a step's random numbers from a
 counter-based stream keyed ``(seed, shard_id, step)``
@@ -40,15 +43,18 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import motion
 from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import SAMPLER_FIELDS, CellSampler
 from repro.core.simulation import (
+    DIAGNOSTICS_ROW,
     SerialBackend,
     StepDiagnostics,
-    collision_stage,
+    merge_diagnostics,
+    pack_diagnostics,
+    step_stage1,
+    step_stage2,
 )
 from repro.core.sortstep import IncrementalSorter
 from repro.errors import (
@@ -63,6 +69,7 @@ from repro.parallel.rebalance import (
     validate_plan,
 )
 from repro.parallel.shard import ShardSlabs
+from repro.perf import PerfLedger
 from repro.rng import shard_stream
 from repro.telemetry.observables import load_imbalance
 from repro.telemetry.spans import (
@@ -94,59 +101,41 @@ CMD_REBALANCE = 4
 MISC_PLUNGER = 0     # plunger face position, published by shard 0
 MISC_WORDS = 1
 
-# -- per-shard diagnostics row (shared float64 matrix) ------------------
 
-(
-    D_NFLOW,
-    D_NRES,
-    D_NPAIRS,
-    D_NCAND,
-    D_NCOLL,
-    D_PROBSUM,
-    D_WALLS,
-    D_WEDGE,
-    D_REMOVED,
-    D_INJECTED,
-    D_CLAMPED,
-    D_PLUNGER,
-    D_ENERGY,
-    D_MOMX,
-    D_T_MOTION,
-    D_T_EXCHANGE,
-    D_T_SORT,
-    D_T_SELECTION,
-    D_T_COLLISION,
-    D_T_RESERVOIR,
-    D_SORT_MOVED,
-    D_T_INDEX,
-) = range(22)
-NDIAG = 22
+class _RingTracer:
+    """A shard ledger's tracer: phase spans into the shard's span ring."""
 
-#: Worker phases merged into the driver's :class:`repro.perf.PerfLedger`
-#: (summed CPU-seconds across shards; "exchange" is the migration cost
-#: the serial engine does not have, "index" the incremental kernel's
-#: cell-indexing + mover-detection pass -- both outside the paper's
-#: four-phase split).
-PHASE_COLUMNS = (
-    ("motion", D_T_MOTION),
-    ("exchange", D_T_EXCHANGE),
-    ("sort", D_T_SORT),
-    ("selection", D_T_SELECTION),
-    ("collision", D_T_COLLISION),
-    ("reservoir", D_T_RESERVOIR),
-    ("index", D_T_INDEX),
-)
+    def __init__(self, ring: np.ndarray, state: np.ndarray, shard_id: int):
+        self.ring = ring
+        self.state = state
+        self.shard_id = shard_id
+        #: The step the spans belong to (set as each step begins).
+        self.step = 0
+
+    def record(self, name: str, t0: float, t1: float) -> None:
+        ring_append(
+            self.ring, self.state, _SPAN_ID[name], t0, t1,
+            self.step, self.shard_id, os.getpid(),
+        )
 
 
 class ShardWorker:
     """One shard's step executor (runs in a worker process or inline).
 
-    Owns the shard's boundaries (inlet on the first shard, outlet on
+    A shard is a block with neighbours: a :class:`Simulation`-shaped
+    object (``particles``, ``reservoir``, ``boundaries``, ``surface``,
+    ``sampler``, ``sort_state``, ``perf``, ``config``) that runs the
+    serial step's two stages (:func:`step_stage1`,
+    :func:`step_stage2`) with the migration exchange between them.  It
+    owns the shard's boundaries (inlet on the first shard, outlet on
     the last), its slab bounds, and -- on shard 0 -- the reservoir and
     the plunger.  The particle population is adopted after construction
     (:meth:`adopt`) so its columns live in the backend's shared
     segments.
     """
+
+    #: Probes are driver objects; a sharded run refuses them.
+    probes = ()
 
     def __init__(
         self,
@@ -179,13 +168,8 @@ class ShardWorker:
             if shard_id < n_workers - 1
             else float(self.domain.nx)
         )
-        self.boundaries = WindTunnelBoundaries(
-            domain=config.domain,
-            freestream=config.freestream,
-            wedge=config.wedge,
-            plunger_trigger=config.plunger_trigger,
-            wall_model=config.wall_model,
-            accommodation=config.accommodation,
+        self.boundaries = WindTunnelBoundaries.from_config(
+            config,
             has_inlet=(shard_id == 0),
             has_outlet=(shard_id == n_workers - 1),
         )
@@ -196,14 +180,21 @@ class ShardWorker:
         #: state anyway, so only the count is physical).
         self.reservoir: Optional[Reservoir] = None
         self.particles: Optional[ParticleArrays] = None
-        self._counts = np.zeros(config.domain.n_cells, dtype=np.int64)
         #: Per-worker indexed-order state (``sort_kernel=
         #: "incremental"``): each shard rebuilds its own canonical
         #: order every step.
-        self._sorter: Optional[IncrementalSorter] = (
+        self.sort_state: Optional[IncrementalSorter] = (
             IncrementalSorter(config.domain.n_cells)
             if config.sort_kernel == "incremental" else None
         )
+        #: The shard's own phase ledger; each step's split goes into
+        #: its diagnostics row, and its spans into the span ring.
+        self.perf = PerfLedger()
+        if "spans" in shared:
+            self.perf.tracer = _RingTracer(
+                shared["spans"][shard_id], shared["span_state"][shard_id],
+                shard_id,
+            )
         self.sampler = CellSampler(config.domain)
         for name, row in zip(SAMPLER_FIELDS, shared["samp"][shard_id]):
             setattr(self.sampler, name, row)
@@ -227,24 +218,15 @@ class ShardWorker:
         #: selects hard process death vs a plain raise for ``crash``.
         self._forked = False
 
-    def _emit_spans(self, step: int, intervals) -> None:
-        """Append phase spans to this shard's shared ring (if any).
+    @property
+    def surfaces(self) -> tuple:
+        """The shard's surface sampler, as a tuple (empty without one)."""
+        return () if self.surface is None else (self.surface,)
 
-        ``intervals`` is a sequence of ``(name, t0, t1)`` built from
-        timestamps the worker already takes for the diagnostics row, so
-        the marginal cost is a handful of array writes per step.
-        """
-        rings = self.shared.get("spans")
-        if rings is None:
-            return
-        state = self.shared["span_state"][self.shard_id]
-        ring = rings[self.shard_id]
-        pid = os.getpid()
-        for name, t0, t1 in intervals:
-            ring_append(
-                ring, state, _SPAN_ID[name], t0, t1,
-                step, self.shard_id, pid,
-            )
+    def _span(self, name: str, t0: float) -> None:
+        """Record a protocol span ``name`` from ``t0`` to now, if traced."""
+        if self.perf.tracer is not None:
+            self.perf.tracer.record(name, t0, time.perf_counter())
 
     def adopt(
         self,
@@ -275,7 +257,48 @@ class ShardWorker:
                 0 if fronts[name] is self._ref0[name] else 1
             )
 
-    # -- the two step phases --------------------------------------------
+    def _crossed_two_slabs(self) -> ConfigurationError:
+        return ConfigurationError(
+            f"shard {self.shard_id}: a particle crossed more than one slab "
+            "in a single step; use fewer workers (wider slabs) for this flow"
+        )
+
+    def _migrate(self, lo: float, hi: float, guarded: bool) -> None:
+        """Ship the rows outside ``[lo, hi)`` to the neighbours.
+
+        Packs them into the outgoing channels, then backfills them away
+        (the sort re-orders everything anyway).  ``guarded`` refuses a
+        row that landed beyond a neighbour's far edge, which a step's
+        motion can do but a planned repartition cannot.
+        """
+        parts = self.particles
+        sc = parts.scratch
+        n = parts.n
+        x = parts.x
+        remove = None
+        if self.shard_id > 0:
+            lmask = sc.array("mig_left", n, dtype=bool)
+            np.less(x, lo, out=lmask)
+            lidx = np.flatnonzero(lmask)
+            if guarded and lidx.size and x[lidx].min() < self._left_guard:
+                raise self._crossed_two_slabs()
+            self.channels.ship(parts, lidx, self.shard_id, LEFT)
+            remove = lmask
+        if self.shard_id < self.n_workers - 1:
+            rmask = sc.array("mig_right", n, dtype=bool)
+            np.greater_equal(x, hi, out=rmask)
+            ridx = np.flatnonzero(rmask)
+            if guarded and ridx.size and x[ridx].max() >= self._right_guard:
+                raise self._crossed_two_slabs()
+            self.channels.ship(parts, ridx, self.shard_id, RIGHT)
+            remove = (
+                rmask if remove is None
+                else np.logical_or(remove, rmask, out=remove)
+            )
+        if remove is not None and remove.any():
+            parts.remove_inplace(remove)
+
+    # -- the step: stage 1, exchange, stage 2 ----------------------------
 
     def _inject_faults(self, step: int) -> None:
         """Fire any armed worker fault for ``(step, shard)``.
@@ -308,143 +331,48 @@ class ShardWorker:
             time.sleep(hang.seconds)
 
     def phase_a(self, step: int, sample: bool) -> None:
-        """Flux claim, motion, boundaries, migration pack + removal."""
+        """Flux claim, stage 1, migration pack + removal."""
         if self._fault_plan is not None:
             self._inject_faults(step)
-        self._stream = shard_stream(self._seed, self.shard_id, step)
-        stream = self._stream
+        if self.perf.tracer is not None:
+            self.perf.tracer.step = step
         t0 = time.perf_counter()
-        parts = self.particles
+        # The shard's stream is keyed by the completed-step count, one
+        # behind the serial engine's ``streams(step + 1)``.
+        self._stream = shard_stream(self._seed, self.shard_id, step)
 
         # Shard 0 claims the downstream-exit count the last shard
         # shipped in the previous step's phase B (the end-of-step
         # barrier orders the write before this read) and deposits it
         # into the reservoir.
-        if self.reservoir is not None and self.n_workers > 1:
+        if self.reservoir is not None:
             pending = int(self._ctrl[CTRL_FLUX])
             if pending:
                 self._ctrl[CTRL_FLUX] = 0
-                self.reservoir.deposit(stream, pending)
+                self.reservoir.deposit(self._stream, pending)
 
-        motion.advance(parts, self.domain)
-        self.boundaries.surface_sampler = (
-            self.surface if (sample and self.surface is not None) else None
-        )
-        parts, bstats = self.boundaries.apply_rebuilding(
-            parts, self.reservoir, stream
-        )
-        self.particles = parts
-        self._bstats = bstats
-        t1 = time.perf_counter()
-
-        # Pack boundary-crossers into the outgoing channels, then
-        # backfill them away (the sort re-orders everything anyway).
-        sc = parts.scratch
-        n = parts.n
-        x = parts.x
-        remove = None
-        if self.shard_id > 0:
-            lmask = sc.array("mig_left", n, dtype=bool)
-            np.less(x, self.x_lo, out=lmask)
-            lidx = np.flatnonzero(lmask)
-            if lidx.size and float(x[lidx].min()) < self._left_guard:
-                raise ConfigurationError(
-                    f"shard {self.shard_id}: a particle crossed more than "
-                    "one slab in a single step; use fewer workers (wider "
-                    "slabs) for this flow"
-                )
-            self.channels.ship(parts, lidx, self.shard_id, LEFT)
-            remove = lmask
-        if self.shard_id < self.n_workers - 1:
-            rmask = sc.array("mig_right", n, dtype=bool)
-            np.greater_equal(x, self.x_hi, out=rmask)
-            ridx = np.flatnonzero(rmask)
-            if ridx.size and float(x[ridx].max()) >= self._right_guard:
-                raise ConfigurationError(
-                    f"shard {self.shard_id}: a particle crossed more than "
-                    "one slab in a single step; use fewer workers (wider "
-                    "slabs) for this flow"
-                )
-            self.channels.ship(parts, ridx, self.shard_id, RIGHT)
-            remove = (
-                rmask if remove is None
-                else np.logical_or(remove, rmask, out=remove)
-            )
-        if remove is not None and remove.any():
-            parts.remove_inplace(remove)
-        t2 = time.perf_counter()
-        self._t_motion = t1 - t0
-        self._t_exchange = t2 - t1
-        self._emit_spans(
-            step,
-            (
-                ("phase_a", t0, t2),
-                ("motion", t0, t1),
-                ("exchange", t1, t2),
-            ),
-        )
+        self._bstats = step_stage1(self, self._stream, sample)
+        with self.perf.phase("exchange"):
+            self._migrate(self.x_lo, self.x_hi, guarded=True)
+        self._span("phase_a", t0)
 
     def phase_b(self, step: int, sample: bool) -> None:
-        """Arrivals, sort, selection, collisions, flux ship, publish."""
-        stream = self._stream
-        parts = self.particles
-        cfg = self.config
+        """Arrivals, stage 2, flux ship, diagnostics row, publish."""
         t0 = time.perf_counter()
-        self.channels.receive(parts, self.shard_id)
-
-        stage = collision_stage(
-            parts, cfg, self._vf_flat, stream, self._sorter, step,
-            counts_out=self._counts,
+        with self.perf.phase("exchange"):
+            self.channels.receive(self.particles, self.shard_id)
+        diag, stage = step_stage2(
+            self, self._stream, step, self._bstats, sample
         )
-        t1, t1b, t2, t3, t4 = stage.t
-
-        if self.reservoir is not None and cfg.reservoir_mix_rounds:
-            self.reservoir.mix(stream, rounds=cfg.reservoir_mix_rounds)
         # The last shard ships its downstream-exit count toward shard 0
         # (claimed there at the start of the next step's phase A).
-        if self.n_workers > 1 and self.shard_id == self.n_workers - 1:
+        if self.shard_id == self.n_workers - 1:
             self._ctrl[CTRL_FLUX] += self._bstats.n_removed_downstream
-        t5 = time.perf_counter()
-
-        if sample:
-            self.sampler.accumulate(parts)
-
+        pack_diagnostics(self.shared["diag"][self.shard_id], diag, stage)
         self._publish_layout()
-        row = self.shared["diag"][self.shard_id]
-        b = self._bstats
-        row[D_NFLOW] = parts.n
-        row[D_NRES] = self.reservoir.size if self.reservoir is not None else 0
-        row[D_NPAIRS] = stage.n_pairs_total
-        row[D_NCAND] = stage.n_candidates
-        row[D_NCOLL] = stage.n_collisions
-        row[D_PROBSUM] = stage.probability_sum
-        row[D_WALLS] = b.n_reflected_walls
-        row[D_WEDGE] = b.n_reflected_wedge
-        row[D_REMOVED] = b.n_removed_downstream
-        row[D_INJECTED] = b.n_injected_upstream
-        row[D_CLAMPED] = b.n_clamped
-        row[D_PLUNGER] = float(b.plunger_reset)
-        row[D_ENERGY] = parts.total_energy()
-        row[D_MOMX] = float(parts.u.sum())
-        row[D_T_MOTION] = self._t_motion
-        row[D_T_EXCHANGE] = self._t_exchange + (t1 - t0)
-        row[D_T_SORT] = t2 - t1b
-        row[D_T_SELECTION] = t3 - t2
-        row[D_T_COLLISION] = t4 - t3
-        row[D_T_RESERVOIR] = t5 - t4
-        row[D_SORT_MOVED] = stage.moved
-        row[D_T_INDEX] = t1b - t1
         if self.shard_id == 0:
             self.shared["misc"][MISC_PLUNGER] = self.boundaries.plunger.position
-        self._emit_spans(
-            step,
-            (
-                ("phase_b", t0, t5),
-                ("exchange", t0, t1),
-                *stage.spans(),
-                ("reservoir", t4, t5),
-            ),
-        )
+        self._span("phase_b", t0)
 
     # -- the repartition epoch (adaptive load balancing) -----------------
 
@@ -458,36 +386,15 @@ class ShardWorker:
         widened exchange epoch.  No RNG is consumed and no physics
         runs -- a rebalance only re-homes particle ownership.
         """
-        parts = self.particles
         edges = self.shared["edges"]
-        new_lo = float(edges[self.shard_id])
-        new_hi = float(edges[self.shard_id + 1])
         if self._fault_plan is not None:
             # Publish the step so channel-level faults stay keyed.
             self.channels._step = step
-        sc = parts.scratch
-        n = parts.n
-        x = parts.x
-        remove = None
-        if self.shard_id > 0:
-            lmask = sc.array("mig_left", n, dtype=bool)
-            np.less(x, new_lo, out=lmask)
-            self.channels.ship(
-                parts, np.flatnonzero(lmask), self.shard_id, LEFT
-            )
-            remove = lmask
-        if self.shard_id < self.n_workers - 1:
-            rmask = sc.array("mig_right", n, dtype=bool)
-            np.greater_equal(x, new_hi, out=rmask)
-            self.channels.ship(
-                parts, np.flatnonzero(rmask), self.shard_id, RIGHT
-            )
-            remove = (
-                rmask if remove is None
-                else np.logical_or(remove, rmask, out=remove)
-            )
-        if remove is not None and remove.any():
-            parts.remove_inplace(remove)
+        self._migrate(
+            float(edges[self.shard_id]),
+            float(edges[self.shard_id + 1]),
+            guarded=False,
+        )
 
     def rebalance_b(self) -> None:
         """Adopt arrivals and refresh slab bounds from the new edges.
@@ -534,6 +441,20 @@ def _worker_main(worker, start_b, mid_b, end_b, ctrl, conn) -> None:
     """
     worker._forked = True
     failed = False
+
+    def attempt(phase, *args, report: bool = True) -> None:
+        """Run ``phase`` unless poisoned; on failure, poison and flag."""
+        nonlocal failed
+        if failed:
+            return
+        try:
+            phase(*args)
+        except BaseException:
+            failed = True
+            ctrl[CTRL_ERROR] = worker.shard_id + 1
+            if report:
+                conn.send(traceback.format_exc())
+
     while True:
         start_b.wait()
         cmd = int(ctrl[CTRL_CMD])
@@ -542,50 +463,20 @@ def _worker_main(worker, start_b, mid_b, end_b, ctrl, conn) -> None:
         if cmd == CMD_STEP:
             step = int(ctrl[CTRL_STEP])
             sample = bool(ctrl[CTRL_SAMPLE])
-            if not failed:
-                try:
-                    worker.phase_a(step, sample)
-                except BaseException:
-                    failed = True
-                    ctrl[CTRL_ERROR] = worker.shard_id + 1
-                    conn.send(traceback.format_exc())
+            attempt(worker.phase_a, step, sample)
             mid_b.wait()
-            if not failed:
-                try:
-                    worker.phase_b(step, sample)
-                except BaseException:
-                    failed = True
-                    ctrl[CTRL_ERROR] = worker.shard_id + 1
-                    conn.send(traceback.format_exc())
-            end_b.wait()
+            attempt(worker.phase_b, step, sample)
         elif cmd == CMD_REBALANCE:
-            step = int(ctrl[CTRL_STEP])
-            if not failed:
-                try:
-                    worker.rebalance_a(step)
-                except BaseException:
-                    failed = True
-                    ctrl[CTRL_ERROR] = worker.shard_id + 1
-                    conn.send(traceback.format_exc())
+            attempt(worker.rebalance_a, int(ctrl[CTRL_STEP]))
             mid_b.wait()
-            if not failed:
-                try:
-                    worker.rebalance_b()
-                except BaseException:
-                    failed = True
-                    ctrl[CTRL_ERROR] = worker.shard_id + 1
-                    conn.send(traceback.format_exc())
-            end_b.wait()
-        elif cmd == CMD_GATHER:
-            if worker.reservoir is not None and not failed:
-                try:
-                    conn.send(worker.gather_payload())
-                except BaseException:
-                    failed = True
-                    ctrl[CTRL_ERROR] = worker.shard_id + 1
-            end_b.wait()
-        else:
-            end_b.wait()
+            attempt(worker.rebalance_b)
+        elif cmd == CMD_GATHER and worker.reservoir is not None:
+            # The payload is the pipe's one message: a failure sends no
+            # traceback the parent would take for it.
+            attempt(
+                lambda: conn.send(worker.gather_payload()), report=False
+            )
+        end_b.wait()
     conn.close()
 
 
@@ -719,7 +610,7 @@ class ShardedBackend:
         shared: Dict[str, np.ndarray] = {
             "n_parts": alloc((W,), np.int64),
             "front_flags": alloc((W, len(COLUMN_NAMES)), np.int8),
-            "diag": alloc((W, NDIAG), np.float64),
+            "diag": alloc((W, len(DIAGNOSTICS_ROW)), np.float64),
             "samp": alloc((W, len(SAMPLER_FIELDS), n_cells), np.float64),
             "misc": self._misc,
             # Live slab edges: the parent publishes a repartition here
@@ -853,6 +744,11 @@ class ShardedBackend:
             return self._serial.step(sim, sample=sample)
         if not self._bound or self._closed:
             raise ConfigurationError("backend is not bound (or closed)")
+        if sample and sim.probes:
+            raise ConfigurationError(
+                "probes sample the driver's population, which a sharded "
+                "run does not step; run probes with one worker"
+            )
         step_idx = sim.step_count
         if self._processes:
             self._ctrl[CTRL_CMD] = CMD_STEP
@@ -870,7 +766,7 @@ class ShardedBackend:
         sim.step_count += 1
         if sample:
             self._sample_steps += 1
-        diag = self._merge_diagnostics(sim)
+        diag = merge_diagnostics(self._shared["diag"], sim.step_count, sim.perf)
         rb = self.rebalance_config
         if rb is not None and sim.step_count % rb.every == 0:
             self.maybe_rebalance(sim.step_count)
@@ -921,49 +817,6 @@ class ShardedBackend:
             f"worker for shard {shard} failed:\n{detail}",
             step=step,
             shard=shard,
-        )
-
-    def _merge_diagnostics(self, sim) -> StepDiagnostics:
-        d = self._shared["diag"]
-        n_pairs = int(d[:, D_NPAIRS].sum())
-        n_cand = int(d[:, D_NCAND].sum())
-        bstats = BoundaryStats(
-            n_reflected_walls=int(d[:, D_WALLS].sum()),
-            n_reflected_wedge=int(d[:, D_WEDGE].sum()),
-            n_removed_downstream=int(d[:, D_REMOVED].sum()),
-            n_injected_upstream=int(d[:, D_INJECTED].sum()),
-            n_clamped=int(d[:, D_CLAMPED].sum()),
-            plunger_reset=bool(d[0, D_PLUNGER]),
-        )
-        for name, col in PHASE_COLUMNS:
-            sim.perf.record(name, float(d[:, col].sum()))
-        n_flow = int(d[:, D_NFLOW].sum())
-        sim.perf.end_step(n_particles=n_flow)
-        sort_moved_fraction: Optional[float] = None
-        sort_rebuilds: Optional[int] = None
-        if sim.config.sort_kernel == "incremental":
-            sort_moved_fraction = (
-                float(d[:, D_SORT_MOVED].sum()) / n_flow if n_flow else 0.0
-            )
-            sort_rebuilds = self.n_workers
-        return StepDiagnostics(
-            step=sim.step_count,
-            n_flow=n_flow,
-            n_reservoir=int(d[0, D_NRES]),
-            n_candidates=n_cand,
-            n_collisions=int(d[:, D_NCOLL].sum()),
-            pairing_efficiency=(n_cand / n_pairs) if n_pairs else 0.0,
-            mean_collision_probability=(
-                float(d[:, D_PROBSUM].sum()) / n_cand if n_cand else 0.0
-            ),
-            boundary=bstats,
-            total_energy=float(d[:, D_ENERGY].sum()),
-            momentum_x=float(d[:, D_MOMX].sum()),
-            sort_moved_fraction=sort_moved_fraction,
-            sort_rebuilds=sort_rebuilds,
-            phase_seconds=(
-                sim.perf.last_step_seconds if sim.perf.enabled else None
-            ),
         )
 
     # -- adaptive load balancing ----------------------------------------
@@ -1199,7 +1052,7 @@ class ShardedBackend:
         """
         if self._serial is not None or not self._bound or self._processes:
             return None
-        return [w._sorter for w in self._workers]
+        return [w.sort_state for w in self._workers]
 
     # -- introspection for the telemetry hub -----------------------------
 

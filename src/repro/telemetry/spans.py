@@ -8,13 +8,13 @@ timeline.  Two recording paths feed one stream:
 * **driver-side** -- :class:`SpanTracer` collects spans in a plain
   Python list (the serial engine's phases, step-level envelopes, audit
   and checkpoint intervals);
-* **worker-side** -- shard workers append fixed-width rows to
-  preallocated shared-memory *rings* (:func:`ring_append`) using the
-  phase timestamps they already take; the parent drains the rings at
-  the step barrier (:func:`drain_ring`) and merges them into the
-  tracer.  Ring rows carry only numbers (a name *id* into
-  :data:`WORKER_SPAN_NAMES`), so no serialization crosses the process
-  boundary.
+* **worker-side** -- a shard worker runs the one step driver (stage 1 /
+  exchange / stage 2) under its own ledger, whose tracer appends
+  fixed-width rows to a preallocated shared-memory *ring*
+  (:func:`ring_append`); the parent drains the rings at the step
+  barrier (:func:`drain_ring`) and merges them into the tracer.  Ring
+  rows carry only numbers (a name *id* into :data:`WORKER_SPAN_NAMES`),
+  so no serialization crosses the process boundary.
 
 ``perf_counter`` on Linux is CLOCK_MONOTONIC, which is system-wide, so
 worker and driver timestamps share one axis and a W-worker step renders
@@ -33,7 +33,8 @@ import numpy as np
 
 #: Name table for ring-encoded worker spans (the row stores the index).
 #: ``phase_a``/``phase_b`` are the two barrier-separated halves of the
-#: sharded step protocol; the rest are the algorithm phases.
+#: sharded step protocol (stage 1 + outbound exchange, inbound exchange
+#: + stage 2); the rest are the algorithm phases.
 WORKER_SPAN_NAMES = (
     "phase_a",
     "phase_b",

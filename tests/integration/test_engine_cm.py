@@ -71,6 +71,14 @@ class TestBasics:
         with pytest.raises(ConfigurationError, match="2-D machine"):
             CMSimulation(slab, machine=machine)
 
+    @pytest.mark.parametrize("wall_model", ["diffuse", "adiabatic", "maxwell"])
+    def test_non_specular_walls_rejected(self, cm_config, machine, wall_model):
+        import dataclasses
+
+        cfg = dataclasses.replace(cm_config, wall_model=wall_model)
+        with pytest.raises(ConfigurationError, match="specular"):
+            CMSimulation(cfg, machine=machine)
+
 
 class TestPhysicsAgreement:
     def test_matches_reference_engine_statistically(self, cm_config, machine):

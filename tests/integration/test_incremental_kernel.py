@@ -141,8 +141,7 @@ class TestStatisticalEquivalence:
         assert cross > noise_floor - 0.05
 
 
-def _materialise_all_stage(parts, config, vf_flat, rng, sorter, step,
-                           counts_out=None):
+def _materialise_all_stage(parts, config, vf_flat, rng, sorter, step):
     """``collision_stage`` on the indexed kernel, spelled as its oracle:
     materialise every reflection pair, apply the selection rule to all
     of them, collide the accepted ones with ``collide_pairs``."""

@@ -193,6 +193,29 @@ class TestReproducibility:
             assert np.array_equal(runs[0][col], runs[1][col]), col
 
 
+class TestShardedProbes:
+    def test_sampling_with_probes_is_refused(self):
+        from repro.analysis.vdf import VDFProbe
+        from repro.errors import ConfigurationError
+
+        with Simulation(
+            _small_config(), backend=ShardedBackend(2, processes=False)
+        ) as sim:
+            sim.probes.append(VDFProbe((2, 9), (2, 9)))
+            sim.run(2)
+            with pytest.raises(ConfigurationError, match="probes"):
+                sim.step(sample=True)
+
+    def test_one_worker_feeds_probes(self):
+        from repro.analysis.vdf import VDFProbe
+
+        with Simulation(_small_config(), backend=ShardedBackend(1)) as sim:
+            probe = VDFProbe((2, 9), (2, 9))
+            sim.probes.append(probe)
+            sim.run(3, sample=True)
+            assert probe.n_samples > 0
+
+
 class TestShardedSnapshots:
     def test_save_restore_continues_bitwise(self, tmp_path):
         path = tmp_path / "sharded.npz"

@@ -8,9 +8,10 @@ The acceptance contract of the observability milestone:
 * a supervised sharded run with an injected worker crash lands spans,
   metric samples, audit results and the recovery event in a *single*
   JSONL stream that the report CLI renders;
-* ``ShardedBackend._merge_diagnostics`` aggregates per-shard ledgers
+* ``merge_diagnostics`` aggregates the shards' diagnostics rows
   correctly (the merged phase seconds are the per-shard sums) in both
-  the inline and forked execution modes.
+  the inline and forked execution modes, and one packed row merges back
+  to the step it came from.
 """
 
 from __future__ import annotations
@@ -18,13 +19,23 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.simulation import (
+    DIAGNOSTICS_ROW,
+    ROW_PHASES,
+    Simulation,
+    SimulationConfig,
+    merge_diagnostics,
+    pack_diagnostics,
+    step_stage1,
+    step_stage2,
+)
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.parallel.backend import ShardedBackend
-from repro.perf import PAPER_PHASES
+from repro.perf import PAPER_PHASES, PerfLedger
 from repro.physics.freestream import Freestream
 from repro.telemetry import EventStream, Telemetry, validate_trace
 from repro.telemetry.report import render, summarize
@@ -152,18 +163,34 @@ class TestMergeDiagnostics:
             diag = None
             for _ in range(5):
                 diag = sim.step()
-            d = sim.backend._shared["diag"]
-            from repro.parallel.backend import PHASE_COLUMNS
-
-            for name, col in PHASE_COLUMNS:
+            rows = sim.backend._shared["diag"]
+            assert rows.shape == (2, len(DIAGNOSTICS_ROW))
+            assert diag.phase_seconds.keys() == set(ROW_PHASES)
+            for name in ROW_PHASES:
+                col = rows[:, DIAGNOSTICS_ROW.index(name)]
                 merged = diag.phase_seconds[name]
-                assert merged == pytest.approx(float(d[:, col].sum()))
+                assert merged == pytest.approx(float(col.sum()))
                 assert merged > 0.0
             # The driver ledger accumulated the same totals across steps.
             assert sim.perf.steps == 5
             assert sim.perf.particle_steps > 0
         finally:
             sim.close()
+
+    def test_one_packed_row_merges_to_its_step(self):
+        sim = Simulation(_small_config())
+        rng = sim.streams(1)
+        bstats = step_stage1(sim, rng, False)
+        diag, stage = step_stage2(sim, rng, 0, bstats, False)
+        rows = np.zeros((1, len(DIAGNOSTICS_ROW)))
+        pack_diagnostics(rows[0], diag, stage)
+        merged = merge_diagnostics(rows, diag.step, PerfLedger())
+        assert dataclasses.replace(merged, phase_seconds=None) == (
+            dataclasses.replace(diag, phase_seconds=None)
+        )
+        assert merged.phase_seconds.keys() == set(ROW_PHASES)
+        for name, seconds in diag.phase_seconds.items():
+            assert merged.phase_seconds[name] == seconds
 
     def test_merged_n_flow_feeds_perf_series(self):
         sim = Simulation(

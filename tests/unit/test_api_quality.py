@@ -235,23 +235,48 @@ class TestMeasurementSpelledWithoutBlas:
         assert list(_short_axis_sums(old)) == [1]
 
 
-class TestTwoDrivers:
-    """Two step drivers: the serial step over one block or R, and the
-    shard worker; the 3-D slab is a domain and the ensemble a stream
-    source."""
+def _files_containing(text: str) -> set:
+    return {
+        str(path.relative_to(SRC_ROOT))
+        for path in SRC_ROOT.rglob("*.py")
+        if text in path.read_text()
+    }
+
+
+class TestOneDriver:
+    """One step driver: the serial step's two stages, over one block or
+    R or a shard's slab; the 3-D slab is a domain and the ensemble a
+    stream source."""
 
     def test_slab_driver_is_gone(self):
         assert importlib.util.find_spec("repro.core.simulation3d") is None
         assert not hasattr(repro.core, "Simulation3D")
         assert not hasattr(repro.core.motion, "advance_with_z")
 
-    def test_motion_advance_has_two_call_sites(self):
-        callers = {
-            str(path.relative_to(SRC_ROOT))
-            for path in SRC_ROOT.rglob("*.py")
-            if "motion.advance(" in path.read_text()
+    def test_motion_advance_has_one_call_site(self):
+        assert _files_containing("motion.advance(") == {"core/simulation.py"}
+
+    def test_collision_stage_has_one_call_site(self):
+        assert _files_containing("collision_stage(") == {"core/simulation.py"}
+
+    @pytest.mark.parametrize("call", [".apply_rebuilding(", ".mix("])
+    def test_boundary_pass_and_mix_have_two_engines(self, call):
+        # The CM-2 emulation engine runs its own fixed-point loop.
+        assert _files_containing(call) == {
+            "core/simulation.py", "core/engine_cm.py",
         }
-        assert callers == {"core/simulation.py", "parallel/backend.py"}
+
+    def test_backend_defines_no_diagnostics_row(self):
+        import repro.parallel.backend as backend
+
+        tree = ast.parse(pathlib.Path(backend.__file__).read_text())
+        names = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert not {n for n in names if n.startswith("D_")}
+        assert not names & {"NDIAG", "PHASE_COLUMNS"}
 
     def test_ensemble_defines_no_step_loop(self):
         import repro.ensemble.engine as engine
@@ -293,12 +318,9 @@ class TestOneSorter:
         assert not hasattr(sortstep, "BlockedSorter")
 
     def test_incremental_sorter_has_two_construction_sites(self):
-        callers = {
-            str(path.relative_to(SRC_ROOT))
-            for path in SRC_ROOT.rglob("*.py")
-            if "IncrementalSorter(" in path.read_text()
+        assert _files_containing("IncrementalSorter(") == {
+            "core/simulation.py", "parallel/backend.py",
         }
-        assert callers == {"core/simulation.py", "parallel/backend.py"}
 
 
 class TestOneSnapshot:
