@@ -47,6 +47,7 @@ are exactly the truncation hazard the paper's stochastic rounding fixes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,8 +75,6 @@ def collide_pairs(
     first: np.ndarray,
     second: np.ndarray,
     rng: Optional[np.random.Generator] = None,
-    signs: Optional[np.ndarray] = None,
-    transpositions: Optional[np.ndarray] = None,
     internal_exchange_probability: float = 1.0,
 ) -> CollisionStats:
     """Collide the given (first[i], second[i]) pairs, in place.
@@ -89,14 +88,9 @@ def collide_pairs(
         Sorted addresses of the colliding pairs (the accepted candidate
         pairs from the selection rule).
     rng:
-        Source for the random signs and the permutation-refresh
-        transpositions when they are not supplied explicitly.
-    signs:
-        Optional ``(n_pairs, k)`` array of +-1 (the CM engine feeds
-        quick-and-dirty bits here).
-    transpositions:
-        Optional ``(2 * n_pairs,)`` swap indices for refreshing first
-        then second partners' permutation vectors.
+        Source of each collision's one word (:func:`_collision_words`:
+        its random signs and the two partners' permutation-refresh
+        transpositions).
     internal_exchange_probability:
         The Future-Work relaxation knob (see
         :class:`repro.physics.molecules.MolecularModel`): with this
@@ -106,7 +100,9 @@ def collide_pairs(
         energy and momentum are conserved either way).  1.0 (default)
         is the paper's fully mixing model.
 
-    Returns per-step collision statistics.
+    The row-major oracle of the hot kernels (:func:`_collide`), which
+    the unit tests hold to it bitwise.  Returns per-step collision
+    statistics.
     """
     a = np.asarray(first)
     b = np.asarray(second)
@@ -116,6 +112,11 @@ def collide_pairs(
     k = 3 + particles.rotational_dof
     if n == 0:
         return CollisionStats(n_collisions=0, energy_exchanged=0.0)
+    blocks = _blocks(rng, (0, n))
+    words = _collision_words(blocks, k)
+    signs = (words[:, None] >> np.arange(k)) & 1
+    signs = 2 * signs.astype(np.int8) - 1
+    ja, jb = divmod(words.astype(np.int64) >> k, k)
 
     # Means (conserved) and half-relatives (eqs. (12)-(15)).
     wu = 0.5 * (particles.u[a] + particles.u[b])
@@ -130,10 +131,14 @@ def collide_pairs(
     h[:, 3:] = 0.5 * (particles.rot[a] - particles.rot[b])
 
     # Re-order by the first partner's permutation vector ("which one
-    # gets used is inconsequential") and apply random signs.
-    h_new = _mixed_half_relatives(
-        h, particles.perm[a], rng, signs, internal_exchange_probability, k
-    )
+    # gets used is inconsequential") and apply random signs; a frozen
+    # pair (internal exchange refused) re-orders its translational
+    # components only.
+    h_new = apply_permutation(h, particles.perm[a]) * signs
+    if internal_exchange_probability < 1.0:
+        ids, perms, fsigns = _draw_frozen(blocks, internal_exchange_probability)
+        h_new[ids, :3] = h[ids][np.arange(ids.shape[0])[:, None], perms] * fsigns
+        h_new[ids, 3:] = h[ids, 3:]
 
     e_trans_before = h[:, 0] ** 2 + h[:, 1] ** 2 + h[:, 2] ** 2
 
@@ -151,38 +156,13 @@ def collide_pairs(
 
     # Refresh both partners' permutation vectors with one random
     # transposition each (the Aldous-Diaconis shuffle step).
-    transpositions = _resolve_transpositions(
-        _blocks(rng, (0, n)), transpositions, n, k
-    )
-    _transpose_rows(particles.perm, a, transpositions[:n])
-    _transpose_rows(particles.perm, b, transpositions[n:])
+    _transpose_rows(particles.perm, a, ja)
+    _transpose_rows(particles.perm, b, jb)
 
     return CollisionStats(
         n_collisions=n,
         energy_exchanged=float(np.abs(e_trans_after - e_trans_before).sum()),
     )
-
-
-def _mixed_half_relatives(
-    h: np.ndarray,
-    perm_rows: np.ndarray,
-    rng: Optional[np.random.Generator],
-    signs: Optional[np.ndarray],
-    internal_exchange_probability: float,
-    k: int,
-) -> np.ndarray:
-    """The eq. (18) shuffle: permute half-relatives, apply random signs.
-
-    The oracle's row-major spelling; :func:`_collide` performs the same
-    shuffle component-major.
-    """
-    h_new = apply_permutation(h, perm_rows)
-    blocks = _blocks(rng, (0, h.shape[0]))
-    signs = _resolve_signs(blocks, signs, h.shape[0], k)
-    np.multiply(h_new, signs, out=h_new, casting="unsafe")
-    if internal_exchange_probability < 1.0:
-        _freeze_internal(h, h_new, blocks, internal_exchange_probability)
-    return h_new
 
 
 def _blocks(rng, edges) -> tuple:
@@ -200,73 +180,38 @@ def _blocks(rng, edges) -> tuple:
     return tuple(zip(streams, edges[:-1], edges[1:]))
 
 
-def _resolve_signs(blocks, signs, m: int, k: int, scratch=None) -> np.ndarray:
-    """Caller-supplied +-1 signs, validated, or a fresh draw per block."""
-    if signs is not None:
-        signs = np.asarray(signs)
-        if signs.shape != (m, k):
-            raise ConfigurationError(f"signs must have shape {(m, k)}")
-        return signs
-    signs = pooled(scratch, "coll_signs", m, dtype=np.int8, width=k)
-    for rng, e0, e1 in blocks:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit signs")
-        signs[e0:e1] = rng.integers(0, 2, size=(e1 - e0, k), dtype=np.int8)
-    # {0, 1} -> {-1, +1}, once for all blocks (repro.rng.random_signs).
-    signs *= 2
-    signs -= 1
-    return signs
+def _collision_words(blocks, k: int) -> np.ndarray:
+    """One uniform word in ``[0, k^2 2^k)`` per collision, block by block.
 
-
-def _resolve_transpositions(
-    blocks, transpositions, m: int, k: int, scratch=None
-) -> np.ndarray:
-    """Caller-supplied swap indices, validated, or a fresh draw per block.
-
-    Laid out first partners then second partners: a block's one draw is
-    split across its slice of each half.
+    The word is all the randomness of a collision: its low ``k`` bits
+    are the signs of the ``k`` mixed half-relatives (bit ``j`` set:
+    ``+``), and the high part ``w >> k = ja * k + jb`` holds the first
+    and second partners' permutation-refresh transpositions.  A uniform
+    word makes the signs fair and independent and ``ja``, ``jb``
+    uniform and independent -- the joint law of ``k`` sign draws and
+    two transposition draws, from one bounded uint16 draw (``k`` up to
+    9; NumPy refuses a larger bound).
     """
-    if transpositions is not None:
-        transpositions = np.asarray(transpositions)
-        if transpositions.shape != (2 * m,):
-            raise ConfigurationError("need 2 * n_pairs transposition draws")
-        return transpositions
-    transpositions = pooled(scratch, "coll_transp", 2 * m, dtype=np.int64)
+    bound = k * k << k
+    draws = []
     for rng, e0, e1 in blocks:
         if rng is None:
-            raise ConfigurationError("need rng or explicit transpositions")
-        draw = rng.integers(0, k, size=2 * (e1 - e0))
-        transpositions[e0:e1] = draw[: e1 - e0]
-        transpositions[m + e0 : m + e1] = draw[e1 - e0 :]
-    return transpositions
+            raise ConfigurationError("collisions need an rng")
+        draws.append(rng.integers(0, bound, size=e1 - e0, dtype=np.uint16))
+    return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
-def _freeze_internal(h, h_new, blocks, probability: float) -> None:
-    """Undo the internal exchange of the pairs that fail its draw.
+@functools.lru_cache(maxsize=None)
+def _sign_table(k: int) -> np.ndarray:
+    """``(k, 2^k)`` factors: entry ``[j, s]`` is +-0.5 as bit j of s.
 
-    ``h``/``h_new`` are the ``(n, k)`` half-relatives before and after
-    the shuffle (any strides); a frozen pair gets the translational-only
-    outcome instead: its 3 translational half-relatives permuted among
-    themselves (uniform 3-permutation) with fresh signs, its internal
-    components untouched.
+    The halving of the half-relatives folded into the signs (scaling
+    by a power of two is exact), looked up by a word's low ``k`` bits.
     """
-    frozen = np.empty(h.shape[0], dtype=bool)
-    keys, signs = [], []
-    for rng, e0, e1 in blocks:
-        if rng is None:
-            raise ConfigurationError(
-                "internal_exchange_probability < 1 requires rng"
-            )
-        frozen[e0:e1] = rng.random(e1 - e0) >= probability
-        nf = int(np.count_nonzero(frozen[e0:e1]))
-        keys.append(rng.random((nf, 3)))
-        signs.append(random_signs(rng, (nf, 3)))
-    rows = np.flatnonzero(frozen)
-    trans_perm = np.argsort(np.concatenate(keys), axis=1)
-    h_trans = h[rows][:, :3][np.arange(rows.shape[0])[:, None], trans_perm]
-    h_trans *= np.concatenate(signs)
-    h_new[rows, :3] = h_trans
-    h_new[rows, 3:] = h[rows, 3:]
+    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+    table = bits - 0.5
+    table.flags.writeable = False
+    return table
 
 
 def _gather(col: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
@@ -304,6 +249,14 @@ def _scatter(col: np.ndarray, rows, op, x, y, stage: np.ndarray) -> None:
         col[rows] = stage
 
 
+#: Pairs per tile of :func:`_collide`.  One tile's working blocks --
+#: three ``(k, TILE)`` float64 blocks, the ``(k, TILE)`` index block and
+#: the gathered rotational/permutation rows, ~1.6 MB at k = 5 -- stay
+#: in a 2 MB per-core L2, so the ~60 passes of a tile stream from L2
+#: instead of the LLC.  Chosen from the tile sweep in docs/algorithm.md.
+TILE = 8192
+
+
 def _collide(
     particles: ParticleArrays,
     m: int,
@@ -312,8 +265,6 @@ def _collide(
     velocities: Optional[tuple],
     rng,
     edges,
-    signs: Optional[np.ndarray],
-    transpositions: Optional[np.ndarray],
     internal_exchange_probability: float,
 ) -> CollisionStats:
     """The hot collision kernel: eqs. (12)-(18) on ``m`` row pairs.
@@ -324,27 +275,99 @@ def _collide(
     the caller already gathered them (``None``: gathered here).
     ``rng`` / ``edges`` are the pairs' blocks (:func:`_blocks`).
 
-    Arithmetic and, block by block, RNG consumption order (signs, the
-    optional internal-exchange draws, transpositions) are
-    :func:`collide_pairs`' -- the oracle the unit tests compare against
-    bitwise -- laid out component-major so every per-component pass is
-    a contiguous row, and every O(m) temporary lives in
-    ``particles.scratch``: three ``(k, m)`` float blocks (means,
-    half-relatives, mixed), the permutation index block, the gathered
-    rotational/permutation rows and the packed draws.  Only the RNG
-    draws themselves (no ``out=``) allocate.
+    Every random number is drawn up front, block by block, in
+    :func:`collide_pairs`' order (the words, then the optional
+    internal-exchange draws); the arithmetic then runs over tiles of
+    :data:`TILE` pairs.  It consumes no random numbers and the pairs
+    touch disjoint rows, so the outcome is bitwise the oracle's for any
+    tile size.  A tile is laid out component-major, so every
+    per-component pass is a contiguous row, and every temporary lives
+    in ``particles.scratch`` at tile size.  Only the draws themselves
+    (no ``out=``) allocate.
     """
     if m == 0:
         return CollisionStats(n_collisions=0)
-    scratch = particles.scratch
     blocks = _blocks(rng, edges)
+    words = _collision_words(blocks, 3 + particles.rotational_dof)
+    frozen = None
+    if internal_exchange_probability < 1.0:
+        frozen = _draw_frozen(blocks, internal_exchange_probability)
+    for t0 in range(0, m, TILE):
+        t1 = min(t0 + TILE, m)
+        _collide_tile(
+            particles, t0, t1, _rows(a, t0, t1), _rows(b, t0, t1),
+            None if velocities is None
+            else tuple(x[t0:t1] for x in velocities),
+            words[t0:t1], frozen,
+        )
+    return CollisionStats(n_collisions=m)
+
+
+def _rows(rows, t0: int, t1: int):
+    """Pairs ``t0:t1`` of a pair-row selector (index array or slice)."""
+    if isinstance(rows, slice):
+        return slice(rows.start + t0 * rows.step,
+                     rows.start + t1 * rows.step, rows.step)
+    return rows[t0:t1]
+
+
+def _draw_frozen(blocks, probability: float) -> tuple:
+    """The internal-exchange draws of every block, made up front.
+
+    Per block, one uniform per pair (the pair is *frozen* -- keeps its
+    internal components -- when it is >= ``probability``), then per
+    frozen pair three uniforms (the ranking keys of a uniform
+    3-permutation) and three signs.  Returns the frozen pair ids
+    (ascending), their 3-permutations and their +-1 signs.
+    """
+    frozen, keys, signs = [], [], []
+    for rng, e0, e1 in blocks:
+        block = np.flatnonzero(rng.random(e1 - e0) >= probability)
+        frozen.append(block + e0)
+        keys.append(rng.random((block.shape[0], 3)))
+        signs.append(random_signs(rng, (block.shape[0], 3)))
+    return (
+        np.concatenate(frozen),
+        np.argsort(np.concatenate(keys), axis=1),
+        np.concatenate(signs),
+    )
+
+
+def _frozen_outcome(h, t0: int, t1: int, frozen: tuple) -> tuple:
+    """The translational-only outcome of the frozen pairs among ``t0:t1``.
+
+    ``h`` is the tile's ``(n, k)`` relatives (not yet halved) and
+    ``frozen`` :func:`_draw_frozen`'s draws.  A frozen pair (internal
+    exchange refused) gets its 3 translational half-relatives permuted
+    among themselves with fresh signs and its internal ones untouched.
+    Returns the pairs' tile rows and their ``(nf, k)`` mixed
+    half-relatives.
+    """
+    ids, perms, signs = frozen
+    r0, r1 = np.searchsorted(ids, (t0, t1))
+    rows = ids[r0:r1] - t0
+    h_rows = h[rows]
+    out = 0.5 * h_rows
+    out[:, :3] = h_rows[np.arange(rows.shape[0])[:, None], perms[r0:r1]]
+    out[:, :3] *= signs[r0:r1]
+    out[:, :3] *= 0.5
+    return rows, out
+
+
+def _collide_tile(particles, t0, t1, a, b, velocities, words, frozen):
+    """One tile of :func:`_collide`: pairs ``t0:t1``, their rows and words.
+
+    ``frozen`` is the call's internal-exchange draws (or ``None``).
+    """
+    n = t1 - t0
+    scratch = particles.scratch
     rdof = particles.rotational_dof
     k = 3 + rdof
-    mean, ht, htn = pooled(scratch, "coll_f8", 3 * k * m).reshape(3, k, m)
-    idx = pooled(scratch, "coll_idx", k * m, dtype=np.intp).reshape(k, m)
+    mean, ht, htn = pooled(scratch, "coll_f8", 3 * k * n).reshape(3, k, n)
+    idx = pooled(scratch, "coll_idx", k * n, dtype=np.intp).reshape(k, n)
 
-    # Means (conserved) and half-relatives (eqs. (12)-(15)); ``htn`` is
-    # free until the mix, so it stages the velocity gathers.
+    # Means (conserved) and relatives (eqs. (12)-(15)); ``htn`` is free
+    # until the mix, so it stages the velocity gathers.
     columns = (particles.u, particles.v, particles.w)
     for c, col in enumerate(columns):
         if velocities is None:
@@ -354,31 +377,36 @@ def _collide(
         np.add(x0, x1, out=mean[c])
         np.subtract(x0, x1, out=ht[c])
     if rdof:
-        r0, r1 = pooled(scratch, "coll_rot", 2 * m, width=rdof).reshape(
-            2, m, rdof
+        r0, r1 = pooled(scratch, "coll_rot", 2 * n, width=rdof).reshape(
+            2, n, rdof
         )
         q0, q1 = _gather(particles.rot, a, r0), _gather(particles.rot, b, r1)
         for j in range(rdof):
             np.add(q0[:, j], q1[:, j], out=mean[3 + j])
             np.subtract(q0[:, j], q1[:, j], out=ht[3 + j])
     mean *= 0.5
-    ht *= 0.5
 
     # The eq. (18) shuffle: re-order by the first partner's permutation
     # vector ("which one gets used is inconsequential") as one flat
-    # take, out[j, i] = ht[perm[i, j], i], then random signs in place.
-    perm_rows = pooled(scratch, "coll_perm", m, dtype=np.int8, width=k)
+    # take, out[j, i] = ht[perm[i, j], i], then random signs -- the
+    # words' low k bits, looked up as +-0.5 factors that also halve.
+    perm_rows = pooled(scratch, "coll_perm", n, dtype=np.int8, width=k)
     idx[...] = _gather(particles.perm, a, perm_rows).T
-    idx *= m
-    idx += pooled_arange(scratch, m)
+    idx *= n
+    idx += pooled_arange(scratch, n)
     np.take(ht.reshape(-1), idx, out=htn, mode="clip")
-    signs = _resolve_signs(blocks, signs, m, k, scratch)
-    np.multiply(htn, signs.T, out=htn, casting="unsafe")
-    if internal_exchange_probability < 1.0:
-        _freeze_internal(ht.T, htn.T, blocks, internal_exchange_probability)
+    if frozen is not None:
+        # Read before ``ht`` takes the sign factors.
+        frozen_rows, frozen_mix = _frozen_outcome(ht.T, t0, t1, frozen)
+    low, ja, jb = pooled(scratch, "coll_bits", 3 * n, words.dtype).reshape(3, n)
+    np.bitwise_and(words, (1 << k) - 1, out=low)
+    np.take(_sign_table(k), low, axis=1, out=ht, mode="clip")
+    htn *= ht
+    if frozen is not None:
+        htn.T[frozen_rows] = frozen_mix
 
     # Post-collision states (momentum: mean +- relative); ``ht`` is
-    # dead now and stages the scatters.
+    # free again and stages the scatters.
     for c, col in enumerate(columns):
         _scatter(col, a, np.add, mean[c], htn[c], ht[0])
         _scatter(col, b, np.subtract, mean[c], htn[c], ht[0])
@@ -387,26 +415,27 @@ def _collide(
         _scatter(particles.rot, b, np.subtract, mean[3:], htn[3:], r1)
 
     # Refresh both partners' permutation vectors with one random
-    # transposition each (the Aldous-Diaconis shuffle step), in the
-    # index and permutation-row blocks the mix is done with.
-    transpositions = _resolve_transpositions(
-        blocks, transpositions, m, k, scratch
-    )
-    if isinstance(a, slice):
-        rows = pooled_arange(scratch, 2 * m)
-        a, b = rows[a], rows[b]
-    work = (idx[0], idx[1], perm_rows.reshape(-1)[: 2 * m].reshape(2, m))
-    _transpose_rows(particles.perm, a, transpositions[:m], work)
-    _transpose_rows(particles.perm, b, transpositions[m:], work)
-    return CollisionStats(n_collisions=m)
+    # transposition each (the Aldous-Diaconis shuffle step): the words'
+    # high part is ja * k + jb.  In the index and permutation-row blocks
+    # the mix is done with; a slice's rows are spelled out in the index
+    # block's third row.
+    np.right_shift(words, k, out=ja)
+    np.divmod(ja, k, out=(ja, jb))
+    work = (idx[0], idx[1], perm_rows.reshape(-1)[: 2 * n].reshape(2, n))
+    for rows, js in ((a, ja), (b, jb)):
+        if isinstance(rows, slice):
+            start = rows.start
+            rows = np.multiply(
+                pooled_arange(scratch, n), rows.step, out=idx[2]
+            )
+            rows += start
+        _transpose_rows(particles.perm, rows, js, work)
 
 
 def collide_adjacent_pairs(
     particles: ParticleArrays,
     pair_index: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
-    signs: Optional[np.ndarray] = None,
-    transpositions: Optional[np.ndarray] = None,
     internal_exchange_probability: float = 1.0,
 ) -> CollisionStats:
     """Collide pairs of *adjacent* rows ``(2i, 2i+1)``, in place.
@@ -432,8 +461,8 @@ def collide_adjacent_pairs(
     if pair_index is None and len(rows) == 2:
         a, b = slice(0, 2 * m, 2), slice(1, 2 * m, 2)
     else:
-        a = pooled(scratch, "coll_a", m, dtype=np.intp)
-        b = pooled(scratch, "coll_b", m, dtype=np.intp)
+        a = pooled(scratch, "adj_a", m, dtype=np.intp)
+        b = pooled(scratch, "adj_b", m, dtype=np.intp)
         if pair_index is None:
             pair_index = pooled_arange(scratch, m)
         np.multiply(pair_index, 2, out=a)
@@ -444,8 +473,7 @@ def collide_adjacent_pairs(
                 a[p0:p1] += r0 - 2 * p0
         np.add(a, 1, out=b)
     return _collide(
-        particles, m, a, b, None, rng, edges,
-        signs, transpositions, internal_exchange_probability,
+        particles, m, a, b, None, rng, edges, internal_exchange_probability
     )
 
 
@@ -460,8 +488,6 @@ def collide_rows_with_velocities(
     w0: np.ndarray,
     w1: np.ndarray,
     rng=None,
-    signs: Optional[np.ndarray] = None,
-    transpositions: Optional[np.ndarray] = None,
     internal_exchange_probability: float = 1.0,
     edges=None,
 ) -> CollisionStats:
@@ -482,8 +508,7 @@ def collide_rows_with_velocities(
     m = a.shape[0]
     return _collide(
         particles, m, a, b, (u0, u1, v0, v1, w0, w1), rng,
-        (0, m) if edges is None else edges, signs, transpositions,
-        internal_exchange_probability,
+        (0, m) if edges is None else edges, internal_exchange_probability,
     )
 
 

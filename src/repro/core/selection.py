@@ -207,10 +207,17 @@ def select_collisions(
 
     ``draws`` lets the CM engine supply its own uniform numbers (from
     the quick-and-dirty bit stream); otherwise ``rng`` provides them.
+    At lambda = 0 every candidate collides and nothing is drawn.
     """
     prob, _ = collision_probabilities(
         particles, pairs, freestream, model, cell_counts, volume_fractions
     )
+    accept = pooled(
+        particles.scratch, "sel_accept", pairs.n_pairs, dtype=bool
+    )
+    if freestream.is_near_continuum:
+        np.copyto(accept, pairs.same_cell)
+        return SelectionResult(accept=accept, probability=prob)
     if draws is None:
         if rng is None:
             raise ConfigurationError("need rng or draws")
@@ -219,9 +226,6 @@ def select_collisions(
         draws = np.asarray(draws, dtype=np.float64)
         if draws.shape != (pairs.n_pairs,):
             raise ConfigurationError("draws must have one entry per pair")
-    accept = pooled(
-        particles.scratch, "sel_accept", pairs.n_pairs, dtype=bool
-    )
     np.less(draws, prob, out=accept)
     return SelectionResult(accept=accept, probability=prob)
 
@@ -293,8 +297,8 @@ def fused_select_collide(
       per-cell probability to pair ids, draw, accept, and only then run
       the reflection arithmetic and the two ``order`` gathers, on the
       accepted ids alone (``reflection_pairs(subset=...)``).  When
-      every pair collides the compare/compaction is skipped too (the
-      draw is kept: it is part of the stream).
+      every pair collides (lambda = 0) there is no acceptance draw and
+      no compare/compaction.
     * **Speed-dependent models** (eq. 7) need every pair's relative
       speed, so all pairs are materialised first.
 
@@ -302,8 +306,10 @@ def fused_select_collide(
     ``reflection_pairs`` + ``select_collisions`` + ``collide_pairs``:
     reflection offsets (one per cell; the kernel skips the cells that
     cannot pair, whose draw consumes nothing), acceptance draws (one
-    per formed pair), collision signs, the optional internal-exchange
-    draws, the permutation-refresh transpositions.  A seeded generator
+    per formed pair; none at lambda = 0, where every pair collides),
+    one collision word per accepted pair
+    (:func:`repro.core.collision._collision_words`), the optional
+    internal-exchange draws.  A seeded generator
     therefore leaves bitwise the state of that unfused reference --
     pinned by unit and stage-level tests.
     """
@@ -357,14 +363,14 @@ def fused_select_collide(
             np.minimum(cell_prob, 1.0, out=cell_prob)
             prob = np.repeat(cell_prob, pair_counts)
 
-    draws = pooled(scratch, "fs_draws", n_pairs)
-    for stream, p0, p1 in zip(streams, pair_edges[:-1], pair_edges[1:]):
-        stream.random(out=draws[p0:p1])
     if prob is None:
-        accepted = None  # all of them, in order
+        accepted = None  # all of them, in order, and nothing to draw
         probability_sum = float(n_pairs)
         accepted_edges = pair_edges
     else:
+        draws = pooled(scratch, "fs_draws", n_pairs)
+        for stream, p0, p1 in zip(streams, pair_edges[:-1], pair_edges[1:]):
+            stream.random(out=draws[p0:p1])
         accept = pooled(scratch, "fs_accept", n_pairs, dtype=bool)
         np.less(draws, prob, out=accept)
         probability_sum = float(prob.sum())

@@ -486,7 +486,7 @@ def collision_stage(
         t_sort = time.perf_counter()
         pairs = even_odd_pairs(parts.cell, scratch=parts.scratch)
         draws = None
-        if parts.scratch is not None:
+        if parts.scratch is not None and not config.freestream.is_near_continuum:
             draws = parts.scratch.array("sel_draws", pairs.n_pairs)
             rng.random(out=draws)
         selection = select_collisions(

@@ -23,6 +23,7 @@ from repro.errors import MachineError
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import hard_sphere, maxwell_molecule
 from repro.rng import make_rng
+from tests.collision_words import ScriptedWords
 
 
 N_CELLS = 12
@@ -58,9 +59,10 @@ def reference_step(pop, fs, model, inputs, scale=8):
     b = pairs.second[sel.accept]
     collide_pairs(
         pop, a, b,
-        signs=inputs.signs[sel.accept],
-        transpositions=np.concatenate(
-            (inputs.transpositions[a], inputs.transpositions[b])
+        rng=ScriptedWords(
+            inputs.signs[sel.accept],
+            inputs.transpositions[a],
+            inputs.transpositions[b],
         ),
     )
     return sel.n_collisions

@@ -94,8 +94,6 @@ class TestRelaxationRate:
                 pop,
                 np.array([0]),
                 np.array([1]),
-                signs=np.ones((1, 5), dtype=np.int8),
-                transpositions=np.zeros(2, dtype=np.int64),
                 internal_exchange_probability=0.5,
             )
 

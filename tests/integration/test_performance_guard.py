@@ -29,7 +29,11 @@ import numpy as np
 import pytest
 
 import repro.core.selection as selection_mod
-from repro.core.collision import collide_rows_with_velocities
+from repro.core.collision import (
+    TILE,
+    collide_adjacent_pairs,
+    collide_rows_with_velocities,
+)
 from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.simulation import Simulation, SimulationConfig
@@ -184,11 +188,11 @@ class TestThroughput:
     def test_collision_core_allocates_only_its_rng_draws(self):
         # The pooled collision core: inside one warm call every O(A)
         # temporary comes from the scratch pool, so the tracemalloc
-        # peak is just the RNG draws, which have no out= -- int8 signs
-        # (k bytes per collision, briefly twice) and int64
-        # transpositions (16) -- comfortably under 40 bytes per
-        # collision.  The allocate-per-temporary kernel this replaced
-        # peaked near 300.
+        # peak is just the RNG draw, which has no out= -- one uint16
+        # word per collision (2 bytes) -- under 8 bytes per collision.
+        # The allocate-per-temporary kernel this replaced peaked near
+        # 300, the untiled pooled core with its int8 signs and int64
+        # transpositions near 30.
         m = 50_000
         fs = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=10.0)
         rng = np.random.default_rng(3)
@@ -210,11 +214,43 @@ class TestThroughput:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 40 * m, (
+        assert peak < 8 * m, (
             f"{peak / m:.0f} bytes per collision allocated inside a warm "
             "collide_rows_with_velocities call: a temporary has left "
             "the scratch pool"
         )
+
+    def test_collision_buffers_are_tile_sized(self):
+        # The kernel works one TILE of pairs at a time, so its pooled
+        # working blocks hold a tile, not all m pairs: that is what
+        # keeps a tile's passes in L2, and what peak RSS saves.  A
+        # 50 k-pair call pools exactly what a one-tile call pools.  (The
+        # adjacent entry point's pair rows, adj_a / adj_b, are its
+        # input, m-sized like the fused pass's own pair rows.)
+        def pooled_bytes(m):
+            fs = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=10.0)
+            rng = np.random.default_rng(3)
+            parts = ParticleArrays.from_freestream(
+                rng, 2 * m + 1, fs, (0.0, 98.0), (0.0, 64.0)
+            ).enable_scratch()
+            a, b = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
+            velocities = [
+                col[r] for col in (parts.u, parts.v, parts.w) for r in (a, b)
+            ]
+            collide_rows_with_velocities(parts, a, b, *velocities, rng=rng)
+            collide_adjacent_pairs(parts, np.arange(m), rng=rng)
+            collide_adjacent_pairs(parts, rng=rng)
+            return {
+                name: buf.nbytes
+                for name, buf in parts.scratch._arrays.items()
+                if name.startswith("coll_")
+            }
+
+        assert TILE < 50_000
+        tiled = pooled_bytes(50_000)
+        assert set(tiled) == {"coll_f8", "coll_idx", "coll_rot", "coll_perm",
+                              "coll_bits"}
+        assert tiled == pooled_bytes(TILE)
 
     def test_seeding_is_fast(self):
         # Rejection seeding must not loop per particle either.

@@ -7,6 +7,14 @@ from repro.core.collision import CollisionStats, collide_pairs
 from repro.core.particles import ParticleArrays
 from repro.errors import ConfigurationError
 from repro.physics.freestream import Freestream
+from tests.collision_words import ScriptedWords
+
+
+def _words(sign, m, k=5, ja=0, jb=0):
+    """Every pair of ``m`` gets ``sign`` on every component."""
+    return ScriptedWords(
+        np.full((m, k), sign), np.full(m, ja), np.full(m, jb)
+    )
 
 
 @pytest.fixture
@@ -64,11 +72,9 @@ class TestConservation:
 class TestMechanics:
     def test_deterministic_with_explicit_inputs(self, pop, rng):
         a, b = random_pairs(rng, pop.n, 10)
-        signs = np.ones((10, 5), dtype=np.int8)
-        trans = np.zeros(20, dtype=np.int64)
         pop2 = pop.copy()
-        collide_pairs(pop, a, b, signs=signs, transpositions=trans)
-        collide_pairs(pop2, a, b, signs=signs, transpositions=trans)
+        collide_pairs(pop, a, b, rng=_words(1, 10))
+        collide_pairs(pop2, a, b, rng=_words(1, 10))
         assert np.array_equal(pop.u, pop2.u)
         assert np.array_equal(pop.rot, pop2.rot)
 
@@ -78,11 +84,7 @@ class TestMechanics:
         a, b = random_pairs(rng, pop.n, 30)
         pop.perm[:] = np.arange(5, dtype=np.int8)
         u0, r0 = pop.u.copy(), pop.rot.copy()
-        collide_pairs(
-            pop, a, b,
-            signs=np.ones((30, 5), dtype=np.int8),
-            transpositions=np.zeros(60, dtype=np.int64),
-        )
+        collide_pairs(pop, a, b, rng=_words(1, 30))
         assert np.allclose(pop.u, u0)
         assert np.allclose(pop.rot, r0)
 
@@ -90,11 +92,7 @@ class TestMechanics:
         a = np.array([0]); b = np.array([1])
         pop.perm[0] = np.arange(5, dtype=np.int8)
         u1, u2 = pop.u[0], pop.u[1]
-        collide_pairs(
-            pop, a, b,
-            signs=-np.ones((1, 5), dtype=np.int8),
-            transpositions=np.zeros(2, dtype=np.int64),
-        )
+        collide_pairs(pop, a, b, rng=_words(-1, 1))
         # Swapped: each particle now carries the other's velocity.
         assert pop.u[0] == pytest.approx(u2)
         assert pop.u[1] == pytest.approx(u1)
@@ -111,11 +109,7 @@ class TestMechanics:
         e_rot0 = pop.rotational_energy()
         # Permutation sending index 3 (rot) into the u-slot.
         pop.perm[0] = np.array([3, 1, 2, 0, 4], dtype=np.int8)
-        collide_pairs(
-            pop, np.array([0]), np.array([1]),
-            signs=np.ones((1, 5), dtype=np.int8),
-            transpositions=np.zeros(2, dtype=np.int64),
-        )
+        collide_pairs(pop, np.array([0]), np.array([1]), rng=_words(1, 1))
         assert pop.rotational_energy() > e_rot0
         assert pop.total_energy() == pytest.approx(1.0)
 
@@ -146,12 +140,10 @@ class TestMechanics:
     def test_shape_validation(self, pop, rng):
         with pytest.raises(ConfigurationError):
             collide_pairs(pop, np.array([0, 1]), np.array([2]), rng=rng)
-        with pytest.raises(ConfigurationError):
-            collide_pairs(
-                pop, np.array([0]), np.array([1]),
-                signs=np.ones((2, 5), dtype=np.int8), rng=rng,
-            )
+        with pytest.raises(ConfigurationError, match="2 streams for 1"):
+            collide_pairs(pop, np.array([0]), np.array([1]), rng=[rng, rng])
 
     def test_needs_rng_or_inputs(self, pop):
+        # The words are the only inputs: without a generator, no draw.
         with pytest.raises(ConfigurationError):
             collide_pairs(pop, np.array([0]), np.array([1]))

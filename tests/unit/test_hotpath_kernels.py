@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.core.collision as collision_mod
 import repro.core.simulation as simulation_mod
 from repro.core.cells import assign_cells, cell_populations
 from repro.core.collision import (
@@ -24,15 +25,23 @@ from repro.core.collision import (
     collide_pairs,
     collide_rows_with_velocities,
 )
+from repro.core.pairing import reflection_offsets
 from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
+from repro.core.selection import fused_select_collide
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.core.sortstep import counting_sort_order, sort_by_cell
+from repro.core.sortstep import (
+    IncrementalSorter,
+    counting_sort_order,
+    sort_by_cell,
+)
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
+from repro.physics.molecules import MolecularModel
+from repro.rng import shard_stream
 
 
 @pytest.fixture
@@ -50,20 +59,16 @@ def _clone(parts):
 
 
 class TestAdjacentPairEquivalence:
-    def test_all_pairs_match_generic_kernel(self, pop, rng):
+    def test_all_pairs_match_generic_kernel(self, pop):
         m = pop.n // 2
-        k = 3 + pop.rotational_dof
-        signs = np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
-        trans = rng.integers(0, k, size=2 * m)
         ref = _clone(pop)
         s_ref = collide_pairs(
             ref,
             np.arange(0, pop.n, 2),
             np.arange(1, pop.n, 2),
-            signs=signs,
-            transpositions=trans,
+            rng=np.random.default_rng(21),
         )
-        s_adj = collide_adjacent_pairs(pop, signs=signs, transpositions=trans)
+        s_adj = collide_adjacent_pairs(pop, rng=np.random.default_rng(21))
         for name in ("u", "v", "w", "rot", "perm"):
             assert np.array_equal(getattr(pop, name), getattr(ref, name)), name
         assert s_adj.n_collisions == s_ref.n_collisions == m
@@ -72,36 +77,27 @@ class TestAdjacentPairEquivalence:
 
     def test_subset_matches_generic_kernel(self, pop, rng):
         accepted = np.sort(rng.choice(pop.n // 2, size=60, replace=False))
-        k = 3 + pop.rotational_dof
-        signs = np.where(rng.random((60, k)) < 0.5, -1.0, 1.0)
-        trans = rng.integers(0, k, size=120)
         ref = _clone(pop)
         collide_pairs(
             ref, 2 * accepted, 2 * accepted + 1,
-            signs=signs, transpositions=trans,
+            rng=np.random.default_rng(21),
         )
-        collide_adjacent_pairs(
-            pop, accepted, signs=signs, transpositions=trans
-        )
+        collide_adjacent_pairs(pop, accepted, rng=np.random.default_rng(21))
         for name in ("u", "v", "w", "rot", "perm"):
             assert np.array_equal(getattr(pop, name), getattr(ref, name)), name
 
-    def test_partial_internal_exchange_matches(self, pop, rng):
-        # The frozen-pair branch draws from rng; identical streams must
-        # yield identical outcomes through either kernel.
+    def test_partial_internal_exchange_matches(self, pop):
+        # The frozen-pair branch draws after the words; identical
+        # streams must yield identical outcomes through either kernel.
         accepted = np.arange(pop.n // 2)
-        k = 3 + pop.rotational_dof
-        signs = np.ones((accepted.size, k))
-        trans = np.zeros(2 * accepted.size, dtype=np.int64)
         ref = _clone(pop)
         collide_pairs(
             ref, 2 * accepted, 2 * accepted + 1,
-            rng=np.random.default_rng(5), signs=signs,
-            transpositions=trans, internal_exchange_probability=0.5,
+            rng=np.random.default_rng(5), internal_exchange_probability=0.5,
         )
         collide_adjacent_pairs(
-            pop, accepted, rng=np.random.default_rng(5), signs=signs,
-            transpositions=trans, internal_exchange_probability=0.5,
+            pop, accepted, rng=np.random.default_rng(5),
+            internal_exchange_probability=0.5,
         )
         for name in ("u", "v", "w", "rot", "perm"):
             assert np.array_equal(getattr(pop, name), getattr(ref, name)), name
@@ -111,104 +107,205 @@ class TestAdjacentPairEquivalence:
         assert stats.n_collisions == 0
 
 
+def _population(n, rdof, scratch, seed=8):
+    fs = Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.5, density=8.0)
+    parts = ParticleArrays.from_freestream(
+        np.random.default_rng(seed), n, fs, (0, 10), (0, 10),
+        rotational_dof=rdof,
+    )
+    if scratch:
+        parts.enable_scratch()
+    return parts
+
+
+def _assert_same(pop, ref):
+    for name in ("u", "v", "w", "rot", "perm"):
+        assert getattr(pop, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
 class TestPooledCoreEquivalence:
     """The pooled collision core against the oracle, bitwise.
 
-    One population, one pair list, one rng stream (or one set of
-    caller-supplied signs/transpositions): ``collide_pairs`` and each
-    entry point of the hot core must leave the same bytes behind.
+    One population, one pair list, one seeded generator handed to both
+    -- a PCG64 one, or (``keyed``) the keyed Philox stream a replica or
+    shard draws from: ``collide_pairs`` and each entry point of the hot
+    core must leave the same bytes behind.
     """
 
     @staticmethod
-    def _population(n, rdof, scratch):
-        fs = Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.5, density=8.0)
-        parts = ParticleArrays.from_freestream(
-            np.random.default_rng(8), n, fs, (0, 10), (0, 10),
-            rotational_dof=rdof,
-        )
-        if scratch:
-            parts.enable_scratch()
-        return parts
+    def _stream(keyed):
+        return shard_stream(21, 0, 3) if keyed else np.random.default_rng(5)
 
-    @staticmethod
-    def _draws(m, k, supplied):
-        if not supplied:
-            return {}
-        rng = np.random.default_rng(21)
-        return {
-            "signs": np.where(rng.random((m, k)) < 0.5, -1.0, 1.0),
-            "transpositions": rng.integers(0, k, size=2 * m),
-        }
-
-    @staticmethod
-    def _assert_same(pop, ref):
-        for name in ("u", "v", "w", "rot", "perm"):
-            assert np.array_equal(getattr(pop, name), getattr(ref, name)), name
-
-    @pytest.mark.parametrize("supplied", [False, True])
+    @pytest.mark.parametrize("keyed", [False, True])
     @pytest.mark.parametrize("iep", [1.0, 0.6])
     @pytest.mark.parametrize("rdof", [0, 2, 3])
     @pytest.mark.parametrize("m", [0, 1, 7, 50_000])
-    def test_rows_with_velocities_matches_oracle(self, m, rdof, iep, supplied):
+    def test_rows_with_velocities_matches_oracle(self, m, rdof, iep, keyed):
         n = max(2 * m + 5, 16)
         rows = np.random.default_rng(3).permutation(n)[: 2 * m]
         a, b = rows[:m].astype(np.intp), rows[m:].astype(np.intp)
-        kwargs = self._draws(m, 3 + rdof, supplied)
-        ref = self._population(n, rdof, scratch=False)
+        ref = _population(n, rdof, scratch=False)
         s_ref = collide_pairs(
-            ref, a, b, rng=np.random.default_rng(5),
-            internal_exchange_probability=iep, **kwargs,
+            ref, a, b, rng=self._stream(keyed),
+            internal_exchange_probability=iep,
         )
         # Two calls on one warm pool: the second reuses every buffer.
         for scratch in (False, True, True):
-            pop = self._population(n, rdof, scratch)
+            pop = _population(n, rdof, scratch)
             velocities = [
                 col[r] for col in (pop.u, pop.v, pop.w) for r in (a, b)
             ]
             stats = collide_rows_with_velocities(
-                pop, a, b, *velocities, rng=np.random.default_rng(5),
-                internal_exchange_probability=iep, **kwargs,
+                pop, a, b, *velocities, rng=self._stream(keyed),
+                internal_exchange_probability=iep,
             )
             assert stats.n_collisions == s_ref.n_collisions == m
-            self._assert_same(pop, ref)
+            _assert_same(pop, ref)
 
-    @pytest.mark.parametrize("supplied", [False, True])
+    @pytest.mark.parametrize("keyed", [False, True])
     @pytest.mark.parametrize("rdof", [0, 2, 3])
     @pytest.mark.parametrize("m", [0, 1, 7, 50_000])
-    def test_adjacent_pairs_match_oracle(self, m, rdof, supplied):
+    def test_adjacent_pairs_match_oracle(self, m, rdof, keyed):
         # Accepted subset (index arrays) and all pairs (strided views).
         n = 2 * m + 1  # the odd one out stays unpaired
-        kwargs = self._draws(m, 3 + rdof, supplied)
         subset = np.arange(m, dtype=np.intp)
-        ref = self._population(n, rdof, scratch=False)
+        ref = _population(n, rdof, scratch=False)
         collide_pairs(
-            ref, 2 * subset, 2 * subset + 1,
-            rng=np.random.default_rng(5), **kwargs,
+            ref, 2 * subset, 2 * subset + 1, rng=self._stream(keyed)
         )
         for pair_index in (subset, None):
-            pop = self._population(n, rdof, scratch=True)
+            pop = _population(n, rdof, scratch=True)
             stats = collide_adjacent_pairs(
-                pop, pair_index, rng=np.random.default_rng(5), **kwargs
+                pop, pair_index, rng=self._stream(keyed)
             )
             assert stats.n_collisions == m
-            self._assert_same(pop, ref)
+            _assert_same(pop, ref)
 
     def test_bad_shapes_are_rejected(self):
-        pop = self._population(16, 2, scratch=True)
+        pop = _population(16, 2, scratch=True)
         v = [np.zeros(2)] * 6
         with pytest.raises(ConfigurationError):
             collide_rows_with_velocities(
                 pop, np.array([0, 1]), np.array([2]), *v
             )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="2 streams for 1"):
             collide_rows_with_velocities(
                 pop, np.array([0, 1]), np.array([2, 3]), *v,
-                signs=np.ones((2, 4)), transpositions=np.zeros(4, np.int64),
+                rng=[np.random.default_rng(1)] * 2,
             )
         with pytest.raises(ConfigurationError):
             collide_rows_with_velocities(
                 pop, np.array([0, 1]), np.array([2, 3]), *v
-            )  # neither rng nor explicit draws
+            )  # no rng
+
+
+class TestTilingIsBitwise:
+    """Any tile size leaves the bytes of the untiled call and the oracle.
+
+    The kernel draws every number up front and then works tile by tile;
+    the tiles consume no random numbers and touch disjoint rows.  Tiles
+    of 1, 7 and 64 pairs against ``TILE >= m`` and against
+    ``collide_pairs`` run block by block: one block, and three blocks
+    of 20, 0 and 25 pairs whose edges the tiles straddle, through index
+    rows (``collide_rows_with_velocities``) and through the all-pairs
+    rows (``collide_adjacent_pairs(None)``: strided views for one block,
+    per-block rows after odd-sized blocks for three).
+    """
+
+    #: Rows per block: 41, 0 and 51 leave 20, 0 and 25 pairs, and odd
+    #: blocks shift every later block's pairs off the even rows.
+    BLOCK_ROWS = {"one": (91,), "three": (41, 0, 51)}
+
+    def _call(self, rows, layout, rdof, iep, tile, monkeypatch):
+        sizes = self.BLOCK_ROWS[layout]
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        pop = _population(int(starts[-1]), rdof, scratch=True, seed=6)
+        if layout == "three":
+            pop.starts = starts.copy()
+        streams = [np.random.default_rng(700 + i) for i in range(len(sizes))]
+        pairs = [
+            (np.arange(s0, s0 + n - 1, 2), np.arange(s0 + 1, s0 + n, 2))
+            for s0, n in zip(starts, sizes)
+        ]
+        if rows == "index":
+            # Each block's pairs in a shuffled order: scattered rows.
+            shuffled = []
+            for a, b in pairs:
+                p = np.random.default_rng(5).permutation(a.shape[0])
+                shuffled.append((a[p], b[p]))
+            pairs = shuffled
+        if tile == "oracle":
+            for (a, b), stream in zip(pairs, streams):
+                collide_pairs(
+                    pop, a, b, rng=stream, internal_exchange_probability=iep
+                )
+            return pop, [stream.random() for stream in streams]
+        m = sum(a.shape[0] for a, _ in pairs)
+        monkeypatch.setattr(collision_mod, "TILE", tile or m)
+        if rows == "index":
+            a = np.concatenate([a for a, _ in pairs])
+            b = np.concatenate([b for _, b in pairs])
+            edges = np.cumsum([0] + [a.shape[0] for a, _ in pairs])
+            velocities = [
+                col[r] for col in (pop.u, pop.v, pop.w) for r in (a, b)
+            ]
+            collide_rows_with_velocities(
+                pop, a, b, *velocities, rng=streams, edges=edges,
+                internal_exchange_probability=iep,
+            )
+        else:
+            collide_adjacent_pairs(
+                pop, None, rng=streams, internal_exchange_probability=iep
+            )
+        return pop, [stream.random() for stream in streams]
+
+    @pytest.mark.parametrize("rows", ["index", "all-pairs"])
+    @pytest.mark.parametrize("layout", ["one", "three"])
+    @pytest.mark.parametrize("iep", [1.0, 0.6])
+    @pytest.mark.parametrize("rdof", [0, 2, 3])
+    def test_tiles_match_untiled_and_oracle(
+        self, monkeypatch, rdof, iep, layout, rows
+    ):
+        args = (rows, layout, rdof, iep)
+        want, want_next = self._call(*args, "oracle", monkeypatch)
+        untiled, untiled_next = self._call(*args, None, monkeypatch)
+        _assert_same(untiled, want)
+        assert untiled_next == want_next  # every stream where the oracle left it
+        for tile in (1, 7, 64):
+            tiled, tiled_next = self._call(*args, tile, monkeypatch)
+            _assert_same(tiled, untiled)
+            assert tiled_next == untiled_next
+
+
+class TestDrawCount:
+    """What a collision costs in random numbers: one word, nothing more."""
+
+    @pytest.mark.parametrize("rdof", [0, 2, 3])
+    def test_one_word_per_collision(self, rdof):
+        m, k = 5_000, 3 + rdof
+        pop = _population(2 * m, rdof, scratch=True)
+        a, b = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
+        velocities = [col[r] for col in (pop.u, pop.v, pop.w) for r in (a, b)]
+        rng, twin = np.random.default_rng(42), np.random.default_rng(42)
+        collide_rows_with_velocities(pop, a, b, *velocities, rng=rng)
+        twin.integers(0, k * k << k, m, np.uint16)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_near_continuum_draws_offsets_and_words_only(self):
+        n_cells = 16
+        fs = Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.0, density=8.0)
+        parts = _population(600, 2, scratch=True)
+        parts.cell[:] = np.random.default_rng(2).integers(0, n_cells, 600)
+        res = IncrementalSorter(n_cells).step(parts)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        fused = fused_select_collide(
+            parts, res.order, res.counts, res.offsets, fs, MolecularModel(),
+            rng=rng,
+        )
+        assert fused.n_collisions == fused.n_candidates > 0
+        reflection_offsets(twin, res.counts)
+        twin.integers(0, 25 << 5, fused.n_collisions, np.uint16)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestFusedSort:
