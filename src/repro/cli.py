@@ -6,10 +6,12 @@ Subcommands:
   seed wedge, the free-molecular flat plate, the cylinder blunt body,
   the channel constriction, the unsteady impulsive start, the 3-D
   wedge prism.  ``--validate`` checks the scenario's golden /
-  closed-form acceptance contract instead of running the schedule.
-* ``wedge`` -- back-compat alias for the Mach-4 wedge validation
-  (figures 1-6 metrics); identical behaviour to ``run wedge`` with the
-  same flags, kept so existing scripts and docs never break.
+  closed-form acceptance contract instead of running the schedule;
+  ``--replicas R`` runs R replica blocks of one engine wherever a run
+  goes (plain, supervised, resumed, validated) and reports each
+  observable as mean +/- a t-confidence interval.
+* ``wedge`` -- alias of ``run wedge`` (the Mach-4 wedge validation,
+  figures 1-6 metrics), kept so existing scripts and docs never break.
 * ``heatbath`` -- the collision-scheme comparison (Bird / Nanbu /
   McDonald-Baganoff) on a uniform relaxation workload.
 * ``timing`` -- the figure-7 curve from the calibrated CM-2 timing
@@ -92,6 +94,44 @@ def _add_infra_flags(p: argparse.ArgumentParser, default_dir: str) -> None:
                         ".vtk path (ParaView)")
 
 
+def _add_run_flags(p: argparse.ArgumentParser, default_dir: str) -> None:
+    """The scenario-run flags of ``run`` and its ``wedge`` alias."""
+    p.add_argument("--validate", action="store_true",
+                   help="run the scenario's golden/closed-form validation "
+                        "contract instead of the full schedule; exit 1 on "
+                        "failure")
+    p.add_argument("--steps", type=int, default=None,
+                   help="smoke-run: sample for N steps total instead of "
+                        "the scenario's transient+average schedule")
+    p.add_argument("--nx", type=int, default=None,
+                   help="override the scenario grid width")
+    p.add_argument("--ny", type=int, default=None,
+                   help="override the scenario grid height")
+    p.add_argument("--mach", type=float, default=None)
+    p.add_argument("--angle", type=float, default=None,
+                   help="wedge angle override, deg (wedge scenarios only)")
+    p.add_argument("--density", type=float, default=None,
+                   help="particles per cell override")
+    p.add_argument("--lambda-mfp", type=float, default=None,
+                   dest="lambda_mfp",
+                   help="freestream mean free path override, cells")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--transient", type=int, default=None,
+                   help="override the transient step count")
+    p.add_argument("--average", type=int, default=None,
+                   help="override the averaging step count")
+    p.add_argument("--replicas", type=int, default=None, metavar="R",
+                   help="step R independent replicas as one replica-blocked "
+                        "population (repro.ensemble) and report each "
+                        "observable as mean +/- a t-confidence interval; "
+                        "with --validate, check the replicas' mean against "
+                        "each check's tolerance and report its CI")
+    p.add_argument("--confidence", type=float, default=0.95,
+                   help="confidence level for --replicas intervals "
+                        "(default 0.95)")
+    _add_infra_flags(p, default_dir=default_dir)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -115,57 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="registered scenario name (try --list)")
     r.add_argument("--list", action="store_true", dest="list_scenarios",
                    help="list registered scenarios and exit")
-    r.add_argument("--validate", action="store_true",
-                   help="run the scenario's golden/closed-form validation "
-                        "contract instead of the full schedule; exit 1 on "
-                        "failure")
-    r.add_argument("--steps", type=int, default=None,
-                   help="smoke-run: sample for N steps total instead of "
-                        "the scenario's transient+average schedule")
-    r.add_argument("--nx", type=int, default=None,
-                   help="override the scenario grid width")
-    r.add_argument("--ny", type=int, default=None,
-                   help="override the scenario grid height")
-    r.add_argument("--mach", type=float, default=None)
-    r.add_argument("--angle", type=float, default=None,
-                   help="wedge angle override, deg (wedge scenarios only)")
-    r.add_argument("--density", type=float, default=None,
-                   help="particles per cell override")
-    r.add_argument("--lambda-mfp", type=float, default=None,
-                   dest="lambda_mfp",
-                   help="freestream mean free path override, cells")
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--transient", type=int, default=None,
-                   help="override the transient step count")
-    r.add_argument("--average", type=int, default=None,
-                   help="override the averaging step count")
-    r.add_argument("--replicas", type=int, default=None, metavar="R",
-                   help="step R independent seeds as one replica-batched "
-                        "population (repro.ensemble) and report each "
-                        "observable as mean +/- a t-confidence interval; "
-                        "with --validate, gate each check on the CI "
-                        "containing its reference value")
-    r.add_argument("--confidence", type=float, default=0.95,
-                   help="confidence level for --replicas intervals "
-                        "(default 0.95)")
-    _add_infra_flags(r, default_dir="runs/<scenario>-<seed>")
+    _add_run_flags(r, default_dir="runs/<scenario>-<seed>")
 
     w = sub.add_parser(
         "wedge",
         help="run the Mach-4 wedge validation (alias of 'run wedge')",
     )
-    w.add_argument("--mach", type=float, default=4.0)
-    w.add_argument("--angle", type=float, default=30.0, help="wedge angle, deg")
-    w.add_argument("--nx", type=int, default=98)
-    w.add_argument("--ny", type=int, default=64)
-    w.add_argument("--density", type=float, default=12.0,
-                   help="particles per cell (paper ~80)")
-    w.add_argument("--lambda-mfp", type=float, default=0.0, dest="lambda_mfp",
-                   help="freestream mean free path, cells (0 = continuum)")
-    w.add_argument("--transient", type=int, default=350)
-    w.add_argument("--average", type=int, default=350)
-    w.add_argument("--seed", type=int, default=1989)
-    _add_infra_flags(w, default_dir="runs/wedge-<seed>")
+    w.set_defaults(scenario="wedge", list_scenarios=False)
+    _add_run_flags(w, default_dir="runs/wedge-<seed>")
 
     h = sub.add_parser("heatbath", help="compare collision schemes")
     h.add_argument("--particles", type=int, default=20000)
@@ -314,14 +311,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_report(sim, args: argparse.Namespace) -> int:
-    """Print the validation metrics of a finished run.
+def _block_mean(arrays: list) -> np.ndarray:
+    """One block's array as is, the mean over R blocks'."""
+    return arrays[0] if len(arrays) == 1 else np.mean(arrays, axis=0)
 
-    Everything is derived from ``sim.config`` (not the CLI flags) so
-    the same report serves fresh runs and ``--resume``-d ones, whose
-    geometry lives in the checkpoint rather than the command line.
-    Wedge bodies get the shock metrology; other bodies get field
-    statistics (their quantitative contract lives in ``--validate``).
+
+def _run_report(runs, args: argparse.Namespace) -> int:
+    """Print the validation metrics of a finished run's blocks.
+
+    Everything is derived from the harvest (:class:`ScenarioRun`, not
+    the CLI flags) so the same report serves fresh runs and
+    ``--resume``-d ones, whose geometry lives in the checkpoint rather
+    than the command line.  One block reports point values, R blocks
+    mean +/- a t-confidence interval; the exported fields are the
+    block mean.  Wedge bodies get the shock metrology; other bodies
+    get field statistics (their quantitative contract lives in
+    ``--validate``).
     """
     from repro.analysis.contour import render_ascii, save_field_npz
     from repro.analysis.shock import (
@@ -330,46 +335,68 @@ def _run_report(sim, args: argparse.Namespace) -> int:
         shock_thickness,
         wake_floor_ridge,
     )
+    from repro.core.sampling import ensemble_statistic
     from repro.errors import ReproError
     from repro.geometry.wedge import Wedge
     from repro.physics import theory
 
-    config = sim.config
+    def show(values) -> str:
+        if len(values) == 1:
+            return f"{values[0]:7.2f}"
+        return str(ensemble_statistic(values, confidence=args.confidence))
+
+    config = runs[0].config
     wedge = config.wedge
     mach = config.freestream.mach
-    rho = sim.density_ratio_field()
+    fields = [run.fields[-1] for run in runs]
     if isinstance(wedge, Wedge):
         beta = theory.shock_angle_deg(mach, wedge.angle_deg)
         ratio = theory.oblique_shock_density_ratio(
             mach, math.radians(wedge.angle_deg)
         )
         try:
-            fit = fit_shock_angle(rho, wedge)
-            plateau = post_shock_plateau(rho, wedge, fit)
-            thick = shock_thickness(rho, wedge, fit, plateau=plateau)
+            fits = [fit_shock_angle(rho, wedge) for rho in fields]
+            plateaus = [
+                post_shock_plateau(rho, wedge, fit)
+                for rho, fit in zip(fields, fits)
+            ]
+            thick = [
+                shock_thickness(rho, wedge, fit, plateau=plateau)
+                for rho, fit, plateau in zip(fields, fits, plateaus)
+            ]
             print(
-                f"shock angle     : {fit.angle_deg:7.2f} deg "
-                f"(theory {beta:.2f})"
+                f"shock angle     : {show([f.angle_deg for f in fits])} "
+                f"deg (theory {beta:.2f})"
             )
-            print(f"density ratio   : {plateau:7.2f}     (theory {ratio:.2f})")
-            print(f"shock thickness : {thick:7.2f} cells")
+            print(f"density ratio   : {show(plateaus)}     "
+                  f"(theory {ratio:.2f})")
+            print(f"shock thickness : {show(thick)} cells")
         except ReproError as exc:
             print(
                 f"shock metrology unavailable ({exc}); increase --density, "
                 "--transient or --average"
             )
         try:
-            ridge = wake_floor_ridge(rho, wedge, config.domain)
-            print(f"wake floor ridge: {ridge:7.2f}     (> 1: wake shock present)")
+            ridges = [
+                wake_floor_ridge(rho, wedge, config.domain) for rho in fields
+            ]
+            print(f"wake floor ridge: {show(ridges)}     "
+                  "(> 1: wake shock present)")
         except ReproError:
             pass
     elif wedge is not None:
-        open_rho = rho[rho > 0]
-        print(f"peak compression: {float(rho.max()):7.2f} (freestream = 1)")
-        if open_rho.size:
-            print(f"open-cell floor : {float(open_rho.min()):7.2f}")
-        print(f"inlet band mean : {float(rho[2:8, :].mean()):7.2f} "
+        print(f"peak compression: "
+              f"{show([float(rho.max()) for rho in fields])} "
+              "(freestream = 1)")
+        floors = [
+            float(rho[rho > 0].min()) for rho in fields if (rho > 0).any()
+        ]
+        if floors:
+            print(f"open-cell floor : {show(floors)}")
+        print(f"inlet band mean : "
+              f"{show([float(rho[2:8, :].mean()) for rho in fields])} "
               "(expected ~1)")
+    rho = _block_mean(fields)
     if args.contours:
         print(render_ascii(rho))
     if args.save:
@@ -379,13 +406,17 @@ def _run_report(sim, args: argparse.Namespace) -> int:
         from repro.analysis import thermo
         from repro.io.vtk import write_vtk_fields
 
+        fs = config.freestream
         write_vtk_fields(
             args.vtk,
             density_ratio=rho,
-            temperature_ratio=thermo.temperature_ratio_field(
-                sim.sampler, config.freestream
+            temperature_ratio=_block_mean([
+                thermo.temperature_ratio_field(run.sampler, fs)
+                for run in runs
+            ]),
+            mach=_block_mean(
+                [thermo.mach_field(run.sampler, fs) for run in runs]
             ),
-            mach=thermo.mach_field(sim.sampler, config.freestream),
         )
         print(f"VTK fields written to {args.vtk}")
     return 0
@@ -422,8 +453,9 @@ def _telemetry_outro(tel) -> None:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    """Resume a supervised run from its directory (shared by run/wedge)."""
+    """Resume a supervised run from its directory (one block or R)."""
     from repro.resilience import SupervisedRun
+    from repro.scenarios.golden import harvest
 
     run = SupervisedRun.resume(args.resume)
     tel = _make_telemetry(args, default_dir=args.resume)
@@ -437,27 +469,26 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     with run:
         run.run_schedule()
         run.sim.gather()
+        runs = harvest(run.sim)
     _telemetry_outro(tel)
     print(f"finished at step {run.sim.step_count} in {time.time()-t0:.0f} s")
-    return _run_report(run.sim, args)
+    return _run_report(runs, args)
 
 
-def _execute_schedule(
-    args: argparse.Namespace,
-    config,
-    transient: int,
-    average: int,
-    run_tag: str,
-) -> int:
-    """Build the engine from ``config`` and run the two-phase schedule.
+def _execute_schedule(args: argparse.Namespace, spec, overrides) -> int:
+    """Run ``spec``'s transient + average schedule and report it.
 
-    The shared execution path of ``run`` and the ``wedge`` alias:
-    sharding, supervision, telemetry and the final report all hang off
-    the same flags.  ``run_tag`` names the default run directories
-    (``runs/<tag>`` / ``runs/<tag>-telemetry``).
+    One path for one block or R (``--replicas``): sharding, supervision,
+    telemetry and the final report all hang off the same flags, and the
+    run itself is :func:`repro.scenarios.golden.execute`.  The default
+    run directories are ``runs/<scenario>-<seed>`` (and
+    ``...-telemetry``).
     """
-    from repro.core.simulation import Simulation
+    from repro.resilience.supervisor import RunJournal
+    from repro.scenarios.golden import execute
 
+    transient, average = spec.resolve_schedule(overrides)
+    run_tag = f"{spec.name}-{overrides.get('seed', spec.seed)}"
     backend = None
     if args.workers > 1:
         from repro.parallel.backend import ShardedBackend
@@ -475,152 +506,38 @@ def _execute_schedule(
         if args.supervised
         else f"runs/{run_tag}-telemetry",
     )
-    sim = Simulation(config, backend=backend, telemetry=tel)
-    print(
-        f"{sim.particles.n} particles, grid "
-        f"{'x'.join(map(str, config.domain.shape))}, "
-        f"{args.workers} worker(s)"
-    )
-    t0 = time.time()
+    supervise = None
     if args.supervised:
-        from repro.resilience import SupervisedRun
-
-        run = SupervisedRun(
-            sim,
-            run_dir,
-            checkpoint_every=args.checkpoint_every,
-            audit_every=args.audit_every,
-            max_retries=args.max_retries,
-        )
-        schedule = [
-            (n, s) for n, s in ((transient, False), (average, True)) if n
-        ]
-        with run:
-            run.run_schedule(schedule)
-            sim = run.sim  # recovery may have replaced the simulation
-            sim.gather()
+        supervise = {
+            "run_dir": run_dir,
+            "checkpoint_every": args.checkpoint_every,
+            "audit_every": args.audit_every,
+            "max_retries": args.max_retries,
+        }
+    t0 = time.time()
+    runs = execute(
+        spec,
+        dict(overrides, transient=transient, average=average),
+        replicas=args.replicas,
+        backend=backend,
+        telemetry=tel,
+        supervise=supervise,
+    )
+    replicas = "" if args.replicas is None else f", {len(runs)} replicas"
+    print(
+        f"{sum(run.n_seeded for run in runs)} particles, grid "
+        f"{'x'.join(map(str, runs[0].config.domain.shape))}, "
+        f"{args.workers} worker(s){replicas}"
+    )
+    if supervise is not None:
         n_rec = sum(
-            1 for e in run.journal.events if e.get("kind") == "recovery"
+            1 for e in RunJournal.load(run_dir) if e.get("kind") == "recovery"
         )
         extra = f", {n_rec} recoveries" if n_rec else ""
         print(f"supervised run dir: {run_dir}{extra}")
-    else:
-        if transient:
-            sim.run(transient)
-        if average:
-            sim.run(average, sample=True)
-        sim.gather()
-        sim.close()
     _telemetry_outro(tel)
     print(f"ran {transient}+{average} steps in {time.time()-t0:.0f} s")
-    return _run_report(sim, args)
-
-
-def _run_ensemble(spec, overrides, args: argparse.Namespace) -> int:
-    """Run a scenario as a replica-batched ensemble and report CIs."""
-    from repro.analysis.shock import fit_shock_angle, post_shock_plateau
-    from repro.ensemble import EnsembleEngine, ensemble_statistic
-    from repro.errors import ConfigurationError, ReproError
-    from repro.geometry.wedge import Wedge
-    from repro.physics import theory
-
-    unsupported = [
-        flag
-        for flag, on in (
-            ("--workers", args.workers > 1),
-            ("--supervised", args.supervised),
-            ("--resume", args.resume is not None),
-            ("--vtk", args.vtk is not None),
-        )
-        if on
-    ]
-    if unsupported:
-        raise ConfigurationError(
-            f"--replicas does not support {unsupported} yet"
-        )
-    config = spec.build_config(**overrides)
-    transient, average = spec.resolve_schedule(overrides)
-    tel = _make_telemetry(
-        args,
-        default_dir=f"runs/{spec.name}-{config.seed}-ensemble-telemetry",
-    )
-    engine = EnsembleEngine(
-        config,
-        n_replicas=args.replicas,
-        metrics=None if tel is None else tel.registry,
-    )
-    print(
-        f"{engine.particles.n} particles "
-        f"({args.replicas} replicas), grid "
-        f"{config.domain.nx}x{config.domain.ny}"
-    )
-    t0 = time.time()
-    if transient:
-        engine.run(transient)
-    if average:
-        engine.run(average, sample=True)
-    _telemetry_outro(tel)
-    print(
-        f"ran {transient}+{average} steps x {args.replicas} replicas "
-        f"in {time.time()-t0:.0f} s"
-    )
-
-    def _report(name, values, expected):
-        stat = ensemble_statistic(values, confidence=args.confidence)
-        ref = f"  (theory {expected:.2f})" if expected is not None else ""
-        print(f"{name:<16s}: {stat}{ref}")
-
-    wedge = config.wedge
-    fields = engine.density_ratio_fields()
-    if isinstance(wedge, Wedge):
-        try:
-            angles, plateaus = [], []
-            for rho in fields:
-                fit = fit_shock_angle(rho, wedge)
-                angles.append(float(fit.angle_deg))
-                plateaus.append(float(post_shock_plateau(rho, wedge, fit)))
-            mach = config.freestream.mach
-            _report(
-                "shock angle", angles,
-                theory.shock_angle_deg(mach, wedge.angle_deg),
-            )
-            _report(
-                "density ratio", plateaus,
-                theory.oblique_shock_density_ratio(
-                    mach, math.radians(wedge.angle_deg)
-                ),
-            )
-        except ReproError as exc:
-            print(
-                f"shock metrology unavailable ({exc}); increase "
-                "--density, --transient or --average"
-            )
-        ramps = engine.ramp_pressure_ratios()
-        if ramps is not None:
-            from repro.core.surface import (
-                oblique_shock_surface_pressure_ratio,
-            )
-
-            _report(
-                "ramp pressure", ramps,
-                oblique_shock_surface_pressure_ratio(
-                    config.freestream.mach, wedge.angle_deg,
-                    config.freestream.gamma,
-                ),
-            )
-    else:
-        _report("peak compression",
-                [float(rho.max()) for rho in fields], None)
-    if args.contours:
-        from repro.analysis.contour import render_ascii
-
-        print(render_ascii(np.mean(fields, axis=0)))
-    if args.save:
-        from repro.analysis.contour import save_field_npz
-
-        save_field_npz(args.save, density_ratio=np.mean(fields, axis=0))
-        print(f"ensemble-mean field written to {args.save}")
-    return 0
+    return _run_report(runs, args)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -643,10 +560,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if args.validate:
         report = validate_scenario(
-            spec, ensemble=args.replicas, confidence=args.confidence
+            spec, replicas=args.replicas, confidence=args.confidence
         )
         print(report.to_text())
         return 0 if report.ok else 1
+    if args.resume:
+        return _cmd_resume(args)
 
     overrides = {
         k: v
@@ -668,49 +587,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # even for very short runs.
         overrides["transient"] = 0
         overrides["average"] = args.steps
-    if args.replicas is not None:
-        return _run_ensemble(spec, overrides, args)
-    if args.resume:
-        return _cmd_resume(args)
-    config = spec.build_config(**overrides)
-    transient, average = spec.resolve_schedule(overrides)
-    return _execute_schedule(
-        args, config, transient, average,
-        run_tag=f"{spec.name}-{config.seed}",
-    )
-
-
-def _cmd_wedge(args: argparse.Namespace) -> int:
-    """The legacy wedge entry point, kept bitwise identical.
-
-    Constructs the exact pre-registry configuration (no scenario tag,
-    so snapshots and telemetry stay byte-for-byte what they always
-    were) and hands it to the same executor as ``run``.
-    """
-    from repro.core.simulation import SimulationConfig
-    from repro.geometry.domain import Domain
-    from repro.geometry.wedge import Wedge
-    from repro.physics.freestream import Freestream
-
-    if args.resume:
-        return _cmd_resume(args)
-    config = SimulationConfig(
-        domain=Domain(args.nx, args.ny),
-        freestream=Freestream(
-            mach=args.mach, c_mp=0.14, lambda_mfp=args.lambda_mfp,
-            density=args.density,
-        ),
-        wedge=Wedge(
-            x_leading=args.nx / 4.9,
-            base=args.nx / 3.92,
-            angle_deg=args.angle,
-        ),
-        seed=args.seed,
-    )
-    return _execute_schedule(
-        args, config, args.transient, args.average,
-        run_tag=f"wedge-{args.seed}",
-    )
+    return _execute_schedule(args, spec, overrides)
 
 
 def _cmd_heatbath(args: argparse.Namespace) -> int:
@@ -996,7 +873,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
-        "wedge": _cmd_wedge,
+        "wedge": _cmd_run,
         "heatbath": _cmd_heatbath,
         "timing": _cmd_timing,
         "info": _cmd_info,

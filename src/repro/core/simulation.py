@@ -259,12 +259,22 @@ class StepDiagnostics:
     @property
     def n_flow_total(self) -> int:
         """Flow particles over all blocks."""
-        return int(np.sum(self.n_flow))
+        return _total(self.n_flow)
+
+    @property
+    def n_reservoir_total(self) -> int:
+        """Reservoir particles over all blocks."""
+        return _total(self.n_reservoir)
 
     @property
     def n_collisions_total(self) -> int:
         """Collisions over all blocks."""
-        return int(np.sum(self.n_collisions))
+        return _total(self.n_collisions)
+
+
+def _total(count: Union[int, Tuple[int, ...]]) -> int:
+    """One block's count as is, R blocks' summed."""
+    return int(sum(count)) if isinstance(count, tuple) else count
 
 
 #: The phases of a shard's diagnostics row, in the order the sharded

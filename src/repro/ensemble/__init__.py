@@ -11,7 +11,6 @@ choice and the determinism contract.
 from repro.core.sampling import EnsembleStatistic, ensemble_statistic
 from repro.ensemble.engine import (
     EnsembleEngine,
-    replica_scenario_runs,
     replica_state,
     verify_replica_equality,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "EnsembleEngine",
     "EnsembleStatistic",
     "ensemble_statistic",
-    "replica_scenario_runs",
     "replica_state",
     "verify_replica_equality",
 ]

@@ -46,29 +46,34 @@ batched run is **bitwise identical** to a solo engine run (``R = 1``)
 keyed for ``r`` -- asserted by :func:`verify_replica_equality` and
 pinned in CI.
 
-Engine restrictions (enforced at construction): no span domain (no
-replica == solo test pins a slab yet), specular walls only (the other
-wall models draw per-crossing RNG inside full-population kernels, which
-would entangle replicas), ``internal_exchange_probability == 1.0`` (the
-shared kernel makes the relaxation knob's draws per block as well, but
-no replica == solo test pins that combination at engine level yet) and
-the ``"incremental"`` sort kernel (the counting kernel's shuffle draws
-from one stream over the whole population).
+Engine restrictions (enforced at construction): the serial backend
+only (replica blocks and shards do not compose yet), specular walls
+only (the other wall models draw per-crossing RNG inside
+full-population kernels, which would entangle replicas),
+``internal_exchange_probability == 1.0`` (the shared kernel makes the
+relaxation knob's draws per block as well, but no replica == solo test
+pins that combination at engine level yet) and the ``"incremental"``
+sort kernel (the counting kernel's shuffle draws from one stream over
+the whole population).  A span domain is a domain like any other: the
+replicas of the ``wedge3d`` slab are each bitwise their solo run.
+
+Results are read like any run's, block by block: a scenario run's
+harvest (:func:`repro.scenarios.golden.execute`) yields one
+:class:`~repro.scenarios.golden.ScenarioRun` per replica from
+``sampler.blocks()`` and ``surfaces``, and the telemetry hub publishes
+the per-replica ``ensemble_*`` gauges of any run that has
+``replica_ids``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.particles import COLUMN_NAMES
-from repro.core.sampling import (
-    SAMPLER_FIELDS,
-    EnsembleStatistic,
-    ensemble_statistic,
-)
-from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.sampling import SAMPLER_FIELDS
+from repro.core.simulation import SerialBackend, Simulation, SimulationConfig
 from repro.core.surface import SURFACE_FIELDS
 from repro.errors import ConfigurationError, ValidationError
 from repro.rng import shard_stream
@@ -94,10 +99,10 @@ class EnsembleEngine(Simulation):
     replica_ids:
         Explicit replica ids instead of ``range(R)`` -- the equality
         checker builds solo engines as ``replica_ids=[r]``.
-    metrics:
-        Optional :class:`repro.telemetry.metrics.MetricsRegistry`;
-        each step publishes per-replica and aggregate gauges
-        (:class:`ReplicaGauges`).
+    backend, telemetry:
+        As for :class:`~repro.core.simulation.Simulation`; the backend
+        must be serial (``None`` or a
+        :class:`~repro.core.simulation.SerialBackend`).
     """
 
     def __init__(
@@ -105,7 +110,8 @@ class EnsembleEngine(Simulation):
         config: SimulationConfig,
         n_replicas: Optional[int] = None,
         replica_ids: Optional[Sequence[int]] = None,
-        metrics=None,
+        backend=None,
+        telemetry=None,
     ) -> None:
         if replica_ids is None:
             if n_replicas is None:
@@ -119,12 +125,10 @@ class EnsembleEngine(Simulation):
                 raise ConfigurationError(
                     "n_replicas disagrees with len(replica_ids)"
                 )
-        _check(config, replica_ids)
+        _check(config, replica_ids, backend)
         self.replica_ids = replica_ids
         self.n_replicas = len(replica_ids)
-        super().__init__(config)
-        if metrics is not None:
-            self.telemetry = ReplicaGauges(metrics)
+        super().__init__(config, backend=backend, telemetry=telemetry)
 
     def streams(self, step: int) -> list:
         """One keyed Philox stream per replica for step ``step``."""
@@ -133,44 +137,8 @@ class EnsembleEngine(Simulation):
             for rid in self.replica_ids
         ]
 
-    # -- results ----------------------------------------------------------
 
-    def density_ratio_fields(
-        self, correct_volumes: bool = True
-    ) -> List[np.ndarray]:
-        """Per-replica time-averaged density-ratio fields."""
-        return [
-            cs.density_ratio(
-                self.config.freestream.density,
-                correct_volumes=correct_volumes,
-            )
-            for cs in self.sampler.blocks()
-        ]
-
-    def ramp_pressure_ratios(self) -> Optional[List[float]]:
-        """Per-replica mean ramp pressure / freestream static pressure."""
-        if not self.surfaces or self.surfaces[0].steps == 0:
-            return None
-        fs = self.config.freestream
-        p_inf = fs.density * fs.rt
-        return [
-            float(surf.ramp_pressure()[2:-2].mean() / p_inf)
-            for surf in self.surfaces
-        ]
-
-    def statistic(
-        self, values: Sequence[float], confidence: float = 0.95
-    ) -> EnsembleStatistic:
-        """Mean / stderr / t-CI of one scalar measure across replicas."""
-        if len(values) != self.n_replicas:
-            raise ConfigurationError(
-                "one value per replica expected "
-                f"({len(values)} != {self.n_replicas})"
-            )
-        return ensemble_statistic(values, confidence=confidence)
-
-
-def _check(config: SimulationConfig, replica_ids: tuple) -> None:
+def _check(config: SimulationConfig, replica_ids: tuple, backend) -> None:
     """The ensemble's typed refusals (see the module docstring)."""
     if not replica_ids:
         raise ConfigurationError("ensemble needs at least one replica")
@@ -183,11 +151,11 @@ def _check(config: SimulationConfig, replica_ids: tuple) -> None:
             "ensemble runs need a stateless seed (int or SeedSequence); "
             "a live Generator cannot key per-replica streams"
         )
-    if config.domain.has_span:
+    if backend is not None and not isinstance(backend, SerialBackend):
         raise ConfigurationError(
-            "the ensemble engine steps 2-D tunnels only: replica "
-            "blocks and a span domain "
-            f"({type(config.domain).__name__}) do not compose yet"
+            "the ensemble engine steps its replica blocks on the serial "
+            "backend: replicas and shards (--workers "
+            f"{getattr(backend, 'n_workers', '?')}) do not compose yet"
         )
     if config.wall_model != "specular":
         raise ConfigurationError(
@@ -207,66 +175,6 @@ def _check(config: SimulationConfig, replica_ids: tuple) -> None:
             f"only (got {config.sort_kernel!r}): the counting "
             "kernel's shuffle has no per-replica stream"
         )
-
-
-class ReplicaGauges:
-    """Publishes each ensemble step's per-replica counts as gauges.
-
-    Sits in the ``telemetry`` slot :meth:`Simulation.step` feeds after
-    every step: ``ensemble_replicas``, ``ensemble_flow_total``,
-    ``ensemble_collisions_total``, ``ensemble_energy_total`` and, per
-    replica id, ``ensemble_flow`` / ``ensemble_collisions`` /
-    ``ensemble_reservoir`` labeled ``replica``.
-    """
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
-
-    def on_step(self, sim: EnsembleEngine, diag) -> None:
-        """Set every gauge from one step's diagnostics."""
-        m = self.registry
-        m.gauge("ensemble_replicas").set(sim.n_replicas)
-        m.gauge("ensemble_flow_total").set(diag.n_flow_total)
-        m.gauge("ensemble_collisions_total").set(diag.n_collisions_total)
-        m.gauge("ensemble_energy_total").set(diag.total_energy)
-        per_replica = {
-            name: np.atleast_1d(getattr(diag, f"n_{name}")).tolist()
-            for name in ("flow", "collisions", "reservoir")
-        }
-        for r, rid in enumerate(sim.replica_ids):
-            labels = {"replica": str(rid)}
-            for name, values in per_replica.items():
-                m.gauge(f"ensemble_{name}", labels).set(values[r])
-
-
-# -- scenario metrology over replicas ---------------------------------------
-
-
-def replica_scenario_runs(engine: EnsembleEngine, spec=None) -> list:
-    """Wrap each replica's averages as a golden-harness ScenarioRun.
-
-    Lets the existing check metrology
-    (:func:`repro.scenarios.golden.measure_check`) evaluate shock
-    angle / plateau density / ramp pressure per replica; feed the
-    resulting values to :func:`repro.core.sampling.ensemble_statistic`
-    for the confidence interval.
-    """
-    from repro.scenarios.golden import ScenarioRun
-
-    fields = engine.density_ratio_fields()
-    ramps = engine.ramp_pressure_ratios()
-    fs = engine.config.freestream
-    return [
-        ScenarioRun(
-            spec=spec,
-            fields=[fields[r]],
-            body=engine.config.wedge,
-            mach=fs.mach,
-            gamma=fs.gamma,
-            ramp_pressure_ratio=None if ramps is None else ramps[r],
-        )
-        for r in range(engine.n_replicas)
-    ]
 
 
 # -- the bitwise replica-equality checker -----------------------------------

@@ -26,7 +26,9 @@ or validity property of the paper's algorithm:
   within ``[0, capacity]``.
 * **cached order** (incremental sort kernel) -- the order the last
   step paired and collided through is a true permutation of the live
-  population, cell-contiguous against the current cell column, and the
+  population, cell-contiguous against the current cell column (keyed
+  ``(block, cell, row)`` when the flow declares blocks, the sorter's
+  own composite key), and the
   sorter's cell cache matches the committed cells; a violation means
   the index (or the population under it) was corrupted after the sort.
 * **energy drift** -- total (kinetic + rotational) energy moves less
@@ -47,6 +49,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
+from repro.core.sortstep import blocked_cell_key
 from repro.errors import InvariantViolationError
 
 #: Columns whose values must be finite after every step.
@@ -221,7 +224,9 @@ class InvariantAuditor:
                 and shard < len(sorters)
                 and sorters[shard] is not None
             ):
-                self._check_order(sorters[shard], v, ctx)
+                self._check_order(
+                    sorters[shard], v, ctx, sim.particles.starts
+                )
             if cfg.check_slabs and slabs is not None and v["x"].size:
                 lo, hi = slabs[shard]
                 tol = cfg.position_tolerance
@@ -314,8 +319,16 @@ class InvariantAuditor:
                     )
 
     @staticmethod
-    def _check_order(sorter, v: Dict[str, np.ndarray], ctx) -> None:
-        """Validate an incremental sorter's cached canonical order."""
+    def _check_order(
+        sorter, v: Dict[str, np.ndarray], ctx, starts=None
+    ) -> None:
+        """Validate an incremental sorter's cached canonical order.
+
+        ``starts`` are the blocks the flow declares (an ensemble's
+        replicas): the order is then sorted by the composite
+        :func:`~repro.core.sortstep.blocked_cell_key`, as the sorter
+        built it.
+        """
         if sorter.rebuilds == 0:
             return  # nothing committed yet (first step not taken)
         n = int(v["x"].shape[0])
@@ -331,6 +344,9 @@ class InvariantAuditor:
         if n == 0:
             return
         cell = v["cell"]
+        key = cell if starts is None else blocked_cell_key(
+            cell, starts, sorter.n_cells
+        )
         order = sorter._order[:n]
         hits = np.bincount(order, minlength=n)
         if hits.shape[0] != n or not (hits == 1).all():
@@ -342,11 +358,11 @@ class InvariantAuditor:
                 n_missing=int(np.count_nonzero(hits[:n] == 0)),
                 **ctx,
             )
-        keys = cell[order].astype(np.int64) * n + order
+        keys = key[order].astype(np.int64) * n + order
         if n > 1 and not (np.diff(keys) > 0).all():
             raise InvariantViolationError(
                 "cached sort order is not cell-contiguous canonical "
-                "(cell, row) order",
+                "(block, cell, row) order",
                 check="order",
                 n_particles=n,
                 **ctx,

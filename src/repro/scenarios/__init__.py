@@ -4,7 +4,8 @@ Public surface::
 
     from repro.scenarios import get, names, ScenarioSpec
     spec = get("cylinder")
-    sim = spec.build_simulation()
+    sim = spec.build_simulation()      # replicas=R: R replica blocks
+    runs = execute(spec, replicas=4)   # one ScenarioRun per block
     report = validate_scenario(spec)   # golden / closed-form checks
 
 Importing this package registers the built-in library
@@ -17,6 +18,7 @@ from repro.scenarios.registry import all_specs, get, names, register
 from repro.scenarios.golden import (
     ScenarioRun,
     ValidationReport,
+    execute,
     regenerate_golden,
     require_valid,
     run_scenario,
@@ -34,6 +36,7 @@ __all__ = [
     "get",
     "names",
     "all_specs",
+    "execute",
     "run_scenario",
     "validate_scenario",
     "validate_contract",

@@ -1,8 +1,9 @@
 """Golden-file maintenance CLI: ``python -m repro.scenarios``.
 
 Regenerates the committed golden observables of the named scenarios
-(or, with no names, every scenario that declares a golden file) from a
-cross-seed sweep, then re-validates against the fresh file.  Run this
+(or, with no names, every scenario that declares a golden file) from
+one engine of replica blocks, then re-validates against the fresh
+file.  Run this
 after an *intentional* physics change and commit the updated JSON; see
 ``docs/scenarios.md`` for the tolerance methodology.
 """
@@ -34,7 +35,7 @@ def main(argv=None) -> int:
         "--seeds",
         type=int,
         default=3,
-        help="seeds in the spread sweep (default 3)",
+        help="replica blocks (keys 0..N-1) in the spread run (default 3)",
     )
     parser.add_argument(
         "--dry-run",

@@ -38,15 +38,22 @@ Every registered scenario carries an acceptance contract in
 ``golden``
     File name under ``repro/scenarios/golden/`` holding the golden
     observables for the ``expect = "golden"`` checks.  Golden values
-    are the cross-seed mean at the scenario's validation scale and the
-    tolerance is floored at 3x the worst cross-seed deviation, so a
-    correct run at the pinned seed passes with margin while a physics
-    regression beyond run-to-run noise fails (see
+    are the cross-replica mean at the scenario's validation scale and
+    the tolerance is floored at 3x the worst cross-replica deviation,
+    so a correct run at the pinned seed passes with margin while a
+    physics regression beyond run-to-run noise fails (see
     :func:`regenerate_golden` and ``docs/scenarios.md``).
 
 ``overrides``
     Optional reduced-scale overrides (grid, density, schedule) applied
     for validation runs, keeping the CI matrix seconds-per-scenario.
+
+One run path serves every caller: :func:`execute` builds the run
+(:meth:`ScenarioSpec.build_simulation`, one block or R replica blocks),
+runs its schedule and harvests one :class:`ScenarioRun` per block; and
+one check rule judges them -- the mean of the blocks' measurements
+against the check's own tolerance, with the t-interval half-width
+reported alongside for R >= 2 (:func:`validate_scenario`).
 
 Regenerate golden files after an intentional physics change with::
 
@@ -63,6 +70,8 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.core.sampling import CellSampler, ensemble_statistic
+from repro.core.simulation import SimulationConfig
 from repro.errors import ConfigurationError, ValidationError
 from repro.geometry.wedge import Wedge
 from repro.physics import theory
@@ -73,7 +82,7 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 #: Tolerance floors for regenerated golden observables: never tighter
 #: than 3% of the value (absolute floor 0.03), never tighter than 3x
-#: the worst cross-seed deviation actually measured.
+#: the worst cross-replica deviation actually measured.
 GOLDEN_REL_FLOOR = 0.03
 GOLDEN_ABS_FLOOR = 0.03
 GOLDEN_SPREAD_FACTOR = 3.0
@@ -96,23 +105,47 @@ THEORY_EXPECTS = (
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """Raw harvest of one scenario run: fields + surface integral."""
+    """One block's harvest of a finished scenario run."""
 
-    spec: ScenarioSpec
+    #: The scenario (``None`` for a run resumed from its checkpoint).
+    spec: Optional[ScenarioSpec]
+    #: The configuration actually run (post-overrides).
+    config: SimulationConfig
     #: Time-averaged density-ratio fields, one per sampling window
     #: (steady scenarios have exactly one).
     fields: List[np.ndarray]
-    #: Body object actually simulated (post-overrides).
-    body: Any
-    mach: float
-    gamma: float
+    #: This block's accumulators (of the last window).
+    sampler: CellSampler
     #: Mean ramp pressure / freestream static pressure (wedge runs).
     ramp_pressure_ratio: Optional[float]
+    #: Flow particles the block was seeded with (``None`` when the
+    #: harvest did not see the run start).
+    n_seeded: Optional[int] = None
+
+    @property
+    def body(self) -> Any:
+        """Body object actually simulated."""
+        return self.config.wedge
+
+    @property
+    def mach(self) -> float:
+        """Freestream Mach number of the run."""
+        return self.config.freestream.mach
+
+    @property
+    def gamma(self) -> float:
+        """Freestream ratio of specific heats of the run."""
+        return self.config.freestream.gamma
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One observable check's outcome."""
+    """One observable check's outcome.
+
+    ``value`` is the mean of the blocks' measurements; ``ci`` is the
+    t-interval half-width of that mean over R >= 2 blocks (``None`` for
+    one block).  Either way ``ok`` is ``|value - expected| <= tol``.
+    """
 
     name: str
     kind: str
@@ -120,8 +153,9 @@ class CheckResult:
     value: float
     expected: float
     tol: float
-    tol_kind: str  # "rel" | "abs" | "ci"
+    tol_kind: str  # "rel" | "abs"
     ok: bool
+    ci: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -130,6 +164,9 @@ class ValidationReport:
 
     scenario: str
     results: List[CheckResult] = field(default_factory=list)
+    #: Blocks the values average over, and the level of their CIs.
+    replicas: int = 1
+    confidence: float = 0.95
 
     @property
     def ok(self) -> bool:
@@ -137,24 +174,151 @@ class ValidationReport:
 
     def to_text(self) -> str:
         """Human-readable per-check report (printed by ``--validate``)."""
-        lines = [f"scenario {self.scenario}: "
-                 f"{'PASS' if self.ok else 'FAIL'}"]
+        head = f"scenario {self.scenario}: {'PASS' if self.ok else 'FAIL'}"
+        if self.replicas > 1:
+            head += (
+                f" (mean of {self.replicas} replicas, "
+                f"{100 * self.confidence:g}% CI)"
+            )
+        lines = [head]
         for r in self.results:
             mark = "ok " if r.ok else "FAIL"
-            if r.tol_kind == "rel":
-                tol = f"rel {r.tol:.3g}"
-            elif r.tol_kind == "ci":
-                tol = f"ci +/-{r.tol:.3g}"
-            else:
-                tol = f"abs {r.tol:.3g}"
+            tol = f"{r.tol_kind} {r.tol:.3g}"
+            ci = "" if r.ci is None else f"  ci +/-{r.ci:.3g}"
             lines.append(
                 f"  [{mark}] {r.name:<28s} {r.value:10.4f}  "
-                f"expected {r.expected:10.4f}  ({r.expect}, {tol})"
+                f"expected {r.expected:10.4f}  ({r.expect}, {tol}){ci}"
             )
         return "\n".join(lines)
 
 
 # -- running ------------------------------------------------------------
+
+
+def execute(
+    spec: ScenarioSpec,
+    overrides: Optional[Mapping] = None,
+    *,
+    replicas: Optional[int] = None,
+    backend=None,
+    telemetry=None,
+    supervise: Optional[Mapping] = None,
+) -> List[ScenarioRun]:
+    """Build a scenario's run, run its schedule, harvest every block.
+
+    The one path from a scenario to an answer: the run is
+    :meth:`ScenarioSpec.build_simulation` (``replicas=R`` makes R
+    replica blocks; ``backend``/``telemetry`` pass through), and the
+    result is one :class:`ScenarioRun` per block (:func:`harvest`).
+
+    The schedule is the spec's ``unsteady`` windows -- each a fresh
+    time average after ``sampler.reset()`` -- when ``overrides`` set no
+    ``transient``/``average``; otherwise ``transient`` unsampled then
+    ``average`` sampled steps (after overrides).  ``supervise`` runs
+    that schedule under :class:`repro.resilience.SupervisedRun`, with
+    its keyword arguments (``run_dir``, ``checkpoint_every``,
+    ``audit_every``, ``max_retries``, ...).
+    """
+    ov = dict(overrides or {})
+    windowed = spec.unsteady is not None and not (
+        {"transient", "average"} & set(ov)
+    )
+    if windowed and supervise is not None:
+        raise ConfigurationError(
+            f"scenario {spec.name!r}: a supervised run takes a transient "
+            "+ average schedule; pass transient/average overrides"
+        )
+    sim = spec.build_simulation(
+        ov, replicas=replicas, backend=backend, telemetry=telemetry
+    )
+    seeded = [block.n for block in sim.particles.blocks()]
+    if supervise is not None:
+        from repro.resilience import SupervisedRun
+
+        with SupervisedRun(sim, **supervise) as run:
+            run.run_schedule(_phases(spec, ov))
+            run.sim.gather()  # recovery may have replaced the simulation
+            return harvest(run.sim, spec, n_seeded=seeded)
+    with sim:
+        if not windowed:
+            for n_steps, sample in _phases(spec, ov):
+                sim.run(n_steps, sample=sample)
+            sim.gather()
+            return harvest(sim, spec, n_seeded=seeded)
+        fields: List[List[np.ndarray]] = [[] for _ in seeded]
+        for _ in range(int(spec.unsteady["windows"])):
+            sim.sampler.reset()
+            sim.run(int(spec.unsteady["window_steps"]), sample=True)
+            for per_block, rho in zip(fields, _block_fields(sim)):
+                per_block.append(rho)
+        return harvest(sim, spec, fields=fields, n_seeded=seeded)
+
+
+def _phases(spec: ScenarioSpec, overrides: Mapping) -> list:
+    """``(steps, sample)`` phases of the transient + average schedule."""
+    transient, average = spec.resolve_schedule(overrides)
+    return [(n, s) for n, s in ((transient, False), (average, True)) if n]
+
+
+def _block_fields(sim, samplers=None) -> List[np.ndarray]:
+    """Each block's time-averaged density-ratio field."""
+    density = sim.config.freestream.density
+    return [
+        s.density_ratio(density)
+        for s in (samplers or sim.sampler.blocks())
+    ]
+
+
+def harvest(
+    sim,
+    spec: Optional[ScenarioSpec] = None,
+    fields: Optional[List[List[np.ndarray]]] = None,
+    n_seeded: Optional[List[int]] = None,
+) -> List[ScenarioRun]:
+    """One :class:`ScenarioRun` per block of a finished run.
+
+    Reads ``sim.sampler.blocks()`` and ``sim.surfaces`` -- the same for
+    one block or R, fresh or resumed.  ``fields`` (per block, per
+    window) replaces the one end-of-run field of each block when the
+    caller sampled in windows.
+    """
+    samplers = sim.sampler.blocks()
+    if fields is None:
+        fields = [[rho] for rho in _block_fields(sim, samplers)]
+    fs = sim.config.freestream
+    p_inf = fs.density * fs.rt
+    ramps = [
+        float(surf.ramp_pressure()[2:-2].mean() / p_inf)
+        if surf.steps > 0
+        else None
+        for surf in sim.surfaces
+    ] or [None] * len(samplers)
+    return [
+        ScenarioRun(
+            spec=spec,
+            config=sim.config,
+            fields=fields[b],
+            sampler=samplers[b],
+            ramp_pressure_ratio=ramps[b],
+            n_seeded=None if n_seeded is None else n_seeded[b],
+        )
+        for b in range(len(samplers))
+    ]
+
+
+def validation_overrides(
+    spec: ScenarioSpec,
+    overrides: Optional[Mapping] = None,
+    seed: Optional[int] = None,
+) -> Dict[str, Any]:
+    """The validation-scale overrides: ``spec.validation["overrides"]``,
+    then caller ``overrides``, then ``seed``."""
+    ov: Dict[str, Any] = dict(spec.validation.get("overrides", {}))
+    if overrides:
+        ov.update(overrides)
+    if seed is not None:
+        ov["seed"] = int(seed)
+    return ov
 
 
 def run_scenario(
@@ -164,48 +328,9 @@ def run_scenario(
 ) -> ScenarioRun:
     """Run a scenario at validation scale and harvest its observables.
 
-    ``spec.validation["overrides"]`` applies first (the reduced-scale
-    validation configuration), then caller ``overrides``, then the
-    ``seed`` override (used by the golden regenerator's seed sweep).
+    :func:`execute` of one block under :func:`validation_overrides`.
     """
-    ov: Dict[str, Any] = dict(spec.validation.get("overrides", {}))
-    if overrides:
-        ov.update(overrides)
-    if seed is not None:
-        ov["seed"] = int(seed)
-    sim = spec.build_simulation(overrides=ov)
-    transient, average = spec.resolve_schedule(ov)
-    fields: List[np.ndarray] = []
-    if spec.unsteady is None:
-        if transient > 0:
-            sim.run(transient)
-        sim.run(average, sample=True)
-        fields.append(sim.density_ratio_field())
-    else:
-        # Impulsive start: no transient -- the windows *are* the
-        # transient, each a fresh time average so the sequence shows
-        # the flow establishing itself.
-        for _ in range(int(spec.unsteady["windows"])):
-            sim.sampler.reset()
-            sim.run(int(spec.unsteady["window_steps"]), sample=True)
-            fields.append(sim.density_ratio_field())
-    ramp_ratio = None
-    surface = sim.surface
-    if surface is not None and surface._steps > 0:
-        fs = sim.config.freestream
-        p_inf = fs.density * fs.rt
-        ramp_ratio = float(surface.ramp_pressure()[2:-2].mean() / p_inf)
-    body = sim.config.wedge
-    fs = sim.config.freestream
-    sim.close()
-    return ScenarioRun(
-        spec=spec,
-        fields=fields,
-        body=body,
-        mach=fs.mach,
-        gamma=fs.gamma,
-        ramp_pressure_ratio=ramp_ratio,
-    )
+    return execute(spec, validation_overrides(spec, overrides, seed))[0]
 
 
 # -- measuring ----------------------------------------------------------
@@ -262,29 +387,6 @@ def measure_check(run: ScenarioRun, check: Mapping[str, Any]) -> float:
     if kind == "shock_angle":
         return float(fit.angle_deg)
     return float(post_shock_plateau(rho, run.body, fit))
-
-
-def measure_check_ensemble(
-    runs: List[ScenarioRun],
-    check: Mapping[str, Any],
-    confidence: float = 0.95,
-):
-    """One check's observable over an ensemble of runs, as a t-CI.
-
-    Applies :func:`measure_check` to each member and returns the
-    :class:`repro.core.sampling.EnsembleStatistic` (mean, standard
-    error, confidence interval) of the per-member values.  The members
-    can be independent seed sweeps (:func:`validate_scenario` with
-    ``ensemble=``) or the replicas of one batched
-    :class:`repro.ensemble.EnsembleEngine` run via
-    :func:`repro.ensemble.replica_scenario_runs`.
-    """
-    from repro.core.sampling import ensemble_statistic
-
-    if not runs:
-        raise ConfigurationError("measure_check_ensemble needs >= 1 run")
-    values = [measure_check(run, check) for run in runs]
-    return ensemble_statistic(values, confidence=confidence)
 
 
 def expected_value(run: ScenarioRun, check: Mapping[str, Any]) -> float:
@@ -397,7 +499,7 @@ def validate_scenario(
     spec: ScenarioSpec,
     overrides: Optional[Mapping] = None,
     run: Optional[ScenarioRun] = None,
-    ensemble: Optional[int] = None,
+    replicas: Optional[int] = None,
     confidence: float = 0.95,
 ) -> ValidationReport:
     """Run the scenario and check every observable against its reference.
@@ -406,65 +508,36 @@ def validate_scenario(
     caller's choice via :meth:`ValidationReport.ok` or
     :func:`require_valid`.
 
-    ``ensemble=R`` switches every check from a point estimate to an
-    ensemble aggregation: the scenario runs R times at seeds
-    ``spec.seed + 101 * k`` (the golden regenerator's seed scheme), each
-    check's value becomes the cross-seed mean, and the check passes when
-    the ``confidence`` t-interval *contains* the reference value
-    (``tol_kind = "ci"``; the reported tolerance is the CI half-width).
-    This gates on statistical consistency with the theory value rather
-    than a fixed tolerance around one noisy realization.
+    One rule for one block or R: the run is ``run`` when given, else
+    :func:`execute` at validation scale -- one block, or R replica
+    blocks of one engine with ``replicas=R``.  Each check's value is the
+    mean of the blocks' measurements and passes when it lies within the
+    check's own tolerance of the reference (``rel_tol``, ``abs_tol`` or
+    the golden file's ``tol``).  For R >= 2 the report adds the
+    ``confidence`` t-interval half-width of that mean; it informs, it
+    does not gate (validation scale carries known biases that a
+    shrinking interval would exclude).  ``replicas=1`` is the point
+    check on replica 0's realization.
     """
     validate_contract(spec)
-    if ensemble is not None:
-        if run is not None:
-            raise ConfigurationError(
-                "pass either run= or ensemble=, not both"
-            )
-        if ensemble < 2:
-            raise ConfigurationError(
-                "ensemble validation needs >= 2 members (a single run "
-                "has no interval); use the point-estimate path instead"
-            )
-        runs = [
-            run_scenario(
-                spec, overrides=overrides, seed=spec.seed + 101 * k
-            )
-            for k in range(ensemble)
-        ]
-        golden = None
-        results = []
-        for check in spec.validation["checks"]:
-            stat = measure_check_ensemble(
-                runs, check, confidence=confidence
-            )
-            if check["expect"] == "golden":
-                if golden is None:
-                    golden = load_golden(spec)
-                expected = float(
-                    golden["observables"][check["name"]]["value"]
-                )
-            else:
-                expected = expected_value(runs[0], check)
-            results.append(
-                CheckResult(
-                    name=check["name"],
-                    kind=check["kind"],
-                    expect=check["expect"],
-                    value=stat.mean,
-                    expected=expected,
-                    tol=(stat.hi - stat.lo) / 2.0,
-                    tol_kind="ci",
-                    ok=stat.contains(expected),
-                )
-            )
-        return ValidationReport(scenario=spec.name, results=results)
-    if run is None:
-        run = run_scenario(spec, overrides=overrides)
+    if run is not None and replicas is not None:
+        raise ConfigurationError("pass either run= or replicas=, not both")
+    if replicas is not None and replicas < 1:
+        raise ConfigurationError("replicas must be >= 1")
+    runs = (
+        [run]
+        if run is not None
+        else execute(
+            spec, validation_overrides(spec, overrides), replicas=replicas
+        )
+    )
     golden = None
     results = []
     for check in spec.validation["checks"]:
-        value = measure_check(run, check)
+        stat = ensemble_statistic(
+            [measure_check(r, check) for r in runs], confidence=confidence
+        )
+        value = stat.mean
         if check["expect"] == "golden":
             if golden is None:
                 golden = load_golden(spec)
@@ -474,12 +547,12 @@ def validate_scenario(
             ok = abs(value - expected) <= tol
             tol_kind = "abs"
         elif "abs_tol" in check:
-            expected = expected_value(run, check)
+            expected = expected_value(runs[0], check)
             tol = float(check["abs_tol"])
             ok = abs(value - expected) <= tol
             tol_kind = "abs"
         else:
-            expected = expected_value(run, check)
+            expected = expected_value(runs[0], check)
             tol = float(check["rel_tol"])
             ok = abs(value - expected) <= tol * abs(expected)
             tol_kind = "rel"
@@ -493,9 +566,15 @@ def validate_scenario(
                 tol=tol,
                 tol_kind=tol_kind,
                 ok=ok,
+                ci=None if stat.n == 1 else (stat.hi - stat.lo) / 2.0,
             )
         )
-    return ValidationReport(scenario=spec.name, results=results)
+    return ValidationReport(
+        scenario=spec.name,
+        results=results,
+        replicas=len(runs),
+        confidence=confidence,
+    )
 
 
 def require_valid(
@@ -516,14 +595,15 @@ def regenerate_golden(
     n_seeds: int = 3,
     write: bool = True,
 ) -> Dict[str, Any]:
-    """Recompute a scenario's golden file from a cross-seed sweep.
+    """Recompute a scenario's golden file from ``n_seeds`` replicas.
 
-    Runs the scenario at ``n_seeds`` seeds (the pinned seed plus
-    deterministic alternates), records the cross-seed mean of every
-    golden-expecting observable, and sets each tolerance to
-    ``max(floors, 3x worst cross-seed deviation)`` -- wide enough that
-    any correct seed passes with margin, tight enough that a physics
-    change outside run-to-run noise fails.
+    Runs the scenario at validation scale as one engine of ``n_seeds``
+    replica blocks (replica keys ``0..n_seeds-1`` of the pinned seed),
+    records the cross-replica mean of every golden-expecting
+    observable, and sets each tolerance to ``max(floors, 3x worst
+    cross-replica deviation)`` -- wide enough that any correct
+    realization passes with margin, tight enough that a physics change
+    outside run-to-run noise fails.
     """
     golden_checks = [
         c for c in spec.validation["checks"] if c["expect"] == "golden"
@@ -534,15 +614,10 @@ def regenerate_golden(
         )
     if n_seeds < 2:
         raise ConfigurationError("n_seeds must be >= 2 to measure spread")
-    seeds = [spec.seed + 101 * k for k in range(n_seeds)]
-    samples: Dict[str, List[float]] = {c["name"]: [] for c in golden_checks}
-    for seed in seeds:
-        run = run_scenario(spec, seed=seed)
-        for check in golden_checks:
-            samples[check["name"]].append(measure_check(run, check))
+    runs = execute(spec, validation_overrides(spec), replicas=n_seeds)
     observables = {}
-    for name, values in samples.items():
-        arr = np.asarray(values)
+    for check in golden_checks:
+        arr = np.asarray([measure_check(run, check) for run in runs])
         mean = float(arr.mean())
         spread = float(np.abs(arr - mean).max())
         tol = max(
@@ -550,7 +625,7 @@ def regenerate_golden(
             GOLDEN_REL_FLOOR * abs(mean),
             GOLDEN_SPREAD_FACTOR * spread,
         )
-        observables[name] = {
+        observables[check["name"]] = {
             "value": round(mean, 6),
             "tol": round(tol, 6),
             "spread": round(spread, 6),
@@ -558,7 +633,8 @@ def regenerate_golden(
     blob = {
         "scenario": spec.name,
         "generator": f"python -m repro.scenarios {spec.name}",
-        "seeds": seeds,
+        "seed": spec.seed,
+        "replica_ids": list(range(n_seeds)),
         "observables": observables,
     }
     if write:

@@ -444,11 +444,27 @@ class ScenarioSpec:
             **kwargs,
         )
 
-    def build_simulation(self, overrides: Optional[Mapping] = None, **kwargs):
-        """Construct the ready-to-run
-        :class:`~repro.core.simulation.Simulation`; ``kwargs``
-        (``backend=``, ``telemetry=``) pass through to it."""
-        return Simulation(self.build_config(**(overrides or {})), **kwargs)
+    def build_simulation(
+        self,
+        overrides: Optional[Mapping] = None,
+        replicas: Optional[int] = None,
+        **kwargs,
+    ):
+        """Construct the ready-to-run run: the one place a spec becomes
+        one.
+
+        One block by default (:class:`~repro.core.simulation.Simulation`);
+        ``replicas=R`` builds R replica blocks
+        (:class:`~repro.ensemble.EnsembleEngine`, replica ids
+        ``0..R-1``).  ``kwargs`` (``backend=``, ``telemetry=``) pass
+        through to either.
+        """
+        config = self.build_config(**(overrides or {}))
+        if replicas is None:
+            return Simulation(config, **kwargs)
+        from repro.ensemble.engine import EnsembleEngine
+
+        return EnsembleEngine(config, n_replicas=replicas, **kwargs)
 
     def resolve_schedule(self, overrides: Optional[Mapping] = None):
         """``(transient, average)`` step counts after overrides."""

@@ -16,8 +16,11 @@ backend and the supervisor all emit into.  It owns
   (``events.jsonl``) plus a Prometheus snapshot file
   (``metrics.prom``) and an optional live HTTP endpoint.
 
-Wiring: pass a hub to ``Simulation(config, telemetry=...)``; the
-engine calls :meth:`on_step` once per completed step, the supervisor
+Wiring: pass a hub to ``Simulation(config, telemetry=...)`` (or to an
+:class:`~repro.ensemble.EnsembleEngine`: the hub counts the block
+totals, and a run with ``replica_ids`` also gets per-replica
+``ensemble_*`` gauges); the engine calls :meth:`on_step` once per
+completed step, the supervisor
 calls :meth:`record_audit`/:meth:`record_event`, and :meth:`close`
 writes the final artifacts (``trace.json``, ``metrics.prom``).
 
@@ -151,6 +154,8 @@ class Telemetry:
         self.run_dir = pathlib.Path(run_dir) if run_dir is not None else None
         self.server = ensure_server(self.registry, port)
         self._sim = None
+        #: The run's ``replica_ids`` (``None`` for a run without).
+        self._replica_ids = None
         self._last_channel_counts = None
         self._energy0: Optional[float] = None
         self._flushed_spans = 0
@@ -162,6 +167,7 @@ class Telemetry:
     def attach(self, sim) -> "Telemetry":
         """Bind to a simulation: baseline energy, perf tracer hook."""
         self._sim = sim
+        self._replica_ids = getattr(sim, "replica_ids", None)
         sim.perf.tracer = self.tracer
         if self._energy0 is None:
             self._energy0 = float(sim.particles.total_energy())
@@ -199,6 +205,7 @@ class Telemetry:
         the drift series is exactly what we want.
         """
         self._sim = sim
+        self._replica_ids = getattr(sim, "replica_ids", None)
         sim.telemetry = self
         sim.perf.tracer = self.tracer
 
@@ -237,14 +244,17 @@ class Telemetry:
         step = diag.step
         self.tracer.stamp_pending(step)
 
+        n_flow = diag.n_flow_total
         self._m_steps.inc()
-        self._m_collisions.inc(diag.n_collisions)
+        self._m_collisions.inc(diag.n_collisions_total)
         self._m_candidates.inc(diag.n_candidates)
         b = diag.boundary
         self._m_injected.inc(b.n_injected_upstream)
         self._m_removed.inc(b.n_removed_downstream)
-        self._m_flow.set(diag.n_flow)
-        self._m_reservoir.set(diag.n_reservoir)
+        self._m_flow.set(n_flow)
+        self._m_reservoir.set(diag.n_reservoir_total)
+        if self._replica_ids is not None:
+            self._publish_replicas(diag)
 
         if diag.sort_moved_fraction is not None:
             self._m_moved.set(diag.sort_moved_fraction)
@@ -257,11 +267,11 @@ class Telemetry:
             self._m_drift.set(drift)
 
         us_pp = None
-        if diag.phase_seconds and diag.n_flow > 0:
+        if diag.phase_seconds and n_flow > 0:
             step_s = sum(
                 diag.phase_seconds.get(p, 0.0) for p in PAPER_PHASES
             )
-            us_pp = step_s / diag.n_flow * 1e6
+            us_pp = step_s / n_flow * 1e6
             self._m_uspp.observe(us_pp)
 
         self._count_migrations(sim)
@@ -279,6 +289,24 @@ class Telemetry:
             self._emit_sample(sim, diag, step, us_pp, drift, imbalance)
         if do_live:
             self._print_live(sim, diag, step, us_pp, imbalance)
+
+    def _publish_replicas(self, diag) -> None:
+        """The ensemble gauges: totals, and one series per replica id.
+
+        ``ensemble_replicas``, ``ensemble_flow_total``,
+        ``ensemble_collisions_total``, ``ensemble_energy_total`` and,
+        labeled ``replica``, ``ensemble_flow`` / ``ensemble_collisions``
+        / ``ensemble_reservoir``.
+        """
+        m = self.registry
+        m.gauge("ensemble_replicas").set(len(self._replica_ids))
+        m.gauge("ensemble_flow_total").set(diag.n_flow_total)
+        m.gauge("ensemble_collisions_total").set(diag.n_collisions_total)
+        m.gauge("ensemble_energy_total").set(diag.total_energy)
+        for name in ("flow", "collisions", "reservoir"):
+            values = np.atleast_1d(getattr(diag, f"n_{name}")).tolist()
+            for rid, value in zip(self._replica_ids, values):
+                m.gauge(f"ensemble_{name}", {"replica": str(rid)}).set(value)
 
     def _count_migrations(self, sim) -> None:
         """Every-step migration total (the counts reset each step)."""
@@ -402,11 +430,13 @@ class Telemetry:
         xs = (
             [v["x"] for v in views] if views is not None else [sim.particles.x]
         )
+        # R replica blocks fill the tunnel R times over.
+        n_blocks = 1 if self._replica_ids is None else len(self._replica_ids)
         bands = observables.mean_free_path_bands(
             xs,
             cfg.domain.width,
             cfg.domain.height * cfg.domain.depth,
-            cfg.freestream.density,
+            cfg.freestream.density * n_blocks,
             cfg.freestream.lambda_mfp,
             n_bands=self.mfp_bands,
         )
@@ -468,7 +498,7 @@ class Telemetry:
         rec = self.registry.counter("repro_recoveries_total").value
         parts = [
             f"step {step:6d}",
-            f"n={diag.n_flow}",
+            f"n={diag.n_flow_total}",
             f"{us_pp:.2f} us/p" if us_pp is not None else "us/p n/a",
             f"phases {split} (paper {_PAPER_SPLIT})",
         ]

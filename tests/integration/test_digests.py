@@ -25,6 +25,7 @@ from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.parallel.backend import ShardedBackend
 from repro.physics.freestream import Freestream
+from repro.resilience import SupervisedRun
 from repro.rng import shard_stream
 from repro.scenarios.library import WEDGE3D
 from repro.verify import state_digest
@@ -57,26 +58,54 @@ CASES = {
 }
 
 
+#: Every case's schedule: 30 transient, then 30 sampled steps.
+SCHEDULE = [(30, False), (30, True)]
+
+
 def run_case(name: str) -> str:
     engine = CASES[name]()
     try:
-        engine.run(30)
-        engine.run(30, sample=True)
+        for n_steps, sample in SCHEDULE:
+            engine.run(n_steps, sample=sample)
         return state_digest(engine)
     finally:
         if hasattr(engine, "close"):
             engine.close()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_state_digest_matches_golden(name):
+def run_supervised_resumed(name: str, run_dir) -> str:
+    """The case under the supervisor -- an audit every step, a
+    checkpoint every 7 -- stopped at step 24 and resumed from its run
+    directory to the end of the schedule."""
+    with SupervisedRun(
+        CASES[name](), run_dir, checkpoint_every=7, audit_every=1
+    ) as run:
+        run.run_schedule(SCHEDULE, max_steps=24)
+    with SupervisedRun.resume(run_dir) as run:
+        assert run.sim.step_count == 24
+        run.run_schedule()
+        return state_digest(run.sim)
+
+
+def _golden() -> dict:
     golden = json.loads(GOLDEN.read_text())
     if golden["numpy"] != NUMPY:
         pytest.skip(
             f"golden digests were written under NumPy {golden['numpy']}, "
             f"this is {NUMPY}"
         )
-    assert run_case(name) == golden["digests"][name]
+    return golden["digests"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_state_digest_matches_golden(name):
+    assert run_case(name) == _golden()[name]
+
+
+@pytest.mark.parametrize("name", ["serial_incremental", "ensemble_r3"])
+def test_supervised_resume_matches_golden(name, tmp_path):
+    # The same row, reached through audits, checkpoints and a restart.
+    assert run_supervised_resumed(name, tmp_path) == _golden()[name]
 
 
 def test_digest_sees_every_piece_of_state():

@@ -28,13 +28,14 @@ from repro.ensemble import (
 )
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.geometry.domain import Domain
-from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import hard_sphere
+from repro.parallel.backend import ShardedBackend
 from repro.rng import random_permutation_table, shard_stream
-from repro.telemetry.metrics import MetricsRegistry
+from repro.scenarios.library import WEDGE3D
+from repro.telemetry import Telemetry
 from repro.verify import state_digest
 
 pytestmark = pytest.mark.ensemble
@@ -57,6 +58,14 @@ class TestBitwiseReplicaEquality:
         """R=3, a few steps, sampled tail: the core contract."""
         verify_replica_equality(
             _small_config(), n_replicas=3, transient=4, average=3
+        )
+
+    def test_batched_matches_solo_on_the_slab(self):
+        """The span domain is a domain like any other: the replicas of the
+        ``wedge3d`` slab are each their solo run, across the re-sorts at
+        steps 32 and 64."""
+        verify_replica_equality(
+            WEDGE3D.build_config(), n_replicas=3, transient=40, average=30
         )
 
     def test_equality_across_refills_and_removals(self):
@@ -242,12 +251,13 @@ class TestEngineRestrictions:
                 _small_config(wall_model="diffuse"), n_replicas=2
             )
 
-    def test_span_domain_rejected(self):
-        import dataclasses
-
-        cfg = dataclasses.replace(_small_config(), domain=Domain3D(32, 24, 2))
-        with pytest.raises(ConfigurationError, match="2-D tunnels only"):
-            EnsembleEngine(cfg, n_replicas=2)
+    def test_sharded_backend_rejected(self):
+        # Replicas x shards do not compose yet: a typed refusal before
+        # any worker is spawned.
+        with pytest.raises(ConfigurationError, match="serial backend"):
+            EnsembleEngine(
+                _small_config(), n_replicas=2, backend=ShardedBackend(2)
+            )
 
     def test_live_generator_seed_rejected(self):
         import dataclasses
@@ -552,17 +562,19 @@ class TestEnsembleSnapshot:
 
 
 class TestReplicaGauges:
-    """``metrics=``: the gauges ``repro run --replicas R --telemetry``
-    writes to ``metrics.prom``, one series per replica id, published
-    from the telemetry slot of the one step."""
+    """The gauges ``repro run --replicas R --telemetry`` writes to
+    ``metrics.prom``, one series per replica id: the telemetry hub
+    publishes them for any run with ``replica_ids``, next to its block
+    totals."""
 
     @pytest.mark.parametrize("replica_ids", [[0, 1, 2], [2]])
     def test_per_replica_gauges(self, replica_ids):
-        registry = MetricsRegistry()
+        hub = Telemetry()
         eng = EnsembleEngine(
-            _small_config(), replica_ids=replica_ids, metrics=registry
+            _small_config(), replica_ids=replica_ids, telemetry=hub
         )
         diag = eng.run(3)
+        registry = hub.registry
         gauges = dict(
             line.rsplit(" ", 1)
             for line in registry.to_prometheus().splitlines()
@@ -589,6 +601,12 @@ class TestReplicaGauges:
             for name, values in per_replica.items()
             for r, rid in enumerate(replica_ids)
         }
+        # The hub's own series count the block totals.
+        assert registry.gauge("repro_flow_particles").value == eng.particles.n
+        assert registry.gauge("repro_reservoir_particles").value == (
+            diag.n_reservoir_total
+        )
+        assert registry.counter("repro_steps_total").value == 3
 
 
 class TestEnsembleSamplerUnits:
@@ -670,38 +688,60 @@ class TestEnsembleStatistic:
 
 
 class TestGoldenEnsembleHook:
-    """validate_scenario(ensemble=R): CI containment instead of point tol."""
+    """validate_scenario(replicas=R): one engine of R replica blocks, the
+    mean of their measurements checked against each check's own
+    tolerance, the t-interval half-width reported alongside."""
 
     OVERRIDES = {
         "nx": 32, "ny": 20, "density": 6.0, "transient": 10, "average": 10,
     }
 
-    def test_measure_check_ensemble_returns_statistic(self):
-        from repro.scenarios import get
+    @staticmethod
+    def _inlet_spec():
+        """The wedge with only its inlet band check (no shock to fit at
+        the small scale of ``OVERRIDES``)."""
+        from repro.scenarios import ScenarioSpec, get
+
+        data = get("wedge").to_dict()
+        data["validation"]["checks"] = [
+            c for c in data["validation"]["checks"]
+            if c["name"] == "upstream_unity"
+        ]
+        return ScenarioSpec.from_dict(data)
+
+    def test_replicas_validate_by_mean_with_ci(self):
         from repro.scenarios.golden import (
-            measure_check_ensemble,
-            run_scenario,
+            execute,
+            measure_check,
+            validate_scenario,
+            validation_overrides,
         )
 
-        spec = get("wedge")
-        runs = [
-            run_scenario(spec, overrides=self.OVERRIDES, seed=spec.seed + k)
-            for k in range(2)
-        ]
-        check = {
-            "name": "upstream_unity", "kind": "band_mean",
-            "x": [2, 8], "y": [2, 18], "expect": "const", "value": 1.0,
-        }
-        stat = measure_check_ensemble(runs, check)
-        assert stat.n == 2
-        assert np.isfinite(stat.mean)
-        assert stat.lo <= stat.mean <= stat.hi
+        spec = self._inlet_spec()
+        report = validate_scenario(spec, self.OVERRIDES, replicas=3)
+        runs = execute(
+            spec, validation_overrides(spec, self.OVERRIDES), replicas=3
+        )
+        assert report.replicas == len(runs) == 3
+        (check,) = spec.validation["checks"]
+        (result,) = report.results
+        values = [measure_check(run, check) for run in runs]
+        want = ensemble_statistic(values)
+        assert len(set(values)) == 3  # three realizations
+        assert result.value == want.mean
+        assert result.ci == pytest.approx((want.hi - want.lo) / 2)
+        assert result.ok == (abs(want.mean - 1.0) <= check["abs_tol"])
+        assert "mean of 3 replicas" in report.to_text()
 
-    def test_measure_check_ensemble_rejects_empty(self):
-        from repro.scenarios.golden import measure_check_ensemble
+    def test_replicas_one_is_the_point_check(self):
+        from repro.scenarios.golden import validate_scenario
 
-        with pytest.raises(ConfigurationError):
-            measure_check_ensemble([], {"kind": "band_mean"})
+        report = validate_scenario(
+            self._inlet_spec(), self.OVERRIDES, replicas=1
+        )
+        assert report.replicas == 1
+        assert all(r.ci is None for r in report.results)
+        assert "ci +/-" not in report.to_text()
 
     def test_validate_scenario_rejects_bad_ensemble_args(self):
         from repro.scenarios import get
@@ -709,10 +749,20 @@ class TestGoldenEnsembleHook:
 
         spec = get("wedge")
         with pytest.raises(ConfigurationError):
-            validate_scenario(spec, ensemble=1)
+            validate_scenario(spec, replicas=0)
         run = run_scenario(spec, overrides=self.OVERRIDES)
         with pytest.raises(ConfigurationError):
-            validate_scenario(spec, run=run, ensemble=2)
+            validate_scenario(spec, run=run, replicas=2)
+
+    def test_wedge_replicas_pass_at_validation_scale(self):
+        # A correct run is not failed for validation scale's known
+        # biases (the inlet band sits ~5% under freestream): the gate is
+        # the check's tolerance, not the interval's width.
+        from repro.scenarios import get
+        from repro.scenarios.golden import validate_scenario
+
+        report = validate_scenario(get("wedge"), replicas=2)
+        assert report.ok, "\n" + report.to_text()
 
     def test_report_renders_ci_tolerances(self):
         from repro.scenarios.golden import CheckResult, ValidationReport
@@ -723,10 +773,13 @@ class TestGoldenEnsembleHook:
                 CheckResult(
                     name="shock_angle_deg", kind="shock_angle",
                     expect="theory:shock_angle", value=40.1,
-                    expected=39.8, tol=0.6, tol_kind="ci", ok=True,
+                    expected=39.8, tol=0.08, tol_kind="rel", ok=True,
+                    ci=0.6,
                 )
             ],
+            replicas=4,
         )
         text = report.to_text()
         assert "ci +/-0.6" in text
-        assert "PASS" in text
+        assert "rel 0.08" in text
+        assert "PASS (mean of 4 replicas, 95% CI)" in text

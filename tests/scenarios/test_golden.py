@@ -10,6 +10,7 @@ the fast CI job stays fast.
 import pytest
 
 from repro.scenarios import all_specs, validate_scenario
+from repro.scenarios.golden import load_golden, regenerate_golden
 
 pytestmark = [pytest.mark.scenarios, pytest.mark.slow]
 
@@ -18,3 +19,20 @@ pytestmark = [pytest.mark.scenarios, pytest.mark.slow]
 def test_scenario_passes_its_contract(spec):
     report = validate_scenario(spec)
     assert report.ok, "\n" + report.to_text()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in all_specs() if s.validation.get("golden")],
+    ids=lambda s: s.name,
+)
+def test_golden_holds_on_replica_keys(spec):
+    """The committed goldens (written by a seed sweep) stand under the
+    regenerator's replica keys: every observable lands inside its
+    committed tolerance."""
+    committed = load_golden(spec)["observables"]
+    fresh = regenerate_golden(spec, n_seeds=3, write=False)
+    assert fresh["replica_ids"] == [0, 1, 2]
+    for name, entry in committed.items():
+        delta = abs(fresh["observables"][name]["value"] - entry["value"])
+        assert delta <= entry["tol"], (name, delta, entry)

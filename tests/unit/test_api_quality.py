@@ -354,6 +354,80 @@ class TestOneSnapshot:
         assert writers(save) and writers(save) == writers(tree)
 
 
+def _call_sites(callee: str) -> set:
+    """``(file, enclosing def)`` of every call to ``callee`` in the
+    package, the def spelled ``Class.method`` / ``outer.inner``."""
+    sites = set()
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + (child.name,), path)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None
+                )
+                if name == callee:
+                    sites.add((path, ".".join(scope)))
+            visit(child, scope, path)
+
+    for path in SRC_ROOT.rglob("*.py"):
+        visit(
+            ast.parse(path.read_text()), (), str(path.relative_to(SRC_ROOT))
+        )
+    return sites
+
+
+class TestOneRunPath:
+    """One builder, one harvest, one check rule for one block or R."""
+
+    def test_a_spec_becomes_a_run_in_one_place(self):
+        assert _call_sites("build_config") == {
+            ("scenarios/spec.py", "ScenarioSpec.build_simulation"),
+        }
+
+    def test_the_ensemble_is_built_by_the_builder_and_the_loader(self):
+        assert _call_sites("EnsembleEngine") == {
+            ("scenarios/spec.py", "ScenarioSpec.build_simulation"),
+            ("io/snapshots.py", "load_simulation"),
+            ("ensemble/engine.py", "verify_replica_equality"),
+        }
+
+    @pytest.mark.parametrize(
+        "module_name, name",
+        [
+            ("repro.cli", "_run_ensemble"),
+            ("repro.cli", "_cmd_wedge"),
+            ("repro.ensemble", "replica_scenario_runs"),
+            ("repro.ensemble.engine", "replica_scenario_runs"),
+            ("repro.ensemble.engine", "ReplicaGauges"),
+            ("repro.scenarios.golden", "measure_check_ensemble"),
+        ],
+    )
+    def test_the_second_spellings_are_gone(self, module_name, name):
+        with pytest.raises(ImportError):
+            exec(f"from {module_name} import {name}", {})
+
+    def test_the_ensemble_has_no_results_of_its_own(self):
+        from repro.ensemble import EnsembleEngine
+
+        for name in ("density_ratio_fields", "ramp_pressure_ratios",
+                     "statistic"):
+            assert not hasattr(EnsembleEngine, name), name
+        assert "metrics" not in inspect.signature(EnsembleEngine).parameters
+
+    def test_no_seed_sweep_and_no_ci_gate(self):
+        import repro.scenarios.golden as golden
+
+        for path in SRC_ROOT.rglob("*.py"):
+            assert "101 *" not in path.read_text(), path
+        assert '"ci"' not in pathlib.Path(golden.__file__).read_text()
+
+
 class TestExamples:
     def _example_files(self):
         return sorted(EXAMPLES.glob("*.py"))

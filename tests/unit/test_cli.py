@@ -165,9 +165,37 @@ class TestEnsembleRun:
         ]) == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_replicas_rejects_3d_scenario(self, capsys):
+    def test_replicas_runs_3d_scenario(self, capsys):
+        # The slab's replicas are blocks like any other's.
         assert main([
             "run", "wedge3d", "--replicas", "2", "--steps", "5",
-        ]) == 2
-        # Refused by the engine's own typed check, not a CLI table.
-        assert "ensemble engine" in capsys.readouterr().err
+        ]) == 0
+        assert "grid 40x26x4, 1 worker(s), 2 replicas" in (
+            capsys.readouterr().out
+        )
+
+    def test_replicas_supervised_resume_and_vtk(self, capsys, tmp_path):
+        """--replicas goes wherever a run goes: supervised, resumed (the
+        replicas come back from the checkpoint) and exported."""
+        run_dir = str(tmp_path / "run")
+        vtk = tmp_path / "mean.vtk"
+        assert main([
+            "run", "wedge", "--replicas", "2", "--nx", "49", "--ny", "32",
+            "--density", "8", "--transient", "60", "--average", "60",
+            "--supervised", "--run-dir", run_dir, "--checkpoint-every", "25",
+            "--audit-every", "10", "--vtk", str(vtk),
+        ]) == 0
+        first = capsys.readouterr().out
+        assert "2 replicas" in first and "supervised run dir" in first
+        assert "CI, n=2" in first
+        assert "SCALARS temperature_ratio" in vtk.read_text()
+        # Drop the newest checkpoint: the resume replays the tail.
+        ckpts = sorted((tmp_path / "run").glob("ckpt_*.npz"))
+        ckpts[-1].unlink()
+        assert main(["run", "wedge", "--resume", run_dir]) == 0
+        resumed = capsys.readouterr().out
+        assert "finished at step 120" in resumed
+        strip = lambda text: [  # noqa: E731
+            ln for ln in text.splitlines() if "CI, n=2" in ln
+        ]
+        assert strip(resumed) == strip(first)
