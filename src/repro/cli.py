@@ -42,12 +42,9 @@ def _add_infra_flags(p: argparse.ArgumentParser, default_dir: str) -> None:
     """Execution-infrastructure flags shared by ``run`` and ``wedge``."""
     p.add_argument("--workers", type=int, default=1,
                    help="shard the tunnel into N x-slabs stepped by N "
-                        "worker processes (1 = serial engine)")
-    p.add_argument("--balance", type=str, default="off", metavar="SPEC",
-                   help="adaptive load balancing for sharded runs: "
-                        "'every:N' repartitions the slabs from measured "
-                        "per-shard particle counts every N steps; "
-                        "'off' (default) keeps the static split")
+                        "worker processes, their edges rebalanced from "
+                        "the shard loads every 10 steps (1 = serial "
+                        "engine)")
     p.add_argument("--supervised", action="store_true",
                    help="run under the fault-tolerant supervisor "
                         "(periodic checkpoints, invariant audits, "
@@ -492,13 +489,8 @@ def _execute_schedule(args: argparse.Namespace, spec, overrides) -> int:
     backend = None
     if args.workers > 1:
         from repro.parallel.backend import ShardedBackend
-        from repro.parallel.rebalance import RebalanceConfig
 
-        backend = ShardedBackend(
-            args.workers, rebalance=RebalanceConfig.parse(args.balance)
-        )
-    elif args.balance not in ("off", ""):
-        print("--balance requires --workers > 1; ignoring", file=sys.stderr)
+        backend = ShardedBackend(args.workers)
     run_dir = args.run_dir or f"runs/{run_tag}"
     tel = _make_telemetry(
         args,

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
+from repro.core.cells import assign_cells
 from repro.core.particles import COLUMN_NAMES, ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import SAMPLER_FIELDS, CellSampler
@@ -64,7 +65,9 @@ from repro.errors import (
 )
 from repro.parallel.exchange import LEFT, RIGHT, MigrationChannels
 from repro.parallel.rebalance import (
-    RebalanceConfig,
+    REBALANCE_EVERY,
+    THRESHOLD,
+    column_loads,
     planned_transfers,
     validate_plan,
 )
@@ -82,6 +85,9 @@ from repro.telemetry.spans import (
 
 #: Span name -> ring name-id (the rings carry only numbers).
 _SPAN_ID = {name: i for i, name in enumerate(WORKER_SPAN_NAMES)}
+
+#: Column of the reservoir size in a shard's diagnostics row.
+_N_RESERVOIR = DIAGNOSTICS_ROW.index("n_reservoir")
 
 # -- control-word layout (shared int64 vector) --------------------------
 
@@ -401,11 +407,17 @@ class ShardWorker:
 
         Runs after the mid-epoch barrier: every neighbour's ceded rows
         are in the channels, arrival order is the same fixed
-        left-then-right order as a normal step.  The indexed order
-        needs no fix-up: the next step rebuilds it from the cell column.
+        left-then-right order as a normal step.  Arrivals come with
+        zeroed cells, so the cells and the indexed order are rebuilt
+        (no physical re-sort, no RNG): the state the auditor reads
+        between steps describes the live population.  The next step
+        rebuilds both again, so the realization does not depend on it.
         """
         parts = self.particles
         self.channels.receive(parts, self.shard_id)
+        assign_cells(parts, self.config.domain)
+        if self.sort_state is not None:
+            self.sort_state.update(parts)
         edges = self.shared["edges"]
         k = self.shard_id
         self.x_lo = float(edges[k])
@@ -483,6 +495,15 @@ def _worker_main(worker, start_b, mid_b, end_b, ctrl, conn) -> None:
 class ShardedBackend:
     """Slab-decomposed multi-process execution of the step loop.
 
+    The slabs stay balanced: after every
+    :data:`~repro.parallel.rebalance.REBALANCE_EVERY` steps the backend
+    compares the particles each shard steps -- flow rows, plus shard
+    0's reservoir once per mix round (:meth:`shard_loads`) -- and moves
+    the slab edges toward equal loads when they differ by more than
+    :data:`~repro.parallel.rebalance.THRESHOLD`
+    (:meth:`maybe_rebalance`).  The decision reads integer counts only,
+    so a run stays bitwise reproducible at a fixed worker count.
+
     Parameters
     ----------
     n_workers:
@@ -512,12 +533,6 @@ class ShardedBackend:
         deterministic fault-injection hooks in the workers and the
         migration channels.  ``None`` (the default) leaves every hook
         dormant at zero overhead.
-    rebalance:
-        Optional :class:`repro.parallel.rebalance.RebalanceConfig`
-        enabling cadenced adaptive load balancing.  ``None`` (the
-        default) keeps the decomposition static: no rebalance code runs
-        beyond one ``is None`` test per step, so disabled runs are
-        bitwise identical to pre-rebalancer behavior.
     edges:
         Optional explicit slab-edge tuple (length ``n_workers + 1``)
         to bind with, instead of the uniform split -- snapshot-restore
@@ -533,7 +548,6 @@ class ShardedBackend:
         flux_pending: int = 0,
         barrier_timeout: float = 300.0,
         fault_plan=None,
-        rebalance: Optional[RebalanceConfig] = None,
         edges: Optional[Tuple[int, ...]] = None,
     ) -> None:
         if n_workers < 1:
@@ -554,7 +568,6 @@ class ShardedBackend:
         self._flux_pending0 = int(flux_pending)
         self._barrier_timeout = float(barrier_timeout)
         self.fault_plan = fault_plan
-        self.rebalance_config = rebalance
         self._edges0 = tuple(int(e) for e in edges) if edges is not None else None
         self._serial = SerialBackend() if n_workers == 1 else None
         self._bound = False
@@ -619,6 +632,12 @@ class ShardedBackend:
             "edges": alloc((W + 1,), np.int64),
         }
         shared["edges"][:] = np.asarray(self._slabs.edges, dtype=np.int64)
+        # Shard 0 rewrites its reservoir size every step; seed it so
+        # the loads are whole before the first one.
+        if sim.reservoir is not None:
+            shared["diag"][0, _N_RESERVOIR] = sim.reservoir.particles.n
+        self._mix_rounds = int(cfg.reservoir_mix_rounds)
+        self._n_cells = cfg.domain.n_cells
         if sim.surface is not None:
             ns = sim.surface.n_strips
             shared["surf"] = alloc((W, 2, ns + 1), np.float64)
@@ -767,8 +786,7 @@ class ShardedBackend:
         if sample:
             self._sample_steps += 1
         diag = merge_diagnostics(self._shared["diag"], sim.step_count, sim.perf)
-        rb = self.rebalance_config
-        if rb is not None and sim.step_count % rb.every == 0:
+        if sim.step_count % REBALANCE_EVERY == 0:
             self.maybe_rebalance(sim.step_count)
         return diag
 
@@ -829,48 +847,48 @@ class ShardedBackend:
         return self._slabs.edges
 
     def _column_histogram(self) -> np.ndarray:
-        """Global per-column particle counts, read from shard memory.
+        """Global per-column flow counts, read from shard memory.
 
-        A pure function of simulation state (never wall-clock), read
-        between steps while every worker is idle at the start barrier
-        -- this is what keeps the rebalance decision, and therefore the
-        whole run, bitwise reproducible at a fixed worker count.
+        A bincount of the shards' cell columns, folded to x columns
+        (the cell index is x-major).  A pure function of simulation
+        state (never wall-clock), read between steps while every worker
+        is idle at the start barrier -- this is what keeps the rebalance
+        decision, and therefore the whole run, bitwise reproducible at
+        a fixed worker count.
         """
-        nx = self._slabs.nx
-        hist = np.zeros(nx, dtype=np.int64)
+        n_cells = self._n_cells
+        hist = np.zeros(n_cells, dtype=np.int64)
         flags = self._shared["front_flags"]
-        xi = COLUMN_NAMES.index("x")
+        ci = COLUMN_NAMES.index("cell")
         for k in range(self.n_workers):
             nk = int(self._shared["n_parts"][k])
-            src = self._set0[k] if flags[k, xi] == 0 else self._set1[k]
-            cols = np.clip(
-                np.floor(src["x"][:nk]).astype(np.int64), 0, nx - 1
-            )
-            hist += np.bincount(cols, minlength=nx)
-        return hist
+            src = self._set0[k] if flags[k, ci] == 0 else self._set1[k]
+            hist += np.bincount(src["cell"][:nk], minlength=n_cells)
+        return hist.reshape(self._slabs.nx, -1).sum(axis=1)
 
     def maybe_rebalance(self, step: int, force: bool = False) -> bool:
         """Run the measure -> decide -> act loop once.
 
-        Measures the per-shard loads, and when the max-over-mean
-        imbalance exceeds the configured threshold (or ``force`` is
-        set), plans new edges, re-validates channel and buffer capacity
-        against the exact planned transfers, and executes the
-        repartition epoch.  Records a ``rebalance`` event (executed or
+        Measures the per-shard loads (:meth:`shard_loads`), and when the
+        max-over-mean imbalance exceeds
+        :data:`~repro.parallel.rebalance.THRESHOLD` (or ``force`` is
+        set), plans new edges from the flow histogram with the
+        reservoir at column 0, re-validates channel and buffer capacity
+        against the exact planned transfers of flow rows, and executes
+        the repartition epoch.  Records a ``rebalance`` event (executed or
         skipped, with the measured imbalance and columns moved) for the
         telemetry hub to collect via :meth:`take_rebalance_event`.
         Returns ``True`` when a repartition was executed.
         """
         if self._serial is not None or not self._bound or self._closed:
             return False
-        cfg = self.rebalance_config or RebalanceConfig(every=1)
-        loads = np.asarray(self._shared["n_parts"], dtype=np.float64)
+        loads = self.shard_loads()
         imb = load_imbalance(loads)
-        if not force and imb < cfg.threshold:
+        if not force and imb < THRESHOLD:
             return False
         hist = self._column_histogram()
         old = self._slabs
-        new = old.rebalance(hist, max_shift=cfg.max_shift)
+        new = old.rebalance(column_loads(hist, self._reservoir_load()))
         event: Dict = {
             "step": int(step),
             "imbalance": float(imb),
@@ -1057,10 +1075,25 @@ class ShardedBackend:
     # -- introspection for the telemetry hub -----------------------------
 
     def shard_loads(self) -> Optional[np.ndarray]:
-        """Per-shard particle counts (the load-imbalance observable)."""
+        """Particles each shard steps: the load the rebalancer balances.
+
+        Flow rows per shard, plus, on shard 0, its reservoir rows once
+        per ``reservoir_mix_rounds`` -- the load-imbalance observable.
+        """
         if self._serial is not None or not self._bound:
             return None
-        return np.asarray(self._shared["n_parts"]).copy()
+        loads = np.asarray(self._shared["n_parts"], dtype=np.int64).copy()
+        loads[0] += self._reservoir_load()
+        return loads
+
+    def _reservoir_load(self) -> int:
+        """Shard 0's reservoir rows times its mix rounds.
+
+        Read from the reservoir size shard 0 writes into its
+        diagnostics row (seeded at bind), so it is a count of state.
+        """
+        n_res = self._shared["diag"][0, _N_RESERVOIR]
+        return int(n_res) * self._mix_rounds
 
     def exchange_occupancy(self) -> Optional[Tuple[np.ndarray, int]]:
         """``(high_water, capacity)`` of the migration channels.

@@ -1,20 +1,22 @@
-"""Cadenced adaptive load balancing for the sharded backend.
+"""Adaptive load balancing for the sharded backend, always on.
 
 The paper's CM-2 re-homes particles every sort, so physical processors
 stay evenly loaded no matter where the shock piles the flow.  The
-process-parallel port froze the decomposition as static equal-width
-x-slabs -- and telemetry has been *measuring* the resulting
-max-over-mean shard imbalance every run without anyone acting on it.
-This module closes that measure -> decide -> act loop:
+sharded backend repartitions its x-slabs on a fixed step cadence
+instead, closing a measure -> decide -> act loop:
 
-* **measure** -- per-shard particle counts (``shared["n_parts"]``) and
-  the per-column occupancy histogram, both deterministic functions of
-  the simulation state (never wall-clock timings, which would break
-  bitwise reproducibility);
-* **decide** -- at a fixed step cadence, when the measured imbalance
-  exceeds a threshold, :meth:`repro.parallel.shard.ShardSlabs.rebalance`
-  plans new integer slab edges (load-quantile columns under a
-  max-columns-moved damping clamp);
+* **measure** -- a shard's load is every particle it steps: its flow
+  rows (``shared["n_parts"]``), plus, on shard 0, the reservoir rows,
+  once per ``reservoir_mix_rounds``.  The planner sees the per-column
+  flow histogram with the reservoir added at column 0, the inlet
+  column shard 0 always owns (:func:`column_loads`).  All of it is
+  integer counts of simulation state -- never wall-clock timings,
+  which would break bitwise reproducibility;
+* **decide** -- every :data:`REBALANCE_EVERY` steps, when the measured
+  imbalance exceeds :data:`THRESHOLD`,
+  :meth:`repro.parallel.shard.ShardSlabs.rebalance` plans new integer
+  slab edges (the columns nearest the load quantiles, under the
+  :data:`~repro.parallel.shard.DEFAULT_MAX_SHIFT` damping clamp);
 * **act** -- the backend executes the repartition as a *widened
   exchange epoch* through the existing migration channels: each worker
   ships the rows in its ceded columns to the adjacent neighbour,
@@ -29,72 +31,32 @@ cs/9902024) -- only the slab boundaries move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.parallel.shard import DEFAULT_MAX_SHIFT, ShardSlabs
+from repro.parallel.shard import ShardSlabs
 
-#: Default decision threshold: rebalance only when the measured
-#: max-over-mean shard load exceeds this.  Wall-clock efficiency is
-#: ~1/imbalance, so 1.02 means "act on anything worse than a 2% loss"
-#: while leaving a perfectly balanced flow untouched (no-op events
-#: consume no RNG and move no particles, but skipping them keeps the
-#: exchange epoch off the steady-state step entirely).
-DEFAULT_THRESHOLD = 1.02
+#: Decision cadence: the rule runs after every step whose count is a
+#: multiple of this (docs/algorithm.md has the 5 / 10 / 20 sweep).
+REBALANCE_EVERY = 10
+
+#: Rebalance only when the measured max-over-mean shard load exceeds
+#: this.  Wall-clock efficiency is ~1/imbalance, so 1.02 means "act on
+#: anything worse than a 2% loss" while leaving a balanced flow
+#: untouched (skipping keeps the exchange epoch off the steady state).
+THRESHOLD = 1.02
 
 
-@dataclass(frozen=True)
-class RebalanceConfig:
-    """Knobs of the cadenced rebalancer.
+def column_loads(flow_hist: np.ndarray, reservoir_load: int) -> np.ndarray:
+    """The planner's per-column loads: flow rows, reservoir at column 0.
 
-    Parameters
-    ----------
-    every:
-        Step cadence: the decision rule runs when
-        ``step_count % every == 0``.  Must be positive -- a disabled
-        rebalancer is represented by ``None``, not by a config.
-    threshold:
-        Minimum measured max-over-mean imbalance that triggers a
-        repartition (see :data:`DEFAULT_THRESHOLD`).
-    max_shift:
-        Damping clamp: maximum columns any slab edge moves per event
-        (:data:`repro.parallel.shard.DEFAULT_MAX_SHIFT`).
+    Shard 0 steps the reservoir and always owns the inlet column, so
+    the reservoir's rows weigh on column 0 without ever migrating.
     """
-
-    every: int
-    threshold: float = DEFAULT_THRESHOLD
-    max_shift: int = DEFAULT_MAX_SHIFT
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ConfigurationError("rebalance cadence must be >= 1 step")
-        if self.threshold < 1.0:
-            raise ConfigurationError("rebalance threshold must be >= 1.0")
-
-    @classmethod
-    def parse(cls, spec: Union[str, None]) -> Optional["RebalanceConfig"]:
-        """Build a config from a CLI spec: ``off`` or ``every:N``.
-
-        ``None``, ``""`` and ``"off"`` all disable the rebalancer
-        (return ``None``); ``"every:N"`` enables it at an N-step
-        cadence with the default threshold and damping clamp.
-        """
-        if spec is None or spec == "" or spec == "off":
-            return None
-        if spec.startswith("every:"):
-            try:
-                every = int(spec[len("every:"):])
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad rebalance cadence in {spec!r}: expected every:N"
-                ) from None
-            return cls(every=every)
-        raise ConfigurationError(
-            f"bad rebalance spec {spec!r}: expected 'off' or 'every:N'"
-        )
+    loads = np.array(flow_hist, dtype=np.int64)
+    loads[0] += int(reservoir_load)
+    return loads
 
 
 def planned_transfers(
@@ -142,7 +104,9 @@ def validate_plan(
     populations into the (narrowest) destination buffers.  Returns a
     human-readable reason to skip the event, or ``None`` when the plan
     is executable.  Deterministic, so every worker-count-W run skips or
-    executes identically.
+    executes identically.  ``column_counts`` is the flow-only
+    histogram: the reservoir rows that weigh on column 0 in the plan
+    (:func:`column_loads`) never migrate and live outside the buffers.
     """
     to_left, to_right = planned_transfers(old, new, column_counts)
     worst = int(max(to_left.max(), to_right.max()))
@@ -150,7 +114,7 @@ def validate_plan(
         return (
             f"planned repartition ships {worst} rows through a channel of "
             f"capacity {channel_capacity}; raise ShardedBackend("
-            "channel_capacity=...) or lower max_shift"
+            "channel_capacity=...)"
         )
     predicted = new.slab_sums(np.asarray(column_counts, dtype=np.float64),
                               new.edges)

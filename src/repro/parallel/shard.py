@@ -172,8 +172,9 @@ class ShardSlabs:
         reproducible when the rebalancer is driven from particle counts
         rather than wall-clock timings.
 
-        Each new edge is the load-quantile column (slab ``k`` targets
-        ``k/W`` of the total), subject to three clamps:
+        Each new edge is the column nearest the load quantile (slabs
+        ``0..k-1`` target ``k/W`` of the total), subject to three
+        clamps:
 
         * **damping** -- no edge moves more than ``max_shift`` columns
           per event (bounds the repartition's migration traffic);
@@ -205,6 +206,11 @@ class ShardSlabs:
         for k in range(1, W):
             target = total * k / W
             ideal = int(np.searchsorted(cum, target, side="left"))
+            # The nearer of the two edges bracketing the quantile: the
+            # first edge past it alone always leaves slab k-1 the
+            # heavier one.
+            if ideal > 0 and target - cum[ideal - 1] < cum[ideal] - target:
+                ideal -= 1
             old = self.edges[k]
             e = min(max(ideal, old - max_shift), old + max_shift)
             e = min(max(e, self.edges[k - 1]), self.edges[k + 1])

@@ -214,7 +214,6 @@ class SupervisedRun:
         self._processes = bool(getattr(backend, "_processes", False))
         self._barrier_timeout = getattr(backend, "_barrier_timeout", None)
         self._channel_capacity = getattr(backend, "_channel_capacity", None)
-        self._rebalance = getattr(backend, "rebalance_config", None)
 
         if _meta is not None:
             self._meta = _meta
@@ -542,7 +541,6 @@ class SupervisedRun:
             "processes": processes,
             "flux_pending": flux_pending,
             "fault_plan": self.fault_plan,
-            "rebalance": self._rebalance,
             "edges": edges,
         }
         if self._barrier_timeout is not None:

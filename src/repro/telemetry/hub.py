@@ -381,13 +381,14 @@ class Telemetry:
                 imbalance = observables.load_imbalance(loads)
                 reg.gauge(
                     "repro_load_imbalance",
-                    help="max-over-mean shard particle load",
+                    help="max-over-mean shard load (particles stepped)",
                 ).set(imbalance)
                 for k, n_k in enumerate(loads):
                     reg.gauge(
                         "repro_shard_load",
                         labels={"shard": str(k)},
-                        help="particles owned per shard",
+                        help="particles stepped per shard (flow rows; "
+                        "shard 0 adds its reservoir per mix round)",
                     ).set(n_k)
 
         counts = self._last_channel_counts

@@ -14,6 +14,7 @@ NumPy ``major.minor`` that wrote it and the test skips on any other.
 import json
 import pathlib
 import sys
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -73,10 +74,11 @@ def run_case(name: str) -> str:
             engine.close()
 
 
-def run_supervised_resumed(name: str, run_dir) -> str:
+def run_supervised_resumed(name: str, run_dir) -> Tuple[str, int]:
     """The case under the supervisor -- an audit every step, a
     checkpoint every 7 -- stopped at step 24 and resumed from its run
-    directory to the end of the schedule."""
+    directory to the end of the schedule.  Returns the digest and the
+    slab repartitions the resumed backend executed (0 unsharded)."""
     with SupervisedRun(
         CASES[name](), run_dir, checkpoint_every=7, audit_every=1
     ) as run:
@@ -84,7 +86,8 @@ def run_supervised_resumed(name: str, run_dir) -> str:
     with SupervisedRun.resume(run_dir) as run:
         assert run.sim.step_count == 24
         run.run_schedule()
-        return state_digest(run.sim)
+        rebalances = getattr(run.sim.backend, "rebalance_count", 0)
+        return state_digest(run.sim), rebalances
 
 
 def _golden() -> dict:
@@ -102,10 +105,16 @@ def test_state_digest_matches_golden(name):
     assert run_case(name) == _golden()[name]
 
 
-@pytest.mark.parametrize("name", ["serial_incremental", "ensemble_r3"])
+@pytest.mark.parametrize(
+    "name", ["serial_incremental", "ensemble_r3", "sharded_w2_inline"]
+)
 def test_supervised_resume_matches_golden(name, tmp_path):
     # The same row, reached through audits, checkpoints and a restart.
-    assert run_supervised_resumed(name, tmp_path) == _golden()[name]
+    digest, rebalances = run_supervised_resumed(name, tmp_path)
+    assert digest == _golden()[name]
+    if name.startswith("sharded"):
+        # The resumed run keeps balancing on the cadence (steps 30-60).
+        assert rebalances >= 1
 
 
 def test_digest_sees_every_piece_of_state():

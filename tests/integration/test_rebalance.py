@@ -1,10 +1,10 @@
 """Integration tests of adaptive slab rebalancing.
 
-The contract under test (ISSUE 6: close the load-balance loop):
+The contract under test:
 
-* ``rebalance=None`` (the ``--balance off`` path) is bitwise identical
-  to a backend that never heard of rebalancing, and a configured but
-  never-triggering rebalancer is bitwise identical to ``None``.
+* A sharded run balances on its own: every ``REBALANCE_EVERY`` steps
+  the backend weighs the particles each shard steps (shard 0's
+  reservoir included) and moves the edges toward equal loads.
 * A repartition re-homes particle ownership and nothing else: the
   global particle multiset is bitwise unchanged across a forced
   rebalance, and per-shard populations land inside the new slabs.
@@ -30,7 +30,7 @@ from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
 from repro.parallel.backend import ShardedBackend
-from repro.parallel.rebalance import RebalanceConfig
+from repro.parallel.rebalance import REBALANCE_EVERY, THRESHOLD
 from repro.physics.freestream import Freestream
 
 pytestmark = pytest.mark.sharded
@@ -47,17 +47,22 @@ def _config(seed: int = 42, nx: int = 32, ny: int = 16) -> SimulationConfig:
     )
 
 
-#: An eager config: decide every step, act on any measurable skew.
-EAGER = RebalanceConfig(every=1, threshold=1.0)
+def _eager(sim, steps: int) -> None:
+    """Step ``sim``, forcing a rebalance decision after every step."""
+    for _ in range(steps):
+        sim.run(1)
+        sim.backend.maybe_rebalance(sim.step_count, force=True)
 
 
-def _run(steps: int, rebalance=None, processes: bool = False,
+def _run(steps: int, eager: bool = False, processes: bool = False,
          seed: int = 42):
     sim = Simulation(
-        _config(seed),
-        backend=ShardedBackend(2, processes=processes, rebalance=rebalance),
+        _config(seed), backend=ShardedBackend(2, processes=processes)
     )
-    sim.run(steps)
+    if eager:
+        _eager(sim, steps)
+    else:
+        sim.run(steps)
     sim.gather()
     return sim
 
@@ -72,33 +77,51 @@ def _sorted_multiset(parts) -> np.ndarray:
     return rows[np.lexsort(rows.T)]
 
 
-class TestDisabledIsIdentity:
-    def test_never_triggering_config_is_bitwise_off(self):
-        """A rebalancer that never fires changes nothing.
+class TestAlwaysOn:
+    def test_default_backend_rebalances_on_the_cadence(self):
+        """No knob: the backend decides every ``REBALANCE_EVERY`` steps
+        from the reservoir-inclusive loads and acts on the skew."""
+        from repro.telemetry.observables import load_imbalance
 
-        The threshold is unreachable, so every cadence tick measures
-        and declines; the run must be bitwise identical to
-        ``rebalance=None`` (which is itself the pre-PR code path: no
-        shared state, no RNG, no particle motion outside the step).
-        """
-        off = _run(15, rebalance=None)
-        armed = _run(15, rebalance=RebalanceConfig(every=5, threshold=1e9))
+        sim = Simulation(_config(), backend=ShardedBackend(2, processes=False))
         try:
-            assert armed.backend.rebalance_count == 0
-            a, b = _state(off), _state(armed)
-            for col in PARTICLE_COLUMNS:
-                assert np.array_equal(a[col], b[col]), col
-            assert off.backend.slab_edges == armed.backend.slab_edges
+            steps = []
+            for _ in range(3 * REBALANCE_EVERY):
+                sim.run(1)
+                event = sim.backend.take_rebalance_event()
+                if event is not None:
+                    steps.append(event["step"])
+                    assert event["imbalance"] >= THRESHOLD
+            assert steps
+            assert all(s % REBALANCE_EVERY == 0 for s in steps)
+            assert sim.backend.rebalance_count > 0
+            assert sim.backend.slab_edges != (0, 16, 32)
+            loads = sim.backend.shard_loads()
+            assert load_imbalance(loads) < 1.15
         finally:
-            off.close()
-            armed.close()
+            sim.close()
+
+    def test_shard_zero_load_counts_its_reservoir(self):
+        sim = Simulation(_config(), backend=ShardedBackend(2, processes=False))
+        try:
+            n_res = sim.reservoir.particles.n
+            loads = sim.backend.shard_loads()
+            flow = np.asarray(sim.backend._shared["n_parts"])
+            assert loads[0] == flow[0] + n_res * sim.config.reservoir_mix_rounds
+            assert loads[1] == flow[1]
+            diag_res = sim.run(3).n_reservoir
+            loads = sim.backend.shard_loads()
+            flow = np.asarray(sim.backend._shared["n_parts"])
+            assert loads.sum() == flow.sum() + diag_res
+        finally:
+            sim.close()
 
 
 class TestRebalanceExecution:
     def test_wedge_triggers_and_reduces_imbalance(self):
         from repro.telemetry.observables import load_imbalance
 
-        sim = _run(20, rebalance=EAGER)
+        sim = _run(20, eager=True)
         try:
             be = sim.backend
             assert be.rebalance_count > 0
@@ -109,7 +132,7 @@ class TestRebalanceExecution:
             sim.close()
 
     def test_forced_rebalance_conserves_the_particle_multiset(self):
-        sim = _run(8, rebalance=None)
+        sim = _run(8)
         try:
             be = sim.backend
             before = _sorted_multiset(sim.particles)
@@ -131,8 +154,8 @@ class TestRebalanceExecution:
             sim.close()
 
     def test_process_mode_matches_inline_while_rebalancing(self):
-        inline = _run(15, rebalance=EAGER, processes=False)
-        procs = _run(15, rebalance=EAGER, processes=True)
+        inline = _run(15, eager=True, processes=False)
+        procs = _run(15, eager=True, processes=True)
         try:
             assert inline.backend.rebalance_count == procs.backend.rebalance_count
             assert inline.backend.slab_edges == procs.backend.slab_edges
@@ -152,15 +175,6 @@ class TestCheckpointContinuity:
     def test_non_uniform_checkpoint_restores_and_continues_bitwise(
         self, tmp_path
     ):
-        def factory(n_workers, processes, flux_pending, edges=None):
-            return ShardedBackend(
-                n_workers,
-                processes=processes,
-                flux_pending=flux_pending,
-                edges=edges,
-                rebalance=EAGER,
-            )
-
         # Uninterrupted reference: 43 + 36 rebalancing steps.  Step 43
         # is chosen because the eager rebalancer has the decomposition
         # genuinely non-uniform there (checked below) -- the case the
@@ -169,9 +183,9 @@ class TestCheckpointContinuity:
         # side (steps 32 and 64): the restored workers must re-sort on
         # the uninterrupted run's schedule.
         before, after = RESORT_PERIOD + 11, RESORT_PERIOD + 4
-        ref = _run(before + after, rebalance=EAGER)
+        ref = _run(before + after, eager=True)
 
-        sim = _run(before, rebalance=EAGER)
+        sim = _run(before, eager=True)
         try:
             assert sim.backend.slab_edges != (0, 16, 32)
             saved_edges = sim.backend.slab_edges
@@ -180,12 +194,10 @@ class TestCheckpointContinuity:
         finally:
             sim.close()
 
-        restored = load_simulation(
-            path, workers=2, processes=False, backend_factory=factory
-        )
+        restored = load_simulation(path, workers=2, processes=False)
         try:
             assert restored.backend.slab_edges == saved_edges
-            restored.run(after)
+            _eager(restored, after)
             restored.gather()
             a, b = _state(ref), _state(restored)
             for col in PARTICLE_COLUMNS:
@@ -196,7 +208,7 @@ class TestCheckpointContinuity:
             restored.close()
 
     def test_legacy_archive_without_edges_restores_uniform(self, tmp_path):
-        sim = _run(14, rebalance=EAGER)
+        sim = _run(14, eager=True)
         try:
             assert sim.backend.slab_edges != (0, 16, 32)
             path = tmp_path / "v3.npz"

@@ -20,7 +20,6 @@ from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
 from repro.parallel.backend import ShardedBackend
-from repro.parallel.rebalance import RebalanceConfig
 from repro.physics.freestream import Freestream
 from repro.verify import state_digest
 
@@ -170,23 +169,13 @@ def _members(path) -> dict:
         return {k: data[k] for k in data.files}
 
 
-#: An eager rebalancer: decide every step, act on any measurable skew,
-#: so the sharded checkpoint below holds non-uniform slab edges.
-EAGER = RebalanceConfig(every=1, threshold=1.0)
-
-
-def _eager_backend(n_workers, processes, flux_pending, edges=None):
-    return ShardedBackend(
-        n_workers, processes=processes, flux_pending=flux_pending,
-        edges=edges, rebalance=EAGER,
-    )
-
-
 #: Every execution mode, built fresh: one writer and one loader serve
 #: them all.
 MODES = {
     "serial": lambda cfg: Simulation(cfg),
-    "sharded_w2": lambda cfg: Simulation(cfg, backend=_eager_backend(2, False, 0)),
+    "sharded_w2": lambda cfg: Simulation(
+        cfg, backend=ShardedBackend(2, processes=False)
+    ),
     "slab": lambda cfg: Simulation(
         dataclasses.replace(cfg, domain=Domain3D(30, 20, 2))
     ),
@@ -200,8 +189,8 @@ class TestOneWriterOneLoader:
     re-sort at step 64, reaches the uninterrupted run's digest in every
     mode -- and the archive is one layout for one block or R."""
 
-    #: Off the re-sort schedule, and where the eager rebalancer has the
-    #: two slabs non-uniform.
+    #: Off the re-sort and rebalance schedules, and where the
+    #: rebalancer has the two slabs non-uniform.
     SAVED = RESORT_PERIOD + 2
 
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -214,13 +203,14 @@ class TestOneWriterOneLoader:
             # only onto empty accumulators (float addition does not
             # associate), so the sharded run samples after the save.
             sim.run(4, sample=mode != "sharded_w2")
-            save_simulation(sim, path)
             if mode == "sharded_w2":
+                # The cadence decided at steps 10, 20 and 30; force
+                # one decision off the cadence too.
+                sim.backend.maybe_rebalance(sim.step_count, force=True)
                 assert sim.backend.slab_edges != (0, 16, 32)
+            save_simulation(sim, path)
             sim.run(AFTER, sample=True)
-            restored = load_simulation(
-                path, processes=False, backend_factory=_eager_backend
-            )
+            restored = load_simulation(path, processes=False)
             with restored:
                 assert type(restored) is type(sim)
                 restored.run(AFTER, sample=True)

@@ -1,9 +1,10 @@
 """Unit tests of the rebalance planner plumbing and two falsy-value
 bugfix regressions.
 
-* :class:`RebalanceConfig` parsing/validation and the transfer-plan
-  arithmetic (`planned_transfers`, `validate_plan`) that re-validates
-  channel and buffer capacity before a repartition executes.
+* The planner's loads (`column_loads`: flow rows with the reservoir at
+  column 0) and the transfer-plan arithmetic (`planned_transfers`,
+  `validate_plan`) that re-validates channel and buffer capacity
+  before a repartition executes.
 * Exchange fault keying: ``MigrationChannels.ship`` used to key faults
   with ``self._step or 0``, conflating an unpublished step (``None``)
   with a genuine step 0.  A fault armed for step 0 must fire *at* step
@@ -20,38 +21,64 @@ from repro.core.particles import ParticleArrays
 from repro.errors import ConfigurationError, ExchangeOverflowError
 from repro.parallel.exchange import RIGHT, MigrationChannels
 from repro.parallel.rebalance import (
-    DEFAULT_THRESHOLD,
-    RebalanceConfig,
+    column_loads,
     planned_transfers,
     validate_plan,
 )
-from repro.parallel.shard import DEFAULT_MAX_SHIFT, ShardSlabs
+from repro.parallel.shard import ShardSlabs
 from repro.resilience.faults import FaultPlan, FaultSpec
 
 
-class TestRebalanceConfig:
-    def test_parse_disabled(self):
-        assert RebalanceConfig.parse(None) is None
-        assert RebalanceConfig.parse("") is None
-        assert RebalanceConfig.parse("off") is None
+class TestReservoirAtColumnZero:
+    def test_column_loads_add_the_reservoir_to_the_inlet_column(self):
+        flow = np.arange(6, dtype=np.int64)
+        loads = column_loads(flow, 40)
+        assert loads.tolist() == [40, 1, 2, 3, 4, 5]
+        assert flow.tolist() == [0, 1, 2, 3, 4, 5]  # input untouched
 
-    def test_parse_cadence(self):
-        cfg = RebalanceConfig.parse("every:25")
-        assert cfg.every == 25
-        assert cfg.threshold == DEFAULT_THRESHOLD
-        assert cfg.max_shift == DEFAULT_MAX_SHIFT
+    def test_reservoir_moves_the_edge_left(self):
+        old = ShardSlabs.split(20, 2)  # edges (0, 10, 20)
+        flow = np.full(20, 10, dtype=np.int64)
+        assert old.rebalance(flow) is old
+        new = old.rebalance(column_loads(flow, 40))
+        # 240 particles stepped: shard 0 takes the reservoir's 40 and
+        # columns [0, 8) of flow, shard 1 the other 120.
+        assert new.edges == (0, 8, 20)
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            RebalanceConfig.parse("every:two")
-        with pytest.raises(ConfigurationError):
-            RebalanceConfig.parse("sometimes")
+    def test_capacity_is_checked_against_flow_rows_only(self):
+        """Reservoir rows never migrate and live outside the column
+        buffers: a plan whose reservoir-inclusive load overfills shard 0
+        while its flow rows fit is executable."""
+        old = ShardSlabs.split(20, 2)
+        flow = np.full(20, 10, dtype=np.int64)
+        loads = column_loads(flow, 40)
+        new = old.rebalance(loads)
+        caps = np.array([100, 200])
+        assert new.slab_sums(loads.astype(float), new.edges)[0] > caps[0]
+        assert validate_plan(old, new, flow, 1000, caps) is None
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RebalanceConfig(every=0)
-        with pytest.raises(ConfigurationError):
-            RebalanceConfig(every=5, threshold=0.9)
+
+class TestNoKnobs:
+    """Balancing is what a sharded run does: no config, kwarg or flag."""
+
+    def test_config_is_gone(self):
+        import repro.parallel.rebalance as rebalance
+
+        assert not hasattr(rebalance, "RebalanceConfig")
+
+    def test_backend_takes_no_rebalance_argument(self):
+        from repro.parallel.backend import ShardedBackend
+
+        with pytest.raises(TypeError):
+            ShardedBackend(2, rebalance=None)
+        assert not hasattr(ShardedBackend(2), "rebalance_config")
+
+    def test_cli_has_no_balance_flag(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["wedge", "--workers", "2", "--balance", "every:10"])
+        assert "--balance" in capsys.readouterr().err
 
 
 class TestPlannedTransfers:
