@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.particles import ParticleArrays, pooled, pooled_arange
+from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
@@ -209,12 +209,8 @@ class WindTunnelBoundaries:
         ``b``'s exits go to reservoir block ``b`` and its refill comes
         from there, drawn from stream ``b``.
 
-        Specular walls on a scratch-enabled population reflect through
-        the subset-based :meth:`reflect_specular`; the other wall
-        models and plain populations take the full-array loop, which
-        draws per crossing from one stream and so serves one block.  A
-        scratch-enabled population is rebuilt in its own buffers under
-        every wall model; a plain one is rebuilt as fresh arrays.
+        The population must be scratch-enabled: every surgery here
+        (reflection, removal, refill) rewrites its own buffers in place.
         """
         streams = block_streams(rng)
         n_blocks = particles.n_blocks
@@ -225,36 +221,25 @@ class WindTunnelBoundaries:
                 f"for {n_blocks} blocks"
             )
         scratch = particles.scratch
-        subset = self.wall_model == "specular" and scratch is not None
-        if n_blocks > 1 and not subset:
+        if scratch is None:
             raise ConfigurationError(
-                "several blocks need specular walls and a scratch-enabled "
-                "population"
+                "apply_rebuilding needs a scratch-enabled population "
+                "(ParticleArrays.enable_scratch)"
             )
-        record = self._surface_record(particles)
-        if subset:
-            n_walls, n_wedge, n_clamped = self.reflect_specular(
-                particles, record
-            )
-        else:
-            n_walls, n_wedge, n_clamped = self._reflect_full_array(
-                particles, streams[0], record
-            )
-            particles.rehome()
+        n_walls, n_wedge, n_clamped = self.reflect(
+            particles, streams, self._surface_record(particles)
+        )
 
         # 3) Soft downstream boundary: remove into the reservoir.
         n_removed = 0
         if self.has_outlet:
-            exited = pooled(scratch, "bnd_mask", particles.n, dtype=bool)
+            exited = scratch.array("bnd_mask", particles.n, dtype=bool)
             np.greater_equal(particles.x, self.domain.width, out=exited)
             n_removed = int(np.count_nonzero(exited))
             if n_removed:
-                if scratch is not None:
-                    # Backfill removal: O(exited), and the cell sort right
-                    # after this phase re-orders the population anyway.
-                    removed = particles.remove_inplace(exited)
-                else:
-                    particles, removed = particles.select(~exited), [n_removed]
+                # Backfill removal: O(exited), and the cell sort right
+                # after this phase re-orders the population anyway.
+                removed = particles.remove_inplace(exited)
                 if reservoir is not None:
                     reservoir.deposit(streams, removed)
 
@@ -271,12 +256,7 @@ class WindTunnelBoundaries:
                 )
                 if fresh is not None:
                     n_injected = fresh.n
-                    if scratch is not None:
-                        particles.append_inplace(fresh)
-                    else:
-                        particles = ParticleArrays.concatenate(
-                            particles, fresh
-                        )
+                    particles.append_inplace(fresh)
                 self.plunger.position = 0.0
                 reset = True
 
@@ -318,90 +298,25 @@ class WindTunnelBoundaries:
 
         return record
 
-    # -- the two spellings of the reflections -----------------------------
+    # -- the reflections ----------------------------------------------------
 
-    def _reflect_full_array(
-        self, particles: ParticleArrays, rng: np.random.Generator, record
-    ) -> tuple:
-        """Plunger face, then walls + body to a fixed point, whole columns.
-
-        The reflections under any wall model, on a population with or
-        without scratch; returns ``(n_walls, n_wedge, n_clamped)`` like
-        :meth:`reflect_specular`.  Re-points the columns it rewrites.
-        """
-        n_walls = 0
-        n_wedge = 0
-
-        # 1) Upstream plunger face: specular in the moving frame.
-        #    u' = 2 U_p - u, x' = 2 x_p - x for particles behind the face.
-        if self.has_inlet:
-            xp = self.plunger.position
-            behind = particles.x < xp
-            if np.any(behind):
-                particles.x[behind] = 2.0 * xp - particles.x[behind]
-                particles.u[behind] = (
-                    2.0 * self.plunger.speed - particles.u[behind]
-                )
-                n_walls += int(np.count_nonzero(behind))
-
-        # 2) Solid surfaces, iterated to a fixed point.
-        for _ in range(MAX_REFLECTION_PASSES):
-            dirty = False
-            below = particles.y < 0.0
-            above = particles.y > self.domain.height
-            if np.any(below) or np.any(above):
-                self._wall_pass(particles, rng)
-                n_walls += int(np.count_nonzero(below) + np.count_nonzero(above))
-                dirty = True
-            if self.wedge is not None:
-                inside = self.wedge.inside(particles.x, particles.y)
-                if np.any(inside):
-                    u0 = particles.u
-                    v0 = particles.v
-                    (
-                        particles.x,
-                        particles.y,
-                        particles.u,
-                        particles.v,
-                        back,
-                        ramp,
-                    ) = self.wedge.reflect_specular_report(
-                        particles.x, particles.y, particles.u, particles.v
-                    )
-                    if record is not None:
-                        hit = np.flatnonzero(back | ramp)
-                        record(
-                            hit,
-                            particles.x[hit],
-                            particles.u[hit] - u0[hit],
-                            particles.v[hit] - v0[hit],
-                            back[hit],
-                        )
-                    n_wedge += int(np.count_nonzero(inside))
-                    dirty = True
-            if not dirty:
-                break
-        everyone = pooled_arange(particles.scratch, particles.n)
-        return n_walls, n_wedge, self._clamp_subset(particles, everyone)
-
-    def reflect_specular(self, particles: ParticleArrays, record=None) -> tuple:
+    def reflect(self, particles: ParticleArrays, streams, record=None) -> tuple:
         """Plunger face, then walls + body to a fixed point, in place.
 
-        The elementwise half of the specular boundary phase on a
-        scratch-enabled population; returns ``(n_walls, n_wedge,
-        n_clamped)``.  The full-array path rescans and rewrites whole
-        columns on every reflection pass; at steady state only a few
-        percent of the population touches any boundary, so this scans
-        everyone exactly once (pass 1) and afterwards tracks the
-        *moved* subset: a reflection is the only way to (re)enter a
-        solid, hence passes 2+ and the final clamp only need to look at
-        particles moved by the previous pass.
+        The elementwise half of the boundary phase on a scratch-enabled
+        population, under any wall model and for any number of row
+        blocks; returns ``(n_walls, n_wedge, n_clamped)``.  At steady
+        state only a few percent of the population touches any
+        boundary, so this scans everyone exactly once (pass 1) and
+        afterwards tracks the *moved* subset: a reflection is the only
+        way to (re)enter a solid, hence passes 2+ and the final clamp
+        only need to look at particles moved by the previous pass.
 
-        Nothing here draws a random number, so one call serves any
-        number of row blocks (the ensemble's replicas).
-        ``record(rows, x, du, dv, back_face)`` receives each body
-        pass's surface hits; the ascending population ``rows`` let a
-        blocked caller split them by block.
+        Only the floor and ceiling under a non-specular model draw, per
+        crossing and per block (:meth:`_wall_step`): ``streams`` holds
+        one stream per block.  ``record(rows, x, du, dv, back_face)``
+        receives each body pass's surface hits; the ascending
+        population ``rows`` let a blocked caller split them by block.
         """
         sc = particles.scratch
         n = particles.n
@@ -427,7 +342,7 @@ class WindTunnelBoundaries:
         clean = False
         for _ in range(MAX_REFLECTION_PASSES):
             moved = []
-            # Floor and ceiling (specular).
+            # Floor and ceiling.
             if active is None:
                 m2 = sc.array("bnd_mask2", n, dtype=bool)
                 np.less(y, 0.0, out=mask)
@@ -438,13 +353,7 @@ class WindTunnelBoundaries:
                 ys = y[active]
                 off = active[(ys < 0.0) | (ys > height)]
             if off.size:
-                ys = y[off]
-                below = ys < 0.0
-                ys[below] = -ys[below]
-                above = ys > height
-                ys[above] = 2.0 * height - ys[above]
-                y[off] = ys
-                v[off] = -v[off]
+                self._wall_step(particles, off, streams)
                 n_walls += int(off.size)
                 moved.append(off)
             # The wedge (specular), on the subset actually inside it.
@@ -483,6 +392,76 @@ class WindTunnelBoundaries:
             n_clamped = self._clamp_subset(particles, active)
         return n_walls, n_wedge, n_clamped
 
+    def _wall_step(
+        self, particles: ParticleArrays, off: np.ndarray, streams
+    ) -> None:
+        """Floor, then ceiling, for the ascending rows ``off`` outside the gas.
+
+        Specular walls fold every row at once and draw nothing.  The
+        other models take each wall's crossers in turn -- the floor's,
+        then the ceiling's once the floor has folded its own -- and
+        re-emit each block's share from that block's stream, in
+        ascending row order: the rows and draws a run of that block
+        alone would make.
+        """
+        y, v = particles.y, particles.v
+        height = self.domain.height
+        if self.wall_model == "specular":
+            ys = y[off]
+            below = ys < 0.0
+            ys[below] = -ys[below]
+            above = ys > height
+            ys[above] = 2.0 * height - ys[above]
+            y[off] = ys
+            v[off] = -v[off]
+            return
+        edges = particles.block_edges()
+        for wall, side in ((0.0, "above"), (height, "below")):
+            ys = y[off]
+            crossed = off[ys < wall] if side == "above" else off[ys > wall]
+            cuts = np.searchsorted(crossed, edges).tolist()
+            for stream, c0, c1 in zip(streams, cuts[:-1], cuts[1:]):
+                if c1 > c0:
+                    self._reemit(particles, crossed[c0:c1], wall, side, stream)
+
+    def _reemit(
+        self,
+        particles: ParticleArrays,
+        rows: np.ndarray,
+        wall: float,
+        side: str,
+        rng: np.random.Generator,
+    ) -> None:
+        """One block's crossers of one wall, under a non-specular model.
+
+        Maxwell's model draws one uniform per crossing: with
+        probability ``accommodation`` the particle re-emits diffusely at
+        the wall temperature, otherwise it reflects specularly.
+        """
+        p = particles
+        if self.wall_model == "maxwell":
+            accommodated = rng.random(rows.size) < self.accommodation
+            mirror = rows[~accommodated]
+            if mirror.size:
+                p.y[mirror], p.v[mirror] = reflect_specular_axis(
+                    p.y[mirror], p.v[mirror], wall, side
+                )
+            rows = rows[accommodated]
+            if not rows.size:
+                return
+        velocity = (p.u[rows], p.v[rows], p.w[rows])
+        if self.wall_model == "adiabatic":
+            y1, (u1, v1, w1), _ = reflect_adiabatic_axis(
+                rng, p.y[rows], velocity, wall=wall, side=side, normal_axis=1
+            )
+        else:  # diffuse, or Maxwell's accommodated share
+            y1, (u1, v1, w1), rot1, _ = reflect_diffuse_axis(
+                rng, p.y[rows], velocity, p.rot[rows], wall=wall, side=side,
+                normal_axis=1, wall_c_mp=self.wall_c_mp,
+            )
+            p.rot[rows] = rot1
+        p.y[rows], p.u[rows], p.v[rows], p.w[rows] = y1, u1, v1, w1
+
     def _clamp_subset(
         self, particles: ParticleArrays, candidates: np.ndarray
     ) -> int:
@@ -511,95 +490,6 @@ class WindTunnelBoundaries:
                 sidx = idx[still]
                 x[sidx], y[sidx] = self.wedge.project_out(x[sidx], y[sidx])
         return int(idx.size)
-
-    # -- helpers ---------------------------------------------------------
-
-    def _wall_pass(
-        self, particles: ParticleArrays, rng: np.random.Generator
-    ) -> None:
-        """One floor + ceiling pass under the configured wall model."""
-        if self.wall_model == "specular":
-            particles.y, particles.v = reflect_specular_axis(
-                particles.y, particles.v, 0.0, "above"
-            )
-            particles.y, particles.v = reflect_specular_axis(
-                particles.y, particles.v, self.domain.height, "below"
-            )
-            return
-        for wall, side in ((0.0, "above"), (self.domain.height, "below")):
-            if self.wall_model == "maxwell":
-                self._maxwell_wall(particles, rng, wall, side)
-            elif self.wall_model == "diffuse":
-                (
-                    particles.y,
-                    (particles.u, particles.v, particles.w),
-                    particles.rot,
-                    _crossed,
-                ) = reflect_diffuse_axis(
-                    rng,
-                    particles.y,
-                    (particles.u, particles.v, particles.w),
-                    particles.rot,
-                    wall=wall,
-                    side=side,
-                    normal_axis=1,
-                    wall_c_mp=self.wall_c_mp,
-                )
-            else:  # adiabatic
-                (
-                    particles.y,
-                    (particles.u, particles.v, particles.w),
-                    _crossed,
-                ) = reflect_adiabatic_axis(
-                    rng,
-                    particles.y,
-                    (particles.u, particles.v, particles.w),
-                    wall=wall,
-                    side=side,
-                    normal_axis=1,
-                )
-
-    def _maxwell_wall(
-        self,
-        particles: ParticleArrays,
-        rng: np.random.Generator,
-        wall: float,
-        side: str,
-    ) -> None:
-        """Maxwell gas-surface model: accommodate a random fraction.
-
-        Each crossing particle independently re-emits diffusely at the
-        wall temperature with probability ``accommodation`` and reflects
-        specularly otherwise.
-        """
-        crossed = particles.y < wall if side == "above" else particles.y > wall
-        if not np.any(crossed):
-            return
-        diffuse = crossed & (rng.random(particles.n) < self.accommodation)
-        specular = crossed & ~diffuse
-        if np.any(specular):
-            y_s, v_s = reflect_specular_axis(
-                particles.y[specular], particles.v[specular], wall, side
-            )
-            particles.y[specular] = y_s
-            particles.v[specular] = v_s
-        if np.any(diffuse):
-            idx = np.flatnonzero(diffuse)
-            new_y, (u2, v2, w2), rot2, _ = reflect_diffuse_axis(
-                rng,
-                particles.y[idx],
-                (particles.u[idx], particles.v[idx], particles.w[idx]),
-                particles.rot[idx],
-                wall=wall,
-                side=side,
-                normal_axis=1,
-                wall_c_mp=self.wall_c_mp,
-            )
-            particles.y[idx] = new_y
-            particles.u[idx] = u2
-            particles.v[idx] = v2
-            particles.w[idx] = w2
-            particles.rot[idx] = rot2
 
     def plunger_inflow(
         self,

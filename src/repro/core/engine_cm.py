@@ -219,7 +219,7 @@ class CMSimulation:
             st.yq = self.q.add(st.yq, st.vq)
             cost.elementwise(bits=32, nops=2)
 
-            parts = self._decode(st)
+            parts = self._decode(st).enable_scratch()
             parts, bstats = self.boundaries.apply_rebuilding(
                 parts, self.reservoir, self.rng
             )

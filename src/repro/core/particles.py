@@ -489,21 +489,6 @@ class ParticleArrays:
             self._back[name] = np.empty(shape, dtype=old_front.dtype)
             setattr(self, name, front[:n])
 
-    def rehome(self) -> None:
-        """Move columns assigned as fresh arrays back into the buffers.
-
-        A kernel that re-points a column (``particles.y = ...``) leaves
-        it outside the backing store the in-place surgery reads.  No-op
-        without scratch.
-        """
-        if self._front is None:
-            return
-        for name in COLUMN_NAMES:
-            col, home = getattr(self, name), self._front[name][: self.n]
-            if not np.may_share_memory(col, home):
-                home[...] = col
-                setattr(self, name, home)
-
     def _swap_to_back(self, n_new: int) -> None:
         """Flip front/back and point the columns at the new front."""
         self._front, self._back = self._back, self._front

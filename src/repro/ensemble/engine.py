@@ -37,25 +37,25 @@ serial run.
 **Determinism contract.**  All randomness comes from counter-keyed
 Philox streams ``shard_stream(seed, 0, step, replica=rid)`` -- a pure
 function of the key, never advanced across steps.  Within a step every
-replica's draws happen in a fixed order (deposits and refills in the
-boundary pass; pairing offsets, acceptance, collision signs and
-transpositions in the shared kernel; the reservoir mix's shuffle, signs
-and transpositions -- all per block) from its own stream, and all
-batched arithmetic is elementwise or block-local, so replica ``r`` of a
-batched run is **bitwise identical** to a solo engine run (``R = 1``)
-keyed for ``r`` -- asserted by :func:`verify_replica_equality` and
-pinned in CI.
+replica's draws happen in a fixed order (wall re-emissions, deposits
+and refills in the boundary pass; pairing offsets, acceptance,
+collision signs and transpositions in the shared kernel; the reservoir
+mix's shuffle, signs and transpositions -- all per block) from its own
+stream, and all batched arithmetic is elementwise or block-local, so
+replica ``r`` of a batched run is **bitwise identical** to a solo
+engine run (``R = 1``) keyed for ``r`` -- asserted by
+:func:`verify_replica_equality` and pinned in CI.
 
 Engine restrictions (enforced at construction): the serial backend
-only (replica blocks and shards do not compose yet), specular walls
-only (the other wall models draw per-crossing RNG inside
-full-population kernels, which would entangle replicas),
-``internal_exchange_probability == 1.0`` (the shared kernel makes the
-relaxation knob's draws per block as well, but no replica == solo test
-pins that combination at engine level yet) and the ``"incremental"``
-sort kernel (the counting kernel's shuffle draws from one stream over
-the whole population).  A span domain is a domain like any other: the
-replicas of the ``wedge3d`` slab are each bitwise their solo run.
+only (replica blocks and shards do not compose yet), the
+``"incremental"`` sort kernel (the counting kernel's shuffle draws from
+one stream over the whole population), and distinct non-negative
+replica ids keyed from a stateless seed.  Every wall model and every
+``internal_exchange_probability`` runs batched: the boundary pass
+re-emits each block's wall crossers from that block's stream, and the
+collision kernel draws the relaxation knob's frozen pairs per block.
+A span domain is a domain like any other: the replicas of the
+``wedge3d`` slab are each bitwise their solo run.
 
 Results are read like any run's, block by block: a scenario run's
 harvest (:func:`repro.scenarios.golden.execute`) yields one
@@ -156,18 +156,6 @@ def _check(config: SimulationConfig, replica_ids: tuple, backend) -> None:
             "the ensemble engine steps its replica blocks on the serial "
             "backend: replicas and shards (--workers "
             f"{getattr(backend, 'n_workers', '?')}) do not compose yet"
-        )
-    if config.wall_model != "specular":
-        raise ConfigurationError(
-            "the ensemble engine supports specular walls only "
-            f"(got {config.wall_model!r}): other wall models draw "
-            "per-crossing RNG that would entangle replicas"
-        )
-    if config.model.internal_exchange_probability != 1.0:
-        raise ConfigurationError(
-            "the ensemble engine requires "
-            "internal_exchange_probability == 1.0 (the replica == "
-            "solo contract is pinned for the fully mixing model only)"
         )
     if config.sort_kernel != "incremental":
         raise ConfigurationError(

@@ -9,8 +9,11 @@ The Future Work section asks for "no slip adiabatic and isothermal
 walls"; :func:`reflect_diffuse_axis` implements the isothermal diffuse
 (full accommodation) wall as that extension.
 
-All kernels are vectorized over the selected particle subset and return
-updated copies (callers own in-place policy).
+All kernels are vectorized over the rows they are handed and return
+updated copies.  The boundary pass
+(:meth:`repro.core.boundary.WindTunnelBoundaries.reflect`) hands them one
+block's crossers of one wall, with that block's stream, and writes the
+copies back in place; the draws are one set per crossing, in row order.
 """
 
 from __future__ import annotations
@@ -164,36 +167,3 @@ def reflect_adiabatic_axis(
     comps[tangent_axes[1]][crossed] = speed * t_mag * np.sin(phi)
     return new_pos, tuple(comps), crossed
 
-
-def reflect_plane(
-    x: np.ndarray,
-    y: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    point: Tuple[float, float],
-    normal: Tuple[float, float],
-    mask: np.ndarray,
-) -> tuple:
-    """Specular reflection across an arbitrary 2-D plane (line).
-
-    Mirrors the masked particles' positions across the line through
-    ``point`` with unit ``normal`` and reflects the in-plane velocity
-    components.  Used by bodies other than the wedge (the wedge carries
-    its own fused kernel).
-    """
-    nx, ny = normal
-    norm = math.hypot(nx, ny)
-    if norm == 0:
-        raise ConfigurationError("normal must be non-zero")
-    nx, ny = nx / norm, ny / norm
-    x = np.array(x, dtype=np.float64, copy=True)
-    y = np.array(y, dtype=np.float64, copy=True)
-    u = np.array(u, dtype=np.float64, copy=True)
-    v = np.array(v, dtype=np.float64, copy=True)
-    d = (x[mask] - point[0]) * nx + (y[mask] - point[1]) * ny
-    x[mask] -= 2.0 * d * nx
-    y[mask] -= 2.0 * d * ny
-    vdotn = u[mask] * nx + v[mask] * ny
-    u[mask] -= 2.0 * vdotn * nx
-    v[mask] -= 2.0 * vdotn * ny
-    return x, y, u, v

@@ -149,19 +149,3 @@ def random_permutation_table(
         raise ValueError(f"n_entries must be non-negative, got {n_entries}")
     keys = rng.random((n_entries, length))
     return np.argsort(keys, axis=1).astype(np.int8)
-
-
-def random_transposition_pairs(
-    rng: np.random.Generator, n: int, length: int = 5
-) -> tuple:
-    """Draw ``n`` random transpositions for permutations of ``length``.
-
-    Following the paper (after Aldous & Diaconis), a "random
-    transposition" swaps a uniformly chosen element with the first
-    element.  Returns ``(j,)`` -- the indices to swap with element 0.
-    The choice ``j == 0`` is allowed (identity transposition), matching
-    the card-shuffling model whose n log n mixing-time bound the paper
-    cites.
-    """
-    j = rng.integers(0, length, size=n)
-    return (j,)

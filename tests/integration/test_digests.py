@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import RESORT_PERIOD
-from repro.ensemble.engine import EnsembleEngine
+from repro.ensemble.engine import EnsembleEngine, verify_replica_equality
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.parallel.backend import ShardedBackend
@@ -47,8 +47,20 @@ def _wedge(density=6.0, **kw) -> SimulationConfig:
     )
 
 
+#: The non-specular wall models' settings (Maxwell half accommodated,
+#: so both of its branches run).
+WALLS = {
+    "diffuse": {"wall_model": "diffuse"},
+    "adiabatic": {"wall_model": "adiabatic"},
+    "maxwell": {"wall_model": "maxwell", "accommodation": 0.5},
+}
+
+
 CASES = {
     "serial_incremental": lambda: Simulation(_wedge()),
+    "serial_diffuse": lambda: Simulation(_wedge(**WALLS["diffuse"])),
+    "serial_adiabatic": lambda: Simulation(_wedge(**WALLS["adiabatic"])),
+    "serial_maxwell": lambda: Simulation(_wedge(**WALLS["maxwell"])),
     "serial_counting": lambda: Simulation(_wedge(sort_kernel="counting")),
     "sharded_w2_inline": lambda: Simulation(
         _wedge(), backend=ShardedBackend(2, processes=False)
@@ -56,6 +68,12 @@ CASES = {
     "wedge3d_slab": WEDGE3D.build_simulation,
     "ensemble_r3": lambda: EnsembleEngine(_wedge(4.0), n_replicas=3),
     "ensemble_r8_sparse": lambda: EnsembleEngine(_wedge(0.65), n_replicas=8),
+    "ensemble_r3_diffuse": lambda: EnsembleEngine(
+        _wedge(4.0, **WALLS["diffuse"]), n_replicas=3
+    ),
+    "ensemble_r3_maxwell": lambda: EnsembleEngine(
+        _wedge(4.0, **WALLS["maxwell"]), n_replicas=3
+    ),
 }
 
 
@@ -115,6 +133,18 @@ def test_supervised_resume_matches_golden(name, tmp_path):
     if name.startswith("sharded"):
         # The resumed run keeps balancing on the cadence (steps 30-60).
         assert rebalances >= 1
+
+
+@pytest.mark.parametrize("walls", sorted(WALLS))
+def test_ensemble_under_wall_models_is_its_solo_replicas(walls):
+    # The wall re-emissions draw per crossing from each replica's own
+    # stream: replica r of R = 3 is solo replica r under every model,
+    # at the config and schedule of the ensemble_r3_<walls> rows.
+    (transient, _), (average, _) = SCHEDULE
+    verify_replica_equality(
+        _wedge(4.0, **WALLS[walls]), n_replicas=3,
+        transient=transient, average=average,
+    )
 
 
 def test_digest_sees_every_piece_of_state():

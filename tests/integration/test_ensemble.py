@@ -10,6 +10,8 @@ solo for debugging and produces the same trajectory float for float.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
 from repro.physics.freestream import Freestream
-from repro.physics.molecules import hard_sphere
+from repro.physics.molecules import hard_sphere, maxwell_molecule
 from repro.parallel.backend import ShardedBackend
 from repro.rng import random_permutation_table, shard_stream
 from repro.scenarios.library import WEDGE3D
@@ -100,6 +102,16 @@ class TestBitwiseReplicaEquality:
             n_replicas=2,
             transient=4,
             average=2,
+        )
+
+    def test_equality_with_partial_internal_exchange(self):
+        """The relaxation knob's frozen pairs are drawn per block."""
+        model = dataclasses.replace(
+            maxwell_molecule(), internal_exchange_probability=0.5
+        )
+        verify_replica_equality(
+            _small_config(model=model), n_replicas=3,
+            transient=30, average=30,
         )
 
     def test_replica_states_differ_from_each_other(self):
@@ -245,12 +257,6 @@ class TestResortScheduleMovesStorageNotPhysics:
 
 
 class TestEngineRestrictions:
-    def test_diffuse_wall_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnsembleEngine(
-                _small_config(wall_model="diffuse"), n_replicas=2
-            )
-
     def test_sharded_backend_rejected(self):
         # Replicas x shards do not compose yet: a typed refusal before
         # any worker is spawned.
@@ -260,8 +266,6 @@ class TestEngineRestrictions:
             )
 
     def test_live_generator_seed_rejected(self):
-        import dataclasses
-
         cfg = dataclasses.replace(
             _small_config(), seed=np.random.default_rng(1)
         )

@@ -114,7 +114,7 @@ class TestCollisionStageSpelledOnce:
 #: block or R; ``deposit`` is absent because the ensemble's constructor
 #: seeds each reservoir with it.
 BOUNDARY_INTERNALS = {
-    "plunger_inflow", "reflect_specular", "withdraw", "remove_inplace",
+    "plunger_inflow", "reflect", "withdraw", "remove_inplace",
     "append_inplace", "searchsorted",
 }
 
@@ -150,6 +150,10 @@ class TestBoundaryPassSpelledOnce:
             (ParticleArrays, "remove_blocked_inplace"),
             (ParticleArrays, "append_blocked_inplace"),
             (WindTunnelBoundaries, "_apply_rebuilding_fast"),
+            (WindTunnelBoundaries, "_reflect_full_array"),
+            (WindTunnelBoundaries, "_wall_pass"),
+            (WindTunnelBoundaries, "_maxwell_wall"),
+            (ParticleArrays, "rehome"),
             (EnsembleEngine, "_apply_boundaries"),
             (EnsembleEngine, "_record_surface"),
         ):
@@ -167,6 +171,45 @@ class TestBoundaryPassSpelledOnce:
             if isinstance(node, ast.Attribute) and node.attr == "starts"
         }
         assert owners <= {"parts"}
+
+
+class TestOneReflectionPass:
+    """One reflection pass for every wall model and any number of
+    blocks: it rewrites a scratch-enabled population in place, and the
+    wall kernels of :mod:`repro.geometry.reflect` have one caller."""
+
+    @staticmethod
+    def _tree():
+        import repro.core.boundary as boundary
+
+        return ast.parse(pathlib.Path(boundary.__file__).read_text())
+
+    def test_no_plain_population_branch(self):
+        tree = self._tree()
+        calls = {
+            ast.unparse(node.func)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        attrs = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+        }
+        assert "ParticleArrays.concatenate" not in calls
+        assert not attrs & {"select", "rehome"}
+
+    def test_wall_kernels_have_one_caller(self):
+        callers = {
+            fn.name
+            for fn in ast.walk(self._tree())
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id.startswith("reflect_")
+            and node.func.id.endswith("_axis")
+        }
+        assert len(callers) == 1, callers
 
 
 class TestOneReservoir:

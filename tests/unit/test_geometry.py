@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError, GeometryError
 from repro.geometry.domain import Domain
 from repro.geometry.reflect import (
     reflect_diffuse_axis,
-    reflect_plane,
     reflect_specular_axis,
 )
 from repro.geometry.wedge import Wedge
@@ -219,21 +218,3 @@ class TestDiffuseReflection:
             reflect_diffuse_axis(rng, z, (z, z, z), np.zeros((1, 2)), 0.0,
                                  "above", normal_axis=1, wall_c_mp=0.0)
 
-
-class TestPlaneReflection:
-    def test_mirror_and_velocity(self):
-        x, y, u, v = reflect_plane(
-            np.array([1.0]), np.array([-1.0]),
-            np.array([0.0]), np.array([-1.0]),
-            point=(0.0, 0.0), normal=(0.0, 1.0),
-            mask=np.array([True]),
-        )
-        assert y[0] == pytest.approx(1.0)
-        assert v[0] == pytest.approx(1.0)
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ConfigurationError):
-            reflect_plane(
-                np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
-                point=(0, 0), normal=(0, 0), mask=np.array([True]),
-            )

@@ -215,7 +215,9 @@ class TestBlockedBoundaryPass:
     reservoir, stream and surface sampler; the R-block call has one
     reservoir of R blocks.  Block 1 has no downstream exits and a nearly
     dry reservoir block (a refill mints the balance), block 2 is empty
-    with an empty reservoir block.
+    with an empty reservoir block.  Every wall model takes the same
+    pass: the non-specular ones re-emit each block's floor and ceiling
+    crossers from that block's stream.
     """
 
     DOMAIN = Domain(30, 20)
@@ -256,15 +258,28 @@ class TestBlockedBoundaryPass:
     def _streams(n):
         return [shard_stream(7, 0, 12, replica=b) for b in range(n)]
 
+    #: The wall-model settings of the parametrization (Maxwell half
+    #: accommodated, so both of its branches run).
+    WALLS = {
+        "specular": {},
+        "diffuse": {"wall_model": "diffuse"},
+        "adiabatic": {"wall_model": "adiabatic"},
+        "maxwell": {"wall_model": "maxwell", "accommodation": 0.5},
+    }
+
+    @pytest.mark.parametrize("walls", WALLS.values(), ids=WALLS.keys())
     @pytest.mark.parametrize("sizes", [(300,), (300, 200, 0)], ids=["R1", "R3"])
     @pytest.mark.parametrize("position", [0.3, 1.6], ids=["plain", "refill"])
-    def test_blocks_equal_one_block_calls(self, sizes, position):
+    def test_blocks_equal_one_block_calls(self, sizes, position, walls):
         n_blocks = len(sizes)
         blocks, tanks = self._blocks(sizes)
         parts = ParticleArrays.from_blocks(blocks).enable_scratch()
+        # Every non-empty block has floor and ceiling crossers.
+        for blk in blocks[:2]:
+            assert np.any(blk.y < 0.0) and np.any(blk.y > 20.0)
         joint_tank = _one_reservoir(tanks)
         joint_streams = self._streams(n_blocks)
-        wb = self._boundaries(position)
+        wb = self._boundaries(position, **walls)
         wb.surface_sampler = [SurfaceSampler(self.WEDGE) for _ in sizes]
         out, stats = wb.apply_rebuilding(parts, joint_tank, joint_streams)
         assert out is parts and parts.scratch is not None
@@ -279,7 +294,7 @@ class TestBlockedBoundaryPass:
         for b, (blk, tank, stream) in enumerate(
             zip(blocks, tanks, self._streams(n_blocks))
         ):
-            alone = self._boundaries(position)
+            alone = self._boundaries(position, **walls)
             alone.surface_sampler = SurfaceSampler(self.WEDGE)
             tank = self._pooled_copy(tank)
             alone_tanks.append(tank)
@@ -340,15 +355,14 @@ class TestBlockedBoundaryPass:
         with pytest.raises(ConfigurationError, match="1 surface samplers for 3"):
             wb.apply_rebuilding(parts, tank, self._streams(3))
 
-    def test_several_blocks_need_the_subset_path(self):
-        wb, parts, tanks = self._three_blocks()
-        tank = _one_reservoir(tanks)
-        with pytest.raises(ConfigurationError, match="scratch-enabled"):
-            wb.apply_rebuilding(parts, tank, self._streams(3))
+    def test_needs_a_scratch_enabled_population(self):
         wb, parts, tanks = self._three_blocks(wall_model="diffuse")
-        parts.enable_scratch()
-        with pytest.raises(ConfigurationError, match="specular walls"):
-            wb.apply_rebuilding(parts, tank, self._streams(3))
+        for pop, tank, streams in (
+            (parts, _one_reservoir(tanks), self._streams(3)),
+            (parts.blocks()[0], tanks[0], self._streams(1)[0]),
+        ):
+            with pytest.raises(ConfigurationError, match="scratch-enabled"):
+                wb.apply_rebuilding(pop, tank, streams)
 
 
 class TestPlungerState:
@@ -366,7 +380,7 @@ class TestBoundaries:
         domain = domain or Domain(30, 20)
         return ParticleArrays.from_freestream(
             rng, n, fs, (1, domain.width - 1), (1, domain.height - 1)
-        )
+        ).enable_scratch()
 
     def test_floor_ceiling_reflection(self, fs, rng):
         d = Domain(30, 20)

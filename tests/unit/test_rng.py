@@ -9,7 +9,6 @@ from repro.rng import (
     make_rng,
     random_permutation_table,
     random_signs,
-    random_transposition_pairs,
     shard_stream,
 )
 
@@ -135,12 +134,6 @@ class TestPermutationTable:
 
     def test_zero_rows(self, rng):
         assert random_permutation_table(rng, 0).shape == (0, 5)
-
-
-class TestTranspositionDraws:
-    def test_in_range(self, rng):
-        (j,) = random_transposition_pairs(rng, 1000, length=5)
-        assert j.min() >= 0 and j.max() <= 4
 
 
 def _same_position(a: np.random.Generator, b: np.random.Generator) -> bool:

@@ -20,7 +20,7 @@ def crossing_population(rng, fs, n=4000, domain=None):
     domain = domain or Domain(30, 20)
     pop = ParticleArrays.from_freestream(
         rng, n, fs, (1, domain.width - 1), (1, domain.height - 1)
-    )
+    ).enable_scratch()
     # Half the population has just crossed the floor.
     pop.y[: n // 2] = -0.2
     pop.v[: n // 2] = -0.3
