@@ -376,11 +376,12 @@ class ParticleArrays:
     def enable_scratch(self, slack: float = 0.3) -> "ParticleArrays":
         """Re-home every column in capacity-backed ping-pong buffers.
 
-        After this call the per-step population operations --
-        :meth:`reorder_inplace`, :meth:`remove_inplace`,
-        :meth:`append_inplace` -- run against two preallocated buffer
-        sets (gather from the front set into the back set, then swap),
-        so steady-state stepping performs no O(N) heap allocations.
+        After this call the per-step population operations run against
+        two preallocated buffer sets -- :meth:`reorder_inplace` gathers
+        from the front set into the back set and swaps, the surgery
+        (:meth:`remove_inplace`, :meth:`grow_inplace`,
+        :meth:`append_inplace`) rewrites the front set in place -- so
+        steady-state stepping performs no O(N) heap allocations.
         Capacity carries ``slack`` headroom over the current population
         and grows geometrically (amortized) if the population outgrows
         it.  Returns ``self`` for chaining.
@@ -489,12 +490,6 @@ class ParticleArrays:
             self._back[name] = np.empty(shape, dtype=old_front.dtype)
             setattr(self, name, front[:n])
 
-    def _swap_to_back(self, n_new: int) -> None:
-        """Flip front/back and point the columns at the new front."""
-        self._front, self._back = self._back, self._front
-        for name in COLUMN_NAMES:
-            setattr(self, name, self._front[name][:n_new])
-
     def reorder_inplace(self, order: np.ndarray, columns=None) -> None:
         """Apply a sort order to every column (the post-sort layout).
 
@@ -548,36 +543,38 @@ class ParticleArrays:
         joined.starts = np.cumsum([0] + [b.n for b in blocks], dtype=np.int64)
         return joined
 
-    def _relayout(self, edges: list, keep: list, extra=None) -> None:
-        """Block ``b`` becomes its first ``keep[b]`` rows, then ``extra[b]``'s.
+    def _relayout(self, edges: list, sizes: list) -> list:
+        """Resize block ``b`` to ``sizes[b]`` rows in place; return the new edges.
 
-        One block never moves: it shrinks or grows where it lies in the
-        front buffers.  Several are packed back to back, in order, into
-        the back buffers, and the buffer sets swapped.
+        Block ``b`` keeps its first ``min(old size, sizes[b])`` rows,
+        slid to its new start inside the front buffers; the rows it
+        gains hold unspecified values until the caller fills them.  A
+        call either only shrinks blocks or only grows them, so sliding
+        in ascending block order when the population shrinks and in
+        descending order when it grows never overwrites a block that
+        has yet to move.  Block 0 never moves, and one block is the
+        same loop with nothing to slide.
         """
-        grown = [0] * len(keep) if extra is None else [o.n for o in extra]
         new_edges = [0]
-        for k, m in zip(keep, grown):
-            new_edges.append(new_edges[-1] + k + m)
+        for size in sizes:
+            new_edges.append(new_edges[-1] + size)
         n_new = new_edges[-1]
+        slides = []
+        for b, size in enumerate(sizes):
+            k = min(edges[b + 1] - edges[b], size)
+            if k and new_edges[b] != edges[b]:
+                slides.append((new_edges[b], edges[b], k))
+        if n_new > self.n:
+            slides.reverse()
         self._ensure_capacity(n_new)
-        if len(keep) == 1:
-            for name in COLUMN_NAMES:
-                col = self._front[name]
-                if grown[0]:
-                    col[keep[0] : n_new] = getattr(extra[0], name)
-                setattr(self, name, col[:n_new])
-        else:
-            for name in COLUMN_NAMES:
-                src, dst = self._front[name], self._back[name]
-                for b, (k, m) in enumerate(zip(keep, grown)):
-                    d0 = new_edges[b] + k
-                    dst[new_edges[b] : d0] = src[edges[b] : edges[b] + k]
-                    if m:
-                        dst[d0 : d0 + m] = getattr(extra[b], name)
-            self._swap_to_back(n_new)
+        for name in COLUMN_NAMES:
+            col = self._front[name]
+            for d0, s0, k in slides:
+                col[d0 : d0 + k] = col[s0 : s0 + k]
+            setattr(self, name, col[:n_new])
         if self.starts is not None:
             self.starts = np.array(new_edges, dtype=np.int64)
+        return new_edges
 
     def remove_inplace(self, remove_mask: np.ndarray) -> list:
         """Delete the masked particles by backfilling holes from the tail.
@@ -589,27 +586,63 @@ class ParticleArrays:
         step loop's downstream removal, the reservoir withdrawal).
 
         Each block is backfilled from its own tail, so its surviving
-        rows are those a removal on that block alone would leave.
-        Returns the number of rows removed from each block.
+        rows are those a removal on that block alone would leave; the
+        holes and sources of every block are gathered first and moved
+        with one copy per column, then the blocks slide together
+        (:meth:`_relayout`).  Returns the number of rows removed from
+        each block.
         """
         if self._front is None:
             raise ConfigurationError("remove_inplace requires enable_scratch")
         if remove_mask.shape != (self.n,):
             raise ConfigurationError("remove_mask must have one entry per particle")
         edges = self.block_edges()
-        keep = []
-        for b0, b1 in zip(edges[:-1], edges[1:]):
-            gone = np.flatnonzero(remove_mask[b0:b1])
-            n_new = (b1 - b0) - gone.shape[0]
-            if gone.shape[0]:
-                holes = b0 + gone[gone < n_new]
-                src = (b0 + n_new) + np.flatnonzero(~remove_mask[b0 + n_new : b1])
-                for name in COLUMN_NAMES:
-                    col = self._front[name]
-                    col[holes] = col[src]
-            keep.append(n_new)
-        self._relayout(edges, keep)
-        return [b1 - b0 - k for b0, b1, k in zip(edges[:-1], edges[1:], keep)]
+        gone = np.flatnonzero(remove_mask)
+        if not gone.shape[0]:
+            return [0] * (len(edges) - 1)
+        # gone[cut[b]:cut[b + 1]] are block b's rows.  The block keeps
+        # [edges[b], ends[b]): its holes lie below ends[b], and the rows
+        # that fill them are the survivors of its tail.
+        cut = np.searchsorted(gone, edges).tolist()
+        removed = [c1 - c0 for c0, c1 in zip(cut, cut[1:])]
+        ends = [e - r for e, r in zip(edges[1:], removed)]
+        below = np.searchsorted(gone, ends).tolist()
+        holes = np.concatenate([gone[c:h] for c, h in zip(cut, below)])
+        row = self.scratch.arange(edges[-1])
+        tail = np.concatenate([row[e:e1] for e, e1 in zip(ends, edges[1:])])
+        src = tail[~remove_mask[tail]]
+        for name in COLUMN_NAMES:
+            col = self._front[name]
+            col[holes] = col[src]
+        self._relayout(edges, [e - b0 for e, b0 in zip(ends, edges)])
+        return removed
+
+    def grow_inplace(self, counts) -> "slice | np.ndarray":
+        """Give block ``b`` ``counts[b]`` more rows at its end.
+
+        One relayout for all blocks (:meth:`_relayout`).  Returns the
+        new rows in block order -- a slice for one block, an index
+        array for several -- whose every column the caller must fill.
+        """
+        if self._front is None:
+            raise ConfigurationError("grow_inplace requires enable_scratch")
+        edges = self.block_edges()
+        if len(counts) != len(edges) - 1:
+            raise ConfigurationError(
+                f"{len(counts)} counts for {len(edges) - 1} blocks"
+            )
+        if min(counts) < 0:
+            raise ConfigurationError("counts must be non-negative")
+        new_edges = self._relayout(
+            edges,
+            [b1 - b0 + m for b0, b1, m in zip(edges[:-1], edges[1:], counts)],
+        )
+        if len(counts) == 1:
+            return slice(edges[1], new_edges[1])
+        row = self.scratch.arange(new_edges[-1])
+        return np.concatenate(
+            [row[e - m : e] for e, m in zip(new_edges[1:], counts)]
+        )
 
     def append_inplace(self, other) -> None:
         """Append ``other``'s particles to the block they are meant for.
@@ -617,20 +650,26 @@ class ParticleArrays:
         ``other`` is a sequence of one population per block (possibly
         empty), or one population declaring as many blocks (a
         population without ``starts`` is one); block ``b`` becomes its
-        current rows followed by ``other``'s block ``b``.
+        current rows followed by ``other``'s block ``b``.  Grows the
+        blocks (:meth:`grow_inplace`), then copies into the new rows
+        with one copy per column.
         """
         if self._front is None:
             raise ConfigurationError("append_inplace requires enable_scratch")
-        others = other.blocks() if isinstance(other, ParticleArrays) else other
-        edges = self.block_edges()
-        if len(others) != len(edges) - 1:
+        if isinstance(other, ParticleArrays):
+            e = other.block_edges()
+            counts = [e1 - e0 for e0, e1 in zip(e, e[1:])]
+        else:
+            counts = [o.n for o in other]
+        if len(counts) != self.n_blocks:
             raise ConfigurationError("one appended population per block")
-        for o in others:
-            if o.rotational_dof != self.rotational_dof:
-                raise ConfigurationError("rotational dof mismatch")
-        self._relayout(
-            edges, [b1 - b0 for b0, b1 in zip(edges[:-1], edges[1:])], others
-        )
+        if not isinstance(other, ParticleArrays):
+            other = ParticleArrays.concatenate(*other)
+        if other.rotational_dof != self.rotational_dof:
+            raise ConfigurationError("rotational dof mismatch")
+        rows = self.grow_inplace(counts)
+        for name in COLUMN_NAMES:
+            getattr(self, name)[rows] = getattr(other, name)
 
     # -- migration pack/unpack (the sharded exchange) ---------------------
 

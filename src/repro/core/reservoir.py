@@ -91,6 +91,13 @@ class Reservoir:
         incoming particles' actual post-shock velocities are discarded
         (the paper re-deals them; keeping hot wake velocities would
         bias the future inflow), so only the count matters.
+
+        Every block grows by its count in one relayout
+        (:meth:`ParticleArrays.grow_inplace`); then each block draws its
+        velocities, rotational state and permutation table from its own
+        stream, in the order a reservoir of that block alone would, and
+        the draws land in the new rows with one copy per column.  The
+        positional columns of a reservoir particle are zero.
         """
         streams = self._streams(rng)
         counts = np.atleast_1d(n).tolist()
@@ -100,30 +107,31 @@ class Reservoir:
             )
         if min(counts) < 0:
             raise ConfigurationError("n must be non-negative")
-        if any(counts):
-            self.particles.append_inplace(
-                [self._newcomers(s, k) for s, k in zip(streams, counts)]
+        if not any(counts):
+            return
+        parts = self.particles
+        rows = parts.grow_inplace(counts)
+        fs = self.freestream
+        rdof = parts.rotational_dof
+        drawn = [
+            (
+                sample_rectangular(s, k, fs.c_mp, drift=fs.drift_vector()),
+                sample_rectangular(s, k, fs.c_mp, components=rdof),
+                random_permutation_table(s, k, length=3 + rdof),
             )
-
-    def _newcomers(self, rng: np.random.Generator, n: int) -> ParticleArrays:
-        """``n`` rectangular-distribution particles drawn from ``rng``."""
-        rdof = self.particles.rotational_dof
-        if n == 0:
-            return ParticleArrays.empty(rdof)
-        vel = sample_rectangular(
-            rng, n, self.freestream.c_mp, drift=self.freestream.drift_vector()
+            for s, k in zip(streams, counts)
+            if k
+        ]
+        vel, rot, perm = (
+            draws[0] if len(drawn) == 1 else np.concatenate(draws)
+            for draws in zip(*drawn)
         )
-        rot = sample_rectangular(rng, n, self.freestream.c_mp, components=rdof)
-        return ParticleArrays(
-            x=np.zeros(n),
-            y=np.zeros(n),
-            u=vel[:, 0].copy(),
-            v=vel[:, 1].copy(),
-            w=vel[:, 2].copy(),
-            rot=rot,
-            perm=random_permutation_table(rng, n, length=3 + rdof),
-            cell=np.zeros(n, dtype=np.int64),
-        )
+        for c, name in enumerate(("u", "v", "w")):
+            getattr(parts, name)[rows] = vel[:, c]
+        parts.rot[rows] = rot
+        parts.perm[rows] = perm
+        for name in ("x", "y", "z", "cell"):
+            getattr(parts, name)[rows] = 0
 
     def withdraw(self, rng, n: int) -> ParticleArrays:
         """Remove and return ``n`` particles of every block (as relaxed).

@@ -186,7 +186,6 @@ def sort_by_cell(
     scale: int = DEFAULT_SORT_SCALE,
     mix_bits: Optional[np.ndarray] = None,
     n_cells: Optional[int] = None,
-    counts_out: Optional[np.ndarray] = None,
 ) -> SortStepResult:
     """Sort the population by cell with randomized intra-cell order.
 
@@ -203,10 +202,7 @@ def sort_by_cell(
     approximately uniform and keeps the sort key 16 bits wide.
 
     ``n_cells`` additionally requests the per-cell histogram in the
-    result (derived from the sorted population by binary search);
-    ``counts_out`` (int64, length ``n_cells``) receives that histogram
-    in place -- shard workers pass a persistent buffer so the per-step
-    counts never allocate.
+    result (derived from the sorted population by binary search).
     """
     cell = particles.cell
     scratch = particles.scratch
@@ -239,15 +235,7 @@ def sort_by_cell(
         # binary search over the n_cells bucket edges -- O(C log N)
         # instead of the O(N) bincount pass.
         edges = np.searchsorted(particles.cell, np.arange(n_cells + 1))
-        if counts_out is not None:
-            if counts_out.shape != (n_cells,):
-                raise ConfigurationError(
-                    f"counts_out must have shape ({n_cells},)"
-                )
-            np.subtract(edges[1:], edges[:-1], out=counts_out)
-            counts = counts_out
-        else:
-            counts = np.diff(edges)
+        counts = np.diff(edges)
     return SortStepResult(order=order, counts=counts)
 
 

@@ -18,9 +18,12 @@ the same step (:class:`repro.core.simulation.SerialBackend`), the same
 sorter, sampler and diagnostics.  It overrides one thing, **the stream
 source**: where the serial run draws from one advancing PCG64
 generator, the ensemble keys ``shard_stream(seed, 0, step,
-replica=rid)`` per block.  What lives here besides is what there is one
-of per replica: the constructor's restrictions and the per-replica
-results.
+replica=rid)`` per block.  It keeps those R generators for the run and
+re-keys them in place every step (``shard_stream``'s ``into=``): a
+step's stream set-up writes R counters and keys instead of building R
+Philox generators, and reads no OS entropy.  What lives here besides is
+what there is one of per replica: the constructor's restrictions and
+the per-replica results.
 
 **Layout.**  Replica-packed rows, physically blocked by replica at all
 times, in the flow and in the reservoir alike: replica ``r`` owns the
@@ -128,14 +131,21 @@ class EnsembleEngine(Simulation):
         _check(config, replica_ids, backend)
         self.replica_ids = replica_ids
         self.n_replicas = len(replica_ids)
+        self._streams: list = [None] * len(replica_ids)
         super().__init__(config, backend=backend, telemetry=telemetry)
 
     def streams(self, step: int) -> list:
-        """One keyed Philox stream per replica for step ``step``."""
-        return [
-            shard_stream(self.config.seed, 0, step, replica=rid)
-            for rid in self.replica_ids
+        """One keyed Philox stream per replica for step ``step``.
+
+        The engine keeps R generators and re-keys them on every call, so
+        the streams handed out for step ``s`` stay valid until the next
+        call, which re-keys the same generators for its own step.
+        """
+        self._streams = [
+            shard_stream(self.config.seed, 0, step, replica=rid, into=g)
+            for rid, g in zip(self.replica_ids, self._streams)
         ]
+        return self._streams
 
 
 def _check(config: SimulationConfig, replica_ids: tuple, backend) -> None:

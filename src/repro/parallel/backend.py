@@ -345,7 +345,9 @@ class ShardWorker:
         t0 = time.perf_counter()
         # The shard's stream is keyed by the completed-step count, one
         # behind the serial engine's ``streams(step + 1)``.
-        self._stream = shard_stream(self._seed, self.shard_id, step)
+        self._stream = shard_stream(
+            self._seed, self.shard_id, step, into=self._stream
+        )
 
         # Shard 0 claims the downstream-exit count the last shard
         # shipped in the previous step's phase B (the end-of-step

@@ -19,7 +19,7 @@ The reproduction needs two kinds of randomness:
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,6 +35,11 @@ DEFAULT_SEED: int = 19890101
 #: iterates seeds.
 _KEY_CACHE: dict = {}
 _KEY_CACHE_MAX = 256
+
+#: A fresh Philox generator's output buffer: empty, so the next draw
+#: computes the block at the counter.
+_EMPTY_BUFFER = (0, 0, 0, 0)
+_EMPTY_BUFFER_POS = 4
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -52,7 +57,12 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
 
 
 def shard_stream(
-    seed: SeedLike, shard_id: int, step: int, replica: int = 0
+    seed: SeedLike,
+    shard_id: int,
+    step: int,
+    replica: int = 0,
+    *,
+    into: Optional[np.random.Generator] = None,
 ) -> np.random.Generator:
     """Counter-based stream for one ``(seed, replica, shard_id, step)`` key.
 
@@ -74,6 +84,14 @@ def shard_stream(
     makes batched-vs-solo execution bitwise comparable.  The default of
     0 occupies the counter word that was previously hardwired to 0, so
     every existing 3-key call sees an unchanged stream.
+
+    ``into`` (internal: the engines pass the generator they keyed last
+    step) is re-keyed in place and returned instead of a new generator:
+    its Philox counter and key are set and its buffered output dropped,
+    so it draws bitwise what a fresh stream for the key would.  That
+    costs a fraction of building a ``Philox``, whose constructor also
+    reads OS entropy for a seed sequence the key then replaces.  Every
+    earlier holder of ``into`` sees the new key.
     """
     if isinstance(seed, np.random.Generator):
         raise ValueError(
@@ -102,8 +120,18 @@ def shard_stream(
             key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
             key.setflags(write=False)
             _KEY_CACHE[seed] = key
-    counter = np.array([0, replica, shard_id, step], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    if into is None:
+        counter = np.array([0, replica, shard_id, step], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    into.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, replica, shard_id, step), "key": key},
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": _EMPTY_BUFFER_POS,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return into
 
 
 def block_streams(rng) -> tuple:

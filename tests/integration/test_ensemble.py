@@ -475,6 +475,63 @@ class TestBlockedSurgery:
         with pytest.raises(ConfigurationError, match=match):
             parts.validate()
 
+    @pytest.mark.parametrize("n_blocks", [1, 3, 8])
+    def test_surgery_equals_one_block_calls(self, n_blocks):
+        # Remove (the last block emptied to 0 rows), append (it grows
+        # back from 0, and the buffers outgrow their capacity), then
+        # grow (the capacity grows again): after each call every column
+        # and ``starts`` equal the one-block calls.
+        sizes = [5, 0, 7, 3, 12, 0, 4, 8][:n_blocks]
+        parts, starts, blocks = self._blocked(sizes, seed=n_blocks)
+        rng = np.random.default_rng(n_blocks)
+
+        mask = rng.random(parts.n) < 0.4
+        mask[starts[-2] :] = True
+        removed = parts.remove_inplace(mask)
+        assert removed == [
+            blk.remove_inplace(mask[b0:b1])[0]
+            for blk, b0, b1 in zip(blocks, starts[:-1], starts[1:])
+        ]
+        assert blocks[-1].n == 0
+        self._assert_blocks_equal(parts, blocks)
+
+        cap = parts.capacity
+        grown = [b % 3 for b in range(n_blocks - 1)] + [cap + 9]
+        _, _, fresh = self._blocked(grown, seed=11)
+        parts.append_inplace(ParticleArrays.from_blocks(fresh))
+        for blk, new in zip(blocks, fresh):
+            blk.append_inplace(new)
+        assert parts.capacity > cap
+        self._assert_blocks_equal(parts, blocks)
+
+        cap = parts.capacity
+        counts = [2 * b for b in range(n_blocks - 1)] + [cap]
+        _, _, fill = self._blocked(counts, seed=12)
+        rows = parts.grow_inplace(counts)
+        assert parts.capacity > cap
+        ends = parts.block_edges()[1:]
+        assert np.arange(parts.n)[rows].tolist() == [
+            i for e, k in zip(ends, counts) for i in range(e - k, e)
+        ]
+        joined = ParticleArrays.concatenate(*fill)
+        for blk, k, new in zip(blocks, counts, fill):
+            solo_rows = blk.grow_inplace([k])
+            for name in COLUMN_NAMES:
+                getattr(blk, name)[solo_rows] = getattr(new, name)
+        for name in COLUMN_NAMES:
+            getattr(parts, name)[rows] = getattr(joined, name)
+        self._assert_blocks_equal(parts, blocks)
+
+    def test_grow_typed_errors(self):
+        parts, _, _ = self._blocked([4, 3])
+        with pytest.raises(ConfigurationError, match="1 counts for 2"):
+            parts.grow_inplace([1])
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            parts.grow_inplace([1, -1])
+        bare = ParticleArrays.from_blocks(self._blocked([4, 3])[2])
+        with pytest.raises(ConfigurationError, match="enable_scratch"):
+            bare.grow_inplace([1, 1])
+
     def test_copies_are_one_block(self):
         parts, _, blocks = self._blocked([4, 3])
         assert parts.n_blocks == 2

@@ -325,7 +325,7 @@ class TestBlockedStepCostsPerParticle:
     """
 
     @staticmethod
-    def _calls_per_step(n_replicas, steps=18):
+    def _profiled_steps(n_replicas, steps=18):
         eng = EnsembleEngine(
             _wedge_config(density=0.65, seed=1), n_replicas=n_replicas
         )
@@ -334,22 +334,30 @@ class TestBlockedStepCostsPerParticle:
         profile.enable()
         eng.run(steps)  # two plunger cycles
         profile.disable()
-        return pstats.Stats(profile).total_calls / steps
+        return pstats.Stats(profile)
 
     def test_calls_per_replica_per_step(self):
         # Deterministic for a seed.  308 with eight Reservoir.mix calls
         # and every per-cell pass over all R * n_cells composite cells;
         # 213-220 with one collision call for eight reservoirs over
         # pairable cells only; 142.7 with one reservoir of eight blocks
-        # (one reorder, one surgery per deposit / withdrawal).  What is
-        # left per replica: its stream, its draws and the blocked
-        # surgery's slice copies.
-        per_replica = (self._calls_per_step(8) - self._calls_per_step(1)) / 7
-        assert per_replica <= 158, (
-            f"{per_replica:.0f} calls per replica per step (budget 143 "
+        # (one reorder, one surgery per deposit / withdrawal); 134.6
+        # before, 75.2 after the surgery went per particle (blocks slid
+        # in place, one backfill copy per column, deposits drawn into
+        # grown rows, replica streams re-keyed).  What is left per
+        # replica: its stream's re-key, its draws and the relayout's
+        # slides.
+        stats = {r: self._profiled_steps(r) for r in (1, 8)}
+        per_replica = (stats[8].total_calls - stats[1].total_calls) / 18 / 7
+        assert per_replica <= 83, (
+            f"{per_replica:.0f} calls per replica per step (budget 75 "
             "+ 10 %): per-block work beyond the draws is back in a "
             "blocked kernel"
         )
+        # Building a Philox generator seeds a SeedSequence from OS
+        # entropy before the key replaces it; re-keyed streams never do.
+        entropy = [name for _, _, name in stats[8].stats if "urandom" in name]
+        assert not entropy, f"a step read OS entropy: {entropy}"
 
     def test_warm_blocked_mix_retains_no_memory(self):
         # The shuffle order and the pair rows come from the reservoir's

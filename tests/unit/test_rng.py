@@ -102,6 +102,60 @@ class TestShardStream:
         with pytest.raises(ValueError):
             shard_stream(np.random.default_rng(3), 0, 0)
 
+    @staticmethod
+    def _draws(g):
+        """One of every draw the kernels make, in sequence."""
+        order = np.arange(9)
+        g.shuffle(order)
+        return (
+            g.random(5),
+            g.integers(0, 1000, size=3, dtype=np.uint16),
+            g.choice(40, size=6, replace=False, shuffle=False),
+            order,
+            g.uniform(-1.0, 1.0, size=(4, 3)),
+        )
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            lambda g: g.random(3),
+            # One 16-bit draw leaves the other half of a 32-bit word
+            # buffered in the bit generator.
+            lambda g: g.integers(0, 9, size=1, dtype=np.uint16),
+            lambda g: g.choice(30, size=4, replace=False),
+            lambda g: g.shuffle(np.arange(7)),
+        ],
+        ids=["random", "uint16", "choice", "shuffle"],
+    )
+    def test_rekeyed_stream_is_a_fresh_stream(self, partial):
+        keys = [
+            (seed, replica, shard, step)
+            for seed in (1989, None)
+            for replica in (0, 5)
+            for shard in (0, 2)
+            for step in (0, 1, 250)
+        ]
+        g = shard_stream(7, 0, 0)
+        for seed, replica, shard, step in keys:
+            partial(g)
+            assert shard_stream(seed, shard, step, replica, into=g) is g
+            fresh = shard_stream(seed, shard, step, replica)
+            np.testing.assert_equal(
+                g.bit_generator.state, fresh.bit_generator.state
+            )
+            for got, want in zip(self._draws(g), self._draws(fresh)):
+                assert np.array_equal(got, want)
+            np.testing.assert_equal(
+                g.bit_generator.state, fresh.bit_generator.state
+            )
+
+    def test_uint16_partial_draw_buffers_a_half_word(self):
+        # Guards the case above against re-keying a generator that holds
+        # nothing to drop.
+        g = shard_stream(7, 0, 0)
+        g.integers(0, 9, size=1, dtype=np.uint16)
+        assert g.bit_generator.state["has_uint32"] == 1
+
 
 class TestRandomSigns:
     def test_only_plus_minus_one(self, rng):
