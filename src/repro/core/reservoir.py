@@ -122,10 +122,7 @@ class Reservoir:
             for s, k in zip(streams, counts)
             if k
         ]
-        vel, rot, perm = (
-            draws[0] if len(drawn) == 1 else np.concatenate(draws)
-            for draws in zip(*drawn)
-        )
+        vel, rot, perm = (np.concatenate(draws) for draws in zip(*drawn))
         for c, name in enumerate(("u", "v", "w")):
             getattr(parts, name)[rows] = vel[:, c]
         parts.rot[rows] = rot
