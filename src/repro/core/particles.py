@@ -41,25 +41,24 @@ def migration_float_width(rotational_dof: int) -> int:
     return len(MIGRATION_FLOAT_COLUMNS) + rotational_dof
 
 
+def scratch_capacity(n: int) -> int:
+    """Rows allocated to hold ``n``: 30% headroom, at least 64."""
+    return max(int(n * 1.3) + 1, 64)
+
+
 class ScratchBuffers:
     """Named, capacity-managed reusable temporaries for the step loop.
 
     Steady-state stepping must not heap-allocate O(N) arrays: the hot
     kernels (sort keys, shuffle permutations, acceptance draws) instead
     borrow buffers from this pool.  A buffer is identified by name and
-    grows monotonically with ~30% slack, so after the start-up transient
-    every request is satisfied by a view of an existing allocation.
+    grows monotonically with ~30% slack (:func:`scratch_capacity`), so
+    after the start-up transient every request is satisfied by a view
+    of an existing allocation.
     """
 
-    def __init__(self, slack: float = 0.3, min_capacity: int = 64) -> None:
-        if slack < 0.0:
-            raise ConfigurationError("slack must be non-negative")
-        self._slack = slack
-        self._min_capacity = min_capacity
+    def __init__(self) -> None:
         self._arrays: Dict[str, np.ndarray] = {}
-
-    def _capacity(self, n: int) -> int:
-        return max(int(n * (1.0 + self._slack)) + 1, self._min_capacity)
 
     def array(
         self, name: str, n: int, dtype=np.float64, width: Optional[int] = None
@@ -78,8 +77,8 @@ class ScratchBuffers:
             or (width is not None and (buf.ndim != 2 or buf.shape[1] != width))
             or (width is None and buf.ndim != 1)
         ):
-            shape = (self._capacity(n),) if width is None else (
-                self._capacity(n), width
+            shape = (scratch_capacity(n),) if width is None else (
+                scratch_capacity(n), width
             )
             buf = np.empty(shape, dtype=dtype)
             self._arrays[name] = buf
@@ -103,7 +102,7 @@ class ScratchBuffers:
         """A read-only ``arange(n)`` view (shared; a write raises)."""
         base = self._arrays.get("__arange")
         if base is None or base.shape[0] < n:
-            base = np.arange(self._capacity(n), dtype=np.intp)
+            base = np.arange(scratch_capacity(n), dtype=np.intp)
             base.flags.writeable = False
             self._arrays["__arange"] = base
         return base[:n]
@@ -373,7 +372,7 @@ class ParticleArrays:
     def scratch_enabled(self) -> bool:
         return self._front is not None
 
-    def enable_scratch(self, slack: float = 0.3) -> "ParticleArrays":
+    def enable_scratch(self) -> "ParticleArrays":
         """Re-home every column in capacity-backed ping-pong buffers.
 
         After this call the per-step population operations run against
@@ -382,14 +381,14 @@ class ParticleArrays:
         (:meth:`remove_inplace`, :meth:`grow_inplace`,
         :meth:`append_inplace`) rewrites the front set in place -- so
         steady-state stepping performs no O(N) heap allocations.
-        Capacity carries ``slack`` headroom over the current population
-        and grows geometrically (amortized) if the population outgrows
-        it.  Returns ``self`` for chaining.
+        Capacity carries :func:`scratch_capacity` headroom over the
+        current population and grows geometrically (amortized) if the
+        population outgrows it.  Returns ``self`` for chaining.
         """
         if self.scratch_enabled:
             return self
         n = self.n
-        cap = max(int(n * (1.0 + slack)) + 1, 64)
+        cap = scratch_capacity(n)
         self._front = {}
         self._back = {}
         for name in COLUMN_NAMES:
@@ -400,7 +399,7 @@ class ParticleArrays:
             self._front[name] = front
             self._back[name] = np.empty(shape, dtype=col.dtype)
             setattr(self, name, front[:n])
-        self.scratch = ScratchBuffers(slack=slack)
+        self.scratch = ScratchBuffers()
         return self
 
     def enable_scratch_from(
@@ -480,7 +479,7 @@ class ParticleArrays:
                 "larger capacity_factor"
             )
         n = self.n
-        cap = max(int(n_new * 1.3) + 1, 64)
+        cap = scratch_capacity(n_new)
         for name in COLUMN_NAMES:
             old_front = self._front[name]
             shape = (cap,) + old_front.shape[1:]

@@ -12,8 +12,9 @@ the CM-2 router moving a particle's state to its new home processor.
 
 Determinism: every worker draws from a counter-based RNG stream keyed
 by ``(seed, shard_id, step)`` (:func:`repro.rng.shard_stream`), so a
-sharded run is run-to-run reproducible at any worker count, and the
-one-worker backend degenerates exactly (bitwise) to the serial engine.
+sharded run is run-to-run reproducible at any worker count.  One
+worker is the serial engine itself; the sharded backend takes two or
+more.
 """
 
 from repro.parallel.backend import ShardedBackend

@@ -28,9 +28,10 @@ counter-based stream keyed ``(seed, shard_id, step)``
 (:func:`repro.rng.shard_stream`), and the exchange order is fixed, so a
 run is bitwise reproducible run-to-run at any fixed worker count --
 whether the shards execute as processes or inline (``processes=False``,
-the sequential mode used for tests and single-core hosts).  With
-``n_workers=1`` the backend delegates to the serial engine outright and
-is bitwise identical to it by construction.
+the sequential mode used for tests and single-core hosts).  A run
+with one worker is the serial engine
+(:class:`repro.core.simulation.SerialBackend`); this backend needs two
+or more.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.core.reservoir import Reservoir
 from repro.core.sampling import SAMPLER_FIELDS, CellSampler
 from repro.core.simulation import (
     DIAGNOSTICS_ROW,
-    SerialBackend,
     StepDiagnostics,
     merge_diagnostics,
     pack_diagnostics,
@@ -76,6 +76,7 @@ from repro.perf import PerfLedger
 from repro.rng import shard_stream
 from repro.telemetry.observables import load_imbalance
 from repro.telemetry.spans import (
+    RING_CAPACITY,
     RING_FIELDS,
     RING_STATE,
     WORKER_SPAN_NAMES,
@@ -509,8 +510,8 @@ class ShardedBackend:
     Parameters
     ----------
     n_workers:
-        Shard count.  ``1`` delegates to :class:`SerialBackend`
-        outright (bitwise identical to a serial run by construction).
+        Shard count, at least 2 (one worker is the serial engine,
+        :class:`~repro.core.simulation.SerialBackend`).
     processes:
         ``True`` forks one worker process per shard; ``False`` steps
         the same shard objects sequentially in-process (bitwise
@@ -552,8 +553,12 @@ class ShardedBackend:
         fault_plan=None,
         edges: Optional[Tuple[int, ...]] = None,
     ) -> None:
-        if n_workers < 1:
-            raise ConfigurationError("n_workers must be >= 1")
+        if n_workers < 2:
+            raise ConfigurationError(
+                f"ShardedBackend needs n_workers >= 2, got {n_workers}; "
+                "run one worker on the serial backend (SerialBackend, "
+                "Simulation's default)"
+            )
         if capacity_factor < 1.0:
             raise ConfigurationError("capacity_factor must be >= 1")
         if flux_pending < 0:
@@ -571,7 +576,6 @@ class ShardedBackend:
         self._barrier_timeout = float(barrier_timeout)
         self.fault_plan = fault_plan
         self._edges0 = tuple(int(e) for e in edges) if edges is not None else None
-        self._serial = SerialBackend() if n_workers == 1 else None
         self._bound = False
         self._closed = False
         self._procs: List = []
@@ -587,9 +591,6 @@ class ShardedBackend:
 
     def bind(self, sim) -> "ShardedBackend":
         """Decompose ``sim``'s state into shards and start the pool."""
-        if self._serial is not None:
-            self._serial.bind(sim)
-            return self
         if self._bound:
             raise ConfigurationError("backend is already bound")
         cfg = sim.config
@@ -649,8 +650,9 @@ class ShardedBackend:
         # one dict lookup per phase).
         telemetry = getattr(sim, "telemetry", None)
         if telemetry is not None:
-            cap = int(getattr(telemetry, "span_ring_capacity", 8192))
-            shared["spans"] = alloc((W, cap, RING_FIELDS), np.float64)
+            shared["spans"] = alloc(
+                (W, RING_CAPACITY, RING_FIELDS), np.float64
+            )
             shared["span_state"] = alloc((W, RING_STATE), np.int64)
         self._shared = shared
 
@@ -761,14 +763,12 @@ class ShardedBackend:
 
     def step(self, sim, sample: bool = False) -> StepDiagnostics:
         """Advance every shard one step and merge the diagnostics."""
-        if self._serial is not None:
-            return self._serial.step(sim, sample=sample)
         if not self._bound or self._closed:
             raise ConfigurationError("backend is not bound (or closed)")
         if sample and sim.probes:
             raise ConfigurationError(
                 "probes sample the driver's population, which a sharded "
-                "run does not step; run probes with one worker"
+                "run does not step; run probes on the serial backend"
             )
         step_idx = sim.step_count
         if self._processes:
@@ -843,8 +843,8 @@ class ShardedBackend:
 
     @property
     def slab_edges(self) -> Optional[Tuple[int, ...]]:
-        """Current slab-edge tuple (``None`` for the serial delegate)."""
-        if self._serial is not None or not self._bound:
+        """Current slab-edge tuple (``None`` before bind)."""
+        if not self._bound:
             return None
         return self._slabs.edges
 
@@ -860,12 +860,8 @@ class ShardedBackend:
         """
         n_cells = self._n_cells
         hist = np.zeros(n_cells, dtype=np.int64)
-        flags = self._shared["front_flags"]
-        ci = COLUMN_NAMES.index("cell")
-        for k in range(self.n_workers):
-            nk = int(self._shared["n_parts"][k])
-            src = self._set0[k] if flags[k, ci] == 0 else self._set1[k]
-            hist += np.bincount(src["cell"][:nk], minlength=n_cells)
+        for view in self._shard_views():
+            hist += np.bincount(view["cell"], minlength=n_cells)
         return hist.reshape(self._slabs.nx, -1).sum(axis=1)
 
     def maybe_rebalance(self, step: int, force: bool = False) -> bool:
@@ -882,7 +878,7 @@ class ShardedBackend:
         telemetry hub to collect via :meth:`take_rebalance_event`.
         Returns ``True`` when a repartition was executed.
         """
-        if self._serial is not None or not self._bound or self._closed:
+        if not self._bound or self._closed:
             return False
         loads = self.shard_loads()
         imb = load_imbalance(loads)
@@ -956,28 +952,20 @@ class ShardedBackend:
     @property
     def pending_flux(self) -> int:
         """Downstream-exit count in transit toward shard 0's reservoir."""
-        if self._serial is not None:
-            return 0
         return int(self._ctrl[CTRL_FLUX])
 
     def gather(self, sim) -> None:
         """Mirror the authoritative shard state back into the driver."""
-        if self._serial is not None:
-            return
         if not self._bound or self._closed:
             raise ConfigurationError("backend is not bound (or closed)")
-        # Flow population: concatenate the shard segments in shard
-        # order from whichever shared buffer is each column's front.
-        full: Optional[ParticleArrays] = None
-        flags = self._shared["front_flags"]
-        for k in range(self.n_workers):
-            nk = int(self._shared["n_parts"][k])
-            cols = {}
-            for ci, name in enumerate(COLUMN_NAMES):
-                src = (self._set0[k] if flags[k, ci] == 0 else self._set1[k])
-                cols[name] = src[name][:nk].copy()
-            seg = ParticleArrays(**cols)
-            full = seg if full is None else ParticleArrays.concatenate(full, seg)
+        # Flow population: the shard segments in shard order.
+        views = self._shard_views()
+        full = ParticleArrays(
+            **{
+                name: np.concatenate([v[name] for v in views])
+                for name in COLUMN_NAMES
+            }
+        )
         full.enable_scratch()
         sim.particles = full
 
@@ -1030,36 +1018,45 @@ class ShardedBackend:
 
     # -- introspection for the invariant auditor ------------------------
 
-    def shard_columns(self) -> Optional[List[Dict[str, np.ndarray]]]:
-        """Zero-copy views of every shard's live particle columns.
+    def _shard_views(self) -> List[Dict[str, np.ndarray]]:
+        """Every shard's live columns, zero-copy, in shard order.
 
-        The auditor reads the authoritative shard state straight out of
-        the shared ping-pong buffers (front buffer, first ``n_k`` rows
-        per column) without a gather.  ``None`` for the 1-worker serial
-        delegate, where ``sim.particles`` is already authoritative.
+        Each column is read from whichever shared ping-pong buffer is
+        its front (``front_flags``), first ``n_k`` rows.
         """
-        if self._serial is not None or not self._bound:
-            return None
         flags = self._shared["front_flags"]
         views: List[Dict[str, np.ndarray]] = []
         for k in range(self.n_workers):
             nk = int(self._shared["n_parts"][k])
-            cols = {}
-            for ci, name in enumerate(COLUMN_NAMES):
-                src = self._set0[k] if flags[k, ci] == 0 else self._set1[k]
-                cols[name] = src[name][:nk]
-            views.append(cols)
+            sets = (self._set0[k], self._set1[k])
+            views.append(
+                {
+                    name: sets[flags[k, ci]][name][:nk]
+                    for ci, name in enumerate(COLUMN_NAMES)
+                }
+            )
         return views
+
+    def shard_columns(self) -> Optional[List[Dict[str, np.ndarray]]]:
+        """Zero-copy views of every shard's live particle columns.
+
+        The auditor reads the authoritative shard state straight out of
+        the shared ping-pong buffers without a gather.  ``None`` before
+        bind.
+        """
+        if not self._bound:
+            return None
+        return self._shard_views()
 
     def shard_slab_bounds(self) -> Optional[List[Tuple[float, float]]]:
         """Per-shard ``(x_lo, x_hi)`` slab bounds (containment audit)."""
-        if self._serial is not None or not self._bound:
+        if not self._bound:
             return None
         return [self._slabs.bounds(k) for k in range(self.n_workers)]
 
     def migration_state(self) -> Optional[Tuple[np.ndarray, int]]:
         """``(counts, capacity)`` of the migration channels, for audit."""
-        if self._serial is not None or not self._bound:
+        if not self._bound:
             return None
         return np.asarray(self._channels.counts), self._channels.capacity
 
@@ -1070,7 +1067,7 @@ class ShardedBackend:
         live in worker memory, so the order audit is skipped there.
         ``None`` entries (counting kernel) are possible.
         """
-        if self._serial is not None or not self._bound or self._processes:
+        if not self._bound or self._processes:
             return None
         return [w.sort_state for w in self._workers]
 
@@ -1082,7 +1079,7 @@ class ShardedBackend:
         Flow rows per shard, plus, on shard 0, its reservoir rows once
         per ``reservoir_mix_rounds`` -- the load-imbalance observable.
         """
-        if self._serial is not None or not self._bound:
+        if not self._bound:
             return None
         loads = np.asarray(self._shared["n_parts"], dtype=np.int64).copy()
         loads[0] += self._reservoir_load()
@@ -1104,7 +1101,7 @@ class ShardedBackend:
         workers at ship time), so a single read answers "how close did
         any channel come to overflowing".
         """
-        if self._serial is not None or not self._bound:
+        if not self._bound:
             return None
         return (
             np.asarray(self._channels.high_water).copy(),
@@ -1113,7 +1110,7 @@ class ShardedBackend:
 
     def drain_span_rings(self) -> Optional[np.ndarray]:
         """Drain every worker span ring into one row block (or None)."""
-        if self._serial is not None or not self._bound:
+        if not self._bound:
             return None
         rings = self._shared.get("spans")
         if rings is None:
@@ -1138,8 +1135,7 @@ class ShardedBackend:
         exception path (``Simulation`` is a context manager and calls
         this from ``__exit__``).
         """
-        if self._serial is not None or self._closed:
-            self._closed = True
+        if self._closed:
             return
         self._closed = True
         if self._processes and self._procs:

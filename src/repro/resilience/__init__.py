@@ -7,7 +7,7 @@ Three cooperating layers turn a long particle run from "dies at step
   injection (worker crash/hang, exchange overflow, corrupted payloads,
   truncated checkpoints) behind zero-overhead hooks in the backend,
   the migration channels, and the snapshot writer.
-* :mod:`repro.resilience.audit` -- configurable-cadence O(N) invariant
+* :mod:`repro.resilience.audit` -- cadenced O(N) invariant
   audits (count accounting, finite state, fixed-point range, cell
   consistency, slab containment, channel conservation) raising typed
   :class:`repro.errors.InvariantViolationError`.
@@ -22,7 +22,7 @@ run: the counter-based ``(seed, shard, step)`` Philox streams make a
 replay from a checkpoint reproduce the lost steps exactly.
 """
 
-from repro.resilience.audit import AuditConfig, InvariantAuditor
+from repro.resilience.audit import InvariantAuditor
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.supervisor import (
     RecoveryEvent,
@@ -31,7 +31,6 @@ from repro.resilience.supervisor import (
 )
 
 __all__ = [
-    "AuditConfig",
     "FaultPlan",
     "FaultSpec",
     "InvariantAuditor",

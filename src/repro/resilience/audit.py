@@ -42,7 +42,6 @@ structured context (step, shard, the check, the numbers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -56,31 +55,27 @@ from repro.errors import InvariantViolationError
 _FINITE_COLUMNS = ("x", "y", "u", "v", "w", "z")
 #: Velocity columns bounded by the fixed-point range.
 _VELOCITY_COLUMNS = ("u", "v", "w")
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    """Which invariants to audit, and how tightly.
-
-    ``velocity_limit`` defaults to the Q8.23 magnitude bound (256 cell
-    widths per step): the paper's fixed-point engine cannot represent
-    anything faster, so a larger value is corruption by definition.
-    ``energy_drift_tol`` is deliberately loose (boundary fluxes move
-    real energy in and out); it exists to catch blow-ups, not to
-    police stochastic drift.
-    """
-
-    check_counts: bool = True
-    check_finite: bool = True
-    check_range: bool = True
-    check_cells: bool = True
-    check_slabs: bool = True
-    check_channels: bool = True
-    check_energy: bool = True
-    check_order: bool = True
-    velocity_limit: float = 256.0
-    position_tolerance: float = 1e-9
-    energy_drift_tol: float = 0.5
+#: The Q8.23 magnitude bound (256 cell widths per step): the paper's
+#: fixed-point engine cannot represent anything faster, so a larger
+#: velocity component is corruption by definition.
+VELOCITY_LIMIT = 256.0
+#: Slack on the tunnel and slab bounds a position is checked against.
+POSITION_TOLERANCE = 1e-9
+#: Relative energy drift allowed between audits.  Deliberately loose
+#: (boundary fluxes move real energy in and out): it catches blow-ups,
+#: it does not police stochastic drift.
+ENERGY_DRIFT_TOL = 0.5
+#: Every audit runs every check, in this order.
+CHECKS = (
+    "counts",
+    "finite",
+    "range",
+    "cells",
+    "slabs",
+    "channels",
+    "energy",
+    "order",
+)
 
 
 class InvariantAuditor:
@@ -100,8 +95,7 @@ class InvariantAuditor:
     replaced outside the step loop (snapshot restore, recovery).
     """
 
-    def __init__(self, config: Optional[AuditConfig] = None) -> None:
-        self.config = config or AuditConfig()
+    def __init__(self) -> None:
         self._n_base: Optional[int] = None
         self._energy_base: Optional[float] = None
         self._injected = 0
@@ -131,7 +125,7 @@ class InvariantAuditor:
     # -- the audit ------------------------------------------------------
 
     def audit(self, sim) -> Optional[dict]:
-        """Run every enabled O(N) check; raise on the first violation.
+        """Run every O(N) check; raise on the first violation.
 
         On success, returns a small report (which checks ran, particle
         count, total energy, shard count) that the supervisor forwards
@@ -141,74 +135,55 @@ class InvariantAuditor:
         if self._n_base is None:
             self.rebase(sim)
             return None
-        cfg = self.config
         step = sim.step_count
         views = self._views(sim)
         self.audits_run += 1
-        checks = [
-            name
-            for name, on in (
-                ("counts", cfg.check_counts),
-                ("finite", cfg.check_finite),
-                ("range", cfg.check_range),
-                ("cells", cfg.check_cells),
-                ("slabs", cfg.check_slabs),
-                ("channels", cfg.check_channels),
-                ("energy", cfg.check_energy),
-                ("order", cfg.check_order),
-            )
-            if on
-        ]
 
-        if cfg.check_counts:
-            n_now = sum(int(v["x"].shape[0]) for v in views)
-            expected = self._n_base + self._injected - self._removed
-            if n_now != expected:
-                raise InvariantViolationError(
-                    "particle-count accounting broken: flow population "
-                    "does not match the boundary-flux ledger",
-                    step=step,
-                    check="counts",
-                    n_now=n_now,
-                    n_expected=expected,
-                    injected=self._injected,
-                    removed=self._removed,
-                )
+        n_now = sum(int(v["x"].shape[0]) for v in views)
+        expected = self._n_base + self._injected - self._removed
+        if n_now != expected:
+            raise InvariantViolationError(
+                "particle-count accounting broken: flow population "
+                "does not match the boundary-flux ledger",
+                step=step,
+                check="counts",
+                n_now=n_now,
+                n_expected=expected,
+                injected=self._injected,
+                removed=self._removed,
+            )
 
         domain = sim.config.domain
         slabs = self._slab_bounds(sim)
-        sorters = self._sort_states(sim) if cfg.check_order else None
+        sorters = self._sort_states(sim)
         for shard, v in enumerate(views):
             ctx = {"step": step}
             if len(views) > 1:
                 ctx["shard"] = shard
-            if cfg.check_finite:
-                for name in _FINITE_COLUMNS:
-                    col = v[name]
-                    if col.size and not np.isfinite(col).all():
-                        bad = int(np.count_nonzero(~np.isfinite(col)))
-                        raise InvariantViolationError(
-                            f"non-finite values in particle column "
-                            f"{name!r}",
-                            check="finite",
-                            column=name,
-                            n_bad=bad,
-                            **ctx,
-                        )
-                rot = v["rot"]
-                if rot.size and not np.isfinite(rot).all():
+            for name in _FINITE_COLUMNS:
+                col = v[name]
+                if col.size and not np.isfinite(col).all():
+                    bad = int(np.count_nonzero(~np.isfinite(col)))
                     raise InvariantViolationError(
-                        "non-finite rotational state",
+                        f"non-finite values in particle column {name!r}",
                         check="finite",
-                        column="rot",
+                        column=name,
+                        n_bad=bad,
                         **ctx,
                     )
+            rot = v["rot"]
+            if rot.size and not np.isfinite(rot).all():
+                raise InvariantViolationError(
+                    "non-finite rotational state",
+                    check="finite",
+                    column="rot",
+                    **ctx,
+                )
             # The position columns a cell index is made of, with their
             # extents: x, y -- and z on a span domain.
             axes = domain.cell_axes(SimpleNamespace(**v))
-            if cfg.check_range:
-                self._check_range(v, axes, ctx)
-            if cfg.check_cells and v["x"].size:
+            self._check_range(v, axes, ctx)
+            if v["x"].size:
                 expected_cell = domain.cell_index(*(col for col, _ in axes))
                 if not np.array_equal(v["cell"], expected_cell):
                     bad = int(np.count_nonzero(v["cell"] != expected_cell))
@@ -227,9 +202,9 @@ class InvariantAuditor:
                 self._check_order(
                     sorters[shard], v, ctx, sim.particles.starts
                 )
-            if cfg.check_slabs and slabs is not None and v["x"].size:
+            if slabs is not None and v["x"].size:
                 lo, hi = slabs[shard]
-                tol = cfg.position_tolerance
+                tol = POSITION_TOLERANCE
                 x = v["x"]
                 if float(x.min()) < lo - tol or float(x.max()) >= hi + tol:
                     raise InvariantViolationError(
@@ -243,43 +218,41 @@ class InvariantAuditor:
                         **ctx,
                     )
 
-        if cfg.check_channels:
-            state = self._migration_state(sim)
-            if state is not None:
-                counts, capacity = state
-                if counts.min() < 0 or counts.max() > capacity:
-                    raise InvariantViolationError(
-                        "migration-channel count outside [0, capacity]",
-                        step=step,
-                        check="channels",
-                        count_min=int(counts.min()),
-                        count_max=int(counts.max()),
-                        capacity=int(capacity),
-                    )
+        state = self._migration_state(sim)
+        if state is not None:
+            counts, capacity = state
+            if counts.min() < 0 or counts.max() > capacity:
+                raise InvariantViolationError(
+                    "migration-channel count outside [0, capacity]",
+                    step=step,
+                    check="channels",
+                    count_min=int(counts.min()),
+                    count_max=int(counts.max()),
+                    capacity=int(capacity),
+                )
 
         energy = self._total_energy(views)
-        if cfg.check_energy:
-            base = self._energy_base
-            if base is not None:
-                drift = abs(energy - base) / max(abs(base), 1.0)
-                if drift > cfg.energy_drift_tol:
-                    raise InvariantViolationError(
-                        "total energy drifted past the audit tolerance",
-                        step=step,
-                        check="energy",
-                        energy=energy,
-                        baseline=base,
-                        drift=drift,
-                        tolerance=cfg.energy_drift_tol,
-                    )
-            self._energy_base = energy
+        base = self._energy_base
+        if base is not None:
+            drift = abs(energy - base) / max(abs(base), 1.0)
+            if drift > ENERGY_DRIFT_TOL:
+                raise InvariantViolationError(
+                    "total energy drifted past the audit tolerance",
+                    step=step,
+                    check="energy",
+                    energy=energy,
+                    baseline=base,
+                    drift=drift,
+                    tolerance=ENERGY_DRIFT_TOL,
+                )
+        self._energy_base = energy
 
         # Roll the accounting window forward.
         self._n_base = sum(int(v["x"].shape[0]) for v in views)
         self._injected = 0
         self._removed = 0
         return {
-            "checks": checks,
+            "checks": CHECKS,
             "n_particles": self._n_base,
             "energy": energy,
             "shards": len(views),
@@ -287,9 +260,9 @@ class InvariantAuditor:
 
     # -- helpers --------------------------------------------------------
 
-    def _check_range(self, v: Dict[str, np.ndarray], axes, ctx) -> None:
-        cfg = self.config
-        tol = cfg.position_tolerance
+    @staticmethod
+    def _check_range(v: Dict[str, np.ndarray], axes, ctx) -> None:
+        tol = POSITION_TOLERANCE
         for name, (col, extent) in zip("xyz", axes):
             if col.size and (
                 float(col.min()) < -tol or float(col.max()) > extent + tol
@@ -307,14 +280,14 @@ class InvariantAuditor:
             col = v[name]
             if col.size:
                 peak = float(np.abs(col).max())
-                if peak > cfg.velocity_limit:
+                if peak > VELOCITY_LIMIT:
                     raise InvariantViolationError(
                         f"velocity component {name!r} exceeds the "
                         "fixed-point representable range",
                         check="range",
                         column=name,
                         peak=peak,
-                        limit=cfg.velocity_limit,
+                        limit=VELOCITY_LIMIT,
                         **ctx,
                     )
 
@@ -383,8 +356,8 @@ class InvariantAuditor:
 
         Sharded backends expose per-shard sorters via ``sort_states()``
         (inline mode only -- worker-private in process mode, where the
-        order audit is skipped).  Serially (and for the 1-worker
-        delegate) the simulation-owned sorter is authoritative.
+        order audit is skipped).  Serially the simulation-owned sorter
+        is authoritative.
         """
         fn = getattr(sim.backend, "sort_states", None)
         states = fn() if callable(fn) else None

@@ -53,7 +53,7 @@ from repro.errors import (
     WorkerHangError,
 )
 from repro.io.snapshots import load_simulation, save_simulation
-from repro.resilience.audit import AuditConfig, InvariantAuditor
+from repro.resilience.audit import InvariantAuditor
 from repro.telemetry.events import EventStream
 
 #: Failures the supervisor recovers from.  Everything else --
@@ -71,6 +71,27 @@ PathLike = Union[str, pathlib.Path]
 #: Checkpoint file name pattern (zero-padded so lexical == numeric sort).
 _CKPT_FMT = "ckpt_{step:08d}.npz"
 _CKPT_GLOB = "ckpt_*.npz"
+#: Newest checkpoints retained; older ones are pruned.  At least 2, so
+#: a torn newest write can fall back.
+KEEP_CHECKPOINTS = 3
+#: Parallel faults tolerated before a sharded run degrades to serial.
+DEGRADE_AFTER = 2
+
+
+def backoff_seconds(base: float, retry: int) -> float:
+    """Jittered exponential backoff before 1-based retry ``retry``.
+
+    ``base * 2**(retry - 1)`` seconds, scaled by a uniform factor in
+    ``[0.5, 1.5]`` so runs that fail together do not retry in lockstep
+    (the service runs many supervised jobs at once).  The jitter draws
+    from the process RNG (``random``), never from a simulation's stream:
+    recovery timing must not perturb the physics.  ``base=0`` (the test
+    path) returns exactly 0.0.
+    """
+    backoff = base * 2.0 ** max(0, retry - 1)
+    if backoff > 0:
+        backoff *= 1.0 + 0.5 * (2.0 * random.random() - 1.0)
+    return backoff
 
 
 @dataclass(frozen=True)
@@ -131,33 +152,23 @@ class SupervisedRun:
     max_retries:
         Recoveries allowed per run before
         :class:`~repro.errors.RecoveryExhaustedError`.
-    backoff_base, backoff_factor, backoff_jitter:
-        Exponential backoff before respawning: retry ``r`` sleeps
-        ``backoff_base * backoff_factor**(r - 1)`` seconds, scaled by a
-        uniform jitter factor in ``[1 - backoff_jitter, 1 + backoff_jitter]``
-        so concurrent runs that fail together do not retry in lockstep
-        (the service layer runs many supervised jobs at once).  Tests
-        use ``backoff_base=0``, which always sleeps exactly zero
-        regardless of jitter.
-    degrade_after:
-        Parallel faults tolerated before the run degrades sharded ->
-        serial.  Degraded continuation is statistically equivalent, not
-        bitwise (the per-shard streams are keyed by worker count).
-    keep_checkpoints:
-        Newest checkpoints retained; older ones are pruned.  Keep at
-        least 2 so a torn newest write can fall back.
-    compress_checkpoints:
-        ``False`` (the default) writes plain .npz checkpoints -- ~30x
-        faster than compressed at ~25% more disk, the right trade for
-        files pruned within a few cadences.
+    backoff_base:
+        Base of the jittered exponential sleep before respawning
+        (:func:`backoff_seconds`).  Tests use ``backoff_base=0``, which
+        always sleeps exactly zero.
     fault_plan:
         Optional :class:`repro.resilience.faults.FaultPlan` (testing).
         Re-armed on respawned backends; faults at or before a failed
         step are disarmed after recovery so the bitwise replay does not
         re-fire them.
-    audit_config:
-        Invariant selection/tolerances
-        (:class:`repro.resilience.audit.AuditConfig`).
+
+    Checkpoints are plain (uncompressed) .npz archives -- ~30x faster
+    to write than compressed at ~25% more disk, the right trade for
+    files pruned within a few cadences; the newest
+    :data:`KEEP_CHECKPOINTS` are kept.  After :data:`DEGRADE_AFTER`
+    parallel faults a sharded run degrades to serial; degraded
+    continuation is statistically equivalent, not bitwise (the
+    per-shard streams are keyed by worker count).
     """
 
     def __init__(
@@ -168,23 +179,13 @@ class SupervisedRun:
         audit_every: int = 50,
         max_retries: int = 3,
         backoff_base: float = 0.5,
-        backoff_factor: float = 2.0,
-        backoff_jitter: float = 0.5,
-        degrade_after: int = 2,
-        keep_checkpoints: int = 3,
-        compress_checkpoints: bool = False,
         fault_plan=None,
-        audit_config: Optional[AuditConfig] = None,
         _meta: Optional[dict] = None,
     ) -> None:
         if checkpoint_every < 0 or audit_every < 0:
             raise ConfigurationError("cadences must be non-negative")
         if max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
-        if keep_checkpoints < 1:
-            raise ConfigurationError("keep_checkpoints must be >= 1")
-        if not 0.0 <= float(backoff_jitter) <= 1.0:
-            raise ConfigurationError("backoff_jitter must be in [0, 1]")
         self.sim = sim
         self.run_dir = pathlib.Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -192,18 +193,13 @@ class SupervisedRun:
         self.audit_every = int(audit_every)
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_jitter = float(backoff_jitter)
-        self.degrade_after = int(degrade_after)
-        self.keep_checkpoints = int(keep_checkpoints)
-        self.compress_checkpoints = bool(compress_checkpoints)
         self.fault_plan = fault_plan
         self.journal = RunJournal(self.run_dir)
         #: Optional :class:`repro.telemetry.hub.Telemetry` picked up from
         #: the simulation; every journal record is mirrored into its
         #: unified event stream, and audits report through it.
         self.telemetry = getattr(sim, "telemetry", None)
-        self.auditor = InvariantAuditor(audit_config)
+        self.auditor = InvariantAuditor()
         self.retries = 0
         self.parallel_faults = 0
         #: Recovery events awaiting merge into the next StepDiagnostics.
@@ -288,12 +284,9 @@ class SupervisedRun:
         """Write ``ckpt_<step>.npz`` and prune beyond the keep-window."""
         path = self.run_dir / _CKPT_FMT.format(step=self.sim.step_count)
         save_simulation(
-            self.sim,
-            path,
-            fault_plan=self.fault_plan,
-            compress=self.compress_checkpoints,
+            self.sim, path, fault_plan=self.fault_plan, compress=False
         )
-        for old in self._checkpoints_newest_first()[self.keep_checkpoints:]:
+        for old in self._checkpoints_newest_first()[KEEP_CHECKPOINTS:]:
             old.unlink(missing_ok=True)
         if self.telemetry is not None:
             self.telemetry.record_event(
@@ -440,19 +433,6 @@ class SupervisedRun:
 
     # -- recovery -------------------------------------------------------
 
-    def _backoff_seconds(self, retry: int) -> float:
-        """Jittered exponential backoff for 1-based retry ``retry``.
-
-        The jitter draws from the process RNG (``random``), never from
-        the simulation's stream -- recovery timing must not perturb the
-        physics.  ``backoff_base=0`` (the test path) returns exactly
-        0.0 whatever the jitter setting.
-        """
-        backoff = self.backoff_base * self.backoff_factor ** (retry - 1)
-        if backoff > 0 and self.backoff_jitter:
-            backoff *= 1.0 + self.backoff_jitter * (2.0 * random.random() - 1.0)
-        return backoff
-
     def _recover(self, exc: Exception) -> None:
         """Roll back to the newest loadable checkpoint and respawn."""
         t0 = time.monotonic()
@@ -493,12 +473,12 @@ class SupervisedRun:
         except Exception:  # pragma: no cover - teardown is best-effort
             pass
 
-        backoff = self._backoff_seconds(self.retries)
+        backoff = backoff_seconds(self.backoff_base, self.retries)
         if backoff > 0:
             time.sleep(backoff)
 
         degraded = (
-            self._workers > 1 and self.parallel_faults >= self.degrade_after
+            self._workers > 1 and self.parallel_faults >= DEGRADE_AFTER
         )
         workers_after = 1 if degraded else self._workers
         self.sim = self._restore(workers_after)

@@ -39,8 +39,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
+import numbers
 import os
 import pathlib
 import threading
@@ -56,6 +58,7 @@ from repro.errors import (
     ServiceError,
     ServiceJournalError,
 )
+from repro.resilience.supervisor import backoff_seconds
 from repro.scenarios.spec import OVERRIDE_KEYS, ScenarioSpec
 from repro.service import store as st
 from repro.service.store import JobRecord, JobStore
@@ -133,10 +136,9 @@ class OrchestratorConfig:
     default_deadline: Optional[float] = None
     #: Job-level retries (attempts = 1 + retries).
     max_job_retries: int = 2
-    #: Jittered exponential backoff between job retries.
+    #: Base of the jittered exponential backoff between job retries
+    #: (:func:`~repro.resilience.supervisor.backoff_seconds`).
     backoff_base: float = 0.2
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.5
     #: Scheduler tick, seconds.
     poll_interval: float = 0.05
     #: Worker checkpoint cadence in steps (None = heartbeat_every).
@@ -152,9 +154,6 @@ class OrchestratorConfig:
     #: artifacts).  The ``/fleet`` route forces a scrape, so this only
     #: bounds the background staleness of ``/metrics``.
     fleet_every: float = 1.0
-    #: Attach a telemetry hub to every job's worker (events.jsonl,
-    #: metrics.prom, trace.json in the job dir).
-    job_telemetry: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -165,6 +164,39 @@ class OrchestratorConfig:
             raise ConfigurationError("heartbeat_every must be >= 1")
         if self.max_job_retries < 0:
             raise ConfigurationError("max_job_retries must be >= 0")
+        timeout = self.heartbeat_timeout
+        if not (_is_real(timeout) and timeout > 0):
+            raise ConfigurationError(
+                f"heartbeat_timeout must be > 0 seconds, got {timeout!r}"
+            )
+        if self.default_deadline is not None:
+            _deadline_seconds(self.default_deadline, "default_deadline")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _deadline_seconds(value, name: str = "deadline") -> float:
+    """``value`` as a wall-clock budget: a finite number of seconds > 0."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{name} must be a finite number of seconds > 0, got {value!r}"
+        )
+    return float(value)
+
+
+def _retry_budget(value) -> int:
+    """``value`` as a per-job retry budget: an int >= 0."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 0
+    ):
+        raise ConfigurationError(
+            f"max_retries must be an int >= 0, got {value!r}"
+        )
+    return int(value)
 
 
 class Orchestrator:
@@ -291,6 +323,18 @@ class Orchestrator:
         :class:`ServiceError` when shutting down, and
         :class:`ConfigurationError` for malformed input.
         """
+        # Checked before anything is looked up or journaled: a malformed
+        # budget is a 400, never a queued job the watchdog misjudges.
+        deadline = (
+            self.config.default_deadline
+            if deadline is None
+            else _deadline_seconds(deadline)
+        )
+        max_retries = (
+            self.config.max_job_retries
+            if max_retries is None
+            else _retry_budget(max_retries)
+        )
         spec_obj = self._resolve_spec(scenario, spec)
         overrides = dict(overrides or {})
         unknown = set(overrides) - set(OVERRIDE_KEYS)
@@ -346,16 +390,8 @@ class Orchestrator:
                 schedule=schedule,
                 cache_key=key,
                 job_dir=str(self.data_dir / job_id),
-                max_retries=(
-                    self.config.max_job_retries
-                    if max_retries is None
-                    else int(max_retries)
-                ),
-                deadline=(
-                    self.config.default_deadline
-                    if deadline is None
-                    else float(deadline)
-                ),
+                max_retries=max_retries,
+                deadline=deadline,
                 submitted_time=time.time(),
             )
             if faults:
@@ -594,7 +630,6 @@ class Orchestrator:
                 else cfg.checkpoint_every
             ),
             "audit_every": cfg.audit_every,
-            "telemetry": cfg.job_telemetry,
         }
         faults_path = pathlib.Path(job.job_dir) / "faults.json"
         if faults_path.exists():
@@ -693,7 +728,7 @@ class Orchestrator:
             job_id, st.RETRYING, exit_code=code, error=error
         )
         self._maybe_die(seq)
-        backoff = self._backoff_seconds(job.attempt)
+        backoff = backoff_seconds(self.config.backoff_base, job.attempt)
         seq = self.store.transition(
             job_id, st.QUEUED, not_before=now + backoff
         )
@@ -708,23 +743,6 @@ class Orchestrator:
             return f"{blob.get('error')}: {blob.get('detail')}"
         except (OSError, json.JSONDecodeError):
             return None
-
-    def _backoff_seconds(self, retry: int) -> float:
-        """Jittered exponential backoff before re-dispatching a job.
-
-        Jitter decorrelates retries across jobs that failed together
-        (a host hiccup killing several workers at once must not
-        produce a synchronized thundering herd of restarts).
-        """
-        import random
-
-        cfg = self.config
-        backoff = cfg.backoff_base * cfg.backoff_factor ** max(0, retry - 1)
-        if backoff > 0 and cfg.backoff_jitter:
-            backoff *= 1.0 + cfg.backoff_jitter * (
-                2.0 * random.random() - 1.0
-            )
-        return backoff
 
     def _watchdog(self) -> None:
         """Kill workers past their deadline or gone silent."""

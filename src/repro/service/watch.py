@@ -59,9 +59,11 @@ def progress_bar(step: Optional[float], total: Optional[float],
 class JobView:
     """Accumulates one job's live events into a renderable panel."""
 
-    def __init__(self, job_id: str, spark_width: int = 32) -> None:
+    #: Columns of the us/particle sparkline.
+    SPARK_WIDTH = 32
+
+    def __init__(self, job_id: str) -> None:
         self.job_id = job_id
-        self.spark_width = spark_width
         self.step: Optional[int] = None
         self.total: Optional[int] = None
         self.n_flow: Optional[int] = None
@@ -111,7 +113,7 @@ class JobView:
         if self.us_series:
             rows.append(
                 f"  us/particle {us:7.3f}  "
-                f"{sparkline(self.us_series, self.spark_width)}"
+                f"{sparkline(self.us_series, self.SPARK_WIDTH)}"
             )
         counts = "  ".join(
             f"{k}:{n}"

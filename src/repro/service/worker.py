@@ -285,20 +285,16 @@ def _build_run(job_dir: pathlib.Path, payload: dict, chunk: int):
     run_dir = job_dir / "run"
     schedule = payload["schedule"]
 
-    def _telemetry() -> Optional[Telemetry]:
+    def _telemetry() -> Telemetry:
         # Every job gets its own telemetry hub writing into the job
         # dir: events.jsonl / metrics.prom / trace.json are what the
         # streaming routes, the fleet scraper and the trace stitcher
         # read.
-        if not payload.get("telemetry", True):
-            return None
         return Telemetry(run_dir=job_dir, sample_every=chunk)
 
     if (run_dir / "run.json").exists():
         run = SupervisedRun.resume(run_dir)
-        telemetry = _telemetry()
-        if telemetry is not None:
-            run.attach_telemetry(telemetry)
+        run.attach_telemetry(_telemetry())
         stored = run._meta.get("phases")
         if stored:
             start = int(run._meta["schedule_start"])

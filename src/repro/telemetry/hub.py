@@ -52,6 +52,8 @@ PathLike = Union[str, pathlib.Path]
 
 #: The paper's phase split, for the live status line.
 _PAPER_SPLIT = "14/27/20/39"
+#: Steps between live status lines (``live=True``).
+LIVE_EVERY = 20
 
 
 class Telemetry:
@@ -68,14 +70,12 @@ class Telemetry:
         rewrites (the "default cadence" of the overhead budget).
     observables_every:
         Steps between O(N) physics observables (mean-free-path bands).
-    live, live_every:
-        Print a one-line status to stderr every ``live_every`` steps.
+    live:
+        Print a one-line status to stderr every :data:`LIVE_EVERY`
+        steps.
     port:
         Serve ``/metrics`` on this port (``0`` = ephemeral) via the
         stdlib HTTP server; ``None`` disables.
-    span_ring_capacity:
-        Rows per worker span ring (the sharded backend allocates the
-        rings at bind time when a hub is attached).
     max_spans:
         Driver-side span buffer bound; excess spans are dropped and
         counted.
@@ -87,18 +87,12 @@ class Telemetry:
         sample_every: int = 10,
         observables_every: int = 50,
         live: bool = False,
-        live_every: int = 20,
         port: Optional[int] = None,
-        span_ring_capacity: int = 8192,
         max_spans: int = 200_000,
-        mfp_bands: int = 8,
     ) -> None:
         self.sample_every = max(1, int(sample_every))
         self.observables_every = max(1, int(observables_every))
         self.live = bool(live)
-        self.live_every = max(1, int(live_every))
-        self.span_ring_capacity = int(span_ring_capacity)
-        self.mfp_bands = int(mfp_bands)
         self.registry = MetricsRegistry()
         reg = self.registry
         # Hot-path metric objects are resolved once here; on_step then
@@ -279,7 +273,7 @@ class Telemetry:
 
         do_obs = step % self.observables_every == 0
         do_sample = step % self.sample_every == 0
-        do_live = self.live and step % self.live_every == 0
+        do_live = self.live and step % LIVE_EVERY == 0
         imbalance = None
         if do_obs or do_sample or do_live:
             imbalance = self._sample_backend(sim)
@@ -367,8 +361,9 @@ class Telemetry:
 
         Runs at the sampling cadence, not every step -- per-shard
         labeled gauges and the span-ring drain are the expensive part
-        of backend introspection.  Ring capacity (``span_ring_capacity``
-        rows) comfortably covers a cadence worth of worker spans.
+        of backend introspection.  Ring capacity
+        (:data:`~repro.telemetry.spans.RING_CAPACITY` rows) comfortably
+        covers a cadence worth of worker spans.
         """
         backend = sim.backend
         reg = self.registry
@@ -439,7 +434,6 @@ class Telemetry:
             cfg.domain.height * cfg.domain.depth,
             cfg.freestream.density * n_blocks,
             cfg.freestream.lambda_mfp,
-            n_bands=self.mfp_bands,
         )
         if bands is None:
             return

@@ -17,7 +17,7 @@ subsystem stays inside its <3% overhead budget.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -89,26 +89,17 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram (cumulative counts, Prometheus-style).
 
-    ``buckets`` are the finite upper bounds; an implicit ``+inf``
-    bucket catches the tail.  ``observe`` is one ``bisect`` plus two
-    adds -- cheap enough to run every step.
+    The finite upper bounds are :data:`US_PER_PARTICLE_BUCKETS`; an
+    implicit ``+inf`` bucket catches the tail.  ``observe`` is one
+    ``bisect`` plus two adds -- cheap enough to run every step.
     """
 
     kind = "histogram"
+    buckets = US_PER_PARTICLE_BUCKETS
 
-    def __init__(
-        self,
-        name: str,
-        buckets: Sequence[float] = US_PER_PARTICLE_BUCKETS,
-        help: str = "",
-    ) -> None:
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ConfigurationError(
-                f"histogram {name!r} needs sorted, non-empty buckets"
-            )
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
-        self.buckets = tuple(float(b) for b in buckets)
         self.counts = [0] * (len(self.buckets) + 1)  # +inf tail
         self.sum = 0.0
         self.count = 0
@@ -178,14 +169,11 @@ class MetricsRegistry:
         return self._get(Gauge, name, labels, help=help)
 
     def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = US_PER_PARTICLE_BUCKETS,
-        labels: Optional[Dict[str, str]] = None,
+        self, name: str, labels: Optional[Dict[str, str]] = None,
         help: str = "",
     ) -> Histogram:
         """Get or create the histogram ``name`` (optionally labeled)."""
-        return self._get(Histogram, name, labels, buckets=buckets, help=help)
+        return self._get(Histogram, name, labels, help=help)
 
     def drop(
         self, name: str, labels: Optional[Dict[str, str]] = None

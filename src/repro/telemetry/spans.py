@@ -55,6 +55,10 @@ RING_FIELDS = 6
 #: Ring state layout: ``(cursor, dropped)``.
 RING_STATE = 2
 
+#: Rows per worker span ring (the sharded backend allocates the rings
+#: at bind time when a hub is attached).
+RING_CAPACITY = 8192
+
 
 def ring_append(
     ring: np.ndarray,

@@ -152,19 +152,16 @@ class JobEventTail:
     Follows ``worker.jsonl`` (heartbeats, attempt lifecycle) and
     ``events.jsonl`` (telemetry metric samples, checkpoints,
     recoveries) behind one opaque cursor string ``"<w>:<e>"``.  Span
-    records are filtered out by default -- they are bulk trace data
-    for :mod:`repro.telemetry.stitch`, not live status -- and every
-    record is annotated with its source file (``src``).
+    records are filtered out -- they are bulk trace data for
+    :mod:`repro.telemetry.stitch`, not live status -- and every record
+    is annotated with its source file (``src``).
     """
 
-    #: Record kinds excluded from the live view by default.
+    #: Record kinds excluded from the live view.
     SKIP_KINDS = ("span",)
 
     def __init__(
-        self,
-        job_dir: PathLike,
-        cursor: Optional[str] = None,
-        skip_kinds: Tuple[str, ...] = SKIP_KINDS,
+        self, job_dir: PathLike, cursor: Optional[str] = None
     ) -> None:
         self.job_dir = pathlib.Path(job_dir)
         w_off, e_off = self.decode_cursor(cursor)
@@ -174,7 +171,6 @@ class JobEventTail:
         self._events = JsonlFollower(
             self.job_dir / "events.jsonl", cursor=e_off
         )
-        self.skip_kinds = tuple(skip_kinds)
 
     @staticmethod
     def decode_cursor(cursor: Optional[str]) -> Tuple[int, int]:
@@ -213,7 +209,7 @@ class JobEventTail:
             (1, "telemetry", self._events),
         ):
             for rec, offset in follower.poll_records():
-                if rec.get("kind") in self.skip_kinds:
+                if rec.get("kind") in self.SKIP_KINDS:
                     continue
                 rec["src"] = src
                 merged.append(

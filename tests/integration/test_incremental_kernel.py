@@ -31,7 +31,7 @@ from repro.core.simulation import (
     SimulationConfig,
 )
 from repro.core.sortstep import RESORT_PERIOD
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantViolationError
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
@@ -253,7 +253,6 @@ class TestShardedConsistency:
         )
         auditor = InvariantAuditor()
         auditor.rebase(sim)
-        assert auditor.config.check_order
         for _ in range(8):
             auditor.observe(sim.step())
             report = auditor.audit(sim)
@@ -261,6 +260,14 @@ class TestShardedConsistency:
         states = sim.backend.sort_states()
         assert states is not None and len(states) == 4
         assert all(s is not None and s.rebuilds == 8 for s in states)
+        # The order audit ran over the shards' sorters: a broken order
+        # in one of them is caught.
+        order = states[1]._order
+        order[[0, 1]] = order[[1, 0]]
+        with pytest.raises(InvariantViolationError) as exc_info:
+            auditor.audit(sim)
+        assert exc_info.value.context["check"] == "order"
+        assert exc_info.value.context["shard"] == 1
         sim.close()
 
     def test_order_audit_skipped_in_process_mode(self):

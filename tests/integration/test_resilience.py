@@ -372,7 +372,6 @@ class TestSupervisedRecovery:
             audit_every=0,
             max_retries=4,
             backoff_base=0.0,
-            degrade_after=2,
             fault_plan=plan,
         )
         run.run_schedule([(14, False)])

@@ -2,8 +2,6 @@
 
 The contract under test (ROADMAP: process-parallel stepping):
 
-* ``n_workers=1`` is the serial engine, bitwise, for the paper's
-  default Mach-4 wedge configuration -- the backend seam adds nothing.
 * Process workers and the in-process (inline) debug mode produce
   bitwise identical trajectories: the fork/shared-memory machinery is
   pure transport.
@@ -74,47 +72,6 @@ def _assert_samplers_equal(a: Simulation, b: Simulation) -> None:
         assert np.array_equal(
             getattr(a.sampler, name), getattr(b.sampler, name)
         ), f"sampler accumulator {name} not bitwise identical"
-
-
-class TestOneWorkerIdentity:
-    def test_bitwise_identical_to_serial_default_config(self):
-        """Acceptance: 50 steps of the paper's default wedge config."""
-        serial = Simulation(SimulationConfig())
-        sharded = Simulation(SimulationConfig(), backend=ShardedBackend(1))
-        try:
-            serial.run(40)
-            sharded.run(40)
-            serial.run(10, sample=True)
-            sharded.run(10, sample=True)
-            sharded.gather()
-            _assert_sims_equal(serial, sharded, "n_workers=1")
-            assert np.array_equal(serial.sampler._count, sharded.sampler._count)
-            assert np.array_equal(serial.sampler._mu, sharded.sampler._mu)
-        finally:
-            sharded.close()
-
-    def test_slab_one_worker_is_serial(self):
-        serial = Simulation(_small_config(nz=2))
-        with Simulation(
-            _small_config(nz=2), backend=ShardedBackend(1)
-        ) as sharded:
-            for sim in (serial, sharded):
-                sim.run(8)
-                sim.run(4, sample=True)
-            sharded.gather()
-            assert serial.particles.z.any()
-            _assert_sims_equal(serial, sharded, "slab n_workers=1")
-            _assert_samplers_equal(serial, sharded)
-
-    def test_one_worker_is_serial_across_two_resorts(self):
-        serial = Simulation(_small_config())
-        with Simulation(_small_config(), backend=ShardedBackend(1)) as sharded:
-            for sim in (serial, sharded):
-                sim.run(2 * RESORT_PERIOD)
-                sim.run(6, sample=True)
-            sharded.gather()
-            _assert_sims_equal(serial, sharded, "n_workers=1, 70 steps")
-            _assert_samplers_equal(serial, sharded)
 
 
 class TestProcessInlineEquivalence:
@@ -205,15 +162,6 @@ class TestShardedProbes:
             sim.run(2)
             with pytest.raises(ConfigurationError, match="probes"):
                 sim.step(sample=True)
-
-    def test_one_worker_feeds_probes(self):
-        from repro.analysis.vdf import VDFProbe
-
-        with Simulation(_small_config(), backend=ShardedBackend(1)) as sim:
-            probe = VDFProbe((2, 9), (2, 9))
-            sim.probes.append(probe)
-            sim.run(3, sample=True)
-            assert probe.n_samples > 0
 
 
 class TestShardedSnapshots:

@@ -23,7 +23,6 @@ def fast_config(**overrides) -> OrchestratorConfig:
         heartbeat_timeout=30.0,
         poll_interval=0.02,
         backoff_base=0.05,
-        backoff_jitter=0.5,
         prom_every=0.5,
     )
     base.update(overrides)

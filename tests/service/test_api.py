@@ -88,6 +88,11 @@ class TestErrorMapping:
         with pytest.raises(ConfigurationError, match="bogus"):
             client.submit(scenario="wedge", overrides={"bogus": 1})
 
+    def test_malformed_deadline_is_400_typed(self, service):
+        _, _, client = service
+        with pytest.raises(ConfigurationError, match="deadline"):
+            client.submit(scenario="wedge", deadline="soon")
+
     def test_malformed_json_body_is_400(self, service):
         _, api, _ = service
         req = urllib.request.Request(

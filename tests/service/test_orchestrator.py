@@ -28,6 +28,64 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             OrchestratorConfig(max_job_retries=-1)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"heartbeat_timeout": 0.0},
+            {"heartbeat_timeout": -1.0},
+            {"heartbeat_timeout": float("nan")},
+            {"default_deadline": -5.0},
+            {"default_deadline": 0.0},
+            {"default_deadline": float("nan")},
+            {"default_deadline": float("inf")},
+        ],
+    )
+    def test_bad_time_budgets_rejected(self, knobs):
+        with pytest.raises(ConfigurationError, match=next(iter(knobs))):
+            OrchestratorConfig(**knobs)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"deadline": -1.0},
+            {"deadline": 0.0},
+            {"deadline": float("nan")},
+            {"deadline": float("inf")},
+            {"deadline": "soon"},
+            {"max_retries": -1},
+            {"max_retries": 1.5},
+            {"max_retries": "2"},
+            {"max_retries": True},
+        ],
+    )
+    def test_malformed_job_budget_rejected_unjournaled(
+        self, orchestrator, tiny_overrides, budget
+    ):
+        seq = orchestrator.store.seq
+        with pytest.raises(ConfigurationError, match=next(iter(budget))):
+            orchestrator.submit(
+                scenario="wedge", seed=3, overrides=tiny_overrides, **budget
+            )
+        assert orchestrator.store.seq == seq
+        assert orchestrator.store.jobs == {}
+
+    def test_malformed_deadline_is_checked_before_the_cache(
+        self, orchestrator, tiny_overrides
+    ):
+        out = orchestrator.submit(
+            scenario="wedge", seed=5, overrides=tiny_overrides
+        )
+        assert wait_terminal(orchestrator, out["job_id"])["state"] == st.DONE
+        seq = orchestrator.store.seq
+        with pytest.raises(ConfigurationError, match="deadline"):
+            orchestrator.submit(
+                scenario="wedge",
+                seed=5,
+                overrides=tiny_overrides,
+                deadline=-1.0,
+            )
+        assert orchestrator.store.seq == seq
+
     def test_submit_needs_exactly_one_spec_source(self, orchestrator):
         with pytest.raises(ConfigurationError, match="exactly one"):
             orchestrator.submit()

@@ -471,6 +471,76 @@ class TestOneRunPath:
         assert '"ci"' not in pathlib.Path(golden.__file__).read_text()
 
 
+class TestEveryOptionHasACaller:
+    """A parameter that no caller sets is the constant it always is:
+    these signatures keep only the options something passes."""
+
+    @pytest.mark.parametrize(
+        "target, kept",
+        [
+            (
+                "repro.resilience.supervisor:SupervisedRun",
+                ("sim", "run_dir", "checkpoint_every", "audit_every",
+                 "max_retries", "backoff_base", "fault_plan", "_meta"),
+            ),
+            ("repro.resilience.audit:InvariantAuditor", ()),
+            (
+                "repro.telemetry.hub:Telemetry",
+                ("run_dir", "sample_every", "observables_every", "live",
+                 "port", "max_spans"),
+            ),
+            ("repro.telemetry.stream:JobEventTail", ("job_dir", "cursor")),
+            ("repro.service.watch:JobView", ("job_id",)),
+            (
+                "repro.telemetry.metrics:MetricsRegistry.histogram",
+                ("self", "name", "labels", "help"),
+            ),
+            ("repro.telemetry.metrics:Histogram", ("name", "help")),
+            ("repro.core.particles:ParticleArrays.enable_scratch", ("self",)),
+            ("repro.core.particles:ScratchBuffers", ()),
+        ],
+    )
+    def test_signature_keeps_only_set_options(self, target, kept):
+        module_name, qualname = target.split(":")
+        obj = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert tuple(inspect.signature(obj).parameters) == kept
+
+    def test_orchestrator_config_fields(self):
+        import dataclasses
+
+        from repro.service import OrchestratorConfig
+
+        assert tuple(
+            f.name for f in dataclasses.fields(OrchestratorConfig)
+        ) == (
+            "workers", "queue_limit", "heartbeat_every",
+            "heartbeat_timeout", "default_deadline", "max_job_retries",
+            "backoff_base", "poll_interval", "checkpoint_every",
+            "audit_every", "drain_timeout", "prom_every", "fleet_every",
+        )
+
+    def test_the_audit_config_is_gone(self):
+        import repro.resilience
+
+        assert not hasattr(repro.resilience, "AuditConfig")
+        assert "AuditConfig" not in repro.resilience.__all__
+
+    def test_the_backoff_is_written_once(self):
+        assert _call_sites("backoff_seconds") == {
+            ("resilience/supervisor.py", "SupervisedRun._recover"),
+            ("service/orchestrator.py", "Orchestrator._finish"),
+        }
+
+    def test_one_worker_is_the_serial_backend(self):
+        from repro.errors import ConfigurationError
+        from repro.parallel.backend import ShardedBackend
+
+        with pytest.raises(ConfigurationError, match="serial"):
+            ShardedBackend(1)
+
+
 class TestExamples:
     def _example_files(self):
         return sorted(EXAMPLES.glob("*.py"))

@@ -138,44 +138,24 @@ class TestFaultPlan:
 
 
 class TestBackoffJitter:
-    """The supervisor's jittered exponential backoff (satellite of the
-    service PR: decorrelates retries without touching the sim RNG)."""
-
-    def _run(self, base, factor=2.0, jitter=0.5):
-        from repro.resilience.supervisor import SupervisedRun
-
-        run = SupervisedRun.__new__(SupervisedRun)
-        run.backoff_base = base
-        run.backoff_factor = factor
-        run.backoff_jitter = jitter
-        return run
+    """The one jittered exponential backoff the supervisor and the
+    service share: decorrelates retries without touching the sim RNG."""
 
     def test_zero_base_stays_exactly_zero(self):
-        # The fast test path: backoff_base=0 must never sleep, jitter
-        # or not.
-        run = self._run(0.0, jitter=0.5)
-        assert all(run._backoff_seconds(r) == 0.0 for r in (1, 2, 5))
+        # The fast test path: backoff_base=0 must never sleep.
+        from repro.resilience.supervisor import backoff_seconds
 
-    def test_zero_jitter_is_deterministic(self):
-        run = self._run(0.5, factor=2.0, jitter=0.0)
-        assert run._backoff_seconds(1) == 0.5
-        assert run._backoff_seconds(3) == 2.0
+        assert all(backoff_seconds(0.0, r) == 0.0 for r in (1, 2, 5))
 
     def test_jitter_stays_inside_the_band_and_varies(self):
-        run = self._run(1.0, factor=2.0, jitter=0.5)
+        from repro.resilience.supervisor import backoff_seconds
+
         for retry, nominal in ((1, 1.0), (2, 2.0), (3, 4.0)):
-            samples = [run._backoff_seconds(retry) for _ in range(200)]
+            samples = [backoff_seconds(1.0, retry) for _ in range(200)]
             assert all(
                 0.5 * nominal <= s <= 1.5 * nominal for s in samples
             )
             assert max(samples) - min(samples) > 0.1 * nominal
-
-    def test_jitter_out_of_range_rejected(self):
-        from repro.errors import ConfigurationError
-        from repro.resilience.supervisor import SupervisedRun
-
-        with pytest.raises(ConfigurationError, match="backoff_jitter"):
-            SupervisedRun(object(), "/nonexistent", backoff_jitter=1.5)
 
 
 class TestSlabAudit:
