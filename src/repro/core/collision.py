@@ -53,7 +53,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.particles import ParticleArrays, pooled, pooled_arange
+from repro.core.particles import (
+    ParticleArrays,
+    pooled,
+    pooled_arange,
+    row_records,
+)
 from repro.core.permutation import apply_permutation
 from repro.errors import ConfigurationError
 from repro.rng import block_streams, random_signs
@@ -223,11 +228,6 @@ def _gather(col: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
     return np.take(col, rows, axis=0, out=out, mode="clip")
 
 
-def _records(block: np.ndarray) -> np.ndarray:
-    """The rows of a C-contiguous 2-D block as one opaque item each."""
-    return block.view((np.void, block.strides[0])).reshape(-1)
-
-
 def _scatter(col: np.ndarray, rows, op, x, y, stage: np.ndarray) -> None:
     """``col[rows] = op(x, y)`` without a temporary.
 
@@ -245,7 +245,7 @@ def _scatter(col: np.ndarray, rows, op, x, y, stage: np.ndarray) -> None:
         if col.ndim == 2:
             # One record per row: a single 1-D scatter instead of a 2-D
             # fancy assignment (~3x slower) or a flat scatter per column.
-            col, stage = _records(col), _records(stage)
+            col, stage = row_records(col), row_records(stage)
         col[rows] = stage
 
 

@@ -50,7 +50,7 @@ class ScratchBuffers:
     """Named, capacity-managed reusable temporaries for the step loop.
 
     Steady-state stepping must not heap-allocate O(N) arrays: the hot
-    kernels (sort keys, shuffle permutations, acceptance draws) instead
+    kernels (sort keys, sort orders, acceptance draws) instead
     borrow buffers from this pool.  A buffer is identified by name and
     grows monotonically with ~30% slack (:func:`scratch_capacity`), so
     after the start-up transient every request is satisfied by a view
@@ -84,20 +84,6 @@ class ScratchBuffers:
             self._arrays[name] = buf
         return buf[:n]
 
-    def permutation(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """A fresh uniform random permutation of ``0..n-1``, reusable.
-
-        Maintains one persistent buffer, reset to identity from a
-        cached ``arange`` and Fisher-Yates shuffled in place on every
-        call -- no allocation, and (unlike re-shuffling the previous
-        permutation) the result is a pure function of the rng state, so
-        checkpoint/restore continuations stay bitwise reproducible.
-        """
-        idx = self.array("__perm", n, dtype=np.intp)
-        idx[:] = self.arange(n)
-        rng.shuffle(idx)
-        return idx
-
     def arange(self, n: int) -> np.ndarray:
         """A read-only ``arange(n)`` view (shared; a write raises)."""
         base = self._arrays.get("__arange")
@@ -106,6 +92,11 @@ class ScratchBuffers:
             base.flags.writeable = False
             self._arrays["__arange"] = base
         return base[:n]
+
+
+def row_records(block: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous 2-D block as one opaque item each."""
+    return block.view((np.void, block.strides[0])).reshape(-1)
 
 
 def pooled(
@@ -566,10 +557,16 @@ class ParticleArrays:
         if n_new > self.n:
             slides.reverse()
         self._ensure_capacity(n_new)
+        # Rows sliding down copy forward: through one record per row
+        # that is a memmove, where an overlapping 2-D slice goes through
+        # a temporary.  Sliding up, NumPy copies backwards item by item,
+        # which is slower per record than per element.
+        down = bool(slides) and n_new < self.n
         for name in COLUMN_NAMES:
             col = self._front[name]
+            rows = row_records(col) if down and col.ndim == 2 else col
             for d0, s0, k in slides:
-                col[d0 : d0 + k] = col[s0 : s0 + k]
+                rows[d0 : d0 + k] = rows[s0 : s0 + k]
             setattr(self, name, col[:n_new])
         if self.starts is not None:
             self.starts = np.array(new_edges, dtype=np.int64)

@@ -32,9 +32,9 @@ import numpy as np
 from repro.core.collision import collide_adjacent_pairs
 from repro.core.particles import ParticleArrays, pooled, pooled_arange
 from repro.errors import ConfigurationError
-from repro.physics.distributions import sample_rectangular
+from repro.physics.distributions import rectangular_half_width
 from repro.physics.freestream import Freestream
-from repro.rng import block_streams, random_permutation_table
+from repro.rng import block_streams
 
 #: What a collision reads and writes -- a reservoir's other columns are
 #: placeholders.
@@ -94,10 +94,15 @@ class Reservoir:
 
         Every block grows by its count in one relayout
         (:meth:`ParticleArrays.grow_inplace`); then each block draws its
-        velocities, rotational state and permutation table from its own
-        stream, in the order a reservoir of that block alone would, and
-        the draws land in the new rows with one copy per column.  The
-        positional columns of a reservoir particle are zero.
+        state from its own stream in one call: ``k * (3 + rdof)``
+        uniforms for its velocities then its rotational state, and as
+        many keys for its permutation table -- the doubles
+        :func:`~repro.physics.distributions.sample_rectangular` twice
+        and :func:`~repro.rng.random_permutation_table` would read, in
+        that order.  One affine map, one drift and one row argsort over
+        all blocks make them the same values bit for bit, and they land
+        in the new rows with one copy per column.  The positional
+        columns of a reservoir particle are zero.
         """
         streams = self._streams(rng)
         counts = np.atleast_1d(n).tolist()
@@ -113,20 +118,31 @@ class Reservoir:
         rows = parts.grow_inplace(counts)
         fs = self.freestream
         rdof = parts.rotational_dof
+        width = 3 + rdof
         drawn = [
-            (
-                sample_rectangular(s, k, fs.c_mp, drift=fs.drift_vector()),
-                sample_rectangular(s, k, fs.c_mp, components=rdof),
-                random_permutation_table(s, k, length=3 + rdof),
-            )
-            for s, k in zip(streams, counts)
-            if k
+            (s.random(2 * width * k), k) for s, k in zip(streams, counts) if k
         ]
-        vel, rot, perm = (np.concatenate(draws) for draws in zip(*drawn))
-        for c, name in enumerate(("u", "v", "w")):
+        # Regrouped as every block's velocities, then every block's
+        # rotational state, then every block's keys.
+        flat = np.concatenate(
+            [u[: 3 * k] for u, k in drawn]
+            + [u[3 * k : width * k] for u, k in drawn]
+            + [u[width * k :] for u, k in drawn]
+        )
+        total = sum(counts)
+        state = flat[: width * total]
+        a = rectangular_half_width(fs.c_mp)
+        # sample_rectangular's ``rng.uniform(-a, a)`` is -a + (a - -a) * u.
+        state *= a - -a
+        state += -a
+        vel = state[: 3 * total].reshape(total, 3)
+        for c, (name, d) in enumerate(zip(("u", "v", "w"), fs.drift_vector())):
+            if d:
+                vel[:, c] += d
             getattr(parts, name)[rows] = vel[:, c]
-        parts.rot[rows] = rot
-        parts.perm[rows] = perm
+        parts.rot[rows] = state[3 * total :].reshape(total, rdof)
+        keys = flat[width * total :].reshape(total, width)
+        parts.perm[rows] = np.argsort(keys, axis=1)
         for name in ("x", "y", "z", "cell"):
             getattr(parts, name)[rows] = 0
 

@@ -10,25 +10,24 @@ the collision routine" -- processing power is redistributed to match the
 cell populations every step.
 
 **The fused counting-sort kernel.**  The cell index is a small dense
-integer (98x64 = 6272 cells), so a comparison sort is overkill: the
-natural O(N) algorithm is a counting sort -- per-cell histogram, prefix
-sum to bucket offsets, stable placement.  NumPy exposes exactly that
-machinery: ``np.argsort(kind="stable")`` on a <= 16-bit integer key runs
-the library's radix/counting path (histogram + prefix scan per byte), an
-order of magnitude faster than the comparison sort it falls back to for
-wider dtypes.  :func:`sort_by_cell` therefore narrows the key to 16 bits
-whenever the cell range allows and keeps the wide comparison sort only
-as a fallback for huge grids.
+integer (98x64 = 6272 cells).  The plain stable sort (``scale = 1``,
+the ablation) narrows it to 16 bits whenever the range allows, so
+``np.argsort(kind="stable")`` runs the library's radix/counting path
+(histogram + prefix scan per byte) instead of a comparison sort.
 
-The paper's intra-cell randomization ("a random number less than the
-scale factor is added" to the scaled cell index) is preserved, but
-implemented as bucket shuffling: apply a uniform random permutation of
-*all* particles first, then counting-sort the permuted cell keys stably.
-Each cell's bucket receives its members in uniformly random relative
-order -- exactly the distribution the scaled-key trick approximates --
-while the key stays narrow and the histogram (``counts``) falls out of
-the same pass, eliminating the separate ``cell_populations`` bincount
-the step loop used to pay.
+The paper's intra-cell randomization is literal: "the cell index of a
+particle is scaled by some constant factor and, before sorting, a
+random number less than the scale factor is added to it".  The kernel
+does exactly that with the widest factor a machine word allows: one
+``uint64`` key per particle holds the cell in its top bits, one fresh
+32-bit stream word below it (its top bits only, when the grid and the
+population leave fewer than 32), and the row as the last digit.  Every
+key is distinct, so one in-place sort of the keys is the whole sort
+and the order is the keys' low bits.  Equal cells land in the order of
+their words: uniform up to 32-bit ties (about ``m**2 / 2**33`` per cell
+of ``m`` particles), and tied words keep row order.  The histogram
+(``counts``) is read off the sorted population by binary search, so
+the step loop pays no separate ``cell_populations`` bincount.
 
 The CM engine supplies explicit ``mix_bits`` instead of an rng; that
 path keeps the paper's literal ``cell * scale + bits`` key (narrowed
@@ -94,19 +93,27 @@ def counting_sort_order(
     scratch=None,
     max_key: Optional[int] = None,
 ) -> np.ndarray:
-    """Stable O(N) sort permutation of small-integer cell keys.
+    """Sort permutation of small-integer cell keys, optionally randomized.
 
-    With ``shuffle=True`` (and an rng) the returned order additionally
-    randomizes intra-cell positions uniformly: a global permutation
-    ``p`` is drawn, the permuted keys are counting-sorted stably, and
-    the two permutations are composed, so equal keys land in the order
-    ``p`` visits them.  ``shuffle=False`` is the plain stable sort (the
-    ablation / ``scale=1`` configuration).
+    With ``shuffle=True`` (and an rng) the order is that of one packed
+    ``uint64`` key per particle, sorted in place: the cell in the top
+    bits, one fresh ``uint32`` stream word below it (its top
+    ``64 - cell_bits - row_bits`` bits when fewer than 32 fit), and the
+    row as the last digit, which makes every key distinct and the
+    order the key's low bits.  Equal cells therefore land in the order
+    of their words -- uniform up to 32-bit ties, about ``m**2 / 2**33``
+    per cell of ``m`` particles.  The stream advances by exactly one
+    ``uint32`` word per particle.  Fewer than 16 random bits left for
+    the word is a :class:`ConfigurationError`.
 
-    ``scratch`` (a :class:`repro.core.particles.ScratchBuffers`) makes
-    the kernel allocation-free apart from the argsort's own output;
-    ``max_key`` skips the O(N) max scan when the caller knows the key
-    range (e.g. ``domain.n_cells - 1``).
+    ``shuffle=False`` is the plain stable sort (the ablation /
+    ``scale=1`` configuration), through the uint16 counting path when
+    the keys fit.
+
+    ``scratch`` (a :class:`repro.core.particles.ScratchBuffers`) holds
+    the key, which becomes the returned order in place; ``max_key``
+    skips the O(N) min/max scan when the caller knows the key range
+    (e.g. ``domain.n_cells - 1``).
     """
     n = cell.shape[0]
     if n == 0:
@@ -114,43 +121,36 @@ def counting_sort_order(
     if max_key is None:
         # Only scanned when the caller did not vouch for the key range
         # (the step loop passes ``max_key`` and skips both scans).  A
-        # negative key would corrupt silently via the unsafe uint16
-        # narrowing, so it must be rejected here.
+        # negative key would corrupt silently via the unsafe narrowing
+        # and packing, so it must be rejected here.
         if int(cell.min()) < 0:
             raise ConfigurationError("cell indices must be non-negative")
-        max_key = int(cell.max())
-    narrow = max_key <= NARROW_KEY_LIMIT
+        max_key = cell.max()
+    max_key = int(max_key)
 
     if not (shuffle and rng is not None):
-        if narrow:
-            if scratch is not None:
-                key16 = scratch.array("sort_key16", n, dtype=np.uint16)
-            else:
-                key16 = np.empty(n, dtype=np.uint16)
-            np.copyto(key16, cell, casting="unsafe")
-            return np.argsort(key16, kind="stable")
+        if max_key <= NARROW_KEY_LIMIT:
+            return np.argsort(cell.astype(np.uint16), kind="stable")
         return np.argsort(cell, kind="stable")
 
-    if scratch is not None:
-        p = scratch.permutation(n, rng)
-        key16 = scratch.array("sort_key16", n, dtype=np.uint16)
-        order = scratch.array("sort_order", n, dtype=np.intp)
-    else:
-        p = rng.permutation(n)
-        key16 = np.empty(n, dtype=np.uint16)
-        order = np.empty(n, dtype=np.intp)
-    if narrow:
-        np.copyto(key16, cell, casting="unsafe")
-        # Gather the pre-shuffled keys; "clip" because p is a
-        # permutation (always in range) and "raise" would buffer.
-        shuffled = scratch.array("sort_shuf16", n, dtype=np.uint16) \
-            if scratch is not None else np.empty(n, dtype=np.uint16)
-        np.take(key16, p, out=shuffled, mode="clip")
-        s = np.argsort(shuffled, kind="stable")
-    else:
-        s = np.argsort(cell[p], kind="stable")
-    np.take(p, s, out=order, mode="clip")
-    return order
+    row_bits = (n - 1).bit_length()
+    word_bits = min(32, 64 - max_key.bit_length() - row_bits)
+    if word_bits < 16:
+        raise ConfigurationError(
+            f"{n} rows of cells up to {max_key} leave {word_bits} random "
+            "bits in the 64-bit sort key (at least 16 are needed)"
+        )
+    words = rng.integers(0, 1 << 32, size=n, dtype=np.uint32)
+    if word_bits < 32:
+        words >>= 32 - word_bits
+    key = pooled(scratch, "sort_order", n, np.intp).view(np.uint64)
+    np.left_shift(cell, word_bits, out=key, dtype=np.uint64, casting="unsafe")
+    key |= words
+    key <<= row_bits
+    key |= pooled_arange(scratch, n).view(np.uint64)
+    key.sort()
+    key &= (1 << row_bits) - 1
+    return key.view(np.intp)
 
 
 def blocked_cell_key(
@@ -197,9 +197,10 @@ def sort_by_cell(
     ablation configuration); ``scale > 1`` enables it.  When
     ``mix_bits`` is given the literal scaled-key sort of the seed
     implementation runs (the CM engine's "quick & dirty" bits path,
-    bit-identical ordering); otherwise mixing uses the fused
-    shuffle-then-counting-sort kernel, which is uniform rather than
-    approximately uniform and keeps the sort key 16 bits wide.
+    bit-identical ordering); otherwise mixing uses
+    :func:`counting_sort_order`'s packed key, whose random digit is a
+    32-bit stream word per particle rather than a number below
+    ``scale``.
 
     ``n_cells`` additionally requests the per-cell histogram in the
     result (derived from the sorted population by binary search).
@@ -322,7 +323,7 @@ class IncrementalSorter:
     :func:`repro.core.pairing.reflection_pairs`, which randomizes *pair
     assignment within each cell* per step instead of randomizing
     storage order -- the same statistical contract as the counting
-    kernel's bucket shuffle, under any slot order.
+    kernel's packed-key sort, under any slot order.
 
     This is a host-performance mode outside the CM-2 cost model; the
     paper-faithful rank-sort analogue remains ``sort_kernel="counting"``.

@@ -57,6 +57,15 @@ def sample_maxwellian(
     return out
 
 
+def rectangular_half_width(c_mp: float) -> float:
+    """Half-width ``a`` of the uniform with the Maxwellian's variance.
+
+    A uniform on ``[-a, a]`` has variance ``a**2 / 3``, so
+    ``a = sigma * sqrt(3)``.
+    """
+    return sigma_from_cmp(c_mp) * math.sqrt(3.0)
+
+
 def sample_rectangular(
     rng: np.random.Generator,
     n: int,
@@ -67,14 +76,13 @@ def sample_rectangular(
     """Sample the reservoir's rectangular (uniform) distribution.
 
     Matches the Maxwellian variance per component: a uniform on
-    ``[-a, a]`` has variance ``a**2 / 3``, so ``a = sigma * sqrt(3)``.
-    One uniform draw per component -- the cheap sampler the paper uses
+    ``[-a, a]`` with ``a`` from :func:`rectangular_half_width`.  One uniform draw per component -- the cheap sampler the paper uses
     when parking particles in the reservoir, relying on reservoir
     self-collisions to Gaussianize them.
     """
     if n < 0:
         raise ConfigurationError("n must be non-negative")
-    a = sigma_from_cmp(c_mp) * math.sqrt(3.0)
+    a = rectangular_half_width(c_mp)
     out = rng.uniform(-a, a, size=(n, components))
     for i, d in enumerate(drift[:components]):
         if d:

@@ -60,10 +60,11 @@ def _wedge_config(density, seed):
 
 class TestThroughput:
     def test_reference_engine_stays_vectorized(self):
-        # Hot path measured ~0.25 us/particle/step on one laptop core;
-        # 1.5 us is a 5x+ cushion that neither a per-particle Python
-        # loop (30+ us) nor losing the O(N) counting sort back to the
-        # wide-key argsort (~2x) can hide under.
+        # The default (indexed) kernel measured ~0.10 us/particle/step
+        # on a 2-vCPU x86 host, the counting kernel's packed-key sort
+        # within a few per cent of it (0.12 with the shuffle it
+        # replaced); 1.5 us is a 10x+ cushion that a per-particle
+        # Python loop (30+ us) cannot hide under.
         sim = Simulation(_wedge_config(density=10.0, seed=1))
         sim.run(5)  # warm up
         n = sim.particles.n
@@ -344,13 +345,15 @@ class TestBlockedStepCostsPerParticle:
         # (one reorder, one surgery per deposit / withdrawal); 134.6
         # before, 75.2 after the surgery went per particle (blocks slid
         # in place, one backfill copy per column, deposits drawn into
-        # grown rows, replica streams re-keyed).  What is left per
-        # replica: its stream's re-key, its draws and the relayout's
-        # slides.
+        # grown rows, replica streams re-keyed); 55.8 with a block's
+        # deposit drawn in one stream call (velocities, rotation and
+        # permutation keys mapped and argsorted over all blocks at
+        # once).  What is left per replica: its stream's re-key, its
+        # draws and the relayout's slides.
         stats = {r: self._profiled_steps(r) for r in (1, 8)}
         per_replica = (stats[8].total_calls - stats[1].total_calls) / 18 / 7
-        assert per_replica <= 83, (
-            f"{per_replica:.0f} calls per replica per step (budget 75 "
+        assert per_replica <= 62, (
+            f"{per_replica:.0f} calls per replica per step (budget 55.8 "
             "+ 10 %): per-block work beyond the draws is back in a "
             "blocked kernel"
         )

@@ -26,7 +26,7 @@ from repro.core.collision import (
     collide_rows_with_velocities,
 )
 from repro.core.pairing import reflection_offsets
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.core.reservoir import Reservoir
 from repro.core.selection import fused_select_collide
 from repro.core.simulation import Simulation, SimulationConfig
@@ -346,6 +346,64 @@ class TestFusedSort:
 
     def test_empty_population(self):
         assert counting_sort_order(np.empty(0, dtype=np.int64)).size == 0
+
+
+def _packed_reference(cell, seed, max_key):
+    """The packed-key order spelled as a lexsort, and the stream after it."""
+    n = cell.shape[0]
+    twin = np.random.default_rng(seed)
+    word = twin.integers(0, 1 << 32, n, dtype=np.uint32)
+    fit = 64 - int(max_key).bit_length() - (n - 1).bit_length()
+    word >>= 32 - min(32, fit)
+    return np.lexsort((np.arange(n), word, cell)), twin
+
+
+class TestPackedSortKey:
+    """The randomized counting order is one sort of ``(cell, word, row)``
+    packed into a ``uint64``: the order of a lexsort on those digits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 65536, 65537])
+    @pytest.mark.parametrize("max_key", [0, 97, 6271, 65535])
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_equals_lexsort_of_cell_word_row(self, n, max_key, scratch):
+        cell = np.random.default_rng(n).integers(0, max_key + 1, n)
+        cell[n // 2] = max_key
+        pool = ScratchBuffers() if scratch else None
+        rng = np.random.default_rng(5)
+        order = counting_sort_order(cell, rng, scratch=pool, max_key=max_key)
+        ref, twin = _packed_reference(cell, 5, max_key)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, ref)
+        # Exactly one uint32 word per particle: a pending half-word
+        # (odd n) must be pending in both.
+        assert rng.integers(0, 1 << 32, 3, np.uint32).tolist() == (
+            twin.integers(0, 1 << 32, 3, np.uint32).tolist()
+        )
+
+    def test_word_keeps_its_top_bits_when_32_do_not_fit(self):
+        # 16 cell bits + 18 row bits leave 30 bits of each word.
+        n, max_key = (1 << 17) + 1, (1 << 16) - 1
+        cell = np.random.default_rng(1).integers(0, max_key + 1, n)
+        cell[0] = max_key
+        order = counting_sort_order(
+            cell, np.random.default_rng(2), max_key=max_key
+        )
+        assert np.array_equal(order, _packed_reference(cell, 2, max_key)[0])
+
+    def test_scanned_key_range_equals_the_vouched_one(self):
+        cell = np.random.default_rng(3).integers(0, 500, 1000)
+        a = counting_sort_order(cell, np.random.default_rng(4))
+        b = counting_sort_order(
+            cell, np.random.default_rng(4), max_key=int(cell.max())
+        )
+        assert np.array_equal(a, b)
+
+    def test_fewer_than_16_random_bits_is_a_typed_error(self):
+        cell = np.zeros(512, dtype=np.int64)  # 9 row bits
+        # 39 cell bits leave exactly 16 bits of word; 40 leave 15.
+        counting_sort_order(cell, np.random.default_rng(0), max_key=(1 << 39) - 1)
+        with pytest.raises(ConfigurationError, match="random bits"):
+            counting_sort_order(cell, np.random.default_rng(0), max_key=1 << 39)
 
 
 class TestReservoirRoundTrip:

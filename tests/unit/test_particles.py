@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.particles import ParticleArrays, ScratchBuffers
+from repro.core.sortstep import counting_sort_order
 from repro.errors import ConfigurationError
 from repro.physics.freestream import Freestream
 
@@ -137,8 +138,10 @@ class TestScratchArange:
         big = scratch.arange(10_000)
         assert not big.flags.writeable
         assert np.array_equal(big, np.arange(10_000))
-        perm = scratch.permutation(500, rng)
-        assert np.array_equal(np.sort(perm), np.arange(500))
+        order = counting_sort_order(
+            np.zeros(500, dtype=np.int64), rng, scratch=scratch
+        )
+        assert np.array_equal(np.sort(order), np.arange(500))
         assert np.array_equal(scratch.arange(500), np.arange(500))
 
 

@@ -10,9 +10,9 @@ from repro.core.surface import SURFACE_FIELDS, SurfaceSampler
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
-from repro.physics.distributions import excess_kurtosis
+from repro.physics.distributions import excess_kurtosis, sample_rectangular
 from repro.physics.freestream import Freestream
-from repro.rng import shard_stream
+from repro.rng import random_permutation_table, shard_stream
 
 
 @pytest.fixture
@@ -74,6 +74,54 @@ class TestReservoir:
             res.deposit(rng, -1)
         with pytest.raises(ConfigurationError):
             res.withdraw(rng, -1)
+
+
+class TestDepositDraws:
+    """A block's deposit is one stream call that reproduces the two
+    :func:`sample_rectangular` calls and the
+    :func:`random_permutation_table` call it replaced, bit for bit."""
+
+    @staticmethod
+    def _streams(kind, seed, n_blocks):
+        streams = []
+        for r in range(n_blocks):
+            s = np.random.Generator(kind(seed * 7 + r))
+            if r % 2:
+                # A pending uint32 half-word: doubles must skip it.
+                s.integers(0, 1 << 32, dtype=np.uint32)
+            streams.append(s)
+        return streams
+
+    @pytest.mark.parametrize("kind", [np.random.Philox, np.random.PCG64])
+    @pytest.mark.parametrize("rdof", [0, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_reference_samplers(self, fs, kind, rdof, seed):
+        counts = [0, 1, 37, 5][: 1 + seed % 4]
+        res = Reservoir(fs, rotational_dof=rdof)
+        res.particles = ParticleArrays.from_blocks(
+            [ParticleArrays.empty(rdof) for _ in counts]
+        ).enable_scratch()
+        streams = self._streams(kind, seed, len(counts))
+        res.deposit(streams, counts)
+        twins = self._streams(kind, seed, len(counts))
+        drawn = [
+            (
+                sample_rectangular(s, k, fs.c_mp, drift=fs.drift_vector()),
+                sample_rectangular(s, k, fs.c_mp, components=rdof),
+                random_permutation_table(s, k, length=3 + rdof),
+            )
+            for s, k in zip(twins, counts)
+        ]
+        vel, rot, perm = (np.concatenate(d) for d in zip(*drawn))
+        p = res.particles
+        for c, name in enumerate(("u", "v", "w")):
+            assert np.array_equal(getattr(p, name), vel[:, c]), name
+        assert np.array_equal(p.rot, rot)
+        assert np.array_equal(p.perm, perm)
+        for s, twin in zip(streams, twins):
+            assert s.integers(0, 1 << 32, 4, np.uint32).tolist() == (
+                twin.integers(0, 1 << 32, 4, np.uint32).tolist()
+            )
 
 
 def _one_reservoir(tanks, scratch=True):
