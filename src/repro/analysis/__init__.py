@@ -16,7 +16,6 @@ from repro.analysis import (
     fields,
     report,
     shock,
-    streamlines,
     thermo,
     vdf,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "fields",
     "report",
     "shock",
-    "streamlines",
     "thermo",
     "vdf",
 ]

@@ -61,28 +61,6 @@ def render_ascii(
     return "\n".join(rows)
 
 
-def level_crossings_y(field: np.ndarray, level: float) -> np.ndarray:
-    """Per-column first y (from below) where the field drops below level.
-
-    Returns an array of length nx with NaN where the column never
-    crosses.  Useful for quick contour-line extraction in tests.
-    """
-    f = np.asarray(field, dtype=np.float64)
-    if f.ndim != 2:
-        raise ConfigurationError("field must be 2-D")
-    out = np.full(f.shape[0], np.nan)
-    below = f < level
-    for i in range(f.shape[0]):
-        col = below[i]
-        if col.all() or not col.any():
-            continue
-        # first transition from >= level to < level scanning upward
-        trans = np.flatnonzero(~col[:-1] & col[1:])
-        if trans.size:
-            out[i] = trans[0] + 1
-    return out
-
-
 def save_field_npz(path: str, **fields: np.ndarray) -> None:
     """Dump named fields to a compressed ``.npz`` (benches' raw output)."""
     if not fields:

@@ -1,4 +1,4 @@
-"""Convergence utilities: steady-state detection and sampling noise.
+"""Convergence utilities: steady-state detection.
 
 The paper's run schedule -- "1200 time steps to reach steady state and
 then time averaged for a further 2000 timesteps" -- encodes two
@@ -12,13 +12,11 @@ statistical facts about DSMC:
 
 :class:`SteadyStateDetector` implements the standard windowed-slope
 criterion on any scalar monitor (flow population, total energy, a probe
-density); :func:`expected_noise` and :func:`measured_field_noise` back
-the 1/sqrt(N) law the tests verify.
+density); the integration tests measure the 1/sqrt(N) law directly.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Deque, Optional
 
@@ -82,40 +80,3 @@ class SteadyStateDetector:
         if self._flat_streak >= self.patience and self.steady_at is None:
             self.steady_at = self._steps
         return self.steady_at is not None
-
-    @property
-    def is_steady(self) -> bool:
-        return self.steady_at is not None
-
-
-def expected_noise(
-    particles_per_cell: float, averaging_steps: int, decorrelation: float = 1.0
-) -> float:
-    """Predicted relative density noise of a time-averaged cell.
-
-    sigma(rho)/rho ~ 1 / sqrt(N_ppc * steps / tau): Poisson counting
-    over the effective number of independent samples.  ``decorrelation``
-    (tau) accounts for consecutive snapshots of slow particles being
-    correlated; ~2-4 for the paper's velocity scale.
-    """
-    if particles_per_cell <= 0 or averaging_steps <= 0:
-        raise ConfigurationError("need positive samples")
-    if decorrelation < 1.0:
-        raise ConfigurationError("decorrelation must be >= 1")
-    n_eff = particles_per_cell * averaging_steps / decorrelation
-    return 1.0 / math.sqrt(n_eff)
-
-
-def measured_field_noise(field: np.ndarray, region: tuple) -> float:
-    """Relative RMS fluctuation of a (supposedly uniform) field region.
-
-    ``region`` is an index tuple, e.g. ``(slice(3, 15), slice(20, 30))``
-    selecting a freestream patch; returns std/mean over it.
-    """
-    patch = np.asarray(field)[region]
-    if patch.size < 4:
-        raise ConfigurationError("region too small for a noise estimate")
-    mean = patch.mean()
-    if mean == 0:
-        raise ConfigurationError("empty region")
-    return float(patch.std() / mean)

@@ -116,10 +116,3 @@ def stagnation_rise_profile(
         j = min(max(j, 0), rho.shape[1] - 1)
         out.append(rho[i, j])
     return np.asarray(out)
-
-
-def centerline_profile(rho: np.ndarray, j: int) -> np.ndarray:
-    """A single x-profile of the field at row ``j`` (for quick plots)."""
-    if not 0 <= j < rho.shape[1]:
-        raise ConfigurationError("row out of range")
-    return rho[:, j].copy()

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class Metric:
@@ -106,11 +104,3 @@ MARKDOWN_HEADER = (
     "| Exp | Metric | Paper | Measured | Agree | Note |\n"
     "|---|---|---|---|---|---|"
 )
-
-
-def records_to_markdown(records: List[ExperimentRecord]) -> str:
-    """A full markdown table for a list of experiment records."""
-    if not records:
-        raise ConfigurationError("no records")
-    body = "\n".join(r.to_markdown_rows() for r in records)
-    return f"{MARKDOWN_HEADER}\n{body}"

@@ -348,30 +348,3 @@ def wake_floor_ridge(
     if mid <= 0:
         raise ConfigurationError("empty mid-wake band; field not converged")
     return float(floor / mid)
-
-
-def expansion_density_drop(
-    rho: np.ndarray,
-    wedge: Wedge,
-    domain: Domain,
-    box: float = 4.0,
-) -> float:
-    """Density ratio across the corner expansion fan.
-
-    Mean density in a box just downstream/below the corner (the expanded
-    region) divided by the post-shock plateau upstream of the corner.
-    Compared against the Prandtl-Meyer prediction for the turn back to
-    the freestream direction ("The Prandtl-Meyer expansion fan around
-    the corner of the wedge was also compared to theory and found to be
-    correct").
-    """
-    cx, cy = wedge.corner
-    i_lo, i_hi = int(cx + 1), min(int(cx + 1 + box), domain.nx - 1)
-    j_lo, j_hi = max(int(cy - box), 0), max(int(cy - 1), 1)
-    if i_hi <= i_lo or j_hi <= j_lo:
-        raise ConfigurationError("expansion box is degenerate")
-    expanded = float(rho[i_lo:i_hi, j_lo:j_hi].mean())
-    plateau = post_shock_plateau(rho, wedge)
-    if plateau <= 0:
-        raise ConfigurationError("invalid plateau")
-    return expanded / plateau

@@ -12,12 +12,9 @@ in the Baganoff normalization (RT in cell-widths^2 / step^2).
 
 from __future__ import annotations
 
-import math
 import numpy as np
 
 from repro.core.sampling import CellSampler
-from repro.errors import ConfigurationError
-from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 
 
@@ -27,24 +24,6 @@ def temperature_ratio_field(
     """Translational temperature normalized by the freestream value."""
     rt = sampler.translational_temperature()
     return rt / freestream.rt
-
-
-def total_temperature_ratio_field(
-    sampler: CellSampler,
-    freestream: Freestream,
-    rotational_dof: int = 2,
-) -> np.ndarray:
-    """Temperature from ALL modes (translational + rotational).
-
-    Equipartition-weighted: T_tot = (3 T_tr + dof * T_rot) / (3 + dof).
-    Differences between this and the translational field expose
-    rotational non-equilibrium (e.g. inside shock fronts).
-    """
-    t_tr = sampler.translational_temperature()
-    t_rot = sampler.rotational_temperature(rotational_dof)
-    dof = rotational_dof
-    t_tot = (3.0 * t_tr + dof * t_rot) / (3.0 + dof)
-    return t_tot / freestream.rt
 
 
 def mach_field(
@@ -64,54 +43,3 @@ def mach_field(
     sound = np.sqrt(freestream.gamma * np.maximum(rt, floor))
     mach = np.where(rt > floor, speed / sound, 0.0)
     return mach
-
-
-def rotational_nonequilibrium_field(
-    sampler: CellSampler, rotational_dof: int = 2
-) -> np.ndarray:
-    """T_rot / T_tr per cell: 1 at equilibrium.
-
-    Shock interiors lag below 1 while rotation catches up with the
-    translational heating; the lag grows when the Future-Work internal
-    exchange probability is reduced.
-    """
-    t_tr = sampler.translational_temperature()
-    t_rot = sampler.rotational_temperature(rotational_dof)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(t_tr > 0, t_rot / np.maximum(t_tr, 1e-300), 0.0)
-    return ratio
-
-
-def shock_layer_temperature_ratio(
-    sampler: CellSampler,
-    freestream: Freestream,
-    wedge: Wedge,
-    surface_clearance: float = 2.0,
-) -> float:
-    """Mean T/T_inf in the shock layer over the ramp.
-
-    Compared by the tests/benches against the oblique-shock
-    Rankine-Hugoniot temperature ratio (~1.9 for the paper's Mach 4 /
-    30-degree case).
-    """
-    t_field = total_temperature_ratio_field(sampler, freestream)
-    i_lo = int(math.ceil(wedge.x_leading + 3.0))
-    i_hi = int(math.floor(wedge.x_trailing - 3.0))
-    slope = math.tan(math.radians(45.0))
-    sc, kc = surface_clearance, 2.0
-    # Thin layers on scaled geometries: halve the clearances until
-    # usable samples exist (mirrors post_shock_plateau's fallback).
-    for _ in range(4):
-        vals = []
-        for i in range(i_lo, min(i_hi, t_field.shape[0] - 1) + 1):
-            x = i + 0.5
-            surf = wedge.ramp_height_at(x)
-            front = (x - wedge.x_leading) * slope
-            j_lo = int(math.ceil(surf + sc))
-            j_hi = int(math.floor(front - kc))
-            if j_hi > j_lo:
-                vals.append(t_field[i, j_lo:j_hi].mean())
-        if vals:
-            return float(np.mean(vals))
-        sc, kc = sc / 2.0, kc / 2.0
-    raise ConfigurationError("no usable shock-layer temperature samples")

@@ -14,7 +14,7 @@ that the tests and examples use to exhibit the kinetic structure.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -90,10 +90,6 @@ class VDFProbe:
             raise ConfigurationError("probe collected no samples")
         return np.concatenate(self._chunks)
 
-    def histogram(self, bins: int = 60, range_: Optional[tuple] = None):
-        """(counts, edges) of the collected component."""
-        return np.histogram(self.values(), bins=bins, range=range_)
-
     def moments(self) -> dict:
         """Mean, variance, skewness and excess kurtosis of the VDF."""
         x = self.values()
@@ -110,21 +106,6 @@ class VDFProbe:
             "skewness": float(m3 / m2**1.5),
             "excess_kurtosis": float(m4 / m2**2 - 3.0),
         }
-
-    def mixture_excess_variance(
-        self, equilibrium_variance: float
-    ) -> float:
-        """Bimodality signature: variance above the local equilibrium.
-
-        A two-stream mixture of Maxwellians with bulk speeds U1 != U2
-        has total variance  sigma_eq^2 + w(1-w)(U1-U2)^2 -- strictly
-        larger than any single equilibrium at the same temperature.
-        Returns ``variance / equilibrium_variance - 1``: ~0 for an
-        equilibrium gas, significantly positive inside a kinetic shock.
-        """
-        if equilibrium_variance <= 0:
-            raise ConfigurationError("equilibrium variance must be positive")
-        return float(self.moments()["variance"] / equilibrium_variance - 1.0)
 
 
 def maxwellian_reference(

@@ -112,8 +112,3 @@ class BirdTimeCounter:
             collide_pairs(particles, firsts, seconds, rng=rng)
             done += k
         return done
-
-    def expected_collisions_per_step(self, n_particles: int) -> float:
-        """Mean collisions per step at freestream density (for tests)."""
-        nu = self.freestream.mean_speed / self.freestream.lambda_mfp
-        return 0.5 * n_particles * nu * DT

@@ -117,11 +117,6 @@ class BirdNTC:
         total += _collide_with_overlaps(particles, firsts, seconds, rng)
         return total
 
-    def expected_collisions_per_step(self, n_particles: int) -> float:
-        """True kinetic rate (the majorant thinning cancels out)."""
-        nu = self.freestream.mean_speed / self.freestream.lambda_mfp
-        return 0.5 * n_particles * nu * DT
-
 
 def _collide_with_overlaps(
     particles: ParticleArrays,

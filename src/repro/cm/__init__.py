@@ -12,14 +12,11 @@ This subpackage provides:
 * :mod:`~repro.cm.machine` -- the machine description and the
   virtual-processor geometry (block mapping of VPs to physical
   processors);
-* :mod:`~repro.cm.field` -- per-VP data fields with context (active)
-  flags and cost-charged elementwise operations;
-* :mod:`~repro.cm.scan` -- plus/max/copy scans and their segmented
-  variants (Hillis & Steele data-parallel algorithms);
-* :mod:`~repro.cm.sort` -- stable key sort with a router cost model;
-* :mod:`~repro.cm.router` -- general permutation sends, separating
-  on-chip from off-chip traffic (the mechanism behind the paper's
-  Figure 7);
+* :mod:`~repro.cm.sort` -- stable key sort with a router cost model
+  that separates on-chip from off-chip traffic (the mechanism behind
+  the paper's Figure 7);
+* :mod:`~repro.cm.news` / :mod:`~repro.cm.cellmapped` -- the NEWS-grid
+  neighbour exchange of the cells-to-processors mapping;
 * :mod:`~repro.cm.timing` -- the cost ledger and the calibrated
   cycles-to-microseconds conversion;
 * :mod:`~repro.cm.mapping` -- the cells-to-processors versus
@@ -33,12 +30,10 @@ figures (Fig. 7 and the phase-breakdown table).
 
 from repro.cm.machine import CM2, VPGeometry
 from repro.cm.timing import CostLedger, CM2TimingModel, PhaseBreakdown
-from repro.cm.field import Field
 
 __all__ = [
     "CM2",
     "VPGeometry",
-    "Field",
     "CostLedger",
     "CM2TimingModel",
     "PhaseBreakdown",

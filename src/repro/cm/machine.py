@@ -77,26 +77,9 @@ class CM2:
             raise ConfigurationError("memory_bits must be positive")
 
     @property
-    def usable_memory_bits(self) -> int:
-        """Memory bits per processor after the back-compat reservation."""
-        return int(self.memory_bits * (1.0 - self.backcompat_reserved))
-
-    @property
     def hypercube_dimension(self) -> int:
         """log2 of the physical processor count."""
         return int(self.n_processors).bit_length() - 1
-
-    def max_virtual_processors(self, bits_per_vp: int) -> int:
-        """Largest VP set whose state fits in usable memory.
-
-        ``bits_per_vp`` is the per-particle state footprint (the paper's
-        computational state: 7 fixed-point words + cell index +
-        permutation vector, plus scratch).
-        """
-        if bits_per_vp <= 0:
-            raise ConfigurationError("bits_per_vp must be positive")
-        per_proc = self.usable_memory_bits // bits_per_vp
-        return per_proc * self.n_processors
 
     def geometry(self, n_virtual: int) -> "VPGeometry":
         """Create a VP geometry of ``n_virtual`` virtual processors."""

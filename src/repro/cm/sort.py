@@ -19,20 +19,13 @@ The emulation computes the sorted order with NumPy's stable argsort
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.cm.field import Field
 from repro.cm.machine import VPGeometry
 from repro.cm.timing import CostModel
 from repro.errors import MachineError
-
-ArrayOrField = Union[np.ndarray, Field]
-
-
-def _unwrap(x: ArrayOrField) -> np.ndarray:
-    return x.data if isinstance(x, Field) else np.asarray(x)
 
 
 @dataclass(frozen=True)
@@ -56,13 +49,9 @@ class SortResult:
     rank: np.ndarray
     offchip_fraction: float
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Reorder a per-particle column into sorted order."""
-        return values[self.order]
-
 
 def sort_by_key(
-    keys: ArrayOrField,
+    keys: np.ndarray,
     geometry: Optional[VPGeometry] = None,
     cost: Optional[CostModel] = None,
     key_bits: int = 16,
@@ -75,7 +64,7 @@ def sort_by_key(
     keys:
         Per-VP integer sort keys (the scaled, randomized cell index).
     geometry:
-        VP geometry (taken from ``keys`` if it is a field).
+        VP geometry.
     cost:
         Optional cost model; charges ranking + permutation.
     key_bits:
@@ -85,10 +74,7 @@ def sort_by_key(
         (the paper's computational state: 7 state words, cell index and
         the packed permutation vector => 9 words by default).
     """
-    k = _unwrap(keys)
-    if isinstance(keys, Field):
-        geometry = geometry or keys.geometry
-        cost = cost or keys.cost
+    k = np.asarray(keys)
     if k.ndim != 1:
         raise MachineError("sort keys must be 1-D (one key per VP)")
     if k.size and k.min() < 0:
@@ -118,8 +104,3 @@ def sort_by_key(
     elif geometry is not None and order.size:
         f_off = geometry.offchip_fraction(np.arange(order.size), rank)
     return SortResult(order=order, rank=rank, offchip_fraction=f_off)
-
-
-def apply_order(order: np.ndarray, *columns: np.ndarray) -> tuple:
-    """Reorder several per-particle columns by a sort order at once."""
-    return tuple(c[order] for c in columns)

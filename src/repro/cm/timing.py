@@ -125,10 +125,6 @@ class CostLedger:
         """Raw cost accumulated in one phase."""
         return sum(self._costs[phase].values())
 
-    def category_total(self, category: str) -> float:
-        """Raw cost of one category across all phases."""
-        return sum(self._costs[p][category] for p in PHASES)
-
     def total(self) -> float:
         """Raw cost over all phases and categories."""
         return sum(self.phase_total(p) for p in PHASES)
@@ -136,15 +132,6 @@ class CostLedger:
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Deep copy of the raw cost table."""
         return {p: dict(cs) for p, cs in self._costs.items()}
-
-    def merged_with(self, other: "CostLedger") -> "CostLedger":
-        """Return a new ledger with both ledgers' costs and steps."""
-        out = CostLedger()
-        for p in PHASES:
-            for c in CATEGORIES:
-                out._costs[p][c] = self._costs[p][c] + other._costs[p][c]
-        out._steps = self._steps + other._steps
-        return out
 
     def summary(self) -> Dict[str, object]:
         """One serializable record of the ledger's raw-cost state.

@@ -84,12 +84,6 @@ class RunHistory:
         change = n[-1] - n[0]
         return float((injected - removed - change) / max(n.mean(), 1.0))
 
-    def save(self, path) -> None:
-        """Dump all channels to a compressed .npz file."""
-        np.savez_compressed(
-            path, **{c: self.series(c) for c in CHANNELS}
-        )
-
 
 def run_with_history(
     sim: Simulation,

@@ -264,9 +264,6 @@ class ParticleArrays:
 
     # -- invariants / views --------------------------------------------------
 
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
     @property
     def n(self) -> int:
         return self.x.shape[0]

@@ -2,37 +2,17 @@
 
 Part of each particle's *computational state* is "a five element
 permutation vector ... used in the collision routine to re-order the
-relative velocity components".  The paper initializes particles with
-random permutations from a front-end table (Knuth's algorithm) and then
-refreshes them by performing **one random transposition per collision**:
-swap a randomly chosen element with the first element.  Aldous &
-Diaconis prove n log n such transpositions produce a statistically fresh
-permutation (~10 for n = 5); the paper finds one per collision
-sufficient because partner selection randomizes outcomes anyway -- an
-ablation bench quantifies that claim.
-
-All operations are vectorized across particles.
-"""
+relative velocity components".  The paper refreshes it by performing
+**one random transposition per collision** (Aldous & Diaconis: n log n
+such transpositions give a fresh permutation); the collision kernel
+(:mod:`repro.core.collision`) makes that transposition.  This module
+re-orders the components by the vector, vectorized across particles."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rng import random_permutation_table
-
-
-def initialize_permutations(
-    rng: np.random.Generator, n: int, length: int = 5
-) -> np.ndarray:
-    """Fresh random permutation vectors for ``n`` particles.
-
-    Thin wrapper over :func:`repro.rng.random_permutation_table` (the
-    "table stored on the front end computer").
-    """
-    return random_permutation_table(rng, n, length)
 
 
 def apply_permutation(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -55,51 +35,3 @@ def apply_permutation(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
         return np.take(values.reshape(-1), idx)
     rows = np.arange(values.shape[0])[:, None]
     return values[rows, perm]
-
-
-def random_transpose_inplace(
-    perm: np.ndarray,
-    swap_with: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-) -> None:
-    """One random transposition per (masked) row, in place.
-
-    Swaps element ``swap_with[i]`` with element 0 of row ``i`` -- the
-    paper's "transposition of the j-th element with the first element".
-    ``mask`` limits the operation to particles that actually collided
-    this step.
-    """
-    perm = np.asarray(perm)
-    swap_with = np.asarray(swap_with)
-    if swap_with.shape[0] != perm.shape[0]:
-        raise ConfigurationError("swap_with must have one entry per row")
-    if perm.shape[0] == 0:
-        return
-    if swap_with.min() < 0 or swap_with.max() >= perm.shape[1]:
-        raise ConfigurationError("swap index out of range")
-    if mask is None:
-        rows = np.arange(perm.shape[0])
-        js = swap_with
-    else:
-        rows = np.flatnonzero(mask)
-        js = swap_with[rows]
-    tmp = perm[rows, js].copy()
-    perm[rows, js] = perm[rows, 0]
-    perm[rows, 0] = tmp
-
-
-def permutation_correlation(perm_a: np.ndarray, perm_b: np.ndarray) -> float:
-    """Fraction of fixed positions between two permutation tables.
-
-    For independent uniform permutations of length k the expected
-    fraction of agreeing positions is 1/k (0.2 for k = 5); values well
-    above that indicate the refresh is too slow.  Used by the mixing
-    tests around the Aldous-Diaconis bound.
-    """
-    a = np.asarray(perm_a)
-    b = np.asarray(perm_b)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ConfigurationError("permutation tables must share a 2-D shape")
-    if a.size == 0:
-        return 0.0
-    return float((a == b).mean())

@@ -247,26 +247,6 @@ class CellSampler(MomentSums):
         rt = np.maximum(mean_sq - bulk_sq, 0.0) / 3.0
         return self._grid(rt)
 
-    def rotational_temperature(self, rotational_dof: int = 2) -> np.ndarray:
-        """RT per cell from rotational energy: <r.r> / dof."""
-        self._require_data()
-        if rotational_dof <= 0:
-            raise ConfigurationError("rotational_dof must be positive")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(self._count > 0, 1.0 / self._count, 0.0)
-        return self._grid(self._e_rot * inv / rotational_dof)
-
-    def mean_particles_per_cell(self) -> float:
-        """Average instantaneous particles per (open) cell."""
-        self._require_data()
-        if self.volume_fractions is not None:
-            n_open = int((self.volume_fractions > 0).sum())
-        else:
-            n_open = self.domain.n_cells
-        return float(
-            self._count.sum() / self._steps / max(n_open * self._span, 1)
-        )
-
 
 # -- ensemble statistics ----------------------------------------------------
 
@@ -286,10 +266,6 @@ class EnsembleStatistic:
     hi: float
     n: int
     confidence: float
-
-    def contains(self, value: float) -> bool:
-        """True when ``value`` lies inside the confidence interval."""
-        return self.lo <= value <= self.hi
 
     def __str__(self) -> str:
         half = 0.5 * (self.hi - self.lo)

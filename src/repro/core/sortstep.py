@@ -421,11 +421,6 @@ class IncrementalSorter:
             n=n,
         )
 
-    def step(self, particles: ParticleArrays) -> IncrementalSortResult:
-        """Convenience: ``detect`` + ``update`` in one call."""
-        self.detect(particles)
-        return self.update(particles)
-
     def _grow(self, n: int) -> None:
         cap = self._prev_cell.shape[0]
         if cap >= n:

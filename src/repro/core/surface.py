@@ -93,13 +93,6 @@ class SurfaceSampler:
         """Mark the completion of one sampled time step."""
         self._steps += 1
 
-    def reset(self) -> None:
-        """Discard accumulated impulses (e.g. at end of transient)."""
-        self._impulse_x[:] = 0.0
-        self._impulse_y[:] = 0.0
-        self._hits[:] = 0
-        self._steps = 0
-
     # -- derived quantities ----------------------------------------------
 
     @property
@@ -138,23 +131,7 @@ class SurfaceSampler:
         self._require()
         return float(self._impulse_x.sum() / self._steps)
 
-    def lift(self) -> float:
-        """Transverse force on the body per step."""
-        self._require()
-        return float(self._impulse_y.sum() / self._steps)
-
-    def hits_per_step(self) -> float:
-        """Mean wall encounters per sampled step."""
-        self._require()
-        return float(self._hits.sum() / self._steps)
-
     # -- coefficients ------------------------------------------------------
-
-    def pressure_coefficient(self, freestream: Freestream) -> np.ndarray:
-        """Cp per ramp strip: (p - p_inf) / (1/2 rho_inf U^2)."""
-        p_inf = freestream.density * freestream.rt
-        q_inf = 0.5 * freestream.density * freestream.speed**2
-        return (self.ramp_pressure() - p_inf) / q_inf
 
     def drag_coefficient(self, freestream: Freestream) -> float:
         """Cd referenced to the frontal (base-height) area."""

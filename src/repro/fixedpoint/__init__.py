@@ -12,11 +12,6 @@ provides that arithmetic on NumPy ``int32`` arrays:
   the particle state words.
 """
 
-from repro.fixedpoint.qformat import (
-    QFormat,
-    Q8_23,
-    quick_dirty_bits,
-    quick_dirty_uniform,
-)
+from repro.fixedpoint.qformat import QFormat, Q8_23, quick_dirty_bits
 
-__all__ = ["QFormat", "Q8_23", "quick_dirty_bits", "quick_dirty_uniform"]
+__all__ = ["QFormat", "Q8_23", "quick_dirty_bits"]

@@ -128,21 +128,6 @@ class QFormat:
         out = np.subtract(a, b, dtype=np.int64)
         return self._narrow(out)
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Fixed-point multiply: ``(a * b) >> frac_bits`` via int64.
-
-        The product is truncated (floor-shifted), matching bit-serial
-        hardware; multiplication appears only in low-sensitivity places
-        (the selection rule), so no stochastic rounding is applied.
-        """
-        prod = np.multiply(a, b, dtype=np.int64) >> self.frac_bits
-        return self._narrow(prod)
-
-    def mul_scalar_int(self, a: np.ndarray, k: int) -> np.ndarray:
-        """Multiply words by a plain integer (no rescaling)."""
-        out = np.multiply(a, int(k), dtype=np.int64)
-        return self._narrow(out)
-
     def halve(
         self,
         a: np.ndarray,
@@ -241,16 +226,6 @@ def quick_dirty_bits(words: np.ndarray, nbits: int, shift: int = 0) -> np.ndarra
         raise ConfigurationError(f"invalid shift {shift} for {nbits} bits")
     mask = (1 << nbits) - 1
     return ((np.asarray(words, dtype=np.int64) >> shift) & mask).astype(np.int32)
-
-
-def quick_dirty_uniform(words: np.ndarray, shift: int = 0) -> np.ndarray:
-    """Map low-order bits to floats in [0, 1) with 16-bit granularity.
-
-    Convenience wrapper over :func:`quick_dirty_bits` for places that
-    want a unit-interval draw (e.g. comparing against a collision
-    probability in the CM engine).
-    """
-    return quick_dirty_bits(words, 16, shift).astype(np.float64) / 65536.0
 
 
 _RNG_CACHE: dict = {}

@@ -16,7 +16,7 @@ for :class:`~repro.geometry.wedge.Wedge`:
   every cell (supersampled, like the wedge's cut cells);
 * ``project_out(x, y)`` -- last-resort positional rescue for particles
   the bounded reflection iteration failed to expel;
-* ``to_config_dict()`` / :func:`body_from_dict` -- snapshot round-trip.
+* :func:`body_from_dict` -- the body a scenario's geometry dict names.
 
 The boundary enforcement loop (:mod:`repro.core.boundary`) only ever
 calls this seam, so a :class:`Cylinder` or :class:`Step` drops into the
@@ -25,7 +25,7 @@ simulation wherever a wedge would go.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -162,10 +162,6 @@ class Cylinder:
         r_out = self.radius + 1e-9
         return self.cx + dx / d * r_out, self.cy + dy / d * r_out
 
-    def to_config_dict(self) -> dict:
-        """Serializable parameters, tagged with ``kind`` for dispatch."""
-        return {"kind": self.kind, **asdict(self)}
-
 
 @dataclass(frozen=True)
 class Step:
@@ -278,10 +274,6 @@ class Step:
         bad = self.inside(x, y)
         y[bad] = self.height + 1e-9
         return x, y
-
-    def to_config_dict(self) -> dict:
-        """Serializable parameters, tagged with ``kind`` for dispatch."""
-        return {"kind": self.kind, **asdict(self)}
 
 
 #: Body constructors by ``kind`` (snapshot / scenario-spec dispatch).

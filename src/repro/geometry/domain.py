@@ -94,21 +94,6 @@ class Domain:
         """
         return ((particles.x, self.nx), (particles.y, self.ny))
 
-    def cell_index_from_coords(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Flatten (i, j) cell coordinates to the linear index."""
-        return np.asarray(i) * self.ny + np.asarray(j)
-
-    def coords_from_cell_index(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Invert the flattened cell index back to (i, j)."""
-        idx = np.asarray(idx)
-        return idx // self.ny, idx % self.ny
-
-    def cell_centers(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Meshgrid arrays (shape nx x ny) of cell-center coordinates."""
-        cx = np.arange(self.nx) + 0.5
-        cy = np.arange(self.ny) + 0.5
-        return np.meshgrid(cx, cy, indexing="ij")
-
     def open_volume_fractions(self, body=None) -> np.ndarray:
         """Gas-accessible area fraction of every cell, shape ``(nx, ny)``.
 
@@ -121,7 +106,3 @@ class Domain:
         return body.open_volume_fractions(self)
 
     # -- predicates -------------------------------------------------------
-
-    def inside(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Boolean mask of points strictly inside the tunnel box."""
-        return (x >= 0) & (x < self.nx) & (y >= 0) & (y < self.ny)

@@ -94,14 +94,3 @@ class Domain3D:
         body is a prism, cutting every z-slab like the footprint."""
         vf = self.xy_domain().open_volume_fractions(body)
         return np.repeat(vf[:, :, None], self.nz, axis=2)
-
-    def collapse_to_xy(self, cell3d: np.ndarray) -> np.ndarray:
-        """Span-collapse a 3-D cell index to the 2-D (x, y) index."""
-        return np.asarray(cell3d) // self.nz
-
-    def coords_from_cell_index(self, idx: np.ndarray) -> tuple:
-        """Invert the flattened index back to (i, j, k)."""
-        idx = np.asarray(idx)
-        k = idx % self.nz
-        ij = idx // self.nz
-        return ij // self.ny, ij % self.ny, k

@@ -175,23 +175,7 @@ class Wedge:
         x = np.asarray(x, dtype=np.float64)
         return x, self.ramp_height_at(x) + 1e-9
 
-    def to_config_dict(self) -> dict:
-        """Body parameters keyed for :func:`repro.geometry.bodies.body_from_dict`."""
-        return {
-            "kind": self.kind,
-            "x_leading": self.x_leading,
-            "base": self.base,
-            "angle_deg": self.angle_deg,
-        }
-
     # -- reflection -----------------------------------------------------------
-
-    def reflect_specular(
-        self, x: np.ndarray, y: np.ndarray, u: np.ndarray, v: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Specular reflection (positions + velocities only)."""
-        x2, y2, u2, v2, _back, _ramp = self.reflect_specular_report(x, y, u, v)
-        return x2, y2, u2, v2
 
     def reflect_specular_report(
         self, x: np.ndarray, y: np.ndarray, u: np.ndarray, v: np.ndarray

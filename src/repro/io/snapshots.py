@@ -49,7 +49,8 @@ from repro.physics.molecules import MolecularModel
 #: Snapshot format version; bumped on layout changes.  Format 4 is one
 #: layout for one block or R: the flow whole with its block ``starts``,
 #: ``res{b}_*`` and ``surface{b}_*`` per block, and ``replica_ids`` when
-#: the run keys its streams per replica (an ensemble).  Older archives
+#: the run keys its streams per replica (an ensemble), and a sharded
+#: run's per-shard sampler and surface sums (``shard_*``).  Older archives
 #: are lifted into it (:func:`_lifted`): the solo formats 1-3 (v2 added
 #: the sharded continuation fields -- worker count, in-transit reservoir
 #: flux -- and v3 the slab edges; v1 restores serially, v2 with the
@@ -242,8 +243,9 @@ def save_simulation(
 
     Sharded simulations are gathered first (the shard workers hold the
     authoritative state), and the backend's continuation fields --
-    worker count, in-transit reservoir flux, slab edges -- are recorded
-    so a restore at the same worker count continues bitwise.
+    worker count, in-transit reservoir flux, slab edges, each shard's
+    own sampler and surface sums -- are recorded so a restore at the
+    same worker count continues bitwise.
 
     ``compress=False`` writes a plain (stored) archive: ~30x faster at
     ~25% more bytes, the right trade for high-cadence supervision
@@ -297,6 +299,13 @@ def save_simulation(
         arrays.update(_pack_particles(f"res{b}", block))
     for b, surf in enumerate(sim.surfaces):
         arrays.update(_pack_accumulator(f"surface{b}", surf, SURFACE_FIELDS))
+    # A sharded run's moments one row per shard as well: float sums do
+    # not associate, so only the shards' own rows restored into the
+    # same shards continue the sums bitwise.
+    shard_moments = getattr(sim.backend, "shard_moments", None)
+    if shard_moments is not None:
+        for name, rows in shard_moments().items():
+            arrays[f"shard_{name}"] = rows
     (np.savez_compressed if compress else np.savez)(path, **arrays)
     if fault_plan is not None:
         fault = fault_plan.take("truncate", sim.step_count)
@@ -497,4 +506,26 @@ def load_simulation(
             backend_factory = ShardedBackend
         sim.backend = backend_factory(**kwargs)
         sim.backend.bind(sim)
+        if n_workers == saved_workers:
+            _restore_shard_moments(sim.backend, members, path)
     return sim
+
+
+def _restore_shard_moments(backend, members: dict, path) -> None:
+    """Hand every shard its archived sampler and surface-load rows back.
+
+    Bind seeded shard 0 with the whole restored field; an archive
+    written before the per-shard members leaves it there (the totals
+    are right, the later sums not bitwise).
+    """
+    for name, live in backend.shard_moments().items():
+        got = members.get(f"shard_{name}")
+        if got is None:
+            continue
+        if got.dtype != live.dtype or got.shape != live.shape:
+            raise CheckpointCorruptionError(
+                f"member shard_{name} is {got.dtype}{list(got.shape)}, "
+                f"not {live.dtype}{list(live.shape)}",
+                path=str(path),
+            )
+        live[...] = got

@@ -704,18 +704,18 @@ class ShardedBackend:
             sim.boundaries.plunger.position
         )
 
-        # Baselines so gather *adds* worker accumulation to whatever the
-        # driver's samplers already held (snapshot restores).
+        # Shard 0's row starts from whatever the driver's samplers hold
+        # (zeros, or a restore's moments); gather sums the rows.  A
+        # restore at the same worker count then hands every shard its
+        # own archived row back (``shard_moments``), so each shard goes
+        # on adding onto the very sums the uninterrupted run holds.
         s = sim.sampler
-        self._samp_base = np.stack(
-            [getattr(s, name) for name in SAMPLER_FIELDS]
-        )
+        for name, row in zip(SAMPLER_FIELDS, shared["samp"][0]):
+            row[:] = getattr(s, name)
         self._samp_steps0 = s._steps
         if sim.surface is not None:
-            self._surf_base = np.stack(
-                [sim.surface._impulse_x, sim.surface._impulse_y]
-            ).copy()
-            self._surf_hits_base = sim.surface._hits.copy()
+            shared["surf"][0] = (sim.surface._impulse_x, sim.surface._impulse_y)
+            shared["surf_hits"][0] = sim.surface._hits
             self._surf_steps0 = sim.surface._steps
         self._sample_steps = 0
 
@@ -987,20 +987,28 @@ class ShardedBackend:
         sim.reservoir.particles = res
         sim.boundaries.plunger.position = plunger
 
-        # Samplers: restored baseline + the shared per-shard sums.
+        # Samplers: the sum of the per-shard rows.
         s = sim.sampler
-        merged = self._samp_base + self._shared["samp"].sum(axis=0)
+        merged = self._shared["samp"].sum(axis=0)
         for name, row in zip(SAMPLER_FIELDS, merged):
             getattr(s, name)[:] = row
         s._steps = self._samp_steps0 + self._sample_steps
         if sim.surface is not None and "surf" in self._shared:
-            surf = self._surf_base + self._shared["surf"].sum(axis=0)
+            surf = self._shared["surf"].sum(axis=0)
             sim.surface._impulse_x[:] = surf[0]
             sim.surface._impulse_y[:] = surf[1]
-            sim.surface._hits[:] = (
-                self._surf_hits_base + self._shared["surf_hits"].sum(axis=0)
-            )
+            sim.surface._hits[:] = self._shared["surf_hits"].sum(axis=0)
             sim.surface._steps = self._surf_steps0 + self._sample_steps
+
+    def shard_moments(self) -> Dict[str, np.ndarray]:
+        """The live per-shard sampler and surface-load sums, one row per
+        shard: what a checkpoint archives, and what a restore at the
+        same worker count writes back before the next step."""
+        return {
+            name: self._shared[name]
+            for name in ("samp", "surf", "surf_hits")
+            if name in self._shared
+        }
 
     def _recv_payload(self, pipe):
         deadline = time.monotonic() + self._barrier_timeout

@@ -171,16 +171,6 @@ class Freestream:
 
     # -- convenience -----------------------------------------------------
 
-    def with_mean_free_path(self, lambda_mfp: float) -> "Freestream":
-        """Copy of this freestream with a different mean free path."""
-        return Freestream(
-            mach=self.mach,
-            c_mp=self.c_mp,
-            lambda_mfp=lambda_mfp,
-            density=self.density,
-            gamma=self.gamma,
-        )
-
     def drift_vector(self) -> tuple:
         """Bulk velocity as a 3-vector (stream along +x)."""
         return (self.speed, 0.0, 0.0)

@@ -26,11 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import (
-    MAXWELL_ALPHA,
-    ROTATIONAL_DOF,
-    TRANSLATIONAL_DOF,
-)
+from repro.constants import MAXWELL_ALPHA, ROTATIONAL_DOF
 from repro.errors import ConfigurationError
 
 
@@ -103,35 +99,6 @@ class MolecularModel:
     def is_maxwell(self) -> bool:
         """True when the speed dependence drops out (eq. (8))."""
         return self.speed_exponent == 0.0
-
-    @property
-    def total_dof(self) -> int:
-        """Translational plus internal degrees of freedom."""
-        return TRANSLATIONAL_DOF + self.rotational_dof
-
-    @property
-    def relative_components(self) -> int:
-        """Length of the collision algorithm's relative vector.
-
-        Three translational relative components plus one component per
-        internal degree of freedom (5 for the paper's diatomic).
-        """
-        return TRANSLATIONAL_DOF + self.rotational_dof
-
-    @property
-    def gamma(self) -> float:
-        """Ratio of specific heats, (dof + 2) / dof."""
-        return (self.total_dof + 2) / self.total_dof
-
-    @property
-    def rotational_energy_fraction(self) -> float:
-        """Equilibrium fraction of thermal energy in rotation.
-
-        Equipartition: each degree of freedom holds the same share, so
-        the rotational fraction is ``rot_dof / total_dof`` (2/5 for the
-        diatomic model).  Property tests drive relaxation to this value.
-        """
-        return self.rotational_dof / self.total_dof
 
     def speed_factor(self, g: np.ndarray, g_ref: float) -> np.ndarray:
         """Relative-speed factor ``(g / g_ref)**(1 - 4/alpha)`` of eq. (7).

@@ -358,26 +358,3 @@ def free_molecular_specular_pressure_ratio(
 # ---------------------------------------------------------------------------
 # Shock structure scales
 # ---------------------------------------------------------------------------
-
-def shock_thickness_scale(
-    lambda_mfp: float,
-    mach: float = 4.0,
-    cell_resolution: float = 3.0,
-) -> float:
-    """Expected *measured* shock thickness in cell widths.
-
-    A strong shock's maximum-slope density thickness is a few upstream
-    mean free paths (Mott-Smith / experimental consensus: delta/lambda1
-    ~= 3-6 for Mach 3-5 depending on model; we use 4).  The *measured*
-    thickness on a grid cannot fall below the sampling resolution
-    (finite cell size plus statistical smoothing), which the paper's
-    near-continuum run pins at ~3 cell widths.  The two scales combine
-    in quadrature, giving ~3 cells at lambda = 0 and ~5 cells at
-    lambda = 0.5 (delta_phys ~ 2, sqrt(9 + 4) ~ 3.6 ... the paper reads
-    5; our bench compares ordering and approximate magnitude, not this
-    crude estimate).
-    """
-    if lambda_mfp < 0:
-        raise ConfigurationError("lambda_mfp must be non-negative")
-    physical = 4.0 * lambda_mfp
-    return math.hypot(cell_resolution, physical)

@@ -20,7 +20,6 @@ from repro.scenarios.golden import (
     ValidationReport,
     execute,
     regenerate_golden,
-    require_valid,
     run_scenario,
     validate_contract,
     validate_scenario,
@@ -40,6 +39,5 @@ __all__ = [
     "run_scenario",
     "validate_scenario",
     "validate_contract",
-    "require_valid",
     "regenerate_golden",
 ]

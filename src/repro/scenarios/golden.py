@@ -72,7 +72,7 @@ import numpy as np
 
 from repro.core.sampling import CellSampler, ensemble_statistic
 from repro.core.simulation import SimulationConfig
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import ConfigurationError
 from repro.geometry.wedge import Wedge
 from repro.physics import theory
 from repro.scenarios.spec import ScenarioSpec
@@ -505,8 +505,7 @@ def validate_scenario(
     """Run the scenario and check every observable against its reference.
 
     Returns the full report (pass/fail per check); raise-on-fail is the
-    caller's choice via :meth:`ValidationReport.ok` or
-    :func:`require_valid`.
+    caller's choice via :meth:`ValidationReport.ok`.
 
     One rule for one block or R: the run is ``run`` when given, else
     :func:`execute` at validation scale -- one block, or R replica
@@ -575,16 +574,6 @@ def validate_scenario(
         replicas=len(runs),
         confidence=confidence,
     )
-
-
-def require_valid(
-    spec: ScenarioSpec, overrides: Optional[Mapping] = None
-) -> ValidationReport:
-    """:func:`validate_scenario`, raising ``ValidationError`` on failure."""
-    report = validate_scenario(spec, overrides=overrides)
-    if not report.ok:
-        raise ValidationError(report.to_text())
-    return report
 
 
 # -- golden regeneration ------------------------------------------------

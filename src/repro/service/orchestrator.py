@@ -1069,10 +1069,3 @@ class Orchestrator:
             self._dead = True
         self._close_pipe()
         return summary
-
-    def __enter__(self) -> "Orchestrator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if not self._dead:
-            self.shutdown()

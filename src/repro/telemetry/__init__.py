@@ -47,15 +47,4 @@ __all__ = [
     "JsonlFollower",
     "JobEventTail",
     "snapshot_records",
-    "stitch_fleet_trace",
 ]
-
-
-def __getattr__(name):
-    # Lazy so `python -m repro.telemetry.stitch` does not import the
-    # module twice (runpy warns when the package eagerly imports the
-    # submodule being run as __main__).
-    if name == "stitch_fleet_trace":
-        from repro.telemetry.stitch import stitch_fleet_trace
-        return stitch_fleet_trace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -219,12 +219,6 @@ class Telemetry:
         if self.server is not None:
             self.server.close()
 
-    def __enter__(self) -> "Telemetry":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- the per-step feed ----------------------------------------------
 
     def on_step(self, sim, diag) -> None:

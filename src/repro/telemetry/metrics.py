@@ -110,10 +110,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    def mean(self) -> float:
-        """Mean of every observed value (0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
-
     def snapshot(self) -> dict:
         """Plain-dict view (JSON-serializable)."""
         return {

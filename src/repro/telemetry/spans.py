@@ -25,9 +25,7 @@ and ``phase_b`` spans.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -129,17 +127,6 @@ class SpanTracer:
                 "pid": self.pid if pid is None else int(pid),
             }
         )
-
-    @contextmanager
-    def span(self, name: str, step: Optional[int] = None) -> Iterator[None]:
-        """Time the enclosed block as one span (driver-side)."""
-        t0 = time.perf_counter()
-        self._depth += 1
-        try:
-            yield
-        finally:
-            self._depth -= 1
-            self.record(name, t0, time.perf_counter(), step=step)
 
     def stamp_pending(self, step: int) -> None:
         """Assign ``step`` to spans recorded before the index was known.

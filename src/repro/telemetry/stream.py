@@ -103,10 +103,6 @@ class JsonlFollower:
         #: Times the file shrank under the cursor (rotation/truncate).
         self.rotations = 0
 
-    def poll(self) -> List[dict]:
-        """New complete records since the cursor (advances it)."""
-        return [rec for rec, _ in self.poll_records()]
-
     def poll_records(self) -> List[Tuple[dict, int]]:
         """Like :meth:`poll`, but each record pairs with the cursor
         *after* it -- the exact offset a fresh follower resumes from to

@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.convergence import (
-    SteadyStateDetector,
-    expected_noise,
-    measured_field_noise,
-)
+from repro.analysis.convergence import SteadyStateDetector
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
@@ -33,13 +29,13 @@ class TestDetectorOnSyntheticSignals:
         det = SteadyStateDetector(window=20, tolerance=0.001, patience=5)
         for t in range(400):
             assert not det.update(1000.0 + 5.0 * t)
-        assert not det.is_steady
+        assert det.steady_at is None
 
     def test_noise_does_not_fool_detector(self, rng):
         det = SteadyStateDetector(window=40, tolerance=0.01, patience=5)
         for t in range(300):
             det.update(1000.0 + rng.normal(0, 5.0))
-        assert det.is_steady
+        assert det.steady_at is not None
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -58,22 +54,22 @@ class TestDetectorOnRealRun:
             d = sim.step()
             if det.update(d.n_flow):
                 break
-        assert det.is_steady
+        assert det.steady_at is not None
         # The wedge tunnel fills for tens of steps before settling.
         assert det.steady_at > 60
 
 
-class TestNoiseLaw:
-    def test_expected_noise_scaling(self):
-        assert expected_noise(10, 100) == pytest.approx(
-            expected_noise(10, 400) * 2.0
-        )
-        with pytest.raises(ConfigurationError):
-            expected_noise(0, 10)
+def _patch_noise(rho: np.ndarray) -> float:
+    """Relative RMS fluctuation of the freestream patch."""
+    patch = rho[5:25, 5:15]
+    return float(patch.std() / patch.mean())
 
+
+class TestNoiseLaw:
     def test_measured_matches_expected_order(self):
         # Empty-tunnel freestream: measured patch noise within ~3x of
-        # the Poisson prediction (decorrelation inflates it somewhat).
+        # the Poisson prediction 1 / sqrt(N_ppc * steps) (decorrelation
+        # inflates it somewhat).
         fs = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=10.0)
         cfg = SimulationConfig(
             domain=Domain(30, 20), freestream=fs, wedge=None, seed=4
@@ -82,9 +78,8 @@ class TestNoiseLaw:
         sim.run(40)
         steps = 60
         sim.run(steps, sample=True)
-        rho = sim.density_ratio_field()
-        measured = measured_field_noise(rho, (slice(5, 25), slice(5, 15)))
-        predicted = expected_noise(10.0, steps)
+        measured = _patch_noise(sim.density_ratio_field())
+        predicted = 1.0 / math.sqrt(10.0 * steps)
         assert measured < 5.0 * predicted
         assert measured > 0.3 * predicted
 
@@ -98,14 +93,7 @@ class TestNoiseLaw:
             sim = Simulation(cfg)
             sim.run(40)
             sim.run(steps, sample=True)
-            rho = sim.density_ratio_field()
-            noises[steps] = measured_field_noise(
-                rho, (slice(5, 25), slice(5, 15))
-            )
+            noises[steps] = _patch_noise(sim.density_ratio_field())
         # 16x more averaging ~ 4x less noise (allow slack for
         # correlation between snapshots).
         assert noises[240] < noises[15] / 2.0
-
-    def test_region_validation(self):
-        with pytest.raises(ConfigurationError):
-            measured_field_noise(np.ones((4, 4)), (slice(0, 1), slice(0, 1)))

@@ -94,18 +94,23 @@ def run_case(name: str) -> str:
 
 def run_supervised_resumed(name: str, run_dir) -> Tuple[str, int]:
     """The case under the supervisor -- an audit every step, a
-    checkpoint every 7 -- stopped at step 24 and resumed from its run
-    directory to the end of the schedule.  Returns the digest and the
-    slab repartitions the resumed backend executed (0 unsharded)."""
+    checkpoint every 7 -- stopped at step 24 (transient) and at step 40
+    (sampling, after the step-35 checkpoint), and resumed from its run
+    directory each time to the end of the schedule.  Returns the digest
+    and the slab repartitions the resumed backends executed (0
+    unsharded)."""
     with SupervisedRun(
         CASES[name](), run_dir, checkpoint_every=7, audit_every=1
     ) as run:
         run.run_schedule(SCHEDULE, max_steps=24)
-    with SupervisedRun.resume(run_dir) as run:
-        assert run.sim.step_count == 24
-        run.run_schedule()
-        rebalances = getattr(run.sim.backend, "rebalance_count", 0)
-        return state_digest(run.sim), rebalances
+    rebalances = 0
+    for stop, steps in ((24, 16), (40, None)):
+        with SupervisedRun.resume(run_dir) as run:
+            assert run.sim.step_count == stop
+            run.run_schedule(max_steps=steps)
+            rebalances += getattr(run.sim.backend, "rebalance_count", 0)
+            digest = state_digest(run.sim)
+    return digest, rebalances
 
 
 def _golden() -> dict:

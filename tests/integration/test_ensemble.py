@@ -726,14 +726,14 @@ class TestEnsembleStatistic:
         assert stat.mean == pytest.approx(2.5)
         assert stat.n == 4
         assert stat.lo < 2.5 < stat.hi
-        assert stat.contains(2.5)
-        assert not stat.contains(stat.hi + 1.0)
+        assert stat.lo <= 2.5 <= stat.hi
+        assert not stat.lo <= stat.hi + 1.0 <= stat.hi
 
     def test_single_value_has_infinite_interval(self):
         stat = ensemble_statistic([3.0])
         assert stat.mean == 3.0
         assert stat.stderr == float("inf")
-        assert stat.contains(-1e300) and stat.contains(1e300)
+        assert stat.lo <= -1e300 and 1e300 <= stat.hi
 
     def test_confidence_validated(self):
         with pytest.raises(ConfigurationError):

@@ -47,20 +47,11 @@ class TestSamplerMechanics:
         s.end_step()
         assert s._hits[2] == 1
         assert s._hits[5] == 1
-        assert s.hits_per_step() == 2.0
 
     def test_requires_steps(self):
         s = SurfaceSampler(Wedge(), n_strips=4)
         with pytest.raises(ConfigurationError):
             s.drag()
-
-    def test_reset(self):
-        s = SurfaceSampler(Wedge(), n_strips=4)
-        s.record(np.array([25.0]), np.array([1.0]), np.array([0.0]),
-                 np.array([False]))
-        s.end_step()
-        s.reset()
-        assert s.steps == 0
 
     def test_strip_count_validated(self):
         with pytest.raises(ConfigurationError):
@@ -109,15 +100,12 @@ class TestWedgeLoads:
         # subtract freestream reference and the base credit bounds.
         assert cd == pytest.approx(cp_ramp + p_inf / q, rel=0.25)
 
-    def test_lift_positive_for_floor_mounted_wedge(self, loaded_run):
-        # The ramp normal has +y component: the body is pushed down?
-        # No: the body *receives* pressure along -n = (sin, -cos):
-        # negative lift (pushed into the floor).
-        assert loaded_run.surface.lift() < 0.0
-
     def test_pressure_coefficient_magnitude(self, loaded_run):
         sim = loaded_run
-        cp = sim.surface.pressure_coefficient(sim.config.freestream)
+        fs = sim.config.freestream
+        cp = (sim.surface.ramp_pressure() - fs.density * fs.rt) / (
+            0.5 * fs.density * fs.speed**2
+        )
         # Mach 4 / 30 deg: Cp ~ 0.73 on the ramp.
         assert cp[2:-2].mean() == pytest.approx(0.73, rel=0.15)
 

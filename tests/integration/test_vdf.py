@@ -16,6 +16,13 @@ from repro.physics.freestream import Freestream
 pytestmark = pytest.mark.slow
 
 
+def _excess_variance(probe, equilibrium_variance: float) -> float:
+    """Variance above a local equilibrium: ~0 for an equilibrium gas,
+    positive for a two-stream (kinetic) mixture, whose variance is
+    sigma_eq^2 + w (1 - w) (U1 - U2)^2."""
+    return probe.moments()["variance"] / equilibrium_variance - 1.0
+
+
 class TestProbeMechanics:
     def test_window_selection(self, rng):
         fs = Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=8.0)
@@ -113,7 +120,7 @@ class TestShockInteriorKinetics:
         m = free.moments()
         assert m["mean"] == pytest.approx(fs.speed, rel=0.03)
         assert m["variance"] == pytest.approx(fs.c_mp**2 / 2, rel=0.08)
-        assert free.mixture_excess_variance(fs.c_mp**2 / 2) < 0.15
+        assert _excess_variance(free, fs.c_mp**2 / 2) < 0.15
 
     def test_shock_interior_is_not_equilibrium(self, probed_run, front_probes):
         # The kinetic signature: the VDF inside the front carries MORE
@@ -138,7 +145,7 @@ class TestShockInteriorKinetics:
         t_ratio = theory.normal_shock_temperature_ratio(mn)
         eq_var_post = (fs.c_mp**2 / 2) * t_ratio
         excess = [
-            front.mixture_excess_variance(eq_var_post)
+            _excess_variance(front, eq_var_post)
             for front in front_probes
         ]
         assert all(front.n_samples > 30_000 for front in front_probes)

@@ -13,7 +13,7 @@ from scipy.stats import chisquare
 
 from repro.core.collision import collide_pairs, collide_rows_with_velocities
 from repro.core.particles import ParticleArrays
-from repro.core.permutation import initialize_permutations
+from repro.rng import random_permutation_table
 
 finite = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -43,7 +43,7 @@ def pair_populations(draw, max_pairs=16):
         v=v.copy(),
         w=w.copy(),
         rot=np.column_stack((r1, r2)),
-        perm=initialize_permutations(rng, n),
+        perm=random_permutation_table(rng, n),
         cell=np.zeros(n, dtype=np.int64),
     )
     first = np.arange(0, n, 2)

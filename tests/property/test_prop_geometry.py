@@ -33,7 +33,7 @@ class TestWedgeReflectionProperties:
         u = np.array([p[2] for p in pts])
         v = np.array([p[3] for p in pts])
         s0 = u**2 + v**2
-        x2, y2, u2, v2 = w.reflect_specular(x, y, u, v)
+        x2, y2, u2, v2 = w.reflect_specular_report(x, y, u, v)[:4]
         assert np.allclose(u2**2 + v2**2, s0, rtol=1e-12)
         # A single ramp/back-face reflection may land below the floor
         # (handled by the boundary iteration), but never deeper into

@@ -67,7 +67,6 @@ class TestSamplerProperties:
         pop = population(seed, n, d)
         s.accumulate(pop)
         assert (s.translational_temperature() >= 0).all()
-        assert (s.rotational_temperature() >= 0).all()
 
     @given(
         st.integers(min_value=10, max_value=500),

@@ -1,80 +1,12 @@
-"""Property-based tests for scans, sorts and the pairing invariants."""
+"""Property-based tests for the sort and the pairing invariants."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cm.scan import (
-    segment_counts,
-    segmented_copy_scan,
-    segmented_max_scan,
-    segmented_plus_scan,
-)
 from repro.cm.sort import sort_by_key
 from repro.core.pairing import even_odd_pairs
-
-values_and_heads = st.integers(min_value=1, max_value=200).flatmap(
-    lambda n: st.tuples(
-        arrays(np.int64, n, elements=st.integers(min_value=-100, max_value=100)),
-        arrays(np.bool_, n),
-    )
-)
-
-
-def normalize_heads(heads):
-    heads = heads.copy()
-    if heads.size:
-        heads[0] = True
-    return heads
-
-
-class TestSegmentedScanProperties:
-    @given(values_and_heads)
-    @settings(max_examples=80, deadline=None)
-    def test_plus_scan_matches_loop(self, data):
-        v, heads = data
-        heads = normalize_heads(heads)
-        got = segmented_plus_scan(v, heads)
-        acc = 0
-        for i in range(v.size):
-            acc = v[i] if heads[i] else acc + v[i]
-            assert got[i] == acc
-
-    @given(values_and_heads)
-    @settings(max_examples=80, deadline=None)
-    def test_copy_scan_matches_loop(self, data):
-        v, heads = data
-        heads = normalize_heads(heads)
-        got = segmented_copy_scan(v, heads)
-        cur = None
-        for i in range(v.size):
-            if heads[i]:
-                cur = v[i]
-            assert got[i] == cur
-
-    @given(values_and_heads)
-    @settings(max_examples=80, deadline=None)
-    def test_max_scan_matches_loop(self, data):
-        v, heads = data
-        heads = normalize_heads(heads)
-        got = segmented_max_scan(v, heads)
-        cur = None
-        for i in range(v.size):
-            cur = v[i] if heads[i] else max(cur, v[i])
-            assert got[i] == cur
-
-    @given(values_and_heads)
-    @settings(max_examples=60, deadline=None)
-    def test_segment_counts_sum_to_total(self, data):
-        v, heads = data
-        heads = normalize_heads(heads)
-        counts = segment_counts(heads)
-        # Each segment contributes size * size when summed per element.
-        head_idx = np.flatnonzero(heads)
-        sizes = np.diff(np.concatenate((head_idx, [heads.size])))
-        assert counts.sum() == (sizes**2).sum()
-
 
 keys_strategy = arrays(
     np.int64,

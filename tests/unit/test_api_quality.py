@@ -12,6 +12,7 @@ import importlib.util
 import inspect
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -539,6 +540,84 @@ class TestEveryOptionHasACaller:
 
         with pytest.raises(ConfigurationError, match="serial"):
             ShardedBackend(1)
+
+
+def _load_tool(name: str):
+    path = SRC_ROOT.parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve it there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _callers_outside_tests() -> "Counter":
+    """How often each name is spelled outside ``tests/``: NAME tokens
+    (a ``def`` or ``class`` name excluded) and identifiers inside string
+    literals, in ``src/``, ``benchmarks/``, ``examples/`` and ``tools/``,
+    plus every identifier in the CI workflows.  A package
+    ``__init__``'s imports and ``__all__`` re-export a name; they do not
+    call it."""
+    import io
+    import re
+    import tokenize
+    from collections import Counter
+
+    root = SRC_ROOT.parents[1]
+    words = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    # Python 3.12 splits f-strings into tokens of their own.
+    strings = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", None)}
+    seen: Counter = Counter()
+    for top in ("src", "benchmarks", "examples", "tools"):
+        for path in (root / top).rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            skip = set()
+            if path.name == "__init__.py":
+                for node in ast.walk(ast.parse(text)):
+                    is_all = isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__"
+                        for t in node.targets
+                    )
+                    if isinstance(node, ast.ImportFrom) or is_all:
+                        skip.update(range(node.lineno, node.end_lineno + 1))
+            previous = None
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+                if tok.start[0] in skip:
+                    continue
+                if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                    seen[tok.string] += 1
+                elif tok.type in strings:
+                    seen.update(words.findall(tok.string))
+                if tok.type == tokenize.NAME:
+                    previous = tok.string
+    for path in (root / ".github").rglob("*.yml"):
+        seen.update(words.findall(path.read_text(encoding="utf-8")))
+    return seen
+
+
+class TestEveryFunctionHasACaller:
+    """The static half of the reachability census: a function or method
+    of ``src/repro`` whose only callers are tests is dead, unless a kept
+    row of ``docs/reachability.md`` (safety, oracle, documented entry
+    point, paper evidence) names it.  ``tools/reachability.py`` is the
+    dynamic half; it regenerates the report."""
+
+    def test_only_kept_definitions_lack_a_caller(self):
+        tool = _load_tool("reachability")
+        kept = tool.kept_names()
+        seen = _callers_outside_tests()
+        orphans = []
+        for d in tool.definitions(SRC_ROOT):
+            name = d.qualname.rsplit(".", 1)[-1]
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and seen[name] == 0 and d.key not in kept:
+                orphans.append(d.key)
+        assert orphans == []
+
+    def test_kept_rows_name_live_definitions(self):
+        tool = _load_tool("reachability")
+        live = {d.key for d in tool.definitions(SRC_ROOT)}
+        assert sorted(set(tool.kept_names()) - live) == []
 
 
 class TestExamples:

@@ -10,6 +10,7 @@ from repro.baselines import (
     HeatBath,
     NanbuPloss,
 )
+from repro.constants import DT
 from repro.errors import ConfigurationError
 from repro.physics.freestream import Freestream
 
@@ -55,7 +56,7 @@ class TestBird:
         scheme = BirdTimeCounter(fs)
         steps = 30
         r = bath.run(scheme, steps=steps, seed=2)
-        expected = scheme.expected_collisions_per_step(1600) * steps
+        expected = 0.5 * 1600 * fs.mean_speed / fs.lambda_mfp * DT * steps
         assert r.total_collisions == pytest.approx(expected, rel=0.1)
 
     def test_rejects_continuum(self):
@@ -99,7 +100,7 @@ class TestBirdNTC:
         scheme = BirdNTC(fs)
         steps = 30
         r = bath.run(scheme, steps=steps, seed=2)
-        expected = scheme.expected_collisions_per_step(1600) * steps
+        expected = 0.5 * 1600 * fs.mean_speed / fs.lambda_mfp * DT * steps
         assert r.total_collisions == pytest.approx(expected, rel=0.1)
 
     def test_rate_independent_of_majorant(self, fs):

@@ -17,25 +17,6 @@ class TestCM2:
         with pytest.raises(ConfigurationError):
             CM2(n_processors=3000)
 
-    def test_backcompat_memory_reservation(self):
-        # The paper: "25% of the memory is reserved for
-        # back-compatibility".
-        m = CM2(memory_bits=64 * 1024, backcompat_reserved=0.25)
-        assert m.usable_memory_bits == 48 * 1024
-
-    def test_max_virtual_processors_scales_with_memory(self):
-        m = CM2(n_processors=1024, memory_bits=1024, backcompat_reserved=0.0)
-        # 1024 bits / 512 bits-per-particle = 2 VPs per processor.
-        assert m.max_virtual_processors(512) == 2048
-
-    def test_reclaiming_backcompat_memory_allows_bigger_runs(self):
-        # Future Work: C* 5.0 reclaims the reservation, enabling 1M
-        # particle runs.
-        old = CM2(backcompat_reserved=0.25)
-        new = CM2(backcompat_reserved=0.0)
-        bits = 16 * 32
-        assert new.max_virtual_processors(bits) > old.max_virtual_processors(bits)
-
     def test_invalid_reservation(self):
         with pytest.raises(ConfigurationError):
             CM2(backcompat_reserved=1.0)

@@ -86,12 +86,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             Freestream(**kwargs)
 
-    def test_with_mean_free_path_copies(self):
-        fs = Freestream(mach=4.0, lambda_mfp=0.5)
-        fs2 = fs.with_mean_free_path(0.0)
-        assert fs2.is_near_continuum
-        assert fs2.mach == fs.mach and fs.lambda_mfp == 0.5
-
     def test_drift_vector_is_streamwise(self):
         fs = Freestream(mach=4.0)
         d = fs.drift_vector()

@@ -44,6 +44,12 @@ from repro.physics.molecules import MolecularModel
 from repro.rng import shard_stream
 
 
+def _sort_step(sorter, parts):
+    """One indexed-sort step, as the driver runs it: detect, update."""
+    sorter.detect(parts)
+    return sorter.update(parts)
+
+
 @pytest.fixture
 def fs():
     return Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.5, density=8.0)
@@ -296,7 +302,7 @@ class TestDrawCount:
         fs = Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.0, density=8.0)
         parts = _population(600, 2, scratch=True)
         parts.cell[:] = np.random.default_rng(2).integers(0, n_cells, 600)
-        res = IncrementalSorter(n_cells).step(parts)
+        res = _sort_step(IncrementalSorter(n_cells), parts)
         rng, twin = np.random.default_rng(9), np.random.default_rng(9)
         fused = fused_select_collide(
             parts, res.order, res.counts, res.offsets, fs, MolecularModel(),

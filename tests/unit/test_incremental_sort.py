@@ -56,6 +56,12 @@ from repro.resilience.audit import InvariantAuditor
 from repro.rng import shard_stream
 
 
+def _sort_step(sorter, parts):
+    """One indexed-sort step, as the driver runs it: detect, update."""
+    sorter.detect(parts)
+    return sorter.update(parts)
+
+
 class TestReflectionSlots:
     @pytest.mark.parametrize("m", range(13))
     def test_every_offset_yields_disjoint_pairs(self, m):
@@ -215,7 +221,7 @@ class TestIncrementalSorter:
     def test_first_step_rebuilds_to_canonical_order(self, rng):
         parts = self._population(rng)
         sorter = IncrementalSorter(24)
-        res = sorter.step(parts)
+        res = _sort_step(sorter, parts)
         assert res.moved_fraction == 1.0 and sorter.rebuilds == 1
         _canonical_invariants(sorter, parts)
         assert np.array_equal(
@@ -226,24 +232,24 @@ class TestIncrementalSorter:
         parts = self._population(rng)
         parts.enable_scratch()
         sorter = IncrementalSorter(24)
-        sorter.step(parts)
+        _sort_step(sorter, parts)
         assert sorter.detect(parts) == 0.0
         idx = rng.choice(parts.n, size=17, replace=False)
         parts.cell[idx] = (parts.cell[idx] + 1) % 24
-        res = sorter.step(parts)
+        res = _sort_step(sorter, parts)
         assert res.moved == 17 and res.moved_fraction == 17 / parts.n
         _canonical_invariants(sorter, parts)
         # Rows beyond the cached length count as moved.
         extra = self._population(np.random.default_rng(9), n=23)
         parts.append_inplace(extra)
-        res = sorter.step(parts)
+        res = _sort_step(sorter, parts)
         assert res.moved == 23
         _canonical_invariants(sorter, parts)
         # Backfill removal re-homes tail rows; the order just follows.
         mask = np.zeros(parts.n, dtype=bool)
         mask[rng.choice(parts.n, size=11, replace=False)] = True
         parts.remove_inplace(mask)
-        res = sorter.step(parts)
+        res = _sort_step(sorter, parts)
         assert res.moved <= 11
         _canonical_invariants(sorter, parts)
 
@@ -418,7 +424,7 @@ class TestFusedEquivalence:
         )
         parts = ParticleArrays.from_freestream(rng, n, fs, (0, 10), (0, 10))
         parts.cell[:] = rng.integers(0, n_cells, size=parts.n)
-        res = IncrementalSorter(n_cells).step(parts)
+        res = _sort_step(IncrementalSorter(n_cells), parts)
         return parts, res, fs
 
     @staticmethod

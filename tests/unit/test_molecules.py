@@ -23,14 +23,6 @@ class TestMaxwellMolecule:
     def test_diatomic_by_default(self):
         m = maxwell_molecule()
         assert m.rotational_dof == 2
-        assert m.relative_components == 5  # the paper's 5-element vector
-        assert m.gamma == pytest.approx(1.4)
-
-    def test_rotational_energy_fraction(self):
-        assert maxwell_molecule().rotational_energy_fraction == pytest.approx(
-            2 / 5
-        )
-        assert maxwell_molecule(0).rotational_energy_fraction == 0.0
 
     def test_speed_factor_is_unity(self, rng):
         g = rng.random(100) * 2
@@ -83,13 +75,3 @@ class TestPowerLaw:
     def test_gref_validated(self):
         with pytest.raises(ConfigurationError):
             hard_sphere().speed_factor(np.array([1.0]), g_ref=0.0)
-
-
-class TestVibrationHook:
-    def test_extra_internal_dof_changes_gamma(self):
-        # Future Work: "relaxation into vibrational energy" -- modelled
-        # as additional classical internal DOF.
-        m = maxwell_molecule(rotational_dof=4)
-        assert m.total_dof == 7
-        assert m.gamma == pytest.approx(9 / 7)
-        assert m.relative_components == 7

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.constants import PERMUTATION_REFRESH_TRANSPOSITIONS
-from repro.core.permutation import (
-    apply_permutation,
-    initialize_permutations,
-    permutation_correlation,
-    random_transpose_inplace,
-)
+from repro.core.collision import _transpose_rows
+from repro.core.permutation import apply_permutation
 from repro.errors import ConfigurationError
+from repro.rng import random_permutation_table
 
 
 class TestApplyPermutation:
@@ -27,14 +24,14 @@ class TestApplyPermutation:
 
     def test_preserves_multiset_per_row(self, rng):
         values = rng.random((50, 5))
-        perm = initialize_permutations(rng, 50)
+        perm = random_permutation_table(rng, 50)
         out = apply_permutation(values, perm)
         assert np.allclose(np.sort(out, axis=1), np.sort(values, axis=1))
 
     def test_norm_preserved(self, rng):
         # The eq. (18) invariant under re-ordering.
         values = rng.normal(size=(100, 5))
-        perm = initialize_permutations(rng, 100)
+        perm = random_permutation_table(rng, 100)
         out = apply_permutation(values, perm)
         assert np.allclose((out**2).sum(axis=1), (values**2).sum(axis=1))
 
@@ -44,42 +41,38 @@ class TestApplyPermutation:
 
 
 class TestTranspose:
+    """The collision kernel's refresh: one transposition with the first
+    element per collision."""
+
     def test_swaps_with_first(self):
         perm = np.array([[0, 1, 2, 3, 4]], dtype=np.int8)
-        random_transpose_inplace(perm, np.array([3]))
+        _transpose_rows(perm, np.array([0]), np.array([3]))
         assert perm[0].tolist() == [3, 1, 2, 0, 4]
 
     def test_identity_swap_allowed(self):
         perm = np.array([[2, 1, 0, 3, 4]], dtype=np.int8)
-        random_transpose_inplace(perm, np.array([0]))
+        _transpose_rows(perm, np.array([0]), np.array([0]))
         assert perm[0].tolist() == [2, 1, 0, 3, 4]
 
-    def test_mask_limits_rows(self):
-        perm = np.tile(np.arange(5, dtype=np.int8), (3, 1))
-        random_transpose_inplace(
-            perm, np.array([4, 4, 4]), mask=np.array([True, False, True])
-        )
-        assert perm[0, 0] == 4
-        assert perm[1, 0] == 0
-        assert perm[2, 0] == 4
-
     def test_rows_remain_permutations(self, rng):
-        perm = initialize_permutations(rng, 200)
+        perm = random_permutation_table(rng, 200)
+        rows = np.arange(200)
         for _ in range(20):
-            random_transpose_inplace(perm, rng.integers(0, 5, size=200))
+            _transpose_rows(perm, rows, rng.integers(0, 5, size=200))
         assert np.array_equal(
             np.sort(perm, axis=1),
             np.broadcast_to(np.arange(5, dtype=np.int8), (200, 5)),
         )
 
-    def test_out_of_range_swap(self):
-        perm = np.arange(5, dtype=np.int8)[None, :]
-        with pytest.raises(ConfigurationError):
-            random_transpose_inplace(perm, np.array([5]))
-
     def test_empty_population(self):
         perm = np.zeros((0, 5), dtype=np.int8)
-        random_transpose_inplace(perm, np.zeros(0, dtype=np.int64))
+        _transpose_rows(perm, np.zeros(0, dtype=np.intp),
+                        np.zeros(0, dtype=np.int64))
+
+
+def _fixed_fraction(before: np.ndarray, after: np.ndarray) -> float:
+    """Share of permutation entries left in place (1/5 when fresh)."""
+    return float(np.mean(before == after))
 
 
 class TestMixing:
@@ -88,30 +81,18 @@ class TestMixing:
         # paper's rate over 10 collisions), the permutation should be
         # statistically fresh: fixed-position fraction ~ 1/5.
         n = 20_000
-        perm = initialize_permutations(rng, n)
+        perm = random_permutation_table(rng, n)
         before = perm.copy()
+        rows = np.arange(n)
         for _ in range(2 * PERMUTATION_REFRESH_TRANSPOSITIONS):
-            random_transpose_inplace(perm, rng.integers(0, 5, size=n))
-        corr = permutation_correlation(before, perm)
-        assert corr == pytest.approx(0.2, abs=0.02)
+            _transpose_rows(perm, rows, rng.integers(0, 5, size=n))
+        assert _fixed_fraction(before, perm) == pytest.approx(0.2, abs=0.02)
 
     def test_single_transposition_still_correlated(self, rng):
         # One transposition is NOT a fresh permutation (the paper leans
         # on partner randomization to compensate).
         n = 20_000
-        perm = initialize_permutations(rng, n)
+        perm = random_permutation_table(rng, n)
         before = perm.copy()
-        random_transpose_inplace(perm, rng.integers(0, 5, size=n))
-        assert permutation_correlation(before, perm) > 0.5
-
-    def test_correlation_identity(self, rng):
-        perm = initialize_permutations(rng, 100)
-        assert permutation_correlation(perm, perm) == 1.0
-
-    def test_correlation_validation(self):
-        with pytest.raises(ConfigurationError):
-            permutation_correlation(np.zeros((2, 5)), np.zeros((3, 5)))
-
-    def test_correlation_empty(self):
-        z = np.zeros((0, 5), dtype=np.int8)
-        assert permutation_correlation(z, z) == 0.0
+        _transpose_rows(perm, np.arange(n), rng.integers(0, 5, size=n))
+        assert _fixed_fraction(before, perm) > 0.5

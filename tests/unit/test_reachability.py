@@ -1,0 +1,77 @@
+"""``tools/reachability.py``: the census reports exactly what no traffic
+item calls."""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parents[2] / "tools" / "reachability.py"
+
+SHAPES = '''
+def area(w, h):
+    return w * h
+
+
+def perimeter(w, h):
+    return 2 * (w + h)
+
+
+class Box:
+    def __init__(self, w, h):
+        self.w, self.h = w, h
+
+    @property
+    def size(self):
+        return area(self.w, self.h)
+'''
+
+USE = '''
+from census_fixture.shapes import Box
+
+
+def main():
+    return Box(2, 3).size
+'''
+
+
+@pytest.fixture
+def reachability():
+    spec = importlib.util.spec_from_file_location("tools_reachability", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve it there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def fixture_package(tmp_path, monkeypatch):
+    package = tmp_path / "census_fixture"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "shapes.py").write_text(SHAPES)
+    (package / "use.py").write_text(USE)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    yield package
+    for name in [m for m in sys.modules if m.startswith("census_fixture")]:
+        del sys.modules[name]
+
+
+def test_census_lists_exactly_the_unreached_function(
+    reachability, fixture_package
+):
+    def traffic():
+        from census_fixture.use import main
+
+        assert main() == 6
+
+    defs, unreached, items, failures = reachability.census(
+        fixture_package, lambda: [("fixture", traffic)]
+    )
+    assert items == ["fixture"] and failures == []
+    assert {d.key for d in defs} == {
+        "shapes.py:area", "shapes.py:perimeter", "shapes.py:Box.__init__",
+        "shapes.py:Box.size", "use.py:main",
+    }
+    assert [d.key for d in unreached] == ["shapes.py:perimeter"]

@@ -116,13 +116,6 @@ class TestMoments:
         rt = s.translational_temperature()
         assert rt.mean() == pytest.approx(fs.rt, rel=0.05)
 
-    def test_rotational_temperature(self, snapshot, fs):
-        d, pop = snapshot
-        s = CellSampler(d)
-        s.accumulate(pop)
-        rt = s.rotational_temperature(rotational_dof=2)
-        assert rt.mean() == pytest.approx(fs.rt, rel=0.05)
-
     def test_empty_cells_report_zero_velocity(self, rng, fs):
         d = Domain(4, 4)
         pop = ParticleArrays.from_freestream(rng, 10, fs, (0, 1), (0, 1))
@@ -131,12 +124,6 @@ class TestMoments:
         s.accumulate(pop)
         u, _, _ = s.mean_velocity()
         assert u[3, 3] == 0.0
-
-    def test_mean_particles_per_cell(self, snapshot):
-        d, pop = snapshot
-        s = CellSampler(d)
-        s.accumulate(pop)
-        assert s.mean_particles_per_cell() == pytest.approx(20.0, rel=0.01)
 
     def test_wedge_volume_fractions_integration(self, rng, fs):
         d = Domain(30, 20)

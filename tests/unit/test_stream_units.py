@@ -67,49 +67,54 @@ class TestSnapshotRecords:
         assert kinds == ["a", "c"]
 
 
+def _poll(follower) -> list:
+    """The records a follower's next poll returns (cursors dropped)."""
+    return [rec for rec, _ in follower.poll_records()]
+
+
 class TestJsonlFollower:
     def test_incremental_polls(self, tmp_path):
         p = tmp_path / "f.jsonl"
         f = JsonlFollower(p)
-        assert f.poll() == []  # file does not exist yet
+        assert _poll(f) == []  # file does not exist yet
         _append(p, {"n": 1})
-        assert [r["n"] for r in f.poll()] == [1]
-        assert f.poll() == []
+        assert [r["n"] for r in _poll(f)] == [1]
+        assert _poll(f) == []
         _append(p, {"n": 2}, {"n": 3})
-        assert [r["n"] for r in f.poll()] == [2, 3]
+        assert [r["n"] for r in _poll(f)] == [2, 3]
 
     def test_torn_line_held_until_complete(self, tmp_path):
         p = tmp_path / "f.jsonl"
         f = JsonlFollower(p)
         _append(p, {"n": 1}, torn='{"n": 2')
-        assert [r["n"] for r in f.poll()] == [1]
+        assert [r["n"] for r in _poll(f)] == [1]
         with open(p, "a") as fh:
             fh.write(', "ok": true}\n')
-        assert [r["n"] for r in f.poll()] == [2]
+        assert [r["n"] for r in _poll(f)] == [2]
 
     def test_cursor_resumes_in_fresh_follower(self, tmp_path):
         p = tmp_path / "f.jsonl"
         _append(p, {"n": 1}, {"n": 2})
         f1 = JsonlFollower(p)
-        f1.poll()
+        _poll(f1)
         _append(p, {"n": 3})
         f2 = JsonlFollower(p, cursor=f1.cursor)  # e.g. across processes
-        assert [r["n"] for r in f2.poll()] == [3]
+        assert [r["n"] for r in _poll(f2)] == [3]
 
     def test_rotation_resets_to_start(self, tmp_path):
         p = tmp_path / "f.jsonl"
         _append(p, {"n": 1}, {"n": 2})
         f = JsonlFollower(p)
-        f.poll()
+        _poll(f)
         p.write_text('{"n": 9}\n')  # truncate-and-rewrite
-        assert [r["n"] for r in f.poll()] == [9]
+        assert [r["n"] for r in _poll(f)] == [9]
         assert f.rotations == 1
 
     def test_bad_complete_line_counted_dropped(self, tmp_path):
         p = tmp_path / "f.jsonl"
         p.write_text('{"n": 1}\nnot json\n{"n": 2}\n')
         f = JsonlFollower(p)
-        assert [r["n"] for r in f.poll()] == [1, 2]
+        assert [r["n"] for r in _poll(f)] == [1, 2]
         assert f.dropped == 1
 
     def test_per_record_cursors_are_gapless(self, tmp_path):
@@ -119,7 +124,7 @@ class TestJsonlFollower:
         assert [r["n"] for r, _ in pairs] == [1, 2, 3]
         # Resuming from the cursor after record k yields k+1 onwards.
         _, after_first = pairs[0]
-        rest = JsonlFollower(p, cursor=after_first).poll()
+        rest = _poll(JsonlFollower(p, cursor=after_first))
         assert [r["n"] for r in rest] == [2, 3]
 
 

@@ -120,19 +120,6 @@ class TestPrandtlMeyer:
             theory.expansion_density_ratio(2.0, -0.1)
 
 
-class TestShockThickness:
-    def test_continuum_is_resolution_limited(self):
-        # lambda = 0: the measured thickness is the sampling floor.
-        assert theory.shock_thickness_scale(0.0) == pytest.approx(3.0)
-
-    def test_rarefied_is_thicker(self):
-        assert theory.shock_thickness_scale(0.5) > theory.shock_thickness_scale(0.0)
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigurationError):
-            theory.shock_thickness_scale(-0.1)
-
-
 class TestPrivateRootFinder:
     """SciPy is off the run path: the three root-finds use a private
     Brent solver with ``scipy.optimize.brentq``'s iteration."""
