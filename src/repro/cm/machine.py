@@ -48,10 +48,6 @@ class CM2:
         Bits of memory per physical processor.  The CM-2 shipped with
         64 Kbit/processor; the paper notes 25% was reserved for
         back-compatibility by the system software of the day.
-    backcompat_reserved:
-        Fraction of memory unavailable to the application (0.25 in the
-        paper; C* 5.0 was expected to reclaim it and allow 1M-particle
-        runs).
     clock_hz:
         Nominal processor clock (7 MHz for the CM-2); only used for
         sanity-scaling of the timing model, which is calibrated against
@@ -60,18 +56,12 @@ class CM2:
 
     n_processors: int = 32 * 1024
     memory_bits: int = 64 * 1024
-    backcompat_reserved: float = 0.25
     clock_hz: float = 7.0e6
 
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.n_processors):
             raise ConfigurationError(
                 f"n_processors must be a power of two, got {self.n_processors}"
-            )
-        if not 0.0 <= self.backcompat_reserved < 1.0:
-            raise ConfigurationError(
-                "backcompat_reserved must be in [0, 1), got "
-                f"{self.backcompat_reserved}"
             )
         if self.memory_bits <= 0:
             raise ConfigurationError("memory_bits must be positive")

@@ -207,13 +207,20 @@ class SimulationConfig:
 
         from repro.physics import theory
 
+        theta = math.radians(self.wedge.angle_deg)
+        mach, gamma = self.freestream.mach, self.freestream.gamma
+        # One deflection sweep decides (the attachment limit rises with
+        # Mach, and the root search stops at ATTACHMENT_MACH_HI); the
+        # root itself is found only to word the warning.
+        if mach > 1.0 and theta < theory.max_deflection(
+            min(mach, theory.ATTACHMENT_MACH_HI), gamma
+        )[0]:
+            return
         try:
-            m_min = theory.minimum_attachment_mach(
-                math.radians(self.wedge.angle_deg), self.freestream.gamma
-            )
+            m_min = theory.minimum_attachment_mach(theta, gamma)
         except ConfigurationError:
             m_min = float("inf")
-        if self.freestream.mach < m_min:
+        if mach < m_min:
             warnings.warn(
                 f"Mach {self.freestream.mach:g} is below the attachment "
                 f"limit {m_min:.2f} for a {self.wedge.angle_deg:g} deg "

@@ -41,7 +41,12 @@ columns -- the purpose quoted above -- only on every
 :data:`RESORT_PERIOD`-th step, which is often enough that partners
 stay at neighbouring addresses in between.  It does so for one block or
 for the R blocks a population declares (``particles.starts``, the
-ensemble's replicas), keyed by :func:`blocked_cell_key`.
+ensemble's replicas), keyed by :func:`blocked_cell_key`.  The order is
+the counting kernel's packing without the random word: one key per row,
+``(block * n_cells + cell) << row_bits | row``, in ``uint32`` when it
+fits (the paper's 98x64 cells and 512 k particles need 13 + 19 = 32
+bits) and ``uint64`` otherwise, sorted in place; the row digit masked
+back out is the order.
 """
 
 from __future__ import annotations
@@ -57,8 +62,9 @@ from repro.core.particles import ParticleArrays, pooled, pooled_arange
 from repro.errors import ConfigurationError
 
 #: Largest key value that still takes NumPy's radix/counting sort path
-#: (stable argsort of uint16); beyond this the kernel falls back to the
-#: wide comparison sort.  Keys are validated non-negative upstream.
+#: (stable argsort of uint16) in the plain and the mix-bits sorts;
+#: beyond this they fall back to the wide comparison sort.  Keys are
+#: validated non-negative upstream.
 NARROW_KEY_LIMIT = int(np.iinfo(np.uint16).max)
 
 #: Steps between the indexed kernel's physical re-sorts (the step whose
@@ -146,11 +152,35 @@ def counting_sort_order(
     key = pooled(scratch, "sort_order", n, np.intp).view(np.uint64)
     np.left_shift(cell, word_bits, out=key, dtype=np.uint64, casting="unsafe")
     key |= words
-    key <<= row_bits
-    key |= pooled_arange(scratch, n).view(np.uint64)
+    return _sort_packed(
+        key, row_bits, pooled_arange(scratch, n), key, key
+    ).view(np.intp)
+
+
+def _sort_packed(
+    high: np.ndarray,
+    row_bits: int,
+    rows: np.ndarray,
+    key: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Order rows by ``high`` through one packed key, sorted in place.
+
+    ``key`` (``uint32`` or ``uint64``, one entry per row) receives
+    ``high << row_bits | row`` for ``rows = arange(n)``.  Every key is
+    distinct, so one in-place ``ndarray.sort`` is the stable sort by
+    ``high`` (ties in row order), and the row digit masked back out into
+    ``out`` is the order.  ``high`` may be ``key`` itself and ``out`` may
+    be ``key`` (the counting kernel's in-place order) or an ``intp``
+    buffer.  The caller sees to it that the packed key fits its dtype.
+    """
+    np.left_shift(high, row_bits, out=key, dtype=key.dtype, casting="unsafe")
+    if rows.dtype.itemsize == key.dtype.itemsize:
+        rows = rows.view(key.dtype)  # same width: or without a cast
+    np.bitwise_or(key, rows, out=key, dtype=key.dtype, casting="unsafe")
     key.sort()
-    key &= (1 << row_bits) - 1
-    return key.view(np.intp)
+    np.bitwise_and(key, (1 << row_bits) - 1, out=out, casting="unsafe")
+    return out
 
 
 def blocked_cell_key(
@@ -164,8 +194,8 @@ def blocked_cell_key(
     :class:`IncrementalSorter` sorts R declared blocks as one population
     by lifting the cell index into a key whose high digit is the *block
     position* (not the replica id -- position keeps the key dense in
-    ``[0, R * n_cells)`` so the narrow radix path applies whenever
-    ``R * n_cells <= NARROW_KEY_LIMIT + 1``).  A stable sort of this key
+    ``[0, R * n_cells)``, so it packs with the row into as few bits as
+    the composite cells allow).  A stable sort of this key
     can never move a particle across its replica block, and within a
     block it is exactly the solo stable cell sort -- the property the
     bitwise replica-equality contract rests on.
@@ -286,8 +316,12 @@ class IncrementalSorter:
     The indexed kernel (``sort_kernel="incremental"``): instead of
     physically shuffling all nine particle columns into cell order
     every step, ``update`` rebuilds one :data:`order` permutation,
-    canonically sorted by ``(cell, row)``, with the narrow-key stable
-    argsort, and downstream kernels gather through it.  A population
+    canonically sorted by ``(cell, row)``, and downstream kernels gather
+    through it.  The order is one in-place sort of a packed key per row,
+    ``cell << row_bits | row`` (``uint32`` when it fits, ``uint64``
+    otherwise): every key is distinct, so the sort is the stable sort
+    by cell, and the row digit masked back out into a sorter-owned
+    buffer is the order.  A population
     that declares blocks (``particles.starts``: the ensemble's R
     replicas) is sorted by the composite :func:`blocked_cell_key`
     instead, ``(block, cell, row)``: a stable sort never moves a row
@@ -341,10 +375,13 @@ class IncrementalSorter:
         # ping-pong scratch pool (whose buffers are step-transient).
         self._prev_cell = np.empty(0, dtype=np.int64)
         self._mover = np.empty(0, dtype=bool)
-        self._key16 = np.empty(0, dtype=np.uint16)
-        #: The last ``update``'s argsort result, kept as returned (no
-        #: copy into a sorter-owned buffer) -- or, after a physical
-        #: re-sort, the pooled read-only identity; length ``_order_n``.
+        #: The packed sort key (viewed as ``uint32`` when it fits) and
+        #: the rows it sorts into.
+        self._key = np.empty(0, dtype=np.uint64)
+        self._rows = np.empty(0, dtype=np.intp)
+        #: The last ``update``'s order: a view of ``_rows`` -- or, after
+        #: a physical re-sort, the pooled read-only identity; length
+        #: ``_order_n``.
         self._order = np.empty(0, dtype=np.intp)
         #: Population size the cached order/cells describe (0 = none).
         self._order_n = 0
@@ -383,22 +420,24 @@ class IncrementalSorter:
         cell = particles.cell
         self._grow(n)
         if particles.starts is None:
-            key, n_keys = cell, self.n_cells
+            ckey, n_keys = cell, self.n_cells
         else:
             n_keys = particles.n_blocks * self.n_cells
-            key = blocked_cell_key(
+            ckey = blocked_cell_key(
                 cell, particles.starts, self.n_cells,
                 out=pooled(particles.scratch, "blocked_key", n, np.int64),
             )
-        if n_keys - 1 <= NARROW_KEY_LIMIT:
-            key16 = self._key16[:n]
-            np.copyto(key16, key, casting="unsafe")
-            order = np.argsort(key16, kind="stable")
-        else:
-            order = np.argsort(key, kind="stable")
+        row_bits = (n - 1).bit_length()
+        key = self._key[:n]
+        if (n_keys - 1).bit_length() + row_bits <= 32:
+            key = self._key.view(np.uint32)[:n]
+        order = _sort_packed(
+            ckey, row_bits, pooled_arange(particles.scratch, n), key,
+            self._rows[:n],
+        )
         # A histogram ignores row order: the key as built serves a
         # re-sort step too.
-        counts = np.bincount(key, minlength=n_keys)
+        counts = np.bincount(ckey, minlength=n_keys)
         physical = step is not None and step % RESORT_PERIOD == 0
         if physical:
             # Slots become rows; the cached order and cell baseline
@@ -426,7 +465,7 @@ class IncrementalSorter:
         if cap >= n:
             return
         new_cap = max(n, 2 * cap, 1024)
-        for name in ("_prev_cell", "_mover", "_key16"):
+        for name in ("_prev_cell", "_mover", "_key", "_rows"):
             old = getattr(self, name)
             buf = np.empty(new_cap, dtype=old.dtype)
             buf[: old.shape[0]] = old

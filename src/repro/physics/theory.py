@@ -26,6 +26,10 @@ import numpy as np
 from repro.constants import GAMMA
 from repro.errors import ConfigurationError
 
+#: Upper end of :func:`minimum_attachment_mach`'s search: a deflection
+#: still detached at this Mach number counts as detached at every Mach.
+ATTACHMENT_MACH_HI = 50.0
+
 
 def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
     """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` (Brent).
@@ -263,9 +267,7 @@ def expansion_density_ratio(
     return t_ratio ** (1.0 / (g - 1.0))
 
 
-def minimum_attachment_mach(
-    theta: float, gamma: float = GAMMA, mach_hi: float = 50.0
-) -> float:
+def minimum_attachment_mach(theta: float, gamma: float = GAMMA) -> float:
     """Smallest Mach number with an attached shock for deflection theta.
 
     Below this the wedge detaches a bow shock and the theta-beta-M
@@ -274,16 +276,16 @@ def minimum_attachment_mach(
     """
     if theta <= 0:
         return 1.0
-    theta_max_hi, _ = max_deflection(mach_hi, gamma)
+    theta_max_hi, _ = max_deflection(ATTACHMENT_MACH_HI, gamma)
     if theta >= theta_max_hi:
         raise ConfigurationError(
             f"deflection {math.degrees(theta):.1f} deg detaches at every "
-            f"Mach number up to {mach_hi}"
+            f"Mach number up to {ATTACHMENT_MACH_HI:g}"
         )
     return _brentq(
         lambda m: max_deflection(m, gamma)[0] - theta,
         1.0 + 1e-6,
-        mach_hi,
+        ATTACHMENT_MACH_HI,
         xtol=1e-10,
     )
 

@@ -10,7 +10,7 @@ earn, not assume.
 import numpy as np
 import pytest
 
-from repro.baselines import BaganoffSelection, HeatBath
+from repro.baselines import HeatBath
 from repro.core.collision import collide_pairs
 from repro.core.particles import ParticleArrays
 from repro.physics.distributions import (
@@ -20,7 +20,7 @@ from repro.physics.distributions import (
     temperature_from_velocities,
 )
 from repro.physics.freestream import Freestream
-from repro.rng import make_rng, random_permutation_table
+from repro.rng import make_rng
 
 
 def relax(pop, rng, rounds):

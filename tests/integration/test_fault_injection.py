@@ -12,16 +12,11 @@ import pytest
 from repro.core.particles import ParticleArrays
 from repro.core.sampling import CellSampler
 from repro.core.simulation import Simulation
-from repro.errors import (
-    ConfigurationError,
-    FixedPointOverflowError,
-    ReproError,
-)
+from repro.errors import ConfigurationError, FixedPointOverflowError
 from repro.fixedpoint import Q8_23
 from repro.geometry.domain import Domain
 from repro.io.snapshots import load_simulation, save_simulation
 from repro.physics.freestream import Freestream
-from repro.rng import make_rng
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.errors import ConfigurationError
-from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 

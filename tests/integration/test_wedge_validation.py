@@ -9,7 +9,6 @@ tolerances.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis.shock import (

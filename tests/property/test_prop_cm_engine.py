@@ -1,12 +1,10 @@
 """Property-based tests of the CM engine's fixed-point invariants."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cm.machine import CM2
 from repro.core.engine_cm import fixed_point_energy_drift
-from repro.fixedpoint import Q8_23
 
 
 class TestFixedPointCollisionProperties:

@@ -1,7 +1,6 @@
 """Property-based tests of the fixed-point arithmetic invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays

@@ -1,6 +1,5 @@
 """Unit tests for the baseline collision schemes and the heat bath."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (

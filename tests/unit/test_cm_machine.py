@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cm.machine import CM2, VPGeometry
+from repro.cm.machine import CM2
 from repro.errors import ConfigurationError, MachineError
 
 
@@ -16,10 +16,6 @@ class TestCM2:
     def test_power_of_two_required(self):
         with pytest.raises(ConfigurationError):
             CM2(n_processors=3000)
-
-    def test_invalid_reservation(self):
-        with pytest.raises(ConfigurationError):
-            CM2(backcompat_reserved=1.0)
 
 
 class TestVPGeometry:

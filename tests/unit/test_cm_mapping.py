@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cm.mapping import (
-    MappingComparison,
-    compare_mappings,
-    neighbour_exchange_events,
-)
+from repro.cm.mapping import compare_mappings, neighbour_exchange_events
 from repro.errors import MachineError
 
 

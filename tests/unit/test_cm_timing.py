@@ -1,6 +1,5 @@
 """Unit tests for the cost ledger and the calibrated timing model."""
 
-import numpy as np
 import pytest
 
 from repro.cm.machine import CM2

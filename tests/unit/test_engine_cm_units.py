@@ -8,7 +8,7 @@ import pytest
 
 from repro.cm.machine import CM2
 from repro.core.engine_cm import CMSimulation
-from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.simulation import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
@@ -144,6 +144,27 @@ class TestDetachmentWarning:
                 ),
                 wedge=Wedge(x_leading=8, base=10, angle_deg=30),
             )
+
+    @pytest.mark.parametrize("angle", [10.0, 30.0, 45.0, 46.0, 60.0])
+    @pytest.mark.parametrize("mach", [0.8, 1.5, 2.5, 2.6, 4.0, 60.0])
+    def test_warns_exactly_below_the_attachment_mach(self, angle, mach):
+        # 46 and 60 degrees detach at every Mach the root search covers,
+        # so they warn even at Mach 60; 45 degrees attaches there.
+        try:
+            m_min = theory.minimum_attachment_mach(math.radians(angle))
+        except ConfigurationError:
+            m_min = math.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            SimulationConfig(
+                domain=Domain(30, 20),
+                freestream=Freestream(
+                    mach=mach, c_mp=0.14, lambda_mfp=0.5, density=8.0
+                ),
+                wedge=Wedge(x_leading=8, base=5, angle_deg=angle),
+            )
+        warned = any("detached" in str(w.message) for w in caught)
+        assert warned == (mach < m_min)
 
     def test_attachment_mach_values(self):
         # Textbook-ish anchors for gamma = 1.4.

@@ -29,7 +29,7 @@ from repro.core.pairing import reflection_offsets
 from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.core.reservoir import Reservoir
 from repro.core.selection import fused_select_collide
-from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.simulation import Simulation
 from repro.core.sortstep import (
     IncrementalSorter,
     counting_sort_order,
@@ -38,7 +38,6 @@ from repro.core.sortstep import (
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
-from repro.geometry.wedge import Wedge
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import MolecularModel
 from repro.rng import shard_stream

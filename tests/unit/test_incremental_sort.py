@@ -25,13 +25,13 @@ Pins the contracts the incremental kernel relies on:
   engine's replica == solo contract rests on.
 """
 
-import dataclasses
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.cells import assign_cells
 from repro.core.collision import collide_pairs
 from repro.core.pairing import (
     CandidatePairs,
@@ -43,7 +43,6 @@ from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.core.selection import fused_select_collide, select_collisions
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import (
-    NARROW_KEY_LIMIT,
     RESORT_PERIOD,
     IncrementalSorter,
     blocked_cell_key,
@@ -355,36 +354,36 @@ class TestIncrementalSorter:
         assert np.array_equal(sorter._prev_cell[: parts.n], parts.cell)
         assert sorter.detect(parts) == 0.0
 
-    @pytest.mark.parametrize(
-        "n_blocks, n_cells, declared",
-        [
-            (4, 16384, True), (4, 16385, True),  # R * C = 65536 | 65540
-            (1, 65536, True), (1, 65537, True),
-            (1, 65536, False), (1, 65537, False),
-        ],
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=5),
+        n_cells=st.integers(1, 70000),
+        declared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_narrow_key_exactly_when_composite_cells_fit(
-        self, monkeypatch, n_blocks, n_cells, declared
+    @example(sizes=[0], n_cells=24, declared=False, seed=0)
+    @example(sizes=[1], n_cells=24, declared=False, seed=0)
+    @example(sizes=[0, 7, 0], n_cells=24, declared=True, seed=1)
+    # 14 composite-cell bits + 19 row bits: the packed key needs 64 bits.
+    @example(sizes=[2**17, 0, 2**17 + 1], n_cells=2731, declared=True, seed=2)
+    def test_order_is_the_stable_argsort_of_the_composite_cell(
+        self, sizes, n_cells, declared, seed
     ):
-        parts = self._population(
-            np.random.default_rng(3), 50 * n_blocks, n_cells
-        )
+        if not declared:
+            sizes = [sum(sizes)]
+        n, n_blocks = sum(sizes), len(sizes)
+        parts = self._population(np.random.default_rng(seed), n, n_cells)
         if declared:
-            parts.starts = np.arange(n_blocks + 1) * 50
-        key = parts.cell + np.repeat(np.arange(n_blocks), 50) * n_cells
-        want = np.argsort(key, kind="stable")
-        argsort, dtypes = np.argsort, []
-
-        def spy(a, *args, **kwargs):
-            dtypes.append(a.dtype)
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", spy)
+            parts.starts = np.cumsum([0] + sizes)
+        key = parts.cell + np.repeat(np.arange(n_blocks), sizes) * n_cells
         res = IncrementalSorter(n_cells).update(parts, 1)
-        narrow = n_blocks * n_cells <= NARROW_KEY_LIMIT + 1
-        assert dtypes == [np.dtype(np.uint16) if narrow else key.dtype]
-        assert np.array_equal(res.order, want)
+        assert np.array_equal(res.order, np.argsort(key, kind="stable"))
         assert res.counts.shape == (n_blocks * n_cells,)
+        assert np.array_equal(
+            res.counts, np.bincount(key, minlength=n_blocks * n_cells)
+        )
+        assert res.offsets[0] == 0
+        assert np.array_equal(res.offsets[1:], np.cumsum(res.counts))
 
 
 def _split_reference(

@@ -1,7 +1,5 @@
 """Unit tests for the molecular interaction models."""
 
-import math
-
 import numpy as np
 import pytest
 

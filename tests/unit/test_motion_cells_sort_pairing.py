@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cells import assign_cells, cell_populations, randomized_sort_keys
 from repro.core.motion import advance
-from repro.core.pairing import CandidatePairs, even_odd_pairs
+from repro.core.pairing import even_odd_pairs
 from repro.core.particles import ParticleArrays
 from repro.core.sortstep import sort_by_cell
 from repro.errors import ConfigurationError

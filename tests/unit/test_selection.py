@@ -14,7 +14,6 @@ from repro.core.selection import (
 from repro.errors import ConfigurationError
 from repro.physics.freestream import Freestream
 from repro.physics.molecules import hard_sphere, maxwell_molecule
-from repro.rng import random_permutation_table
 
 
 def make_population(rng, n, cells, fs):
