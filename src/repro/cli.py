@@ -393,6 +393,7 @@ def _run_report(runs, args: argparse.Namespace) -> int:
         print(f"inlet band mean : "
               f"{show([float(rho[2:8, :].mean()) for rho in fields])} "
               "(expected ~1)")
+    print(f"state digest    : {runs[0].state_digest}")
     rho = _block_mean(fields)
     if args.contours:
         print(render_ascii(rho))
@@ -449,78 +450,68 @@ def _telemetry_outro(tel) -> None:
         )
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    """Resume a supervised run from its directory (one block or R)."""
-    from repro.resilience import SupervisedRun
-    from repro.scenarios.golden import harvest
-
-    run = SupervisedRun.resume(args.resume)
-    tel = _make_telemetry(args, default_dir=args.resume)
-    if tel is not None:
-        run.attach_telemetry(tel)
-    print(
-        f"resumed {args.resume} at step {run.sim.step_count}, "
-        f"{run.sim.backend.n_workers} worker(s)"
-    )
-    t0 = time.time()
-    with run:
-        run.run_schedule()
-        run.sim.gather()
-        runs = harvest(run.sim)
-    _telemetry_outro(tel)
-    print(f"finished at step {run.sim.step_count} in {time.time()-t0:.0f} s")
-    return _run_report(runs, args)
-
-
 def _execute_schedule(args: argparse.Namespace, spec, overrides) -> int:
     """Run ``spec``'s transient + average schedule and report it.
 
-    One path for one block or R (``--replicas``): sharding, supervision,
-    telemetry and the final report all hang off the same flags, and the
-    run itself is :func:`repro.scenarios.golden.execute`.  The default
-    run directories are ``runs/<scenario>-<seed>`` (and
-    ``...-telemetry``).
+    One path for one block or R (``--replicas``), fresh or resumed
+    (``spec=None`` continues the supervised run in ``--resume DIR``):
+    sharding, supervision, telemetry and the final report all hang off
+    the same flags, and the run itself is
+    :func:`repro.scenarios.golden.execute`.  The default run
+    directories are ``runs/<scenario>-<seed>`` (and ``...-telemetry``).
     """
     from repro.resilience.supervisor import RunJournal
     from repro.scenarios.golden import execute
 
-    transient, average = spec.resolve_schedule(overrides)
-    run_tag = f"{spec.name}-{overrides.get('seed', spec.seed)}"
-    backend = None
-    if args.workers > 1:
-        from repro.parallel.backend import ShardedBackend
+    backend = on_chunk = None
+    if spec is None:
+        run_dir = tel_dir = args.resume
+        supervise = {"run_dir": run_dir}
+        steps: List[int] = []
 
-        backend = ShardedBackend(args.workers)
-    run_dir = args.run_dir or f"runs/{run_tag}"
-    tel = _make_telemetry(
-        args,
-        default_dir=run_dir
-        if args.supervised
-        else f"runs/{run_tag}-telemetry",
-    )
-    supervise = None
-    if args.supervised:
-        supervise = {
-            "run_dir": run_dir,
-            "checkpoint_every": args.checkpoint_every,
-            "audit_every": args.audit_every,
-            "max_retries": args.max_retries,
-        }
+        def on_chunk(run) -> None:
+            if not steps:
+                print(
+                    f"resumed {run_dir} at step {run.sim.step_count}, "
+                    f"{run.sim.backend.n_workers} worker(s)"
+                )
+            steps.append(run.sim.step_count)
+    else:
+        transient, average = spec.resolve_schedule(overrides)
+        overrides = dict(overrides, transient=transient, average=average)
+        run_tag = f"{spec.name}-{overrides.get('seed', spec.seed)}"
+        if args.workers > 1:
+            from repro.parallel.backend import ShardedBackend
+
+            backend = ShardedBackend(args.workers)
+        run_dir = args.run_dir or f"runs/{run_tag}"
+        tel_dir = run_dir if args.supervised else f"runs/{run_tag}-telemetry"
+        supervise = None
+        if args.supervised:
+            supervise = {
+                "run_dir": run_dir,
+                "checkpoint_every": args.checkpoint_every,
+                "audit_every": args.audit_every,
+                "max_retries": args.max_retries,
+            }
+    tel = _make_telemetry(args, default_dir=tel_dir)
     t0 = time.time()
     runs = execute(
         spec,
-        dict(overrides, transient=transient, average=average),
+        overrides,
         replicas=args.replicas,
         backend=backend,
         telemetry=tel,
         supervise=supervise,
+        on_chunk=on_chunk,
     )
-    replicas = "" if args.replicas is None else f", {len(runs)} replicas"
-    print(
-        f"{sum(run.n_seeded for run in runs)} particles, grid "
-        f"{'x'.join(map(str, runs[0].config.domain.shape))}, "
-        f"{args.workers} worker(s){replicas}"
-    )
+    if spec is not None:
+        replicas = "" if args.replicas is None else f", {len(runs)} replicas"
+        print(
+            f"{sum(run.n_seeded for run in runs)} particles, grid "
+            f"{'x'.join(map(str, runs[0].config.domain.shape))}, "
+            f"{args.workers} worker(s){replicas}"
+        )
     if supervise is not None:
         n_rec = sum(
             1 for e in RunJournal.load(run_dir) if e.get("kind") == "recovery"
@@ -528,7 +519,10 @@ def _execute_schedule(args: argparse.Namespace, spec, overrides) -> int:
         extra = f", {n_rec} recoveries" if n_rec else ""
         print(f"supervised run dir: {run_dir}{extra}")
     _telemetry_outro(tel)
-    print(f"ran {transient}+{average} steps in {time.time()-t0:.0f} s")
+    if spec is None:
+        print(f"finished at step {steps[-1]} in {time.time()-t0:.0f} s")
+    else:
+        print(f"ran {transient}+{average} steps in {time.time()-t0:.0f} s")
     return _run_report(runs, args)
 
 
@@ -557,7 +551,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(report.to_text())
         return 0 if report.ok else 1
     if args.resume:
-        return _cmd_resume(args)
+        return _execute_schedule(args, None, {})
 
     overrides = {
         k: v

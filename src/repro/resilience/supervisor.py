@@ -135,6 +135,30 @@ class RunJournal(EventStream):
     filename = "journal.jsonl"
 
 
+def _load_newest(run_dir: pathlib.Path, journal, **load) -> Simulation:
+    """Load the run's newest checkpoint that parses.
+
+    Torn ones are journaled (``journal(record)``) and skipped; none
+    left is a :class:`~repro.errors.CheckpointCorruptionError`.
+    """
+    last_exc: Optional[Exception] = None
+    for path in sorted(run_dir.glob(_CKPT_GLOB), reverse=True):
+        try:
+            return load_simulation(path, **load)
+        except CheckpointCorruptionError as corrupt:
+            last_exc = corrupt
+            journal(
+                {
+                    "kind": "checkpoint_corrupt",
+                    "path": path.name,
+                    "detail": str(corrupt),
+                }
+            )
+    raise CheckpointCorruptionError(
+        "no loadable checkpoint in run directory", path=str(run_dir)
+    ) from last_exc
+
+
 class SupervisedRun:
     """Fault-tolerant driver of a simulation's step loop.
 
@@ -145,7 +169,9 @@ class SupervisedRun:
     run_dir:
         Directory for checkpoints, ``run.json`` metadata and the
         journal; created if missing.  A baseline checkpoint is written
-        immediately so recovery is possible from step one.
+        immediately so recovery is possible from step one.  A fresh run
+        refuses a directory that already holds a run (``run.json`` or a
+        checkpoint): :meth:`resume` continues that one.
     checkpoint_every, audit_every:
         Cadences in steps; ``0`` disables the respective machinery
         (an un-checkpointed fault is then fatal).
@@ -188,6 +214,16 @@ class SupervisedRun:
             raise ConfigurationError("max_retries must be non-negative")
         self.sim = sim
         self.run_dir = pathlib.Path(run_dir)
+        if _meta is None and (
+            (self.run_dir / "run.json").exists()
+            or any(self.run_dir.glob(_CKPT_GLOB))
+        ):
+            # Its checkpoints would outlive this run's baseline in the
+            # prune and be restored on the first recovery.
+            raise ConfigurationError(
+                f"{self.run_dir} already holds a supervised run: continue "
+                "it with --resume, or give this run a new --run-dir"
+            )
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.checkpoint_every = int(checkpoint_every)
         self.audit_every = int(audit_every)
@@ -277,16 +313,14 @@ class SupervisedRun:
         path = self.run_dir / "run.json"
         path.write_text(json.dumps(self._meta, indent=2), encoding="utf-8")
 
-    def _checkpoints_newest_first(self) -> "list[pathlib.Path]":
-        return sorted(self.run_dir.glob(_CKPT_GLOB), reverse=True)
-
     def _checkpoint(self) -> pathlib.Path:
         """Write ``ckpt_<step>.npz`` and prune beyond the keep-window."""
         path = self.run_dir / _CKPT_FMT.format(step=self.sim.step_count)
         save_simulation(
             self.sim, path, fault_plan=self.fault_plan, compress=False
         )
-        for old in self._checkpoints_newest_first()[KEEP_CHECKPOINTS:]:
+        newest_first = sorted(self.run_dir.glob(_CKPT_GLOB), reverse=True)
+        for old in newest_first[KEEP_CHECKPOINTS:]:
             old.unlink(missing_ok=True)
         if self.telemetry is not None:
             self.telemetry.record_event(
@@ -339,6 +373,35 @@ class SupervisedRun:
             self._checkpoint()
         return diag
 
+    def record_schedule(self, phases: Sequence) -> None:
+        """Record a transient/average schedule in ``run.json``.
+
+        ``phases`` is a sequence of ``(n_steps, sample)`` pairs (or
+        ``{"steps": n, "sample": bool}`` dicts) that starts at the
+        current step; :meth:`run_schedule` with ``phases=None`` -- in
+        this process or after :meth:`resume` -- runs it.
+        """
+        self._meta["phases"] = [
+            p
+            if isinstance(p, dict)
+            else {"steps": int(p[0]), "sample": bool(p[1])}
+            for p in phases
+        ]
+        self._meta["schedule_start"] = self.sim.step_count
+        self._write_meta()
+
+    @property
+    def schedule_end(self) -> int:
+        """The step the recorded schedule ends at."""
+        phases = self._meta.get("phases")
+        if phases is None:
+            raise ConfigurationError(
+                "no schedule stored in run.json; pass phases explicitly"
+            )
+        return int(self._meta["schedule_start"]) + sum(
+            int(p["steps"]) for p in phases
+        )
+
     def run_schedule(
         self,
         phases: Optional[Sequence] = None,
@@ -346,45 +409,25 @@ class SupervisedRun:
     ) -> Optional[StepDiagnostics]:
         """Run a transient/average schedule under supervision.
 
-        ``phases`` is a sequence of ``(n_steps, sample)`` pairs (or
-        ``{"steps": n, "sample": bool}`` dicts); it is recorded in
-        ``run.json`` so :meth:`resume` can continue the same schedule
-        with ``phases=None``.  The sampling flag of every step is
+        ``phases`` is recorded first (:meth:`record_schedule`); ``None``
+        continues the recorded one.  The sampling flag of every step is
         derived from its *absolute* step index, so a recovery that
         rolls back across a phase boundary replays each step with the
         flag it originally had.
 
         ``max_steps`` stops early after that many completed steps
         (checkpointing the stop point) -- the hook resumption tests and
-        incremental drivers use.
+        chunked drivers use.
         """
-        if phases is None:
-            stored = self._meta.get("phases")
-            if not stored:
-                raise ConfigurationError(
-                    "no schedule stored in run.json; pass phases explicitly"
-                )
-            phases = stored
-            start = int(self._meta["schedule_start"])
-        else:
-            phases = [
-                p
-                if isinstance(p, dict)
-                else {"steps": int(p[0]), "sample": bool(p[1])}
-                for p in phases
-            ]
-            start = self.sim.step_count
-            self._meta["phases"] = phases
-            self._meta["schedule_start"] = start
-            self._write_meta()
-
+        if phases is not None:
+            self.record_schedule(phases)
+        total_end = self.schedule_end
         segments = []
-        lo = start
-        for p in phases:
+        lo = int(self._meta["schedule_start"])
+        for p in self._meta["phases"]:
             hi = lo + int(p["steps"])
             segments.append((lo, hi, bool(p["sample"])))
             lo = hi
-        total_end = lo
 
         def sample_for(at: int) -> bool:
             return any(s <= at < e and f for s, e, f in segments)
@@ -400,9 +443,9 @@ class SupervisedRun:
             # Always leave a checkpoint at the stop point, so a resumed
             # process starts exactly here.  When the stop lands on the
             # cadence, _step already wrote this exact file -- skipping
-            # the duplicate save keeps chunked drivers (the service
-            # worker runs one heartbeat-sized call per chunk) from
-            # paying for every checkpoint twice.
+            # the duplicate save keeps chunked drivers (``execute``
+            # runs one cadence-sized call per chunk) from paying for
+            # every checkpoint twice.
             path = self.run_dir / _CKPT_FMT.format(step=self.sim.step_count)
             if (
                 self.sim.step_count % self.checkpoint_every != 0
@@ -531,31 +574,19 @@ class SupervisedRun:
 
     def _restore(self, workers: int) -> Simulation:
         """Load the newest checkpoint that parses; fall back on torn ones."""
-        last_exc: Optional[Exception] = None
-        for path in self._checkpoints_newest_first():
-            try:
-                return load_simulation(
-                    path,
-                    workers=workers,
-                    processes=self._processes,
-                    backend_factory=self._backend_factory
-                    if workers > 1
-                    else None,
-                )
-            except CheckpointCorruptionError as corrupt:
-                last_exc = corrupt
-                self._journal(
-                    {
-                        "kind": "checkpoint_corrupt",
-                        "path": path.name,
-                        "detail": str(corrupt),
-                    }
-                )
-                continue
-        raise RecoveryExhaustedError(
-            "no loadable checkpoint remains in the run directory",
-            run_dir=str(self.run_dir),
-        ) from last_exc
+        try:
+            return _load_newest(
+                self.run_dir,
+                self._journal,
+                workers=workers,
+                processes=self._processes,
+                backend_factory=self._backend_factory if workers > 1 else None,
+            )
+        except CheckpointCorruptionError as exc:
+            raise RecoveryExhaustedError(
+                "no loadable checkpoint remains in the run directory",
+                run_dir=str(self.run_dir),
+            ) from exc
 
     # -- resumption -----------------------------------------------------
 
@@ -563,49 +594,27 @@ class SupervisedRun:
     def resume(
         cls,
         run_dir: PathLike,
-        workers: Optional[int] = None,
-        processes: Optional[bool] = None,
         **overrides,
     ) -> "SupervisedRun":
         """Reattach to a run directory after a process death.
 
-        Restores the newest loadable checkpoint (skipping torn ones)
-        and rebuilds the supervisor from the stored ``run.json``
-        metadata; ``run_schedule()`` with no arguments then finishes
-        the stored schedule.  ``workers``/``processes`` override the
-        snapshot's backend (``None`` keeps it); keyword ``overrides``
-        replace any constructor knob.
+        Restores the newest loadable checkpoint (skipping torn ones) on
+        the snapshot's backend and rebuilds the supervisor from the
+        stored ``run.json`` metadata; ``run_schedule()`` with no
+        arguments then finishes the stored schedule.  Keyword
+        ``overrides`` replace any constructor knob.
         """
         run_dir = pathlib.Path(run_dir)
         meta_path = run_dir / "run.json"
         if not meta_path.exists():
             raise ConfigurationError(f"no run.json in {run_dir}")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if processes is None:
-            processes = bool(meta.get("processes", True))
-
-        last_exc: Optional[Exception] = None
-        sim = None
         journal = RunJournal(run_dir)
-        for path in sorted(run_dir.glob(_CKPT_GLOB), reverse=True):
-            try:
-                sim = load_simulation(path, workers=workers, processes=processes)
-                break
-            except CheckpointCorruptionError as corrupt:
-                last_exc = corrupt
-                journal.append(
-                    {
-                        "kind": "checkpoint_corrupt",
-                        "path": path.name,
-                        "detail": str(corrupt),
-                    }
-                )
-        if sim is None:
-            raise CheckpointCorruptionError(
-                "no loadable checkpoint in run directory",
-                path=str(run_dir),
-            ) from last_exc
-
+        sim = _load_newest(
+            run_dir,
+            journal.append,
+            processes=bool(meta.get("processes", True)),
+        )
         kwargs = {
             "checkpoint_every": int(meta.get("checkpoint_every", 50)),
             "audit_every": int(meta.get("audit_every", 50)),
@@ -613,5 +622,6 @@ class SupervisedRun:
         }
         kwargs.update(overrides)
         run = cls(sim, run_dir, _meta=meta, **kwargs)
+        run.journal = journal  # its torn-checkpoint records, for telemetry
         run._journal({"kind": "resumed", "step": sim.step_count})
         return run

@@ -66,7 +66,7 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -76,6 +76,7 @@ from repro.errors import ConfigurationError
 from repro.geometry.wedge import Wedge
 from repro.physics import theory
 from repro.scenarios.spec import ScenarioSpec
+from repro.verify import state_digest
 
 #: Directory of committed golden-observable files (package data).
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -121,6 +122,8 @@ class ScenarioRun:
     #: Flow particles the block was seeded with (``None`` when the
     #: harvest did not see the run start).
     n_seeded: Optional[int] = None
+    #: :func:`repro.verify.state_digest` of the whole run (every block).
+    state_digest: Optional[str] = None
 
     @property
     def body(self) -> Any:
@@ -196,13 +199,14 @@ class ValidationReport:
 
 
 def execute(
-    spec: ScenarioSpec,
+    spec: Optional[ScenarioSpec],
     overrides: Optional[Mapping] = None,
     *,
     replicas: Optional[int] = None,
     backend=None,
     telemetry=None,
     supervise: Optional[Mapping] = None,
+    on_chunk: Optional[Callable[[Any], None]] = None,
 ) -> List[ScenarioRun]:
     """Build a scenario's run, run its schedule, harvest every block.
 
@@ -214,13 +218,20 @@ def execute(
     The schedule is the spec's ``unsteady`` windows -- each a fresh
     time average after ``sampler.reset()`` -- when ``overrides`` set no
     ``transient``/``average``; otherwise ``transient`` unsampled then
-    ``average`` sampled steps (after overrides).  ``supervise`` runs
-    that schedule under :class:`repro.resilience.SupervisedRun`, with
-    its keyword arguments (``run_dir``, ``checkpoint_every``,
-    ``audit_every``, ``max_retries``, ...).
+    ``average`` sampled steps (after overrides).
+
+    ``supervise`` runs that schedule under
+    :class:`repro.resilience.SupervisedRun`, with its keyword arguments
+    (``run_dir``, ``checkpoint_every``, ``audit_every``, ...).  A fresh
+    run records its schedule in ``run.json`` before its first step;
+    ``spec=None`` instead resumes the run whose ``run.json`` is in
+    ``run_dir`` (the other keys replace its stored knobs, ``overrides``
+    and ``replicas`` do not apply, ``telemetry`` is attached).  The run
+    steps in chunks that end on its checkpoint cadence, and
+    ``on_chunk(run)`` is called before each chunk and once at the end.
     """
     ov = dict(overrides or {})
-    windowed = spec.unsteady is not None and not (
+    windowed = spec is not None and spec.unsteady is not None and not (
         {"transient", "average"} & set(ov)
     )
     if windowed and supervise is not None:
@@ -228,22 +239,15 @@ def execute(
             f"scenario {spec.name!r}: a supervised run takes a transient "
             "+ average schedule; pass transient/average overrides"
         )
-    sim = spec.build_simulation(
-        ov, replicas=replicas, backend=backend, telemetry=telemetry
-    )
-    seeded = [block.n for block in sim.particles.blocks()]
+    build = {"replicas": replicas, "backend": backend, "telemetry": telemetry}
     if supervise is not None:
-        from repro.resilience import SupervisedRun
-
-        with SupervisedRun(sim, **supervise) as run:
-            run.run_schedule(_phases(spec, ov))
-            run.sim.gather()  # recovery may have replaced the simulation
-            return harvest(run.sim, spec, n_seeded=seeded)
+        return _execute_supervised(spec, ov, build, dict(supervise), on_chunk)
+    sim = spec.build_simulation(ov, **build)
+    seeded = [block.n for block in sim.particles.blocks()]
     with sim:
         if not windowed:
             for n_steps, sample in _phases(spec, ov):
                 sim.run(n_steps, sample=sample)
-            sim.gather()
             return harvest(sim, spec, n_seeded=seeded)
         fields: List[List[np.ndarray]] = [[] for _ in seeded]
         for _ in range(int(spec.unsteady["windows"])):
@@ -252,6 +256,36 @@ def execute(
             for per_block, rho in zip(fields, _block_fields(sim)):
                 per_block.append(rho)
         return harvest(sim, spec, fields=fields, n_seeded=seeded)
+
+
+def _execute_supervised(spec, ov, build, supervise, on_chunk):
+    """:func:`execute` under :class:`SupervisedRun`, fresh or resumed."""
+    from repro.resilience import SupervisedRun
+
+    seeded = None
+    if spec is None:
+        run = SupervisedRun.resume(supervise.pop("run_dir"), **supervise)
+        run.attach_telemetry(build["telemetry"])
+    else:
+        sim = spec.build_simulation(ov, **build)
+        seeded = [block.n for block in sim.particles.blocks()]
+        try:
+            run = SupervisedRun(sim, **supervise)
+        except BaseException:
+            sim.close()
+            raise
+        run.record_schedule(_phases(spec, ov))
+    with run:
+        end, chunk = run.schedule_end, run.checkpoint_every
+        while True:
+            if on_chunk is not None:
+                on_chunk(run)
+            step = run.sim.step_count
+            if step >= end:
+                break
+            run.run_schedule(max_steps=chunk - step % chunk if chunk else None)
+        # Recovery may have replaced the simulation: harvest run.sim.
+        return harvest(run.sim, spec, n_seeded=seeded)
 
 
 def _phases(spec: ScenarioSpec, overrides: Mapping) -> list:
@@ -278,10 +312,12 @@ def harvest(
     """One :class:`ScenarioRun` per block of a finished run.
 
     Reads ``sim.sampler.blocks()`` and ``sim.surfaces`` -- the same for
-    one block or R, fresh or resumed.  ``fields`` (per block, per
-    window) replaces the one end-of-run field of each block when the
-    caller sampled in windows.
+    one block or R, fresh or resumed -- after the run's
+    :func:`~repro.verify.state_digest`, which gathers a sharded run.
+    ``fields`` (per block, per window) replaces the one end-of-run field
+    of each block when the caller sampled in windows.
     """
+    digest = state_digest(sim)
     samplers = sim.sampler.blocks()
     if fields is None:
         fields = [[rho] for rho in _block_fields(sim, samplers)]
@@ -301,6 +337,7 @@ def harvest(
             sampler=samplers[b],
             ramp_pressure_ratio=ramps[b],
             n_seeded=None if n_seeded is None else n_seeded[b],
+            state_digest=digest,
         )
         for b in range(len(samplers))
     ]

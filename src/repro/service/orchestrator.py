@@ -71,6 +71,9 @@ from repro.telemetry.stream import JobEventTail
 
 PathLike = Union[str, pathlib.Path]
 
+#: Seconds a graceful shutdown waits for workers to drain before SIGKILL.
+DRAIN_TIMEOUT_S = 60.0
+
 #: Per-job labeled gauge families maintained by the fleet scraper.
 FLEET_GAUGES = (
     "repro_job_step",
@@ -128,7 +131,8 @@ class OrchestratorConfig:
     workers: int = 2
     #: Jobs allowed to wait in QUEUED before submissions get 429.
     queue_limit: int = 16
-    #: Steps per worker chunk (heartbeat + drain-check cadence).
+    #: Steps per worker chunk (heartbeat, checkpoint and drain-check
+    #: cadence).
     heartbeat_every: int = 10
     #: Seconds of heartbeat silence before the watchdog kills a worker.
     heartbeat_timeout: float = 30.0
@@ -141,13 +145,9 @@ class OrchestratorConfig:
     backoff_base: float = 0.2
     #: Scheduler tick, seconds.
     poll_interval: float = 0.05
-    #: Worker checkpoint cadence in steps (None = heartbeat_every).
-    checkpoint_every: Optional[int] = None
     #: Worker invariant-audit cadence (0 = off; jobs are short-lived
     #: and re-validated by their scenario contracts).
     audit_every: int = 0
-    #: Seconds to wait for workers to drain on graceful shutdown.
-    drain_timeout: float = 60.0
     #: Seconds between ``metrics.prom`` snapshot rewrites.
     prom_every: float = 2.0
     #: Seconds between fleet scrapes (per-job gauges from worker
@@ -624,11 +624,6 @@ class Orchestrator:
             "schedule": list(job.schedule),
             "attempt": attempt,
             "heartbeat_every": cfg.heartbeat_every,
-            "checkpoint_every": (
-                cfg.heartbeat_every
-                if cfg.checkpoint_every is None
-                else cfg.checkpoint_every
-            ),
             "audit_every": cfg.audit_every,
         }
         faults_path = pathlib.Path(job.job_dir) / "faults.json"
@@ -1010,7 +1005,7 @@ class Orchestrator:
                         proc.terminate()
                     else:
                         proc.kill()
-            deadline = time.time() + self.config.drain_timeout
+            deadline = time.time() + DRAIN_TIMEOUT_S
             for job_id, proc in list(self._procs.items()):
                 proc.join(timeout=max(0.0, deadline - time.time()))
                 if proc.is_alive():

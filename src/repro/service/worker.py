@@ -1,4 +1,4 @@
-"""The job worker: one process, one :class:`SupervisedRun`.
+"""The job worker: one process, one :func:`~repro.scenarios.golden.execute`.
 
 The orchestrator forks one worker process per running job.  The worker
 owns the job directory (``<data_dir>/<job_id>/``):
@@ -7,10 +7,10 @@ owns the job directory (``<data_dir>/<job_id>/``):
   the resilience ``journal.jsonl``), which is what makes every layer of
   recovery possible: step-level faults are absorbed by
   :class:`~repro.resilience.supervisor.SupervisedRun` itself, and a
-  *worker* death leaves checkpoints behind for the next attempt to
-  resume from;
+  *worker* death leaves checkpoints behind for the next attempt, which
+  finds the run's ``run.json`` and resumes it;
 * ``worker.jsonl`` -- the heartbeat journal.  The worker stamps
-  progress after every chunk of steps; the orchestrator's watchdog
+  progress between chunks of steps; the orchestrator's watchdog
   reads the file's mtime, so a worker that stops stamping (wedged,
   stalled, or fault-injected) is detected and killed without any
   cooperation from the worker.  Each heartbeat also carries the live
@@ -18,10 +18,10 @@ owns the job directory (``<data_dir>/<job_id>/``):
   scraper and the ``/jobs/<id>/stream`` routes serve to watchers;
 * ``events.jsonl`` / ``metrics.prom`` / ``trace.json`` -- the job's
   telemetry artifacts: every job runs with a
-  :class:`~repro.telemetry.hub.Telemetry` hub attached (unless the
-  payload disables it), so per-job metric series, physics observables
-  and Perfetto span traces exist for live streaming and for
-  :mod:`repro.telemetry.stitch` to merge into the fleet timeline;
+  :class:`~repro.telemetry.hub.Telemetry` hub attached, so per-job
+  metric series, physics observables and Perfetto span traces exist
+  for live streaming and for :mod:`repro.telemetry.stitch` to merge
+  into the fleet timeline;
 * ``result.json`` -- the terminal artifact, written atomically
   (tmp + rename) so a crash can never leave a half-result that parses.
 
@@ -34,6 +34,7 @@ decides job state -- it reports, the orchestrator transitions.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -48,7 +49,8 @@ from typing import Optional
 import numpy as np
 
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.resilience.supervisor import SupervisedRun
+from repro.resilience.supervisor import RunJournal
+from repro.scenarios.golden import execute
 from repro.scenarios.spec import ScenarioSpec
 from repro.telemetry.events import EventStream
 from repro.telemetry.hub import Telemetry
@@ -73,27 +75,30 @@ def _atomic_write_json(path: pathlib.Path, payload: dict) -> None:
     tmp.replace(path)
 
 
-def result_summary(run: SupervisedRun, attempt: int) -> dict:
-    """The job's terminal artifact: headline numbers + a state digest.
+def result_summary(runs, last: dict, run_dir, attempt: int) -> dict:
+    """The job's terminal artifact: headline numbers + the state digest.
 
+    ``runs`` is :func:`~repro.scenarios.golden.execute`'s harvest and
+    ``last`` the final heartbeat (``step``, ``n_flow``).
+    ``state_digest`` is :func:`repro.verify.state_digest` of the
+    finished run, the digest every execution mode is held to;
     ``density_sha256`` hashes the raw bytes of the time-averaged
-    density field, so "a resumed job is bitwise identical to an
-    unfailed run" is checkable by comparing two result files.
+    density field.
     """
-    sim = run.sim
-    sim.gather()
-    rho = np.ascontiguousarray(sim.density_ratio_field())
+    rho = np.ascontiguousarray(runs[0].fields[-1])
+    config = runs[0].config
     recoveries = sum(
-        1 for e in run.journal.events if e.get("kind") == "recovery"
+        1 for e in RunJournal.load(run_dir) if e.get("kind") == "recovery"
     )
     return {
-        "steps": int(sim.step_count),
-        "n_flow": int(sim.particles.n),
-        "seed": sim.config.seed if isinstance(sim.config.seed, int) else None,
-        "scenario": sim.config.scenario,
+        "steps": int(last["step"]),
+        "n_flow": int(last["n_flow"]),
+        "seed": config.seed if isinstance(config.seed, int) else None,
+        "scenario": config.scenario,
         "density_mean": float(rho.mean()),
         "density_max": float(rho.max()),
         "density_sha256": hashlib.sha256(rho.tobytes()).hexdigest(),
+        "state_digest": runs[0].state_digest,
         "recoveries": recoveries,
         "attempt": int(attempt),
     }
@@ -135,42 +140,25 @@ class _HeartbeatStats:
     sum/count -- the per-chunk series ``repro watch`` sparklines.
     """
 
-    def __init__(self, run: SupervisedRun) -> None:
-        self._run = run
+    def __init__(self, telemetry: Telemetry) -> None:
+        self._hist = telemetry.registry.histogram(
+            "repro_step_us_per_particle"
+        )
         self._sum = 0.0
         self._count = 0
 
-    def sample(self) -> dict:
-        run = self._run
-        out = {"n_flow": int(run.sim.particles.n)}
-        tel = getattr(run, "telemetry", None)
-        if tel is not None:
-            hist = tel.registry.histogram("repro_step_us_per_particle")
-            d_sum = hist.sum - self._sum
-            d_count = hist.count - self._count
-            self._sum, self._count = hist.sum, hist.count
-            if d_count > 0:
-                out["us_per_particle"] = d_sum / d_count
+    def sample(self, run) -> dict:
+        out = {"step": run.sim.step_count, "n_flow": int(run.sim.particles.n)}
+        d_sum = self._hist.sum - self._sum
+        d_count = self._hist.count - self._count
+        self._sum, self._count = self._hist.sum, self._hist.count
+        if d_count > 0:
+            out["us_per_particle"] = d_sum / d_count
         return out
 
 
-def _close_telemetry(run: SupervisedRun) -> None:
-    """Flush the job's telemetry artifacts (trace.json, final .prom)."""
-    tel = getattr(run, "telemetry", None)
-    if tel is not None:
-        try:
-            tel.close()
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
-
-
-def _phases(schedule) -> list:
-    transient, average = int(schedule[0]), int(schedule[1])
-    return [
-        {"steps": n, "sample": s}
-        for n, s in ((transient, False), (average, True))
-        if n
-    ]
+class _Drained(Exception):
+    """SIGTERM asked the worker to stop at its chunk's checkpoint."""
 
 
 def execute_job(job_dir, payload: dict) -> int:
@@ -178,11 +166,13 @@ def execute_job(job_dir, payload: dict) -> int:
 
     ``payload`` carries the full spec dict, the effective seed and
     overrides, the resolved ``(transient, average)`` schedule, the
-    supervision knobs and an optional fault list.  A job directory
-    with an existing supervised run is *resumed* from its newest
-    checkpoint -- retry attempts and orchestrator restarts both land
-    here, and the serial engine's deterministic streams make the
-    continuation bitwise identical to an unfailed run.
+    supervision knobs and an optional fault list.  The job is one
+    supervised :func:`~repro.scenarios.golden.execute`, stepped in
+    chunks of ``heartbeat_every`` (the checkpoint cadence too).  A job
+    directory whose run already has a ``run.json`` is *resumed* from
+    its newest checkpoint -- retry attempts and orchestrator restarts
+    both land here, and the serial engine's deterministic streams make
+    the continuation bitwise identical to an unfailed run.
     """
     job_dir = pathlib.Path(job_dir)
     job_dir.mkdir(parents=True, exist_ok=True)
@@ -210,121 +200,80 @@ def execute_job(job_dir, payload: dict) -> int:
             plan = FaultPlan(specs)
 
     chunk = max(1, int(payload.get("heartbeat_every", 10)))
-    try:
-        run, first_phases, total_end = _build_run(job_dir, payload, chunk)
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        _fail(job_dir, log, attempt, exc)
-        return EXIT_FAILED
-
-    log.emit(
-        "started",
-        attempt=attempt,
-        pid=os.getpid(),
-        step=run.sim.step_count,
-        total=total_end,
-    )
-    beat = _HeartbeatStats(run)
-    try:
-        first = first_phases is not None
-        while True:
-            step = run.sim.step_count
-            log.emit(
-                "heartbeat",
-                step=step,
-                attempt=attempt,
-                total=total_end,
-                **beat.sample(),
-            )
-            if plan is not None:
-                kill = plan.take("worker_kill", step)
-                if kill is not None:
-                    # A hard death: no cleanup, no checkpoint beyond
-                    # what the cadence already wrote.
-                    _mark_fired(job_dir, kill)
-                    os._exit(EXIT_KILLED)
-                stall = plan.take("worker_stall", step)
-                if stall is not None:
-                    # Stop heartbeating long enough for the watchdog;
-                    # the parent SIGKILLs us mid-sleep.
-                    _mark_fired(job_dir, stall)
-                    time.sleep(stall.seconds)
-            if drain["requested"]:
-                log.emit("drained", step=step, attempt=attempt)
-                _close_telemetry(run)
-                run.close()
-                return EXIT_DRAINED
-            if step >= total_end:
-                break
-            run.run_schedule(
-                first_phases if first else None, max_steps=chunk
-            )
-            first = False
-        result = result_summary(run, attempt)
-        _atomic_write_json(job_dir / "result.json", result)
-        log.emit("done", step=run.sim.step_count, attempt=attempt)
-        _close_telemetry(run)
-        run.close()
-        return EXIT_DONE
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        _fail(job_dir, log, attempt, exc)
-        _close_telemetry(run)
-        try:
-            run.close()
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
-        return EXIT_FAILED
-
-
-def _build_run(job_dir: pathlib.Path, payload: dict, chunk: int):
-    """(Re)build the supervised run; returns (run, first_phases, end).
-
-    ``first_phases`` is None when the run directory already stores its
-    schedule (pure resume); otherwise the phases to record on the
-    first ``run_schedule`` call.
-    """
     run_dir = job_dir / "run"
-    schedule = payload["schedule"]
+    last: dict = {}
+    tel = None
 
-    def _telemetry() -> Telemetry:
+    def between_chunks(run) -> None:
+        if not last:
+            log.emit(
+                "started",
+                attempt=attempt,
+                pid=os.getpid(),
+                step=run.sim.step_count,
+                total=run.schedule_end,
+            )
+        last.clear()
+        last.update(beat.sample(run))
+        log.emit("heartbeat", attempt=attempt, total=run.schedule_end, **last)
+        step = last["step"]
+        if plan is not None:
+            kill = plan.take("worker_kill", step)
+            if kill is not None:
+                # A hard death: no cleanup, no checkpoint beyond
+                # what the cadence already wrote.
+                _mark_fired(job_dir, kill)
+                os._exit(EXIT_KILLED)
+            stall = plan.take("worker_stall", step)
+            if stall is not None:
+                # Stop heartbeating long enough for the watchdog;
+                # the parent SIGKILLs us mid-sleep.
+                _mark_fired(job_dir, stall)
+                time.sleep(stall.seconds)
+        if drain["requested"]:
+            raise _Drained
+
+    try:
         # Every job gets its own telemetry hub writing into the job
         # dir: events.jsonl / metrics.prom / trace.json are what the
         # streaming routes, the fleet scraper and the trace stitcher
         # read.
-        return Telemetry(run_dir=job_dir, sample_every=chunk)
-
-    if (run_dir / "run.json").exists():
-        run = SupervisedRun.resume(run_dir)
-        run.attach_telemetry(_telemetry())
-        stored = run._meta.get("phases")
-        if stored:
-            start = int(run._meta["schedule_start"])
-            total = start + sum(int(p["steps"]) for p in stored)
-            return run, None, total
-        # Died between the baseline checkpoint and the first scheduled
-        # step: the schedule never reached run.json, so record it now.
-        phases = _phases(schedule)
-        total = run.sim.step_count + sum(p["steps"] for p in phases)
-        return run, phases, total
-
-    spec = ScenarioSpec.from_dict(payload["spec"])
-    overrides = {
-        k: v
-        for k, v in dict(payload.get("overrides", {})).items()
-        if k not in ("transient", "average")
-    }
-    overrides["seed"] = int(payload["seed"])
-    sim = spec.build_simulation(overrides, telemetry=_telemetry())
-    run = SupervisedRun(
-        sim,
-        run_dir,
-        checkpoint_every=int(payload.get("checkpoint_every", chunk)),
-        audit_every=int(payload.get("audit_every", 0)),
-        max_retries=int(payload.get("step_max_retries", 3)),
-        backoff_base=float(payload.get("step_backoff_base", 0.0)),
-    )
-    phases = _phases(schedule)
-    total = sim.step_count + sum(p["steps"] for p in phases)
-    return run, phases, total
+        tel = Telemetry(run_dir=job_dir, sample_every=chunk)
+        beat = _HeartbeatStats(tel)
+        transient, average = payload["schedule"]
+        overrides = dict(
+            payload.get("overrides", {}),
+            seed=int(payload["seed"]),
+            transient=int(transient),
+            average=int(average),
+        )
+        resume = (run_dir / "run.json").exists()
+        runs = execute(
+            None if resume else ScenarioSpec.from_dict(payload["spec"]),
+            overrides,
+            telemetry=tel,
+            supervise={
+                "run_dir": run_dir,
+                "checkpoint_every": chunk,
+                "audit_every": int(payload.get("audit_every", 0)),
+                "backoff_base": 0.0,
+            },
+            on_chunk=between_chunks,
+        )
+        result = result_summary(runs, last, run_dir, attempt)
+        _atomic_write_json(job_dir / "result.json", result)
+        log.emit("done", step=last["step"], attempt=attempt)
+        return EXIT_DONE
+    except _Drained:
+        log.emit("drained", step=last["step"], attempt=attempt)
+        return EXIT_DRAINED
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        _fail(job_dir, log, attempt, exc)
+        return EXIT_FAILED
+    finally:
+        if tel is not None:
+            with contextlib.suppress(Exception):  # teardown best-effort
+                tel.close()
 
 
 def _fail(job_dir: pathlib.Path, log: WorkerLog, attempt: int, exc) -> None:

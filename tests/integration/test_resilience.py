@@ -23,6 +23,7 @@ from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import RESORT_PERIOD
 from repro.errors import (
     CheckpointCorruptionError,
+    ConfigurationError,
     ExchangeOverflowError,
     InvariantViolationError,
     RecoveryExhaustedError,
@@ -405,6 +406,26 @@ class TestSupervisedRecovery:
         )
         resumed.close()
         ref.close()
+
+    def test_fresh_run_refuses_a_directory_holding_a_run(self, tmp_path):
+        """The old run's newest checkpoints would outlive a fresh run's
+        baseline in the prune, and its first recovery would restore
+        them: a silent wrong answer, refused with a typed error."""
+        run_dir = tmp_path / "run"
+        with SupervisedRun(
+            Simulation(_small_config(seed=1)), run_dir,
+            checkpoint_every=10, audit_every=0,
+        ) as run:
+            run.run_schedule([(40, False)])
+        kept = sorted(p.name for p in run_dir.glob("ckpt_*.npz"))
+        assert kept[-1] == "ckpt_00000040.npz"
+        with Simulation(_small_config(seed=2)) as sim:
+            with pytest.raises(ConfigurationError, match="--resume.*--run-dir"):
+                SupervisedRun(sim, run_dir)
+            (run_dir / "run.json").unlink()  # checkpoints alone are a run
+            with pytest.raises(ConfigurationError, match="--resume"):
+                SupervisedRun(sim, run_dir)
+        assert sorted(p.name for p in run_dir.glob("ckpt_*.npz")) == kept
 
 
 @pytest.mark.sharded

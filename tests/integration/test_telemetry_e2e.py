@@ -287,6 +287,30 @@ class TestSupervisedTelemetry:
         assert snap["repro_audit_failures_total"]["value"] == 0
 
 
+@pytest.mark.resilience
+class TestResumedTelemetry:
+    def test_resume_mirrors_the_torn_checkpoint_it_skipped(self, tmp_path):
+        """The stream of a resumed run carries what its journal does,
+        the torn checkpoint the resume fell back past included."""
+        from repro.resilience import SupervisedRun
+
+        run_dir = tmp_path / "run"
+        with SupervisedRun(
+            Simulation(_small_config(seed=3)), run_dir,
+            checkpoint_every=10, audit_every=0,
+        ) as run:
+            run.run_schedule([(20, False)])
+        (run_dir / "ckpt_00000020.npz").write_bytes(b"torn")
+        tel = Telemetry(run_dir=tmp_path / "telemetry")
+        with SupervisedRun.resume(run_dir) as run:
+            run.attach_telemetry(tel)
+            assert run.sim.step_count == 10
+        tel.close()
+        kinds = [e["kind"] for e in EventStream.load(tmp_path / "telemetry")]
+        assert kinds.count("checkpoint_corrupt") == 1
+        assert kinds.count("resumed") == 1
+
+
 class TestCostLedgerExport:
     def test_cm_cost_lands_in_stream(self, tmp_path):
         from repro.cm.machine import CM2

@@ -7,8 +7,8 @@ contract plus bitwise-identical resumption:
 
 * every submitted job reaches exactly ONE terminal state (counted in
   the journal, not just the in-memory table);
-* a job that was killed and resumed produces a ``density_sha256``
-  identical to an unfailed run at the same worker count;
+* a job that was killed and resumed ends in the ``state_digest`` of
+  an unfailed in-process supervised ``execute`` of the same job;
 * duplicate submission of a completed (digest, seed) returns the
   cached result without stepping the engine.
 """
@@ -20,6 +20,8 @@ import time
 import pytest
 
 from repro.core.sortstep import RESORT_PERIOD
+from repro.scenarios import get
+from repro.scenarios.golden import execute
 from repro.service import Orchestrator, ServiceJournal
 from repro.service import store as st
 from repro.service.store import load_journal_tolerant
@@ -67,16 +69,19 @@ def assert_exactly_once_terminal(orch) -> None:
         assert job.terminal, (job.job_id, job.state)
 
 
-def clean_sha(tmp_path, seed, scenario="wedge", overrides=TINY) -> str:
-    """The density digest of an unfailed run of the TINY job."""
-    orch = Orchestrator(tmp_path / "clean", fast_config(workers=1))
-    out = orch.submit(
-        scenario=scenario, seed=seed, overrides=dict(overrides)
+def clean_digest(tmp_path, seed, scenario="wedge", overrides=TINY) -> str:
+    """The state digest of an unfailed run of the same job: one
+    supervised ``execute`` in this process, at its own cadences."""
+    (run,) = execute(
+        get(scenario),
+        dict(overrides, seed=seed),
+        supervise={
+            "run_dir": tmp_path / "clean",
+            "checkpoint_every": 50,
+            "audit_every": 50,
+        },
     )
-    wait_terminal(orch, out["job_id"])
-    sha = orch.result(out["job_id"])["density_sha256"]
-    orch.shutdown()
-    return sha
+    return run.state_digest
 
 
 class TestWorkerDeath:
@@ -96,7 +101,7 @@ class TestWorkerDeath:
         assert_exactly_once_terminal(orch)
         orch.shutdown()
         assert result["steps"] == LONG_TINY["average"]
-        assert result["density_sha256"] == clean_sha(
+        assert result["state_digest"] == clean_digest(
             tmp_path, 31, overrides=LONG_TINY
         )
 
@@ -114,7 +119,7 @@ class TestWorkerDeath:
         result = orch.result(out["job_id"])
         assert_exactly_once_terminal(orch)
         orch.shutdown()
-        assert result["density_sha256"] == clean_sha(
+        assert result["state_digest"] == clean_digest(
             tmp_path, 33, "wedge3d", LONG_SLAB
         )
 
@@ -162,7 +167,7 @@ class TestWatchdog:
         assert_exactly_once_terminal(orch)
         result = orch.result(out["job_id"])
         orch.shutdown()
-        assert result["density_sha256"] == clean_sha(tmp_path, 33)
+        assert result["state_digest"] == clean_digest(tmp_path, 33)
 
     def test_deadline_expiry_times_out_without_retry(self, tmp_path):
         orch = Orchestrator(tmp_path, fast_config(workers=1))
@@ -218,7 +223,7 @@ class TestOrchestratorCrash:
         assert again["cached"] is True
         assert again["job_id"] == out["job_id"]
         orch2.shutdown()
-        assert result["density_sha256"] == clean_sha(
+        assert result["state_digest"] == clean_digest(
             tmp_path, 35, overrides=LONG_TINY
         )
 

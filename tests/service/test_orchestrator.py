@@ -110,7 +110,7 @@ class TestLifecycle:
         assert status["attempt"] == 1
         result = orchestrator.result(out["job_id"])
         assert result["steps"] == tiny_overrides["average"]
-        assert len(result["density_sha256"]) == 64
+        assert len(result["state_digest"]) == 64
 
         # Duplicate submission: same (digest, seed, overrides,
         # schedule) returns the original job without stepping the
@@ -154,7 +154,7 @@ class TestLifecycle:
         assert wait_terminal(orchestrator, b["job_id"])["state"] == st.DONE
         ra = orchestrator.result(a["job_id"])
         rb = orchestrator.result(b["job_id"])
-        assert ra["density_sha256"] != rb["density_sha256"]
+        assert ra["state_digest"] != rb["state_digest"]
 
     def test_result_before_done_raises(self, tmp_path, tiny_overrides):
         orch = Orchestrator(tmp_path, fast_config(), start=False)

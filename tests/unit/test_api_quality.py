@@ -518,8 +518,8 @@ class TestEveryOptionHasACaller:
         ) == (
             "workers", "queue_limit", "heartbeat_every",
             "heartbeat_timeout", "default_deadline", "max_job_retries",
-            "backoff_base", "poll_interval", "checkpoint_every",
-            "audit_every", "drain_timeout", "prom_every", "fleet_every",
+            "backoff_base", "poll_interval", "audit_every", "prom_every",
+            "fleet_every",
         )
 
     def test_the_audit_config_is_gone(self):

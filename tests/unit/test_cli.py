@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,37 @@ class TestEnsembleRun:
             ln for ln in text.splitlines() if "CI, n=2" in ln
         ]
         assert strip(resumed) == strip(first)
+
+
+@pytest.mark.service
+class TestServedJobIsTheCliRun:
+    def test_supervised_run_prints_the_served_jobs_state_digest(
+        self, capsys, tmp_path
+    ):
+        """A served job is a supervised ``execute``: the CLI run of the
+        same spec, overrides and seed ends in the same state."""
+        from repro.service import Orchestrator
+        from repro.service.store import DONE
+        from tests.service.conftest import TINY, fast_config, wait_terminal
+
+        flags = [
+            "--nx", "32", "--ny", "16", "--density", "6",
+            "--transient", "0", "--average", "24", "--seed", "31",
+        ]
+        assert main([
+            "run", "wedge", *flags, "--supervised",
+            "--run-dir", str(tmp_path / "cli"),
+        ]) == 0
+        (printed,) = re.findall(
+            r"^state digest +: ([0-9a-f]{64})$",
+            capsys.readouterr().out,
+            re.M,
+        )
+        orch = Orchestrator(tmp_path / "svc", fast_config(workers=1))
+        try:
+            job = orch.submit(scenario="wedge", seed=31, overrides=dict(TINY))
+            assert wait_terminal(orch, job["job_id"])["state"] == DONE
+            served = orch.result(job["job_id"])["state_digest"]
+        finally:
+            orch.shutdown()
+        assert served == printed

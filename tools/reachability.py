@@ -84,6 +84,9 @@ KEEP: Dict[str, Tuple[str, str]] = {
         SAFETY, "the clamp's positional rescue onto the step"),
     "core/sampling.py:_erfinv": (
         SAFETY, "the confidence interval's quantile where SciPy is absent"),
+    "physics/theory.py:minimum_attachment_mach": (
+        SAFETY, "words the warning for a configuration whose shock "
+        "detaches"),
     "errors.py:ResilienceError.__init__": (SAFETY, "typed error"),
     "parallel/backend.py:ShardWorker._crossed_two_slabs": (
         SAFETY, "typed error for a migrant past a neighbour's slab"),
@@ -141,8 +144,6 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "physics/theory.py:expansion_density_ratio": (
         ORACLE, "Prandtl-Meyer theory the expansion-fan test holds the "
         "live flow to"),
-    "verify.py:state_digest": (
-        ORACLE, "the golden-digest rows every execution mode is held to"),
     "physics/distributions.py:component_variance": (
         ORACLE, "measures the live samplers' spread"),
     "physics/distributions.py:temperature_from_velocities": (
@@ -648,7 +649,6 @@ def _job_worker():
         "schedule": [0, 20],
         "attempt": 1,
         "heartbeat_every": 10,
-        "checkpoint_every": 10,
         "audit_every": 10,
     }
     handler = signal.getsignal(signal.SIGTERM)
