@@ -9,16 +9,11 @@ choice and the determinism contract.
 """
 
 from repro.core.sampling import EnsembleStatistic, ensemble_statistic
-from repro.ensemble.engine import (
-    EnsembleEngine,
-    replica_state,
-    verify_replica_equality,
-)
+from repro.ensemble.engine import EnsembleEngine, verify_replica_equality
 
 __all__ = [
     "EnsembleEngine",
     "EnsembleStatistic",
     "ensemble_statistic",
-    "replica_state",
     "verify_replica_equality",
 ]

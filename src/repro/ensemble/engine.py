@@ -46,13 +46,15 @@ collision signs and transpositions in the shared kernel; the reservoir
 mix's shuffle, signs and transpositions -- all per block) from its own
 stream, and all batched arithmetic is elementwise or block-local, so
 replica ``r`` of a batched run is **bitwise identical** to a solo
-engine run (``R = 1``) keyed for ``r`` -- asserted by
+engine run (``R = 1``) keyed for ``r``: block ``r``'s
+:func:`~repro.verify.state_digest` is the solo run's, asserted by
 :func:`verify_replica_equality` and pinned in CI.
 
 Engine restrictions (enforced at construction): the serial backend
 only (replica blocks and shards do not compose yet), the
-``"incremental"`` sort kernel (the counting kernel's shuffle draws from
-one stream over the whole population), and distinct non-negative
+``"incremental"`` sort kernel (the counting kernel pairs rows
+``(2j, 2j + 1)`` of the whole population, so a block with an odd row
+count would shift every later block's pairs), and distinct non-negative
 replica ids keyed from a stateless seed.  Every wall model and every
 ``internal_exchange_probability`` runs batched: the boundary pass
 re-emits each block's wall crossers from that block's stream, and the
@@ -74,12 +76,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.particles import COLUMN_NAMES
-from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import SerialBackend, Simulation, SimulationConfig
-from repro.core.surface import SURFACE_FIELDS
 from repro.errors import ConfigurationError, ValidationError
 from repro.rng import shard_stream
+from repro.verify import state_digest
 
 
 class EnsembleEngine(Simulation):
@@ -171,42 +171,13 @@ def _check(config: SimulationConfig, replica_ids: tuple, backend) -> None:
         raise ConfigurationError(
             "the ensemble engine runs the 'incremental' sort kernel "
             f"only (got {config.sort_kernel!r}): the counting "
-            "kernel's shuffle has no per-replica stream"
+            "kernel pairs rows (2j, 2j + 1) of the whole population, so "
+            "a block with an odd row count would shift every later "
+            "block's pairs"
         )
 
 
 # -- the bitwise replica-equality checker -----------------------------------
-
-
-def replica_state(engine: EnsembleEngine, r: int) -> dict:
-    """Snapshot every replica-owned array of replica index ``r``.
-
-    Covers block ``r`` of the flow and of the reservoir (all columns),
-    the sampler accumulators, the surface-load accumulators, and the
-    shared plunger position -- everything the determinism contract
-    promises is bitwise solo.
-    """
-    state = {}
-    for prefix, pop in (
-        ("flow", engine.particles), ("res", engine.reservoir.particles)
-    ):
-        block = pop.blocks()[r]
-        for name in COLUMN_NAMES:
-            state[f"{prefix}_{name}"] = getattr(block, name).copy()
-    sampler = engine.sampler.block(r)
-    for name in SAMPLER_FIELDS:
-        state[f"sampler{name}"] = getattr(sampler, name)
-    state["sampler_steps"] = np.array([sampler.steps])
-    if engine.surfaces:
-        surf = engine.surfaces[r]
-        for name in SURFACE_FIELDS:
-            state[f"surface{name}"] = getattr(surf, name).copy()
-        state["surface_steps"] = np.array([surf.steps])
-    state["plunger_position"] = np.array(
-        [engine.boundaries.plunger.position]
-    )
-    state["step_count"] = np.array([engine.step_count])
-    return state
 
 
 def verify_replica_equality(
@@ -220,10 +191,10 @@ def verify_replica_equality(
     The fast-vs-audit cross-check of the determinism contract: run the
     batched engine for ``transient`` unsampled plus ``average`` sampled
     steps, then re-run each replica as a solo (R = 1) engine keyed for
-    the same replica id, and require every state array --
-    flow columns, reservoir, sampler and surface accumulators -- to be
-    ``np.array_equal``.  Raises :class:`repro.errors.ValidationError`
-    naming the first differing arrays.
+    the same replica id, and require block ``r``'s
+    :func:`~repro.verify.state_digest` to be the solo run's.  Raises
+    :class:`repro.errors.ValidationError` naming every replica that
+    differs.
     """
 
     def stepped(engine: EnsembleEngine) -> EnsembleEngine:
@@ -234,16 +205,14 @@ def verify_replica_equality(
         return engine
 
     batched = stepped(EnsembleEngine(config, n_replicas=n_replicas))
-    failures = []
-    for r, rid in enumerate(batched.replica_ids):
-        solo = stepped(EnsembleEngine(config, replica_ids=[rid]))
-        got = replica_state(batched, r)
-        want = replica_state(solo, 0)
-        for key in sorted(want):
-            if not np.array_equal(got[key], want[key]):
-                failures.append(f"replica {rid}: {key} differs")
-    if failures:
+    differ = [
+        rid
+        for r, rid in enumerate(batched.replica_ids)
+        if state_digest(batched, block=r)
+        != state_digest(stepped(EnsembleEngine(config, replica_ids=[rid])))
+    ]
+    if differ:
         raise ValidationError(
-            "batched-vs-solo bitwise equality failed:\n  "
-            + "\n  ".join(failures)
+            "batched-vs-solo bitwise equality failed: the state digest "
+            f"of replica(s) {differ} differs from the solo run's"
         )

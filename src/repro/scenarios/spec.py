@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -96,21 +97,49 @@ def _require_mapping(value: Any, where: str) -> Dict[str, Any]:
     return dict(value)
 
 
-def _require_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+#: The plain tables of a spec: ``({required key: type}, {optional key:
+#: type})``, a type being ``int``, ``float`` (any finite number) or ``str``.
+_TABLES = {
+    "grid": ({"nx": int, "ny": int}, {"nz": int}),
+    "freestream": (
+        dict.fromkeys(("mach", "c_mp", "lambda_mfp", "density"), float),
+        {"gamma": float},
+    ),
+    "schedule": ({"transient": int, "average": int}, {}),
+    "boundaries": (
+        {},
+        {"plunger_trigger": float, "wall_model": str, "accommodation": float},
+    ),
+    "unsteady": ({"windows": int, "window_steps": int}, {}),
+}
+
+
+def _require(value: Any, kind: type, where: str) -> Any:
+    """``value`` if it is a ``kind`` (``float``: any finite number)."""
+    if kind is float:
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+    else:
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok:
         raise ConfigurationError(
-            f"scenario spec field {where!r} must be an integer, "
-            f"got {value!r}"
+            f"scenario spec field {where!r} must be "
+            f"{'a finite number' if kind is float else f'a {kind.__name__}'}"
+            f", got {value!r}"
         )
     return value
 
 
-def _require_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"scenario spec field {where!r} must be a number, got {value!r}"
-        )
-    return float(value)
+def _require_toml_value(value: Any, where: str) -> None:
+    """A leaf TOML carries back unchanged: a string, an integer, a
+    finite number, a boolean, or a list of them."""
+    if isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _require_toml_value(v, f"{where}[{i}]")
+    elif not isinstance(value, (str, bool, int)):
+        _require(value, float, where)
 
 
 @dataclass(frozen=True)
@@ -135,6 +164,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ConfigurationError("scenario name must be a non-empty string")
+        for key in ("title", "description"):
+            _require(getattr(self, key), str, key)
+        for tag in self.tags:
+            _require(tag, str, "tags[]")
         geom = _require_mapping(self.geometry, "geometry")
         kind = geom.get("kind")
         if kind not in _GEOMETRY_KINDS:
@@ -148,60 +181,25 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: geometry.placement is only "
                     "supported as 'paper' on kind 'wedge'"
                 )
-        grid = _require_mapping(self.grid, "grid")
-        for k in ("nx", "ny"):
-            if k not in grid:
-                raise ConfigurationError(
-                    f"scenario {self.name!r}: grid.{k} is required"
-                )
-            _require_int(grid[k], f"grid.{k}")
-        extra = set(grid) - {"nx", "ny", "nz"}
-        if extra:
+        for k, v in geom.items():
+            if k not in ("kind", "placement"):
+                _require(v, float, f"geometry.{k}")
+        for section in _TABLES:
+            if section != "unsteady" or self.unsteady is not None:
+                self._check_table(section)
+        if min(self.schedule.values()) < 0:
             raise ConfigurationError(
-                f"scenario {self.name!r}: unknown grid keys {sorted(extra)}"
+                f"scenario {self.name!r}: schedule steps must be >= 0"
             )
-        fs = _require_mapping(self.freestream, "freestream")
-        for k in ("mach", "c_mp", "lambda_mfp", "density"):
-            if k not in fs:
-                raise ConfigurationError(
-                    f"scenario {self.name!r}: freestream.{k} is required"
-                )
-            _require_number(fs[k], f"freestream.{k}")
-        extra = set(fs) - {"mach", "c_mp", "lambda_mfp", "density", "gamma"}
-        if extra:
+        if self.unsteady is not None and min(self.unsteady.values()) <= 0:
             raise ConfigurationError(
-                f"scenario {self.name!r}: unknown freestream keys "
-                f"{sorted(extra)}"
+                f"scenario {self.name!r}: unsteady windows and "
+                "window_steps must be positive"
             )
-        sched = _require_mapping(self.schedule, "schedule")
-        for k in ("transient", "average"):
-            if k not in sched:
-                raise ConfigurationError(
-                    f"scenario {self.name!r}: schedule.{k} is required"
-                )
-            _require_int(sched[k], f"schedule.{k}")
-        bnd = _require_mapping(self.boundaries, "boundaries")
-        extra = set(bnd) - {"plunger_trigger", "wall_model", "accommodation"}
-        if extra:
+        if _require(self.seed, int, "seed") < 0:
             raise ConfigurationError(
-                f"scenario {self.name!r}: unknown boundaries keys "
-                f"{sorted(extra)}"
+                f"scenario {self.name!r}: seed must be >= 0"
             )
-        if self.unsteady is not None:
-            uns = _require_mapping(self.unsteady, "unsteady")
-            for k in ("windows", "window_steps"):
-                if _require_int(uns.get(k, 0), f"unsteady.{k}") <= 0:
-                    raise ConfigurationError(
-                        f"scenario {self.name!r}: unsteady.{k} must be a "
-                        "positive integer"
-                    )
-            extra = set(uns) - {"windows", "window_steps"}
-            if extra:
-                raise ConfigurationError(
-                    f"scenario {self.name!r}: unknown unsteady keys "
-                    f"{sorted(extra)}"
-                )
-        _require_int(self.seed, "seed")
         val = _require_mapping(self.validation, "validation")
         extra = set(val) - {"checks", "golden", "overrides"}
         if extra:
@@ -224,11 +222,39 @@ class ScenarioSpec:
                         f"scenario {self.name!r}: every validation check "
                         f"needs a non-empty string {k!r}, got {c.get(k)!r}"
                     )
+            for k, v in c.items():
+                _require_toml_value(v, f"validation.checks[].{k}")
+        if "golden" in val:
+            _require(val["golden"], str, "validation.golden")
         if "overrides" in val:
-            _check_override_keys(val["overrides"], self.name)
+            overrides = _require_mapping(
+                val["overrides"], "validation.overrides"
+            )
+            _check_override_keys(overrides, self.name)
+            for k, v in overrides.items():
+                _require(v, float, f"validation.overrides.{k}")
         # Dry-construct the body so malformed geometry parameters fail
         # at spec definition, not first use.
         self.build_body()
+
+    def _check_table(self, section: str) -> None:
+        """``section`` holds its required keys, no unknown one, and a
+        value of its key's type under each (:data:`_TABLES`)."""
+        table = _require_mapping(getattr(self, section), section)
+        required, optional = _TABLES[section]
+        missing = sorted(set(required) - set(table))
+        if missing:
+            raise ConfigurationError(
+                f"scenario {self.name!r}: {section} needs keys {missing}"
+            )
+        kinds = {**required, **optional}
+        extra = sorted(set(table) - set(kinds))
+        if extra:
+            raise ConfigurationError(
+                f"scenario {self.name!r}: unknown {section} keys {extra}"
+            )
+        for k, v in table.items():
+            _require(v, kinds[k], f"{section}.{k}")
 
     @property
     def is_3d(self) -> bool:
@@ -237,7 +263,12 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Build and validate a spec from a plain nested dict."""
+        """Build and validate a spec from a plain nested dict.
+
+        The loader contract: a dict either raises
+        :class:`ConfigurationError` here or is a spec whose config
+        builds and whose TOML reads back to the same :meth:`digest`.
+        """
         d = _require_mapping(data, "<spec>")
         unknown = set(d) - set(_SECTIONS)
         if unknown:
@@ -250,7 +281,12 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"scenario spec is missing required keys {missing}"
             )
-        return cls(
+        tags = d.get("tags", ())
+        if not isinstance(tags, (list, tuple)):
+            raise ConfigurationError(
+                f"scenario spec field 'tags' must be a list, got {tags!r}"
+            )
+        spec = cls(
             name=d["name"],
             title=d["title"],
             description=d["description"],
@@ -268,8 +304,10 @@ class ScenarioSpec:
                 if d.get("unsteady") is not None
                 else None
             ),
-            tags=tuple(d.get("tags", ())),
+            tags=tuple(tags),
         )
+        spec.build_config()
+        return spec
 
     @classmethod
     def from_toml(cls, path: Union[str, pathlib.Path]) -> "ScenarioSpec":
@@ -384,12 +422,12 @@ class ScenarioSpec:
             # The legacy CLI's grid-derived placement, expression for
             # expression -- the bitwise-identity contract of the wedge
             # scenario.
-            extra = set(geom) - {"angle_deg"}
+            extra = set(geom) ^ {"angle_deg"}
             if extra:
                 raise ConfigurationError(
                     f"scenario {self.name!r}: paper placement derives "
-                    f"the wedge from the grid; unexpected keys "
-                    f"{sorted(extra)}"
+                    f"the wedge from the grid and its angle_deg; "
+                    f"unexpected or missing keys {sorted(extra)}"
                 )
             return Wedge(
                 x_leading=nx / 4.9,

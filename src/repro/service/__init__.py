@@ -31,7 +31,6 @@ from repro.service.store import (
     JobRecord,
     JobStore,
     ServiceJournal,
-    load_journal_tolerant,
     replay,
     summarize_journal,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "JobRecord",
     "JobStore",
     "ServiceJournal",
-    "load_journal_tolerant",
     "replay",
     "summarize_journal",
     "JOURNAL_VERSION",

@@ -29,7 +29,6 @@ reaches exactly one terminal state" from a hope into an invariant.
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -41,6 +40,7 @@ from repro.errors import (
     ServiceJournalError,
 )
 from repro.telemetry.events import EventStream
+from repro.telemetry.stream import read_jsonl
 
 PathLike = Union[str, pathlib.Path]
 
@@ -131,39 +131,6 @@ class JobRecord:
         return self.state in TERMINAL_STATES
 
 
-def load_journal_tolerant(path: PathLike) -> Tuple[List[dict], bool]:
-    """Parse a service journal, tolerating (only) a torn final line.
-
-    Returns ``(records, torn_tail)``.  A crash while appending can
-    leave a partial JSON object as the last line; that record is lost
-    and flagged.  An unparseable line anywhere *before* the tail means
-    the file was damaged some other way and raises
-    :class:`ServiceJournalError` -- silently dropping mid-history
-    records would corrupt the replayed job table.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [], False
-    lines = path.read_text(encoding="utf-8").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    records: List[dict] = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if i == len(lines) - 1:
-                return records, True
-            raise ServiceJournalError(
-                "service journal is corrupt before the final record",
-                path=str(path),
-                line=i + 1,
-            ) from exc
-    return records, False
-
-
 def replay(records: List[dict]) -> Tuple[Dict[str, JobRecord], Dict[str, str]]:
     """Rebuild ``(jobs, cache)`` tables from journal records.
 
@@ -231,19 +198,9 @@ class JobStore:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.fault_plan = fault_plan
         path = self.data_dir / ServiceJournal.filename
-        records, self.torn_tail = load_journal_tolerant(path)
-        if self.torn_tail:
-            # Repair the file: drop the torn line so future appends
-            # start on a clean line instead of concatenating onto the
-            # partial record (which would turn a recoverable torn tail
-            # into mid-file corruption on the *next* restart).
-            path.write_text(
-                "".join(
-                    json.dumps(r, separators=(",", ":")) + "\n"
-                    for r in records
-                ),
-                encoding="utf-8",
-            )
+        # A torn tail is dropped here; the journal cuts it from the file
+        # before its first append (EventStream).
+        records, self.torn_tail = read_jsonl(path)
         self.jobs, self.cache = replay(records)
         #: Records appended so far (the journal faults' clock).
         self.seq = len(records)
@@ -273,7 +230,7 @@ class JobStore:
         """Cut the journal's final line in half (a torn write).
 
         The fault-injection twin of what a crash mid-``write`` leaves
-        behind; :func:`load_journal_tolerant` must absorb it.
+        behind; :func:`~repro.telemetry.stream.read_jsonl` must absorb it.
         """
         self.journal.close()
         path = self.journal.path
@@ -374,7 +331,7 @@ def summarize_journal(data_dir: PathLike) -> Optional[dict]:
     path = pathlib.Path(data_dir) / ServiceJournal.filename
     if not path.exists():
         return None
-    records, torn = load_journal_tolerant(path)
+    records, torn = read_jsonl(path)
     jobs, cache = replay(records)
     summary = {
         "jobs": len(jobs),

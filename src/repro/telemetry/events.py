@@ -21,6 +21,8 @@ import pathlib
 import time
 from typing import List, Union
 
+from repro.telemetry.stream import snapshot_records
+
 PathLike = Union[str, pathlib.Path]
 
 
@@ -49,6 +51,7 @@ class EventStream:
         # write is flushed, so the file stays valid line-by-line even
         # when a crash truncates the run.
         if self._fh is None or self._fh.closed:
+            _cut_torn_tail(self.path)
             self._fh = open(self.path, "a", encoding="utf-8")
         return self._fh
 
@@ -93,11 +96,18 @@ class EventStream:
 
     @staticmethod
     def load_path(path: PathLike) -> List[dict]:
-        path = pathlib.Path(path)
-        if not path.exists():
-            return []
-        return [
-            json.loads(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        """Every complete record of a stream file (a torn final line,
+        left by a writer killed mid-append, is dropped; garbage before
+        it is a :class:`~repro.errors.ServiceJournalError`)."""
+        return snapshot_records(path)
+
+
+def _cut_torn_tail(path: pathlib.Path) -> None:
+    """Cut a stream file back to its last newline: a writer killed
+    mid-append leaves a partial final line, onto which the next record
+    would weld and then be read as torn itself."""
+    with open(path, "ab+") as fh:
+        fh.seek(max(fh.seek(0, 2) - 1, 0))
+        if fh.read(1) not in (b"", b"\n"):
+            fh.seek(0)
+            fh.truncate(fh.read().rfind(b"\n") + 1)

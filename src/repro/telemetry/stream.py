@@ -13,8 +13,8 @@ scraper, ``repro watch`` -- shares the same three problems:
   writer is still alive) or forever (the writer crashed -- a snapshot
   reader then drops it, exactly the service journal's torn-tail rule);
 * **rotation** -- a file can be truncated or atomically replaced under
-  the reader (journal repair rewrites ``service.jsonl`` in place); a
-  shrink below the cursor resets the follower to the start;
+  the reader (a writer cuts a dead writer's torn tail before its first
+  append); a shrink below the cursor resets the follower to the start;
 * **resumable cursors** -- a cursor is a plain byte offset, valid
   across processes and HTTP round-trips, so a disconnected client
   resumes exactly where it stopped without replaying or losing
@@ -37,22 +37,23 @@ from repro.errors import ServiceJournalError
 PathLike = Union[str, pathlib.Path]
 
 
-def snapshot_records(path: PathLike, strict: bool = True) -> List[dict]:
+def read_jsonl(path: PathLike, strict: bool = True) -> Tuple[List[dict], bool]:
     """One-shot tolerant read of a JSONL file being appended to.
 
-    A torn *final* line (no trailing newline, or unparseable -- the
-    writer was mid-``write`` or crashed there) is silently dropped:
-    the snapshot loses at most the record being written.  Garbage
-    anywhere earlier is real corruption; with ``strict`` (default) it
-    raises :class:`~repro.errors.ServiceJournalError` instead of
-    silently skipping history, mirroring the service journal's rule.
-    Returns ``[]`` for a missing file.
+    Returns ``(records, torn)``.  A torn *final* line (no trailing
+    newline, or unparseable -- the writer was mid-``write`` or crashed
+    there) is dropped and flagged: the read loses at most the record
+    being written.  Garbage anywhere earlier is real corruption; with
+    ``strict`` (default) it raises
+    :class:`~repro.errors.ServiceJournalError` instead of silently
+    skipping history.  A missing file is ``([], False)``.  Every
+    journal and stream reader shares this rule.
     """
     path = pathlib.Path(path)
     if not path.exists():
-        return []
-    blob = path.read_bytes()
-    complete, torn = _split_complete(blob)
+        return [], False
+    complete, tail = _split_complete(path.read_bytes())
+    torn = bool(tail)
     records: List[dict] = []
     lines = complete.decode("utf-8", errors="replace").splitlines()
     for i, line in enumerate(lines):
@@ -62,19 +63,20 @@ def snapshot_records(path: PathLike, strict: bool = True) -> List[dict]:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             if i == len(lines) - 1 and not torn:
-                # The final *complete* line can still be the torn one
-                # when the crash happened after the newline of the
-                # previous record but mid-line here is impossible --
-                # a flushed line is complete.  Treat a bad last line
-                # as torn either way.
-                break
+                # A bad last line is the torn one, newline or not.
+                return records, True
             if strict:
                 raise ServiceJournalError(
                     "stream is corrupt before the final record",
                     path=str(path),
                     line=i + 1,
                 ) from exc
-    return records
+    return records, torn
+
+
+def snapshot_records(path: PathLike, strict: bool = True) -> List[dict]:
+    """The records of :func:`read_jsonl`, torn tail dropped."""
+    return read_jsonl(path, strict)[0]
 
 
 def _split_complete(blob: bytes) -> Tuple[bytes, bytes]:

@@ -8,6 +8,7 @@ and commits is one string comparison (``tests/golden_digests.json``).
 from __future__ import annotations
 
 import hashlib
+from typing import Optional
 
 import numpy as np
 
@@ -16,14 +17,19 @@ from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.surface import SURFACE_FIELDS
 
 
-def state_digest(engine) -> str:
+def state_digest(engine, block: Optional[int] = None) -> str:
     """sha256 of the state of a ``Simulation`` over one block or R.
 
     Covers every flow column and the flow's block ``starts``, every
     reservoir column -- one block at a time, every column of block 0,
     then of block 1, ... -- the cell-sampler and every block's surface
-    accumulators with their step counts, the plunger phase and the step
-    count.  A sharded simulation is gathered first.
+    accumulators with their step counts, the plunger phase, the step
+    count and, for a sharded run, the downstream exits in transit to
+    shard 0's reservoir.  A sharded simulation is gathered first.
+
+    ``block=r`` hashes block ``r`` alone, exactly as the whole digest
+    of a one-block run: block ``r`` of an R-block run has the digest of
+    the solo run keyed for that replica.
     """
     engine.gather()
     h = hashlib.sha256()
@@ -32,13 +38,20 @@ def state_digest(engine) -> str:
         for value in values:
             h.update(np.ascontiguousarray(value).tobytes())
 
-    flow = engine.particles
-    for pop in (flow, *engine.reservoir.particles.blocks()):
+    flow, reservoir = engine.particles, engine.reservoir.particles
+    sampler, surfaces = engine.sampler, engine.surfaces
+    if block is not None:
+        flow, reservoir = flow.blocks()[block], reservoir.blocks()[block]
+        sampler, surfaces = sampler.block(block), surfaces[block : block + 1]
+    for pop in (flow, *reservoir.blocks()):
         feed(*(getattr(pop, name) for name in COLUMN_NAMES))
     feed(np.asarray(flow.block_edges(), dtype=np.int64))
-    tallies = [(engine.sampler, SAMPLER_FIELDS)]
-    tallies += [(s, SURFACE_FIELDS) for s in engine.surfaces]
+    tallies = [(sampler, SAMPLER_FIELDS)]
+    tallies += [(s, SURFACE_FIELDS) for s in surfaces]
     for acc, fields in tallies:
         feed(*(getattr(acc, name) for name in fields), acc.steps)
     feed(engine.boundaries.plunger.position, engine.step_count)
+    in_transit = getattr(engine.backend, "pending_flux", None)
+    if in_transit is not None:
+        feed(in_transit)
     return h.hexdigest()

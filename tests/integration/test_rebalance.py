@@ -32,10 +32,9 @@ from repro.io.snapshots import load_simulation, save_simulation
 from repro.parallel.backend import ShardedBackend
 from repro.parallel.rebalance import REBALANCE_EVERY, THRESHOLD
 from repro.physics.freestream import Freestream
+from repro.verify import state_digest
 
 pytestmark = pytest.mark.sharded
-
-PARTICLE_COLUMNS = ("x", "y", "u", "v", "w", "rot", "perm", "cell")
 
 
 def _config(seed: int = 42, nx: int = 32, ny: int = 16) -> SimulationConfig:
@@ -65,10 +64,6 @@ def _run(steps: int, eager: bool = False, processes: bool = False,
         sim.run(steps)
     sim.gather()
     return sim
-
-
-def _state(sim) -> dict:
-    return {col: getattr(sim.particles, col).copy() for col in PARTICLE_COLUMNS}
 
 
 def _sorted_multiset(parts) -> np.ndarray:
@@ -159,9 +154,7 @@ class TestRebalanceExecution:
         try:
             assert inline.backend.rebalance_count == procs.backend.rebalance_count
             assert inline.backend.slab_edges == procs.backend.slab_edges
-            a, b = _state(inline), _state(procs)
-            for col in PARTICLE_COLUMNS:
-                assert np.array_equal(a[col], b[col]), col
+            assert state_digest(procs) == state_digest(inline)
         finally:
             inline.close()
             procs.close()
@@ -198,10 +191,7 @@ class TestCheckpointContinuity:
         try:
             assert restored.backend.slab_edges == saved_edges
             _eager(restored, after)
-            restored.gather()
-            a, b = _state(ref), _state(restored)
-            for col in PARTICLE_COLUMNS:
-                assert np.array_equal(a[col], b[col]), col
+            assert state_digest(restored) == state_digest(ref)
             assert ref.backend.slab_edges == restored.backend.slab_edges
         finally:
             ref.close()

@@ -15,10 +15,8 @@ The contract under test (ROADMAP: fault-tolerant execution):
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.particles import COLUMN_NAMES as PARTICLE_COLUMNS
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import RESORT_PERIOD
 from repro.errors import (
@@ -43,6 +41,7 @@ from repro.resilience import (
     RunJournal,
     SupervisedRun,
 )
+from repro.verify import state_digest
 
 pytestmark = pytest.mark.resilience
 
@@ -68,23 +67,6 @@ def _inline_sim(seed=42, plan=None, workers=2, nz=0) -> Simulation:
         _small_config(seed, nz=nz),
         backend=ShardedBackend(workers, processes=False, fault_plan=plan),
     )
-
-
-def _assert_sims_equal(a: Simulation, b: Simulation, what: str) -> None:
-    assert a.step_count == b.step_count
-    for pa, pb, pop in (
-        (a.particles, b.particles, "flow"),
-        (a.reservoir.particles, b.reservoir.particles, "reservoir"),
-    ):
-        assert pa.n == pb.n, f"{what} {pop}: sizes differ"
-        for col in PARTICLE_COLUMNS:
-            assert np.array_equal(getattr(pa, col), getattr(pb, col)), (
-                f"{what} {pop}: column {col} not bitwise identical"
-            )
-    assert a.boundaries.plunger.position == b.boundaries.plunger.position
-    assert np.array_equal(a.sampler._count, b.sampler._count)
-    assert np.array_equal(a.sampler._mu, b.sampler._mu)
-    assert np.array_equal(a.sampler._e_trans, b.sampler._e_trans)
 
 
 class TestFaultInjection:
@@ -146,11 +128,9 @@ class TestFaultInjection:
         # A bound-but-empty plan must not perturb the trajectory.
         ref = _inline_sim(seed=3)
         ref.run(8)
-        ref.gather()
         sim = _inline_sim(seed=3, plan=FaultPlan([]))
         sim.run(8)
-        sim.gather()
-        _assert_sims_equal(ref, sim, "unarmed plan")
+        assert state_digest(sim) == state_digest(ref)
         ref.close()
         sim.close()
 
@@ -221,7 +201,6 @@ class TestSupervisedRecovery:
         # Same transient/sampling split the supervised run uses.
         for steps, sample in self.SCHEDULE:
             ref.run(steps, sample=sample)
-        ref.gather()
         return ref
 
     @pytest.mark.parametrize(
@@ -254,9 +233,8 @@ class TestSupervisedRecovery:
             fault_plan=plan,
         )
         diag = run.run_schedule(self.SCHEDULE)
-        run.sim.gather()
         assert run.retries == 1
-        _assert_sims_equal(ref, run.sim, "supervised recovery")
+        assert state_digest(run.sim) == state_digest(ref)
         assert diag is not None and diag.step == self.N_STEPS
         events = [e for e in run.journal.events if e["kind"] == "recovery"]
         assert len(events) == 1
@@ -290,9 +268,8 @@ class TestSupervisedRecovery:
 
         resumed = SupervisedRun.resume(tmp_path / "run")
         resumed.run_schedule()
-        resumed.sim.gather()
+        assert state_digest(resumed.sim) == state_digest(ref)
         assert resumed.sim.particles.z.any()
-        _assert_sims_equal(ref, resumed.sim, "slab crash + resume")
         resumed.close()
         ref.close()
 
@@ -334,11 +311,10 @@ class TestSupervisedRecovery:
             fault_plan=plan,
         )
         run.run_schedule(self.SCHEDULE)
-        run.sim.gather()
         kinds = [e["kind"] for e in run.journal.events]
         assert "checkpoint_corrupt" in kinds
         assert "recovery" in kinds
-        _assert_sims_equal(ref, run.sim, "torn-checkpoint fallback")
+        assert state_digest(run.sim) == state_digest(ref)
         run.close()
         ref.close()
 
@@ -384,7 +360,6 @@ class TestSupervisedRecovery:
     def test_resume_continues_bitwise(self, tmp_path):
         ref = _inline_sim(seed=13)
         ref.run(self.N_STEPS)
-        ref.gather()
         run = SupervisedRun(
             _inline_sim(seed=13),
             tmp_path / "run",
@@ -398,9 +373,8 @@ class TestSupervisedRecovery:
 
         resumed = SupervisedRun.resume(tmp_path / "run")
         resumed.run_schedule()
-        resumed.sim.gather()
         assert resumed.sim.step_count == self.N_STEPS
-        _assert_sims_equal(ref, resumed.sim, "resumed run")
+        assert state_digest(resumed.sim) == state_digest(ref)
         assert any(
             e["kind"] == "resumed" for e in RunJournal.load(tmp_path / "run")
         )
@@ -435,7 +409,6 @@ class TestSupervisedProcessMode:
     def test_hard_crash_recovers_bitwise(self, tmp_path):
         ref = Simulation(_small_config(seed=7), backend=ShardedBackend(2))
         ref.run(12)
-        ref.gather()
 
         plan = FaultPlan([FaultSpec("crash", step=6, shard=0)])
         sim = Simulation(
@@ -454,8 +427,7 @@ class TestSupervisedProcessMode:
             fault_plan=plan,
         )
         run.run_schedule([(12, False)])
-        run.sim.gather()
         assert run.retries == 1
-        _assert_sims_equal(ref, run.sim, "process-mode crash recovery")
+        assert state_digest(run.sim) == state_digest(ref)
         run.close()
         ref.close()

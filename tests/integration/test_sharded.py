@@ -4,12 +4,12 @@ The contract under test (ROADMAP: process-parallel stepping):
 
 * Process workers and the in-process (inline) debug mode produce
   bitwise identical trajectories: the fork/shared-memory machinery is
-  pure transport.
+  pure transport (``tests/integration/test_digests.py`` holds forked
+  W = 2 to the ``sharded_w2_inline`` row).
 * A sharded run is reproducible run to run (the per-shard RNG streams
   are counter-based functions of ``(seed, shard, step)``, not shared
   mutable state).
-* A sharded run checkpoints and restores bitwise (dynamics; the
-  surface-load float accumulators are associativity-limited to ~1 ulp).
+* A sharded run checkpoints and restores bitwise.
 * All of it holds on a z-periodic slab (``Domain3D``) as on the 2-D
   tunnel: x-slab sharding never looks at the span.
 * All of it holds across the indexed kernel's physical re-sorts (every
@@ -20,11 +20,8 @@ The contract under test (ROADMAP: process-parallel stepping):
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.particles import COLUMN_NAMES as PARTICLE_COLUMNS
-from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import RESORT_PERIOD
 from repro.geometry.domain import Domain
@@ -33,6 +30,7 @@ from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
 from repro.parallel.backend import ShardedBackend
 from repro.physics.freestream import Freestream
+from repro.verify import state_digest
 
 pytestmark = pytest.mark.sharded
 
@@ -49,31 +47,6 @@ def _small_config(
     )
 
 
-def _assert_particles_equal(a, b, what: str) -> None:
-    assert a.n == b.n, f"{what}: population sizes differ"
-    for col in PARTICLE_COLUMNS:
-        assert np.array_equal(getattr(a, col), getattr(b, col)), (
-            f"{what}: column {col} not bitwise identical"
-        )
-
-
-def _assert_sims_equal(a: Simulation, b: Simulation, what: str) -> None:
-    _assert_particles_equal(a.particles, b.particles, f"{what} flow")
-    _assert_particles_equal(
-        a.reservoir.particles, b.reservoir.particles, f"{what} reservoir"
-    )
-    assert a.step_count == b.step_count
-    assert a.boundaries.plunger.position == b.boundaries.plunger.position
-
-
-def _assert_samplers_equal(a: Simulation, b: Simulation) -> None:
-    assert a.sampler.steps == b.sampler.steps
-    for name in SAMPLER_FIELDS:
-        assert np.array_equal(
-            getattr(a.sampler, name), getattr(b.sampler, name)
-        ), f"sampler accumulator {name} not bitwise identical"
-
-
 class TestProcessInlineEquivalence:
     def test_process_workers_match_inline_across_two_resorts(self):
         with Simulation(
@@ -84,33 +57,7 @@ class TestProcessInlineEquivalence:
             for sim in (proc, inline):
                 sim.run(2 * RESORT_PERIOD)
                 sim.run(6, sample=True)
-                sim.gather()
-            _assert_sims_equal(proc, inline, "process vs inline, 70 steps")
-            assert proc.backend.pending_flux == inline.backend.pending_flux
-            _assert_samplers_equal(proc, inline)
-
-    def test_process_workers_match_inline(self):
-        """Real fork+shared-memory workers vs the in-process mode."""
-        proc = Simulation(
-            _small_config(), backend=ShardedBackend(2, processes=True)
-        )
-        inline = Simulation(
-            _small_config(), backend=ShardedBackend(2, processes=False)
-        )
-        try:
-            proc.run(4)
-            inline.run(4)
-            proc.run(3, sample=True)
-            inline.run(3, sample=True)
-            proc.gather()
-            inline.gather()
-            _assert_sims_equal(proc, inline, "process vs inline")
-            assert proc.backend.pending_flux == inline.backend.pending_flux
-            assert np.array_equal(proc.sampler._count, inline.sampler._count)
-            assert np.array_equal(proc.sampler._mu, inline.sampler._mu)
-        finally:
-            proc.close()
-            inline.close()
+            assert state_digest(proc) == state_digest(inline)
 
     def test_slab_process_workers_match_inline(self):
         with Simulation(
@@ -121,33 +68,20 @@ class TestProcessInlineEquivalence:
             for sim in (proc, inline):
                 sim.run(8)
                 sim.run(4, sample=True)
-                sim.gather()
+            assert state_digest(proc) == state_digest(inline)
             assert proc.particles.z.any()
-            _assert_sims_equal(proc, inline, "slab process vs inline")
-            assert proc.backend.pending_flux == inline.backend.pending_flux
-            _assert_samplers_equal(proc, inline)
 
 
 class TestReproducibility:
     def test_four_workers_run_to_run_bitwise(self):
-        runs = []
+        digests = []
         for _ in range(2):
-            sim = Simulation(
+            with Simulation(
                 _small_config(), backend=ShardedBackend(4, processes=False)
-            )
-            try:
+            ) as sim:
                 sim.run(8, sample=True)
-                sim.gather()
-                runs.append(
-                    {
-                        c: getattr(sim.particles, c).copy()
-                        for c in PARTICLE_COLUMNS
-                    }
-                )
-            finally:
-                sim.close()
-        for col in PARTICLE_COLUMNS:
-            assert np.array_equal(runs[0][col], runs[1][col]), col
+                digests.append(state_digest(sim))
+        assert digests[0] == digests[1]
 
 
 class TestShardedProbes:
@@ -185,25 +119,7 @@ class TestShardedSnapshots:
             assert restored.backend.n_workers == 2
             try:
                 restored.run(RESORT_PERIOD + 4, sample=True)
-                reference.gather()
-                restored.gather()
-                _assert_sims_equal(reference, restored, "snapshot restore")
-                assert np.array_equal(
-                    reference.sampler._count, restored.sampler._count
-                )
-                if reference.surface is not None:
-                    # Restart changes the association order of the
-                    # impulse sums (saved partial + new vs one running
-                    # sum); identical to 1 ulp, not bitwise.
-                    assert np.allclose(
-                        reference.surface._impulse_x,
-                        restored.surface._impulse_x,
-                        rtol=1e-12,
-                        atol=0.0,
-                    )
-                    assert np.array_equal(
-                        reference.surface._hits, restored.surface._hits
-                    )
+                assert state_digest(restored) == state_digest(reference)
             finally:
                 restored.close()
         finally:
@@ -300,4 +216,4 @@ class TestNonSpecularWallsStayPooled:
             self._run(inline)
             forked.particles.validate()
             assert self._total(forked) == total
-            _assert_sims_equal(forked, inline, "diffuse forked vs inline")
+            assert state_digest(forked) == state_digest(inline)

@@ -3,6 +3,8 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
@@ -251,3 +253,55 @@ class TestDigest:
     def test_distinct_registry_scenarios_have_distinct_digests(self):
         digests = [s.digest() for s in all_specs()]
         assert len(set(digests)) == len(digests)
+
+
+def _paths(value, path=()):
+    """The path of every node below ``value`` (a nested dict/list)."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [
+        p for k, v in items for p in [path + (k,), *_paths(v, path + (k,))]
+    ]
+
+
+#: What a hand-written file or a ``POST /jobs`` body can put in a node.
+ODD_VALUES = [
+    None, True, 0, -1, 3, 2**63, 0.0, -0.5, 1e308, float("inf"),
+    float("-inf"), float("nan"), "", "x", [], [1.0], {}, {"a": 1},
+]
+
+
+class TestLoaderContract:
+    """Any one node of a registered spec, replaced or dropped: the dict
+    either raises ``ConfigurationError`` in ``from_dict`` or loads a
+    spec that builds its config and round-trips through TOML to the
+    same digest -- never an untyped error, at load or later."""
+
+    @pytest.fixture(scope="class")
+    def toml_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "spec.toml"
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_spec_raises_typed_or_round_trips(self, toml_path, data):
+        pytest.importorskip("tomllib")
+        d = data.draw(st.sampled_from(all_specs())).to_dict()
+        *parent, leaf = data.draw(st.sampled_from(_paths(d)))
+        node = d
+        for key in parent:
+            node = node[key]
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[leaf]
+        else:
+            node[leaf] = data.draw(st.sampled_from(ODD_VALUES))
+        try:
+            spec = ScenarioSpec.from_dict(d)
+        except ConfigurationError:
+            return
+        spec.build_config()
+        toml_path.write_text(spec.to_toml())
+        assert ScenarioSpec.from_toml(toml_path).digest() == spec.digest()

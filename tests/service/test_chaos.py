@@ -24,7 +24,7 @@ from repro.scenarios import get
 from repro.scenarios.golden import execute
 from repro.service import Orchestrator, ServiceJournal
 from repro.service import store as st
-from repro.service.store import load_journal_tolerant
+from repro.telemetry.stream import read_jsonl
 from repro.resilience.faults import FaultPlan, FaultSpec
 from tests.service.conftest import (
     TINY,
@@ -46,7 +46,7 @@ LONG_SLAB = {**TINY_SLAB, "average": LONG_TINY["average"]}
 
 def terminal_record_counts(data_dir) -> dict:
     """job_id -> number of terminal-state records in the journal."""
-    records, _ = load_journal_tolerant(
+    records, _ = read_jsonl(
         data_dir / ServiceJournal.filename
     )
     counts: dict = {}

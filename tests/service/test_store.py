@@ -24,10 +24,10 @@ from repro.service.store import (
     JobRecord,
     JobStore,
     ServiceJournal,
-    load_journal_tolerant,
     replay,
     summarize_journal,
 )
+from repro.telemetry.stream import read_jsonl
 
 pytestmark = pytest.mark.service
 
@@ -54,14 +54,14 @@ def journal_path(tmp_path):
 
 class TestJournalLoading:
     def test_missing_journal_is_empty_not_an_error(self, tmp_path):
-        records, torn = load_journal_tolerant(journal_path(tmp_path))
+        records, torn = read_jsonl(journal_path(tmp_path))
         assert records == [] and torn is False
         store = JobStore(tmp_path)
         assert store.jobs == {} and store.seq == 0
 
     def test_empty_file_is_empty(self, tmp_path):
         journal_path(tmp_path).write_text("")
-        records, torn = load_journal_tolerant(journal_path(tmp_path))
+        records, torn = read_jsonl(journal_path(tmp_path))
         assert records == [] and torn is False
 
     def test_torn_final_line_is_dropped_and_flagged(self, tmp_path):
@@ -69,7 +69,7 @@ class TestJournalLoading:
         journal_path(tmp_path).write_text(
             json.dumps(good) + "\n" + '{"kind": "submitted", "jo'
         )
-        records, torn = load_journal_tolerant(journal_path(tmp_path))
+        records, torn = read_jsonl(journal_path(tmp_path))
         assert torn is True
         assert records == [good]
 
@@ -84,7 +84,7 @@ class TestJournalLoading:
         store.close()
         # Every line parses again: the repair dropped the partial one
         # instead of letting the next append weld onto it.
-        records, torn = load_journal_tolerant(journal_path(tmp_path))
+        records, torn = read_jsonl(journal_path(tmp_path))
         assert torn is False
         assert [r["kind"] for r in records] == ["service_start", "noop"]
 
@@ -93,7 +93,7 @@ class TestJournalLoading:
             '{"kind": "ser\n{"kind": "service_stop", "v": 1}\n'
         )
         with pytest.raises(ServiceJournalError, match="corrupt"):
-            load_journal_tolerant(journal_path(tmp_path))
+            read_jsonl(journal_path(tmp_path))
 
     def test_newer_schema_version_raises(self, tmp_path):
         journal_path(tmp_path).write_text(

@@ -430,8 +430,10 @@ class TestOneRunPath:
     """One builder, one harvest, one check rule for one block or R."""
 
     def test_a_spec_becomes_a_run_in_one_place(self):
+        # The loader dry-builds the config it accepts, and builds no run.
         assert _call_sites("build_config") == {
             ("scenarios/spec.py", "ScenarioSpec.build_simulation"),
+            ("scenarios/spec.py", "ScenarioSpec.from_dict"),
         }
 
     def test_the_ensemble_is_built_by_the_builder_and_the_loader(self):

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ServiceJournalError
+from repro.resilience import RunJournal
 from repro.service.watch import (
     JobView,
     fleet_lines,
@@ -65,6 +69,39 @@ class TestSnapshotRecords:
         p.write_text('{"kind": "a"}\nGARBAGE\n{"kind": "c"}\n')
         kinds = [r["kind"] for r in snapshot_records(p, strict=False)]
         assert kinds == ["a", "c"]
+
+
+class TestTornRunJournal:
+    """What a ``proc.kill()`` mid-append leaves: a journal cut at any
+    byte loads its complete records (or raises typed), and the next
+    writer's first record starts on a clean line and reads back."""
+
+    RECORDS = [
+        {"kind": "checkpoint", "step": 5, "time": 1.0},
+        {"kind": "recovery", "step": 7, "restored_step": 5, "time": 2.0},
+        {"kind": "audit", "step": 10, "checks": ["finite"], "time": 3.0},
+    ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_cut_at_any_byte_loads_and_appends_clean(self, data):
+        with tempfile.TemporaryDirectory() as run_dir:
+            writer = RunJournal(run_dir)
+            writer.append_many(self.RECORDS)
+            writer.close()
+            blob = writer.path.read_bytes()
+            cut = data.draw(st.integers(0, len(blob)))
+            writer.path.write_bytes(blob[:cut])
+            whole = blob[:cut].count(b"\n")
+            try:
+                assert RunJournal.load(run_dir) == self.RECORDS[:whole]
+            except ServiceJournalError:
+                pass
+            after = {"kind": "resumed", "step": 8, "time": 4.0}
+            resumed = RunJournal(run_dir)
+            resumed.append(after)
+            resumed.close()
+            assert RunJournal.load(run_dir) == self.RECORDS[:whole] + [after]
 
 
 def _poll(follower) -> list:
