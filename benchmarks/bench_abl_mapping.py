@@ -15,23 +15,21 @@ from repro.cm.cellmapped import cell_mapped_motion_step
 from repro.cm.mapping import compare_mappings, neighbour_exchange_events
 from repro.core.cells import assign_cells, cell_populations
 
-from benchmarks.common import DOMAIN
-
 
 def test_abl_processor_mapping(benchmark, continuum_solution, emit):
-    sim = continuum_solution
-    parts = sim.particles
-    assign_cells(parts, DOMAIN)
-    pops = cell_populations(parts.cell, DOMAIN.n_cells)
+    parts = continuum_solution.particles
+    domain = continuum_solution.config.domain
+    assign_cells(parts, domain)
+    pops = cell_populations(parts.cell, domain.n_cells)
 
     # Migration traffic the cell mapping would route: particles whose
     # cell changes across one motion step.
     before = parts.cell.copy()
     x_next = parts.x + parts.u
     y_next = parts.y + parts.v
-    after = DOMAIN.cell_index(
-        np.clip(x_next, 0, DOMAIN.width - 1e-9),
-        np.clip(y_next, 0, DOMAIN.height - 1e-9),
+    after = domain.cell_index(
+        np.clip(x_next, 0, domain.width - 1e-9),
+        np.clip(y_next, 0, domain.height - 1e-9),
     )
     migrated = before != after
 
@@ -73,7 +71,7 @@ def test_abl_processor_mapping(benchmark, continuum_solution, emit):
 
     # Execute the cell mapping's motion step (NEWS exchange + SIMD
     # pacing) on the same snapshot for measured, not argued, numbers.
-    report = cell_mapped_motion_step(parts, DOMAIN)
+    report = cell_mapped_motion_step(parts, domain)
     rec.add(
         "cell-mapped / particle-mapped motion cost",
         None,

@@ -11,12 +11,8 @@ error is under control, the converged shock metrics must be unchanged
 
 from repro.analysis.report import ExperimentRecord
 from repro.analysis.shock import fit_shock_angle, post_shock_plateau
-from repro.core.simulation import Simulation, SimulationConfig
-from repro.geometry.domain import Domain
-from repro.geometry.wedge import Wedge
-from repro.physics.freestream import Freestream
-
-WEDGE_HALF = Wedge(x_leading=10.0, base=12.5, angle_deg=30.0)
+from repro.scenarios import execute
+from repro.scenarios.library import WEDGE
 
 #: (velocity scale, steps multiplier): halving c_mp doubles the steps so
 #: both runs cover the same physical time.
@@ -24,20 +20,15 @@ CASES = ((0.14, 1.0), (0.07, 2.0))
 
 
 def _metrics(c_mp: float, step_factor: float):
-    cfg = SimulationConfig(
-        domain=Domain(49, 32),
-        freestream=Freestream(
-            mach=4.0, c_mp=c_mp, lambda_mfp=0.0, density=14.0
-        ),
-        wedge=WEDGE_HALF,
-        seed=61,
-    )
-    sim = Simulation(cfg)
-    sim.run(int(200 * step_factor))
-    sim.run(int(220 * step_factor), sample=True)
-    rho = sim.density_ratio_field()
-    fit = fit_shock_angle(rho, WEDGE_HALF)
-    plateau = post_shock_plateau(rho, WEDGE_HALF, fit)
+    run = execute(WEDGE, {
+        "nx": 49, "ny": 32, "density": 14.0, "lambda_mfp": 0.0,
+        "c_mp": c_mp, "seed": 61,
+        "transient": int(200 * step_factor),
+        "average": int(220 * step_factor),
+    })[0]
+    rho = run.fields[0]
+    fit = fit_shock_angle(rho, run.body)
+    plateau = post_shock_plateau(rho, run.body, fit)
     return fit.angle_deg, plateau
 
 

@@ -24,18 +24,18 @@ from repro.constants import (
 )
 from repro.physics import theory
 
-from benchmarks.common import OUT_DIR, WEDGE
+from benchmarks.common import OUT_DIR
 
 
 def test_fig1_density_contours(benchmark, continuum_solution, emit):
-    sim = continuum_solution
-    rho = sim.density_ratio_field()
+    rho = continuum_solution.fields[0]
+    wedge = continuum_solution.body
 
     # The timed artifact: the full figure-1 metrology pipeline.
     def regenerate():
-        fit = fit_shock_angle(rho, WEDGE)
-        plateau = post_shock_plateau(rho, WEDGE, fit)
-        thick = shock_thickness(rho, WEDGE, fit, plateau=plateau)
+        fit = fit_shock_angle(rho, wedge)
+        plateau = post_shock_plateau(rho, wedge, fit)
+        thick = shock_thickness(rho, wedge, fit, plateau=plateau)
         return fit, plateau, thick
 
     fit, plateau, thick = benchmark(regenerate)
@@ -46,7 +46,7 @@ def test_fig1_density_contours(benchmark, continuum_solution, emit):
     m2 = theory.post_oblique_shock_mach(4.0, math.radians(30.0))
     turns = (10.0, 20.0, 30.0)
     measured_fan, predicted_fan = expansion_fan_samples(
-        rho, WEDGE, turns, mach_post_shock=m2, plateau=plateau
+        rho, wedge, turns, mach_post_shock=m2, plateau=plateau
     )
 
     rec = ExperimentRecord("FIG1", "near-continuum density contours")

@@ -13,18 +13,18 @@ from repro.analysis.report import ExperimentRecord
 from repro.analysis.shock import wake_floor_ridge, wake_recompression_factor
 from repro.constants import PAPER_DENSITY_RATIO
 
-from benchmarks.common import DOMAIN, OUT_DIR, WEDGE
+from benchmarks.common import OUT_DIR
 
 
 def test_fig2_density_surface_wake_shock(benchmark, continuum_solution, emit):
-    sim = continuum_solution
-    rho = sim.density_ratio_field()
+    rho = continuum_solution.fields[0]
+    wedge, domain = continuum_solution.body, continuum_solution.config.domain
 
     def regenerate():
-        win = wake_window(WEDGE, DOMAIN)
+        win = wake_window(wedge, domain)
         summary = SurfaceSummary.of(win.extract(rho))
-        ridge = wake_floor_ridge(rho, WEDGE, DOMAIN)
-        factor = wake_recompression_factor(rho, WEDGE, DOMAIN)
+        ridge = wake_floor_ridge(rho, wedge, domain)
+        factor = wake_recompression_factor(rho, wedge, domain)
         return summary, ridge, factor
 
     summary, ridge, factor = benchmark(regenerate)

@@ -16,25 +16,27 @@ from repro.analysis.fields import stagnation_rise_profile, stagnation_window
 from repro.analysis.report import ExperimentRecord
 from repro.constants import PAPER_DENSITY_RATIO
 
-from benchmarks.common import DOMAIN, OUT_DIR, WEDGE
+from benchmarks.common import OUT_DIR
 
 
 def test_fig3_stagnation_surface(benchmark, continuum_solution, emit):
-    sim = continuum_solution
-    rho = sim.density_ratio_field()
-    rho_jagged = sim.density_ratio_field(correct_volumes=False)
+    run = continuum_solution
+    rho = run.fields[0]
+    rho_jagged = run.sampler.density_ratio(
+        run.config.freestream.density, correct_volumes=False
+    )
 
     def regenerate():
-        win = stagnation_window(WEDGE, DOMAIN)
+        win = stagnation_window(run.body, run.config.domain)
         return win.extract(rho), win.extract(rho_jagged)
 
     corrected, jagged = benchmark(regenerate)
 
-    profile = stagnation_rise_profile(rho, WEDGE, offsets=(1.5, 3.0, 4.5))
+    profile = stagnation_rise_profile(rho, run.body, offsets=(1.5, 3.0, 4.5))
 
     # Quantify the jagged edge: cut cells along the ramp read low
     # without the fractional-volume correction.
-    vf = sim.volume_fractions
+    vf = run.sampler.volume_fractions
     cut = (vf > 0.05) & (vf < 0.95)
     edge_error = float(
         np.abs(rho_jagged[cut] - rho[cut]).mean() / max(rho[cut].mean(), 1e-9)

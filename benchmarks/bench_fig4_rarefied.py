@@ -21,30 +21,30 @@ from repro.constants import (
     PAPER_SHOCK_THICKNESS_RAREFIED,
 )
 
-from benchmarks.common import OUT_DIR, WEDGE
+from benchmarks.common import OUT_DIR
 
 
 def test_fig4_rarefied_contours(benchmark, rarefied_solution, continuum_solution, emit):
-    sim = rarefied_solution
-    rho = sim.density_ratio_field()
+    rho = rarefied_solution.fields[0]
+    wedge = rarefied_solution.body
 
     def regenerate():
-        fit = fit_shock_angle(rho, WEDGE)
-        plateau = post_shock_plateau(rho, WEDGE, fit)
-        thick = shock_thickness(rho, WEDGE, fit, plateau=plateau)
+        fit = fit_shock_angle(rho, wedge)
+        plateau = post_shock_plateau(rho, wedge, fit)
+        thick = shock_thickness(rho, wedge, fit, plateau=plateau)
         return fit, plateau, thick
 
     fit, plateau, thick = benchmark(regenerate)
 
-    rho_cont = continuum_solution.density_ratio_field()
-    fit_c = fit_shock_angle(rho_cont, WEDGE)
-    plateau_c = post_shock_plateau(rho_cont, WEDGE, fit_c)
-    thick_cont = shock_thickness(rho_cont, WEDGE, fit_c, plateau=plateau_c)
+    rho_cont = continuum_solution.fields[0]
+    fit_c = fit_shock_angle(rho_cont, wedge)
+    plateau_c = post_shock_plateau(rho_cont, wedge, fit_c)
+    thick_cont = shock_thickness(rho_cont, wedge, fit_c, plateau=plateau_c)
 
-    fs = sim.config.freestream
+    fs = rarefied_solution.config.freestream
     rec = ExperimentRecord("FIG4", "rarefied density contours (Kn = 0.02)")
-    rec.add("Knudsen number", PAPER_KNUDSEN, fs.knudsen(WEDGE.base), rel_tol=1e-6)
-    rec.add("Reynolds number", PAPER_REYNOLDS, fs.reynolds(WEDGE.base), rel_tol=0.05)
+    rec.add("Knudsen number", PAPER_KNUDSEN, fs.knudsen(wedge.base), rel_tol=1e-6)
+    rec.add("Reynolds number", PAPER_REYNOLDS, fs.reynolds(wedge.base), rel_tol=0.05)
     rec.add("shock angle (deg)", PAPER_SHOCK_ANGLE_DEG, fit.angle_deg, rel_tol=0.08)
     rec.add(
         "post-shock density ratio", PAPER_DENSITY_RATIO, plateau, rel_tol=0.1

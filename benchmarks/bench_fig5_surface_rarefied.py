@@ -16,24 +16,25 @@ from repro.analysis.fields import SurfaceSummary, wake_window
 from repro.analysis.report import ExperimentRecord
 from repro.analysis.shock import wake_floor_ridge
 
-from benchmarks.common import DOMAIN, OUT_DIR, WEDGE
+from benchmarks.common import OUT_DIR
 
 
 def test_fig5_rarefied_surface_no_wake_shock(
     benchmark, rarefied_solution, continuum_solution, emit
 ):
-    rho_rar = rarefied_solution.density_ratio_field()
-    rho_con = continuum_solution.density_ratio_field()
+    rho_rar = rarefied_solution.fields[0]
+    rho_con = continuum_solution.fields[0]
+    wedge, domain = rarefied_solution.body, rarefied_solution.config.domain
 
     def regenerate():
         return (
-            wake_floor_ridge(rho_rar, WEDGE, DOMAIN),
-            wake_floor_ridge(rho_con, WEDGE, DOMAIN),
+            wake_floor_ridge(rho_rar, wedge, domain),
+            wake_floor_ridge(rho_con, wedge, domain),
         )
 
     ridge_rar, ridge_con = benchmark(regenerate)
 
-    win = wake_window(WEDGE, DOMAIN)
+    win = wake_window(wedge, domain)
     summary = SurfaceSummary.of(win.extract(rho_rar))
 
     rec = ExperimentRecord("FIG5", "rarefied density surface (wake washed out)")

@@ -15,27 +15,27 @@ from repro.analysis.report import ExperimentRecord
 from repro.analysis.shock import vertical_rise_width
 from repro.constants import PAPER_DENSITY_RATIO
 
-from benchmarks.common import DOMAIN, OUT_DIR, WEDGE
-
-#: Stagnation station: 75% of the ramp chord.
-X_STATION = WEDGE.x_leading + 0.75 * WEDGE.base
+from benchmarks.common import OUT_DIR
 
 
 def test_fig6_rarefied_stagnation_surface(
     benchmark, rarefied_solution, continuum_solution, emit
 ):
-    rho_rar = rarefied_solution.density_ratio_field()
-    rho_con = continuum_solution.density_ratio_field()
+    rho_rar = rarefied_solution.fields[0]
+    rho_con = continuum_solution.fields[0]
+    wedge = rarefied_solution.body
+    # Stagnation station: 75% of the ramp chord.
+    x_station = wedge.x_leading + 0.75 * wedge.base
 
     def regenerate():
         return (
-            vertical_rise_width(rho_rar, WEDGE, X_STATION),
-            vertical_rise_width(rho_con, WEDGE, X_STATION),
+            vertical_rise_width(rho_rar, wedge, x_station),
+            vertical_rise_width(rho_con, wedge, x_station),
         )
 
     width_rar, width_con = benchmark(regenerate)
 
-    prof_rar = stagnation_rise_profile(rho_rar, WEDGE, (1.0, 2.0, 3.0, 4.0))
+    prof_rar = stagnation_rise_profile(rho_rar, wedge, (1.0, 2.0, 3.0, 4.0))
 
     rec = ExperimentRecord("FIG6", "rarefied stagnation-region surface")
     rec.add(
@@ -66,7 +66,7 @@ def test_fig6_rarefied_stagnation_surface(
     )
     emit(rec)
 
-    win = stagnation_window(WEDGE, DOMAIN)
+    win = stagnation_window(wedge, rarefied_solution.config.domain)
     OUT_DIR.mkdir(exist_ok=True)
     save_field_npz(
         str(OUT_DIR / "fig6_stagnation.npz"),

@@ -22,20 +22,21 @@ import pathlib
 import sys
 import time
 
-from common import default_config
-from repro.core.simulation import Simulation
 from repro.parallel.backend import ShardedBackend
+from repro.scenarios.library import WEDGE
 
 WARMUP_STEPS = 3
 TIMED_STEPS = 10
 WORKER_COUNTS = (1, 2, 4)
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: The hot-path benchmark configuration: the paper's 98 x 64 wedge at
+#: density 40 and lambda 0.5.
+OVERRIDES = {"density": 40.0, "lambda_mfp": 0.5}
 
 
 def _timed_run(n_workers: int, steps: int) -> dict:
-    config = default_config()
     backend = ShardedBackend(n_workers) if n_workers > 1 else None
-    sim = Simulation(config, backend=backend)
+    sim = WEDGE.build_simulation(OVERRIDES, backend=backend)
     try:
         sim.run(WARMUP_STEPS)
         t0 = time.perf_counter()

@@ -28,9 +28,8 @@ import sys
 import tempfile
 import time
 
-from common import default_config
-from repro.core.simulation import Simulation
 from repro.resilience import SupervisedRun
+from repro.scenarios.library import WEDGE
 
 WARMUP_STEPS = 5
 TIMED_STEPS = 100
@@ -38,6 +37,9 @@ BLOCK_STEPS = 25
 AUDIT_EVERY = 50
 CHECKPOINT_EVERY = 100
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: The hot-path benchmark configuration: the paper's 98 x 64 wedge at
+#: density 40 and lambda 0.5.
+OVERRIDES = {"density": 40.0, "lambda_mfp": 0.5}
 
 
 def run_benchmark(
@@ -46,8 +48,8 @@ def run_benchmark(
     checkpoint_every: int = CHECKPOINT_EVERY,
     block: int = BLOCK_STEPS,
 ) -> dict:
-    bare_sim = Simulation(default_config())
-    supervised_sim = Simulation(default_config())
+    bare_sim = WEDGE.build_simulation(OVERRIDES)
+    supervised_sim = WEDGE.build_simulation(OVERRIDES)
     bare_seconds = 0.0
     supervised_seconds = 0.0
     with tempfile.TemporaryDirectory(prefix="bench_supervisor_") as run_dir:

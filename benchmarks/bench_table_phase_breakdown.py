@@ -23,26 +23,17 @@ from repro.cm.machine import CM2
 from repro.cm.timing import PHASES
 from repro.constants import PAPER_PHASE_FRACTIONS
 from repro.core.engine_cm import CMSimulation
-from repro.core.simulation import Simulation, SimulationConfig
-from repro.geometry.domain import Domain
-from repro.geometry.wedge import Wedge
-from repro.physics.freestream import Freestream
+from repro.core.simulation import Simulation
+from repro.scenarios.library import WEDGE
 
 MACHINE = CM2(n_processors=256)
 
 
-def _wedge_cm_sim():
-    cfg = SimulationConfig(
-        domain=Domain(49, 32),
-        freestream=Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=8.0),
-        wedge=Wedge(x_leading=10.0, base=12.5, angle_deg=30.0),
-        seed=17,
-    )
-    return CMSimulation(cfg, machine=MACHINE)
-
-
 def test_table_phase_breakdown(benchmark, emit):
-    sim = _wedge_cm_sim()
+    cfg = WEDGE.build_config(
+        nx=49, ny=32, lambda_mfp=0.5, density=8.0, seed=17
+    )
+    sim = CMSimulation(cfg, machine=MACHINE)
     sim.run(10)
 
     def regenerate():
@@ -77,14 +68,8 @@ def test_table_host_kernel_breakdown(emit):
     carries the measured moved fraction (about half the population
     changes cell per step, which is why no order is kept across steps).
     """
-    base = SimulationConfig(
-        domain=Domain(98, 64),
-        freestream=Freestream(
-            mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=20.0
-        ),
-        wedge=Wedge(x_leading=20.0, base=25.0, angle_deg=30.0),
-        seed=17,
-    )
+    # sort_kernel is a config field, not a spec setting.
+    base = WEDGE.build_config(lambda_mfp=0.5, density=20.0, seed=17)
     steps = 20
     rec = ExperimentRecord(
         "TAB1-host", "host sort-kernel phase split + moved fraction"

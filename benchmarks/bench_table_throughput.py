@@ -18,20 +18,13 @@ from repro.constants import (
     PAPER_TOTAL_PARTICLES,
 )
 from repro.cm.timing import CM2TimingModel
-from repro.core.simulation import Simulation, SimulationConfig
-from repro.geometry.domain import Domain
-from repro.geometry.wedge import Wedge
-from repro.physics.freestream import Freestream
+from repro.scenarios.library import WEDGE
 
 
 def test_table_throughput(benchmark, emit):
-    cfg = SimulationConfig(
-        domain=Domain(98, 64),
-        freestream=Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=10.0),
-        wedge=Wedge(x_leading=20.0, base=25.0, angle_deg=30.0),
-        seed=23,
+    sim = WEDGE.build_simulation(
+        {"lambda_mfp": 0.5, "density": 10.0, "seed": 23}
     )
-    sim = Simulation(cfg)
     sim.run(5)  # warm the caches / steady population
 
     result = benchmark(sim.step)

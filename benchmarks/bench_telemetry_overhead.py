@@ -28,8 +28,7 @@ import sys
 import tempfile
 import time
 
-from common import default_config, telemetry_metrics
-from repro.core.simulation import Simulation
+from repro.scenarios.library import WEDGE
 from repro.telemetry import Telemetry
 
 WARMUP_STEPS = 3
@@ -39,6 +38,9 @@ BLOCK_STEPS = 10
 SAMPLE_EVERY = 10
 TARGET_OVERHEAD = 0.03
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: The hot-path benchmark configuration: the paper's 98 x 64 wedge at
+#: density 40 and lambda 0.5.
+OVERRIDES = {"density": 40.0, "lambda_mfp": 0.5}
 
 
 def _make_backend(workers: int):
@@ -56,13 +58,15 @@ def run_mode(
     sample_every: int = SAMPLE_EVERY,
 ) -> dict:
     """Paired bare-vs-telemetry timing for one execution mode."""
-    bare_sim = Simulation(default_config(), backend=_make_backend(workers))
+    bare_sim = WEDGE.build_simulation(
+        OVERRIDES, backend=_make_backend(workers)
+    )
     bare_seconds = 0.0
     tel_seconds = 0.0
     with tempfile.TemporaryDirectory(prefix="bench_telemetry_") as run_dir:
         tel = Telemetry(run_dir=run_dir, sample_every=sample_every)
-        tel_sim = Simulation(
-            default_config(), backend=_make_backend(workers), telemetry=tel
+        tel_sim = WEDGE.build_simulation(
+            OVERRIDES, backend=_make_backend(workers), telemetry=tel
         )
         try:
             for _ in range(WARMUP_STEPS):
@@ -90,7 +94,15 @@ def run_mode(
                 done += n
                 rnd += 1
             n_particles = tel_sim.particles.n
-            observed = telemetry_metrics(tel)
+            # What the hub observed sits next to the timing numbers, so
+            # a regression in either is diagnosed from one artifact.
+            snap = tel.snapshot()
+            observed = {
+                key: snap.get(key, default)
+                for key, default in (
+                    ("metrics", {}), ("spans", 0), ("spans_dropped", 0)
+                )
+            }
         finally:
             tel_sim.close()
             tel.close()

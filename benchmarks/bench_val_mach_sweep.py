@@ -10,11 +10,9 @@ import math
 
 from repro.analysis.report import ExperimentRecord
 from repro.analysis.shock import fit_shock_angle, post_shock_plateau
-from repro.core.simulation import Simulation, SimulationConfig
-from repro.geometry.domain import Domain
-from repro.geometry.wedge import Wedge
 from repro.physics import theory
-from repro.physics.freestream import Freestream
+from repro.scenarios import execute
+from repro.scenarios.library import WEDGE
 
 #: (Mach, wedge angle) pairs; all attached-shock conditions with shock
 #: layers thick enough to measure on the half-scale grid (the shallow
@@ -24,22 +22,16 @@ CASES = ((3.0, 20.0), (4.0, 30.0), (5.0, 34.0))
 
 
 def _solve(mach: float, angle: float):
-    cfg = SimulationConfig(
-        domain=Domain(49, 32),
-        freestream=Freestream(
-            mach=mach,
-            # Keep the fastest stream under ~0.7 cells/step.
-            c_mp=min(0.14, 0.56 / mach / math.sqrt(0.7)),
-            lambda_mfp=0.0,
-            density=14.0,
-        ),
-        wedge=Wedge(x_leading=10.0, base=12.5, angle_deg=angle),
-        seed=int(mach * 100 + angle),
-    )
-    sim = Simulation(cfg)
-    sim.run(260)
-    sim.run(260, sample=True)
-    return sim
+    """The half-scale ``wedge`` scenario at one (Mach, angle) pair."""
+    overrides = {
+        "nx": 49, "ny": 32, "density": 14.0, "lambda_mfp": 0.0,
+        "mach": mach, "angle": angle,
+        # Keep the fastest stream under ~0.7 cells/step.
+        "c_mp": min(0.14, 0.56 / mach / math.sqrt(0.7)),
+        "seed": int(mach * 100 + angle),
+        "transient": 260, "average": 260,
+    }
+    return execute(WEDGE, overrides)[0]
 
 
 def test_val_mach_and_angle_sweep(benchmark, emit):
@@ -57,12 +49,12 @@ def test_val_mach_and_angle_sweep(benchmark, emit):
     solutions[CASES[-1]] = benchmark.pedantic(last_case, rounds=1, iterations=1)
 
     all_ok = True
-    for (mach, angle), sim in solutions.items():
-        rho = sim.density_ratio_field()
+    for (mach, angle), run in solutions.items():
+        rho = run.fields[0]
         beta = theory.shock_angle_deg(mach, angle)
         ratio = theory.oblique_shock_density_ratio(mach, math.radians(angle))
-        fit = fit_shock_angle(rho, sim.config.wedge, post_shock_ratio=ratio)
-        plateau = post_shock_plateau(rho, sim.config.wedge, fit)
+        fit = fit_shock_angle(rho, run.body, post_shock_ratio=ratio)
+        plateau = post_shock_plateau(rho, run.body, fit)
         m_beta = rec.add(
             f"shock angle, M{mach:g} / {angle:g} deg wedge",
             beta,

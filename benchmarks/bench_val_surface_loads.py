@@ -11,25 +11,23 @@ and collision at once.
 from repro.analysis.report import ExperimentRecord
 from repro.core.surface import oblique_shock_surface_pressure_ratio
 
-from benchmarks.common import WEDGE
-
 
 def test_val_surface_loads(benchmark, continuum_solution, emit):
-    sim = continuum_solution
-    fs = sim.config.freestream
+    surface = continuum_solution.surface
+    fs = continuum_solution.config.freestream
 
     def regenerate():
         return (
-            sim.surface.ramp_pressure(),
-            sim.surface.drag_coefficient(fs),
-            sim.surface.back_face_pressure(),
+            surface.ramp_pressure(),
+            surface.drag_coefficient(fs),
+            surface.back_face_pressure(),
         )
 
     pressures, cd, base = benchmark(regenerate)
 
     p_inf = fs.density * fs.rt
     ratio_theory = oblique_shock_surface_pressure_ratio(
-        fs.mach, WEDGE.angle_deg, fs.gamma
+        fs.mach, continuum_solution.body.angle_deg, fs.gamma
     )
     interior = pressures[2:-2] / p_inf
     q = 0.5 * fs.density * fs.speed**2

@@ -1,9 +1,11 @@
 """Session fixtures for the figure/table benchmarks.
 
 The expensive part of every figure bench is the converged wind-tunnel
-solution; it is computed once per session and shared.  Each bench prints
-an :class:`repro.analysis.report.ExperimentRecord` (paper vs measured)
-and appends it to ``benchmarks/out/records.md``.
+solution: the ``wedge`` scenario run through
+:func:`repro.scenarios.execute`, once per session, its
+:class:`~repro.scenarios.ScenarioRun` shared.  Each bench prints an
+:class:`repro.analysis.report.ExperimentRecord` (paper vs measured) and
+appends it to ``benchmarks/out/records.md``.
 """
 
 from __future__ import annotations
@@ -11,20 +13,31 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import MARKDOWN_HEADER, ExperimentRecord
+from repro.scenarios import execute
+from repro.scenarios.library import WEDGE
 
-from benchmarks.common import OUT_DIR, run_solution
+from benchmarks.common import AVERAGE_STEPS, DENSITY, OUT_DIR, TRANSIENT_STEPS
+
+
+def _overrides(lambda_mfp: float) -> dict:
+    return {
+        "lambda_mfp": lambda_mfp,
+        "density": DENSITY,
+        "transient": TRANSIENT_STEPS,
+        "average": AVERAGE_STEPS,
+    }
 
 
 @pytest.fixture(scope="session")
 def continuum_solution():
     """Figures 1-3: near-continuum (lambda = 0) Mach 4 wedge solution."""
-    return run_solution(lambda_mfp=0.0)
+    return execute(WEDGE, _overrides(0.0))[0]
 
 
 @pytest.fixture(scope="session")
 def rarefied_solution():
     """Figures 4-6: rarefied (lambda = 0.5, Kn = 0.02) solution."""
-    return run_solution(lambda_mfp=0.5)
+    return execute(WEDGE, _overrides(0.5))[0]
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,21 @@ from repro.rng import block_streams
 #: gas-surface model, the standard DSMC wall).
 WALL_MODELS = ("specular", "diffuse", "adiabatic", "maxwell")
 
+
+def check_wall_model(wall_model: str, accommodation: float) -> None:
+    """Raise unless ``wall_model`` is one of :data:`WALL_MODELS` and
+    ``accommodation`` lies in [0, 1] (the config and the boundaries
+    share this check, so a bad model fails where the config is built)."""
+    if wall_model not in WALL_MODELS:
+        raise ConfigurationError(
+            f"wall_model must be one of {WALL_MODELS}, got {wall_model!r}"
+        )
+    if not 0.0 <= accommodation <= 1.0:
+        raise ConfigurationError(
+            f"accommodation must be in [0, 1], got {accommodation!r}"
+        )
+
+
 #: Maximum wall/wedge reflection passes before clamping.
 MAX_REFLECTION_PASSES = 6
 
@@ -128,10 +143,7 @@ class WindTunnelBoundaries:
     ) -> None:
         if wedge is not None:
             wedge.validate_in(domain)
-        if wall_model not in WALL_MODELS:
-            raise ConfigurationError(
-                f"wall_model must be one of {WALL_MODELS}, got {wall_model!r}"
-            )
+        check_wall_model(wall_model, accommodation)
         self.domain = domain
         self.freestream = freestream
         self.wedge = wedge
@@ -148,8 +160,6 @@ class WindTunnelBoundaries:
         #: wall encounters re-emitted diffusely at the wall temperature
         #: (the rest reflect specularly).  0 degenerates to "specular",
         #: 1 to "diffuse"; only the "maxwell" model reads it.
-        if not 0.0 <= accommodation <= 1.0:
-            raise ConfigurationError("accommodation must be in [0, 1]")
         self.accommodation = accommodation
         #: Optional surface-load sampler; when set, wedge reflections
         #: deposit their impulses into it (armed per step by the driver

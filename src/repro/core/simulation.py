@@ -25,7 +25,11 @@ import numpy as np
 
 from repro.constants import DEFAULT_SORT_SCALE
 from repro.core import motion
-from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
+from repro.core.boundary import (
+    BoundaryStats,
+    WindTunnelBoundaries,
+    check_wall_model,
+)
 from repro.core.cells import assign_cells
 from repro.core.collision import collide_adjacent_pairs
 from repro.core.pairing import even_odd_pairs
@@ -192,6 +196,7 @@ class SimulationConfig:
                 f"unknown sort_kernel {self.sort_kernel!r}; expected "
                 "'incremental' or 'counting'"
             )
+        check_wall_model(self.wall_model, self.accommodation)
         self.freestream.check_selection_rule_validity()
 
     def _warn_if_detached(self) -> None:

@@ -70,8 +70,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.core.particles import ParticleArrays
 from repro.core.sampling import CellSampler, ensemble_statistic
 from repro.core.simulation import SimulationConfig
+from repro.core.surface import SurfaceSampler, oblique_shock_surface_pressure_ratio
 from repro.errors import ConfigurationError
 from repro.geometry.wedge import Wedge
 from repro.physics import theory
@@ -117,13 +119,25 @@ class ScenarioRun:
     fields: List[np.ndarray]
     #: This block's accumulators (of the last window).
     sampler: CellSampler
-    #: Mean ramp pressure / freestream static pressure (wedge runs).
-    ramp_pressure_ratio: Optional[float]
+    #: This block's surface-load sampler (``None`` without a wedge).
+    surface: Optional[SurfaceSampler]
+    #: This block's final flow particles (a view of the run's arrays).
+    particles: ParticleArrays
     #: Flow particles the block was seeded with (``None`` when the
     #: harvest did not see the run start).
     n_seeded: Optional[int] = None
     #: :func:`repro.verify.state_digest` of the whole run (every block).
     state_digest: Optional[str] = None
+
+    @property
+    def ramp_pressure_ratio(self) -> Optional[float]:
+        """Mean ramp pressure / freestream static pressure (``None``
+        until the surface has sampled a step)."""
+        if self.surface is None or self.surface.steps == 0:
+            return None
+        fs = self.config.freestream
+        p_inf = fs.density * fs.rt
+        return float(self.surface.ramp_pressure()[2:-2].mean() / p_inf)
 
     @property
     def body(self) -> Any:
@@ -311,35 +325,31 @@ def harvest(
 ) -> List[ScenarioRun]:
     """One :class:`ScenarioRun` per block of a finished run.
 
-    Reads ``sim.sampler.blocks()`` and ``sim.surfaces`` -- the same for
-    one block or R, fresh or resumed -- after the run's
-    :func:`~repro.verify.state_digest`, which gathers a sharded run.
-    ``fields`` (per block, per window) replaces the one end-of-run field
-    of each block when the caller sampled in windows.
+    Reads ``sim.sampler.blocks()``, ``sim.surfaces`` and
+    ``sim.particles.blocks()`` -- the same for one block or R, fresh or
+    resumed -- after the run's :func:`~repro.verify.state_digest`, which
+    gathers a sharded run.  Surfaces and particles are the run's own
+    objects and views, not copies.  ``fields`` (per block, per window)
+    replaces the one end-of-run field of each block when the caller
+    sampled in windows.
     """
     digest = state_digest(sim)
     samplers = sim.sampler.blocks()
     if fields is None:
         fields = [[rho] for rho in _block_fields(sim, samplers)]
-    fs = sim.config.freestream
-    p_inf = fs.density * fs.rt
-    ramps = [
-        float(surf.ramp_pressure()[2:-2].mean() / p_inf)
-        if surf.steps > 0
-        else None
-        for surf in sim.surfaces
-    ] or [None] * len(samplers)
+    surfaces = sim.surfaces or (None,) * len(samplers)
     return [
         ScenarioRun(
             spec=spec,
             config=sim.config,
             fields=fields[b],
             sampler=samplers[b],
-            ramp_pressure_ratio=ramps[b],
+            surface=surfaces[b],
+            particles=particles,
             n_seeded=None if n_seeded is None else n_seeded[b],
             state_digest=digest,
         )
-        for b in range(len(samplers))
+        for b, particles in enumerate(sim.particles.blocks())
     ]
 
 
@@ -441,8 +451,6 @@ def expected_value(run: ScenarioRun, check: Mapping[str, Any]) -> float:
             )
         )
     if expect == "theory:surface_pressure":
-        from repro.core.surface import oblique_shock_surface_pressure_ratio
-
         return float(
             oblique_shock_surface_pressure_ratio(
                 run.mach, body.angle_deg, run.gamma

@@ -131,30 +131,82 @@ class JobRecord:
         return self.state in TERMINAL_STATES
 
 
+#: JSON types of the journal's ``job`` payload, field by field (a
+#: field without a default must be present).
+_NUM, _NONE = (int, float), type(None)
+_JOB_TYPES = dict(
+    job_id=str, scenario=str, spec=dict, seed=int, overrides=dict,
+    schedule=list, cache_key=str, job_dir=str, state=str, attempt=int,
+    max_retries=int, deadline=(*_NUM, _NONE), submitted_time=_NUM,
+    started_time=(*_NUM, _NONE), finished_time=(*_NUM, _NONE),
+    not_before=_NUM, error=(str, _NONE), exit_code=(int, _NONE),
+    cached_from=(str, _NONE),
+)
+#: The job attributes a ``state`` record may update.
+_STATE_TYPES = {
+    k: _JOB_TYPES[k]
+    for k in ("attempt", "started_time", "finished_time", "not_before",
+              "error", "exit_code")
+}
+
+
+def _checked(table, where: str, types: dict, required=()) -> dict:
+    """``table`` if it is a dict holding every ``required`` key, each
+    of its ``types`` keys of an accepted type (a bool is no number) and
+    a known ``state``; else :class:`ServiceJournalError` naming
+    ``where``."""
+    if not isinstance(table, dict):
+        raise ServiceJournalError(f"{where} is not an object")
+    for key in required:
+        if key not in table:
+            raise ServiceJournalError(f"{where} lacks field {key!r}")
+    for key in types.keys() & table.keys():
+        value = table[key]
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            raise ServiceJournalError(f"{where} field {key!r} is mistyped")
+    if "state" in types and table.get("state", QUEUED) not in VALID_TRANSITIONS:
+        raise ServiceJournalError(f"{where} names an unknown job state")
+    return table
+
+
 def replay(records: List[dict]) -> Tuple[Dict[str, JobRecord], Dict[str, str]]:
     """Rebuild ``(jobs, cache)`` tables from journal records.
 
     Pure function of its input -- replaying the same records twice
     yields equal tables -- and strict about versions: any record
     stamped with a ``v`` newer than :data:`JOURNAL_VERSION` raises
-    :class:`JournalVersionError`.
+    :class:`JournalVersionError`.  A record of a known kind with a
+    field missing or of the wrong type raises
+    :class:`ServiceJournalError` naming the record's index and kind.
     """
     jobs: Dict[str, JobRecord] = {}
     cache: Dict[str, str] = {}
-    for rec in records:
-        version = int(rec.get("v", 1))
+    for i, rec in enumerate(records):
+        kind = rec.get("kind") if isinstance(rec, dict) else None
+        where = f"service journal record {i} ({kind!r})"
+        version = _checked(rec, where, {"v": int}).get("v", 1)
         if version > JOURNAL_VERSION:
             raise JournalVersionError(
                 "service journal was written by a newer schema",
                 found=version,
                 supported=JOURNAL_VERSION,
             )
-        kind = rec.get("kind")
         if kind == "submitted":
-            job = JobRecord.from_dict(rec["job"])
+            job = _checked(
+                rec.get("job"), f"{where} field 'job'", _JOB_TYPES,
+                [f.name for f in dataclasses.fields(JobRecord)
+                 if f.default is dataclasses.MISSING],
+            )
+            if len(job["schedule"]) != 2 or not all(
+                type(v) is int for v in job["schedule"]
+            ):
+                raise ServiceJournalError(f"{where}: bad job schedule")
+            job = JobRecord.from_dict(job)
             jobs[job.job_id] = job
         elif kind == "state":
-            job = jobs.get(rec.get("job_id"))
+            types = {"job_id": str, "state": str, **_STATE_TYPES}
+            _checked(rec, where, types, ("job_id", "state"))
+            job = jobs.get(rec["job_id"])
             if job is None:
                 # Only reachable if the submission record was lost to
                 # a torn tail that also lost this record's predecessor
@@ -162,17 +214,10 @@ def replay(records: List[dict]) -> Tuple[Dict[str, JobRecord], Dict[str, str]]:
                 # must never crash the restart path.
                 continue
             job.state = rec["state"]
-            for key in (
-                "attempt",
-                "started_time",
-                "finished_time",
-                "not_before",
-                "error",
-                "exit_code",
-            ):
-                if key in rec:
-                    setattr(job, key, rec[key])
+            for key in _STATE_TYPES.keys() & rec.keys():
+                setattr(job, key, rec[key])
         elif kind == "cached":
+            _checked(rec, where, {"key": str, "job_id": str}, ("key", "job_id"))
             cache[rec["key"]] = rec["job_id"]
         # service_start/service_stop/drained and future informational
         # kinds replay as no-ops.

@@ -93,6 +93,17 @@ class TestErrorMapping:
         with pytest.raises(ConfigurationError, match="deadline"):
             client.submit(scenario="wedge", deadline="soon")
 
+    def test_unknown_wall_model_is_400_at_submit(self, service):
+        # Rejected by the config the loader dry-builds, before a job is
+        # journaled -- not later, in the worker.
+        from repro.scenarios import get
+
+        _, _, client = service
+        spec = {**get("wedge").to_dict(), "boundaries": {"wall_model": "x"}}
+        with pytest.raises(ConfigurationError, match="wall_model"):
+            client.submit(spec=spec)
+        assert client.list_jobs() == []
+
     def test_malformed_json_body_is_400(self, service):
         _, api, _ = service
         req = urllib.request.Request(

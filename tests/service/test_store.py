@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.errors import (
     JobNotFoundError,
@@ -156,6 +158,47 @@ class TestReplay:
         store = JobStore(tmp_path)
         assert store.torn_tail is True
         assert store.jobs["j1"].state == st.RUNNING
+
+
+#: JSON values of every type a journal line can carry.
+JSON_VALUES = hst.one_of(
+    hst.none(), hst.booleans(), hst.integers(-3, 10**6),
+    hst.floats(allow_nan=False), hst.text(max_size=4),
+    hst.lists(hst.integers(0, 9), max_size=3),
+    hst.dictionaries(hst.text(max_size=3), hst.integers(), max_size=2),
+)
+
+
+class TestMalformedRecords:
+    """A well-formed record with one field dropped or retyped replays
+    or raises :class:`ServiceJournalError` -- never a ``KeyError`` or
+    ``TypeError`` out of the restart path."""
+
+    def test_a_submission_without_its_job_is_a_journal_error(self, tmp_path):
+        journal_path(tmp_path).write_text('{"kind":"submitted","v":1}\n')
+        with pytest.raises(ServiceJournalError, match=r"record 0 \('submitted'\)"):
+            JobStore(tmp_path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=hst.data())
+    def test_one_field_dropped_or_retyped(self, data):
+        records = TestReplay().records()
+        i = data.draw(hst.integers(0, len(records) - 1), label="record")
+        target = records[i]
+        if "job" in target and data.draw(hst.booleans(), label="in job"):
+            target = target["job"]
+        key = data.draw(hst.sampled_from(sorted(target)), label="field")
+        if data.draw(hst.booleans(), label="drop"):
+            del target[key]
+        else:
+            target[key] = data.draw(JSON_VALUES, label="value")
+        try:
+            jobs, _ = replay(records)
+        except ServiceJournalError:
+            return
+        for job in jobs.values():
+            assert job.state in st.VALID_TRANSITIONS
+            assert len(job.schedule) == 2
 
 
 class TestStateMachine:

@@ -21,6 +21,7 @@ import repro.core.motion
 
 SRC_ROOT = pathlib.Path(repro.__file__).parent
 EXAMPLES = pathlib.Path(repro.__file__).parents[2] / "examples"
+BENCHMARKS = pathlib.Path(repro.__file__).parents[2] / "benchmarks"
 
 
 def _walk_modules():
@@ -398,6 +399,14 @@ class TestOneSnapshot:
         assert writers(save) and writers(save) == writers(tree)
 
 
+def _callee(call: ast.Call):
+    """The called name: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(
+        func, "attr", None
+    )
+
+
 def _call_sites(callee: str) -> set:
     """``(file, enclosing def)`` of every call to ``callee`` in the
     package, the def spelled ``Class.method`` / ``outer.inner``."""
@@ -410,13 +419,8 @@ def _call_sites(callee: str) -> set:
             ):
                 visit(child, scope + (child.name,), path)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(
-                    func, "attr", None
-                )
-                if name == callee:
-                    sites.add((path, ".".join(scope)))
+            if isinstance(child, ast.Call) and _callee(child) == callee:
+                sites.add((path, ".".join(scope)))
             visit(child, scope, path)
 
     for path in SRC_ROOT.rglob("*.py"):
@@ -435,6 +439,52 @@ class TestOneRunPath:
             ("scenarios/spec.py", "ScenarioSpec.build_simulation"),
             ("scenarios/spec.py", "ScenarioSpec.from_dict"),
         }
+
+    def test_every_wedge_bench_runs_the_spec(self):
+        # A bench builds its wedge tunnel from the registered spec
+        # (execute, build_simulation, build_config); these still build
+        # an engine or a config by hand, each waiting on a ROADMAP item.
+        waiting = {
+            "bench_fig7_scaling.py": (
+                {"SimulationConfig", "Domain"},
+                "item 10: the CM engine on an empty tunnel",
+            ),
+            "bench_ext_weak_scaling.py": (
+                {"SimulationConfig", "Domain"},
+                "item 10: the CM engine on an empty tunnel",
+            ),
+            "bench_abl_dynamic_vp.py": (
+                {"SimulationConfig", "Domain", "Wedge"},
+                "item 10: the CM engine on a non-paper placement",
+            ),
+            "bench_table_phase_breakdown.py": (
+                {"Simulation"},
+                "item 7: sort_kernel is a config field, not a spec setting",
+            ),
+        }
+        builders = {
+            "SimulationConfig", "Simulation", "EnsembleEngine", "Domain",
+            "Wedge",
+        }
+        found = {}
+        for path in sorted(BENCHMARKS.glob("*.py")):
+            names = {
+                _callee(node)
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+            } & builders
+            if names:
+                found[path.name] = names
+        assert found == {k: names for k, (names, _) in waiting.items()}
+
+    def test_the_bench_suite_has_no_run_builder_of_its_own(self):
+        # common.py holds the suite's scale, not a second run path.
+        tree = ast.parse((BENCHMARKS / "common.py").read_text())
+        assert not [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
 
     def test_the_ensemble_is_built_by_the_builder_and_the_loader(self):
         assert _call_sites("EnsembleEngine") == {

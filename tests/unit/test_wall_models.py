@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.boundary import WALL_MODELS, WindTunnelBoundaries
 from repro.core.particles import ParticleArrays
+from repro.core.simulation import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 from repro.geometry.reflect import reflect_adiabatic_axis
@@ -166,6 +167,23 @@ class TestTunnelWallModels:
         with pytest.raises(ConfigurationError):
             WindTunnelBoundaries(
                 Domain(30, 20), fs, wall_model="maxwell", accommodation=1.5
+            )
+
+    @pytest.mark.parametrize(
+        "boundaries, match",
+        [
+            ({"wall_model": "x"}, "wall_model"),
+            ({"wall_model": "maxwell", "accommodation": 1.5}, "accommodation"),
+        ],
+    )
+    def test_bad_wall_fails_where_the_config_is_built(self, boundaries, match):
+        from repro.scenarios import ScenarioSpec, get
+
+        with pytest.raises(ConfigurationError, match=match):
+            SimulationConfig(domain=Domain(30, 20), wedge=None, **boundaries)
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.from_dict(
+                {**get("wedge").to_dict(), "boundaries": boundaries}
             )
 
     def test_diffuse_wall_cools_a_hot_gas(self, fs, rng):
