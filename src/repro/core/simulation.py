@@ -647,7 +647,8 @@ class SerialBackend:
     (:class:`repro.parallel.backend.ShardedBackend`) implements the same
     four-method seam -- ``bind`` / ``step`` / ``gather`` / ``close`` --
     over slab-decomposed worker processes; :class:`Simulation` only ever
-    talks to the seam.
+    talks to the seam.  Both also run the invariant auditor's per-block
+    checks where the blocks live (``audit``).
     """
 
     #: Worker count the backend runs with (diagnostic; 1 for serial).
@@ -662,6 +663,16 @@ class SerialBackend:
 
     def close(self) -> None:
         """Release backend resources (no-op serially)."""
+
+    def audit(self, sim: "Simulation") -> list:
+        """The per-block audit over the whole population: one call, with
+        one sorter over the blocks it declares (an ensemble's R)."""
+        from repro.resilience.audit import audit_block
+
+        return [audit_block(
+            sim.particles, sim.config.domain, {"step": sim.step_count},
+            sorter=sim.sort_state,
+        )]
 
     def step(self, sim: "Simulation", sample: bool = False) -> StepDiagnostics:
         """Advance ``sim`` by one time step, over one block or R."""

@@ -99,10 +99,11 @@ class ExchangeOverflowError(ResilienceError):
 class InvariantViolationError(ResilienceError):
     """A runtime audit found physically impossible simulation state.
 
-    Raised by :class:`repro.resilience.audit.InvariantAuditor` when a
-    conservation or range invariant breaks: particle-count accounting,
-    non-finite state, fixed-point range, cell-index consistency, slab
-    containment, or migration-channel conservation.
+    Raised by the invariant audit (:mod:`repro.resilience.audit`, run
+    in a forked shard's own worker for its slab) when a conservation or
+    range invariant breaks: particle-count accounting, non-finite
+    state, fixed-point range, cell-index consistency, slab containment,
+    migration-channel conservation, or the cached sort order.
     """
 
 

@@ -7,7 +7,8 @@ state -- the shard particle populations (ping-pong column buffers), the
 migration channels, per-shard diagnostics and sampler accumulators --
 lives in shared memory inherited over ``fork``, so the steady-state
 step exchanges no pickled data at all; pipes carry only rare traffic
-(worker tracebacks, the reservoir on an explicit ``gather``).
+(worker tracebacks, the reservoir on an explicit ``gather``, each
+shard's invariant-audit result).
 
 One driver: a shard is a block with neighbours, and each worker runs
 the serial engine's step (:func:`repro.core.simulation.step_stage1`,
@@ -60,6 +61,7 @@ from repro.core.simulation import (
 from repro.core.sortstep import IncrementalSorter
 from repro.errors import (
     ConfigurationError,
+    InvariantViolationError,
     WorkerCrashError,
     WorkerHangError,
 )
@@ -104,6 +106,7 @@ CMD_STEP = 1
 CMD_GATHER = 2
 CMD_STOP = 3
 CMD_REBALANCE = 4
+CMD_AUDIT = 5
 
 MISC_PLUNGER = 0     # plunger face position, published by shard 0
 MISC_WORDS = 1
@@ -435,6 +438,29 @@ class ShardWorker:
 
     # -- rare traffic ----------------------------------------------------
 
+    def audit(self, step: int):
+        """The invariant auditor's per-block checks on this slab, plus
+        the transport's own: the shard's outgoing channel counts lie
+        in ``[0, capacity]``.  Returns ``(n, energy, checks)``."""
+        from repro.resilience.audit import audit_block
+
+        ctx = {"step": step, "shard": self.shard_id}
+        n, energy, checks = audit_block(
+            self.particles, self.domain, ctx, (self.x_lo, self.x_hi),
+            self.sort_state,
+        )
+        counts = self.channels.counts[self.shard_id]
+        if counts.min() < 0 or counts.max() > self.channels.capacity:
+            raise InvariantViolationError(
+                "migration-channel count outside [0, capacity]",
+                check="channels",
+                count_min=int(counts.min()),
+                count_max=int(counts.max()),
+                capacity=int(self.channels.capacity),
+                **ctx,
+            )
+        return n, energy, checks + ("channels",)
+
     def gather_payload(self) -> Dict[str, np.ndarray]:
         """Worker-private state the parent cannot see in shared memory."""
         res = self.reservoir.particles
@@ -456,6 +482,14 @@ def _worker_main(worker, start_b, mid_b, end_b, ctrl, conn) -> None:
     """
     worker._forked = True
     failed = False
+
+    def audit():
+        # A violation crosses the fork typed; the audit wrote nothing,
+        # so the worker stays healthy for the supervisor's teardown.
+        try:
+            return worker.audit(int(ctrl[CTRL_STEP]))
+        except InvariantViolationError as exc:
+            return exc
 
     def attempt(phase, *args, report: bool = True) -> None:
         """Run ``phase`` unless poisoned; on failure, poison and flag."""
@@ -491,6 +525,8 @@ def _worker_main(worker, start_b, mid_b, end_b, ctrl, conn) -> None:
             attempt(
                 lambda: conn.send(worker.gather_payload()), report=False
             )
+        elif cmd == CMD_AUDIT:
+            attempt(lambda: conn.send(audit()), report=False)
         end_b.wait()
     conn.close()
 
@@ -1000,6 +1036,30 @@ class ShardedBackend:
             sim.surface._hits[:] = self._shared["surf_hits"].sum(axis=0)
             sim.surface._steps = self._surf_steps0 + self._sample_steps
 
+    def audit(self, sim) -> List[Tuple[int, float, Tuple[str, ...]]]:
+        """Run the per-block audit on every slab, where the slab lives.
+
+        Inline, a direct call per worker.  Forked, one command round
+        through the start and end barriers, each worker piping back its
+        result -- or its :class:`~repro.errors.InvariantViolationError`,
+        raised here in shard order -- so the order check runs next to
+        the sorter that built the order.
+        """
+        step = sim.step_count
+        if not self._processes:
+            return [w.audit(step) for w in self._workers]
+        self._ctrl[CTRL_CMD] = CMD_AUDIT
+        self._ctrl[CTRL_STEP] = step
+        self._await(self._start_barrier, step=step)
+        results = [self._recv_payload(pipe) for pipe in self._pipes]
+        self._await(self._end_barrier, step=step)
+        if self._ctrl[CTRL_ERROR]:
+            self._raise_worker_error(step=step)
+        for result in results:
+            if isinstance(result, InvariantViolationError):
+                raise result
+        return results
+
     def shard_moments(self) -> Dict[str, np.ndarray]:
         """The live per-shard sampler and surface-load sums, one row per
         shard: what a checkpoint archives, and what a restore at the
@@ -1024,7 +1084,7 @@ class ShardedBackend:
             timeout_s=self._barrier_timeout,
         )
 
-    # -- introspection for the invariant auditor ------------------------
+    # -- introspection: shard state read between steps -------------------
 
     def _shard_views(self) -> List[Dict[str, np.ndarray]]:
         """Every shard's live columns, zero-copy, in shard order.
@@ -1048,36 +1108,13 @@ class ShardedBackend:
     def shard_columns(self) -> Optional[List[Dict[str, np.ndarray]]]:
         """Zero-copy views of every shard's live particle columns.
 
-        The auditor reads the authoritative shard state straight out of
-        the shared ping-pong buffers without a gather.  ``None`` before
-        bind.
+        The telemetry hub reads the authoritative shard state straight
+        out of the shared ping-pong buffers without a gather.  ``None``
+        before bind.
         """
         if not self._bound:
             return None
         return self._shard_views()
-
-    def shard_slab_bounds(self) -> Optional[List[Tuple[float, float]]]:
-        """Per-shard ``(x_lo, x_hi)`` slab bounds (containment audit)."""
-        if not self._bound:
-            return None
-        return [self._slabs.bounds(k) for k in range(self.n_workers)]
-
-    def migration_state(self) -> Optional[Tuple[np.ndarray, int]]:
-        """``(counts, capacity)`` of the migration channels, for audit."""
-        if not self._bound:
-            return None
-        return np.asarray(self._channels.counts), self._channels.capacity
-
-    def sort_states(self) -> Optional[List]:
-        """Per-shard :class:`IncrementalSorter` instances, for audit.
-
-        Only reachable in inline mode -- in process mode the sorters
-        live in worker memory, so the order audit is skipped there.
-        ``None`` entries (counting kernel) are possible.
-        """
-        if not self._bound or self._processes:
-            return None
-        return [w.sort_state for w in self._workers]
 
     # -- introspection for the telemetry hub -----------------------------
 
@@ -1102,19 +1139,20 @@ class ShardedBackend:
         n_res = self._shared["diag"][0, _N_RESERVOIR]
         return int(n_res) * self._mix_rounds
 
-    def exchange_occupancy(self) -> Optional[Tuple[np.ndarray, int]]:
-        """``(high_water, capacity)`` of the migration channels.
+    def exchange_occupancy(
+        self,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+        """``(counts, high_water, capacity)`` of the migration channels.
 
-        The high-water marks accumulate across the run (written by the
-        workers at ship time), so a single read answers "how close did
-        any channel come to overflowing".
+        ``counts`` are the last step's migrants per ``(shard,
+        direction)`` channel; the high-water marks accumulate across the
+        run (written by the workers at ship time), so a single read
+        answers "how close did any channel come to overflowing".
         """
         if not self._bound:
             return None
-        return (
-            np.asarray(self._channels.high_water).copy(),
-            self._channels.capacity,
-        )
+        ch = self._channels
+        return ch.counts, ch.high_water, ch.capacity
 
     def drain_span_rings(self) -> Optional[np.ndarray]:
         """Drain every worker span ring into one row block (or None)."""

@@ -3,9 +3,14 @@
 A production solver's worst failure mode is not a crash -- it is
 quietly wrong numbers marching on for thousands of steps.  The
 :class:`InvariantAuditor` runs O(N) checks over the *authoritative*
-particle state (the shard workers' shared buffers for sharded runs, no
-gather needed) at a configurable cadence, each encoding a conservation
-or validity property of the paper's algorithm:
+particle state at a configurable cadence.  The per-block checks are one
+function of one block (:func:`audit_block`), run where the block lives:
+the serial backend runs it once over the whole population (an
+ensemble's R blocks included), and every shard worker runs it on its
+own slab, inline or in its forked process (``ShardedBackend.audit``).
+The auditor keeps only the global checks over the summed per-block
+counts and energies.  Each check encodes a conservation or validity
+property of the paper's algorithm:
 
 * **count accounting** -- the flow population changes only through the
   boundary fluxes: ``N(t) = N(t0) + injected - removed`` exactly, since
@@ -23,36 +28,39 @@ or validity property of the paper's algorithm:
   owner shard's x-slab; a violation means migration lost or
   teleported a particle.
 * **channel conservation** (sharded) -- migration-channel counts are
-  within ``[0, capacity]``.
+  within ``[0, capacity]``; the sharded backend checks each shard's
+  outgoing channels in the same round.
 * **cached order** (incremental sort kernel) -- the order the last
-  step paired and collided through is a true permutation of the live
-  population, cell-contiguous against the current cell column (keyed
-  ``(block, cell, row)`` when the flow declares blocks, the sorter's
-  own composite key), and the
-  sorter's cell cache matches the committed cells; a violation means
-  the index (or the population under it) was corrupted after the sort.
+  step paired and collided through, read from the sorter that built
+  it (a forked shard's lives in its worker), is a true permutation of
+  the live population, cell-contiguous against the current cell column
+  (keyed ``(block, cell, row)`` when the flow declares blocks, the
+  sorter's own composite key), and the sorter's cell cache matches the
+  committed cells; a violation means the index (or the population
+  under it) was corrupted after the sort.
 * **energy drift** -- total (kinetic + rotational) energy moves less
   than a relative tolerance between audits; boundary fluxes exchange
   energy with the reservoir so this is a drift band, not an equality,
   but it catches runaway corruption (1e30 velocities) immediately.
 
 Violations raise :class:`repro.errors.InvariantViolationError` with
-structured context (step, shard, the check, the numbers).
+structured context (step, shard, the check, the numbers); a forked
+shard's violation crosses the fork as that same typed error.  An audit
+draws no random numbers and writes no state.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.particles import COLUMN_NAMES, ParticleArrays
+from repro.core.particles import ParticleArrays
 from repro.core.sortstep import blocked_cell_key
 from repro.errors import InvariantViolationError
 
 #: Columns whose values must be finite after every step.
-_FINITE_COLUMNS = ("x", "y", "u", "v", "w", "z")
+_FINITE_COLUMNS = ("x", "y", "u", "v", "w", "z", "rot")
 #: Velocity columns bounded by the fixed-point range.
 _VELOCITY_COLUMNS = ("u", "v", "w")
 #: The Q8.23 magnitude bound (256 cell widths per step): the paper's
@@ -65,7 +73,8 @@ POSITION_TOLERANCE = 1e-9
 #: (boundary fluxes move real energy in and out): it catches blow-ups,
 #: it does not police stochastic drift.
 ENERGY_DRIFT_TOL = 0.5
-#: Every audit runs every check, in this order.
+#: Every check an audit can run, in report order; a report names the
+#: ones that ran.
 CHECKS = (
     "counts",
     "finite",
@@ -76,6 +85,154 @@ CHECKS = (
     "energy",
     "order",
 )
+
+
+def audit_block(
+    parts: ParticleArrays,
+    domain,
+    ctx: dict,
+    x_bounds: Optional[Tuple[float, float]] = None,
+    sorter=None,
+) -> Tuple[int, float, Tuple[str, ...]]:
+    """Run the per-block checks over one block's live columns.
+
+    ``ctx`` (the step, and the shard for a slab) goes into every
+    violation's context.  ``x_bounds`` is a shard's slab (``None`` for
+    the whole tunnel); ``sorter`` the block's incremental sorter
+    (``None`` on the counting kernel), checked against the blocks
+    ``parts`` declares.  Returns the block's particle count, its total
+    energy and the names of the checks that ran.
+    """
+    for name in _FINITE_COLUMNS:
+        col = getattr(parts, name)
+        if col.size and not np.isfinite(col).all():
+            raise InvariantViolationError(
+                f"non-finite values in particle column {name!r}",
+                check="finite",
+                column=name,
+                n_bad=int(np.count_nonzero(~np.isfinite(col))),
+                **ctx,
+            )
+    # The position columns a cell index is made of, with their
+    # extents: x, y -- and z on a span domain.
+    axes = domain.cell_axes(parts)
+    _check_range(parts, axes, ctx)
+    checks = ("finite", "range", "cells")
+    if parts.n:
+        expected_cell = domain.cell_index(*(col for col, _ in axes))
+        if not np.array_equal(parts.cell, expected_cell):
+            raise InvariantViolationError(
+                "cell-index column inconsistent with particle positions",
+                check="cells",
+                n_bad=int(np.count_nonzero(parts.cell != expected_cell)),
+                **ctx,
+            )
+    if sorter is not None and sorter.rebuilds:
+        _check_order(sorter, parts, ctx)
+        checks += ("order",)
+    if x_bounds is not None:
+        lo, hi = x_bounds
+        tol = POSITION_TOLERANCE
+        x = parts.x
+        if x.size and (float(x.min()) < lo - tol or float(x.max()) >= hi + tol):
+            raise InvariantViolationError(
+                "particle outside its owner shard's slab "
+                "(migration lost or teleported it)",
+                check="slabs",
+                slab_lo=lo,
+                slab_hi=hi,
+                x_min=float(x.min()),
+                x_max=float(x.max()),
+                **ctx,
+            )
+        checks += ("slabs",)
+    return parts.n, parts.total_energy(), checks
+
+
+def _check_range(parts: ParticleArrays, axes, ctx) -> None:
+    tol = POSITION_TOLERANCE
+    for name, (col, extent) in zip("xyz", axes):
+        if col.size and (
+            float(col.min()) < -tol or float(col.max()) > extent + tol
+        ):
+            raise InvariantViolationError(
+                f"particle {name} position outside the tunnel",
+                check="range",
+                column=name,
+                minimum=float(col.min()),
+                maximum=float(col.max()),
+                extent=extent,
+                **ctx,
+            )
+    for name in _VELOCITY_COLUMNS:
+        col = getattr(parts, name)
+        if col.size:
+            peak = float(np.abs(col).max())
+            if peak > VELOCITY_LIMIT:
+                raise InvariantViolationError(
+                    f"velocity component {name!r} exceeds the "
+                    "fixed-point representable range",
+                    check="range",
+                    column=name,
+                    peak=peak,
+                    limit=VELOCITY_LIMIT,
+                    **ctx,
+                )
+
+
+def _check_order(sorter, parts: ParticleArrays, ctx) -> None:
+    """Validate an incremental sorter's committed canonical order.
+
+    When ``parts`` declares blocks (an ensemble's replicas) the order
+    is sorted by the composite
+    :func:`~repro.core.sortstep.blocked_cell_key`, as the sorter built
+    it.
+    """
+    n = parts.n
+    if sorter._order_n != n:
+        raise InvariantViolationError(
+            "cached sort order tracks a different population size "
+            "than the live particle state",
+            check="order",
+            order_n=int(sorter._order_n),
+            n_particles=n,
+            **ctx,
+        )
+    if n == 0:
+        return
+    cell = parts.cell
+    key = cell if parts.starts is None else blocked_cell_key(
+        cell, parts.starts, sorter.n_cells
+    )
+    order = sorter._order[:n]
+    hits = np.bincount(order, minlength=n)
+    if hits.shape[0] != n or not (hits == 1).all():
+        raise InvariantViolationError(
+            "cached sort order is not a permutation of the live "
+            "particle rows",
+            check="order",
+            n_particles=n,
+            n_missing=int(np.count_nonzero(hits[:n] == 0)),
+            **ctx,
+        )
+    keys = key[order].astype(np.int64) * n + order
+    if n > 1 and not (np.diff(keys) > 0).all():
+        raise InvariantViolationError(
+            "cached sort order is not cell-contiguous canonical "
+            "(block, cell, row) order",
+            check="order",
+            n_particles=n,
+            **ctx,
+        )
+    if not np.array_equal(sorter._prev_cell[:n], cell):
+        raise InvariantViolationError(
+            "incremental sorter's committed cell baseline "
+            "disagrees with the live cell column (mover detection "
+            "would miss movers)",
+            check="order",
+            n_bad=int(np.count_nonzero(sorter._prev_cell[:n] != cell)),
+            **ctx,
+        )
 
 
 class InvariantAuditor:
@@ -92,7 +249,9 @@ class InvariantAuditor:
                 auditor.audit(sim)         # O(N): the real checks
 
     ``rebase`` must be called again whenever the simulation state is
-    replaced outside the step loop (snapshot restore, recovery).
+    replaced outside the step loop (snapshot restore, recovery).  Both
+    read the state through the backend's ``audit`` round, which runs
+    :func:`audit_block` on every block where it lives.
     """
 
     def __init__(self) -> None:
@@ -100,7 +259,6 @@ class InvariantAuditor:
         self._energy_base: Optional[float] = None
         self._injected = 0
         self._removed = 0
-        self._last_step: Optional[int] = None
         #: Total audits run (cheap observability for tests/benchmarks).
         self.audits_run = 0
 
@@ -108,38 +266,35 @@ class InvariantAuditor:
 
     def rebase(self, sim) -> None:
         """Re-prime the accounting baselines from ``sim``'s live state."""
-        views = self._views(sim)
-        self._n_base = sum(int(v["x"].shape[0]) for v in views)
-        self._energy_base = self._total_energy(views)
+        blocks = sim.backend.audit(sim)
+        self._n_base = sum(n for n, _, _ in blocks)
+        self._energy_base = sum(e for _, e, _ in blocks)
         self._injected = 0
         self._removed = 0
-        self._last_step = sim.step_count
 
     def observe(self, diag) -> None:
         """Accumulate one step's boundary fluxes (O(1) per step)."""
         b = diag.boundary
         self._injected += b.n_injected_upstream
         self._removed += b.n_removed_downstream
-        self._last_step = diag.step
 
     # -- the audit ------------------------------------------------------
 
     def audit(self, sim) -> Optional[dict]:
         """Run every O(N) check; raise on the first violation.
 
-        On success, returns a small report (which checks ran, particle
-        count, total energy, shard count) that the supervisor forwards
-        to telemetry as the audit event's payload.  Returns ``None``
-        when the call only primed the baselines.
+        On success, returns a small report (the checks that ran,
+        particle count, total energy, shard count) that the supervisor
+        forwards to telemetry as the audit event's payload.  Returns
+        ``None`` when the call only primed the baselines.
         """
         if self._n_base is None:
             self.rebase(sim)
             return None
         step = sim.step_count
-        views = self._views(sim)
+        blocks = sim.backend.audit(sim)
         self.audits_run += 1
-
-        n_now = sum(int(v["x"].shape[0]) for v in views)
+        n_now = sum(n for n, _, _ in blocks)
         expected = self._n_base + self._injected - self._removed
         if n_now != expected:
             raise InvariantViolationError(
@@ -153,241 +308,29 @@ class InvariantAuditor:
                 removed=self._removed,
             )
 
-        domain = sim.config.domain
-        slabs = self._slab_bounds(sim)
-        sorters = self._sort_states(sim)
-        for shard, v in enumerate(views):
-            ctx = {"step": step}
-            if len(views) > 1:
-                ctx["shard"] = shard
-            for name in _FINITE_COLUMNS:
-                col = v[name]
-                if col.size and not np.isfinite(col).all():
-                    bad = int(np.count_nonzero(~np.isfinite(col)))
-                    raise InvariantViolationError(
-                        f"non-finite values in particle column {name!r}",
-                        check="finite",
-                        column=name,
-                        n_bad=bad,
-                        **ctx,
-                    )
-            rot = v["rot"]
-            if rot.size and not np.isfinite(rot).all():
-                raise InvariantViolationError(
-                    "non-finite rotational state",
-                    check="finite",
-                    column="rot",
-                    **ctx,
-                )
-            # The position columns a cell index is made of, with their
-            # extents: x, y -- and z on a span domain.
-            axes = domain.cell_axes(SimpleNamespace(**v))
-            self._check_range(v, axes, ctx)
-            if v["x"].size:
-                expected_cell = domain.cell_index(*(col for col, _ in axes))
-                if not np.array_equal(v["cell"], expected_cell):
-                    bad = int(np.count_nonzero(v["cell"] != expected_cell))
-                    raise InvariantViolationError(
-                        "cell-index column inconsistent with particle "
-                        "positions",
-                        check="cells",
-                        n_bad=bad,
-                        **ctx,
-                    )
-            if (
-                sorters is not None
-                and shard < len(sorters)
-                and sorters[shard] is not None
-            ):
-                self._check_order(
-                    sorters[shard], v, ctx, sim.particles.starts
-                )
-            if slabs is not None and v["x"].size:
-                lo, hi = slabs[shard]
-                tol = POSITION_TOLERANCE
-                x = v["x"]
-                if float(x.min()) < lo - tol or float(x.max()) >= hi + tol:
-                    raise InvariantViolationError(
-                        "particle outside its owner shard's slab "
-                        "(migration lost or teleported it)",
-                        check="slabs",
-                        slab_lo=lo,
-                        slab_hi=hi,
-                        x_min=float(x.min()),
-                        x_max=float(x.max()),
-                        **ctx,
-                    )
-
-        state = self._migration_state(sim)
-        if state is not None:
-            counts, capacity = state
-            if counts.min() < 0 or counts.max() > capacity:
-                raise InvariantViolationError(
-                    "migration-channel count outside [0, capacity]",
-                    step=step,
-                    check="channels",
-                    count_min=int(counts.min()),
-                    count_max=int(counts.max()),
-                    capacity=int(capacity),
-                )
-
-        energy = self._total_energy(views)
+        energy = sum(e for _, e, _ in blocks)
         base = self._energy_base
-        if base is not None:
-            drift = abs(energy - base) / max(abs(base), 1.0)
-            if drift > ENERGY_DRIFT_TOL:
-                raise InvariantViolationError(
-                    "total energy drifted past the audit tolerance",
-                    step=step,
-                    check="energy",
-                    energy=energy,
-                    baseline=base,
-                    drift=drift,
-                    tolerance=ENERGY_DRIFT_TOL,
-                )
-        self._energy_base = energy
+        drift = abs(energy - base) / max(abs(base), 1.0)
+        if drift > ENERGY_DRIFT_TOL:
+            raise InvariantViolationError(
+                "total energy drifted past the audit tolerance",
+                step=step,
+                check="energy",
+                energy=energy,
+                baseline=base,
+                drift=drift,
+                tolerance=ENERGY_DRIFT_TOL,
+            )
 
         # Roll the accounting window forward.
-        self._n_base = sum(int(v["x"].shape[0]) for v in views)
+        self._n_base = n_now
+        self._energy_base = energy
         self._injected = 0
         self._removed = 0
+        ran = {"counts", "energy"}.union(*(c for _, _, c in blocks))
         return {
-            "checks": CHECKS,
-            "n_particles": self._n_base,
+            "checks": tuple(c for c in CHECKS if c in ran),
+            "n_particles": n_now,
             "energy": energy,
-            "shards": len(views),
+            "shards": len(blocks),
         }
-
-    # -- helpers --------------------------------------------------------
-
-    @staticmethod
-    def _check_range(v: Dict[str, np.ndarray], axes, ctx) -> None:
-        tol = POSITION_TOLERANCE
-        for name, (col, extent) in zip("xyz", axes):
-            if col.size and (
-                float(col.min()) < -tol or float(col.max()) > extent + tol
-            ):
-                raise InvariantViolationError(
-                    f"particle {name} position outside the tunnel",
-                    check="range",
-                    column=name,
-                    minimum=float(col.min()),
-                    maximum=float(col.max()),
-                    extent=extent,
-                    **ctx,
-                )
-        for name in _VELOCITY_COLUMNS:
-            col = v[name]
-            if col.size:
-                peak = float(np.abs(col).max())
-                if peak > VELOCITY_LIMIT:
-                    raise InvariantViolationError(
-                        f"velocity component {name!r} exceeds the "
-                        "fixed-point representable range",
-                        check="range",
-                        column=name,
-                        peak=peak,
-                        limit=VELOCITY_LIMIT,
-                        **ctx,
-                    )
-
-    @staticmethod
-    def _check_order(
-        sorter, v: Dict[str, np.ndarray], ctx, starts=None
-    ) -> None:
-        """Validate an incremental sorter's cached canonical order.
-
-        ``starts`` are the blocks the flow declares (an ensemble's
-        replicas): the order is then sorted by the composite
-        :func:`~repro.core.sortstep.blocked_cell_key`, as the sorter
-        built it.
-        """
-        if sorter.rebuilds == 0:
-            return  # nothing committed yet (first step not taken)
-        n = int(v["x"].shape[0])
-        if sorter._order_n != n:
-            raise InvariantViolationError(
-                "cached sort order tracks a different population size "
-                "than the live particle state",
-                check="order",
-                order_n=int(sorter._order_n),
-                n_particles=n,
-                **ctx,
-            )
-        if n == 0:
-            return
-        cell = v["cell"]
-        key = cell if starts is None else blocked_cell_key(
-            cell, starts, sorter.n_cells
-        )
-        order = sorter._order[:n]
-        hits = np.bincount(order, minlength=n)
-        if hits.shape[0] != n or not (hits == 1).all():
-            raise InvariantViolationError(
-                "cached sort order is not a permutation of the live "
-                "particle rows",
-                check="order",
-                n_particles=n,
-                n_missing=int(np.count_nonzero(hits[:n] == 0)),
-                **ctx,
-            )
-        keys = key[order].astype(np.int64) * n + order
-        if n > 1 and not (np.diff(keys) > 0).all():
-            raise InvariantViolationError(
-                "cached sort order is not cell-contiguous canonical "
-                "(block, cell, row) order",
-                check="order",
-                n_particles=n,
-                **ctx,
-            )
-        if not np.array_equal(sorter._prev_cell[:n], cell):
-            raise InvariantViolationError(
-                "incremental sorter's committed cell baseline "
-                "disagrees with the live cell column (mover detection "
-                "would miss movers)",
-                check="order",
-                n_bad=int(np.count_nonzero(sorter._prev_cell[:n] != cell)),
-                **ctx,
-            )
-
-    @staticmethod
-    def _sort_states(sim) -> Optional[List]:
-        """Per-view incremental sorters, aligned with ``_views``.
-
-        Sharded backends expose per-shard sorters via ``sort_states()``
-        (inline mode only -- worker-private in process mode, where the
-        order audit is skipped).  Serially the simulation-owned sorter
-        is authoritative.
-        """
-        fn = getattr(sim.backend, "sort_states", None)
-        states = fn() if callable(fn) else None
-        if states is not None:
-            return states
-        cols = getattr(sim.backend, "shard_columns", None)
-        if callable(cols) and cols() is not None:
-            return None  # process-mode shards: sorters unreachable
-        return [getattr(sim, "sort_state", None)]
-
-    @staticmethod
-    def _views(sim) -> List[Dict[str, np.ndarray]]:
-        """Authoritative per-shard column views (single view serially)."""
-        fn = getattr(sim.backend, "shard_columns", None)
-        views = fn() if callable(fn) else None
-        if views is None:
-            p = sim.particles
-            views = [{name: getattr(p, name) for name in COLUMN_NAMES}]
-        return views
-
-    @staticmethod
-    def _slab_bounds(sim):
-        fn = getattr(sim.backend, "shard_slab_bounds", None)
-        return fn() if callable(fn) else None
-
-    @staticmethod
-    def _migration_state(sim):
-        fn = getattr(sim.backend, "migration_state", None)
-        return fn() if callable(fn) else None
-
-    @staticmethod
-    def _total_energy(views: List[Dict[str, np.ndarray]]) -> float:
-        return sum(ParticleArrays(**v).total_energy() for v in views)

@@ -264,7 +264,8 @@ class SupervisedRun:
             self._write_meta()
             if self.checkpoint_every:
                 self._checkpoint()
-        self.auditor.rebase(sim)
+        if self.audit_every:
+            self.auditor.rebase(sim)
 
     # -- context management --------------------------------------------
 
@@ -526,7 +527,8 @@ class SupervisedRun:
         workers_after = 1 if degraded else self._workers
         self.sim = self._restore(workers_after)
         self._workers = workers_after
-        self.auditor.rebase(self.sim)
+        if self.audit_every:
+            self.auditor.rebase(self.sim)
         if self.telemetry is not None:
             # The restored simulation was built without a telemetry
             # handle; re-wire the hub so metrics and events continue

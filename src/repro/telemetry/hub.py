@@ -150,7 +150,8 @@ class Telemetry:
         self._sim = None
         #: The run's ``replica_ids`` (``None`` for a run without).
         self._replica_ids = None
-        self._last_channel_counts = None
+        #: The last ``exchange_occupancy()`` read (sharded runs).
+        self._channels = None
         self._energy0: Optional[float] = None
         self._flushed_spans = 0
         self._closed = False
@@ -298,20 +299,16 @@ class Telemetry:
 
     def _count_migrations(self, sim) -> None:
         """Every-step migration total (the counts reset each step)."""
-        mig_fn = getattr(sim.backend, "migration_state", None)
-        if not callable(mig_fn):
+        occ_fn = getattr(sim.backend, "exchange_occupancy", None)
+        self._channels = occ_fn() if callable(occ_fn) else None
+        if self._channels is None:
             return
-        state = mig_fn()
-        if state is None:
-            return
-        counts, _capacity = state
         if self._m_migrations is None:
             self._m_migrations = self.registry.counter(
                 "repro_migrations_total",
                 help="particle rows migrated between shards",
             )
-        self._m_migrations.inc(int(counts.sum()))
-        self._last_channel_counts = counts
+        self._m_migrations.inc(int(self._channels[0].sum()))
 
     def _collect_rebalance(self, sim, step: int) -> None:
         """Ingest the backend's latest rebalance event, if any.
@@ -380,8 +377,8 @@ class Telemetry:
                         "shard 0 adds its reservoir per mix round)",
                     ).set(n_k)
 
-        counts = self._last_channel_counts
-        if counts is not None:
+        if self._channels is not None:
+            counts, high_water, capacity = self._channels
             for (shard, direction), rows in np.ndenumerate(counts):
                 reg.gauge(
                     "repro_channel_rows",
@@ -391,16 +388,11 @@ class Telemetry:
                     },
                     help="migration rows per channel this step",
                 ).set(int(rows))
-        occ_fn = getattr(backend, "exchange_occupancy", None)
-        if callable(occ_fn):
-            occ = occ_fn()
-            if occ is not None:
-                high_water, capacity = occ
-                peak = float(np.max(high_water)) / capacity if capacity else 0.0
-                reg.gauge(
-                    "repro_exchange_occupancy_peak",
-                    help="high-water channel occupancy as a fraction of capacity",
-                ).set(peak)
+            peak = float(np.max(high_water)) / capacity if capacity else 0.0
+            reg.gauge(
+                "repro_exchange_occupancy_peak",
+                help="high-water channel occupancy as a fraction of capacity",
+            ).set(peak)
 
         self._drain_worker_spans(sim)
         return imbalance

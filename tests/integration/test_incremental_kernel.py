@@ -252,8 +252,7 @@ class TestShardedConsistency:
             auditor.observe(sim.step())
             report = auditor.audit(sim)
         assert report is not None and "order" in report["checks"]
-        states = sim.backend.sort_states()
-        assert states is not None and len(states) == 4
+        states = [w.sort_state for w in sim.backend._workers]
         assert all(s is not None and s.rebuilds == 8 for s in states)
         # The order audit ran over the shards' sorters: a broken order
         # in one of them is caught.
@@ -265,18 +264,32 @@ class TestShardedConsistency:
         assert exc_info.value.context["shard"] == 1
         sim.close()
 
-    def test_order_audit_skipped_in_process_mode(self):
+    @pytest.mark.resilience
+    @pytest.mark.parametrize(
+        "processes", [False, True], ids=["inline", "forked"]
+    )
+    def test_order_audit_runs_where_the_sorter_lives(self, processes):
+        """A forked shard's sorter lives in its worker, so its order is
+        audited there; the violation reaches the parent typed."""
         sim = Simulation(
-            _config(), backend=ShardedBackend(2, processes=True)
+            _config(), backend=ShardedBackend(2, processes=processes)
         )
         try:
-            sim.run(2)
-            # Worker-private sorters are unreachable across the fork;
-            # the audit degrades gracefully rather than guessing.
-            assert sim.backend.sort_states() is None
             auditor = InvariantAuditor()
             auditor.rebase(sim)
-            auditor.audit(sim)  # must not raise
+            for _ in range(7):
+                auditor.observe(sim.step())
+            assert "order" in auditor.audit(sim)["checks"]
+            # Swap two whole rows of shard 1 that sit in different
+            # cells: every column stays consistent, the order does not.
+            cols = sim.backend.shard_columns()[1]
+            j = int(np.flatnonzero(cols["cell"] != cols["cell"][0])[0])
+            for col in cols.values():
+                col[[0, j]] = col[[j, 0]]
+            with pytest.raises(InvariantViolationError) as exc_info:
+                auditor.audit(sim)
+            assert exc_info.value.context["check"] == "order"
+            assert exc_info.value.context["shard"] == 1
         finally:
             sim.close()
 

@@ -32,6 +32,7 @@ from repro.io.snapshots import load_simulation, save_simulation
 from repro.parallel.backend import ShardedBackend
 from repro.parallel.rebalance import REBALANCE_EVERY, THRESHOLD
 from repro.physics.freestream import Freestream
+from repro.resilience.audit import InvariantAuditor
 from repro.verify import state_digest
 
 pytestmark = pytest.mark.sharded
@@ -126,25 +127,30 @@ class TestRebalanceExecution:
         finally:
             sim.close()
 
-    def test_forced_rebalance_conserves_the_particle_multiset(self):
-        sim = _run(8)
+    @pytest.mark.parametrize(
+        "processes", [False, True], ids=["inline", "forked"]
+    )
+    def test_forced_rebalance_conserves_the_particle_multiset(
+        self, processes
+    ):
+        sim = _run(8, processes=processes)
         try:
             be = sim.backend
             before = _sorted_multiset(sim.particles)
+            auditor = InvariantAuditor()
+            auditor.rebase(sim)
             moved = be.maybe_rebalance(sim.step_count, force=True)
             assert moved  # the shock has skewed the loads by step 8
             event = be.take_rebalance_event()
             assert event["executed"] and event["rows_moved"] > 0
+            # Every shard's rows sit inside its new slab, with the
+            # cells and the indexed order the epoch rebuilt.
+            assert {"slabs", "cells", "order"} <= set(
+                auditor.audit(sim)["checks"]
+            )
             sim.gather()
             after = _sorted_multiset(sim.particles)
             assert np.array_equal(before, after)
-
-            # Every shard's particles sit inside its new slab.
-            edges = be.slab_edges
-            for k, cols in enumerate(be.shard_columns()):
-                if cols["x"].size:
-                    assert cols["x"].min() >= edges[k]
-                    assert cols["x"].max() < edges[k + 1]
         finally:
             sim.close()
 

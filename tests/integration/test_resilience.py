@@ -15,6 +15,8 @@ The contract under test (ROADMAP: fault-tolerant execution):
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.simulation import Simulation, SimulationConfig
@@ -41,6 +43,7 @@ from repro.resilience import (
     RunJournal,
     SupervisedRun,
 )
+from repro.resilience.audit import CHECKS
 from repro.verify import state_digest
 
 pytestmark = pytest.mark.resilience
@@ -135,6 +138,38 @@ class TestFaultInjection:
         sim.close()
 
 
+class TestAuditReport:
+    """An audit report names the checks that ran, and only those."""
+
+    @pytest.mark.parametrize(
+        "mode, want",
+        [
+            ("counting", ("counts", "finite", "range", "cells", "energy")),
+            (
+                "incremental",
+                ("counts", "finite", "range", "cells", "energy", "order"),
+            ),
+            pytest.param("forked", CHECKS, marks=pytest.mark.sharded),
+        ],
+        ids=["counting", "incremental", "forked"],
+    )
+    def test_report_names_the_checks_that_ran(self, mode, want):
+        if mode == "forked":
+            sim = Simulation(_small_config(), backend=ShardedBackend(2))
+        else:
+            sim = Simulation(
+                dataclasses.replace(_small_config(), sort_kernel=mode)
+            )
+        try:
+            auditor = InvariantAuditor()
+            auditor.rebase(sim)
+            for _ in range(3):
+                auditor.observe(sim.step())
+            assert auditor.audit(sim)["checks"] == want
+        finally:
+            sim.close()
+
+
 @pytest.mark.sharded
 class TestProcessFaults:
     """Worker-process death and hangs, detected at the barrier."""
@@ -166,6 +201,29 @@ class TestProcessFaults:
         assert exc_info.value.context["timeout_s"] == 2.0
         sim.close()
         assert all(not p.is_alive() for p in sim.backend._procs)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_forked_violation_is_recovered_bitwise(self, tmp_path):
+        """A corrupt payload fails the receiving worker's own audit; the
+        violation reaches the supervisor typed, and the replay lands
+        where the unfailed run does."""
+        ref = _inline_sim()
+        ref.run(12)
+        plan = FaultPlan([FaultSpec("corrupt", step=6)], seed=7)
+        sim = Simulation(
+            _small_config(), backend=ShardedBackend(2, fault_plan=plan)
+        )
+        with SupervisedRun(
+            sim, tmp_path / "run", checkpoint_every=5, audit_every=1,
+            backoff_base=0.0, fault_plan=plan,
+        ) as run:
+            run.run_schedule([(12, False)])
+            (event,) = [
+                e for e in run.journal.events if e["kind"] == "recovery"
+            ]
+            assert event["error"] == "InvariantViolationError"
+            assert state_digest(run.sim) == state_digest(ref)
+        ref.close()
 
     def test_close_is_idempotent_and_reaps(self):
         sim = Simulation(_small_config(), backend=ShardedBackend(2))
