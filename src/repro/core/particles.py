@@ -463,8 +463,9 @@ class ParticleArrays:
         if self._fixed_capacity:
             raise ConfigurationError(
                 f"population of {n_new} exceeds the fixed shared-memory "
-                f"capacity {self.capacity}; rebuild the backend with a "
-                "larger capacity_factor"
+                f"capacity {self.capacity}, which the sharded backend "
+                "reserves for the bind-time flow plus reservoir: the "
+                "particle count grew past that bound"
             )
         n = self.n
         cap = scratch_capacity(n_new)

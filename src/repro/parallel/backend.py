@@ -5,8 +5,10 @@ parent drives the step protocol over the four-method backend seam
 (:class:`repro.core.simulation.SerialBackend` documents it).  All bulk
 state -- the shard particle populations (ping-pong column buffers), the
 migration channels, per-shard diagnostics and sampler accumulators --
-lives in shared memory inherited over ``fork``, so the steady-state
-step exchanges no pickled data at all; pipes carry only rare traffic
+lives in anonymous shared mappings inherited over ``fork``
+(:func:`shared_segment`: reserved at bind, committed page by page as
+rows are written), so the steady-state step exchanges no pickled data
+at all; pipes carry only rare traffic
 (worker tracebacks, the reservoir on an explicit ``gather``, each
 shard's invariant-audit result).
 
@@ -37,6 +39,7 @@ or more.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import os
 import time
@@ -47,7 +50,7 @@ import numpy as np
 
 from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
 from repro.core.cells import assign_cells
-from repro.core.particles import COLUMN_NAMES, ParticleArrays
+from repro.core.particles import COLUMN_NAMES, ParticleArrays, scratch_capacity
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import SAMPLER_FIELDS, CellSampler
 from repro.core.simulation import (
@@ -110,6 +113,20 @@ CMD_AUDIT = 5
 
 MISC_PLUNGER = 0     # plunger face position, published by shard 0
 MISC_WORDS = 1
+
+
+def shared_segment(shape, dtype) -> np.ndarray:
+    """A zeroed array in its own anonymous shared mapping.
+
+    ``MAP_SHARED``, so a forked worker's writes are the parent's, and
+    the kernel zero-fills each page on first touch: a reservation costs
+    address space, and resident memory grows with the rows written.
+    The mapping is unmapped when the last view of it is dropped.
+    """
+    dt = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count * dt.itemsize, 1))
+    return np.frombuffer(buf, dtype=dt, count=count).reshape(shape)
 
 
 class _RingTracer:
@@ -554,11 +571,6 @@ class ShardedBackend:
         identical results -- the deterministic per-``(shard, step)``
         RNG streams make execution order irrelevant), useful for tests
         and single-core hosts.
-    capacity_factor:
-        Shared column-buffer headroom per shard, as a multiple of the
-        bind-time shard population.  The shock can locally compress the
-        flow well above freestream density, so the default is generous;
-        an overflow raises with a message naming this knob.
     channel_capacity:
         Migrants per channel per step (default: one shard's worth).
     flux_pending:
@@ -582,7 +594,6 @@ class ShardedBackend:
         self,
         n_workers: int,
         processes: bool = True,
-        capacity_factor: float = 3.0,
         channel_capacity: Optional[int] = None,
         flux_pending: int = 0,
         barrier_timeout: float = 300.0,
@@ -595,8 +606,6 @@ class ShardedBackend:
                 "run one worker on the serial backend (SerialBackend, "
                 "Simulation's default)"
             )
-        if capacity_factor < 1.0:
-            raise ConfigurationError("capacity_factor must be >= 1")
         if flux_pending < 0:
             raise ConfigurationError("flux_pending must be non-negative")
         if edges is not None and len(edges) != n_workers + 1:
@@ -606,7 +615,6 @@ class ShardedBackend:
             )
         self.n_workers = n_workers
         self._processes = bool(processes)
-        self._capacity_factor = float(capacity_factor)
         self._channel_capacity = channel_capacity
         self._flux_pending0 = int(flux_pending)
         self._barrier_timeout = float(barrier_timeout)
@@ -622,6 +630,11 @@ class ShardedBackend:
         self.rebalance_skipped = 0
         self.rebalance_columns_moved = 0
         self._pending_rebalance_event: Optional[Dict] = None
+
+    @property
+    def _live(self) -> bool:
+        """Bound and not closed: the shared segments exist."""
+        return self._bound and not self._closed
 
     # -- seam: bind -----------------------------------------------------
 
@@ -650,25 +663,24 @@ class ShardedBackend:
                     "the 'fork' start method is unavailable on this "
                     "platform; use ShardedBackend(..., processes=False)"
                 ) from None
-        alloc = self._make_alloc(ctx)
 
         n_global = sim.particles.n
         # Sampler cells: the x-y footprint (span domains collapse).
         n_cells = sim.sampler.domain.n_cells
-        self._ctrl = alloc((CTRL_WORDS,), np.int64)
+        self._ctrl = shared_segment((CTRL_WORDS,), np.int64)
         self._ctrl[CTRL_FLUX] = self._flux_pending0
-        self._misc = alloc((MISC_WORDS,), np.float64)
-        self._misc[MISC_PLUNGER] = sim.boundaries.plunger.position
+        misc = shared_segment((MISC_WORDS,), np.float64)
+        misc[MISC_PLUNGER] = sim.boundaries.plunger.position
         shared: Dict[str, np.ndarray] = {
-            "n_parts": alloc((W,), np.int64),
-            "front_flags": alloc((W, len(COLUMN_NAMES)), np.int8),
-            "diag": alloc((W, len(DIAGNOSTICS_ROW)), np.float64),
-            "samp": alloc((W, len(SAMPLER_FIELDS), n_cells), np.float64),
-            "misc": self._misc,
+            "n_parts": shared_segment((W,), np.int64),
+            "front_flags": shared_segment((W, len(COLUMN_NAMES)), np.int8),
+            "diag": shared_segment((W, len(DIAGNOSTICS_ROW)), np.float64),
+            "samp": shared_segment((W, len(SAMPLER_FIELDS), n_cells), np.float64),
+            "misc": misc,
             # Live slab edges: the parent publishes a repartition here
             # before issuing CMD_REBALANCE; workers re-read their slab
             # bounds from it at the end of the epoch.
-            "edges": alloc((W + 1,), np.int64),
+            "edges": shared_segment((W + 1,), np.int64),
         }
         shared["edges"][:] = np.asarray(self._slabs.edges, dtype=np.int64)
         # Shard 0 rewrites its reservoir size every step; seed it so
@@ -679,23 +691,23 @@ class ShardedBackend:
         self._n_cells = cfg.domain.n_cells
         if sim.surface is not None:
             ns = sim.surface.n_strips
-            shared["surf"] = alloc((W, 2, ns + 1), np.float64)
-            shared["surf_hits"] = alloc((W, ns + 1), np.int64)
+            shared["surf"] = shared_segment((W, 2, ns + 1), np.float64)
+            shared["surf_hits"] = shared_segment((W, ns + 1), np.int64)
         # Worker span rings: allocated only when a telemetry hub is
         # attached at bind time (otherwise the workers skip emission on
         # one dict lookup per phase).
         telemetry = getattr(sim, "telemetry", None)
         if telemetry is not None:
-            shared["spans"] = alloc(
+            shared["spans"] = shared_segment(
                 (W, RING_CAPACITY, RING_FIELDS), np.float64
             )
-            shared["span_state"] = alloc((W, RING_STATE), np.int64)
+            shared["span_state"] = shared_segment((W, RING_STATE), np.int64)
         self._shared = shared
 
         rdof = cfg.model.rotational_dof
         chan_cap = self._channel_capacity or max(2048, n_global // W)
         self._channels = MigrationChannels(
-            W, rdof, chan_cap, alloc, fault_plan=self.fault_plan
+            W, rdof, chan_cap, shared_segment, fault_plan=self.fault_plan
         )
 
         # Stable partition by x: gather + re-bind round-trips exactly.
@@ -703,21 +715,21 @@ class ShardedBackend:
         self._set0: List[Dict[str, np.ndarray]] = []
         self._set1: List[Dict[str, np.ndarray]] = []
         self._workers = []
-        self._shard_caps = np.zeros(W, dtype=np.int64)
+        # Every shard can hold the whole bind-time flow plus reservoir:
+        # a reservation commits no memory, and while the particle count
+        # holds, no repartition or compression into one slab outgrows it.
+        n_res = 0 if sim.reservoir is None else sim.reservoir.particles.n
+        cap = max(512, scratch_capacity(n_global + n_res))
+        self._shard_caps = np.full(W, cap, dtype=np.int64)
         for k in range(W):
             seg = sim.particles.select(order[splits[k] : splits[k + 1]])
-            cap_k = max(
-                512,
-                int(self._capacity_factor * max(seg.n, n_global // W)),
-            )
-            self._shard_caps[k] = cap_k
             set0: Dict[str, np.ndarray] = {}
             set1: Dict[str, np.ndarray] = {}
             for name in COLUMN_NAMES:
                 col = getattr(seg, name)
-                shape = (cap_k,) + col.shape[1:]
-                set0[name] = alloc(shape, col.dtype)
-                set1[name] = alloc(shape, col.dtype)
+                shape = (cap,) + col.shape[1:]
+                set0[name] = shared_segment(shape, col.dtype)
+                set1[name] = shared_segment(shape, col.dtype)
             w = ShardWorker(
                 shard_id=k,
                 n_workers=W,
@@ -782,24 +794,11 @@ class ShardedBackend:
         self._bound = True
         return self
 
-    def _make_alloc(self, ctx):
-        """Shared-memory (process mode) or heap (inline) allocator."""
-        if ctx is None:
-            return lambda shape, dtype: np.zeros(shape, dtype=dtype)
-
-        def alloc(shape, dtype):
-            dt = np.dtype(dtype)
-            count = int(np.prod(shape))
-            raw = ctx.RawArray("b", max(count, 1) * dt.itemsize)
-            return np.frombuffer(raw, dtype=dt, count=count).reshape(shape)
-
-        return alloc
-
     # -- seam: step -----------------------------------------------------
 
     def step(self, sim, sample: bool = False) -> StepDiagnostics:
         """Advance every shard one step and merge the diagnostics."""
-        if not self._bound or self._closed:
+        if not self._live:
             raise ConfigurationError("backend is not bound (or closed)")
         if sample and sim.probes:
             raise ConfigurationError(
@@ -914,7 +913,7 @@ class ShardedBackend:
         telemetry hub to collect via :meth:`take_rebalance_event`.
         Returns ``True`` when a repartition was executed.
         """
-        if not self._bound or self._closed:
+        if not self._live:
             return False
         loads = self.shard_loads()
         imb = load_imbalance(loads)
@@ -992,7 +991,7 @@ class ShardedBackend:
 
     def gather(self, sim) -> None:
         """Mirror the authoritative shard state back into the driver."""
-        if not self._bound or self._closed:
+        if not self._live:
             raise ConfigurationError("backend is not bound (or closed)")
         # Flow population: the shard segments in shard order.
         views = self._shard_views()
@@ -1045,6 +1044,8 @@ class ShardedBackend:
         raised here in shard order -- so the order check runs next to
         the sorter that built the order.
         """
+        if not self._live:
+            raise ConfigurationError("backend is not bound (or closed)")
         step = sim.step_count
         if not self._processes:
             return [w.audit(step) for w in self._workers]
@@ -1110,9 +1111,10 @@ class ShardedBackend:
 
         The telemetry hub reads the authoritative shard state straight
         out of the shared ping-pong buffers without a gather.  ``None``
-        before bind.
+        before bind and after close (the introspection accessors below
+        too: :meth:`close` unmaps the segments).
         """
-        if not self._bound:
+        if not self._live:
             return None
         return self._shard_views()
 
@@ -1124,7 +1126,7 @@ class ShardedBackend:
         Flow rows per shard, plus, on shard 0, its reservoir rows once
         per ``reservoir_mix_rounds`` -- the load-imbalance observable.
         """
-        if not self._bound:
+        if not self._live:
             return None
         loads = np.asarray(self._shared["n_parts"], dtype=np.int64).copy()
         loads[0] += self._reservoir_load()
@@ -1149,14 +1151,14 @@ class ShardedBackend:
         run (written by the workers at ship time), so a single read
         answers "how close did any channel come to overflowing".
         """
-        if not self._bound:
+        if not self._live:
             return None
         ch = self._channels
         return ch.counts, ch.high_water, ch.capacity
 
     def drain_span_rings(self) -> Optional[np.ndarray]:
         """Drain every worker span ring into one row block (or None)."""
-        if not self._bound:
+        if not self._live:
             return None
         rings = self._shared.get("spans")
         if rings is None:
@@ -1191,6 +1193,7 @@ class ShardedBackend:
             except Exception:
                 pass
             self._shutdown_procs()
+        self._release()
 
     def _emergency_stop(self) -> None:
         """Tear the pool down without the cooperative handshake.
@@ -1202,6 +1205,19 @@ class ShardedBackend:
         self._closed = True
         if self._processes and self._procs:
             self._shutdown_procs(join_first=0.5)
+        self._release()
+
+    def _release(self) -> None:
+        """Drop every view of the shared segments, so their mappings are
+        unmapped now rather than when the backend is collected.  The
+        control words stay readable (:attr:`pending_flux`) as a copy."""
+        if self._bound:
+            self._ctrl = self._ctrl.copy()
+        self._shared = {}
+        self._set0 = []
+        self._set1 = []
+        self._channels = None
+        self._workers = []
 
     def _shutdown_procs(self, join_first: float = 5.0) -> None:
         for p in self._procs:

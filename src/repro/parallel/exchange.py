@@ -46,9 +46,10 @@ class MigrationChannels:
         backend; an overflow raises (in :meth:`ship`, via
         ``pack_rows``) instead of dropping particles.
     alloc:
-        ``alloc(shape, dtype) -> ndarray`` supplying the backing memory:
-        shared-memory segments for process workers, plain heap arrays
-        for the in-process (inline) mode.
+        ``alloc(shape, dtype) -> ndarray`` supplying zeroed backing
+        memory: the backend's shared segments
+        (:func:`repro.parallel.backend.shared_segment`), or any heap
+        allocator where no worker is forked.
     fault_plan:
         Optional :class:`repro.resilience.faults.FaultPlan`; arms the
         ``overflow`` and ``corrupt`` injection points in :meth:`ship`.

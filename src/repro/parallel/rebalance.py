@@ -98,15 +98,16 @@ def validate_plan(
 ) -> Optional[str]:
     """Re-validate exchange and buffer capacity for a planned move.
 
-    The migration channels and the per-shard ping-pong column buffers
-    were sized at bind time for the *uniform* split; a repartition must
-    fit the rows it ships into the channels and the post-rebalance
-    populations into the (narrowest) destination buffers.  Returns a
-    human-readable reason to skip the event, or ``None`` when the plan
-    is executable.  Deterministic, so every worker-count-W run skips or
-    executes identically.  ``column_counts`` is the flow-only
-    histogram: the reservoir rows that weigh on column 0 in the plan
-    (:func:`column_loads`) never migrate and live outside the buffers.
+    The migration channels were sized at bind time for the *uniform*
+    split, the per-shard ping-pong column buffers for the whole flow
+    plus reservoir; a repartition must fit the rows it ships into the
+    channels and the post-rebalance populations into the destination
+    buffers.  Returns a human-readable reason to skip the event, or
+    ``None`` when the plan is executable.  Deterministic, so every
+    worker-count-W run skips or executes identically.
+    ``column_counts`` is the flow-only histogram: the reservoir rows
+    that weigh on column 0 in the plan (:func:`column_loads`) never
+    migrate and live outside the buffers.
     """
     to_left, to_right = planned_transfers(old, new, column_counts)
     worst = int(max(to_left.max(), to_right.max()))
@@ -123,7 +124,7 @@ def validate_plan(
         k = int(np.argmax(predicted - caps))
         return (
             f"shard {k} would hold {int(predicted[k])} particles, over its "
-            f"fixed buffer capacity {int(caps[k])}; rebuild with a larger "
-            "capacity_factor"
+            f"fixed buffer capacity {int(caps[k])} (reserved at bind for "
+            "the whole flow plus reservoir)"
         )
     return None

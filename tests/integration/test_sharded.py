@@ -16,10 +16,16 @@ The contract under test (ROADMAP: process-parallel stepping):
   ``RESORT_PERIOD`` steps): every worker takes the schedule from the
   step index the parent hands it, so the 70-step and checkpoint tests
   cross steps 32 and 64.
+* The shared segments are reserved at bind and committed by the rows
+  written; ``close()`` unmaps them (read from Linux's ``RssShmem``).
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing as mp
+
+import numpy as np
 import pytest
 
 from repro.core.simulation import Simulation, SimulationConfig
@@ -28,7 +34,7 @@ from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
 from repro.io.snapshots import load_simulation, save_simulation
-from repro.parallel.backend import ShardedBackend
+from repro.parallel.backend import ShardedBackend, shared_segment
 from repro.physics.freestream import Freestream
 from repro.verify import state_digest
 
@@ -217,3 +223,67 @@ class TestNonSpecularWallsStayPooled:
             forked.particles.validate()
             assert self._total(forked) == total
             assert state_digest(forked) == state_digest(inline)
+
+
+def _rss_shmem_mb() -> float:
+    """This process's resident shared memory (Linux ``RssShmem``), MB."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    pytest.skip("needs Linux /proc/self/status with RssShmem")
+
+
+def _sharded_w2_config() -> SimulationConfig:
+    """The benchmark's ``sharded_w2`` flow: the 98 x 64 wedge, density 40."""
+    return SimulationConfig(
+        domain=Domain(nx=98, ny=64),
+        freestream=Freestream(mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=40.0),
+        wedge=Wedge(x_leading=20.0, base=25.0, angle_deg=30.0),
+        seed=11,
+    )
+
+
+class TestSharedSegments:
+    def test_a_fresh_segment_is_zero_and_shared_with_a_fork(self):
+        try:
+            ctx = mp.get_context("fork")
+        except ValueError:
+            pytest.skip("needs the fork start method")
+        seg = shared_segment((3, 1000), np.float64)
+        assert seg.shape == (3, 1000) and not seg.any()
+
+        def write():
+            seg[1] = 7.0
+
+        child = ctx.Process(target=write)
+        child.start()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        assert (seg[1] == 7.0).all() and not seg[0].any() and not seg[2].any()
+
+    def test_bind_commits_the_rows_written_not_the_reservation(self):
+        before = _rss_shmem_mb()
+        with Simulation(
+            _sharded_w2_config(), backend=ShardedBackend(2)
+        ) as sim:
+            committed = _rss_shmem_mb() - before
+            be = sim.backend
+            # The column sets alone: most of what bind reserves.
+            reserved = sum(
+                col.nbytes for cols in be._set0 + be._set1
+                for col in cols.values()
+            ) / 2**20
+            assert committed < 0.4 * reserved, (committed, reserved)
+
+    def test_close_unmaps_every_segment(self):
+        before = _rss_shmem_mb()
+        sim = Simulation(_sharded_w2_config(), backend=ShardedBackend(2))
+        sim.run(40)
+        assert _rss_shmem_mb() - before > 4.0
+        sim.close()
+        gc.collect()
+        assert _rss_shmem_mb() - before < 4.0
