@@ -17,20 +17,22 @@ The wind-tunnel boundaries of the paper:
   manner the introduction of new particles can be delayed an arbitrary
   number of time steps."
 
-Reflections are resolved iteratively: a particle bounced off the ramp
-can land below the floor (and vice versa at the wedge's leading-edge
-corner), so the wall/wedge passes repeat until no particle remains
-inside any solid, with a positional clamp as the (counted) last resort
-for pathological corner cases.
+The phase indexes the moved population first and tests only the rows
+in edge cells.  Reflections are resolved iteratively (a particle bounced
+off the ramp can land below the floor, and vice versa) until no
+particle remains inside any solid, with a counted positional clamp as
+the last resort.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from repro.core.cells import assign_cells, index_rows
 from repro.core.particles import ParticleArrays
 from repro.core.reservoir import Reservoir
 from repro.errors import ConfigurationError
@@ -70,21 +72,23 @@ def check_wall_model(wall_model: str, accommodation: float) -> None:
 MAX_REFLECTION_PASSES = 6
 
 
+def union(arrays) -> np.ndarray:
+    """The ascending distinct rows of some row arrays (``np.unique``'s
+    result without its hash table, which costs ~10x more at these
+    sizes)."""
+    rows = np.sort(np.concatenate(arrays))
+    keep = np.empty(rows.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=keep[1:])
+    return rows[keep]
+
+
 @dataclass
 class PlungerState:
-    """The moving upstream piston.
-
-    Attributes
-    ----------
-    position:
-        Current x of the plunger face (starts at 0).
-    trigger:
-        When the face passes this x, the plunger withdraws to 0 and the
-        vacated slab refills from the reservoir.
-    speed:
-        Face speed, = freestream bulk speed ("moving with the
-        freestream").
-    """
+    """The moving upstream piston: the face at x = ``position`` (from
+    0) moves at ``speed``, the freestream's ("moving with the
+    freestream"); past ``trigger`` it withdraws to 0 and the vacated slab
+    refills from the reservoir."""
 
     position: float
     trigger: float
@@ -148,34 +152,52 @@ class WindTunnelBoundaries:
         self.freestream = freestream
         self.wedge = wedge
         self.wall_model = wall_model
-        #: Wall temperature handle for the isothermal diffuse model
-        #: (defaults to the freestream temperature).  The wedge surface
-        #: remains specular in all models -- the inviscid-body
-        #: comparison is the validation anchor; no-slip walls apply to
-        #: the tunnel floor and ceiling.
+        #: Wall temperature of the isothermal diffuse model (default:
+        #: the freestream's).  No-slip models apply to the floor and
+        #: ceiling; the body stays specular (the inviscid anchor).
         self.wall_c_mp = wall_c_mp if wall_c_mp is not None else freestream.c_mp
         if self.wall_c_mp <= 0:
             raise ConfigurationError("wall_c_mp must be positive")
-        #: Maxwell-model accommodation coefficient: the fraction of
-        #: wall encounters re-emitted diffusely at the wall temperature
-        #: (the rest reflect specularly).  0 degenerates to "specular",
-        #: 1 to "diffuse"; only the "maxwell" model reads it.
+        #: Maxwell's accommodation: the fraction of wall encounters
+        #: re-emitted diffusely (the rest reflect specularly).
         self.accommodation = accommodation
-        #: Optional surface-load sampler; when set, wedge reflections
-        #: deposit their impulses into it (armed per step by the driver
-        #: so surface averages align with the field-sampling phase).
+        #: Surface-load sampler the body's reflections deposit into,
+        #: armed by the driver on sampling steps only.
         self.surface_sampler = None
-        #: Domain-sharded runs split the streamwise boundaries across
-        #: workers: only the first shard owns the upstream plunger
-        #: (``has_inlet``) and only the last shard owns the downstream
-        #: sink (``has_outlet``).  Interior shards run with both False;
-        #: their x-crossings are migrations handled by the exchange
-        #: machinery, not boundary conditions.  Serial runs keep both.
+        #: Only the first shard owns the upstream plunger
+        #: (``has_inlet``), only the last the downstream sink
+        #: (``has_outlet``); an interior shard's x-crossings are
+        #: migrations.  Serial runs keep both.
         self.has_inlet = has_inlet
         self.has_outlet = has_outlet
         self.plunger = PlungerState(
             position=0.0, trigger=plunger_trigger, speed=freestream.speed
         )
+        #: Per cell: may a row in it meet a boundary?  Only such rows
+        #: are tested; a row in any other cell passes every test.
+        self.edge_cells = self._edge_table()
+
+    def _edge_table(self) -> np.ndarray:
+        """Columns 0 and nx - 1 and rows 0 and ny - 1 (where
+        :func:`~repro.core.cells.index_into` puts every position outside
+        the tunnel, NaN and infinities too), the columns below the
+        plunger trigger and every cell meeting the body's closed
+        bounding box (widened 1e-6 against rounding in ``inside``),
+        broadcast over z on a span domain; flattened."""
+        d = self.domain
+        edge = np.zeros((d.nx, d.ny), dtype=bool)
+        edge[[0, -1], :] = edge[:, [0, -1]] = True
+        if self.has_inlet:
+            edge[: math.ceil(self.plunger.trigger)] = True
+        if self.wedge is not None:
+            x0, x1, y0, y1 = self.wedge.bounds
+            # Cell i = [i, i + 1] meets [a, b] iff a - 1 <= i <= b.
+            i0, j0 = (max(math.ceil(v - 1e-6) - 1, 0) for v in (x0, y0))
+            i1, j1 = (math.floor(v + 1e-6) + 1 for v in (x1, y1))
+            edge[i0:i1, j0:j1] = True
+        if d.has_span:
+            edge = np.repeat(edge[:, :, None], d.nz, axis=2)
+        return edge.reshape(-1)
 
     @classmethod
     def from_config(
@@ -205,22 +227,22 @@ class WindTunnelBoundaries:
         reservoir: Optional[Reservoir],
         rng: np.random.Generator,
     ) -> tuple:
-        """Enforce all boundaries; returns ``(particles, stats)``.
+        """Index every row, then enforce all boundaries on the rows in
+        :attr:`edge_cells`; returns ``(particles, stats)``.
 
         Order of enforcement follows the causal order within the step:
         moving-piston reflection, solid-surface reflections (iterated),
         downstream removal, then the plunger advance/withdraw-refill.
+        The rows they write are re-indexed: the cell column leaves
+        current.
 
         One pass for any number of row blocks (``particles.starts``):
-        ``rng`` is one stream per block
-        (:func:`repro.rng.block_streams`; a bare generator is one
-        block), and so is ``surface_sampler``.  ``reservoir`` (or
-        ``None``, one block) declares as many blocks as the flow: block
-        ``b``'s exits go to reservoir block ``b`` and its refill comes
-        from there, drawn from stream ``b``.
-
-        The population must be scratch-enabled: every surgery here
-        (reflection, removal, refill) rewrites its own buffers in place.
+        ``rng`` is one stream per block (:func:`repro.rng.block_streams`),
+        and so is ``surface_sampler``.  ``reservoir`` (or ``None``, one
+        block) declares as many blocks as the flow: block ``b``'s exits
+        go to reservoir block ``b`` and its refill comes from there,
+        drawn from stream ``b``.  The population must be scratch-enabled
+        (every surgery here rewrites its own buffers in place).
         """
         streams = block_streams(rng)
         n_blocks = particles.n_blocks
@@ -236,16 +258,20 @@ class WindTunnelBoundaries:
                 "apply_rebuilding needs a scratch-enabled population "
                 "(ParticleArrays.enable_scratch)"
             )
-        n_walls, n_wedge, n_clamped = self.reflect(
-            particles, streams, self._surface_record(particles)
+        assign_cells(particles, self.domain)
+        at_edge = scratch.array("bnd_mask", particles.n, dtype=bool)
+        np.take(self.edge_cells, particles.cell, out=at_edge, mode="clip")
+        rows = np.flatnonzero(at_edge)
+        n_walls, n_wedge, n_clamped, written = self.reflect(
+            particles, rows, streams, self._surface_record(particles)
         )
+        index_rows(particles, self.domain, written)
 
         # 3) Soft downstream boundary: remove into the reservoir.
         n_removed = 0
         if self.has_outlet:
-            exited = scratch.array("bnd_mask", particles.n, dtype=bool)
-            np.greater_equal(particles.x, self.domain.width, out=exited)
-            n_removed = int(np.count_nonzero(exited))
+            exited = rows[particles.x[rows] >= self.domain.width]
+            n_removed = int(exited.size)
             if n_removed:
                 # Backfill removal: O(exited), and the cell sort right
                 # after this phase re-orders the population anyway.
@@ -253,9 +279,8 @@ class WindTunnelBoundaries:
                 if reservoir is not None:
                     reservoir.deposit(streams, removed)
 
-        # 4) Advance the plunger; withdraw and refill past the trigger.
-        #    The refill count is deterministic and shared by the blocks;
-        #    the withdrawn particles and their positions are per block.
+        # 4) Advance the plunger; withdraw and refill past the trigger
+        #    (one refill count for every block, drawn per block).
         n_injected = 0
         reset = False
         if self.has_inlet:
@@ -266,7 +291,9 @@ class WindTunnelBoundaries:
                 )
                 if fresh is not None:
                     n_injected = fresh.n
-                    particles.append_inplace(fresh)
+                    index_rows(
+                        particles, self.domain, particles.append_inplace(fresh)
+                    )
                 self.plunger.position = 0.0
                 reset = True
 
@@ -282,11 +309,9 @@ class WindTunnelBoundaries:
     def _surface_record(self, particles: ParticleArrays):
         """The reflections' ``record`` callback for ``surface_sampler``.
 
-        With one sampler per block, a body pass's hits are split by
-        block: ``rows`` is ascending, so each block's hits are one
-        contiguous slice (``searchsorted`` on the block starts) in the
-        order a run of that block alone would record them -- the
-        ``np.add.at`` accumulation in each sampler is bitwise solo.
+        With one sampler per block, a body pass's ascending hit ``rows``
+        split into one contiguous slice per block, in the order a run of
+        that block alone records them (bitwise solo ``np.add.at``).
         """
         if self.surface_sampler is None:
             return None
@@ -310,68 +335,60 @@ class WindTunnelBoundaries:
 
     # -- the reflections ----------------------------------------------------
 
-    def reflect(self, particles: ParticleArrays, streams, record=None) -> tuple:
+    def reflect(
+        self, particles: ParticleArrays, rows: np.ndarray, streams, record=None
+    ) -> tuple:
         """Plunger face, then walls + body to a fixed point, in place.
 
         The elementwise half of the boundary phase on a scratch-enabled
         population, under any wall model and for any number of row
-        blocks; returns ``(n_walls, n_wedge, n_clamped)``.  At steady
-        state only a few percent of the population touches any
-        boundary, so this scans everyone exactly once (pass 1) and
-        afterwards tracks the *moved* subset: a reflection is the only
-        way to (re)enter a solid, hence passes 2+ and the final clamp
-        only need to look at particles moved by the previous pass.
+        blocks.  Pass 1 tests the ascending ``rows`` (those in edge
+        cells); a reflection is the only way to (re)enter a solid, so
+        later passes and the final clamp test only the rows the previous
+        pass moved.  Returns ``(n_walls, n_wedge, n_clamped, written)``,
+        ``written`` the ascending rows whose position changed.
 
-        Only the floor and ceiling under a non-specular model draw, per
-        crossing and per block (:meth:`_wall_step`): ``streams`` holds
-        one stream per block.  ``record(rows, x, du, dv, back_face)``
-        receives each body pass's surface hits; the ascending
-        population ``rows`` let a blocked caller split them by block.
+        Only non-specular floors and ceilings draw, per crossing from
+        each block's stream (:meth:`_wall_step`).  ``record(rows, x, du,
+        dv, back_face)`` receives each body pass's surface hits.
         """
-        sc = particles.scratch
-        n = particles.n
         x, y, u, v = particles.x, particles.y, particles.u, particles.v
         height = self.domain.height
-        n_walls = 0
-        n_wedge = 0
-        n_clamped = 0
+        n_walls = n_wedge = n_clamped = 0
+        written = []
 
+        # Each pass reads the positions of its rows once.
+        xs, ys = x[rows], y[rows]
         # 1) Upstream plunger face: specular in the moving frame.
-        mask = sc.array("bnd_mask", n, dtype=bool)
         if self.has_inlet:
             xp = self.plunger.position
-            np.less(x, xp, out=mask)
-            behind = np.flatnonzero(mask)
+            if xp > self.plunger.trigger:
+                raise ConfigurationError("plunger position past its trigger")
+            mirror = xs < xp
+            behind = rows[mirror]
             if behind.size:
-                x[behind] = 2.0 * xp - x[behind]
+                xs[mirror] = 2.0 * xp - xs[mirror]
+                x[behind] = xs[mirror]
                 u[behind] = 2.0 * self.plunger.speed - u[behind]
                 n_walls += int(behind.size)
+                written.append(behind)
 
         # 2) Solid surfaces, iterated to a fixed point on the moved set.
-        active: Optional[np.ndarray] = None  # None = scan everyone
+        active = rows
         clean = False
         for _ in range(MAX_REFLECTION_PASSES):
             moved = []
             # Floor and ceiling.
-            if active is None:
-                m2 = sc.array("bnd_mask2", n, dtype=bool)
-                np.less(y, 0.0, out=mask)
-                np.greater(y, height, out=m2)
-                np.logical_or(mask, m2, out=mask)
-                off = np.flatnonzero(mask)
-            else:
-                ys = y[active]
-                off = active[(ys < 0.0) | (ys > height)]
+            outside = (ys < 0.0) | (ys > height)
+            off = active[outside]
             if off.size:
                 self._wall_step(particles, off, streams)
+                ys[outside] = y[off]
                 n_walls += int(off.size)
                 moved.append(off)
             # The wedge (specular), on the subset actually inside it.
             if self.wedge is not None:
-                if active is None:
-                    idx_in = np.flatnonzero(self.wedge.inside(x, y))
-                else:
-                    idx_in = active[self.wedge.inside(x[active], y[active])]
+                idx_in = active[self.wedge.inside(xs, ys)]
                 if idx_in.size:
                     x0 = x[idx_in]
                     y0 = y[idx_in]
@@ -395,12 +412,12 @@ class WindTunnelBoundaries:
             if not moved:
                 clean = True
                 break
-            active = moved[0] if len(moved) == 1 else (
-                np.unique(np.concatenate(moved))
-            )
-        if not clean and active is not None and active.size:
+            active = moved[0] if len(moved) == 1 else union(moved)
+            written.append(active)
+            xs, ys = x[active], y[active]
+        if not clean and active.size:
             n_clamped = self._clamp_subset(particles, active)
-        return n_walls, n_wedge, n_clamped
+        return n_walls, n_wedge, n_clamped, union([rows[:0], *written])
 
     def _wall_step(
         self, particles: ParticleArrays, off: np.ndarray, streams
@@ -408,11 +425,9 @@ class WindTunnelBoundaries:
         """Floor, then ceiling, for the ascending rows ``off`` outside the gas.
 
         Specular walls fold every row at once and draw nothing.  The
-        other models take each wall's crossers in turn -- the floor's,
-        then the ceiling's once the floor has folded its own -- and
-        re-emit each block's share from that block's stream, in
-        ascending row order: the rows and draws a run of that block
-        alone would make.
+        other models re-emit the floor's crossers, then the ceiling's,
+        each block's share from its stream in ascending row order: the
+        rows and draws a run of that block alone would make.
         """
         y, v = particles.y, particles.v
         height = self.domain.height
@@ -477,12 +492,9 @@ class WindTunnelBoundaries:
     ) -> int:
         """Last-resort positional clamp for unresolved reflections.
 
-        Extremely fast particles or corner geometry can defeat the
-        bounded reflection iteration; such stragglers among
-        ``candidates`` are snapped to the nearest open point (onto the
-        body surface, just outside the solid).  The count is surfaced
-        in the stats so runs can verify this stays negligible (tests
-        assert it is rare).
+        Stragglers among ``candidates`` that fast particles or corner
+        geometry left in a solid snap to the nearest open point; the
+        count goes into the stats (tests assert it is rare).
         """
         x, y = particles.x, particles.y
         xs = x[candidates]
@@ -509,13 +521,12 @@ class WindTunnelBoundaries:
     ) -> Optional[ParticleArrays]:
         """Freestream particles for the void a withdrawn plunger leaves.
 
-        Enough to fill ``[0, plunger position) x [0, H)`` -- times the
-        depth of a span domain -- at freestream density (``None`` when
-        that rounds to zero), for every block of ``reservoir``:
-        withdrawn from it (sampled afresh without one, one block), then
-        placed uniformly from the block's stream of ``rng``: x, y, then
-        z when the domain has a span.  The result declares the
-        reservoir's blocks; the caller appends them its own way.
+        Enough to fill ``[0, plunger position) x [0, H)`` (times a span
+        domain's depth) at freestream density (``None`` if that rounds to
+        zero), per block of ``reservoir``: withdrawn from it (sampled
+        afresh without one), placed uniformly from the block's stream --
+        x, y, then z on a span.  The result declares the reservoir's
+        blocks.
         """
         streams = block_streams(rng)
         xp = self.plunger.position

@@ -1,7 +1,8 @@
 """Cell indexing and randomized sort keys (sub-step 3, part 1).
 
 "Once the particles have been moved and all the boundary conditions
-enforced, each particle computes its occupying cell index."
+enforced, each particle computes its occupying cell index."  Here
+the boundary phase indexes first and re-indexes the rows it writes.
 
 The sort key is *not* the raw cell index: "the cell index of a particle
 is scaled by some constant factor and, before sorting, a random number
@@ -20,8 +21,29 @@ from typing import Optional
 import numpy as np
 
 from repro.constants import DEFAULT_SORT_SCALE
-from repro.core.particles import ParticleArrays
+from repro.core.particles import ParticleArrays, pooled
 from repro.errors import ConfigurationError
+
+
+def index_into(cell: np.ndarray, axes, work) -> None:
+    """Write the flattened cell index of ``axes`` -- ``(coordinates,
+    cell count)`` per digit, most significant first -- into ``cell``.
+
+    One digit at a time (Horner) in the two int32 buffers ``work`` (a
+    grid under 2**31 cells): truncate toward zero, then clip.  Any
+    position outside the tunnel, NaN and infinities included, lands in
+    column 0 or nx - 1 or row 0 or ny - 1; inside, truncation is floor.
+    """
+    acc, digit = work
+    (coords, extent), *lower = axes
+    np.copyto(acc, coords, casting="unsafe")
+    np.clip(acc, 0, extent - 1, out=acc)
+    for coords, extent in lower:
+        np.copyto(digit, coords, casting="unsafe")
+        np.clip(digit, 0, extent - 1, out=digit)
+        acc *= extent
+        acc += digit
+    np.copyto(cell, acc)
 
 
 def assign_cells(particles: ParticleArrays, domain) -> None:
@@ -29,33 +51,25 @@ def assign_cells(particles: ParticleArrays, domain) -> None:
 
     ``domain`` says which position columns make up the index
     (``domain.cell_axes``: x, y for a :class:`Domain`, plus z for a
-    :class:`repro.geometry.domain3d.Domain3D`).  Scratch-enabled
-    populations keep the cell column bound to its ping-pong buffer, so
-    the indices are written through the existing view instead of
-    rebinding the attribute to a fresh array.
+    :class:`repro.geometry.domain3d.Domain3D`).
     """
-    axes = domain.cell_axes(particles)
-    if (
-        particles.scratch is not None
-        and particles.cell.shape == particles.x.shape
-    ):
-        # Allocation-free indexing, one digit at a time (Horner) through
-        # a pooled int64 buffer.  The unsafe copyto truncates toward
-        # zero, which equals floor for the non-negative coordinates
-        # boundary enforcement guarantees (and stray negatives clip to
-        # cell 0 either way, exactly as floor-then-clip would).
-        cell = particles.cell
-        digit = particles.scratch.array("cells_digit", particles.n, np.int64)
-        (coords, extent), *lower = axes
-        np.copyto(cell, coords, casting="unsafe")
-        np.clip(cell, 0, extent - 1, out=cell)
-        for coords, extent in lower:
-            np.copyto(digit, coords, casting="unsafe")
-            np.clip(digit, 0, extent - 1, out=digit)
-            cell *= extent
-            cell += digit
-    else:
-        particles.cell = domain.cell_index(*(coords for coords, _ in axes))
+    if particles.cell.shape != particles.x.shape:
+        particles.cell = np.empty(particles.n, dtype=np.int64)
+    index_rows(particles, domain)
+
+
+def index_rows(particles: ParticleArrays, domain, rows=slice(None)) -> None:
+    """Recompute the cell index of ``rows`` (a slice or row array): the
+    moved population once, then what a boundary, a refill or a
+    migration writes."""
+    axes = [(c[rows], extent) for c, extent in domain.cell_axes(particles)]
+    m = axes[0][0].shape[0]
+    work = pooled(particles.scratch, "cells_digits", 2 * m, np.int32)
+    view = isinstance(rows, slice)
+    cell = particles.cell[rows] if view else np.empty(m, dtype=np.int64)
+    index_into(cell, axes, (work[:m], work[m:]))
+    if not view:
+        particles.cell[rows] = cell
 
 
 def randomized_sort_keys(

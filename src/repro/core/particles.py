@@ -31,8 +31,7 @@ COLUMN_NAMES = ("x", "y", "u", "v", "w", "rot", "perm", "cell", "z")
 #: Scalar float64 columns carried by a migrating particle, in packing
 #: order; the ``rot`` components follow them in the same float buffer
 #: and the int8 ``perm`` row travels in a sibling buffer.  ``cell`` is
-#: deliberately absent: the receiving shard re-derives it in its own
-#: cell-indexing pass.
+#: deliberately absent: the receiving shard indexes its arrivals.
 MIGRATION_FLOAT_COLUMNS = ("x", "y", "u", "v", "w", "z")
 
 
@@ -397,18 +396,14 @@ class ParticleArrays:
     ) -> "ParticleArrays":
         """Re-home every column in caller-provided ping-pong buffer sets.
 
-        The sharded backend allocates each shard's column buffers in
-        shared memory (inherited by the worker process over fork) and
-        hands them in here; thereafter the in-place population
-        operations run against those segments exactly as
-        :meth:`enable_scratch` runs against heap buffers, so the parent
-        can read a quiescent shard's state without any serialization.
-
-        Both dicts must map every :data:`COLUMN_NAMES` entry to an array
-        of one common capacity with the column's dtype and trailing
-        shape.  Unlike heap scratch, the capacity is **fixed**: the
-        population outgrowing it raises instead of silently migrating to
-        private heap arrays (which would break the sharing contract).
+        The sharded backend hands in each shard's shared-memory column
+        buffers (inherited over fork); the in-place operations then run
+        on them as :meth:`enable_scratch` runs on heap buffers, so the
+        parent reads a quiescent shard without serialization.  Both
+        dicts map every :data:`COLUMN_NAMES` entry to an array of one
+        common capacity with the column's dtype and trailing shape.  The
+        capacity is **fixed**: outgrowing it raises rather than move to
+        private heap arrays (which would break the sharing).
         """
         if self.scratch_enabled:
             raise ConfigurationError("scratch buffers already enabled")
@@ -446,14 +441,9 @@ class ParticleArrays:
 
     @property
     def front_buffers(self) -> Optional[Dict[str, np.ndarray]]:
-        """The live front buffer set (``None`` without scratch).
-
-        Reorders swap front and back per column, so which physical
-        buffer holds a column's current data varies over time; the
-        sharded backend reads this mapping to publish per-column front
-        flags for the parent's shared-memory gather.  Callers must not
-        mutate the returned dict.
-        """
+        """The live front buffer set (``None`` without scratch): reorders
+        swap front and back per column, and the sharded backend publishes
+        which is which for the parent's gather.  Do not mutate it."""
         return self._front
 
     def _ensure_capacity(self, n_new: int) -> None:
@@ -535,13 +525,11 @@ class ParticleArrays:
         """Resize block ``b`` to ``sizes[b]`` rows in place; return the new edges.
 
         Block ``b`` keeps its first ``min(old size, sizes[b])`` rows,
-        slid to its new start inside the front buffers; the rows it
-        gains hold unspecified values until the caller fills them.  A
-        call either only shrinks blocks or only grows them, so sliding
-        in ascending block order when the population shrinks and in
-        descending order when it grows never overwrites a block that
-        has yet to move.  Block 0 never moves, and one block is the
-        same loop with nothing to slide.
+        slid to its new start inside the front buffers; rows it gains
+        are unspecified until the caller fills them.  A call only
+        shrinks or only grows, so sliding in ascending block order when
+        shrinking and descending when growing never overwrites a block
+        yet to move.  Block 0 never moves.
         """
         new_edges = [0]
         for size in sizes:
@@ -570,28 +558,25 @@ class ParticleArrays:
             self.starts = np.array(new_edges, dtype=np.int64)
         return new_edges
 
-    def remove_inplace(self, remove_mask: np.ndarray) -> list:
-        """Delete the masked particles by backfilling holes from the tail.
+    def remove_inplace(self, rows: np.ndarray) -> list:
+        """Delete the ascending ``rows`` by backfilling holes from the tail.
 
-        O(removed) instead of the O(N) full compaction: every hole
-        below the new length receives a surviving particle moved down
-        from the tail.  Particle *order is not preserved* -- only safe
-        where the next cell sort re-orders the population anyway (the
-        step loop's downstream removal, the reservoir withdrawal).
+        O(removed): every hole below the new length receives a survivor
+        from the tail.  Row *order is not preserved* (the next cell sort
+        re-orders the population anyway).
 
-        Each block is backfilled from its own tail, so its surviving
-        rows are those a removal on that block alone would leave; the
-        holes and sources of every block are gathered first and moved
-        with one copy per column, then the blocks slide together
-        (:meth:`_relayout`).  Returns the number of rows removed from
-        each block.
+        Each block is backfilled from its own tail (the rows a removal on
+        that block alone leaves), with one copy per column for all
+        blocks, then the blocks slide together (:meth:`_relayout`).
+        Returns the number of rows removed from each block.
         """
         if self._front is None:
             raise ConfigurationError("remove_inplace requires enable_scratch")
-        if remove_mask.shape != (self.n,):
-            raise ConfigurationError("remove_mask must have one entry per particle")
+        gone = np.asarray(rows)
+        if gone.size and not (0 <= gone[0] and gone[-1] < self.n
+                              and (gone[1:] > gone[:-1]).all()):
+            raise ConfigurationError("rows must be ascending distinct rows")
         edges = self.block_edges()
-        gone = np.flatnonzero(remove_mask)
         if not gone.shape[0]:
             return [0] * (len(edges) - 1)
         # gone[cut[b]:cut[b + 1]] are block b's rows.  The block keeps
@@ -604,9 +589,15 @@ class ParticleArrays:
         holes = np.concatenate([gone[c:h] for c, h in zip(cut, below)])
         row = self.scratch.arange(edges[-1])
         tail = np.concatenate([row[e:e1] for e, e1 in zip(ends, edges[1:])])
-        src = tail[~remove_mask[tail]]
+        # The tail rows that go themselves leave no survivor to move.
+        keep = np.ones(tail.shape[0], dtype=bool)
+        keep[np.searchsorted(tail, np.concatenate(
+            [gone[h:c] for h, c in zip(below, cut[1:])]
+        ))] = False
+        src = tail[keep]
         for name in COLUMN_NAMES:
             col = self._front[name]
+            col = row_records(col) if col.ndim == 2 else col  # one item a row
             col[holes] = col[src]
         self._relayout(edges, [e - b0 for e, b0 in zip(ends, edges)])
         return removed
@@ -638,7 +629,7 @@ class ParticleArrays:
             [row[e - m : e] for e, m in zip(new_edges[1:], counts)]
         )
 
-    def append_inplace(self, other) -> None:
+    def append_inplace(self, other) -> "slice | np.ndarray":
         """Append ``other``'s particles to the block they are meant for.
 
         ``other`` is a sequence of one population per block (possibly
@@ -646,7 +637,7 @@ class ParticleArrays:
         population without ``starts`` is one); block ``b`` becomes its
         current rows followed by ``other``'s block ``b``.  Grows the
         blocks (:meth:`grow_inplace`), then copies into the new rows
-        with one copy per column.
+        with one copy per column.  Returns the new rows.
         """
         if self._front is None:
             raise ConfigurationError("append_inplace requires enable_scratch")
@@ -664,6 +655,7 @@ class ParticleArrays:
         rows = self.grow_inplace(counts)
         for name in COLUMN_NAMES:
             getattr(self, name)[rows] = getattr(other, name)
+        return rows
 
     # -- migration pack/unpack (the sharded exchange) ---------------------
 
@@ -709,11 +701,8 @@ class ParticleArrays:
         """Append ``m`` migrants from buffers filled by :meth:`pack_rows`.
 
         Requires scratch backing (the shard populations always have
-        it).  The appended particles' ``cell`` entries are zeroed, not
-        computed: the step loop's cell-indexing pass overwrites every
-        entry before anything reads them, and zeros keep a gathered
-        state independent of what the buffers held before (a restored
-        run's fresh buffers hold something else).
+        it).  The caller indexes the arrivals' cells
+        (:func:`repro.core.cells.index_rows`).
         """
         if self._front is None:
             raise ConfigurationError("append_rows requires enable_scratch")
@@ -727,7 +716,6 @@ class ParticleArrays:
         base = len(MIGRATION_FLOAT_COLUMNS)
         self._front["rot"][n : n + m] = float_in[:m, base : base + dof]
         self._front["perm"][n : n + m] = perm_in[:m]
-        self._front["cell"][n : n + m] = 0
         for name in COLUMN_NAMES:
             setattr(self, name, self._front[name][: n + m])
 

@@ -174,9 +174,7 @@ class Reservoir:
         out = self.particles.select(take)
         if self.particles.starts is not None:
             out.starts = n * np.arange(len(streams) + 1, dtype=np.int64)
-        gone = np.zeros(self.size, dtype=bool)
-        gone[take] = True
-        self.particles.remove_inplace(gone)
+        self.particles.remove_inplace(np.sort(take))
         return out
 
     # -- relaxation -----------------------------------------------------------

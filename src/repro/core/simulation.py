@@ -121,31 +121,23 @@ class SimulationConfig:
     ----------
     domain, freestream, wedge:
         The tunnel, the oncoming stream, and the body (``None`` for an
-        empty tunnel).  ``domain`` is a :class:`Domain` or, for the
-        z-periodic slab of the paper's Future Work, a
-        :class:`repro.geometry.domain3d.Domain3D` (the body becomes a
-        prism, ``freestream.density`` is per unit cube, and sampled
-        fields are the span average on the x-y footprint -- which the
-        2-D run at the same areal density must reproduce).  ``wedge``
-        accepts any body implementing the
-        :mod:`repro.geometry.bodies` seam (:class:`Wedge`,
-        :class:`~repro.geometry.bodies.Cylinder`,
-        :class:`~repro.geometry.bodies.Step`); the field keeps its
-        historical name for compatibility.
+        empty tunnel).  ``domain`` is a :class:`Domain` or the z-periodic
+        slab of the paper's Future Work,
+        :class:`repro.geometry.domain3d.Domain3D` (a prism body, density
+        per unit cube, fields span-averaged on the x-y footprint).
+        ``wedge`` (a historical name) takes any body of the
+        :mod:`repro.geometry.bodies` seam.
     model:
         Molecular model (Maxwell diatomic by default).
     sort_scale:
         Randomization factor of the sort keys (1 disables mixing; the
         ablation configuration).
     sort_kernel:
-        Kernel of the collision stage (:func:`collision_stage`):
-        ``"incremental"`` (default) rebuilds an indexed cell-contiguous
-        order each step and pairs/collides through it, moving particle
-        data only every 32nd step (host-performance mode; the one
-        kernel the ensemble engine runs); ``"counting"`` physically
-        re-sorts every step with the fused counting sort and pairs
-        even/odd neighbours (the paper-faithful CM-2 rank-sort
-        analogue, one block only).
+        Kernel of :func:`collision_stage`: ``"incremental"`` (default;
+        the ensemble's one kernel) rebuilds an indexed cell-contiguous
+        order each step, moving rows only every 32nd step;
+        ``"counting"`` physically re-sorts every step and pairs even/odd
+        neighbours (the paper's CM-2 rank sort, one block only).
     plunger_trigger:
         Upstream plunger withdrawal point, cell widths.
     reservoir_fraction:
@@ -381,8 +373,9 @@ def _joined(blocks: list) -> ParticleArrays:
 
 
 #: The collision stage's timed phases, in execution order ("index" is
-#: the indexed kernel's cell-indexing + mover-count pass, outside the
-#: paper's four-phase split and empty on the counting kernel).
+#: the indexed kernel's mover-count pass over the cells the boundary
+#: phase left current, outside the paper's four-phase split and empty
+#: on the counting kernel).
 COLLISION_PHASES = ("index", "sort", "selection", "collision")
 
 
@@ -436,12 +429,13 @@ def collision_stage(
     sorter,
     step: int,
 ) -> CollisionStageResult:
-    """Index, sort, pair, select and collide a population of blocks.
+    """Sort, pair, select and collide a population of blocks.
 
     The collision half of the time step, spelled once.  A *block* is a
     population with its own random stream: the serial engine's whole
     population, a shard worker's slab -- or each of the ensemble
     engine's R replicas, with ``rng`` the R replica streams.
+    ``parts.cell`` must be current (stage 1 leaves it so).
     ``config.domain`` says what a cell is (a square, or a
     :class:`~repro.geometry.domain3d.Domain3D` cube); nothing past the
     cell index knows.  ``sorter`` picks the kernel:
@@ -460,14 +454,12 @@ def collision_stage(
       adjacent rows.
 
     Every random number of a block comes from its stream in a fixed
-    order, so two callers handing in the same block and stream state
-    leave the same state behind -- the serial/sharded and replica/solo
-    bitwise contracts.  Its one caller, :func:`step_stage2`, books the
-    timings and counters.
+    order, so the same block and stream state leave the same state
+    behind (the serial/sharded and replica/solo bitwise contracts).
+    Its one caller, :func:`step_stage2`, books timings and counters.
     """
     exchange_probability = config.model.internal_exchange_probability
     t0 = time.perf_counter()
-    assign_cells(parts, config.domain)
     if sorter is not None:
         sorter.detect(parts)
         t_index = time.perf_counter()
@@ -560,7 +552,8 @@ def step_stage1(sim, rng, sample: bool) -> BoundaryStats:
     motion and boundary interaction" as a single 14% line item.
     Surface loads accumulate only during sampling steps; each block's
     exits, refill and surface hits go to its own reservoir block,
-    stream and sampler.  Stage 1 may rebuild ``sim.particles``.
+    stream and sampler.  Stage 1 may rebuild ``sim.particles``; it
+    leaves the cell column current.
 
     A shard exchanges its boundary-crossers between the two stages;
     that is the only point of the step that needs a barrier.
@@ -698,20 +691,17 @@ class Simulation:
     :class:`repro.parallel.backend.ShardedBackend` decomposes the grid
     into x-slabs and steps them on worker processes.
 
-    ``telemetry`` attaches a :class:`repro.telemetry.Telemetry` hub:
-    every completed step feeds it diagnostics (metrics, spans, physics
-    observables), and sharded backends allocate shared-memory span
-    rings for their workers when one is present at bind time.
+    ``telemetry`` attaches a :class:`repro.telemetry.Telemetry` hub fed
+    by every completed step (metrics, spans, physics observables); a
+    sharded backend bound with one gives its workers span rings.
 
     **One block or R.**  :meth:`streams` says how many blocks the run
-    has: one generator per block.  The constructor seeds one population
-    per block from that block's step-0 stream and, for several, joins
-    them as the declared blocks of one flow and one reservoir
-    (``starts``); one block declares none.  Every other piece -- the
-    boundaries, the sorter, the sampler (one set of cells per block),
-    the surface samplers (one per block: :attr:`surfaces`) and the
-    step -- is the same code for either, which is all
-    :class:`repro.ensemble.EnsembleEngine` is: this class with the
+    has (one generator each).  The constructor seeds one population per
+    block from its step-0 stream and, for several, joins them as the
+    declared blocks (``starts``) of one flow and one reservoir.  The
+    boundaries, the sorter, the sampler, the surface samplers
+    (:attr:`surfaces`) and the step are the same code for either:
+    :class:`repro.ensemble.EnsembleEngine` is this class with the
     stream source keyed per replica.
     """
 

@@ -391,7 +391,8 @@ class IncrementalSorter:
     def detect(self, particles: ParticleArrays) -> float:
         """Count the movers; returns the moved fraction.
 
-        Call after the cell-indexing pass (``assign_cells``).  A mover
+        Call on a current cell column (the boundary phase leaves it
+        so).  A mover
         is a row whose cell differs from the value the previous
         ``update`` cached at the same row; rows beyond the cached
         length count as moved, so a fresh sorter reports 1.0.

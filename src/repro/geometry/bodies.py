@@ -9,6 +9,8 @@ for :class:`~repro.geometry.wedge.Wedge`:
 * ``validate_in(domain)`` -- raise :class:`GeometryError` unless the
   body fits inside the tunnel;
 * ``inside(x, y)`` -- mask of points strictly inside the solid;
+* ``bounds`` -- a closed box ``(x0, x1, y0, y1)`` holding every inside
+  point (the boundary phase tests only the rows in cells that meet it);
 * ``reflect_specular_report(x, y, u, v)`` -- specularly reflect the
   points that penetrated the solid, returning updated copies plus two
   masks ``(back, primary)`` of which face was hit;
@@ -32,28 +34,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.domain import Domain
-from repro.geometry.wedge import Wedge
-
-
-def supersampled_open_fractions(
-    body, domain: Domain, supersample: int = 16
-) -> np.ndarray:
-    """Open (gas-accessible) area fraction of every cell for any body.
-
-    The same vectorized probe grid the wedge uses: each cell is sampled
-    at ``supersample**2`` interior points against ``body.inside``.
-    """
-    if supersample < 2:
-        raise GeometryError("supersample must be >= 2")
-    body.validate_in(domain)
-    s = (np.arange(supersample) + 0.5) / supersample
-    ox, oy = np.meshgrid(s, s, indexing="ij")  # (S, S)
-    ci = np.arange(domain.nx, dtype=np.float64)
-    cj = np.arange(domain.ny, dtype=np.float64)
-    px = ci[:, None, None, None] + ox[None, None, :, :]
-    py = cj[None, :, None, None] + oy[None, None, :, :]
-    solid = body.inside(px, py)
-    return 1.0 - solid.mean(axis=(2, 3))
+from repro.geometry.wedge import Wedge, supersampled_open_fractions
 
 
 @dataclass(frozen=True)
@@ -81,6 +62,11 @@ class Cylinder:
     def __post_init__(self) -> None:
         if self.radius <= 0:
             raise GeometryError(f"radius must be positive, got {self.radius}")
+
+    @property
+    def bounds(self) -> Tuple[float, float, float, float]:
+        r = self.radius
+        return (self.cx - r, self.cx + r, self.cy - r, self.cy + r)
 
     def validate_in(self, domain: Domain) -> None:
         """Raise unless the full circle sits inside the tunnel."""
@@ -200,6 +186,10 @@ class Step:
     @property
     def x_trailing(self) -> float:
         return self.x_leading + self.length
+
+    @property
+    def bounds(self) -> Tuple[float, float, float, float]:
+        return (self.x_leading, self.x_trailing, 0.0, self.height)
 
     def validate_in(self, domain: Domain) -> None:
         """Raise :class:`GeometryError` unless the block fits the tunnel."""

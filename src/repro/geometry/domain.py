@@ -71,9 +71,10 @@ class Domain:
     def cell_coords(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Cell (i, j) containing each point, clipped into the grid.
 
-        Clipping guards against positions exactly on the outer faces
-        (x == nx from a just-reflected particle); boundary enforcement
-        runs before cell indexing, so interior points are the norm.
+        Clipping puts every point outside the grid into an edge cell:
+        the step indexes the moved population *before* enforcing the
+        boundaries, which then test only the rows in edge cells
+        (:attr:`repro.core.boundary.WindTunnelBoundaries.edge_cells`).
         """
         i = np.clip(np.floor(x).astype(np.int64), 0, self.nx - 1)
         j = np.clip(np.floor(y).astype(np.int64), 0, self.ny - 1)
@@ -88,7 +89,7 @@ class Domain:
         """``(coordinate column, cell count)`` per digit of the flattened
         cell index, most significant first.
 
-        What :func:`repro.core.cells.assign_cells` indexes a population
+        What :func:`repro.core.cells.index_into` indexes a population
         through: the domain, not the caller, knows how many position
         columns a cell index has (:class:`Domain3D` adds ``z``).
         """

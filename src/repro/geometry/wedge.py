@@ -34,6 +34,25 @@ from repro.errors import GeometryError
 from repro.geometry.domain import Domain
 
 
+def supersampled_open_fractions(
+    body, domain: Domain, supersample: int = 16
+) -> np.ndarray:
+    """Open (gas-accessible) area fraction of every cell for any body:
+    each cell probed at ``supersample**2`` interior points against
+    ``body.inside`` (one vectorized ``(nx, ny, S, S)`` grid)."""
+    if supersample < 2:
+        raise GeometryError("supersample must be >= 2")
+    body.validate_in(domain)
+    s = (np.arange(supersample) + 0.5) / supersample
+    ox, oy = np.meshgrid(s, s, indexing="ij")  # (S, S)
+    ci = np.arange(domain.nx, dtype=np.float64)
+    cj = np.arange(domain.ny, dtype=np.float64)
+    px = ci[:, None, None, None] + ox[None, None, :, :]
+    py = cj[None, :, None, None] + oy[None, None, :, :]
+    solid = body.inside(px, py)
+    return 1.0 - solid.mean(axis=(2, 3))
+
+
 @dataclass(frozen=True)
 class Wedge:
     """A wedge (ramp + vertical back face) on the tunnel floor.
@@ -93,6 +112,10 @@ class Wedge:
         return (self.x_trailing, self.height)
 
     @property
+    def bounds(self) -> Tuple[float, float, float, float]:
+        return (self.x_leading, self.x_trailing, 0.0, self.height)
+
+    @property
     def ramp_normal(self) -> Tuple[float, float]:
         """Outward (into-flow) unit normal of the ramp surface."""
         return (-math.sin(self.angle), math.cos(self.angle))
@@ -149,19 +172,7 @@ class Wedge:
         for cut cells.  Computed by vectorized supersampling: each cell
         is probed at ``supersample**2`` interior points.
         """
-        if supersample < 2:
-            raise GeometryError("supersample must be >= 2")
-        self.validate_in(domain)
-        # Subcell probe offsets (cell-relative, centered).
-        s = (np.arange(supersample) + 0.5) / supersample
-        ox, oy = np.meshgrid(s, s, indexing="ij")  # (S, S)
-        ci = np.arange(domain.nx, dtype=np.float64)
-        cj = np.arange(domain.ny, dtype=np.float64)
-        # Probe coordinates: (nx, ny, S, S) via broadcasting.
-        px = ci[:, None, None, None] + ox[None, None, :, :]
-        py = cj[None, :, None, None] + oy[None, None, :, :]
-        solid = self.inside(px, py)
-        return 1.0 - solid.mean(axis=(2, 3))
+        return supersampled_open_fractions(self, domain, supersample)
 
     def project_out(
         self, x: np.ndarray, y: np.ndarray

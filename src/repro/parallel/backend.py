@@ -21,8 +21,8 @@ one point that needs a worker barrier -- stage 1 / exchange / stage 2:
   (motion and the boundaries; the first shard owns the plunger, the
   last the downstream sink), then pack boundary-crossing particles into
   the outgoing migration channels and backfill-remove them locally.
-* **Phase B** -- append arrivals (left neighbour first, then right),
-  stage 2 (collisions, reservoir mixing on the first shard, sampling),
+* **Phase B** -- append arrivals (left neighbour first, then right)
+  and index them, stage 2 (collisions, reservoir mixing on the first shard, sampling),
   ship the downstream flux (last shard), and pack the shard's
   diagnostics row (:data:`repro.core.simulation.DIAGNOSTICS_ROW`).
 
@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.boundary import BoundaryStats, WindTunnelBoundaries
-from repro.core.cells import assign_cells
+from repro.core.cells import index_rows
 from repro.core.particles import COLUMN_NAMES, ParticleArrays, scratch_capacity
 from repro.core.reservoir import Reservoir
 from repro.core.sampling import SAMPLER_FIELDS, CellSampler
@@ -299,31 +299,31 @@ class ShardWorker:
         motion can do but a planned repartition cannot.
         """
         parts = self.particles
-        sc = parts.scratch
-        n = parts.n
         x = parts.x
-        remove = None
-        if self.shard_id > 0:
-            lmask = sc.array("mig_left", n, dtype=bool)
-            np.less(x, lo, out=lmask)
-            lidx = np.flatnonzero(lmask)
-            if guarded and lidx.size and x[lidx].min() < self._left_guard:
-                raise self._crossed_two_slabs()
-            self.channels.ship(parts, lidx, self.shard_id, LEFT)
-            remove = lmask
-        if self.shard_id < self.n_workers - 1:
-            rmask = sc.array("mig_right", n, dtype=bool)
-            np.greater_equal(x, hi, out=rmask)
-            ridx = np.flatnonzero(rmask)
-            if guarded and ridx.size and x[ridx].max() >= self._right_guard:
-                raise self._crossed_two_slabs()
-            self.channels.ship(parts, ridx, self.shard_id, RIGHT)
-            remove = (
-                rmask if remove is None
-                else np.logical_or(remove, rmask, out=remove)
-            )
-        if remove is not None and remove.any():
-            parts.remove_inplace(remove)
+        mask = parts.scratch.array("mig_mask", parts.n, dtype=bool)
+        gone = []
+        for direction, test, edge, wired in (
+            (LEFT, np.less, lo, self.shard_id > 0),
+            (RIGHT, np.greater_equal, hi, self.shard_id < self.n_workers - 1),
+        ):
+            if wired:
+                rows = np.flatnonzero(test(x, edge, out=mask))
+                xs = x[rows]
+                if guarded and (
+                    (xs < self._left_guard) | (xs >= self._right_guard)
+                ).any():
+                    raise self._crossed_two_slabs()
+                self.channels.ship(parts, rows, self.shard_id, direction)
+                gone.append(rows)
+        if gone:
+            parts.remove_inplace(np.sort(np.concatenate(gone)))
+
+    def _receive(self) -> None:
+        """Append this step's arrivals and index them (only them)."""
+        parts = self.particles
+        n = parts.n
+        self.channels.receive(parts, self.shard_id)
+        index_rows(parts, self.domain, slice(n, parts.n))
 
     # -- the step: stage 1, exchange, stage 2 ----------------------------
 
@@ -389,7 +389,7 @@ class ShardWorker:
         """Arrivals, stage 2, flux ship, diagnostics row, publish."""
         t0 = time.perf_counter()
         with self.perf.phase("exchange"):
-            self.channels.receive(self.particles, self.shard_id)
+            self._receive()
         diag, stage = step_stage2(
             self, self._stream, step, self._bstats, sample
         )
@@ -430,15 +430,16 @@ class ShardWorker:
 
         Runs after the mid-epoch barrier: every neighbour's ceded rows
         are in the channels, arrival order is the same fixed
-        left-then-right order as a normal step.  Arrivals come with
-        zeroed cells, so the cells and the indexed order are rebuilt
-        (no physical re-sort, no RNG): the state the auditor reads
-        between steps describes the live population.  The next step
-        rebuilds both again, so the realization does not depend on it.
+        left-then-right order as a normal step.  Only the arrivals are
+        indexed (the rows that stayed kept their cells through the
+        backfill), then the indexed order is rebuilt (no physical
+        re-sort, no RNG): the state the auditor reads between steps
+        describes the live population.  The next step indexes and
+        orders everything again, so the realization does not depend on
+        it.
         """
         parts = self.particles
-        self.channels.receive(parts, self.shard_id)
-        assign_cells(parts, self.config.domain)
+        self._receive()
         if self.sort_state is not None:
             self.sort_state.update(parts)
         edges = self.shared["edges"]
@@ -567,10 +568,8 @@ class ShardedBackend:
         :class:`~repro.core.simulation.SerialBackend`).
     processes:
         ``True`` forks one worker process per shard; ``False`` steps
-        the same shard objects sequentially in-process (bitwise
-        identical results -- the deterministic per-``(shard, step)``
-        RNG streams make execution order irrelevant), useful for tests
-        and single-core hosts.
+        the same shards in turn in-process (bitwise the same: the
+        per-``(shard, step)`` streams make the order irrelevant).
     channel_capacity:
         Migrants per channel per step (default: one shard's worth).
     flux_pending:
@@ -581,13 +580,11 @@ class ShardedBackend:
         the worker pool wedged.
     fault_plan:
         Optional :class:`repro.resilience.faults.FaultPlan` arming the
-        deterministic fault-injection hooks in the workers and the
-        migration channels.  ``None`` (the default) leaves every hook
-        dormant at zero overhead.
+        fault-injection hooks of the workers and channels (``None``:
+        dormant at zero overhead).
     edges:
-        Optional explicit slab-edge tuple (length ``n_workers + 1``)
-        to bind with, instead of the uniform split -- snapshot-restore
-        continuity for checkpoints taken after a rebalance.
+        Optional slab edges (``n_workers + 1``) to bind with instead of
+        the uniform split: a checkpoint taken after a rebalance.
     """
 
     def __init__(

@@ -338,11 +338,10 @@ class TestBlockedSurgery:
         parts, starts, blocks = self._blocked([6, 4, 5])
         mask = np.random.default_rng(9).random(parts.n) < 0.4
         n_before = parts.n
-        removed = parts.remove_inplace(mask)
+        removed = parts.remove_inplace(np.flatnonzero(mask))
         for b, blk in enumerate(blocks):
-            assert blk.remove_inplace(mask[starts[b] : starts[b + 1]]) == [
-                removed[b]
-            ]
+            rows = np.flatnonzero(mask[starts[b] : starts[b + 1]])
+            assert blk.remove_inplace(rows) == [removed[b]]
         self._assert_blocks_equal(parts, blocks)
         assert parts.n == (~mask).sum() == n_before - sum(removed) < n_before
 
@@ -361,14 +360,14 @@ class TestBlockedSurgery:
         mask = np.random.default_rng(2).random(parts.n) < 0.5
         if emptied is not None:
             mask[starts[emptied] : starts[emptied + 1]] = True
-        parts.remove_inplace(mask)
+        parts.remove_inplace(np.flatnonzero(mask))
         for b, blk in enumerate(blocks):
-            blk.remove_inplace(mask[starts[b] : starts[b + 1]])
+            blk.remove_inplace(np.flatnonzero(mask[starts[b] : starts[b + 1]]))
         self._assert_blocks_equal(parts, blocks)
 
     def test_all_false_mask_removes_nothing(self):
         parts, starts, blocks = self._blocked([4, 0, 6])
-        assert parts.remove_inplace(np.zeros(parts.n, dtype=bool)) == [0, 0, 0]
+        assert parts.remove_inplace(np.array([], dtype=np.intp)) == [0, 0, 0]
         self._assert_blocks_equal(parts, blocks)
 
     def test_append_blocked_matches_solo_append(self):
@@ -418,7 +417,7 @@ class TestBlockedSurgery:
         for buf in parts._back.values():
             buf.view(np.uint8)[...] = 0xAB
         mask = np.random.default_rng(6).random(parts.n) < 0.3
-        assert parts.remove_inplace(mask) == [int(mask.sum())]
+        assert parts.remove_inplace(np.flatnonzero(mask)) == [int(mask.sum())]
         parts.append_inplace(fresh)
         parts.append_inplace([fresh])
         assert parts.starts is None and parts.n_blocks == 1
@@ -434,14 +433,16 @@ class TestBlockedSurgery:
             parts.append_inplace(blocks[0])
         with pytest.raises(ConfigurationError, match="one appended population"):
             parts.append_inplace(blocks + blocks)
-        with pytest.raises(ConfigurationError, match="one entry per particle"):
-            parts.remove_inplace(np.zeros(3, dtype=bool))
+        with pytest.raises(ConfigurationError, match="ascending distinct rows"):
+            parts.remove_inplace(np.array([0, parts.n]))
+        with pytest.raises(ConfigurationError, match="ascending distinct rows"):
+            parts.remove_inplace(np.array([2, 1]))
         # A blocked population that grew behind its starts' back says so
         # at its next surgery, not with an IndexError mid-copy.
         perm = np.tile(np.arange(5, dtype=np.int8), (2, 1))
         parts.append_rows(np.zeros((2, 8)), perm, 2)
         for surgery in (
-            lambda: parts.remove_inplace(np.zeros(parts.n, dtype=bool)),
+            lambda: parts.remove_inplace(np.array([0])),
             lambda: parts.append_inplace(blocks),
         ):
             with pytest.raises(ConfigurationError, match=r"starts\[-1\] must equal"):
@@ -478,9 +479,9 @@ class TestBlockedSurgery:
 
         mask = rng.random(parts.n) < 0.4
         mask[starts[-2] :] = True
-        removed = parts.remove_inplace(mask)
+        removed = parts.remove_inplace(np.flatnonzero(mask))
         assert removed == [
-            blk.remove_inplace(mask[b0:b1])[0]
+            blk.remove_inplace(np.flatnonzero(mask[b0:b1]))[0]
             for blk, b0, b1 in zip(blocks, starts[:-1], starts[1:])
         ]
         assert blocks[-1].n == 0

@@ -63,7 +63,7 @@ def _apply(op, seed, parts):
     elif op == "remove" and n > 8:
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, size=int(rng.integers(1, n // 4)), replace=False)] = True
-        parts.remove_inplace(mask)
+        parts.remove_inplace(np.flatnonzero(mask))
     elif op == "append":
         extra = _population(seed + 1, n=int(rng.integers(1, 24)))
         parts.append_inplace(extra)

@@ -247,7 +247,7 @@ class TestIncrementalSorter:
         # Backfill removal re-homes tail rows; the order just follows.
         mask = np.zeros(parts.n, dtype=bool)
         mask[rng.choice(parts.n, size=11, replace=False)] = True
-        parts.remove_inplace(mask)
+        parts.remove_inplace(np.flatnonzero(mask))
         res = _sort_step(sorter, parts)
         assert res.moved <= 11
         _canonical_invariants(sorter, parts)

@@ -66,12 +66,38 @@ def test_census_lists_exactly_the_unreached_function(
 
         assert main() == 6
 
-    defs, unreached, items, failures = reachability.census(
+    defs, unreached, items, failures, changed = reachability.census(
         fixture_package, lambda: [("fixture", traffic)]
     )
-    assert items == ["fixture"] and failures == []
+    assert items == ["fixture"] and failures == [] and changed == []
     assert {d.key for d in defs} == {
         "shapes.py:area", "shapes.py:perimeter", "shapes.py:Box.__init__",
         "shapes.py:Box.size", "use.py:main",
     }
     assert [d.key for d in unreached] == ["shapes.py:perimeter"]
+
+
+def test_a_file_edited_mid_census_is_named_and_left_out(
+    reachability, fixture_package
+):
+    # The run executes shapes.py, then an edit shifts every definition
+    # in it down by two lines before the counts are mapped: mapped as
+    # read at the end, perimeter would look reached and area not.
+    shapes = fixture_package / "shapes.py"
+
+    def traffic():
+        from census_fixture.use import main
+
+        assert main() == 6
+        shapes.write_text("# edited\n\n" + SHAPES)
+
+    defs, unreached, items, failures, changed = reachability.census(
+        fixture_package, lambda: [("fixture", traffic)]
+    )
+    assert failures == [] and changed == ["shapes.py"]
+    assert {d.key for d in defs} == {"use.py:main"}
+    assert unreached == []
+    report = reachability.render(defs, unreached, failures, items, "",
+                                 changed)
+    assert "- `shapes.py`" in report
+    assert "shapes.py:" not in report

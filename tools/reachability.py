@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import hashlib
 import io
 import os
 import pathlib
@@ -253,19 +254,48 @@ def definitions(package: pathlib.Path) -> List[Definition]:
     return out
 
 
+def _digest(path: str) -> Optional[str]:
+    """SHA-256 of a file's bytes (``None`` once it is gone)."""
+    try:
+        return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
 class _CallCensus(trace.Trace):
     """``trace.Trace`` with function counting keyed by (file, first line).
 
     The stock key names a method's class by searching the heap for the
     code object's referrers, once per code object; the census matches
     definitions by position instead, which needs no search.
+
+    Positions are only as good as the source they were read from, so the
+    census also hashes every file under ``package`` as the run first
+    executes it (its module body runs on import) -- or at once, for a
+    module imported before the census started -- in :attr:`hashes`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, package: pathlib.Path) -> None:
         super().__init__(count=0, trace=0, countfuncs=1)
+        self._root = os.path.join(os.path.realpath(package), "")
+        self._seen: set = set()
+        #: ``{real path: sha256}`` of the package files the run executed.
+        self.hashes: Dict[str, Optional[str]] = {}
+        for module in list(sys.modules.values()):
+            self._first_sight(getattr(module, "__file__", None))
+
+    def _first_sight(self, filename: Optional[str]) -> None:
+        if not filename or filename in self._seen:
+            return
+        self._seen.add(filename)
+        path = os.path.realpath(filename)
+        if path.startswith(self._root) and path not in self.hashes:
+            self.hashes[path] = _digest(path)
 
     def file_module_function_of(self, frame):
         code = frame.f_code
+        if code.co_filename not in self._seen:
+            self._first_sight(code.co_filename)
         return code.co_filename, code.co_firstlineno, code.co_name
 
 
@@ -284,6 +314,8 @@ def _follow_forks(tracer: _CallCensus, spool: pathlib.Path) -> None:
         rows = "".join(
             f"{f}\t{line}\n" for f, line, _ in list(tracer._calledfuncs))
         (spool / f"{os.getpid()}.tsv").write_text(rows, encoding="utf-8")
+        hashes = "".join(f"{f}\t{h}\n" for f, h in tracer.hashes.items())
+        (spool / f"{os.getpid()}.sha").write_text(hashes, encoding="utf-8")
 
     util.register_after_fork(
         tracer, lambda _: util.Finalize(None, dump, exitpriority=0)
@@ -299,13 +331,18 @@ def census(
 
     ``traffic()`` itself runs traced, so what importing the program
     calls (a registry filling up) counts.  Returns ``(all definitions,
-    unreached definitions, item names, failures)``; a failed item is
-    reported by name and its traceback's last line, and the census goes
-    on (what it reached before failing still counts).  With a ``spool``
-    directory, calls made in forked ``multiprocessing`` children count
-    as well.
+    unreached definitions, item names, failures, changed files)``; a
+    failed item is reported by name and its traceback's last line, and
+    the census goes on (what it reached before failing still counts).
+    With a ``spool`` directory, calls made in forked ``multiprocessing``
+    children count as well.
+
+    A file whose bytes differ from those the run executed (an edit while
+    the census ran) is a changed file, relative to ``package``: its
+    counted lines no longer locate its definitions, so none of them is
+    returned.
     """
-    tracer = _CallCensus()
+    tracer = _CallCensus(package)
     if spool is not None:
         _follow_forks(tracer, spool)
     items = tracer.runfunc(traffic)
@@ -327,17 +364,26 @@ def census(
         (os.path.realpath(f), line)
         for f, line, _ in tracer.results().calledfuncs
     }
+    hashes = dict(tracer.hashes)
     for dump in sorted(spool.glob("*.tsv")) if spool is not None else ():
         for row in dump.read_text(encoding="utf-8").splitlines():
             f, line = row.rsplit("\t", 1)
             called.add((os.path.realpath(f), int(line)))
-    defs = definitions(package)
+    for dump in sorted(spool.glob("*.sha")) if spool is not None else ():
+        for row in dump.read_text(encoding="utf-8").splitlines():
+            f, digest = row.rsplit("\t", 1)
+            hashes.setdefault(f, digest)
     root = os.path.realpath(package)
+    changed = sorted(
+        os.path.relpath(f, root).replace(os.sep, "/")
+        for f, digest in hashes.items() if _digest(f) != digest
+    )
+    defs = [d for d in definitions(package) if d.path not in changed]
     unreached = [
         d for d in defs
         if (os.path.join(root, d.path), d.first_line) not in called
     ]
-    return defs, unreached, [name for name, _ in items], failures
+    return defs, unreached, [name for name, _ in items], failures, changed
 
 
 # -- the traffic -------------------------------------------------------------
@@ -682,6 +728,7 @@ def render(
     failures: Sequence[str],
     items: Sequence[str],
     ledger: str,
+    changed: Sequence[str] = (),
 ) -> str:
     lines_total = sum(d.lines for d in defs)
     by_class: Dict[str, List[Definition]] = {}
@@ -728,6 +775,10 @@ def render(
         out += ["", "Items that failed (what they reached still counts):",
                 ""]
         out += [f"- {f}" for f in failures]
+    if changed:
+        out += ["", "Files that changed while the census ran (none of their "
+                "definitions is listed; rerun the census):", ""]
+        out += [f"- `{f}`" for f in changed]
     out += [
         "",
         "## Unreached definitions",
@@ -781,15 +832,16 @@ def main(argv=None) -> int:
         try:
             spool = pathlib.Path(work) / "forked"
             spool.mkdir()
-            defs, unreached, items, failures = census(
+            defs, unreached, items, failures, changed = census(
                 PACKAGE, traffic, spool)
         finally:
             os.chdir(cwd)
-    out.write_text(render(defs, unreached, failures, items, ledger),
+    out.write_text(render(defs, unreached, failures, items, ledger, changed),
                    encoding="utf-8")
     print(f"{len(unreached)} of {len(defs)} definitions unreached; "
-          f"{len(failures)} failed item(s); wrote {out}")
-    return 1 if failures else 0
+          f"{len(failures)} failed item(s); {len(changed)} changed "
+          f"file(s); wrote {out}")
+    return 1 if failures or changed else 0
 
 
 if __name__ == "__main__":
