@@ -18,10 +18,11 @@ The wind-tunnel boundaries of the paper:
   number of time steps."
 
 The phase indexes the moved population first and tests only the rows
-in edge cells.  Reflections are resolved iteratively (a particle bounced
-off the ramp can land below the floor, and vice versa) until no
-particle remains inside any solid, with a counted positional clamp as
-the last resort.
+in edge cells.  Reflections are resolved iteratively: a particle bounced
+off the ramp can land below the floor (and vice versa at the wedge's
+leading-edge corner), so the wall/wedge passes repeat until no particle
+remains inside any solid, with a positional clamp as the (counted) last
+resort for pathological corner cases.
 """
 
 from __future__ import annotations
@@ -85,10 +86,19 @@ def union(arrays) -> np.ndarray:
 
 @dataclass
 class PlungerState:
-    """The moving upstream piston: the face at x = ``position`` (from
-    0) moves at ``speed``, the freestream's ("moving with the
-    freestream"); past ``trigger`` it withdraws to 0 and the vacated slab
-    refills from the reservoir."""
+    """The moving upstream piston.
+
+    Attributes
+    ----------
+    position:
+        Current x of the plunger face (starts at 0).
+    trigger:
+        When the face passes this x, the plunger withdraws to 0 and the
+        vacated slab refills from the reservoir.
+    speed:
+        Face speed, = freestream bulk speed ("moving with the
+        freestream").
+    """
 
     position: float
     trigger: float
@@ -152,22 +162,29 @@ class WindTunnelBoundaries:
         self.freestream = freestream
         self.wedge = wedge
         self.wall_model = wall_model
-        #: Wall temperature of the isothermal diffuse model (default:
-        #: the freestream's).  No-slip models apply to the floor and
-        #: ceiling; the body stays specular (the inviscid anchor).
+        #: Wall temperature handle for the isothermal diffuse model
+        #: (defaults to the freestream temperature).  The wedge surface
+        #: remains specular in all models -- the inviscid-body
+        #: comparison is the validation anchor; no-slip walls apply to
+        #: the tunnel floor and ceiling.
         self.wall_c_mp = wall_c_mp if wall_c_mp is not None else freestream.c_mp
         if self.wall_c_mp <= 0:
             raise ConfigurationError("wall_c_mp must be positive")
-        #: Maxwell's accommodation: the fraction of wall encounters
-        #: re-emitted diffusely (the rest reflect specularly).
+        #: Maxwell-model accommodation coefficient: the fraction of
+        #: wall encounters re-emitted diffusely at the wall temperature
+        #: (the rest reflect specularly).  0 degenerates to "specular",
+        #: 1 to "diffuse"; only the "maxwell" model reads it.
         self.accommodation = accommodation
-        #: Surface-load sampler the body's reflections deposit into,
-        #: armed by the driver on sampling steps only.
+        #: Optional surface-load sampler; when set, wedge reflections
+        #: deposit their impulses into it (armed per step by the driver
+        #: so surface averages align with the field-sampling phase).
         self.surface_sampler = None
-        #: Only the first shard owns the upstream plunger
-        #: (``has_inlet``), only the last the downstream sink
-        #: (``has_outlet``); an interior shard's x-crossings are
-        #: migrations.  Serial runs keep both.
+        #: Domain-sharded runs split the streamwise boundaries across
+        #: workers: only the first shard owns the upstream plunger
+        #: (``has_inlet``) and only the last shard owns the downstream
+        #: sink (``has_outlet``).  Interior shards run with both False;
+        #: their x-crossings are migrations handled by the exchange
+        #: machinery, not boundary conditions.  Serial runs keep both.
         self.has_inlet = has_inlet
         self.has_outlet = has_outlet
         self.plunger = PlungerState(
@@ -179,7 +196,7 @@ class WindTunnelBoundaries:
 
     def _edge_table(self) -> np.ndarray:
         """Columns 0 and nx - 1 and rows 0 and ny - 1 (where
-        :func:`~repro.core.cells.index_into` puts every position outside
+        :func:`~repro.core.cells.index_rows` puts every position outside
         the tunnel, NaN and infinities too), the columns below the
         plunger trigger and every cell meeting the body's closed
         bounding box (widened 1e-6 against rounding in ``inside``),
@@ -226,9 +243,12 @@ class WindTunnelBoundaries:
         particles: ParticleArrays,
         reservoir: Optional[Reservoir],
         rng: np.random.Generator,
+        indexed: bool = False,
     ) -> tuple:
         """Index every row, then enforce all boundaries on the rows in
         :attr:`edge_cells`; returns ``(particles, stats)``.
+        ``indexed=True`` says the caller has just indexed the moved
+        population (the step does, as a phase of its own).
 
         Order of enforcement follows the causal order within the step:
         moving-piston reflection, solid-surface reflections (iterated),
@@ -237,12 +257,15 @@ class WindTunnelBoundaries:
         current.
 
         One pass for any number of row blocks (``particles.starts``):
-        ``rng`` is one stream per block (:func:`repro.rng.block_streams`),
-        and so is ``surface_sampler``.  ``reservoir`` (or ``None``, one
-        block) declares as many blocks as the flow: block ``b``'s exits
-        go to reservoir block ``b`` and its refill comes from there,
-        drawn from stream ``b``.  The population must be scratch-enabled
-        (every surgery here rewrites its own buffers in place).
+        ``rng`` is one stream per block
+        (:func:`repro.rng.block_streams`; a bare generator is one
+        block), and so is ``surface_sampler``.  ``reservoir`` (or
+        ``None``, one block) declares as many blocks as the flow: block
+        ``b``'s exits go to reservoir block ``b`` and its refill comes
+        from there, drawn from stream ``b``.
+
+        The population must be scratch-enabled: every surgery here
+        (reflection, removal, refill) rewrites its own buffers in place.
         """
         streams = block_streams(rng)
         n_blocks = particles.n_blocks
@@ -258,7 +281,8 @@ class WindTunnelBoundaries:
                 "apply_rebuilding needs a scratch-enabled population "
                 "(ParticleArrays.enable_scratch)"
             )
-        assign_cells(particles, self.domain)
+        if not indexed:
+            assign_cells(particles, self.domain)
         at_edge = scratch.array("bnd_mask", particles.n, dtype=bool)
         np.take(self.edge_cells, particles.cell, out=at_edge, mode="clip")
         rows = np.flatnonzero(at_edge)
@@ -279,8 +303,9 @@ class WindTunnelBoundaries:
                 if reservoir is not None:
                     reservoir.deposit(streams, removed)
 
-        # 4) Advance the plunger; withdraw and refill past the trigger
-        #    (one refill count for every block, drawn per block).
+        # 4) Advance the plunger; withdraw and refill past the trigger.
+        #    The refill count is deterministic and shared by the blocks;
+        #    the withdrawn particles and their positions are per block.
         n_injected = 0
         reset = False
         if self.has_inlet:
@@ -309,9 +334,11 @@ class WindTunnelBoundaries:
     def _surface_record(self, particles: ParticleArrays):
         """The reflections' ``record`` callback for ``surface_sampler``.
 
-        With one sampler per block, a body pass's ascending hit ``rows``
-        split into one contiguous slice per block, in the order a run of
-        that block alone records them (bitwise solo ``np.add.at``).
+        With one sampler per block, a body pass's hits are split by
+        block: ``rows`` is ascending, so each block's hits are one
+        contiguous slice (``searchsorted`` on the block starts) in the
+        order a run of that block alone would record them -- the
+        ``np.add.at`` accumulation in each sampler is bitwise solo.
         """
         if self.surface_sampler is None:
             return None
@@ -342,15 +369,18 @@ class WindTunnelBoundaries:
 
         The elementwise half of the boundary phase on a scratch-enabled
         population, under any wall model and for any number of row
-        blocks.  Pass 1 tests the ascending ``rows`` (those in edge
-        cells); a reflection is the only way to (re)enter a solid, so
-        later passes and the final clamp test only the rows the previous
-        pass moved.  Returns ``(n_walls, n_wedge, n_clamped, written)``,
-        ``written`` the ascending rows whose position changed.
+        blocks; returns ``(n_walls, n_wedge, n_clamped, written)``,
+        ``written`` the ascending rows whose position changed.  Pass 1
+        tests the ascending ``rows`` (those in edge cells) and afterwards
+        tracks the *moved* subset: a reflection is the only way to
+        (re)enter a solid, hence passes 2+ and the final clamp only need
+        to look at particles moved by the previous pass.
 
-        Only non-specular floors and ceilings draw, per crossing from
-        each block's stream (:meth:`_wall_step`).  ``record(rows, x, du,
-        dv, back_face)`` receives each body pass's surface hits.
+        Only the floor and ceiling under a non-specular model draw, per
+        crossing and per block (:meth:`_wall_step`): ``streams`` holds
+        one stream per block.  ``record(rows, x, du, dv, back_face)``
+        receives each body pass's surface hits; the ascending
+        population ``rows`` let a blocked caller split them by block.
         """
         x, y, u, v = particles.x, particles.y, particles.u, particles.v
         height = self.domain.height
@@ -425,9 +455,11 @@ class WindTunnelBoundaries:
         """Floor, then ceiling, for the ascending rows ``off`` outside the gas.
 
         Specular walls fold every row at once and draw nothing.  The
-        other models re-emit the floor's crossers, then the ceiling's,
-        each block's share from its stream in ascending row order: the
-        rows and draws a run of that block alone would make.
+        other models take each wall's crossers in turn -- the floor's,
+        then the ceiling's once the floor has folded its own -- and
+        re-emit each block's share from that block's stream, in
+        ascending row order: the rows and draws a run of that block
+        alone would make.
         """
         y, v = particles.y, particles.v
         height = self.domain.height
@@ -492,9 +524,12 @@ class WindTunnelBoundaries:
     ) -> int:
         """Last-resort positional clamp for unresolved reflections.
 
-        Stragglers among ``candidates`` that fast particles or corner
-        geometry left in a solid snap to the nearest open point; the
-        count goes into the stats (tests assert it is rare).
+        Extremely fast particles or corner geometry can defeat the
+        bounded reflection iteration; such stragglers among
+        ``candidates`` are snapped to the nearest open point (onto the
+        body surface, just outside the solid).  The count is surfaced
+        in the stats so runs can verify this stays negligible (tests
+        assert it is rare).
         """
         x, y = particles.x, particles.y
         xs = x[candidates]
@@ -521,12 +556,13 @@ class WindTunnelBoundaries:
     ) -> Optional[ParticleArrays]:
         """Freestream particles for the void a withdrawn plunger leaves.
 
-        Enough to fill ``[0, plunger position) x [0, H)`` (times a span
-        domain's depth) at freestream density (``None`` if that rounds to
-        zero), per block of ``reservoir``: withdrawn from it (sampled
-        afresh without one), placed uniformly from the block's stream --
-        x, y, then z on a span.  The result declares the reservoir's
-        blocks.
+        Enough to fill ``[0, plunger position) x [0, H)`` -- times the
+        depth of a span domain -- at freestream density (``None`` when
+        that rounds to zero), for every block of ``reservoir``:
+        withdrawn from it (sampled afresh without one, one block), then
+        placed uniformly from the block's stream of ``rng``: x, y, then
+        z when the domain has a span.  The result declares the
+        reservoir's blocks; the caller appends them its own way.
         """
         streams = block_streams(rng)
         xp = self.plunger.position

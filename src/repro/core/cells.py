@@ -25,27 +25,6 @@ from repro.core.particles import ParticleArrays, pooled
 from repro.errors import ConfigurationError
 
 
-def index_into(cell: np.ndarray, axes, work) -> None:
-    """Write the flattened cell index of ``axes`` -- ``(coordinates,
-    cell count)`` per digit, most significant first -- into ``cell``.
-
-    One digit at a time (Horner) in the two int32 buffers ``work`` (a
-    grid under 2**31 cells): truncate toward zero, then clip.  Any
-    position outside the tunnel, NaN and infinities included, lands in
-    column 0 or nx - 1 or row 0 or ny - 1; inside, truncation is floor.
-    """
-    acc, digit = work
-    (coords, extent), *lower = axes
-    np.copyto(acc, coords, casting="unsafe")
-    np.clip(acc, 0, extent - 1, out=acc)
-    for coords, extent in lower:
-        np.copyto(digit, coords, casting="unsafe")
-        np.clip(digit, 0, extent - 1, out=digit)
-        acc *= extent
-        acc += digit
-    np.copyto(cell, acc)
-
-
 def assign_cells(particles: ParticleArrays, domain) -> None:
     """Recompute every particle's flattened cell index, in place.
 
@@ -61,15 +40,27 @@ def assign_cells(particles: ParticleArrays, domain) -> None:
 def index_rows(particles: ParticleArrays, domain, rows=slice(None)) -> None:
     """Recompute the cell index of ``rows`` (a slice or row array): the
     moved population once, then what a boundary, a refill or a
-    migration writes."""
-    axes = [(c[rows], extent) for c, extent in domain.cell_axes(particles)]
-    m = axes[0][0].shape[0]
+    migration writes.
+
+    One digit at a time (Horner) in two pooled int32 buffers (a grid
+    under 2**31 cells): truncate toward zero, then clip.  Any position
+    outside the tunnel, NaN and infinities included, lands in column 0
+    or nx - 1 or row 0 or ny - 1; inside, truncation is floor.
+    """
+    (coords, extent), *lower = [
+        (c[rows], extent) for c, extent in domain.cell_axes(particles)
+    ]
+    m = coords.shape[0]
     work = pooled(particles.scratch, "cells_digits", 2 * m, np.int32)
-    view = isinstance(rows, slice)
-    cell = particles.cell[rows] if view else np.empty(m, dtype=np.int64)
-    index_into(cell, axes, (work[:m], work[m:]))
-    if not view:
-        particles.cell[rows] = cell
+    acc, digit = work[:m], work[m:]
+    np.copyto(acc, coords, casting="unsafe")
+    np.clip(acc, 0, extent - 1, out=acc)
+    for coords, extent in lower:
+        np.copyto(digit, coords, casting="unsafe")
+        np.clip(digit, 0, extent - 1, out=digit)
+        acc *= extent
+        acc += digit
+    particles.cell[rows] = acc
 
 
 def randomized_sort_keys(

@@ -396,14 +396,18 @@ class ParticleArrays:
     ) -> "ParticleArrays":
         """Re-home every column in caller-provided ping-pong buffer sets.
 
-        The sharded backend hands in each shard's shared-memory column
-        buffers (inherited over fork); the in-place operations then run
-        on them as :meth:`enable_scratch` runs on heap buffers, so the
-        parent reads a quiescent shard without serialization.  Both
-        dicts map every :data:`COLUMN_NAMES` entry to an array of one
-        common capacity with the column's dtype and trailing shape.  The
-        capacity is **fixed**: outgrowing it raises rather than move to
-        private heap arrays (which would break the sharing).
+        The sharded backend allocates each shard's column buffers in
+        shared memory (inherited by the worker process over fork) and
+        hands them in here; thereafter the in-place population
+        operations run against those segments exactly as
+        :meth:`enable_scratch` runs against heap buffers, so the parent
+        can read a quiescent shard's state without any serialization.
+
+        Both dicts must map every :data:`COLUMN_NAMES` entry to an array
+        of one common capacity with the column's dtype and trailing
+        shape.  Unlike heap scratch, the capacity is **fixed**: the
+        population outgrowing it raises instead of silently migrating to
+        private heap arrays (which would break the sharing contract).
         """
         if self.scratch_enabled:
             raise ConfigurationError("scratch buffers already enabled")
@@ -441,9 +445,14 @@ class ParticleArrays:
 
     @property
     def front_buffers(self) -> Optional[Dict[str, np.ndarray]]:
-        """The live front buffer set (``None`` without scratch): reorders
-        swap front and back per column, and the sharded backend publishes
-        which is which for the parent's gather.  Do not mutate it."""
+        """The live front buffer set (``None`` without scratch).
+
+        Reorders swap front and back per column, so which physical
+        buffer holds a column's current data varies over time; the
+        sharded backend reads this mapping to publish per-column front
+        flags for the parent's shared-memory gather.  Callers must not
+        mutate the returned dict.
+        """
         return self._front
 
     def _ensure_capacity(self, n_new: int) -> None:
@@ -525,11 +534,13 @@ class ParticleArrays:
         """Resize block ``b`` to ``sizes[b]`` rows in place; return the new edges.
 
         Block ``b`` keeps its first ``min(old size, sizes[b])`` rows,
-        slid to its new start inside the front buffers; rows it gains
-        are unspecified until the caller fills them.  A call only
-        shrinks or only grows, so sliding in ascending block order when
-        shrinking and descending when growing never overwrites a block
-        yet to move.  Block 0 never moves.
+        slid to its new start inside the front buffers; the rows it
+        gains hold unspecified values until the caller fills them.  A
+        call either only shrinks blocks or only grows them, so sliding
+        in ascending block order when the population shrinks and in
+        descending order when it grows never overwrites a block that
+        has yet to move.  Block 0 never moves, and one block is the
+        same loop with nothing to slide.
         """
         new_edges = [0]
         for size in sizes:
@@ -561,14 +572,18 @@ class ParticleArrays:
     def remove_inplace(self, rows: np.ndarray) -> list:
         """Delete the ascending ``rows`` by backfilling holes from the tail.
 
-        O(removed): every hole below the new length receives a survivor
-        from the tail.  Row *order is not preserved* (the next cell sort
-        re-orders the population anyway).
+        O(removed) instead of the O(N) full compaction: every hole
+        below the new length receives a surviving particle moved down
+        from the tail.  Particle *order is not preserved* -- only safe
+        where the next cell sort re-orders the population anyway (the
+        step loop's downstream removal, the reservoir withdrawal).
 
-        Each block is backfilled from its own tail (the rows a removal on
-        that block alone leaves), with one copy per column for all
-        blocks, then the blocks slide together (:meth:`_relayout`).
-        Returns the number of rows removed from each block.
+        Each block is backfilled from its own tail, so its surviving
+        rows are those a removal on that block alone would leave; the
+        holes and sources of every block are gathered first and moved
+        with one copy per column, then the blocks slide together
+        (:meth:`_relayout`).  Returns the number of rows removed from
+        each block.
         """
         if self._front is None:
             raise ConfigurationError("remove_inplace requires enable_scratch")

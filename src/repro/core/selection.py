@@ -178,7 +178,7 @@ def collision_probabilities(
     # per pair -- not a division per pair.
     density_table = density_lookup_table(cell_counts, volume_fractions)
     # mode="clip": cell indices are clipped into range upstream
-    # (index_into); "raise" would buffer the out array.
+    # (assign_cells); "raise" would buffer the out array.
     prob = pooled(particles.scratch, "sel_prob", n_pairs)
     np.take(density_table, cells, out=prob, mode="clip")
     prob *= freestream.collision_probability / freestream.density

@@ -121,23 +121,31 @@ class SimulationConfig:
     ----------
     domain, freestream, wedge:
         The tunnel, the oncoming stream, and the body (``None`` for an
-        empty tunnel).  ``domain`` is a :class:`Domain` or the z-periodic
-        slab of the paper's Future Work,
-        :class:`repro.geometry.domain3d.Domain3D` (a prism body, density
-        per unit cube, fields span-averaged on the x-y footprint).
-        ``wedge`` (a historical name) takes any body of the
-        :mod:`repro.geometry.bodies` seam.
+        empty tunnel).  ``domain`` is a :class:`Domain` or, for the
+        z-periodic slab of the paper's Future Work, a
+        :class:`repro.geometry.domain3d.Domain3D` (the body becomes a
+        prism, ``freestream.density`` is per unit cube, and sampled
+        fields are the span average on the x-y footprint -- which the
+        2-D run at the same areal density must reproduce).  ``wedge``
+        accepts any body implementing the
+        :mod:`repro.geometry.bodies` seam (:class:`Wedge`,
+        :class:`~repro.geometry.bodies.Cylinder`,
+        :class:`~repro.geometry.bodies.Step`); the field keeps its
+        historical name for compatibility.
     model:
         Molecular model (Maxwell diatomic by default).
     sort_scale:
         Randomization factor of the sort keys (1 disables mixing; the
         ablation configuration).
     sort_kernel:
-        Kernel of :func:`collision_stage`: ``"incremental"`` (default;
-        the ensemble's one kernel) rebuilds an indexed cell-contiguous
-        order each step, moving rows only every 32nd step;
-        ``"counting"`` physically re-sorts every step and pairs even/odd
-        neighbours (the paper's CM-2 rank sort, one block only).
+        Kernel of the collision stage (:func:`collision_stage`):
+        ``"incremental"`` (default) rebuilds an indexed cell-contiguous
+        order each step and pairs/collides through it, moving particle
+        data only every 32nd step (host-performance mode; the one
+        kernel the ensemble engine runs); ``"counting"`` physically
+        re-sorts every step with the fused counting sort and pairs
+        even/odd neighbours (the paper-faithful CM-2 rank-sort
+        analogue, one block only).
     plunger_trigger:
         Upstream plunger withdrawal point, cell widths.
     reservoir_fraction:
@@ -454,9 +462,10 @@ def collision_stage(
       adjacent rows.
 
     Every random number of a block comes from its stream in a fixed
-    order, so the same block and stream state leave the same state
-    behind (the serial/sharded and replica/solo bitwise contracts).
-    Its one caller, :func:`step_stage2`, books timings and counters.
+    order, so two callers handing in the same block and stream state
+    leave the same state behind -- the serial/sharded and replica/solo
+    bitwise contracts.  Its one caller, :func:`step_stage2`, books the
+    timings and counters.
     """
     exchange_probability = config.model.internal_exchange_probability
     t0 = time.perf_counter()
@@ -543,7 +552,7 @@ def collision_stage(
 
 
 def step_stage1(sim, rng, sample: bool) -> BoundaryStats:
-    """Stage 1 of the step: collisionless motion, then the boundaries.
+    """Stage 1 of the step: collisionless motion, indexing, boundaries.
 
     ``sim`` is :class:`Simulation`-shaped -- the whole run, or a shard
     worker (:class:`repro.parallel.backend.ShardWorker`), whose
@@ -560,9 +569,10 @@ def step_stage1(sim, rng, sample: bool) -> BoundaryStats:
     """
     with sim.perf.phase("motion"):
         motion.advance(sim.particles, sim.config.domain)
+        assign_cells(sim.particles, sim.config.domain)
         sim.boundaries.surface_sampler = sim.surface if sample else None
         sim.particles, bstats = sim.boundaries.apply_rebuilding(
-            sim.particles, sim.reservoir, rng
+            sim.particles, sim.reservoir, rng, indexed=True
         )
     return bstats
 
@@ -691,17 +701,20 @@ class Simulation:
     :class:`repro.parallel.backend.ShardedBackend` decomposes the grid
     into x-slabs and steps them on worker processes.
 
-    ``telemetry`` attaches a :class:`repro.telemetry.Telemetry` hub fed
-    by every completed step (metrics, spans, physics observables); a
-    sharded backend bound with one gives its workers span rings.
+    ``telemetry`` attaches a :class:`repro.telemetry.Telemetry` hub:
+    every completed step feeds it diagnostics (metrics, spans, physics
+    observables), and sharded backends allocate shared-memory span
+    rings for their workers when one is present at bind time.
 
     **One block or R.**  :meth:`streams` says how many blocks the run
-    has (one generator each).  The constructor seeds one population per
-    block from its step-0 stream and, for several, joins them as the
-    declared blocks (``starts``) of one flow and one reservoir.  The
-    boundaries, the sorter, the sampler, the surface samplers
-    (:attr:`surfaces`) and the step are the same code for either:
-    :class:`repro.ensemble.EnsembleEngine` is this class with the
+    has: one generator per block.  The constructor seeds one population
+    per block from that block's step-0 stream and, for several, joins
+    them as the declared blocks of one flow and one reservoir
+    (``starts``); one block declares none.  Every other piece -- the
+    boundaries, the sorter, the sampler (one set of cells per block),
+    the surface samplers (one per block: :attr:`surfaces`) and the
+    step -- is the same code for either, which is all
+    :class:`repro.ensemble.EnsembleEngine` is: this class with the
     stream source keyed per replica.
     """
 

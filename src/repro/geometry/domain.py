@@ -89,7 +89,7 @@ class Domain:
         """``(coordinate column, cell count)`` per digit of the flattened
         cell index, most significant first.
 
-        What :func:`repro.core.cells.index_into` indexes a population
+        What :func:`repro.core.cells.index_rows` indexes a population
         through: the domain, not the caller, knows how many position
         columns a cell index has (:class:`Domain3D` adds ``z``).
         """

@@ -37,9 +37,11 @@ from repro.geometry.domain import Domain
 def supersampled_open_fractions(
     body, domain: Domain, supersample: int = 16
 ) -> np.ndarray:
-    """Open (gas-accessible) area fraction of every cell for any body:
-    each cell probed at ``supersample**2`` interior points against
-    ``body.inside`` (one vectorized ``(nx, ny, S, S)`` grid)."""
+    """Open (gas-accessible) area fraction of every cell for any body.
+
+    The same vectorized probe grid the wedge uses: each cell is sampled
+    at ``supersample**2`` interior points against ``body.inside``.
+    """
     if supersample < 2:
         raise GeometryError("supersample must be >= 2")
     body.validate_in(domain)

@@ -22,7 +22,8 @@ one point that needs a worker barrier -- stage 1 / exchange / stage 2:
   last the downstream sink), then pack boundary-crossing particles into
   the outgoing migration channels and backfill-remove them locally.
 * **Phase B** -- append arrivals (left neighbour first, then right)
-  and index them, stage 2 (collisions, reservoir mixing on the first shard, sampling),
+  and index them, stage 2 (collisions, reservoir mixing on the first
+  shard, sampling),
   ship the downstream flux (last shard), and pack the shard's
   diagnostics row (:data:`repro.core.simulation.DIAGNOSTICS_ROW`).
 
@@ -568,8 +569,10 @@ class ShardedBackend:
         :class:`~repro.core.simulation.SerialBackend`).
     processes:
         ``True`` forks one worker process per shard; ``False`` steps
-        the same shards in turn in-process (bitwise the same: the
-        per-``(shard, step)`` streams make the order irrelevant).
+        the same shard objects sequentially in-process (bitwise
+        identical results -- the deterministic per-``(shard, step)``
+        RNG streams make execution order irrelevant), useful for tests
+        and single-core hosts.
     channel_capacity:
         Migrants per channel per step (default: one shard's worth).
     flux_pending:
@@ -580,11 +583,13 @@ class ShardedBackend:
         the worker pool wedged.
     fault_plan:
         Optional :class:`repro.resilience.faults.FaultPlan` arming the
-        fault-injection hooks of the workers and channels (``None``:
-        dormant at zero overhead).
+        deterministic fault-injection hooks in the workers and the
+        migration channels.  ``None`` (the default) leaves every hook
+        dormant at zero overhead.
     edges:
-        Optional slab edges (``n_workers + 1``) to bind with instead of
-        the uniform split: a checkpoint taken after a rebalance.
+        Optional explicit slab-edge tuple (length ``n_workers + 1``)
+        to bind with, instead of the uniform split -- snapshot-restore
+        continuity for checkpoints taken after a rebalance.
     """
 
     def __init__(
