@@ -2,7 +2,8 @@
 
 "Once the particles have been moved and all the boundary conditions
 enforced, each particle computes its occupying cell index."  Here
-the boundary phase indexes first and re-indexes the rows it writes.
+the step indexes before the boundaries, which re-index the rows they
+write.
 
 The sort key is *not* the raw cell index: "the cell index of a particle
 is scaled by some constant factor and, before sorting, a random number
