@@ -31,7 +31,10 @@ def assign_cells(particles: ParticleArrays, domain) -> None:
 
     ``domain`` says which position columns make up the index
     (``domain.cell_axes``: x, y for a :class:`Domain`, plus z for a
-    :class:`repro.geometry.domain3d.Domain3D`).
+    :class:`repro.geometry.domain3d.Domain3D`).  Scratch-enabled
+    populations keep the cell column bound to its ping-pong buffer, so
+    the indices are written through the existing view instead of
+    rebinding the attribute to a fresh array.
     """
     if particles.cell.shape != particles.x.shape:
         particles.cell = np.empty(particles.n, dtype=np.int64)
