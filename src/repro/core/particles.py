@@ -338,9 +338,12 @@ class ParticleArrays:
             # Basic slicing yields views; force fresh arrays.
             take = lambda col: col[sel].copy()  # noqa: E731
         else:
-            # Boolean / fancy indexing already copies; a second .copy()
-            # would double the memory traffic of every rebuild.
-            take = lambda col: col[sel]  # noqa: E731
+            # ``np.take`` copies the 2-D ``rot`` / ``perm`` rows several
+            # times faster than fancy indexing, with the same values.
+            sel = np.asarray(sel)
+            if sel.dtype == bool:
+                sel = np.flatnonzero(sel)
+            take = lambda col: np.take(col, sel, axis=0)  # noqa: E731
         return ParticleArrays(
             x=take(self.x),
             y=take(self.y),

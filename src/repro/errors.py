@@ -46,6 +46,11 @@ class GeometryError(ConfigurationError):
     """Invalid geometric configuration (wedge outside domain, etc.)."""
 
 
+class SchemaError(ConfigurationError):
+    """Plain data (a scenario spec, a snapshot's config) lacks a key,
+    names an unknown one, or holds a value of the wrong type."""
+
+
 class ResilienceError(ReproError):
     """Base class of the parallel-fault taxonomy.
 

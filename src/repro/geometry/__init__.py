@@ -10,7 +10,7 @@ sampling.
 
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
-from repro.geometry.bodies import BODY_KINDS, Cylinder, Step, body_from_dict
+from repro.geometry.bodies import BODY_KINDS, Cylinder, Step
 from repro.geometry import reflect
 
 __all__ = [
@@ -19,6 +19,5 @@ __all__ = [
     "Cylinder",
     "Step",
     "BODY_KINDS",
-    "body_from_dict",
     "reflect",
 ]

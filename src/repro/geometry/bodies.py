@@ -18,7 +18,6 @@ for :class:`~repro.geometry.wedge.Wedge`:
   every cell (supersampled, like the wedge's cut cells);
 * ``project_out(x, y)`` -- last-resort positional rescue for particles
   the bounded reflection iteration failed to expel;
-* :func:`body_from_dict` -- the body a scenario's geometry dict names.
 
 The boundary enforcement loop (:mod:`repro.core.boundary`) only ever
 calls this seam, so a :class:`Cylinder` or :class:`Step` drops into the
@@ -266,27 +265,9 @@ class Step:
         return x, y
 
 
-#: Body constructors by ``kind`` (snapshot / scenario-spec dispatch).
+#: Body classes by ``kind``, the name a spec or a snapshot's config uses.
 BODY_KINDS = {
     "wedge": Wedge,
     "cylinder": Cylinder,
     "step": Step,
 }
-
-
-def body_from_dict(d: dict):
-    """Reconstruct a body from its config dict.
-
-    ``kind`` defaults to ``"wedge"`` so pre-registry snapshot blobs
-    (which stored bare wedge parameters) keep loading unchanged.
-    """
-    params = dict(d)
-    kind = params.pop("kind", "wedge")
-    try:
-        cls = BODY_KINDS[kind]
-    except KeyError:
-        raise GeometryError(
-            f"unknown body kind {kind!r}; expected one of "
-            f"{sorted(BODY_KINDS)}"
-        ) from None
-    return cls(**params)

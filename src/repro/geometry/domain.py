@@ -34,6 +34,8 @@ class Domain:
     nx: int = 98
     ny: int = 64
 
+    #: What a serialised config names this domain by.
+    kind = "plane"
     #: No span: motion advances no ``z``, seeding and plunger refills
     #: draw none (:class:`repro.geometry.domain3d.Domain3D` has one).
     has_span = False

@@ -36,6 +36,7 @@ class Domain3D:
     ny: int = 64
     nz: int = 8
 
+    kind = "slab"
     #: Particles carry a periodic ``z`` (see :class:`Domain`).
     has_span = True
 

@@ -36,113 +36,22 @@ from repro.core.particles import (
     check_block_starts,
 )
 from repro.core.sampling import SAMPLER_FIELDS
-from repro.core.simulation import Simulation, SimulationConfig, _joined
+from repro.core.simulation import Simulation, _joined
 from repro.core.surface import SURFACE_FIELDS
-from repro.errors import CheckpointCorruptionError, ConfigurationError
-from repro.geometry.bodies import body_from_dict
-from repro.geometry.domain import Domain
-from repro.geometry.domain3d import Domain3D
-from repro.geometry.wedge import Wedge
-from repro.physics.freestream import Freestream
-from repro.physics.molecules import MolecularModel
+from repro.errors import CheckpointCorruptionError, ConfigurationError, SchemaError
+from repro.scenarios.spec import config_from_dict, config_to_dict
 
-#: Snapshot format version; bumped on layout changes.  Format 4 is one
+#: Snapshot format version; bumped on layout changes.  Format 5 is one
 #: layout for one block or R: the flow whole with its block ``starts``,
-#: ``res{b}_*`` and ``surface{b}_*`` per block, and ``replica_ids`` when
-#: the run keys its streams per replica (an ensemble), and a sharded
-#: run's per-shard sampler and surface sums (``shard_*``).  Older archives
-#: are lifted into it (:func:`_lifted`): the solo formats 1-3 (v2 added
-#: the sharded continuation fields -- worker count, in-transit reservoir
-#: flux -- and v3 the slab edges; v1 restores serially, v2 with the
-#: uniform split) and the ensemble's own format 1.
-FORMAT_VERSION = 4
+#: ``res{b}_*`` and ``surface{b}_*`` per block, ``replica_ids`` when the
+#: run keys its streams per replica (an ensemble), a sharded run's slab
+#: edges and per-shard sampler and surface sums (``shard_*``), and the
+#: configuration as :func:`repro.scenarios.spec.config_to_dict` writes
+#: it.  An archive of any other format is refused by name: no older
+#: archive could continue bitwise once draws are keyed per particle.
+FORMAT_VERSION = 5
 
 PathLike = Union[str, pathlib.Path]
-
-
-def _config_to_json(config: SimulationConfig) -> str:
-    domain = {"nx": config.domain.nx, "ny": config.domain.ny}
-    if config.domain.has_span:
-        # Only span domains write ``nz``: 2-D blobs stay byte-identical.
-        domain["nz"] = config.domain.nz
-    blob = {
-        "domain": domain,
-        "freestream": {
-            "mach": config.freestream.mach,
-            "c_mp": config.freestream.c_mp,
-            "lambda_mfp": config.freestream.lambda_mfp,
-            "density": config.freestream.density,
-            "gamma": config.freestream.gamma,
-        },
-        # The wedge keeps writing its bare parameter dict (no "kind"
-        # key) so blobs from pre-registry runs and wedge runs stay
-        # byte-identical; other bodies carry their dispatch kind.
-        "wedge": None
-        if config.wedge is None
-        else (
-            {
-                "x_leading": config.wedge.x_leading,
-                "base": config.wedge.base,
-                "angle_deg": config.wedge.angle_deg,
-            }
-            if isinstance(config.wedge, Wedge)
-            else config.wedge.to_config_dict()
-        ),
-        "model": {
-            "alpha": config.model.alpha
-            if np.isfinite(config.model.alpha)
-            else "inf",
-            "rotational_dof": config.model.rotational_dof,
-            "mass": config.model.mass,
-            "name": config.model.name,
-        },
-        "sort_scale": config.sort_scale,
-        # The incremental kernel keeps NO order state in the snapshot:
-        # the canonical order is a pure function of the cell column and
-        # is rebuilt every step anyway.
-        "sort_kernel": config.sort_kernel,
-        "plunger_trigger": config.plunger_trigger,
-        "reservoir_fraction": config.reservoir_fraction,
-        "reservoir_mix_rounds": config.reservoir_mix_rounds,
-    }
-    # Registry-era fields ride along only when they deviate from the
-    # defaults, keeping wedge-run blobs byte-identical to pre-registry
-    # archives (bitwise continuation tests compare them).
-    if config.wall_model != "specular":
-        blob["wall_model"] = config.wall_model
-    if config.accommodation != 1.0:
-        blob["accommodation"] = config.accommodation
-    if config.scenario is not None:
-        blob["scenario"] = config.scenario
-    return json.dumps(blob)
-
-
-def _config_from_json(blob: str) -> SimulationConfig:
-    d = json.loads(blob)
-    alpha = d["model"]["alpha"]
-    model = MolecularModel(
-        alpha=float("inf") if alpha == "inf" else float(alpha),
-        rotational_dof=int(d["model"]["rotational_dof"]),
-        mass=float(d["model"]["mass"]),
-        name=d["model"]["name"],
-    )
-    return SimulationConfig(
-        domain=(Domain3D if "nz" in d["domain"] else Domain)(**d["domain"]),
-        freestream=Freestream(**d["freestream"]),
-        wedge=None if d["wedge"] is None else body_from_dict(d["wedge"]),
-        model=model,
-        sort_scale=int(d["sort_scale"]),
-        # Archives predating the kernel field were counting-kernel runs;
-        # defaulting there keeps their continuation bitwise unchanged.
-        sort_kernel=d.get("sort_kernel", "counting"),
-        plunger_trigger=float(d["plunger_trigger"]),
-        reservoir_fraction=float(d["reservoir_fraction"]),
-        reservoir_mix_rounds=int(d["reservoir_mix_rounds"]),
-        seed=0,  # the loader restores the archived seed and RNG state
-        wall_model=d.get("wall_model", "specular"),
-        accommodation=float(d.get("accommodation", 1.0)),
-        scenario=d.get("scenario"),
-    )
 
 
 def _pack_particles(prefix: str, parts: ParticleArrays) -> dict:
@@ -277,7 +186,7 @@ def save_simulation(
         "flux_pending": np.array(int(getattr(sim.backend, "pending_flux", 0))),
         "shard_seed": np.array(shard_seed),
         "format_version": np.array(FORMAT_VERSION),
-        "config_json": np.array(_config_to_json(sim.config)),
+        "config_json": np.array(json.dumps(config_to_dict(sim.config))),
         "rng_state_json": np.array(json.dumps(sim.rng.bit_generator.state)),
         "step_count": np.array(sim.step_count),
         "plunger_position": np.array(sim.boundaries.plunger.position),
@@ -315,40 +224,20 @@ def save_simulation(
             p.write_bytes(blob[: len(blob) // 2])
 
 
-def _lifted(data, path) -> dict:
-    """The archive's members under format-4 names.
-
-    A legacy layout is a few renames away: the solo formats 1-3 hold
-    one block with unnumbered ``res_*`` / ``surface_*`` members and no
-    ``starts`` (v1 also no continuation fields); the ensemble's format 1
-    names its seed ``ensemble_seed`` and holds no RNG state.
-    """
+def _current(data, path) -> dict:
+    """The archive's members, if it is of this format."""
     members = {name: data[name] for name in data.files}
     if "ensemble_format_version" in members:
         version = _member(members, "ensemble_format_version", path)
-        if version != 1:
-            raise ConfigurationError(
-                f"ensemble snapshot format {version} != supported 1"
-            )
-        members["shard_seed"] = members.pop("ensemble_seed")
-        members.update(backend_workers=np.array(1), flux_pending=np.array(0))
-        return members
-    version = _member(members, "format_version", path)
-    if version == FORMAT_VERSION:
-        return members
-    if version not in (1, 2, 3):
         raise ConfigurationError(
-            f"snapshot format {version} != supported {FORMAT_VERSION}"
+            f"ensemble snapshot format {version} is not read (snapshot "
+            f"format {FORMAT_VERSION} is); rerun it from its scenario"
         )
-    for old in [k for k in members if k.startswith(("res_", "surface_"))]:
-        prefix, _, rest = old.partition("_")
-        members[f"{prefix}0_{rest}"] = members.pop(old)
-    members["starts"] = np.array([0, np.size(members["flow_x"])])
-    if version == 1:
-        members.update(
-            backend_workers=np.array(1),
-            flux_pending=np.array(0),
-            shard_seed=np.array(-1),
+    version = _member(members, "format_version", path)
+    if version != FORMAT_VERSION:
+        raise ConfigurationError(
+            f"snapshot format {version} != supported {FORMAT_VERSION}; "
+            "an older archive is not read: rerun it from its scenario"
         )
     return members
 
@@ -382,7 +271,7 @@ def load_simulation(
     overrides the sharded-backend construction (the supervisor uses it
     to re-arm fault plans and shorter barrier timeouts on respawn); it
     also receives ``edges=...`` when the archive carries a slab-edge
-    tuple for this worker count (v3+, written after a rebalance).
+    tuple for this worker count (a sharded run writes its own).
 
     Raises :class:`~repro.errors.CheckpointCorruptionError` when the
     archive is truncated, unreadable, missing required members, or
@@ -391,20 +280,26 @@ def load_simulation(
     failing ``validate()``, a negative step count or a plunger outside
     its stroke -- a distinct, retryable failure so a supervisor can fall
     back to an older checkpoint instead of aborting the run.  Raises
-    :class:`~repro.errors.ConfigurationError` for an unsupported format
-    version, and for an ensemble archive restored with ``workers > 1``
-    or without an integer seed.
+    :class:`~repro.errors.ConfigurationError` for an archive of another
+    format (older ones included, named by their format), and for an
+    ensemble archive restored with ``workers > 1`` or without an
+    integer seed.  A ``config_json`` member with a missing or unknown
+    key or a value of the wrong type is a corrupt archive.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
-            members = _lifted(data, path)
-        config = _config_from_json(_member(members, "config_json", path, "U"))
+            members = _current(data, path)
+        blob = json.loads(_member(members, "config_json", path, "U"))
+        try:
+            config = config_from_dict(blob)
+        except SchemaError as exc:
+            raise CheckpointCorruptionError(
+                f"member config_json: {exc}", path=str(path)
+            ) from exc
         saved_workers = _member(members, "backend_workers", path)
         flux_pending = _member(members, "flux_pending", path)
         shard_seed = _member(members, "shard_seed", path)
-        # Legacy (pre-v3) archives carry no edge tuple: they were
-        # written by uniform-split runs, so restoring uniform is
-        # exact, not an approximation.
+        # Only a sharded run writes its slab edges.
         saved_edges = (
             tuple(_member(members, "slab_edges", path, ndim=1))
             if "slab_edges" in members
@@ -433,7 +328,7 @@ def load_simulation(
         # The constructed run's blocks, then the archived state in
         # place of its seeded one.
         n_blocks = sim.particles.n_blocks
-        rdof = config.model.rotational_dof
+        rdof = sim.particles.rot.shape[1]
         flow = _unpack_particles("flow", members, rdof, path)
         try:
             starts = check_block_starts(members["starts"], flow.n, n_blocks)
@@ -452,13 +347,10 @@ def load_simulation(
         _unpack_accumulator(
             "sampler", members, sim.sampler, SAMPLER_FIELDS, path
         )
-        # v1 archives predate the surface members: their surface
-        # averages restart from zero.
-        if any(name.startswith("surface") for name in members):
-            for b, surf in enumerate(sim.surfaces):
-                _unpack_accumulator(
-                    f"surface{b}", members, surf, SURFACE_FIELDS, path
-                )
+        for b, surf in enumerate(sim.surfaces):
+            _unpack_accumulator(
+                f"surface{b}", members, surf, SURFACE_FIELDS, path
+            )
         sim.step_count = _count(members, "step_count", path)
         plunger = sim.boundaries.plunger
         position = _member(members, "plunger_position", path, "f")
@@ -469,12 +361,9 @@ def load_simulation(
                 path=str(path),
             )
         plunger.position = position
-        # An ensemble keys its streams and never draws from ``rng``: its
-        # format-1 archives carry no state for it.
-        if "rng_state_json" in members or "replica_ids" not in members:
-            sim.rng.bit_generator.state = json.loads(
-                _member(members, "rng_state_json", path, "U")
-            )
+        sim.rng.bit_generator.state = json.loads(
+            _member(members, "rng_state_json", path, "U")
+        )
     except FileNotFoundError:
         raise
     except (zipfile.BadZipFile, KeyError, ValueError, OSError, EOFError) as exc:
@@ -489,8 +378,8 @@ def load_simulation(
         # stateless seed there is no bitwise continuation.
         if shard_seed < 0:
             raise ConfigurationError(
-                "this snapshot carries no shard-stream seed (generator "
-                "seed, or a pre-v2 archive); restore with workers=1"
+                "this snapshot carries no shard-stream seed (a generator "
+                "seed); restore with workers=1"
             )
         kwargs = dict(
             n_workers=n_workers, processes=processes, flux_pending=flux_pending
@@ -512,20 +401,15 @@ def load_simulation(
 
 
 def _restore_shard_moments(backend, members: dict, path) -> None:
-    """Hand every shard its archived sampler and surface-load rows back.
-
-    Bind seeded shard 0 with the whole restored field; an archive
-    written before the per-shard members leaves it there (the totals
-    are right, the later sums not bitwise).
-    """
+    """Hand every shard its archived sampler and surface-load rows back
+    (bind seeded shard 0 with the whole restored field)."""
     for name, live in backend.shard_moments().items():
         got = members.get(f"shard_{name}")
-        if got is None:
-            continue
-        if got.dtype != live.dtype or got.shape != live.shape:
+        if got is None or got.dtype != live.dtype or got.shape != live.shape:
             raise CheckpointCorruptionError(
-                f"member shard_{name} is {got.dtype}{list(got.shape)}, "
-                f"not {live.dtype}{list(live.shape)}",
+                f"member shard_{name} is "
+                + ("missing" if got is None else f"{got.dtype}{list(got.shape)}")
+                + f", not {live.dtype}{list(live.shape)}",
                 path=str(path),
             )
         live[...] = got

@@ -39,16 +39,18 @@ Sections (all dicts of plain scalars/lists):
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import pathlib
+import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.errors import ConfigurationError
-from repro.geometry.bodies import BODY_KINDS, body_from_dict
+from repro.errors import ConfigurationError, SchemaError
+from repro.geometry.bodies import BODY_KINDS
 from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
@@ -90,8 +92,8 @@ _GEOMETRY_KINDS = tuple(BODY_KINDS) + ("none",)
 
 def _require_mapping(value: Any, where: str) -> Dict[str, Any]:
     if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"scenario spec section {where!r} must be a table/dict, "
+        raise SchemaError(
+            f"section {where!r} must be a table/dict, "
             f"got {type(value).__name__}"
         )
     return dict(value)
@@ -114,22 +116,35 @@ _TABLES = {
 }
 
 
-def _require(value: Any, kind: type, where: str) -> Any:
-    """``value`` if it is a ``kind`` (``float``: any finite number)."""
+def _require(value: Any, kind: type, where: str, finite: bool = True) -> Any:
+    """``value`` if it is a ``kind`` (``float``: any finite number, or
+    with ``finite=False`` any number but NaN)."""
     if kind is float:
         try:
-            ok = not isinstance(value, bool) and math.isfinite(value)
+            ok = not isinstance(value, bool) and (
+                math.isfinite(value) or not (finite or math.isnan(value))
+            )
         except (TypeError, OverflowError):
             ok = False
     else:
         ok = isinstance(value, kind) and not isinstance(value, bool)
     if not ok:
-        raise ConfigurationError(
-            f"scenario spec field {where!r} must be "
+        raise SchemaError(
+            f"field {where!r} must be "
             f"{'a finite number' if kind is float else f'a {kind.__name__}'}"
             f", got {value!r}"
         )
     return value
+
+
+def _check_keys(table: Mapping, required, known, where: str) -> None:
+    """``table`` holds every ``required`` key and none outside ``known``."""
+    missing = sorted(set(required) - set(table))
+    if missing:
+        raise SchemaError(f"{where}: missing keys {missing}")
+    extra = sorted(set(table) - set(known))
+    if extra:
+        raise SchemaError(f"{where}: unknown keys {extra}")
 
 
 def _require_toml_value(value: Any, where: str) -> None:
@@ -140,6 +155,65 @@ def _require_toml_value(value: Any, where: str) -> None:
             _require_toml_value(v, f"{where}[{i}]")
     elif not isinstance(value, (str, bool, int)):
         _require(value, float, where)
+
+
+#: A declared config type that stands for several classes, and the
+#: ``kind`` a serialised value names its class by.
+_KINDS = {Wedge: BODY_KINDS, Domain: {"plane": Domain, "slab": Domain3D}}
+
+
+def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
+    """``config`` as nested plain data, read off its dataclass fields and
+    those of the domain, freestream, body and model, so a field added to
+    any of them is carried as it stands.  The domain and the body also
+    name their ``kind``.  ``seed`` is left out: it may be a live
+    generator, and a snapshot keeps its own stream key."""
+
+    def plain(value):
+        if not dataclasses.is_dataclass(value):
+            return value
+        d = {
+            f.name: plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name != "seed"
+        }
+        kind = getattr(value, "kind", None)
+        return d if kind is None else {"kind": kind, **d}
+
+    return plain(config)
+
+
+def config_from_dict(data: Any) -> SimulationConfig:
+    """The config :func:`config_to_dict` wrote (``seed`` left ``None``).
+
+    Raises :class:`SchemaError` for a missing key, an unknown key or a
+    value of the wrong type, and a type's own :class:`ConfigurationError`
+    for a value it refuses.
+    """
+    return _from_plain(SimulationConfig, data, "config")
+
+
+def _from_plain(tp: Any, value: Any, where: str) -> Any:
+    if typing.get_origin(tp) is Union:  # Optional[X]: None or an X
+        if value is None:
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if not dataclasses.is_dataclass(tp):
+        return tp(_require(value, tp, where, finite=False))
+    d = _require_mapping(value, where)
+    kinds = _KINDS.get(tp)
+    if kinds is not None:
+        kind = d.pop("kind", None)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise SchemaError(
+                f"field '{where}.kind' must be one of {sorted(kinds)}"
+                f", got {kind!r}"
+            )
+        tp = kinds[kind]
+    hints = typing.get_type_hints(tp)
+    names = [f.name for f in dataclasses.fields(tp) if f.name != "seed"]
+    _check_keys(d, names, names, where)
+    return tp(**{k: _from_plain(hints[k], d[k], f"{where}.{k}") for k in names})
 
 
 @dataclass(frozen=True)
@@ -242,17 +316,8 @@ class ScenarioSpec:
         value of its key's type under each (:data:`_TABLES`)."""
         table = _require_mapping(getattr(self, section), section)
         required, optional = _TABLES[section]
-        missing = sorted(set(required) - set(table))
-        if missing:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: {section} needs keys {missing}"
-            )
         kinds = {**required, **optional}
-        extra = sorted(set(table) - set(kinds))
-        if extra:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: unknown {section} keys {extra}"
-            )
+        _check_keys(table, required, kinds, f"scenario {self.name!r} {section}")
         for k, v in table.items():
             _require(v, kinds[k], f"{section}.{k}")
 
@@ -434,13 +499,8 @@ class ScenarioSpec:
                 base=nx / 3.92,
                 angle_deg=float(geom["angle_deg"]),
             )
-        try:
-            return body_from_dict({**geom, "kind": kind})
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: bad geometry parameters for "
-                f"kind {kind!r}: {exc}"
-            ) from None
+        where = f"scenario {self.name!r} geometry"
+        return _from_plain(Wedge, {**geom, "kind": kind}, where)
 
     def build_config(self, **overrides) -> SimulationConfig:
         """A :class:`SimulationConfig` for this scenario.

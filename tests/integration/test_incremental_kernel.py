@@ -314,27 +314,6 @@ class TestSnapshotContinuation:
         assert da.total_energy == db.total_energy
         assert state_digest(restored) == state_digest(sim)
 
-    def test_legacy_snapshot_defaults_to_counting(self, tmp_path):
-        # Archives written before the field existed were counting runs;
-        # the default must preserve their bitwise continuation.
-        import json
-
-        from repro.io import snapshots as snap_mod
-
-        cfg = dataclasses.replace(_config(), sort_kernel="counting")
-        sim = Simulation(cfg)
-        sim.run(2)
-        path = tmp_path / "snap.npz"
-        save_simulation(sim, path)
-        # Strip the sort_kernel field to emulate a pre-field archive.
-        data = dict(np.load(path, allow_pickle=False))
-        meta = json.loads(str(data["config_json"]))
-        meta.pop("sort_kernel")
-        data["config_json"] = np.array(json.dumps(meta))
-        np.savez(path, **data)
-        restored = snap_mod.load_simulation(path)
-        assert restored.config.sort_kernel == "counting"
-
     def test_removed_kernel_in_snapshot_is_rejected(self, tmp_path):
         # A sharded run of such an archive used to run "counting"
         # silently; now every loader refuses it by name.

@@ -12,13 +12,10 @@ The contract under test:
   rebalancing (the epoch is carried by the same deterministic
   channels as a normal step).
 * A checkpoint taken mid-run with non-uniform edges restores the same
-  decomposition and continues bitwise at the same worker count;
-  legacy archives without the edge tuple restore as the uniform split.
+  decomposition and continues bitwise at the same worker count.
 """
 
 from __future__ import annotations
-
-import zipfile
 
 import numpy as np
 import pytest
@@ -203,26 +200,3 @@ class TestCheckpointContinuity:
             ref.close()
             restored.close()
 
-    def test_legacy_archive_without_edges_restores_uniform(self, tmp_path):
-        sim = _run(14, eager=True)
-        try:
-            assert sim.backend.slab_edges != (0, 16, 32)
-            path = tmp_path / "v3.npz"
-            save_simulation(sim, path)
-        finally:
-            sim.close()
-
-        # Strip the edge member to fabricate a pre-v3-style archive.
-        legacy = tmp_path / "legacy.npz"
-        with zipfile.ZipFile(path) as src, zipfile.ZipFile(
-            legacy, "w"
-        ) as dst:
-            for name in src.namelist():
-                if name != "slab_edges.npy":
-                    dst.writestr(name, src.read(name))
-
-        restored = load_simulation(legacy, workers=2, processes=False)
-        try:
-            assert restored.backend.slab_edges == (0, 16, 32)
-        finally:
-            restored.close()

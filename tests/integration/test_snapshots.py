@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from repro.core.sortstep import RESORT_PERIOD
 from repro.core.surface import SURFACE_FIELDS
 from repro.ensemble import EnsembleEngine
 from repro.errors import CheckpointCorruptionError, ConfigurationError
+from repro.geometry.bodies import Cylinder, Step
 from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
 from repro.geometry.wedge import Wedge
-from repro.io.snapshots import load_simulation, save_simulation
+from repro.io.snapshots import FORMAT_VERSION, load_simulation, save_simulation
 from repro.parallel.backend import ShardedBackend
 from repro.physics.freestream import Freestream
+from repro.scenarios import get, names
 from repro.verify import state_digest
 
 #: Continuation tests checkpoint *between* two physical re-sorts of the
@@ -71,15 +74,14 @@ class TestSnapshotRoundtrip:
         assert state_digest(restored) == state_digest(sim)
 
     def test_2d_archive_is_what_it_always_was(self, small_config, tmp_path):
-        """No span: eight columns and no ``nz`` on disk -- the format
-        of every pre-existing archive -- and ``z`` loads zero-filled."""
+        """No span: eight columns on disk, no ``z``, and ``z`` loads
+        zero-filled."""
         sim = Simulation(small_config)
         sim.run(5)
         path = tmp_path / "flat.npz"
         save_simulation(sim, path)
         with np.load(path) as data:
             assert not [k for k in data.files if k.endswith("_z")]
-            assert '"nz"' not in str(data["config_json"])
         restored = load_simulation(path)
         assert restored.particles.z.shape == restored.particles.x.shape
         assert not restored.particles.z.any()
@@ -196,7 +198,7 @@ class TestOneWriterOneLoader:
         eng.run(3, sample=True)
         save_simulation(eng, tmp_path / "ens.npz")
         members = _members(tmp_path / "ens.npz")
-        assert int(members["format_version"]) == 4
+        assert int(members["format_version"]) == FORMAT_VERSION
         assert members["replica_ids"].tolist() == list(range(n_replicas))
         assert members["starts"].tolist() == eng.particles.block_edges()
         for b in range(n_replicas):
@@ -227,83 +229,146 @@ class TestOneWriterOneLoader:
             load_simulation(path)
 
 
-#: The parent's solo layout (format 3) and ensemble layout (ensemble
-#: format 1), member for member, for the archives below.
-_COLUMNS = ("x", "y", "u", "v", "w", "rot", "perm", "cell")
-_SAMPLER = (
-    "sampler_steps", "sampler_count", "sampler_mu", "sampler_mv",
-    "sampler_mw", "sampler_e_trans", "sampler_e_rot",
-)
-_SURFACE = ("steps", "impulse_x", "impulse_y", "hits")
-SOLO_V3 = {
-    "backend_workers", "flux_pending", "shard_seed", "format_version",
-    "config_json", "rng_state_json", "step_count", "plunger_position",
-    *_SAMPLER,
-    *(f"surface_{name}" for name in _SURFACE),
-    *(f"flow_{c}" for c in _COLUMNS),
-    *(f"res_{c}" for c in _COLUMNS),
-}
-ENSEMBLE_V1 = {
-    "ensemble_format_version", "config_json", "ensemble_seed",
-    "replica_ids", "starts", "step_count", "plunger_position",
-    *_SAMPLER,
-    *(f"flow_{c}" for c in _COLUMNS),
-    *(f"res{r}_{c}" for r in range(3) for c in _COLUMNS),
-    *(f"surface{r}_{name}" for r in range(3) for name in _SURFACE),
-}
+#: Overrides shrinking every scenario to a quick grid its body fits.
+REDUCED = {"nx": 40, "ny": 26, "density": 3.0}
 
 
-def _as_solo_v3(members: dict) -> dict:
-    """A format-4 solo archive in the parent's format-3 layout."""
-    out = {}
-    for name, a in members.items():
-        if name.startswith(("res0_", "surface0_")):
-            head, _, rest = name.partition("0_")
-            name = f"{head}_{rest}"
-        out[name] = a
-    del out["starts"]
-    out["format_version"] = np.array(3)
-    assert set(out) == SOLO_V3
-    return out
+class TestEveryScenarioResumes:
+    """Every registered scenario, serially and as R = 2 replica blocks:
+    save, load and continue reaches the uninterrupted run's digest.  The
+    cylinder and channel bodies once had no serialisation at all."""
 
-
-def _as_ensemble_v1(members: dict) -> dict:
-    """A format-4 R = 3 ensemble archive in the parent's ensemble layout."""
-    out = dict(members)
-    for name in ("format_version", "backend_workers", "flux_pending",
-                 "rng_state_json"):
-        del out[name]
-    out["ensemble_seed"] = out.pop("shard_seed")
-    out["ensemble_format_version"] = np.array(1)
-    assert set(out) == ENSEMBLE_V1
-    return out
-
-
-class TestLegacyArchives:
-    """Archives the parent wrote -- solo format 3 and ensemble format 1
-    -- load through the one path and continue bitwise across the re-sort
-    at step 64."""
-
-    @pytest.mark.parametrize(
-        "build, legacy",
-        [
-            (lambda cfg: Simulation(cfg), _as_solo_v3),
-            (lambda cfg: EnsembleEngine(cfg, n_replicas=3), _as_ensemble_v1),
-        ],
-        ids=["solo_v3", "ensemble_v1"],
-    )
-    def test_legacy_archive_continues_bitwise(self, build, legacy, tmp_path):
-        sim = build(_wedge_config())
+    @pytest.mark.parametrize("replicas", [None, 2], ids=["serial", "r2"])
+    @pytest.mark.parametrize("name", names())
+    def test_resumes_to_the_uninterrupted_digest(self, name, replicas, tmp_path):
+        sim = get(name).build_simulation(REDUCED, replicas=replicas)
         sim.run(BEFORE - 4)
         sim.run(4, sample=True)
-        save_simulation(sim, tmp_path / "v4.npz")
-        path = tmp_path / "legacy.npz"
-        np.savez(path, **legacy(_members(tmp_path / "v4.npz")))
+        path = tmp_path / f"{name}.npz"
+        save_simulation(sim, path)
         sim.run(AFTER, sample=True)
         restored = load_simulation(path)
-        assert type(restored) is type(sim)
+        assert restored.config == sim.config
         restored.run(AFTER, sample=True)
         assert state_digest(restored) == state_digest(sim)
+
+
+def _leaves(obj, path=()):
+    """The path of every non-dataclass field under ``obj``."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, path + (f.name,))
+        else:
+            yield path + (f.name,)
+
+
+def _replaced(obj, path, value):
+    head, rest = path[0], path[1:]
+    if rest:
+        value = _replaced(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
+
+
+def _other_values(value):
+    """Candidate non-default values of a leaf, in order of preference."""
+    if value is None:
+        return ["elsewhere"]
+    if isinstance(value, str):
+        return ["counting", "diffuse", value + "-renamed"]
+    if isinstance(value, int):
+        return [value + 1, value - 1]
+    return [0.5 * value, 1.5 * value, value + 0.5]
+
+
+#: Configs whose leaves between them reach every field of every type a
+#: config nests: both domains and every body kind (no body at all is
+#: ``test_config_roundtrip_no_wedge``).
+FIELD_BASES = {
+    "wedge": _wedge_config(),
+    "slab_cylinder": dataclasses.replace(
+        _wedge_config(),
+        domain=Domain3D(32, 24, 2),
+        wedge=Cylinder(cx=12.0, cy=12.0, radius=4.0),
+    ),
+    "step": dataclasses.replace(
+        _wedge_config(), wedge=Step(x_leading=8.0, height=6.0, length=8.0)
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:Mach .* attachment limit")
+class TestEveryConfigFieldRoundTrips:
+    """Each leaf field of the config, set alone to a non-default value,
+    comes back from save -> load: the snapshot names no field list, so
+    a field nobody remembered cannot be dropped on the way (the model's
+    ``internal_exchange_probability`` 0.5 once restored as 1.0)."""
+
+    @pytest.mark.parametrize("base", sorted(FIELD_BASES))
+    def test_each_leaf_survives_save_and_load(self, base, tmp_path):
+        base = FIELD_BASES[base]
+        for path in _leaves(base):
+            current = base
+            for name in path:
+                current = getattr(current, name)
+            for value in _other_values(current):
+                try:
+                    config = _replaced(base, path, value)
+                    sim = Simulation(config)
+                except ConfigurationError:
+                    continue
+                break
+            else:
+                pytest.fail(f"no valid non-default value for {path}")
+            save_simulation(sim, tmp_path / "leaf.npz")
+            back = load_simulation(tmp_path / "leaf.npz").config
+            assert back == config, ".".join(path)
+
+    def test_each_dropped_key_is_a_corrupt_archive(self, tmp_path):
+        """No key is optional: a slab without ``nz`` is not read as a
+        plane, nor a body without ``kind`` as a wedge."""
+        save_simulation(
+            Simulation(FIELD_BASES["slab_cylinder"]), tmp_path / "slab.npz"
+        )
+        members = _members(tmp_path / "slab.npz")
+        config = json.loads(str(members["config_json"]))
+        for table in [config] + [v for v in config.values() if isinstance(v, dict)]:
+            for key in list(table):
+                value = table.pop(key)
+                blob = np.array(json.dumps(config))
+                np.savez(tmp_path / "bad.npz", **{**members, "config_json": blob})
+                with pytest.raises(CheckpointCorruptionError, match=key):
+                    load_simulation(tmp_path / "bad.npz")
+                table[key] = value
+
+
+def _as_format_4(members: dict) -> dict:
+    return {**members, "format_version": np.array(4)}
+
+
+def _as_ensemble_format_1(members: dict) -> dict:
+    out = {k: a for k, a in members.items() if k != "format_version"}
+    out["ensemble_format_version"] = np.array(1)
+    return out
+
+
+class TestOldFormatsAreRefused:
+    """An archive of an older format -- solo format 4 or the ensemble's
+    own format 1 -- is refused, typed, by the name of its format."""
+
+    @pytest.mark.parametrize(
+        "old, match",
+        [
+            (_as_format_4, "snapshot format 4 "),
+            (_as_ensemble_format_1, "ensemble snapshot format 1 "),
+        ],
+        ids=["format_4", "ensemble_format_1"],
+    )
+    def test_old_format_is_refused_by_name(self, archives, old, match, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez(path, **old(archives["ensemble"][0]))
+        with pytest.raises(ConfigurationError, match=match):
+            load_simulation(path)
 
 
 class TestEnsembleStartsAreChecked:
@@ -503,10 +568,31 @@ def _accumulators(sim) -> list:
     return [getattr(acc, name) for acc, fields in tallies for name in fields]
 
 
+def _mutated_config(data, blob: str):
+    """``blob`` with one key of one of its tables dropped, one unknown
+    key added or one value retyped, or the JSON cut short; and whether
+    the mutation can only be refused as a corrupt archive."""
+    config = json.loads(blob)
+    tables = [config] + [v for v in config.values() if isinstance(v, dict)]
+    table = data.draw(st.sampled_from(tables))
+    how = data.draw(st.sampled_from(["drop", "unknown", "retype", "json"]))
+    if how == "drop":
+        del table[data.draw(st.sampled_from(sorted(table)))]
+    elif how == "unknown":
+        table["bogus"] = 1
+    elif how == "retype":
+        table[data.draw(st.sampled_from(sorted(table)))] = data.draw(
+            st.sampled_from(["x", 1, 2.5, None, True, [], {}])
+        )
+    text = json.dumps(config)
+    return (text[:-1] if how == "json" else text), how != "retype"
+
+
 class TestLoaderFuzz:
     """Any one mutation of an intact archive is refused, typed, or loads
     a sound state: one that validates, holds accumulators of their
-    constructed shapes and steps."""
+    constructed shapes and steps.  An archive of an older format is
+    refused by the name of its format."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -514,8 +600,10 @@ class TestLoaderFuzz:
         archive = data.draw(st.sampled_from(["simulation", "ensemble"]))
         members = dict(archives[archive][0])
         kind = data.draw(st.sampled_from(
-            ["drop", "truncate", "replace", "format_version", "legacy"]
+            ["drop", "truncate", "replace", "format_version", "old_format",
+             "config"]
         ))
+        corrupt = False
         if kind == "drop":
             del members[data.draw(st.sampled_from(sorted(members)))]
         elif kind == "replace":
@@ -529,32 +617,41 @@ class TestLoaderFuzz:
             members[name] = np.zeros(shape, dtype)
         elif kind == "format_version":
             members["format_version"] = np.array(
-                data.draw(st.sampled_from([0, 5, 99]))
+                data.draw(st.sampled_from([0, FORMAT_VERSION + 1, 99]))
             )
-        elif kind == "legacy":
-            members = (
-                _as_ensemble_v1 if archive == "ensemble" else _as_solo_v3
-            )(members)
-            members["ensemble_format_version"] = np.array(2)
-        buf = io.BytesIO()
-        np.savez(buf, **members)
-        blob = buf.getvalue()
+        elif kind == "old_format":
+            version = data.draw(st.integers(1, FORMAT_VERSION - 1))
+            members["format_version"] = np.array(version)
+            with pytest.raises(ConfigurationError, match=f"format {version} "):
+                load_simulation(io.BytesIO(self._saved(members)))
+            members = _as_ensemble_format_1(members)
+            with pytest.raises(ConfigurationError, match="ensemble snapshot format 1 "):
+                load_simulation(io.BytesIO(self._saved(members)))
+            return
+        elif kind == "config":
+            text, corrupt = _mutated_config(data, str(members["config_json"]))
+            members["config_json"] = np.array(text)
+        blob = self._saved(members)
         if kind == "truncate":
             blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
         try:
             sim = load_simulation(io.BytesIO(blob), processes=False)
-        except (CheckpointCorruptionError, ConfigurationError):
+        except CheckpointCorruptionError:
             return
+        except ConfigurationError:
+            assert not corrupt
+            return
+        assert not corrupt
         sim.particles.validate()
         sim.reservoir.particles.validate()
-        intact = load_simulation(io.BytesIO(self._intact(archives, archive)))
+        intact = load_simulation(io.BytesIO(self._saved(archives[archive][0])))
         assert [a.shape for a in _accumulators(sim)] == [
             a.shape for a in _accumulators(intact)
         ]
         sim.step()
 
     @staticmethod
-    def _intact(archives, archive) -> bytes:
+    def _saved(members: dict) -> bytes:
         buf = io.BytesIO()
-        np.savez(buf, **archives[archive][0])
+        np.savez(buf, **members)
         return buf.getvalue()

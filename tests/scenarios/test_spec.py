@@ -1,5 +1,7 @@
 """Scenario spec: round-trip identity, TOML sync, malformed rejection."""
 
+import dataclasses
+import json
 import pathlib
 
 import pytest
@@ -11,6 +13,7 @@ from repro.geometry.domain import Domain
 from repro.geometry.domain3d import Domain3D
 from repro.parallel.backend import ShardedBackend
 from repro.scenarios import ScenarioSpec, all_specs, get
+from repro.scenarios.spec import config_from_dict, config_to_dict
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 TOML_DIR = REPO / "examples" / "scenarios"
@@ -279,7 +282,8 @@ class TestLoaderContract:
     """Any one node of a registered spec, replaced or dropped: the dict
     either raises ``ConfigurationError`` in ``from_dict`` or loads a
     spec that builds its config and round-trips through TOML to the
-    same digest -- never an untyped error, at load or later."""
+    same digest -- never an untyped error, at load or later.  The config
+    it builds round-trips through the snapshot's JSON too."""
 
     @pytest.fixture(scope="class")
     def toml_path(self, tmp_path_factory):
@@ -302,6 +306,10 @@ class TestLoaderContract:
             spec = ScenarioSpec.from_dict(d)
         except ConfigurationError:
             return
-        spec.build_config()
+        config = spec.build_config()
+        blob = json.dumps(config_to_dict(config))
+        assert config_from_dict(json.loads(blob)) == dataclasses.replace(
+            config, seed=None
+        )
         toml_path.write_text(spec.to_toml())
         assert ScenarioSpec.from_toml(toml_path).digest() == spec.digest()
