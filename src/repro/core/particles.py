@@ -93,8 +93,20 @@ class ScratchBuffers:
         return base[:n]
 
 
+def item_shape(buf: np.ndarray) -> tuple:
+    """The key of ``buf``'s spare: item size and trailing shape.
+
+    Columns of one key share one spare, each viewing it as its own
+    dtype (``x y u v w z`` float64 and ``cell`` int64 are all 8 bytes).
+    """
+    return (buf.dtype.itemsize,) + buf.shape[1:]
+
+
 def row_records(block: np.ndarray) -> np.ndarray:
-    """The rows of a C-contiguous 2-D block as one opaque item each."""
+    """The rows of a C-contiguous 2-D block as one opaque item each
+    (a zero-width block, which has no bytes to view, as itself)."""
+    if not block.shape[1]:
+        return block
     return block.view((np.void, block.strides[0])).reshape(-1)
 
 
@@ -201,9 +213,10 @@ class ParticleArrays:
         #: :meth:`select`, :meth:`copy` and :meth:`concatenate` return
         #: one block.
         self.starts: Optional[np.ndarray] = None
-        # Ping-pong backing store (None until enable_scratch()).
-        self._front: Optional[Dict[str, np.ndarray]] = None
-        self._back: Optional[Dict[str, np.ndarray]] = None
+        # Capacity buffers: one per column, one spare per item shape
+        # (None until enable_scratch()).
+        self._buffers: Optional[Dict[str, np.ndarray]] = None
+        self._spares: Dict[tuple, np.ndarray] = {}
         self.scratch: Optional[ScratchBuffers] = None
         # True when the backing buffers are caller-owned (shared-memory
         # shard segments): capacity is then a hard ceiling, never
@@ -360,106 +373,116 @@ class ParticleArrays:
 
     @property
     def scratch_enabled(self) -> bool:
-        return self._front is not None
+        return self._buffers is not None
 
     def enable_scratch(self) -> "ParticleArrays":
-        """Re-home every column in capacity-backed ping-pong buffers.
+        """Re-home every column in a capacity buffer, plus one spare per item shape.
 
-        After this call the per-step population operations run against
-        two preallocated buffer sets -- :meth:`reorder_inplace` gathers
-        from the front set into the back set and swaps, the surgery
-        (:meth:`remove_inplace`, :meth:`grow_inplace`,
-        :meth:`append_inplace`) rewrites the front set in place -- so
-        steady-state stepping performs no O(N) heap allocations.
-        Capacity carries :func:`scratch_capacity` headroom over the
-        current population and grows geometrically (amortized) if the
-        population outgrows it.  Returns ``self`` for chaining.
+        The state is held once: :meth:`reorder_inplace` gathers a column
+        into the spare of its :func:`item_shape` (the 8-byte scalars, a
+        ``rot`` row, a ``perm`` row: 29 B a row beside the columns' 77)
+        and swaps, and the surgery (:meth:`remove_inplace`,
+        :meth:`grow_inplace`, :meth:`append_inplace`) rewrites the
+        columns in place.  With the step's temporaries pooled in
+        :attr:`scratch`, no buffer is reallocated in steady state; some
+        kernels still allocate transient O(N) arrays (``np.repeat``,
+        ``flatnonzero``, the RNG draws).  Capacity carries
+        :func:`scratch_capacity` headroom and grows geometrically
+        (amortized) if the population outgrows it.  Returns ``self``.
         """
         if self.scratch_enabled:
             return self
+        return self._adopt(*self.buffer_set(scratch_capacity(self.n)))
+
+    def buffer_set(self, cap: int, alloc=np.empty) -> Tuple[dict, list]:
+        """``cap``-row buffers for every column, and one spare per item shape.
+
+        ``alloc(shape, dtype)`` makes each buffer (the sharded backend
+        passes :func:`repro.parallel.backend.shared_segment`).  Returns
+        ``(columns, spares)``: a dict in :data:`COLUMN_NAMES` order and
+        a list.
+        """
+        cols = {name: getattr(self, name) for name in COLUMN_NAMES}
+        columns = {c: alloc((cap,) + a.shape[1:], a.dtype) for c, a in cols.items()}
+        shapes = {item_shape(b): b for b in columns.values()}
+        return columns, [alloc(b.shape, b.dtype) for b in shapes.values()]
+
+    def _adopt(self, columns, spares, fixed: bool = False) -> "ParticleArrays":
+        """Copy the live rows into ``columns`` and run on them and ``spares``."""
         n = self.n
-        cap = scratch_capacity(n)
-        self._front = {}
-        self._back = {}
-        for name in COLUMN_NAMES:
-            col = getattr(self, name)
-            shape = (cap,) + col.shape[1:]
-            front = np.empty(shape, dtype=col.dtype)
-            front[:n] = col
-            self._front[name] = front
-            self._back[name] = np.empty(shape, dtype=col.dtype)
-            setattr(self, name, front[:n])
-        self.scratch = ScratchBuffers()
+        for name, buf in columns.items():
+            buf[:n] = getattr(self, name)
+            setattr(self, name, buf[:n])
+        self._buffers = {name: columns[name] for name in COLUMN_NAMES}
+        self._spares = {item_shape(s): s for s in spares}
+        self._fixed_capacity = fixed
+        if self.scratch is None:
+            self.scratch = ScratchBuffers()
         return self
 
     def enable_scratch_from(
-        self,
-        front: Dict[str, np.ndarray],
-        back: Dict[str, np.ndarray],
+        self, columns: Dict[str, np.ndarray], spares: list
     ) -> "ParticleArrays":
-        """Re-home every column in caller-provided ping-pong buffer sets.
+        """Re-home every column in caller-provided buffers and spares.
 
-        The sharded backend allocates each shard's column buffers in
-        shared memory (inherited by the worker process over fork) and
-        hands them in here; thereafter the in-place population
-        operations run against those segments exactly as
-        :meth:`enable_scratch` runs against heap buffers, so the parent
-        can read a quiescent shard's state without any serialization.
+        The sharded backend allocates each shard's buffers in shared
+        memory (inherited by the worker process over fork) and hands
+        them in here; thereafter the in-place population operations run
+        against those segments exactly as :meth:`enable_scratch` runs
+        against heap buffers, so the parent can read a quiescent
+        shard's state without any serialization.
 
-        Both dicts must map every :data:`COLUMN_NAMES` entry to an array
-        of one common capacity with the column's dtype and trailing
-        shape.  Unlike heap scratch, the capacity is **fixed**: the
-        population outgrowing it raises instead of silently migrating to
-        private heap arrays (which would break the sharing contract).
+        ``columns`` must map every :data:`COLUMN_NAMES` entry to an
+        array of one common capacity with the column's dtype and
+        trailing shape, and ``spares`` hold one array of that shape per
+        item shape (:meth:`buffer_set` makes both).  Unlike heap
+        scratch, the capacity is **fixed**: the population outgrowing
+        it raises instead of silently migrating to private heap arrays
+        (which would break the sharing contract).
         """
         if self.scratch_enabled:
             raise ConfigurationError("scratch buffers already enabled")
-        n = self.n
-        cap = front["x"].shape[0]
+        cap = columns["x"].shape[0]
+        spare_shape = {item_shape(s): s.shape for s in spares}
         for name in COLUMN_NAMES:
             col = getattr(self, name)
             want = (cap,) + col.shape[1:]
-            for bufset in (front, back):
-                buf = bufset.get(name)
-                if buf is None or buf.shape != want or buf.dtype != col.dtype:
-                    raise ConfigurationError(
-                        f"buffer {name!r} must have shape {want} and dtype "
-                        f"{col.dtype}"
-                    )
-        if cap < n:
+            buf = columns.get(name)
+            if buf is None or (buf.shape, buf.dtype) != (want, col.dtype) or (
+                spare_shape.get(item_shape(col)) != want
+            ):
+                raise ConfigurationError(
+                    f"buffer {name!r} and its spare must have shape {want} "
+                    f"and dtype {col.dtype}"
+                )
+        if cap < self.n:
             raise ConfigurationError(
-                f"buffers hold {cap} particles, population has {n}"
+                f"buffers hold {cap} particles, population has {self.n}"
             )
-        self._front = front
-        self._back = back
-        self._fixed_capacity = True
-        for name in COLUMN_NAMES:
-            front[name][:n] = getattr(self, name)
-            setattr(self, name, front[name][:n])
-        self.scratch = ScratchBuffers()
-        return self
+        return self._adopt(columns, spares, fixed=True)
 
     @property
     def capacity(self) -> int:
         """Backing capacity (equals ``n`` when scratch is disabled)."""
-        if self._front is None:
+        if self._buffers is None:
             return self.n
-        return self._front["x"].shape[0]
+        return self._buffers["x"].shape[0]
 
     @property
-    def front_buffers(self) -> Optional[Dict[str, np.ndarray]]:
-        """The live front buffer set (``None`` without scratch).
+    def column_buffers(self) -> Optional[Dict[str, np.ndarray]]:
+        """The buffer each column lives in (``None`` without scratch).
 
-        Reorders swap front and back per column, so which physical
-        buffer holds a column's current data varies over time; the
-        sharded backend reads this mapping to publish per-column front
-        flags for the parent's shared-memory gather.  Callers must not
-        mutate the returned dict.
+        A reorder swaps a column's buffer with its item shape's spare,
+        so which physical buffer holds a column varies over time (an
+        8-byte column may sit in one first made for another, viewed as
+        its own dtype); the sharded backend reads this mapping to
+        publish each column's buffer id for the parent's shared-memory
+        reads.  Callers must not mutate the returned dict.
         """
-        return self._front
+        return self._buffers
 
     def _ensure_capacity(self, n_new: int) -> None:
-        """Grow both buffer sets to hold ``n_new`` (amortized, rare)."""
+        """Grow the buffers and spares to hold ``n_new`` (amortized, rare)."""
         if n_new <= self.capacity:
             return
         if self._fixed_capacity:
@@ -469,43 +492,35 @@ class ParticleArrays:
                 "reserves for the bind-time flow plus reservoir: the "
                 "particle count grew past that bound"
             )
-        n = self.n
-        cap = scratch_capacity(n_new)
-        for name in COLUMN_NAMES:
-            old_front = self._front[name]
-            shape = (cap,) + old_front.shape[1:]
-            front = np.empty(shape, dtype=old_front.dtype)
-            front[:n] = old_front[:n]
-            self._front[name] = front
-            self._back[name] = np.empty(shape, dtype=old_front.dtype)
-            setattr(self, name, front[:n])
+        self._adopt(*self.buffer_set(scratch_capacity(n_new)))
 
     def reorder_inplace(self, order: np.ndarray, columns=None) -> None:
         """Apply a sort order to every column (the post-sort layout).
 
-        With scratch enabled this gathers into the preallocated back
-        buffers and swaps -- no allocation; otherwise it falls back to
-        plain fancy indexing (fresh arrays).  ``columns`` limits the
-        reorder to the named columns (e.g. the reservoir mix, whose
-        positional columns are meaningless placeholders).
+        With scratch enabled this gathers each column into the spare of
+        its item shape and swaps, so the old buffer becomes the spare --
+        no allocation, and no second copy of the state; otherwise it
+        falls back to plain fancy indexing (fresh arrays).  ``columns``
+        limits the reorder to the named columns (e.g. the reservoir
+        mix, whose positional columns are meaningless placeholders).
         """
         names = COLUMN_NAMES if columns is None else columns
-        if self._front is None:
+        if self._buffers is None:
             for name in names:
                 setattr(self, name, getattr(self, name)[order])
             return
         n = self.n
         for name in names:
+            buf = self._buffers[name]
+            key = item_shape(buf)
+            spare = self._spares[key].view(buf.dtype)
             # mode="clip": the order comes from argsort, always in
             # range; "raise" would buffer the out array (an allocation).
             np.take(
-                getattr(self, name), order, axis=0,
-                out=self._back[name][:n], mode="clip",
+                getattr(self, name), order, axis=0, out=spare[:n], mode="clip"
             )
-            self._front[name], self._back[name] = (
-                self._back[name], self._front[name],
-            )
-            setattr(self, name, self._front[name][:n])
+            self._buffers[name], self._spares[key] = spare, buf
+            setattr(self, name, spare[:n])
 
     def block_edges(self) -> list:
         """The block boundaries as Python ints (``[0, n]`` for one block)."""
@@ -537,7 +552,7 @@ class ParticleArrays:
         """Resize block ``b`` to ``sizes[b]`` rows in place; return the new edges.
 
         Block ``b`` keeps its first ``min(old size, sizes[b])`` rows,
-        slid to its new start inside the front buffers; the rows it
+        slid to its new start inside the column buffers; the rows it
         gains hold unspecified values until the caller fills them.  A
         call either only shrinks blocks or only grows them, so sliding
         in ascending block order when the population shrinks and in
@@ -563,7 +578,7 @@ class ParticleArrays:
         # which is slower per record than per element.
         down = bool(slides) and n_new < self.n
         for name in COLUMN_NAMES:
-            col = self._front[name]
+            col = self._buffers[name]
             rows = row_records(col) if down and col.ndim == 2 else col
             for d0, s0, k in slides:
                 rows[d0 : d0 + k] = rows[s0 : s0 + k]
@@ -588,7 +603,7 @@ class ParticleArrays:
         (:meth:`_relayout`).  Returns the number of rows removed from
         each block.
         """
-        if self._front is None:
+        if self._buffers is None:
             raise ConfigurationError("remove_inplace requires enable_scratch")
         gone = np.asarray(rows)
         if gone.size and not (0 <= gone[0] and gone[-1] < self.n
@@ -614,7 +629,7 @@ class ParticleArrays:
         ))] = False
         src = tail[keep]
         for name in COLUMN_NAMES:
-            col = self._front[name]
+            col = self._buffers[name]
             col = row_records(col) if col.ndim == 2 else col  # one item a row
             col[holes] = col[src]
         self._relayout(edges, [e - b0 for e, b0 in zip(ends, edges)])
@@ -627,7 +642,7 @@ class ParticleArrays:
         new rows in block order -- a slice for one block, an index
         array for several -- whose every column the caller must fill.
         """
-        if self._front is None:
+        if self._buffers is None:
             raise ConfigurationError("grow_inplace requires enable_scratch")
         edges = self.block_edges()
         if len(counts) != len(edges) - 1:
@@ -657,7 +672,7 @@ class ParticleArrays:
         blocks (:meth:`grow_inplace`), then copies into the new rows
         with one copy per column.  Returns the new rows.
         """
-        if self._front is None:
+        if self._buffers is None:
             raise ConfigurationError("append_inplace requires enable_scratch")
         if isinstance(other, ParticleArrays):
             e = other.block_edges()
@@ -722,7 +737,7 @@ class ParticleArrays:
         it).  The caller indexes the arrivals' cells
         (:func:`repro.core.cells.index_rows`).
         """
-        if self._front is None:
+        if self._buffers is None:
             raise ConfigurationError("append_rows requires enable_scratch")
         if m == 0:
             return
@@ -730,12 +745,12 @@ class ParticleArrays:
         dof = self.rotational_dof
         self._ensure_capacity(n + m)
         for c, name in enumerate(MIGRATION_FLOAT_COLUMNS):
-            self._front[name][n : n + m] = float_in[:m, c]
+            self._buffers[name][n : n + m] = float_in[:m, c]
         base = len(MIGRATION_FLOAT_COLUMNS)
-        self._front["rot"][n : n + m] = float_in[:m, base : base + dof]
-        self._front["perm"][n : n + m] = perm_in[:m]
+        self._buffers["rot"][n : n + m] = float_in[:m, base : base + dof]
+        self._buffers["perm"][n : n + m] = perm_in[:m]
         for name in COLUMN_NAMES:
-            setattr(self, name, self._front[name][: n + m])
+            setattr(self, name, self._buffers[name][: n + m])
 
     @staticmethod
     def concatenate(*parts: "ParticleArrays") -> "ParticleArrays":

@@ -372,7 +372,7 @@ class IncrementalSorter:
         # Capacity-grown per-row state.  These must persist across
         # steps (the auditor validates ``_order``/``_prev_cell`` between
         # steps), so they live here rather than in the population's
-        # ping-pong scratch pool (whose buffers are step-transient).
+        # scratch pool (whose buffers are step-transient).
         self._prev_cell = np.empty(0, dtype=np.int64)
         self._mover = np.empty(0, dtype=bool)
         #: The packed sort key (viewed as ``uint32`` when it fits) and

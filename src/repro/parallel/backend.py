@@ -3,7 +3,7 @@
 One worker process per x-slab steps its shard of the wind tunnel; the
 parent drives the step protocol over the four-method backend seam
 (:class:`repro.core.simulation.SerialBackend` documents it).  All bulk
-state -- the shard particle populations (ping-pong column buffers), the
+state -- the shard particle populations (column buffers and spares), the
 migration channels, per-shard diagnostics and sampler accumulators --
 lives in anonymous shared mappings inherited over ``fork``
 (:func:`shared_segment`: reserved at bind, committed page by page as
@@ -130,6 +130,11 @@ def shared_segment(shape, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dt, count=count).reshape(shape)
 
 
+def _address(buf: np.ndarray) -> int:
+    """The address of ``buf``'s first byte (one per pool buffer)."""
+    return buf.__array_interface__["data"][0]
+
+
 class _RingTracer:
     """A shard ledger's tracer: phase spans into the shard's span ring."""
 
@@ -236,8 +241,8 @@ class ShardWorker:
             self.surface._impulse_x = shared["surf"][shard_id, 0]
             self.surface._impulse_y = shared["surf"][shard_id, 1]
             self.surface._hits = shared["surf_hits"][shard_id]
-        self._ref0: Dict[str, np.ndarray] = {}
-        self._ref1: Dict[str, np.ndarray] = {}
+        #: Buffer address -> its id (its place in the shard's pool).
+        self._buffer_ids: Dict[int, int] = {}
         self._stream: Optional[np.random.Generator] = None
         self._bstats: Optional[BoundaryStats] = None
         #: Deterministic fault injection (None on production runs).
@@ -256,34 +261,26 @@ class ShardWorker:
         if self.perf.tracer is not None:
             self.perf.tracer.record(name, t0, time.perf_counter())
 
-    def adopt(
-        self,
-        parts: ParticleArrays,
-        set0: Dict[str, np.ndarray],
-        set1: Dict[str, np.ndarray],
-    ) -> None:
-        """Re-home ``parts`` in the shard's shared ping-pong buffers.
+    def adopt(self, parts: ParticleArrays, columns: dict, spares: list) -> list:
+        """Re-home ``parts`` in the shard's shared buffers; return its pool.
 
-        ``set0``/``set1`` are kept as identity references for the
-        front-flag publication; copies go into the population so the
-        originals stay unmutated by front/back swaps.
+        The pool is the column set, in :data:`COLUMN_NAMES` order, then
+        the spares; a buffer's id is its place in the pool.
         """
-        parts.enable_scratch_from(dict(set0), dict(set1))
-        self._ref0 = dict(set0)
-        self._ref1 = dict(set1)
+        parts.enable_scratch_from(columns, spares)
+        pool = list(columns.values()) + spares
+        self._buffer_ids = {_address(b): i for i, b in enumerate(pool)}
         self.particles = parts
         self._publish_layout()
+        return pool
 
     def _publish_layout(self) -> None:
-        """Export the particle count and per-column front flags."""
+        """Export the particle count and each column's buffer id."""
         parts = self.particles
         self.shared["n_parts"][self.shard_id] = parts.n
-        fronts = parts.front_buffers
-        flags = self.shared["front_flags"]
-        for ci, name in enumerate(COLUMN_NAMES):
-            flags[self.shard_id, ci] = (
-                0 if fronts[name] is self._ref0[name] else 1
-            )
+        ids = self.shared["buffer_ids"][self.shard_id]
+        for ci, buf in enumerate(parts.column_buffers.values()):
+            ids[ci] = self._buffer_ids[_address(buf)]
 
     def _crossed_two_slabs(self) -> ConfigurationError:
         return ConfigurationError(
@@ -675,7 +672,7 @@ class ShardedBackend:
         misc[MISC_PLUNGER] = sim.boundaries.plunger.position
         shared: Dict[str, np.ndarray] = {
             "n_parts": shared_segment((W,), np.int64),
-            "front_flags": shared_segment((W, len(COLUMN_NAMES)), np.int8),
+            "buffer_ids": shared_segment((W, len(COLUMN_NAMES)), np.int8),
             "diag": shared_segment((W, len(DIAGNOSTICS_ROW)), np.float64),
             "samp": shared_segment((W, len(SAMPLER_FIELDS), n_cells), np.float64),
             "misc": misc,
@@ -714,8 +711,7 @@ class ShardedBackend:
 
         # Stable partition by x: gather + re-bind round-trips exactly.
         order, splits = self._slabs.partition_order(sim.particles.x)
-        self._set0: List[Dict[str, np.ndarray]] = []
-        self._set1: List[Dict[str, np.ndarray]] = []
+        self._pools: List[List[np.ndarray]] = []
         self._workers = []
         # Every shard can hold the whole bind-time flow plus reservoir:
         # a reservation commits no memory, and while the particle count
@@ -725,13 +721,6 @@ class ShardedBackend:
         self._shard_caps = np.full(W, cap, dtype=np.int64)
         for k in range(W):
             seg = sim.particles.select(order[splits[k] : splits[k + 1]])
-            set0: Dict[str, np.ndarray] = {}
-            set1: Dict[str, np.ndarray] = {}
-            for name in COLUMN_NAMES:
-                col = getattr(seg, name)
-                shape = (cap,) + col.shape[1:]
-                set0[name] = shared_segment(shape, col.dtype)
-                set1[name] = shared_segment(shape, col.dtype)
             w = ShardWorker(
                 shard_id=k,
                 n_workers=W,
@@ -744,9 +733,7 @@ class ShardedBackend:
                 seed=cfg.seed,
                 fault_plan=self.fault_plan,
             )
-            w.adopt(seg, set0, set1)
-            self._set0.append(set0)
-            self._set1.append(set1)
+            self._pools.append(w.adopt(seg, *seg.buffer_set(cap, shared_segment)))
             self._workers.append(w)
         # Shard 0 inherits the reservoir and the live plunger phase.
         self._workers[0].reservoir = sim.reservoir
@@ -1092,27 +1079,25 @@ class ShardedBackend:
     def _shard_views(self) -> List[Dict[str, np.ndarray]]:
         """Every shard's live columns, zero-copy, in shard order.
 
-        Each column is read from whichever shared ping-pong buffer is
-        its front (``front_flags``), first ``n_k`` rows.
+        Each column is read from the pool buffer its shard published
+        (``buffer_ids``), first ``n_k`` rows, as the dtype of the
+        column the pool's ``ci``-th buffer was made for.
         """
-        flags = self._shared["front_flags"]
+        ids = self._shared["buffer_ids"]
         views: List[Dict[str, np.ndarray]] = []
-        for k in range(self.n_workers):
+        for k, pool in enumerate(self._pools):
             nk = int(self._shared["n_parts"][k])
-            sets = (self._set0[k], self._set1[k])
-            views.append(
-                {
-                    name: sets[flags[k, ci]][name][:nk]
-                    for ci, name in enumerate(COLUMN_NAMES)
-                }
-            )
+            views.append({
+                name: pool[ids[k, ci]].view(pool[ci].dtype)[:nk]
+                for ci, name in enumerate(COLUMN_NAMES)
+            })
         return views
 
     def shard_columns(self) -> Optional[List[Dict[str, np.ndarray]]]:
         """Zero-copy views of every shard's live particle columns.
 
         The telemetry hub reads the authoritative shard state straight
-        out of the shared ping-pong buffers without a gather.  ``None``
+        out of the shared column buffers without a gather.  ``None``
         before bind and after close (the introspection accessors below
         too: :meth:`close` unmaps the segments).
         """
@@ -1216,8 +1201,7 @@ class ShardedBackend:
         if self._bound:
             self._ctrl = self._ctrl.copy()
         self._shared = {}
-        self._set0 = []
-        self._set1 = []
+        self._pools = []
         self._channels = None
         self._workers = []
 

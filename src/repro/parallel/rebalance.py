@@ -99,7 +99,7 @@ def validate_plan(
     """Re-validate exchange and buffer capacity for a planned move.
 
     The migration channels were sized at bind time for the *uniform*
-    split, the per-shard ping-pong column buffers for the whole flow
+    split, the per-shard column buffers and spares for the whole flow
     plus reservoir; a repartition must fit the rows it ships into the
     channels and the post-rebalance populations into the destination
     buffers.  Returns a human-readable reason to skip the event, or

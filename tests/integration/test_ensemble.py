@@ -407,14 +407,16 @@ class TestBlockedSurgery:
         for name in COLUMN_NAMES:
             assert np.array_equal(getattr(parts, name), before[name])
 
-    def test_one_block_never_touches_the_back_buffers(self):
+    def test_one_block_never_touches_the_spares(self):
         # Serial populations and reservoirs: starts stays None and the
-        # surgery is O(removed) / O(appended) in the front buffers.
+        # surgery is O(removed) / O(appended) in the column buffers: no
+        # spare is written and no column moves to another buffer.
         parts, _, _ = self._blocked([40])
         parts.starts = None
         fresh = self._block(np.random.default_rng(5), 7)
-        front = dict(parts._front)
-        for buf in parts._back.values():
+        front = dict(parts.column_buffers)
+        spares = list(parts._spares.values())
+        for buf in spares:
             buf.view(np.uint8)[...] = 0xAB
         mask = np.random.default_rng(6).random(parts.n) < 0.3
         assert parts.remove_inplace(np.flatnonzero(mask)) == [int(mask.sum())]
@@ -422,9 +424,13 @@ class TestBlockedSurgery:
         parts.append_inplace([fresh])
         assert parts.starts is None and parts.n_blocks == 1
         assert parts.n == 40 - mask.sum() + 14
+        assert len(spares) == 3 and all(
+            new is old for new, old in zip(parts._spares.values(), spares)
+        )
+        for buf in spares:
+            assert (buf.view(np.uint8) == 0xAB).all()
         for name in COLUMN_NAMES:
-            assert parts._front[name] is front[name]
-            assert (parts._back[name].view(np.uint8) == 0xAB).all()
+            assert parts.column_buffers[name] is front[name]
             assert np.shares_memory(getattr(parts, name), front[name])
 
     def test_typed_errors(self):

@@ -15,7 +15,10 @@ The hot-path engine adds two sharper guarantees worth guarding:
   checked directly with tracemalloc;
 * the indexed kernel's collisions gather from neighbouring addresses:
   between two physical re-sorts a colliding pair's rows stay a few
-  per cent of the population apart -- a count, not a timing.
+  per cent of the population apart -- a count, not a timing;
+* the particle state is held once: a population's buffers, and each
+  shard's shared segments, are one column set plus one spare per item
+  shape -- counted in ``nbytes``, not read off the RSS.
 """
 
 import cProfile
@@ -41,6 +44,7 @@ from repro.core.sortstep import RESORT_PERIOD
 from repro.ensemble import EnsembleEngine
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
+from repro.parallel.backend import ShardedBackend
 from repro.physics.freestream import Freestream
 from repro.rng import shard_stream
 
@@ -112,10 +116,11 @@ class TestThroughput:
         )
 
     def test_warm_resort_step_retains_no_per_particle_memory(self):
-        # The physical re-sort gathers into the population's ping-pong
-        # back buffers (made resident by the step-0 re-sort) and its
-        # identity order is the pooled arange: crossing step 32 keeps
-        # nothing alive that the steps before it did not.
+        # The physical re-sort gathers each column into its item
+        # shape's spare and swaps (the spares made resident by the
+        # step-0 re-sort), and its identity order is the pooled arange:
+        # crossing step 32 keeps nothing alive that the steps before it
+        # did not.
         sim = Simulation(_wedge_config(density=10.0, seed=1))
         tracemalloc.start()
         try:
@@ -281,6 +286,62 @@ class TestThroughput:
         sim = Simulation(cfg)
         assert time.perf_counter() - t0 < 5.0
         assert sim.particles.n > 100_000
+
+
+#: Bytes of one row with two rotational dof (seven float64 values, the
+#: int64 ``cell``, a 5-byte ``perm`` row) and of one spare row per item
+#: shape (an 8-byte scalar, a ``rot`` row, a ``perm`` row).
+ROW_BYTES, SPARE_ROW_BYTES = 77, 29
+
+
+def _held_bytes(parts: ParticleArrays) -> int:
+    """Bytes of every distinct array a population holds outside its
+    scratch pool of step temporaries (a column and the buffer it views
+    start at one address and count once)."""
+    held = {}
+    for name, value in vars(parts).items():
+        if name in ("scratch", "starts"):
+            continue
+        for a in value.values() if isinstance(value, dict) else [value]:
+            if isinstance(a, np.ndarray):
+                addr = a.__array_interface__["data"][0]
+                held[addr] = max(held.get(addr, 0), a.nbytes)
+    return sum(held.values())
+
+
+class TestStateIsHeldOnce:
+    """No second copy of the particle state: a population holds its
+    columns' buffers plus one spare per item shape (29 B a row beside
+    77 with two rotational dof), and so does each shard's reservation."""
+
+    def _assert_held_once(self, parts: ParticleArrays, held: int, cap: int):
+        assert parts.rotational_dof == 2
+        assert held <= cap * (ROW_BYTES + SPARE_ROW_BYTES), (
+            f"{held} B held for {cap} rows of {ROW_BYTES} B: a second copy "
+            "of the particle state is being kept"
+        )
+
+    def test_serial_population_and_reservoir(self):
+        with Simulation(_wedge_config(density=2.0, seed=1)) as sim:
+            sim.run(RESORT_PERIOD + 2)  # past two physical re-sorts
+            for parts in (sim.particles, sim.reservoir.particles):
+                assert parts.scratch_enabled
+                self._assert_held_once(parts, _held_bytes(parts), parts.capacity)
+
+    def test_each_shards_segments(self):
+        with Simulation(
+            _wedge_config(density=2.0, seed=1),
+            backend=ShardedBackend(2, processes=False),
+        ) as sim:
+            sim.run(RESORT_PERIOD + 2)
+            be = sim.backend
+            for k, (pool, w) in enumerate(zip(be._pools, be._workers)):
+                cap = int(be._shard_caps[k])
+                reserved = sum(buf.nbytes for buf in pool)
+                self._assert_held_once(w.particles, reserved, cap)
+                self._assert_held_once(
+                    w.particles, _held_bytes(w.particles), cap
+                )
 
 
 class TestCollisionsGatherFromNeighbouringAddresses:

@@ -28,6 +28,7 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
+from repro.core.particles import COLUMN_NAMES
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import RESORT_PERIOD
 from repro.geometry.domain import Domain
@@ -64,6 +65,21 @@ class TestProcessInlineEquivalence:
                 sim.run(2 * RESORT_PERIOD)
                 sim.run(6, sample=True)
             assert state_digest(proc) == state_digest(inline)
+            # Each column's published buffer id names the buffer that
+            # holds it after the re-sorts' swaps with the spares: read
+            # through the ids, a forked shard is the inline worker's
+            # live columns, and the gathered population is the shards'.
+            proc.gather()
+            forked, views = proc.backend.shard_columns(), inline.backend.shard_columns()
+            for name in COLUMN_NAMES:
+                assert np.array_equal(
+                    np.concatenate([v[name] for v in forked]),
+                    getattr(proc.particles, name),
+                )
+                for k, w in enumerate(inline.backend._workers):
+                    live = getattr(w.particles, name)
+                    assert np.array_equal(forked[k][name], live)
+                    assert np.shares_memory(views[k][name], live)
 
     def test_slab_process_workers_match_inline(self):
         with Simulation(
@@ -272,10 +288,9 @@ class TestSharedSegments:
         ) as sim:
             committed = _rss_shmem_mb() - before
             be = sim.backend
-            # The column sets alone: most of what bind reserves.
+            # The column sets and spares: most of what bind reserves.
             reserved = sum(
-                col.nbytes for cols in be._set0 + be._set1
-                for col in cols.values()
+                buf.nbytes for pool in be._pools for buf in pool
             ) / 2**20
             assert committed < 0.4 * reserved, (committed, reserved)
 
