@@ -73,12 +73,15 @@ class ResilienceError(ReproError):
 
 
 class WorkerCrashError(ResilienceError):
-    """A shard worker died or raised during a sharded step.
+    """A shard worker died during a sharded command, or failed without
+    an exception of its own to show.
 
-    Covers both a dead worker process (the step barrier breaks and the
-    parent finds exited children) and an exception piped out of a
-    still-running worker; ``context`` distinguishes them (``dead`` vs
-    ``traceback``).
+    Covers a dead worker process (a command barrier breaks and the
+    parent finds exited children: ``dead`` in ``context``), an injected
+    ``exception`` or inline ``crash`` fault (``injected``), and a forked
+    worker's exception that does not pickle (its traceback text in the
+    message).  Any other exception a shard raises reaches the caller as
+    itself.
     """
 
 

@@ -8,9 +8,9 @@ migration channels, per-shard diagnostics and sampler accumulators --
 lives in anonymous shared mappings inherited over ``fork``
 (:func:`shared_segment`: reserved at bind, committed page by page as
 rows are written), so the steady-state step exchanges no pickled data
-at all; pipes carry only rare traffic
-(worker tracebacks, the reservoir on an explicit ``gather``, each
-shard's invariant-audit result).
+at all; pipes carry only a command's replies (the reservoir on a
+``gather``, each shard's audit result) and a failed shard's own
+exception.
 
 One driver: a shard is a block with neighbours, and each worker runs
 the serial engine's step (:func:`repro.core.simulation.step_stage1`,
@@ -27,22 +27,35 @@ one point that needs a worker barrier -- stage 1 / exchange / stage 2:
   ship the downstream flux (last shard), and pack the shard's
   diagnostics row (:data:`repro.core.simulation.DIAGNOSTICS_ROW`).
 
+One protocol: every command is the two halves :data:`COMMANDS` names,
+run on each shard before and after the mid barrier, and
+:meth:`ShardedBackend._command` is the one place the execution modes
+part -- forked workers cross the barriers, inline (``processes=False``,
+the sequential mode used for tests and single-core hosts) runs every
+shard's first half in shard order, then every second half.  Either way
+a failed shard's exception reaches the caller as itself, the first in
+(half, shard) order, and each shard holds its own copy of the fault
+plan.  Two differences are inherent, and only injected faults show
+them: a ``crash`` fault exits a forked worker (a dead process at the
+barrier) but raises inline, and a ``hang`` fault times a forked
+barrier out but only sleeps inline.
+
 Determinism: every worker draws all of a step's random numbers from a
 counter-based stream keyed ``(seed, shard_id, step)``
 (:func:`repro.rng.shard_stream`), and the exchange order is fixed, so a
-run is bitwise reproducible run-to-run at any fixed worker count --
-whether the shards execute as processes or inline (``processes=False``,
-the sequential mode used for tests and single-core hosts).  A run
-with one worker is the serial engine
+run is bitwise reproducible run-to-run at any fixed worker count,
+forked or inline.  A run with one worker is the serial engine
 (:class:`repro.core.simulation.SerialBackend`); this backend needs two
 or more.
 """
 
 from __future__ import annotations
 
+import copy
 import mmap
 import multiprocessing as mp
 import os
+import pickle
 import time
 import traceback
 from typing import Dict, List, Optional, Tuple
@@ -101,9 +114,8 @@ _N_RESERVOIR = DIAGNOSTICS_ROW.index("n_reservoir")
 CTRL_CMD = 0
 CTRL_STEP = 1
 CTRL_SAMPLE = 2
-CTRL_ERROR = 3       # 0 = healthy, else failing shard_id + 1
-CTRL_FLUX = 4        # downstream-exit count in transit to shard 0
-CTRL_WORDS = 5
+CTRL_FLUX = 3        # downstream-exit count in transit to shard 0
+CTRL_WORDS = 4
 
 CMD_IDLE = 0
 CMD_STEP = 1
@@ -175,7 +187,6 @@ class ShardWorker:
         shard_id: int,
         n_workers: int,
         config,
-        slabs: ShardSlabs,
         channels: MigrationChannels,
         ctrl: np.ndarray,
         shared: Dict[str, np.ndarray],
@@ -192,15 +203,7 @@ class ShardWorker:
         self._ctrl = ctrl
         self._vf_flat = vf_flat
         self._seed = seed
-        self.x_lo, self.x_hi = slabs.bounds(shard_id)
-        # Guard bounds: a migrant landing beyond the *neighbour's* far
-        # edge would need a channel that does not exist.
-        self._left_guard = slabs.bounds(shard_id - 1)[0] if shard_id > 0 else 0.0
-        self._right_guard = (
-            slabs.bounds(shard_id + 1)[1]
-            if shard_id < n_workers - 1
-            else float(self.domain.nx)
-        )
+        self._take_edges(shared["edges"])
         self.boundaries = WindTunnelBoundaries.from_config(
             config,
             has_inlet=(shard_id == 0),
@@ -245,7 +248,8 @@ class ShardWorker:
         self._buffer_ids: Dict[int, int] = {}
         self._stream: Optional[np.random.Generator] = None
         self._bstats: Optional[BoundaryStats] = None
-        #: Deterministic fault injection (None on production runs).
+        #: The shard's own copy of the fault plan (None on production
+        #: runs): the worker and its channel shipments fire from it.
         self._fault_plan = fault_plan
         #: True inside a forked worker process (set by ``_worker_main``);
         #: selects hard process death vs a plain raise for ``crash``.
@@ -282,14 +286,25 @@ class ShardWorker:
         for ci, buf in enumerate(parts.column_buffers.values()):
             ids[ci] = self._buffer_ids[_address(buf)]
 
+    def _take_edges(self, edges) -> None:
+        """Take the slab bounds, and the guard bounds past them, from
+        the edge tuple: a migrant landing beyond a *neighbour's* far
+        edge would need a channel that does not exist."""
+        k = self.shard_id
+        self.x_lo, self.x_hi = float(edges[k]), float(edges[k + 1])
+        self._left_guard = float(edges[k - 1]) if k > 0 else 0.0
+        self._right_guard = float(
+            edges[k + 2] if k < self.n_workers - 1 else self.domain.nx
+        )
+
     def _crossed_two_slabs(self) -> ConfigurationError:
         return ConfigurationError(
             f"shard {self.shard_id}: a particle crossed more than one slab "
             "in a single step; use fewer workers (wider slabs) for this flow"
         )
 
-    def _migrate(self, lo: float, hi: float, guarded: bool) -> None:
-        """Ship the rows outside ``[lo, hi)`` to the neighbours.
+    def _migrate(self, lo: float, hi: float, guarded: bool, step: int) -> None:
+        """Ship step ``step``'s rows outside ``[lo, hi)`` to the neighbours.
 
         Packs them into the outgoing channels, then backfills them away
         (the sort re-orders everything anyway).  ``guarded`` refuses a
@@ -311,7 +326,10 @@ class ShardWorker:
                     (xs < self._left_guard) | (xs >= self._right_guard)
                 ).any():
                     raise self._crossed_two_slabs()
-                self.channels.ship(parts, rows, self.shard_id, direction)
+                self.channels.ship(
+                    parts, rows, self.shard_id, direction,
+                    step=step, plan=self._fault_plan,
+                )
                 gone.append(rows)
         if gone:
             parts.remove_inplace(np.sort(np.concatenate(gone)))
@@ -332,7 +350,6 @@ class ShardWorker:
         the call (one ``is None`` test in :meth:`phase_a`).
         """
         plan = self._fault_plan
-        self.channels._step = step
         if plan.take("exception", step, self.shard_id) is not None:
             raise WorkerCrashError(
                 "injected worker exception",
@@ -380,7 +397,7 @@ class ShardWorker:
 
         self._bstats = step_stage1(self, self._stream, sample)
         with self.perf.phase("exchange"):
-            self._migrate(self.x_lo, self.x_hi, guarded=True)
+            self._migrate(self.x_lo, self.x_hi, guarded=True, step=step)
         self._span("phase_a", t0)
 
     def phase_b(self, step: int, sample: bool) -> None:
@@ -403,7 +420,7 @@ class ShardWorker:
 
     # -- the repartition epoch (adaptive load balancing) -----------------
 
-    def rebalance_a(self, step: int) -> None:
+    def rebalance_a(self, step: int, sample: bool = False) -> None:
         """Ship the rows in ceded columns toward their new owner.
 
         The parent has already published the new edge tuple in
@@ -414,16 +431,12 @@ class ShardWorker:
         runs -- a rebalance only re-homes particle ownership.
         """
         edges = self.shared["edges"]
-        if self._fault_plan is not None:
-            # Publish the step so channel-level faults stay keyed.
-            self.channels._step = step
+        k = self.shard_id
         self._migrate(
-            float(edges[self.shard_id]),
-            float(edges[self.shard_id + 1]),
-            guarded=False,
+            float(edges[k]), float(edges[k + 1]), guarded=False, step=step
         )
 
-    def rebalance_b(self) -> None:
+    def rebalance_b(self, step: int, sample: bool = False) -> None:
         """Adopt arrivals and refresh slab bounds from the new edges.
 
         Runs after the mid-epoch barrier: every neighbour's ceded rows
@@ -440,21 +453,12 @@ class ShardWorker:
         self._receive()
         if self.sort_state is not None:
             self.sort_state.update(parts)
-        edges = self.shared["edges"]
-        k = self.shard_id
-        self.x_lo = float(edges[k])
-        self.x_hi = float(edges[k + 1])
-        self._left_guard = float(edges[k - 1]) if k > 0 else 0.0
-        self._right_guard = (
-            float(edges[k + 2])
-            if k < self.n_workers - 1
-            else float(self.domain.nx)
-        )
+        self._take_edges(self.shared["edges"])
         self._publish_layout()
 
-    # -- rare traffic ----------------------------------------------------
+    # -- rare traffic: the commands that reply ----------------------------
 
-    def audit(self, step: int):
+    def audit(self, step: int, sample: bool = False):
         """The invariant auditor's per-block checks on this slab, plus
         the transport's own: the shard's outgoing channel counts lie
         in ``[0, capacity]``.  Returns ``(n, energy, checks)``."""
@@ -477,73 +481,94 @@ class ShardWorker:
             )
         return n, energy, checks + ("channels",)
 
-    def gather_payload(self) -> Dict[str, np.ndarray]:
-        """Worker-private state the parent cannot see in shared memory."""
-        res = self.reservoir.particles
-        return {
-            "plunger": np.float64(self.boundaries.plunger.position),
-            **{
-                name: np.ascontiguousarray(getattr(res, name))
-                for name in COLUMN_NAMES
-            },
-        }
+    def gather_payload(
+        self, step: int, sample: bool = False
+    ) -> Optional[ParticleArrays]:
+        """A copy of the reservoir population, the one shard state the
+        parent cannot see in shared memory (``None`` off shard 0)."""
+        return None if self.reservoir is None else self.reservoir.particles.copy()
+
+
+#: Each command's two halves: the :class:`ShardWorker` methods every
+#: shard runs before and after the mid barrier (``None``: nothing after
+#: it).  Every half takes ``(step, sample)``.
+COMMANDS = {
+    CMD_STEP: (ShardWorker.phase_a, ShardWorker.phase_b),
+    CMD_REBALANCE: (ShardWorker.rebalance_a, ShardWorker.rebalance_b),
+    CMD_AUDIT: (ShardWorker.audit, None),
+    CMD_GATHER: (ShardWorker.gather_payload, None),
+}
+#: Commands whose first half is a reply for the parent; the others send
+#: nothing from a healthy shard.
+REPLIES = (CMD_AUDIT, CMD_GATHER)
+
+
+def _run_half(worker: ShardWorker, half: int, fn, step: int, sample: bool):
+    """Run half ``half`` (1 or 2) of a command on ``worker``.
+
+    Returns ``(reply, failure)``.  A shard that failed runs nothing
+    more; its failure is recorded in its ``fail`` word as the half it
+    happened in, which orders the failures the parent raises.
+    """
+    fail = worker.shared["fail"]
+    if fn is None or fail[worker.shard_id]:
+        return None, None
+    try:
+        return fn(worker, step, sample), None
+    except Exception as exc:
+        fail[worker.shard_id] = half
+        return None, exc
+
+
+def _note(exc: BaseException, text: str) -> None:
+    """``exc.add_note(text)`` (Python 3.11), spelled for older ones too."""
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), text]
+
+
+def _portable(exc: BaseException, shard: int, step: int) -> BaseException:
+    """``exc`` with the worker's traceback as a note, fit for the pipe.
+
+    An exception that does not survive pickling becomes a
+    :class:`WorkerCrashError` carrying the traceback text.
+    """
+    text = "".join(
+        traceback.format_exception(type(exc), exc, exc.__traceback__)
+    )
+    _note(exc, f"[shard {shard} worker traceback]\n{text}")
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return WorkerCrashError(
+            f"worker for shard {shard} failed:\n{text}", step=step, shard=shard
+        )
 
 
 def _worker_main(worker, start_b, mid_b, end_b, ctrl, conn) -> None:
-    """Worker-process command loop.
+    """The forked side of :meth:`ShardedBackend._command`.
 
-    A failed phase poisons the worker (subsequent phases no-op) but
-    never skips a barrier -- the parent always completes the step,
-    sees the error flag, and raises with the piped traceback.
+    A failed half skips the shard's later half but never a barrier, so
+    the parent always completes the command; the failure then goes down
+    the pipe after the end barrier, while the parent reads it.
     """
     worker._forked = True
-    failed = False
-
-    def audit():
-        # A violation crosses the fork typed; the audit wrote nothing,
-        # so the worker stays healthy for the supervisor's teardown.
-        try:
-            return worker.audit(int(ctrl[CTRL_STEP]))
-        except InvariantViolationError as exc:
-            return exc
-
-    def attempt(phase, *args, report: bool = True) -> None:
-        """Run ``phase`` unless poisoned; on failure, poison and flag."""
-        nonlocal failed
-        if failed:
-            return
-        try:
-            phase(*args)
-        except BaseException:
-            failed = True
-            ctrl[CTRL_ERROR] = worker.shard_id + 1
-            if report:
-                conn.send(traceback.format_exc())
-
     while True:
         start_b.wait()
         cmd = int(ctrl[CTRL_CMD])
         if cmd == CMD_STOP:
             break
-        if cmd == CMD_STEP:
-            step = int(ctrl[CTRL_STEP])
-            sample = bool(ctrl[CTRL_SAMPLE])
-            attempt(worker.phase_a, step, sample)
-            mid_b.wait()
-            attempt(worker.phase_b, step, sample)
-        elif cmd == CMD_REBALANCE:
-            attempt(worker.rebalance_a, int(ctrl[CTRL_STEP]))
-            mid_b.wait()
-            attempt(worker.rebalance_b)
-        elif cmd == CMD_GATHER and worker.reservoir is not None:
-            # The payload is the pipe's one message: a failure sends no
-            # traceback the parent would take for it.
-            attempt(
-                lambda: conn.send(worker.gather_payload()), report=False
-            )
-        elif cmd == CMD_AUDIT:
-            attempt(lambda: conn.send(audit()), report=False)
+        step = int(ctrl[CTRL_STEP])
+        sample = bool(ctrl[CTRL_SAMPLE])
+        first, second = COMMANDS[cmd]
+        reply, failure = _run_half(worker, 1, first, step, sample)
+        mid_b.wait()
+        if failure is None:
+            _, failure = _run_half(worker, 2, second, step, sample)
+        if cmd in REPLIES:
+            conn.send(reply)
         end_b.wait()
+        if failure is not None:
+            conn.send(_portable(failure, worker.shard_id, step))
     conn.close()
 
 
@@ -580,9 +605,10 @@ class ShardedBackend:
         the worker pool wedged.
     fault_plan:
         Optional :class:`repro.resilience.faults.FaultPlan` arming the
-        deterministic fault-injection hooks in the workers and the
-        migration channels.  ``None`` (the default) leaves every hook
-        dormant at zero overhead.
+        deterministic fault-injection hooks in the workers and their
+        channel shipments; each shard fires from its own copy, taken
+        at bind.  ``None`` (the default) leaves every hook dormant at
+        zero overhead.
     edges:
         Optional explicit slab-edge tuple (length ``n_workers + 1``)
         to bind with, instead of the uniform split -- snapshot-restore
@@ -624,6 +650,8 @@ class ShardedBackend:
         self._procs: List = []
         self._pipes: List = []
         self._workers: List[ShardWorker] = []
+        #: The first shard failure, raised again by every later command.
+        self._failure: Optional[BaseException] = None
         #: Lifetime rebalance counters (telemetry reads these).
         self.rebalance_count = 0
         self.rebalance_skipped = 0
@@ -653,16 +681,6 @@ class ShardedBackend:
         else:
             self._slabs = ShardSlabs.split(cfg.domain.nx, W)
 
-        ctx = None
-        if self._processes:
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:
-                raise ConfigurationError(
-                    "the 'fork' start method is unavailable on this "
-                    "platform; use ShardedBackend(..., processes=False)"
-                ) from None
-
         n_global = sim.particles.n
         # Sampler cells: the x-y footprint (span domains collapse).
         n_cells = sim.sampler.domain.n_cells
@@ -680,6 +698,8 @@ class ShardedBackend:
             # before issuing CMD_REBALANCE; workers re-read their slab
             # bounds from it at the end of the epoch.
             "edges": shared_segment((W + 1,), np.int64),
+            # The half (1 or 2) each shard failed in; 0 while healthy.
+            "fail": shared_segment((W,), np.int64),
         }
         shared["edges"][:] = np.asarray(self._slabs.edges, dtype=np.int64)
         # Shard 0 rewrites its reservoir size every step; seed it so
@@ -705,9 +725,7 @@ class ShardedBackend:
 
         rdof = cfg.model.rotational_dof
         chan_cap = self._channel_capacity or max(2048, n_global // W)
-        self._channels = MigrationChannels(
-            W, rdof, chan_cap, shared_segment, fault_plan=self.fault_plan
-        )
+        self._channels = MigrationChannels(W, rdof, chan_cap, shared_segment)
 
         # Stable partition by x: gather + re-bind round-trips exactly.
         order, splits = self._slabs.partition_order(sim.particles.x)
@@ -725,13 +743,12 @@ class ShardedBackend:
                 shard_id=k,
                 n_workers=W,
                 config=cfg,
-                slabs=self._slabs,
                 channels=self._channels,
                 ctrl=self._ctrl,
                 shared=shared,
                 vf_flat=sim._vf_flat,
                 seed=cfg.seed,
-                fault_plan=self.fault_plan,
+                fault_plan=copy.deepcopy(self.fault_plan),
             )
             self._pools.append(w.adopt(seg, *seg.buffer_set(cap, shared_segment)))
             self._workers.append(w)
@@ -757,57 +774,152 @@ class ShardedBackend:
         self._sample_steps = 0
 
         if self._processes:
-            self._start_barrier = ctx.Barrier(W + 1)
-            self._mid_barrier = ctx.Barrier(W)
-            self._end_barrier = ctx.Barrier(W + 1)
-            self._pipes = []
-            self._procs = []
-            for w in self._workers:
-                recv_end, send_end = ctx.Pipe(duplex=False)
-                p = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        w,
-                        self._start_barrier,
-                        self._mid_barrier,
-                        self._end_barrier,
-                        self._ctrl,
-                        send_end,
-                    ),
-                    daemon=True,
-                )
-                p.start()
-                send_end.close()
-                self._pipes.append(recv_end)
-                self._procs.append(p)
+            self._start_pool()
         self._bound = True
         return self
+
+    def _start_pool(self) -> None:
+        """Fork one worker process per shard, each with its own pipe."""
+        try:
+            ctx = mp.get_context("fork")
+        except ValueError:
+            raise ConfigurationError(
+                "the 'fork' start method is unavailable on this "
+                "platform; use ShardedBackend(..., processes=False)"
+            ) from None
+        W = self.n_workers
+        self._start_barrier = ctx.Barrier(W + 1)
+        self._mid_barrier = ctx.Barrier(W)
+        self._end_barrier = ctx.Barrier(W + 1)
+        for w in self._workers:
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            p = ctx.Process(
+                target=_worker_main,
+                args=(
+                    w,
+                    self._start_barrier,
+                    self._mid_barrier,
+                    self._end_barrier,
+                    self._ctrl,
+                    send_end,
+                ),
+                daemon=True,
+            )
+            p.start()
+            send_end.close()
+            self._pipes.append(recv_end)
+            self._procs.append(p)
+
+    # -- the one command path ---------------------------------------------
+
+    def _command(self, cmd: int, step: int, sample: bool = False) -> list:
+        """Run ``cmd`` on every shard; return each shard's reply.
+
+        The one place the execution modes part.  Forked: publish the
+        control words, cross the start barrier, read a replying
+        command's replies, cross the end barrier, then read each failed
+        shard's exception -- a healthy step sends no pipe message.
+        Inline: every shard's first half in shard order, then every
+        shard's second half.  Either way the first failure in (half,
+        shard) order is raised as the shard's own exception, naming any
+        other failed shard in a note; the shards are then mid-command,
+        so every later command raises it again.
+        """
+        if not self._live:
+            raise ConfigurationError("backend is not bound (or closed)")
+        if self._failure is not None:
+            raise self._failure
+        W = self.n_workers
+        fail = self._shared["fail"]
+        if self._processes:
+            ctrl = self._ctrl
+            ctrl[CTRL_CMD] = cmd
+            ctrl[CTRL_STEP] = step
+            ctrl[CTRL_SAMPLE] = int(sample)
+            self._await(self._start_barrier, step)
+            replies = [None] * W
+            if cmd in REPLIES:
+                replies = [self._recv(k, step) for k in range(W)]
+            self._await(self._end_barrier, step)
+            if not fail.any():
+                return replies
+            failures = {int(k): self._recv(k, step) for k in np.flatnonzero(fail)}
+        else:
+            replies, failures = [None] * W, {}
+            for half, fn in enumerate(COMMANDS[cmd], 1):
+                for k, w in enumerate(self._workers):
+                    reply, failure = _run_half(w, half, fn, step, sample)
+                    if half == 1:
+                        replies[k] = reply
+                    if failure is not None:
+                        failures[k] = failure
+            if not failures:
+                return replies
+        order = sorted(failures, key=lambda k: (fail[k], k))
+        first = failures[order[0]]
+        for k in order[1:]:
+            other = failures[k]
+            _note(first, f"shard {k} also failed: {type(other).__name__}: {other}")
+        self._failure = first
+        raise first
+
+    def _await(self, barrier, step: int) -> None:
+        """Wait on a command barrier; a broken or timed-out one is a
+        dead or silent worker (:meth:`_pool_failed`)."""
+        try:
+            barrier.wait(timeout=self._barrier_timeout)
+        except Exception:
+            self._pool_failed(step)
+
+    def _recv(self, k: int, step: int):
+        """Shard ``k``'s next pipe message; none within the barrier
+        timeout is a dead or silent worker (:meth:`_pool_failed`)."""
+        pipe = self._pipes[k]
+        try:
+            if pipe.poll(self._barrier_timeout):
+                return pipe.recv()
+        except (EOFError, OSError):
+            self._procs[k].join(timeout=1.0)
+        self._pool_failed(step)
+
+    def _pool_failed(self, step: int) -> None:
+        """Diagnose a pool that stopped answering, tear it down, raise.
+
+        With dead children it is a crash (:class:`WorkerCrashError`,
+        listing the corpses); with every worker alive it is a hang
+        (:class:`WorkerHangError`).  Either way the pool is
+        unrecoverable, so it is torn down hard before raising -- the
+        supervisor respawns from a checkpoint.
+        """
+        dead = [
+            (w.shard_id, p.exitcode)
+            for w, p in zip(self._workers, self._procs)
+            if not p.is_alive()
+        ]
+        self._emergency_stop()
+        if dead:
+            raise WorkerCrashError(
+                "worker process died during a sharded command",
+                step=step,
+                dead=dead,
+            ) from None
+        raise WorkerHangError(
+            "sharded command timed out with all workers alive",
+            step=step,
+            timeout_s=self._barrier_timeout,
+            n_workers=self.n_workers,
+        ) from None
 
     # -- seam: step -----------------------------------------------------
 
     def step(self, sim, sample: bool = False) -> StepDiagnostics:
         """Advance every shard one step and merge the diagnostics."""
-        if not self._live:
-            raise ConfigurationError("backend is not bound (or closed)")
         if sample and sim.probes:
             raise ConfigurationError(
                 "probes sample the driver's population, which a sharded "
                 "run does not step; run probes on the serial backend"
             )
-        step_idx = sim.step_count
-        if self._processes:
-            self._ctrl[CTRL_CMD] = CMD_STEP
-            self._ctrl[CTRL_STEP] = step_idx
-            self._ctrl[CTRL_SAMPLE] = int(sample)
-            self._await(self._start_barrier, step=step_idx)
-            self._await(self._end_barrier, step=step_idx)
-            if self._ctrl[CTRL_ERROR]:
-                self._raise_worker_error(step=step_idx)
-        else:
-            for w in self._workers:
-                w.phase_a(step_idx, sample)
-            for w in self._workers:
-                w.phase_b(step_idx, sample)
+        self._command(CMD_STEP, sim.step_count, sample)
         sim.step_count += 1
         if sample:
             self._sample_steps += 1
@@ -815,53 +927,6 @@ class ShardedBackend:
         if sim.step_count % REBALANCE_EVERY == 0:
             self.maybe_rebalance(sim.step_count)
         return diag
-
-    def _await(self, barrier, step: Optional[int] = None) -> None:
-        """Wait on a step barrier; on failure, diagnose and raise typed.
-
-        A broken or timed-out barrier with dead children is a crash
-        (:class:`WorkerCrashError`, listing the corpses); with every
-        worker alive it is a hang (:class:`WorkerHangError`).  Either
-        way the pool is unrecoverable, so it is torn down hard before
-        raising -- the supervisor respawns from a checkpoint.
-        """
-        try:
-            barrier.wait(timeout=self._barrier_timeout)
-        except Exception:
-            dead = [
-                (w.shard_id, p.exitcode)
-                for w, p in zip(self._workers, self._procs)
-                if not p.is_alive()
-            ]
-            self._emergency_stop()
-            if dead:
-                raise WorkerCrashError(
-                    "worker process died during a sharded step barrier",
-                    step=step,
-                    dead=dead,
-                ) from None
-            raise WorkerHangError(
-                "sharded step barrier timed out with all workers alive",
-                step=step,
-                timeout_s=self._barrier_timeout,
-                n_workers=self.n_workers,
-            ) from None
-
-    def _raise_worker_error(self, step: Optional[int] = None) -> None:
-        shard = int(self._ctrl[CTRL_ERROR]) - 1
-        tracebacks = []
-        for k, pipe in enumerate(self._pipes):
-            try:
-                while pipe.poll(0.5):
-                    tracebacks.append(f"[shard {k}]\n{pipe.recv()}")
-            except (EOFError, OSError):
-                pass
-        detail = "\n".join(tracebacks) or "(no traceback received)"
-        raise WorkerCrashError(
-            f"worker for shard {shard} failed:\n{detail}",
-            step=step,
-            shard=shard,
-        )
 
     # -- adaptive load balancing ----------------------------------------
 
@@ -941,29 +1006,15 @@ class ShardedBackend:
             return False
         to_left, to_right = planned_transfers(old, new, hist)
         event["rows_moved"] = int(to_left.sum() + to_right.sum())
-        self._execute_rebalance(new, step)
+        # Publish the new edges, then run the repartition epoch.
+        self._shared["edges"][:] = np.asarray(new.edges, dtype=np.int64)
+        self._slabs = new
+        self._command(CMD_REBALANCE, step)
         event["executed"] = True
         self.rebalance_count += 1
         self.rebalance_columns_moved += event["columns_moved"]
         self._pending_rebalance_event = event
         return True
-
-    def _execute_rebalance(self, new: ShardSlabs, step: int) -> None:
-        """Publish the new edges and run the repartition epoch."""
-        self._shared["edges"][:] = np.asarray(new.edges, dtype=np.int64)
-        self._slabs = new
-        if self._processes:
-            self._ctrl[CTRL_CMD] = CMD_REBALANCE
-            self._ctrl[CTRL_STEP] = step
-            self._await(self._start_barrier, step=step)
-            self._await(self._end_barrier, step=step)
-            if self._ctrl[CTRL_ERROR]:
-                self._raise_worker_error(step=step)
-        else:
-            for w in self._workers:
-                w.rebalance_a(step)
-            for w in self._workers:
-                w.rebalance_b()
 
     def take_rebalance_event(self) -> Optional[Dict]:
         """Pop the latest rebalance event (telemetry hub hook)."""
@@ -980,8 +1031,15 @@ class ShardedBackend:
 
     def gather(self, sim) -> None:
         """Mirror the authoritative shard state back into the driver."""
-        if not self._live:
-            raise ConfigurationError("backend is not bound (or closed)")
+        # The reservoir lives in shard 0's (process) memory; the plunger
+        # is the position shard 0 publishes at bind and every phase B.
+        res = self._command(CMD_GATHER, sim.step_count)[0]
+        res.enable_scratch()
+        sim.reservoir.particles = res
+        sim.boundaries.plunger.position = float(
+            self._shared["misc"][MISC_PLUNGER]
+        )
+
         # Flow population: the shard segments in shard order.
         views = self._shard_views()
         full = ParticleArrays(
@@ -992,24 +1050,6 @@ class ShardedBackend:
         )
         full.enable_scratch()
         sim.particles = full
-
-        # Reservoir + plunger live in worker 0's process memory.
-        if self._processes:
-            self._ctrl[CTRL_CMD] = CMD_GATHER
-            self._await(self._start_barrier)
-            payload = self._recv_payload(self._pipes[0])
-            self._await(self._end_barrier)
-            if self._ctrl[CTRL_ERROR]:
-                self._raise_worker_error()
-            plunger = float(payload.pop("plunger"))
-            res = ParticleArrays(**payload)
-        else:
-            w0 = self._workers[0]
-            res = w0.reservoir.particles.copy()
-            plunger = w0.boundaries.plunger.position
-        res.enable_scratch()
-        sim.reservoir.particles = res
-        sim.boundaries.plunger.position = plunger
 
         # Samplers: the sum of the per-shard rows.
         s = sim.sampler
@@ -1027,28 +1067,12 @@ class ShardedBackend:
     def audit(self, sim) -> List[Tuple[int, float, Tuple[str, ...]]]:
         """Run the per-block audit on every slab, where the slab lives.
 
-        Inline, a direct call per worker.  Forked, one command round
-        through the start and end barriers, each worker piping back its
-        result -- or its :class:`~repro.errors.InvariantViolationError`,
-        raised here in shard order -- so the order check runs next to
-        the sorter that built the order.
+        One command: each shard replies with its result, or fails with
+        its :class:`~repro.errors.InvariantViolationError` (the first
+        in shard order is raised), so the order check runs next to the
+        sorter that built the order.
         """
-        if not self._live:
-            raise ConfigurationError("backend is not bound (or closed)")
-        step = sim.step_count
-        if not self._processes:
-            return [w.audit(step) for w in self._workers]
-        self._ctrl[CTRL_CMD] = CMD_AUDIT
-        self._ctrl[CTRL_STEP] = step
-        self._await(self._start_barrier, step=step)
-        results = [self._recv_payload(pipe) for pipe in self._pipes]
-        self._await(self._end_barrier, step=step)
-        if self._ctrl[CTRL_ERROR]:
-            self._raise_worker_error(step=step)
-        for result in results:
-            if isinstance(result, InvariantViolationError):
-                raise result
-        return results
+        return self._command(CMD_AUDIT, sim.step_count)
 
     def shard_moments(self) -> Dict[str, np.ndarray]:
         """The live per-shard sampler and surface-load sums, one row per
@@ -1059,20 +1083,6 @@ class ShardedBackend:
             for name in ("samp", "surf", "surf_hits")
             if name in self._shared
         }
-
-    def _recv_payload(self, pipe):
-        deadline = time.monotonic() + self._barrier_timeout
-        while time.monotonic() < deadline:
-            if pipe.poll(0.25):
-                return pipe.recv()
-            if self._ctrl[CTRL_ERROR]:
-                self._await(self._end_barrier)
-                self._raise_worker_error()
-        self._emergency_stop()
-        raise WorkerHangError(
-            "timed out waiting for the gather payload",
-            timeout_s=self._barrier_timeout,
-        )
 
     # -- introspection: shard state read between steps -------------------
 
@@ -1173,7 +1183,7 @@ class ShardedBackend:
         if self._closed:
             return
         self._closed = True
-        if self._processes and self._procs:
+        if self._procs:
             try:
                 self._ctrl[CTRL_CMD] = CMD_STOP
                 self._start_barrier.wait(timeout=5.0)
@@ -1190,7 +1200,7 @@ class ShardedBackend:
         so go straight to the join -> terminate -> kill escalation.
         """
         self._closed = True
-        if self._processes and self._procs:
+        if self._procs:
             self._shutdown_procs(join_first=0.5)
         self._release()
 

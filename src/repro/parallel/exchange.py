@@ -50,11 +50,6 @@ class MigrationChannels:
         memory: the backend's shared segments
         (:func:`repro.parallel.backend.shared_segment`), or any heap
         allocator where no worker is forked.
-    fault_plan:
-        Optional :class:`repro.resilience.faults.FaultPlan`; arms the
-        ``overflow`` and ``corrupt`` injection points in :meth:`ship`.
-        ``None`` (the default) keeps the hot path fault-free at the
-        cost of one ``is None`` test per ship.
     """
 
     def __init__(
@@ -63,7 +58,6 @@ class MigrationChannels:
         rotational_dof: int,
         capacity: int,
         alloc: Callable[[Tuple[int, ...], np.dtype], np.ndarray],
-        fault_plan=None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1")
@@ -73,11 +67,6 @@ class MigrationChannels:
         k = 3 + rotational_dof
         self.n_workers = n_workers
         self.capacity = capacity
-        self._fault_plan = fault_plan
-        #: Step currently being exchanged; published by the workers
-        #: (only when a plan is armed) so the injection points can key
-        #: faults by ``(step, shard)``.
-        self._step: Optional[int] = None
         #: Migrant count per (source shard, direction), written by the
         #: source in phase A, read by the destination in phase B.
         self.counts = alloc((n_workers, 2), np.int64)
@@ -101,21 +90,6 @@ class MigrationChannels:
         dst = src - 1 if direction == LEFT else src + 1
         return dst if 0 <= dst < self.n_workers else None
 
-    def _published_step(self) -> int:
-        """The step the workers published for this exchange.
-
-        The publish-before-ship contract is load-bearing for fault
-        keying: ``step`` may legitimately be ``0`` (a fault scheduled
-        for the very first step must fire there), so an unpublished
-        step must fail loudly rather than silently alias to step 0.
-        """
-        if self._step is None:
-            raise ConfigurationError(
-                "a fault plan is armed but no step was published before "
-                "ship(); workers must set channels._step each exchange"
-            )
-        return self._step
-
     def buffers(self, src: int, direction: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(float_block, perm_block)`` of one directed channel."""
         try:
@@ -129,14 +103,26 @@ class MigrationChannels:
     # -- the two halves of a migration ---------------------------------
 
     def ship(
-        self, parts: ParticleArrays, idx: np.ndarray, src: int, direction: int
+        self,
+        parts: ParticleArrays,
+        idx: np.ndarray,
+        src: int,
+        direction: int,
+        *,
+        step: Optional[int] = None,
+        plan=None,
     ) -> int:
-        """Pack the particles at ``idx`` into one outgoing channel.
+        """Pack step ``step``'s particles at ``idx`` into one outgoing
+        channel.
 
         Called by the source worker in phase A (before it backfills the
         departed rows away).  Overwrites the channel's previous count,
         so every existing channel must be shipped every step -- zero
-        migrants included -- to keep the counts current.
+        migrants included -- to keep the counts current.  ``plan`` is
+        the shipping shard's own
+        :class:`~repro.resilience.faults.FaultPlan` (``None`` on
+        production runs): it arms the ``overflow`` and ``corrupt``
+        injection points, keyed by ``(step, src)``.
 
         Raises :class:`~repro.errors.ExchangeOverflowError` when the
         migrant count exceeds the channel capacity (sized at bind time;
@@ -146,17 +132,15 @@ class MigrationChannels:
         fb, pb = self.buffers(src, direction)
         cap = min(self.capacity, fb.shape[0])
         fault = None
-        if self._fault_plan is not None and idx.shape[0] > 0:
-            fault = self._fault_plan.take(
-                "overflow", self._published_step(), src
-            )
+        if plan is not None and idx.shape[0] > 0:
+            fault = plan.take("overflow", step, src)
             if fault is not None:
                 cap = fault.capacity
         if idx.shape[0] > cap:
             raise ExchangeOverflowError(
                 "migration channel overflow; raise "
                 "ShardedBackend(channel_capacity=...) for this flow",
-                step=self._step,
+                step=step,
                 shard=src,
                 direction="left" if direction == LEFT else "right",
                 migrants=int(idx.shape[0]),
@@ -164,13 +148,8 @@ class MigrationChannels:
                 injected=fault is not None,
             )
         m = parts.pack_rows(idx, fb, pb)
-        if self._fault_plan is not None and m > 0:
-            step = self._published_step()
-            f = self._fault_plan.take("corrupt", step, src)
-            if f is not None:
-                fb[:m] = self._fault_plan.corruption_pattern(
-                    step, src, fb[:m].shape
-                )
+        if plan is not None and m > 0 and plan.take("corrupt", step, src):
+            fb[:m] = plan.corruption_pattern(step, src, fb[:m].shape)
         self.counts[src, direction] = m
         if m > self.high_water[src, direction]:
             self.high_water[src, direction] = m

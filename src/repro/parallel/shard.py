@@ -94,10 +94,6 @@ class ShardSlabs:
     def n_workers(self) -> int:
         return len(self.edges) - 1
 
-    def bounds(self, shard_id: int) -> Tuple[float, float]:
-        """``[x_lo, x_hi)`` extent of one slab, in cell widths."""
-        return float(self.edges[shard_id]), float(self.edges[shard_id + 1])
-
     def shard_of(self, x: np.ndarray) -> np.ndarray:
         """Owning shard of each x position (clipped into the grid)."""
         # searchsorted('right') maps x in [edges[k], edges[k+1]) to k+1;
@@ -125,31 +121,17 @@ class ShardSlabs:
     # -- adaptive load balancing ----------------------------------------
 
     def column_loads(self, loads: Sequence[float]) -> np.ndarray:
-        """Per-column load vector from per-column or per-shard loads.
-
-        ``loads`` of length ``nx`` is taken as measured per-column
-        counts; length ``n_workers`` is spread uniformly over each
-        slab's columns (the coarse fallback when only shard totals are
-        known).  ``MIN_SLAB_WIDTH >= 2`` guarantees ``nx > n_workers``,
-        so the two cases never collide.
-        """
+        """``loads`` checked as a per-column load vector (length ``nx``,
+        finite, non-negative)."""
         arr = np.asarray(loads, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ConfigurationError("loads must be a 1-D vector")
+        if arr.ndim != 1 or arr.shape[0] != self.nx:
+            raise ConfigurationError(
+                f"loads must be one value per column (nx={self.nx}), "
+                f"got shape {arr.shape}"
+            )
         if (arr < 0).any() or not np.isfinite(arr).all():
             raise ConfigurationError("loads must be finite and non-negative")
-        if arr.shape[0] == self.nx:
-            return arr
-        if arr.shape[0] == self.n_workers:
-            col = np.empty(self.nx, dtype=np.float64)
-            for k in range(self.n_workers):
-                lo, hi = self.edges[k], self.edges[k + 1]
-                col[lo:hi] = arr[k] / (hi - lo)
-            return col
-        raise ConfigurationError(
-            f"loads must have length nx={self.nx} (per column) or "
-            f"n_workers={self.n_workers} (per shard), got {arr.shape[0]}"
-        )
+        return arr
 
     def slab_sums(self, column_loads: np.ndarray,
                   edges: Tuple[int, ...]) -> np.ndarray:
@@ -165,12 +147,11 @@ class ShardSlabs:
     ) -> "ShardSlabs":
         """Plan new edges that equalize the predicted per-slab load.
 
-        Pure arithmetic on the load vector (per-column counts, or
-        per-shard totals spread uniformly -- see :meth:`column_loads`),
-        so the plan is deterministic: the same loads always produce the
-        same edges, which is what keeps W-worker runs bitwise
-        reproducible when the rebalancer is driven from particle counts
-        rather than wall-clock timings.
+        Pure arithmetic on the per-column load vector
+        (:meth:`column_loads`), so the plan is deterministic: the same
+        loads always produce the same edges, which is what keeps
+        W-worker runs bitwise reproducible when the rebalancer is driven
+        from particle counts rather than wall-clock timings.
 
         Each new edge is the column nearest the load quantile (slabs
         ``0..k-1`` target ``k/W`` of the total), subject to three

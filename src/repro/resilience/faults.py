@@ -5,9 +5,9 @@ A :class:`FaultPlan` is an armed list of :class:`FaultSpec` entries --
 written at step 50* -- consulted by cheap hooks at the injection points:
 
 * :class:`repro.parallel.backend.ShardWorker` (phase A): ``crash``
-  (hard process death via ``os._exit``), ``exception`` (raised inside
-  the worker, piped to the parent), ``hang`` (sleep past the barrier
-  timeout).
+  (hard process death via ``os._exit``; inline, a raise),
+  ``exception`` (raised inside the worker, reaching the parent as
+  itself), ``hang`` (sleep past the barrier timeout; inline, a sleep).
 * :class:`repro.parallel.exchange.MigrationChannels` (``ship``):
   ``overflow`` (forces the channel capacity down so the typed overflow
   raise fires) and ``corrupt`` (overwrites the shipped payload with
@@ -19,11 +19,12 @@ Every hook is guarded by an ``is None`` test on the plan, so an
 unarmed run pays a single attribute check -- in most hooks not even
 that, because the plan is simply not installed.
 
-Faults fire **at most once** (per process; worker processes inherit
-the plan over ``fork`` and mark fires in their own copy).  After a
-recovery the supervisor calls :meth:`FaultPlan.disarm_through` on the
-parent's copy so a replay of the failed steps does not re-fire the
-same fault through a freshly forked pool -- which is what makes
+Faults fire **at most once** per copy of the plan: every shard of a
+sharded backend holds its own copy, taken at bind (forked or inline),
+so an ``ANY_SHARD`` fault fires in every shard.  After a recovery the
+supervisor calls :meth:`FaultPlan.disarm_through` on the parent's copy
+so a replay of the failed steps does not re-fire the same fault
+through the freshly bound shards -- which is what makes
 *deterministic fault at step k* compatible with *bitwise-identical
 recovery through step k*.
 """
@@ -38,7 +39,7 @@ import numpy as np
 #: Fault kinds a plan can arm (step-loop injection points).
 STEP_FAULT_KINDS = (
     "crash",      # worker process dies (os._exit); inline: raises
-    "exception",  # worker raises mid-phase (piped traceback path)
+    "exception",  # worker raises mid-phase (reaches the parent as itself)
     "hang",       # worker sleeps past the barrier timeout
     "overflow",   # migration channel capacity forced below the load
     "corrupt",    # shipped migration payload overwritten with garbage
@@ -61,7 +62,7 @@ SERVICE_FAULT_KINDS = (
 #: Every armable fault kind.
 FAULT_KINDS = STEP_FAULT_KINDS + SERVICE_FAULT_KINDS
 
-#: Wildcard shard: the fault fires on whichever shard matches first.
+#: Wildcard shard: the fault fires in every shard's copy of the plan.
 ANY_SHARD = -1
 
 

@@ -240,6 +240,105 @@ class TestProcessFaults:
         assert all(not p.is_alive() for p in procs)
 
 
+@pytest.mark.sharded
+@pytest.mark.parametrize("processes", [False, True], ids=["inline", "forked"])
+class TestShardFaultParity:
+    """A shard's failure means one thing in both execution modes: the
+    same exception, with the same step/shard context, from each shard's
+    own copy of the fault plan."""
+
+    @staticmethod
+    def _failure(sim, steps, audit=False) -> BaseException:
+        """The exception ``steps`` steps of ``sim`` raise (then closed)."""
+        auditor = InvariantAuditor()
+        auditor.rebase(sim)
+        try:
+            with pytest.raises(Exception) as exc_info:
+                for _ in range(steps):
+                    auditor.observe(sim.step())
+                    if audit:
+                        auditor.audit(sim)
+        finally:
+            sim.close()
+        return exc_info.value
+
+    @pytest.mark.parametrize(
+        "spec, nx, audit, error, context",
+        [
+            pytest.param(
+                FaultSpec("exception", step=4, shard=1), 32, False,
+                WorkerCrashError, {"step": 4, "shard": 1, "injected": True},
+                id="exception",
+            ),
+            pytest.param(
+                FaultSpec("overflow", step=2, capacity=0), 40, False,
+                ExchangeOverflowError,
+                {"step": 2, "shard": 0, "direction": "right",
+                 "capacity": 0, "injected": True},
+                id="overflow",
+            ),
+            pytest.param(
+                FaultSpec("corrupt", step=3), 32, True,
+                InvariantViolationError,
+                {"step": 4, "shard": 1, "check": "finite"},
+                id="corrupt",
+            ),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_fault_raises_its_own_error(
+        self, processes, spec, nx, audit, error, context
+    ):
+        # A fresh spec per run: a plan marks its faults as they fire.
+        plan = FaultPlan([dataclasses.replace(spec)], seed=7)
+        sim = Simulation(
+            _small_config(nx=nx),
+            backend=ShardedBackend(2, processes=processes, fault_plan=plan),
+        )
+        exc = self._failure(sim, 10, audit=audit)
+        assert type(exc) is error
+        assert context.items() <= exc.context.items()
+        if spec.kind == "overflow":
+            assert exc.context["migrants"] > 0
+
+    def test_slab_crossing_stops_the_supervisor(self, processes, tmp_path):
+        """A worker's ``ConfigurationError`` is a wrong input: it stops a
+        supervised run at once, with no recovery and no degraded run."""
+        cfg = SimulationConfig(
+            domain=Domain(nx=24, ny=8),
+            freestream=Freestream(
+                mach=8.0, c_mp=0.2, lambda_mfp=2.0, density=10.0
+            ),
+            wedge=None,
+            seed=5,
+        )
+        sim = Simulation(cfg, backend=ShardedBackend(12, processes=processes))
+        with SupervisedRun(
+            sim, tmp_path / "run", checkpoint_every=5, backoff_base=0.0
+        ) as run:
+            with pytest.raises(
+                ConfigurationError, match="shard 0: a particle crossed more"
+            ):
+                run.run_schedule([(30, False)])
+            kinds = {e["kind"] for e in run.journal.events}
+        assert not kinds & {"recovery", "degraded"}
+
+    def test_any_shard_fault_fires_in_every_shard(self, processes):
+        """Each shard fires its own copy; the first in shard order is
+        raised, naming the other, and every run names the same shard."""
+        for _ in range(3 if processes else 1):
+            plan = FaultPlan([FaultSpec("exception", step=3)])
+            sim = Simulation(
+                _small_config(),
+                backend=ShardedBackend(2, processes=processes, fault_plan=plan),
+            )
+            exc = self._failure(sim, 6)
+            assert type(exc) is WorkerCrashError
+            assert exc.context == {"step": 3, "shard": 0, "injected": True}
+            also = [n for n in exc.__notes__ if "also failed" in n]
+            assert len(also) == 1 and also[0].startswith("shard 1 ")
+
+
 class TestSupervisedRecovery:
     """The supervisor restores, replays and finishes -- bitwise.
 

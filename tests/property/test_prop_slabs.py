@@ -68,7 +68,7 @@ class TestNonUniformPartitionOrder:
         gathered = x[order]
         for k in range(slabs.n_workers):
             seg = gathered[splits[k]:splits[k + 1]]
-            lo, hi = slabs.bounds(k)
+            lo, hi = slabs.edges[k], slabs.edges[k + 1]
             if seg.size:
                 assert seg.min() >= lo
                 assert seg.max() < hi
@@ -109,7 +109,7 @@ class TestEdgeValidation:
     def test_valid_non_uniform_accepted(self):
         s = ShardSlabs.from_edges(12, (0, 2, 9, 12))
         assert s.n_workers == 3
-        assert s.bounds(1) == (2.0, 9.0)
+        assert s.edges[1:3] == (2, 9)
 
 
 class TestRebalanceProperties:
@@ -160,11 +160,6 @@ class TestRebalanceProperties:
         slabs = ShardSlabs.split(40, 2)
         with pytest.raises(ConfigurationError):
             slabs.rebalance(np.ones(40), max_shift=MIN_SLAB_WIDTH - 1)
-
-    def test_per_shard_loads_accepted(self):
-        slabs = ShardSlabs.split(40, 2)
-        new = slabs.rebalance([300.0, 100.0], max_shift=6)
-        assert new.edges[1] < slabs.edges[1]
 
     def test_bad_loads_rejected(self):
         slabs = ShardSlabs.split(40, 2)

@@ -101,3 +101,31 @@ def test_a_file_edited_mid_census_is_named_and_left_out(
                                  changed)
     assert "- `shapes.py`" in report
     assert "shapes.py:" not in report
+
+
+def test_a_quiet_item_that_fails_names_its_failing_tests(
+    reachability, fixture_package
+):
+    def pytest_like():
+        print("..F")
+        print("FAILED tests/test_x.py::test_one - assert 1 == 2")
+        print("ERROR tests/test_y.py::test_two")
+        print("1 failed, 1 error")
+        return 1
+
+    def noisy():
+        for k in range(8):
+            print(f"line {k}")
+        raise RuntimeError("boom")
+
+    _, _, _, failures, _ = reachability.census(
+        fixture_package,
+        lambda: [("tests", reachability._quiet(pytest_like)),
+                 ("noisy", reachability._quiet(noisy))],
+    )
+    assert failures == [
+        "tests: exit 1 -- FAILED tests/test_x.py::test_one - assert 1 == 2"
+        " / ERROR tests/test_y.py::test_two",
+        "noisy: RuntimeError: boom -- line 3 / line 4 / line 5 / line 6"
+        " / line 7",
+    ]

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.particles import ParticleArrays
-from repro.errors import ConfigurationError, ExchangeOverflowError
+from repro.errors import ExchangeOverflowError
 from repro.parallel.exchange import RIGHT, MigrationChannels
 from repro.parallel.rebalance import (
     column_loads,
@@ -155,31 +155,18 @@ def _tiny_population(n: int, dof: int = 2) -> ParticleArrays:
 
 class TestShipFaultKeying:
     def test_step_zero_overflow_fault_fires_at_step_zero(self):
-        # Regression: with the old ``self._step or 0`` keying this
-        # passed only by accident of the falsy conflation; with an
-        # explicitly published step 0 the fault must still fire.
+        # Regression: step 0 is falsy, and a fault scheduled for the
+        # very first step must still fire there, keyed by the step the
+        # shipping shard passes.
         plan = FaultPlan(
             [FaultSpec(kind="overflow", step=0, shard=0, capacity=1)]
         )
-        chans = MigrationChannels(2, 2, 64, _heap_alloc, fault_plan=plan)
+        chans = MigrationChannels(2, 2, 64, _heap_alloc)
         parts = _tiny_population(8)
-        chans._step = 0
         with pytest.raises(ExchangeOverflowError) as err:
-            chans.ship(parts, np.arange(4), 0, RIGHT)
+            chans.ship(parts, np.arange(4), 0, RIGHT, step=0, plan=plan)
         assert err.value.context["injected"] is True
         assert err.value.context["step"] == 0
-
-    def test_unpublished_step_with_armed_plan_raises(self):
-        # The publish-before-ship contract is load-bearing; silently
-        # aliasing None to step 0 hid exactly the bug above.
-        plan = FaultPlan(
-            [FaultSpec(kind="overflow", step=5, shard=0, capacity=1)]
-        )
-        chans = MigrationChannels(2, 2, 64, _heap_alloc, fault_plan=plan)
-        parts = _tiny_population(8)
-        assert chans._step is None
-        with pytest.raises(ConfigurationError):
-            chans.ship(parts, np.arange(4), 0, RIGHT)
 
     def test_no_plan_needs_no_step(self):
         chans = MigrationChannels(2, 2, 64, _heap_alloc)

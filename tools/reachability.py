@@ -92,12 +92,14 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "parallel/backend.py:ShardWorker._crossed_two_slabs": (
         SAFETY, "typed error for a migrant past a neighbour's slab"),
     "parallel/backend.py:ShardWorker._inject_faults": (SAFETY, _FAULT),
-    "parallel/backend.py:ShardedBackend._raise_worker_error": (
-        SAFETY, "surfaces a worker's failure as a typed error"),
+    "parallel/backend.py:_note": (
+        SAFETY, "notes a shard's traceback or a second failed shard"),
+    "parallel/backend.py:_portable": (
+        SAFETY, "sends a forked shard's own exception down its pipe"),
+    "parallel/backend.py:ShardedBackend._pool_failed": (
+        SAFETY, "names a dead or silent worker pool as a typed error"),
     "parallel/backend.py:ShardedBackend._emergency_stop": (
         SAFETY, "tears the pool down after a worker failure"),
-    "parallel/exchange.py:MigrationChannels._published_step": (
-        SAFETY, "refuses an unpublished step for fault keying"),
     "resilience/faults.py:FaultSpec.__post_init__": (SAFETY, _FAULT),
     "resilience/faults.py:FaultSpec.to_dict": (SAFETY, _FAULT),
     "resilience/faults.py:FaultSpec.from_dict": (SAFETY, _FAULT),
@@ -332,8 +334,10 @@ def census(
     ``traffic()`` itself runs traced, so what importing the program
     calls (a registry filling up) counts.  Returns ``(all definitions,
     unreached definitions, item names, failures, changed files)``; a
-    failed item is reported by name and its traceback's last line, and
-    the census goes on (what it reached before failing still counts).
+    failed item is reported by name, its exit code or its traceback's
+    last line, and the notes its exception carries (a quiet item's
+    failing test ids, :func:`_quiet`), and the census goes on (what it
+    reached before failing still counts).
     With a ``spool`` directory, calls made in forked ``multiprocessing``
     children count as well.
 
@@ -354,10 +358,11 @@ def census(
             tracer.runfunc(item)
         except SystemExit as exc:
             if exc.code not in (None, 0):
-                failures.append(f"{name}: exit {exc.code}")
-        except Exception:  # noqa: BLE001 - recorded, census continues
-            last = traceback.format_exc().strip().splitlines()[-1]
-            failures.append(f"{name}: {last}")
+                failures.append(f"{name}: exit {exc.code}{_noted(exc)}")
+        except Exception as exc:  # noqa: BLE001 - recorded, census continues
+            last = traceback.format_exception_only(type(exc), exc)[0]
+            last = last.strip().splitlines()[-1]
+            failures.append(f"{name}: {last}{_noted(exc)}")
         finally:
             threading.settrace(None)
     called = {
@@ -389,12 +394,40 @@ def census(
 # -- the traffic -------------------------------------------------------------
 
 
+def _noted(exc: BaseException) -> str:
+    """The notes ``exc`` carries, as the tail of a failure row."""
+    return "".join(f" -- {note}" for note in getattr(exc, "__notes__", ()))
+
+
+def _failing_lines(output: str) -> str:
+    """What names a failure in an item's output: its pytest short-summary
+    ``FAILED ...`` / ``ERROR ...`` ids (from the repository root, not
+    the census's work directory), or else its last 5 lines."""
+    lines = [line.strip() for line in output.splitlines() if line.strip()]
+    here = os.path.relpath(ROOT) + os.sep
+    ids = [line.replace(here, "") for line in lines
+           if line.startswith(("FAILED ", "ERROR "))]
+    return " / ".join(ids or lines[-5:])
+
+
 def _quiet(fn: Callable[[], object]) -> Callable[[], object]:
-    """``fn`` with its standard output swallowed (reports, JSON lines)."""
+    """``fn`` with its standard output captured (reports, JSON lines).
+
+    A failed item's output goes to the census log (standard error) and
+    names the failure in a note on its exception.
+    """
 
     def run():
-        with contextlib.redirect_stdout(io.StringIO()):
-            return _checked(fn())
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                return _checked(fn())
+        except BaseException as exc:
+            sys.stderr.write(out.getvalue())
+            # ``add_note`` (Python 3.11), spelled for older ones too.
+            exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                             _failing_lines(out.getvalue())]
+            raise
 
     return run
 
