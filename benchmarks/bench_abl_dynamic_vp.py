@@ -65,10 +65,10 @@ def test_abl_dynamic_vp(benchmark, emit):
     rec.add(
         "final population (both engines)",
         None,
-        float(dynamic.state.n),
+        float(dynamic.particles.n),
     )
     emit(rec)
 
     # Physics identical; accounting cheaper.
     assert dynamic_cost < static_cost
-    assert dynamic.state.n == static.state.n
+    assert dynamic.particles.n == static.particles.n

@@ -50,7 +50,7 @@ def _measured_point(n_procs: int) -> float:
     sim = CMSimulation(cfg, machine=machine)
     sim.run(5)
     # Shared calibration: convert this machine's ledger with TM.
-    return TM.per_particle_us(sim.ledger, n_flow_particles=sim.state.n).total
+    return TM.per_particle_us(sim.ledger, n_flow_particles=sim.particles.n).total
 
 
 def _step_time_us(n_procs: int) -> float:

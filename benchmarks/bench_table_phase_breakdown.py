@@ -14,6 +14,7 @@ moved fraction.
 """
 
 import dataclasses
+import statistics
 import time
 
 import pytest
@@ -56,6 +57,10 @@ def test_table_phase_breakdown(benchmark, emit):
 
 HOST_KERNELS = ("counting", "incremental")
 
+#: Timed rounds per kernel; consecutive rounds swap which kernel runs
+#: first, so a drift of the host's speed falls on both alike.
+ROUNDS = 5
+
 
 @pytest.mark.slow
 def test_table_host_kernel_breakdown(emit):
@@ -67,6 +72,8 @@ def test_table_host_kernel_breakdown(emit):
     where the sort fraction should collapse.  The emitted record also
     carries the measured moved fraction (about half the population
     changes cell per step, which is why no order is kept across steps).
+    Each kernel is timed over :data:`ROUNDS` rounds of ``steps`` steps
+    and compared by its median round.
     """
     # sort_kernel is a config field, not a spec setting.
     base = WEDGE.build_config(lambda_mfp=0.5, density=20.0, seed=17)
@@ -74,18 +81,26 @@ def test_table_host_kernel_breakdown(emit):
     rec = ExperimentRecord(
         "TAB1-host", "host sort-kernel phase split + moved fraction"
     )
-    wall = {}
-    for kernel in HOST_KERNELS:
-        sim = Simulation(dataclasses.replace(base, sort_kernel=kernel))
+    sims = {
+        kernel: Simulation(dataclasses.replace(base, sort_kernel=kernel))
+        for kernel in HOST_KERNELS
+    }
+    for sim in sims.values():
         sim.run(5)
         sim.perf.reset()
-        moved = []
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            diag = sim.step()
-            if diag.sort_moved_fraction is not None:
-                moved.append(diag.sort_moved_fraction)
-        wall[kernel] = time.perf_counter() - t0
+    rounds = {kernel: [] for kernel in HOST_KERNELS}
+    moved = {kernel: [] for kernel in HOST_KERNELS}
+    for r in range(ROUNDS):
+        for kernel in HOST_KERNELS[:: 1 if r % 2 == 0 else -1]:
+            sim = sims[kernel]
+            t0 = time.perf_counter()
+            for _ in range(steps):
+                diag = sim.step()
+                if diag.sort_moved_fraction is not None:
+                    moved[kernel].append(diag.sort_moved_fraction)
+            rounds[kernel].append(time.perf_counter() - t0)
+    wall = {kernel: statistics.median(t) for kernel, t in rounds.items()}
+    for kernel, sim in sims.items():
         fractions = sim.perf.fractions()
         for phase in PHASES:
             rec.add(
@@ -95,11 +110,11 @@ def test_table_host_kernel_breakdown(emit):
                 rel_tol=0.5,
                 note="host kernel, informational",
             )
-        if moved:
+        if moved[kernel]:
             rec.add(
                 f"{kernel}: moved fraction (mean)",
                 None,
-                sum(moved) / len(moved),
+                sum(moved[kernel]) / len(moved[kernel]),
             )
     rec.add(
         "incremental speedup vs counting",
@@ -108,4 +123,4 @@ def test_table_host_kernel_breakdown(emit):
     )
     emit(rec)
     # The incremental kernel must actually beat the counting kernel.
-    assert wall["incremental"] < wall["counting"]
+    assert wall["incremental"] < wall["counting"], rounds

@@ -52,7 +52,7 @@ def main() -> None:
             f"{k}={v:4.2f}" for k, v in pb.us_per_particle.items()
         )
         print(
-            f"{vpr:4d} {sim.state.n:10d} {pb.total:12.2f} "
+            f"{vpr:4d} {sim.particles.n:10d} {pb.total:12.2f} "
             f"{model.total:9.2f}   {phases}"
         )
 

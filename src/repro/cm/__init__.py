@@ -12,13 +12,12 @@ This subpackage provides:
 * :mod:`~repro.cm.machine` -- the machine description and the
   virtual-processor geometry (block mapping of VPs to physical
   processors);
-* :mod:`~repro.cm.sort` -- stable key sort with a router cost model
-  that separates on-chip from off-chip traffic (the mechanism behind
-  the paper's Figure 7);
 * :mod:`~repro.cm.news` / :mod:`~repro.cm.cellmapped` -- the NEWS-grid
   neighbour exchange of the cells-to-processors mapping;
-* :mod:`~repro.cm.timing` -- the cost ledger and the calibrated
-  cycles-to-microseconds conversion;
+* :mod:`~repro.cm.timing` -- the cost ledger, whose router model
+  separates on-chip from off-chip traffic (the mechanism behind the
+  paper's Figure 7), and the calibrated cycles-to-microseconds
+  conversion;
 * :mod:`~repro.cm.mapping` -- the cells-to-processors versus
   particles-to-processors load-balance study from the paper's
   "Data Structure - Processor Mapping" section.

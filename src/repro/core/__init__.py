@@ -15,10 +15,10 @@ Algorithm"):
 with the reservoir (:mod:`~repro.core.reservoir`) and macroscopic
 sampling (:mod:`~repro.core.sampling`); what a cell is -- a unit
 square, or the unit cube of a z-periodic slab -- is the configured
-domain's business (:mod:`repro.geometry.domain3d`).  Two engines
-execute the same algorithm: the float64 NumPy reference engine
-(:mod:`~repro.core.engine_numpy`) and the fixed-point CM-2 emulation
-engine with cost accounting (:mod:`~repro.core.engine_cm`).
+domain's business (:mod:`repro.geometry.domain3d`).  One step runs
+both engines: the float64 reference and, with three fixed-point kernels
+swapped into its counting path, the CM-2 emulation engine with cost
+accounting (:mod:`~repro.core.engine_cm`).
 """
 
 from repro.core.particles import ParticleArrays

@@ -1,77 +1,228 @@
 """The Connection Machine emulation engine: fixed point + cost ledger.
 
-Runs the identical algorithm to :class:`repro.core.simulation.Simulation`
-but the way the paper ran it on the CM-2:
+:class:`CMSimulation` *is* :class:`repro.core.simulation.Simulation` on
+the counting path -- the same construction, the same step
+(:class:`~repro.core.simulation.SerialBackend`, ``step_stage1`` /
+``step_stage2``, ``collision_stage``'s physical sort and even/odd
+pairing) -- the way :class:`repro.ensemble.EnsembleEngine` is the same
+class over R blocks.  It runs the step the way the paper ran it on the
+CM-2, through three kernels (:class:`FixedPointKernels`):
 
-* the particle state lives in **Q8.23 fixed point** (int32 words);
-* the collision routine's divisions by two use truncating or
-  stochastically rounded halving (:meth:`repro.fixedpoint.QFormat.halve`)
-  -- the arithmetic whose energy behaviour the paper discusses;
-* the "quick but dirty" low-order bits of the state words drive the
-  sort-key mixing, the random transposition, the random signs and the
-  rounding bits, exactly the four uses the paper lists;
-* every primitive charges the :class:`repro.cm.timing.CostLedger`, with
-  communication volumes **measured from the actual send patterns**, so
-  the run produces the paper's phase breakdown and the Figure 7 curve.
+1. **The fixed-point state.**  The particle state is the paper's Q8.23
+   words, held in the ordinary float64 columns on the 2**-23 grid.  That
+   is exact: a Q8.23 word needs 31 significant bits and a float64 has
+   53, so motion's adds stay on the grid.  The boundary pass computes
+   its reflections and refills in float64; after it the rows are
+   rounded back onto the grid (the identity on every row that is on it
+   already) and indexed from the rounded positions.  Boundary arithmetic
+   has no systematic truncation hazard (no divides), so the physically
+   meaningful fixed-point effects -- collision truncation loss and its
+   stochastic-rounding fix -- stay bit-faithful.
+2. **Quick-and-dirty mix bits.**  The sort key's random digit is the
+   low-order bits of the position words
+   (:func:`repro.core.sortstep.sort_by_cell`'s ``mix_bits``), not a
+   stream draw.
+3. **The fixed-point collision.**  Eqs. (12)-(18) on the words of the
+   accepted adjacent pairs, with truncating or stochastically rounded
+   halving (:meth:`repro.fixedpoint.QFormat.halve`) -- the arithmetic
+   whose energy behaviour the paper discusses -- and the rounding bits,
+   the random signs and the random transposition read off the words.
 
-Emulation shortcut (documented, deliberate): boundary reflections are
-computed in float64 on decoded values and re-encoded.  Re-encoding
-rounds to the same 2**-23 grid the fixed-point pass would produce, and
-boundary arithmetic has no systematic truncation hazard (no divides), so
-the physically meaningful fixed-point effects -- collision truncation
-loss and its stochastic-rounding fix -- remain bit-faithful while the
-geometry code is shared with the reference engine.
+The low-order bits serve exactly the four uses the paper lists.  Every
+kernel charges the :class:`repro.cm.timing.CostLedger` for what it
+executes, with communication volumes **measured from the actual send
+patterns**, so the run produces the paper's phase breakdown and the
+Figure 7 curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.cm.machine import CM2
-from repro.cm.sort import sort_by_key
 from repro.cm.timing import CM2TimingModel, CostLedger, CostModel, PhaseBreakdown
 from repro.constants import PAPER_CM2_PROCESSORS
-from repro.core.boundary import WindTunnelBoundaries
-from repro.core.cells import cell_populations, randomized_sort_keys
-from repro.core.pairing import even_odd_pairs
+from repro.core.boundary import BoundaryStats
+from repro.core.cells import assign_cells, randomized_sort_keys
 from repro.core.particles import ParticleArrays
 from repro.core.permutation import apply_permutation
-from repro.core.sampling import CellSampler
-from repro.core.selection import collision_probabilities
-from repro.core.simulation import SimulationConfig
+from repro.core.simulation import Simulation, SimulationConfig
+from repro.core.sortstep import sort_by_cell
 from repro.errors import ConfigurationError
 from repro.fixedpoint.qformat import Q8_23, QFormat, quick_dirty_bits
 from repro.rng import make_rng
 
-
-@dataclass
-class CMState:
-    """Fixed-point mirror of the particle state (int32 words)."""
-
-    xq: np.ndarray
-    yq: np.ndarray
-    uq: np.ndarray
-    vq: np.ndarray
-    wq: np.ndarray
-    rotq: np.ndarray  # (n, rdof)
-    perm: np.ndarray
-    cell: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.xq.shape[0]
+#: Width of the emulated machine's words, the unit of every charge.
+WORD_BITS = 32
 
 
-class CMSimulation:
+class FixedPointKernels:
+    """The CM-2's kernels of the counting path (the module note's three).
+
+    :func:`repro.core.simulation.collision_stage` calls :meth:`sort` and
+    :meth:`collide` in place of the reference's sort and collision, and
+    ``step_stage1`` calls :meth:`bound` after the boundary pass.  Each
+    charges ``ledger`` at the VP set of the rows it works on
+    (:meth:`geometry`); :meth:`collide`, the step's last, closes the
+    ledger's step.
+
+    ``static_vps`` is the VP-set size a static configuration holds
+    (``None``: the set follows the live population).
+    """
+
+    def __init__(
+        self,
+        config: SimulationConfig,
+        machine: CM2,
+        qformat: QFormat,
+        halve_mode: str,
+        ledger: CostLedger,
+        static_vps: Optional[int],
+    ) -> None:
+        self.domain = config.domain
+        self.sort_scale = config.sort_scale
+        self.q = qformat
+        self.halve_mode = halve_mode
+        self.machine = machine
+        self.ledger = ledger
+        self.static_vps = static_vps
+
+    def geometry(self, n: int):
+        """The VP set of ``n`` live rows under the VP policy."""
+        return self.machine.geometry(max(n, self.static_vps or 0, 1))
+
+    def to_grid(self, parts: ParticleArrays) -> None:
+        """Round the float columns onto the grid, then index the rows."""
+        for col in (parts.x, parts.y, parts.u, parts.v, parts.w, parts.rot):
+            col[...] = self.q.decode(self.q.encode(col))
+        assign_cells(parts, self.domain)
+
+    def bound(self, parts: ParticleArrays, bstats: BoundaryStats) -> None:
+        """Finish the boundary pass on the grid; charge the motion phase
+        at the VP set of the rows that moved."""
+        self.to_grid(parts)
+        moved = (
+            parts.n + bstats.n_removed_downstream - bstats.n_injected_upstream
+        )
+        cost = CostModel(self.geometry(moved), self.ledger)
+        with self.ledger.phase("motion"):
+            cost.elementwise(bits=WORD_BITS, nops=2)  # the position adds
+            cost.elementwise(bits=WORD_BITS, nops=14)  # predicates, reflections
+
+    def sort(self, parts: ParticleArrays, step: int) -> np.ndarray:
+        """The scaled-key sort, mixed by the position words' low bits;
+        returns the per-cell counts.
+
+        Charges the cell index and the key, the radix ranking over the
+        largest key's width, and the permutation of the nine-word state
+        through the router, whose off-chip share is measured from the
+        order (the sends ``order[r] -> r``).
+        """
+        mix = self._bits(
+            self.q.encode(parts.x) ^ self.q.encode(parts.y), 8, 1, step
+        )
+        res = sort_by_cell(
+            parts, scale=self.sort_scale, mix_bits=mix,
+            n_cells=self.domain.n_cells,
+        )
+        n = parts.n
+        key_bits = 1
+        if n:
+            # The sorted population's last row holds the largest key.
+            top = randomized_sort_keys(
+                parts.cell[-1:], scale=self.sort_scale,
+                mix_bits=mix[res.order[-1:]],
+            )
+            key_bits = max(int(top[0]).bit_length(), 1)
+        cost = CostModel(self.geometry(n), self.ledger)
+        with self.ledger.phase("sort"):
+            cost.elementwise(bits=WORD_BITS, nops=4)  # the cell index
+            cost.elementwise(bits=WORD_BITS, nops=3)  # key scaling + mixing
+            cost.sort_rank(key_bits=key_bits)
+            cost.route(res.order, np.arange(n), payload_bits=9 * WORD_BITS)
+        return res.counts
+
+    def collide(
+        self, parts: ParticleArrays, accepted: np.ndarray, step: int
+    ) -> None:
+        """Eqs. (12)-(18) in fixed point on the accepted adjacent pairs
+        (pair ``i`` is rows ``2i`` and ``2i + 1``); charges the selection
+        that chose them and the collision, then closes the step."""
+        cost = CostModel(self.geometry(parts.n), self.ledger)
+        with self.ledger.phase("selection"):
+            cost.scan(bits=WORD_BITS, nscans=2)  # the cell populations
+            cost.elementwise(bits=WORD_BITS, nops=14)  # density, probability
+            cost.pair_exchange(payload_bits=WORD_BITS)  # partner's cell
+        with self.ledger.phase("collision"):
+            cost.pair_exchange(payload_bits=5 * WORD_BITS)
+            cost.elementwise(bits=WORD_BITS, nops=40)
+            if accepted.size:
+                self._collide(parts, 2 * accepted, 2 * accepted + 1, step)
+        self.ledger.end_step()
+
+    def _collide(self, parts, a, b, step: int) -> None:
+        q, mode = self.q, self.halve_mode
+        n = a.shape[0]
+        cols = [parts.u, parts.v, parts.w] + [
+            parts.rot[:, j] for j in range(parts.rot.shape[1])
+        ]
+        k = len(cols)
+        words_a = [q.encode(col[a]) for col in cols]
+        words_b = [q.encode(col[b]) for col in cols]
+        xa, yb = q.encode(parts.x[a]), q.encode(parts.y[b])
+
+        means = np.empty((n, k), dtype=np.int32)
+        halves = np.empty((n, k), dtype=np.int32)
+        for j, (wa, wb) in enumerate(zip(words_a, words_b)):
+            # The divisions by two of eqs. (12)-(15): the truncation
+            # hazard.  Rounding bits come from the quick & dirty stream.
+            rb_mean = self._bits(xa, 1, 10 + 2 * j, step)
+            rb_half = self._bits(yb, 1, 11 + 2 * j, step)
+            means[:, j] = q.halve(q.add(wa, wb), mode=mode, rand_bits=rb_mean)
+            halves[:, j] = q.halve(q.sub(wa, wb), mode=mode, rand_bits=rb_half)
+
+        # Permute by the first partner's permutation vector; random signs
+        # from the quick & dirty stream.
+        h_new = apply_permutation(halves, parts.perm[a])
+        signs = np.stack(
+            [self._bits(words_b[0], 1, 30 + j, step) for j in range(k)], axis=1
+        )
+        h_new = np.where(signs == 1, h_new, -h_new).astype(np.int32)
+
+        # Reconstruct: mean +- permuted half-relative (adds, exact).
+        new_a, new_b = q.add(means, h_new), q.sub(means, h_new)
+        for j, col in enumerate(cols):
+            col[a] = q.decode(new_a[:, j])
+            col[b] = q.decode(new_b[:, j])
+
+        # One random transposition of each partner's permutation vector,
+        # drawn from its new v word.
+        _swap_with_first(parts.perm, a, self._bits(new_a[:, 1], 3, 50, step) % k)
+        _swap_with_first(parts.perm, b, self._bits(new_b[:, 1], 3, 51, step) % k)
+
+    @staticmethod
+    def _bits(words: np.ndarray, nbits: int, salt: int, step: int) -> np.ndarray:
+        """Low-order-bit draws, salted by a counter (``salt`` plus the
+        completed-step count) so repeated reads of the same word
+        decorrelate."""
+        salted = np.asarray(words, dtype=np.int64) + 0x9E37 * (salt + step)
+        return quick_dirty_bits(salted & 0x7FFFFFFF, nbits, shift=1)
+
+
+class CMSimulation(Simulation):
     """Wind-tunnel run on the emulated CM-2.
+
+    A :class:`~repro.core.simulation.Simulation` on the counting path
+    whose kernels are :class:`FixedPointKernels` (``kernels``); the cost
+    ledger is ``ledger``.
 
     Parameters
     ----------
     config:
-        Same configuration object as the reference engine.
+        Same configuration object as the reference engine (its
+        ``sort_kernel`` is not read: the machine sorts every step).
     machine:
         CM-2 description (defaults to the paper's 32k processors; scaled
         studies pass smaller machines so scaled particle counts cover
@@ -122,254 +273,30 @@ class CMSimulation:
                 "domain does not fit the fixed-point integer range; "
                 "use a wider format or smaller domain"
             )
-        self.config = config
-        self.machine = machine or CM2(n_processors=PAPER_CM2_PROCESSORS)
-        self.halve_mode = halve_mode
-        self.q = qformat
+        super().__init__(config)
+        # The step stream starts over at the seed rather than continuing
+        # the one that seeded the population: the CM run's realization.
         self.rng = make_rng(config.seed)
-        self.ledger = CostLedger()
-        self.step_count = 0
-
-        # Shared substrate with the reference engine.
-        self.volume_fractions = config.domain.open_volume_fractions(
-            config.wedge
-        )
-        self._vf_flat = self.volume_fractions.reshape(-1)
-        self.boundaries = WindTunnelBoundaries.from_config(config)
-        self.sampler = CellSampler(config.domain, self.volume_fractions)
-
-        # Seed through the reference seeding path, then encode.
-        from repro.core.simulation import Simulation  # avoid cycle at import
-
-        ref = Simulation(config)
-        self.reservoir = ref.reservoir
-        self.state = self._encode(ref.particles)
-
-        self.dynamic_vp = dynamic_vp
+        self.sort_state = None  # the counting path
         if vp_capacity is None:
-            vp_capacity = int(1.3 * self.state.n)
+            vp_capacity = int(1.3 * self.particles.n)
         if vp_capacity < 1:
             raise ConfigurationError("vp_capacity must be positive")
         self.vp_capacity = vp_capacity
-
-    def _geometry(self, n: int):
-        """The step's VP geometry under the configured VP policy."""
-        if self.dynamic_vp:
-            return self.machine.geometry(max(n, 1))
-        return self.machine.geometry(max(n, self.vp_capacity, 1))
-
-    # -- representation round-trips ----------------------------------------
-
-    def _encode(self, parts: ParticleArrays) -> CMState:
-        return CMState(
-            xq=self.q.encode(parts.x),
-            yq=self.q.encode(parts.y),
-            uq=self.q.encode(parts.u),
-            vq=self.q.encode(parts.v),
-            wq=self.q.encode(parts.w),
-            rotq=self.q.encode(parts.rot),
-            perm=parts.perm.copy(),
-            cell=parts.cell.copy(),
+        self.machine = machine or CM2(n_processors=PAPER_CM2_PROCESSORS)
+        self.ledger = CostLedger()
+        self.kernels = FixedPointKernels(
+            config, self.machine, qformat, halve_mode, self.ledger,
+            None if dynamic_vp else vp_capacity,
         )
-
-    def _decode(self, state: CMState) -> ParticleArrays:
-        return ParticleArrays(
-            x=self.q.decode(state.xq),
-            y=self.q.decode(state.yq),
-            u=self.q.decode(state.uq),
-            v=self.q.decode(state.vq),
-            w=self.q.decode(state.wq),
-            rot=self.q.decode(state.rotq),
-            perm=state.perm,
-            cell=state.cell,
-        )
-
-    @property
-    def particles(self) -> ParticleArrays:
-        """Decoded (float) view of the current fixed-point state."""
-        return self._decode(self.state)
-
-    def total_energy(self) -> float:
-        """Total (translational + rotational) energy, decoded."""
-        p = self.particles
-        return p.total_energy()
-
-    # -- quick & dirty randomness ---------------------------------------------
-
-    def _qd_bits(self, words: np.ndarray, nbits: int, salt: int) -> np.ndarray:
-        """Low-order-bit draws, salted by a counter so repeated reads of
-        the same word within a step decorrelate."""
-        salted = np.asarray(words, dtype=np.int64) + 0x9E37 * (
-            salt + self.step_count
-        )
-        return quick_dirty_bits(salted & 0x7FFFFFFF, nbits, shift=1)
-
-    # -- one time step -----------------------------------------------------
-
-    def step(self, sample: bool = False) -> dict:
-        """Advance one step; returns a small diagnostics dict."""
-        cfg = self.config
-        st = self.state
-        geom = self._geometry(st.n)
-        cost = CostModel(geom, self.ledger)
-
-        # ---- 1+2) motion + boundaries -----------------------------------
-        with self.ledger.phase("motion"):
-            st.xq = self.q.add(st.xq, st.uq)
-            st.yq = self.q.add(st.yq, st.vq)
-            cost.elementwise(bits=32, nops=2)
-
-            parts = self._decode(st).enable_scratch()
-            parts, bstats = self.boundaries.apply_rebuilding(
-                parts, self.reservoir, self.rng
-            )
-            st = self._encode(parts)
-            cost.elementwise(bits=32, nops=14)  # predicates + reflections
-
-        geom = self._geometry(st.n)
-        cost = CostModel(geom, self.ledger)
-
-        # ---- 3) selection of collision partners -------------------------
-        with self.ledger.phase("sort"):
-            # Cell index from fixed-point positions (integer part).
-            ix = np.clip(st.xq >> self.q.frac_bits, 0, cfg.domain.nx - 1)
-            iy = np.clip(st.yq >> self.q.frac_bits, 0, cfg.domain.ny - 1)
-            st.cell = ix.astype(np.int64) * cfg.domain.ny + iy.astype(np.int64)
-            cost.elementwise(bits=32, nops=4)
-
-            # Quick-and-dirty sort-key mixing from position low bits.
-            mix = self._qd_bits(st.xq ^ st.yq, 8, salt=1)
-            keys = randomized_sort_keys(
-                st.cell, scale=cfg.sort_scale, mix_bits=mix
-            )
-            cost.elementwise(bits=32, nops=3)
-            key_bits = max(int(keys.max()).bit_length(), 1) if keys.size else 1
-            res = sort_by_key(
-                keys, geometry=geom, cost=cost, key_bits=key_bits,
-                payload_bits=9 * 32,
-            )
-            order = res.order
-            for col in ("xq", "yq", "uq", "vq", "wq", "rotq", "perm", "cell"):
-                setattr(st, col, getattr(st, col)[order])
-            sort_offchip = res.offchip_fraction
-
-        with self.ledger.phase("selection"):
-            pairs = even_odd_pairs(st.cell)
-            counts = cell_populations(st.cell, cfg.domain.n_cells)
-            cost.scan(bits=32, nscans=2)
-            parts_view = self._decode(st)
-            prob, _g = collision_probabilities(
-                parts_view, pairs, cfg.freestream, cfg.model, counts,
-                volume_fractions=self._vf_flat,
-            )
-            cost.elementwise(bits=32, nops=14)
-            cost.pair_exchange(payload_bits=32)
-            draws = self.rng.random(pairs.n_pairs)
-            accept = draws < prob
-
-        # ---- 4) collision in fixed point ---------------------------------
-        with self.ledger.phase("collision"):
-            n_coll = self._collide_fixed(st, pairs.first[accept],
-                                         pairs.second[accept], cost)
-
-        if cfg.reservoir_mix_rounds:
-            self.reservoir.mix(self.rng, rounds=cfg.reservoir_mix_rounds)
-
-        self.state = st
-        self.step_count += 1
-        self.ledger.end_step()
-        if sample:
-            self.sampler.accumulate(self.particles)
-        return {
-            "step": self.step_count,
-            "n_flow": st.n,
-            "n_reservoir": self.reservoir.size,
-            "n_collisions": int(n_coll),
-            "sort_offchip_fraction": float(sort_offchip),
-            "total_energy": self.total_energy(),
-        }
-
-    def run(self, n_steps: int, sample: bool = False) -> dict:
-        """Advance ``n_steps`` steps; returns the last step's dict."""
-        if n_steps <= 0:
-            raise ConfigurationError("n_steps must be positive")
-        out = {}
-        for _ in range(n_steps):
-            out = self.step(sample=sample)
-        return out
-
-    # -- the fixed-point collision kernel ------------------------------------
-
-    def _collide_fixed(
-        self,
-        st: CMState,
-        first: np.ndarray,
-        second: np.ndarray,
-        cost: CostModel,
-    ) -> int:
-        """Eqs. (12)-(18) in Q8.23 with the configured halving mode."""
-        a = np.asarray(first)
-        b = np.asarray(second)
-        n = a.shape[0]
-        cost.pair_exchange(payload_bits=5 * 32)
-        cost.elementwise(bits=32, nops=40)
-        if n == 0:
-            return 0
-        k = 3 + st.rotq.shape[1]
-        q = self.q
-        mode = self.halve_mode
-
-        cols_a = [st.uq[a], st.vq[a], st.wq[a]] + [
-            st.rotq[a, j] for j in range(st.rotq.shape[1])
-        ]
-        cols_b = [st.uq[b], st.vq[b], st.wq[b]] + [
-            st.rotq[b, j] for j in range(st.rotq.shape[1])
-        ]
-
-        means = np.empty((n, k), dtype=np.int32)
-        halves = np.empty((n, k), dtype=np.int32)
-        for j, (ca, cb) in enumerate(zip(cols_a, cols_b)):
-            # The divisions by two of eqs. (12)-(15): the truncation
-            # hazard.  Rounding bits come from the quick & dirty stream.
-            rb_mean = self._qd_bits(st.xq[a], 1, salt=10 + 2 * j)
-            rb_half = self._qd_bits(st.yq[b], 1, salt=11 + 2 * j)
-            means[:, j] = q.halve(q.add(ca, cb), mode=mode, rand_bits=rb_mean)
-            halves[:, j] = q.halve(q.sub(ca, cb), mode=mode, rand_bits=rb_half)
-
-        # Permute by the first partner's permutation vector; random signs
-        # from the quick & dirty stream.
-        h_new = apply_permutation(halves, st.perm[a])
-        sign_bits = np.empty((n, k), dtype=np.int32)
-        for j in range(k):
-            sign_bits[:, j] = self._qd_bits(st.uq[b], 1, salt=30 + j)
-        h_new = np.where(sign_bits == 1, h_new, -h_new).astype(np.int32)
-
-        # Reconstruct: mean +- permuted half-relative (adds, exact).
-        st.uq[a] = q.add(means[:, 0], h_new[:, 0])
-        st.uq[b] = q.sub(means[:, 0], h_new[:, 0])
-        st.vq[a] = q.add(means[:, 1], h_new[:, 1])
-        st.vq[b] = q.sub(means[:, 1], h_new[:, 1])
-        st.wq[a] = q.add(means[:, 2], h_new[:, 2])
-        st.wq[b] = q.sub(means[:, 2], h_new[:, 2])
-        for j in range(st.rotq.shape[1]):
-            st.rotq[a, j] = q.add(means[:, 3 + j], h_new[:, 3 + j])
-            st.rotq[b, j] = q.sub(means[:, 3 + j], h_new[:, 3 + j])
-
-        # One random transposition of each partner's permutation vector.
-        ja = self._qd_bits(st.vq[a], 3, salt=50) % k
-        jb = self._qd_bits(st.vq[b], 3, salt=51) % k
-        _swap_with_first(st.perm, a, ja)
-        _swap_with_first(st.perm, b, jb)
-        return n
-
-    # -- timing results ---------------------------------------------------------
+        self.kernels.to_grid(self.particles)
 
     def phase_breakdown(
         self, timing_model: Optional[CM2TimingModel] = None
     ) -> PhaseBreakdown:
         """Microseconds/particle/step by phase via the calibrated model."""
         tm = timing_model or CM2TimingModel(machine=self.machine)
-        return tm.per_particle_us(self.ledger, n_flow_particles=max(self.state.n, 1))
+        return tm.per_particle_us(self.ledger, n_flow_particles=max(self.particles.n, 1))
 
 
 def _swap_with_first(perm: np.ndarray, rows: np.ndarray, js: np.ndarray) -> None:

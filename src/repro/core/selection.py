@@ -205,9 +205,10 @@ def select_collisions(
 ) -> SelectionResult:
     """Apply the selection rule: probability, then an acceptance draw.
 
-    ``draws`` lets the CM engine supply its own uniform numbers (from
-    the quick-and-dirty bit stream); otherwise ``rng`` provides them.
-    At lambda = 0 every candidate collides and nothing is drawn.
+    ``draws`` holds the pairs' uniforms when the caller has drawn them
+    (the counting path fills a pooled buffer from its stream);
+    otherwise ``rng`` provides them.  At lambda = 0 every candidate
+    collides and nothing is drawn.
     """
     prob, _ = collision_probabilities(
         particles, pairs, freestream, model, cell_counts, volume_fractions

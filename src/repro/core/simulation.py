@@ -10,8 +10,8 @@ after the transient.
 This driver *is* the physics-reference ("float64") engine, over one
 block or R (the replica ensemble, :mod:`repro.ensemble`, is this class
 with a keyed stream source); the CM-2 emulation engine
-(:mod:`repro.core.engine_cm`) runs the identical loop in fixed point
-with cost accounting.
+(:mod:`repro.core.engine_cm`) is this class on the counting path with
+three fixed-point kernels swapped in (``kernels``).
 """
 
 from __future__ import annotations
@@ -436,6 +436,7 @@ def collision_stage(
     rng,
     sorter,
     step: int,
+    kernels=None,
 ) -> CollisionStageResult:
     """Sort, pair, select and collide a population of blocks.
 
@@ -459,7 +460,11 @@ def collision_stage(
     * ``None`` (``"counting"``, one block) -- the paper's scheme:
       physically counting-sort the population with randomized
       intra-cell order, pair even/odd neighbours, select, collide
-      adjacent rows.
+      adjacent rows.  ``kernels`` (``None``: the reference's) swaps in
+      the sort (``kernels.sort(parts, step)``, returning the per-cell
+      counts) and the collision of the accepted pairs
+      (``kernels.collide(parts, accepted, step)``): the CM-2 engine's
+      fixed-point set, :class:`repro.core.engine_cm.FixedPointKernels`.
 
     Every random number of a block comes from its stream in a fixed
     order, so two callers handing in the same block and stream state
@@ -500,12 +505,15 @@ def collision_stage(
         # One kernel yields the sorted order *and* the per-cell
         # histogram the selection rule needs (no separate bincount).
         t_index = t0
-        counts = sort_by_cell(
-            parts,
-            rng=rng,
-            scale=config.sort_scale,
-            n_cells=config.domain.n_cells,
-        ).counts
+        if kernels is None:
+            counts = sort_by_cell(
+                parts,
+                rng=rng,
+                scale=config.sort_scale,
+                n_cells=config.domain.n_cells,
+            ).counts
+        else:
+            counts = kernels.sort(parts, step)
         t_sort = time.perf_counter()
         pairs = even_odd_pairs(parts.cell, scratch=parts.scratch)
         draws = None
@@ -525,12 +533,16 @@ def collision_stage(
         t_selection = time.perf_counter()
         # Sorted even/odd pairs are adjacent rows: collide contiguous
         # two-row blocks instead of gather/scatter by address.
-        collide_adjacent_pairs(
-            parts,
-            np.flatnonzero(selection.accept),
-            rng=rng,
-            internal_exchange_probability=exchange_probability,
-        )
+        accepted = np.flatnonzero(selection.accept)
+        if kernels is None:
+            collide_adjacent_pairs(
+                parts,
+                accepted,
+                rng=rng,
+                internal_exchange_probability=exchange_probability,
+            )
+        else:
+            kernels.collide(parts, accepted, step)
         n_pairs_total = pairs.n_pairs
         n_candidates = pairs.n_candidates
         n_collisions = selection.n_collisions
@@ -551,7 +563,7 @@ def collision_stage(
     )
 
 
-def step_stage1(sim, rng, sample: bool) -> BoundaryStats:
+def step_stage1(sim, rng, sample: bool, kernels=None) -> BoundaryStats:
     """Stage 1 of the step: collisionless motion, indexing, boundaries.
 
     ``sim`` is :class:`Simulation`-shaped -- the whole run, or a shard
@@ -562,7 +574,9 @@ def step_stage1(sim, rng, sample: bool) -> BoundaryStats:
     Surface loads accumulate only during sampling steps; each block's
     exits, refill and surface hits go to its own reservoir block,
     stream and sampler.  Stage 1 may rebuild ``sim.particles``; it
-    leaves the cell column current.
+    leaves the cell column current.  ``kernels`` (see
+    :func:`collision_stage`) may finish the boundary pass:
+    ``kernels.bound(sim.particles, bstats)``.
 
     A shard exchanges its boundary-crossers between the two stages;
     that is the only point of the step that needs a barrier.
@@ -574,20 +588,22 @@ def step_stage1(sim, rng, sample: bool) -> BoundaryStats:
         sim.particles, bstats = sim.boundaries.apply_rebuilding(
             sim.particles, sim.reservoir, rng, indexed=True
         )
+        if kernels is not None:
+            kernels.bound(sim.particles, bstats)
     return bstats
 
 
 def step_stage2(
-    sim, rng, step: int, bstats: BoundaryStats, sample: bool
+    sim, rng, step: int, bstats: BoundaryStats, sample: bool, kernels=None
 ) -> Tuple[StepDiagnostics, CollisionStageResult]:
     """Stage 2 of the step: collide, mix the reservoir, sample.
 
     Runs :func:`collision_stage` on ``sim.particles`` (``step`` is the
-    completed-step count that keys the re-sort schedule), the
-    reservoir's self-collisions (when ``sim`` has a reservoir and
-    ``reservoir_mix_rounds``), and on sampling steps the sampler, the
-    surface samplers and the probes; then closes the step in
-    ``sim.perf``.  Returns the step's diagnostics (numbered ``step +
+    completed-step count that keys the re-sort schedule; ``kernels`` as
+    there), the reservoir's self-collisions (when ``sim`` has a
+    reservoir and ``reservoir_mix_rounds``), and on sampling steps the
+    sampler, the surface samplers and the probes; then closes the step
+    in ``sim.perf``.  Returns the step's diagnostics (numbered ``step +
     1``) and the collision counters behind them, which a shard packs
     into its diagnostics row (:func:`pack_diagnostics`).
     """
@@ -595,7 +611,7 @@ def step_stage2(
     parts = sim.particles
     perf = sim.perf
     stage = collision_stage(
-        parts, cfg, sim._vf_flat, rng, sim.sort_state, step
+        parts, cfg, sim._vf_flat, rng, sim.sort_state, step, kernels
     )
     perf.record_spans(stage.spans())
 
@@ -680,8 +696,10 @@ class SerialBackend:
     def step(self, sim: "Simulation", sample: bool = False) -> StepDiagnostics:
         """Advance ``sim`` by one time step, over one block or R."""
         rng = sim.streams(sim.step_count + 1)
-        bstats = step_stage1(sim, rng, sample)
-        diag, _ = step_stage2(sim, rng, sim.step_count, bstats, sample)
+        bstats = step_stage1(sim, rng, sample, sim.kernels)
+        diag, _ = step_stage2(
+            sim, rng, sim.step_count, bstats, sample, sim.kernels
+        )
         sim.step_count += 1
         return diag
 
@@ -717,6 +735,11 @@ class Simulation:
     :class:`repro.ensemble.EnsembleEngine` is: this class with the
     stream source keyed per replica.
     """
+
+    #: The counting path's swappable kernels (:func:`collision_stage`):
+    #: ``None`` runs the reference's own; the CM-2 engine sets its
+    #: fixed-point set.
+    kernels = None
 
     def __init__(
         self,

@@ -29,10 +29,11 @@ of ``m`` particles), and tied words keep row order.  The histogram
 (``counts``) is read off the sorted population by binary search, so
 the step loop pays no separate ``cell_populations`` bincount.
 
-The CM engine supplies explicit ``mix_bits`` instead of an rng; that
-path keeps the paper's literal ``cell * scale + bits`` key (narrowed
-when it fits) so the emulated sort order is bit-identical to the seed
-implementation.
+The CM-2 engine's sort kernel supplies ``mix_bits`` (the low-order
+bits of its position words) instead of an rng; that path sorts the
+paper's literal ``cell * scale + bits`` key, stable and narrowed to
+16 bits when it fits, and the kernel charges the machine's radix sort
+for it (:class:`repro.core.engine_cm.FixedPointKernels`).
 
 **The indexed kernel** (:class:`IncrementalSorter`, the default) builds
 the same cell-contiguous order every step as a permutation and lets the

@@ -165,7 +165,17 @@ def save_simulation(
     truncation fault cuts the written archive in half so the restore
     path (and the supervisor's checkpoint fallback) can be tested
     against a realistic torn write.
+
+    A CM-2 emulation run is refused (:class:`ConfigurationError`): the
+    archive holds neither its fixed-point kernels nor its cost ledger,
+    so it would restore as the float engine.
     """
+    if sim.kernels is not None:
+        raise ConfigurationError(
+            "a CM-2 emulation run cannot be checkpointed: the archive "
+            "holds no fixed-point kernels or cost ledger, so it would "
+            "restore as the float engine"
+        )
     sim.gather()
     # The stateless key of the per-shard and per-replica RNG streams.
     # -1 marks a seed that cannot be serialized (a live Generator /

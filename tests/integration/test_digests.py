@@ -5,6 +5,8 @@ after 60 steps (30 transient + 30 sampled, several plunger refills) of
 one run per execution mode.  The other modes land on those rows: forked
 shard workers, a supervised run recovered from a fault, stopped and
 resumed, and each block of an ensemble row (its solo replica's digest).
+A CM-2 row (``cm_*``) pins the digest and, after it, a sha256 of the
+run's cost ledger (:func:`digest`).
 A PR that means to change a realization regenerates exactly the rows it
 names, on its own commit::
 
@@ -14,6 +16,8 @@ Bit streams and summation order are NumPy's, so the file records the
 NumPy ``major.minor`` that wrote it and the test skips on any other.
 """
 
+import dataclasses
+import hashlib
 import json
 import pathlib
 import sys
@@ -22,6 +26,8 @@ from typing import Tuple
 import numpy as np
 import pytest
 
+from repro.cm.machine import CM2
+from repro.core.engine_cm import CMSimulation
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sortstep import RESORT_PERIOD
 from repro.ensemble.engine import EnsembleEngine, verify_replica_equality
@@ -79,6 +85,13 @@ CASES = {
     "ensemble_r3_maxwell": lambda: EnsembleEngine(
         _wedge(4.0, **WALLS["maxwell"]), n_replicas=3
     ),
+    "cm_q8_23": lambda: CMSimulation(_wedge(), machine=CM2(n_processors=256)),
+    # An empty tunnel at VP ratio 1 on a VP set held at its capacity.
+    "cm_q8_23_truncate_static": lambda: CMSimulation(
+        dataclasses.replace(_wedge(), wedge=None),
+        machine=CM2(n_processors=16384), halve_mode="truncate",
+        dynamic_vp=False,
+    ),
 }
 
 
@@ -93,9 +106,19 @@ def scheduled(engine):
     return engine
 
 
+def digest(engine) -> str:
+    """:func:`state_digest`; a CM-2 run's is followed by a sha256 of its
+    cost ledger."""
+    state = state_digest(engine)
+    if not isinstance(engine, CMSimulation):
+        return state
+    ledger = json.dumps(engine.ledger.as_dict(), sort_keys=True)
+    return f"{state} {hashlib.sha256(ledger.encode()).hexdigest()}"
+
+
 def run_case(name: str) -> str:
     with CASES[name]() as engine:
-        return state_digest(scheduled(engine))
+        return digest(scheduled(engine))
 
 
 def run_supervised_resumed(name: str, run_dir) -> Tuple[str, int]:

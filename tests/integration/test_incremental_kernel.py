@@ -142,10 +142,13 @@ class TestStatisticalEquivalence:
         assert cross > noise_floor - 0.05
 
 
-def _materialise_all_stage(parts, config, vf_flat, rng, sorter, step):
+def _materialise_all_stage(
+    parts, config, vf_flat, rng, sorter, step, kernels=None
+):
     """``collision_stage`` on the indexed kernel, spelled as its oracle:
     materialise every reflection pair, apply the selection rule to all
-    of them, collide the accepted ones with ``collide_pairs``."""
+    of them, collide the accepted ones with ``collide_pairs``
+    (``kernels``, the counting path's, has no part in it)."""
     assign_cells(parts, config.domain)
     sorter.detect(parts)
     sres = sorter.update(parts, step)

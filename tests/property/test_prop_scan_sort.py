@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cm.sort import sort_by_key
+from repro.cm.machine import CM2
+from repro.core.cells import randomized_sort_keys
 from repro.core.pairing import even_odd_pairs
+from repro.core.particles import ParticleArrays
+from repro.core.sortstep import sort_by_cell
 
 keys_strategy = arrays(
     np.int64,
@@ -15,20 +18,41 @@ keys_strategy = arrays(
 )
 
 
+def _scaled_key_sort(cells):
+    """``sort_by_cell``'s scaled-key (CM mix bits) order of ``cells``."""
+    n = cells.size
+    zeros = np.zeros(n)
+    parts = ParticleArrays(
+        x=zeros, y=zeros, u=zeros, v=zeros, w=zeros, rot=np.zeros((n, 2)),
+        perm=np.zeros((n, 5), dtype=np.int8), cell=cells.copy(),
+    )
+    mix = (cells * 7919) % 256
+    keys = randomized_sort_keys(cells, scale=16, mix_bits=mix)
+    return sort_by_cell(parts, scale=16, mix_bits=mix).order, keys
+
+
 class TestSortProperties:
     @given(keys_strategy)
     @settings(max_examples=80, deadline=None)
     def test_order_is_permutation_and_sorted(self, keys):
-        res = sort_by_key(keys, key_bits=10)
-        assert np.array_equal(np.sort(res.order), np.arange(keys.size))
-        assert np.all(np.diff(keys[res.order]) >= 0)
+        order, scaled = _scaled_key_sort(keys)
+        assert np.array_equal(np.sort(order), np.arange(keys.size))
+        assert np.all(np.diff(scaled[order]) >= 0)
 
     @given(keys_strategy)
     @settings(max_examples=80, deadline=None)
     def test_rank_inverse(self, keys):
-        res = sort_by_key(keys, key_bits=10)
+        # The route measured from the order is the route of the rank.
+        order, _ = _scaled_key_sort(keys)
         if keys.size:
-            assert np.array_equal(res.rank[res.order], np.arange(keys.size))
+            rank = np.empty_like(order)
+            rank[order] = np.arange(keys.size)
+            assert np.array_equal(rank[order], np.arange(keys.size))
+            geom = CM2(n_processors=8).geometry(keys.size)
+            rows = np.arange(keys.size)
+            assert geom.offchip_fraction(order, rows) == (
+                geom.offchip_fraction(rows, rank)
+            )
 
 
 class TestPairingProperties:

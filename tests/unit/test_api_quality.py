@@ -290,8 +290,8 @@ def _files_containing(text: str) -> set:
 
 class TestOneDriver:
     """One step driver: the serial step's two stages, over one block or
-    R or a shard's slab; the 3-D slab is a domain and the ensemble a
-    stream source."""
+    R or a shard's slab; the 3-D slab is a domain, the ensemble a
+    stream source and the CM-2 a kernel set."""
 
     def test_slab_driver_is_gone(self):
         assert importlib.util.find_spec("repro.core.simulation3d") is None
@@ -306,10 +306,9 @@ class TestOneDriver:
 
     @pytest.mark.parametrize("call", [".apply_rebuilding(", ".mix("])
     def test_boundary_pass_and_mix_have_two_engines(self, call):
-        # The CM-2 emulation engine runs its own fixed-point loop.
-        assert _files_containing(call) == {
-            "core/simulation.py", "core/engine_cm.py",
-        }
+        # Both engines, the reference and the CM-2 emulation, reach them
+        # through the one step in core/simulation.py.
+        assert _files_containing(call) == {"core/simulation.py"}
 
     def test_backend_defines_no_diagnostics_row(self):
         import repro.parallel.backend as backend
@@ -334,6 +333,21 @@ class TestOneDriver:
         }
         assert not defined & {"step", "run", "run_schedule"}
         assert issubclass(engine.EnsembleEngine, repro.Simulation)
+
+    def test_cm_engine_defines_no_step_loop(self):
+        # Fixed point is a kernel set on the counting path, not a loop.
+        import repro.core.engine_cm as engine
+
+        tree = ast.parse(pathlib.Path(engine.__file__).read_text())
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined & {
+            "step", "run", "run_schedule", "CMState", "_encode", "_decode",
+        }
+        assert issubclass(engine.CMSimulation, repro.Simulation)
 
     @pytest.mark.parametrize(
         "module_name, name",
@@ -443,23 +457,23 @@ class TestOneRunPath:
     def test_every_wedge_bench_runs_the_spec(self):
         # A bench builds its wedge tunnel from the registered spec
         # (execute, build_simulation, build_config); these still build
-        # an engine or a config by hand, each waiting on a ROADMAP item.
+        # an engine or a config by hand, each for the reason given.
         waiting = {
             "bench_fig7_scaling.py": (
                 {"SimulationConfig", "Domain"},
-                "item 10: the CM engine on an empty tunnel",
+                "no registered body-less tunnel spec",
             ),
             "bench_ext_weak_scaling.py": (
                 {"SimulationConfig", "Domain"},
-                "item 10: the CM engine on an empty tunnel",
+                "no registered body-less tunnel spec",
             ),
             "bench_abl_dynamic_vp.py": (
                 {"SimulationConfig", "Domain", "Wedge"},
-                "item 10: the CM engine on a non-paper placement",
+                "the wedge spec places its body from the grid only",
             ),
             "bench_table_phase_breakdown.py": (
                 {"Simulation"},
-                "item 7: sort_kernel is a config field, not a spec setting",
+                "sort_kernel is a config field, not a spec setting",
             ),
         }
         builders = {

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro.cm.machine import CM2
+from repro.core.cells import assign_cells
 from repro.core.engine_cm import CMSimulation
 from repro.core.simulation import SimulationConfig
 from repro.errors import ConfigurationError
+from repro.fixedpoint.qformat import Q8_23
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
 from repro.physics import theory
@@ -27,50 +29,63 @@ def small_cm():
     return CMSimulation(cfg, machine=CM2(n_processors=64))
 
 
-class TestEncodeDecode:
-    def test_roundtrip_is_lossless_on_grid(self, small_cm):
-        p0 = small_cm.particles
-        st = small_cm._encode(p0)
-        p1 = small_cm._decode(st)
-        assert np.array_equal(p0.x, p1.x)
-        assert np.array_equal(p0.u, p1.u)
-        assert np.array_equal(p0.rot, p1.rot)
+def _words(col) -> np.ndarray:
+    return Q8_23.encode(col)
 
-    def test_cell_index_from_words_matches_float(self, small_cm):
-        small_cm.run(3)
-        st = small_cm.state
-        ix = np.clip(st.xq >> 23, 0, 19)
-        iy = np.clip(st.yq >> 23, 0, 12)
-        expected = Domain(20, 13).cell_index(
-            small_cm.particles.x, small_cm.particles.y
+
+class TestGridState:
+    def test_state_on_grid_and_indexed_every_step(self):
+        # The CM state is Q8.23 words held in the float columns: after
+        # every step (the wedge's reflections and the plunger's refills
+        # included) each column lies on the 2**-23 grid and the cell
+        # column is the index of the positions.
+        cfg = SimulationConfig(
+            domain=Domain(30, 20),
+            freestream=Freestream(
+                mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=6.0
+            ),
+            wedge=Wedge(x_leading=8, base=10, angle_deg=30),
+            seed=3,
         )
-        assert np.array_equal(
-            ix.astype(np.int64) * 13 + iy.astype(np.int64), expected
-        )
+        sim = CMSimulation(cfg, machine=CM2(n_processors=64))
+        injected = reflected = 0
+        for step in range(12):
+            diag = sim.step(sample=step >= 6)
+            injected += diag.boundary.n_injected_upstream
+            reflected += diag.boundary.n_reflected_wedge
+            p = sim.particles
+            for col in (p.x, p.y, p.u, p.v, p.w, p.rot):
+                scaled = col * Q8_23.scale
+                assert np.array_equal(scaled, np.rint(scaled)), step
+            cell = p.cell.copy()
+            assign_cells(p, cfg.domain)
+            assert np.array_equal(p.cell, cell), step
+        assert injected and reflected  # the off-grid writers ran
 
 
 class TestQuickDirtyStream:
     def test_bits_balanced(self, small_cm):
         small_cm.run(4)
-        bits = small_cm._qd_bits(small_cm.state.xq, 1, salt=99)
+        bits = small_cm.kernels._bits(_words(small_cm.particles.x), 1, 99, 4)
         assert 0.35 < bits.mean() < 0.65
 
     def test_salt_decorrelates(self, small_cm):
         small_cm.run(2)
-        a = small_cm._qd_bits(small_cm.state.xq, 8, salt=1)
-        b = small_cm._qd_bits(small_cm.state.xq, 8, salt=2)
+        words = _words(small_cm.particles.x)
+        a = small_cm.kernels._bits(words, 8, 1, 2)
+        b = small_cm.kernels._bits(words, 8, 2, 2)
         assert not np.array_equal(a, b)
 
     def test_step_counter_decorrelates(self, small_cm):
-        a = small_cm._qd_bits(small_cm.state.xq, 8, salt=1)
+        a = small_cm.kernels._bits(_words(small_cm.particles.x), 8, 1, 0)
         small_cm.run(1)
-        b = small_cm._qd_bits(small_cm.state.xq, 8, salt=1)
+        b = small_cm.kernels._bits(_words(small_cm.particles.x), 8, 1, 1)
         assert not np.array_equal(a[: b.size], b[: a.size])
 
 
 class TestVPPolicy:
     def test_dynamic_geometry_tracks_population(self, small_cm):
-        g = small_cm._geometry(100)
+        g = small_cm.kernels.geometry(100)
         assert g.n_virtual == 100
 
     def test_static_geometry_holds_capacity(self):
@@ -86,8 +101,8 @@ class TestVPPolicy:
             cfg, machine=CM2(n_processors=64), dynamic_vp=False,
             vp_capacity=5000,
         )
-        assert sim._geometry(100).n_virtual == 5000
-        assert sim._geometry(6000).n_virtual == 6000  # grows if exceeded
+        assert sim.kernels.geometry(100).n_virtual == 5000
+        assert sim.kernels.geometry(6000).n_virtual == 6000  # grows if exceeded
 
     def test_static_costs_more_per_step(self):
         cfg = SimulationConfig(
@@ -101,7 +116,7 @@ class TestVPPolicy:
         m = CM2(n_processors=64)
         dyn = CMSimulation(cfg, machine=m, dynamic_vp=True)
         sta = CMSimulation(cfg, machine=m, dynamic_vp=False,
-                           vp_capacity=3 * dyn.state.n)
+                           vp_capacity=3 * dyn.particles.n)
         dyn.run(3)
         sta.run(3)
         assert sta.ledger.total() > dyn.ledger.total()
