@@ -33,6 +33,29 @@ def _words(col) -> np.ndarray:
     return Q8_23.encode(col)
 
 
+class TestEncodeDecode:
+    def test_roundtrip_is_lossless_on_grid(self, small_cm):
+        # The float columns hold Q8.23 words exactly: encoding them as
+        # words and decoding back returns the very same floats.
+        small_cm.run(3)
+        p = small_cm.particles
+        for col in (p.x, p.y, p.u, p.v, p.w, p.rot):
+            assert np.array_equal(Q8_23.decode(_words(col)), col)
+
+    def test_cell_index_from_words_matches_float(self, small_cm):
+        # The integer part of a position word is its cell coordinate, so
+        # the cell index read off the words is the float cell index.
+        small_cm.run(3)
+        p = small_cm.particles
+        ix = np.clip(_words(p.x) >> 23, 0, 19)
+        iy = np.clip(_words(p.y) >> 23, 0, 12)
+        expected = Domain(20, 13).cell_index(p.x, p.y)
+        assert np.array_equal(
+            ix.astype(np.int64) * 13 + iy.astype(np.int64), expected
+        )
+        assert np.array_equal(p.cell, expected)
+
+
 class TestGridState:
     def test_state_on_grid_and_indexed_every_step(self):
         # The CM state is Q8.23 words held in the float columns: after
